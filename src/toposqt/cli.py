@@ -80,17 +80,11 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     tau_eig = problem.tolerances.tau_eig
 
     if command == "contexts":
-        pairs = [
-            [sub, sup.id]
-            for sup in poset
-            for sub in poset.down_ids(sup.id)
-            if sub != sup.id
-        ]
         return {
             "dim": poset.dim,
             "count": len(poset),
             "contexts": [_context_entry(c) for c in poset],
-            "leq": sorted(pairs),
+            "leq": sorted([sub, sup] for sup, sub in poset.inclusions),
         }
 
     if command == "spectrum":
@@ -189,7 +183,9 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         return {"contexts": report}
 
     # sections
-    budget = options.get("budget") or DEFAULT_SEARCH_BUDGET
+    budget = options.get("budget")
+    if budget is None:
+        budget = DEFAULT_SEARCH_BUDGET
     found = global_sections(poset, budget)
     return {
         "count": len(found),

@@ -192,14 +192,7 @@ def is_subcontext(v1: Context, v2: Context, tau: float = TAU) -> bool:
     """True iff v1 is a subalgebra of v2 (each v1 atom is a sum of v2 atoms)."""
     if v1.dim != v2.dim:
         raise DimensionMismatch("contexts live on different Hilbert spaces")
-    for a in v1.atoms:
-        dominated = [b for b in v2.atoms if projector_leq(b, a, tau)]
-        total = zero(v1.dim)
-        for b in dominated:
-            total += b
-        if not close(total, a, tau):
-            return False
-    return True
+    return all(_sum_of_atoms(v2, a, tau) for a in v1.atoms)
 
 
 def _sum_of_atoms(context: Context, projector: np.ndarray, tau: float) -> bool:
@@ -317,15 +310,21 @@ class ContextPoset:
         self._by_id: dict[str, Context] = {c.id: c for c in ordered}
         if len(self._by_id) != len(ordered):
             raise ValidationError("duplicate context ids in poset")
-        below: dict[str, set[str]] = {c.id: set() for c in ordered}
-        for sup in ordered:
-            for sub in ordered:
-                if is_subcontext(sub, sup, tau):
-                    below[sup.id].add(sub.id)
-        self._below: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in below.items()}
+        self._ids: tuple[str, ...] = tuple(c.id for c in ordered)
+        self._down: dict[str, tuple[str, ...]] = {
+            sup.id: tuple(sub.id for sub in ordered if is_subcontext(sub, sup, tau))
+            for sup in ordered
+        }
+        self._below: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in self._down.items()}
+        self._inclusions: tuple[tuple[str, str], ...] = tuple(
+            (sup_id, sub_id)
+            for sup_id in self._ids
+            for sub_id in self._down[sup_id]
+            if sub_id != sup_id
+        )
         self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
         for sup in ordered:
-            for sub_id in self._below[sup.id]:
+            for sub_id in self._down[sup.id]:
                 sub = self._by_id[sub_id]
                 table = []
                 for a in sup.atoms:
@@ -350,7 +349,13 @@ class ContextPoset:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self._contexts)
+        return self._ids
+
+    @property
+    def inclusions(self) -> tuple[tuple[str, str], ...]:
+        """Every strict inclusion as a ``(sup_id, sub_id)`` pair, in canonical
+        poset order of the sup and then of the sub."""
+        return self._inclusions
 
     @property
     def dim(self) -> int:
@@ -372,10 +377,10 @@ class ContextPoset:
 
     def down_ids(self, context_id: str) -> tuple[str, ...]:
         """Ids of all subcontexts (the down-set), in canonical poset order."""
-        if context_id not in self._by_id:
-            raise UnknownContext(f"no context with id {context_id!r} in this poset")
-        members = self._below[context_id]
-        return tuple(cid for cid in self.ids if cid in members)
+        try:
+            return self._down[context_id]
+        except KeyError:
+            raise UnknownContext(f"no context with id {context_id!r} in this poset") from None
 
     def restriction_indices(self, sup_id: str, sub_id: str) -> tuple[int, ...]:
         """Atom index map along an inclusion: fine atom -> dominating coarse atom."""

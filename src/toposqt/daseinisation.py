@@ -20,14 +20,26 @@ from .contexts import Context, ContextPoset
 from .operators import (
     TAU,
     TAU_EIG,
+    SpectralDecomposition,
     projector_leq,
     require_projector,
-    require_self_adjoint,
     spectral_decomposition,
     spectral_family_at,
     zero,
 )
-from .presheaf import ClopenSubobject, subobject_of_projector
+from .presheaf import ClopenSubobject
+
+
+def _touched_atoms(P: np.ndarray, context: Context, tau: float) -> tuple[int, ...]:
+    # Indices of the atoms a with aP != 0 (norm above tau).
+    return tuple(i for i, a in enumerate(context.atoms) if float(np.linalg.norm(a @ P)) > tau)
+
+
+def _atom_sum(context: Context, indices) -> np.ndarray:
+    out = zero(context.dim)
+    for i in indices:
+        out += context.atoms[i]
+    return out
 
 
 def outer_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndarray:
@@ -37,21 +49,13 @@ def outer_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndar
     every atom is touched, zero only for P = 0.
     """
     P = require_projector(P, tau)
-    out = zero(context.dim)
-    for a in context.atoms:
-        if float(np.linalg.norm(a @ P)) > tau:
-            out += a
-    return out
+    return _atom_sum(context, _touched_atoms(P, context, tau))
 
 
 def inner_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndarray:
     """Largest projection of the context dominated by P: the sum of atoms <= P."""
     P = require_projector(P, tau)
-    out = zero(context.dim)
-    for a in context.atoms:
-        if projector_leq(a, P, tau):
-            out += a
-    return out
+    return _atom_sum(context, (i for i, a in enumerate(context.atoms) if projector_leq(a, P, tau)))
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,21 @@ def daseinise_proposition(poset: ContextPoset, P, tau: float = TAU) -> Daseinise
     projectors: dict[str, np.ndarray] = {}
     selection: dict[str, frozenset[int]] = {}
     for context in poset:
-        approx = outer_daseinise_projection(P, context, tau)
-        projectors[context.id] = approx
-        selection[context.id] = subobject_of_projector(context, approx, tau)
+        touched = _touched_atoms(P, context, tau)
+        projectors[context.id] = _atom_sum(context, touched)
+        selection[context.id] = frozenset(touched)
     return DaseinisedProposition(P, projectors, ClopenSubobject(selection))
 
 
-def _operator_from_family(grid, family, dim: int) -> np.ndarray:
-    out = zero(dim)
-    previous = zero(dim)
-    for r, proj in zip(grid, family):
+def _daseinise_decomposition(
+    decomp: SpectralDecomposition, context: Context, approximate, tau: float, tau_eig: float
+) -> np.ndarray:
+    # Approximate each cumulative spectral projection with ``approximate`` and
+    # rebuild the operator from the jumps of the family on the eigenvalue grid.
+    out = zero(context.dim)
+    previous = zero(context.dim)
+    for r in decomp.eigenvalues:
+        proj = approximate(spectral_family_at(decomp, r, tau_eig), context, tau)
         out += r * (proj - previous)
         previous = proj
     return out
@@ -95,13 +104,8 @@ def outer_daseinise_selfadjoint(
     grid.  The result lies in the context, is spectrally above A, and its
     spectrum is contained in A's.
     """
-    A = require_self_adjoint(A, tau)
     decomp = spectral_decomposition(A, tau, tau_eig)
-    family = [
-        inner_daseinise_projection(spectral_family_at(decomp, r, tau_eig), context, tau)
-        for r in decomp.eigenvalues
-    ]
-    return _operator_from_family(decomp.eigenvalues, family, context.dim)
+    return _daseinise_decomposition(decomp, context, inner_daseinise_projection, tau, tau_eig)
 
 
 def inner_daseinise_selfadjoint(
@@ -114,10 +118,5 @@ def inner_daseinise_selfadjoint(
     consecutive eigenvalues, so it is already right-continuous and the meet
     over strictly larger parameters equals the pointwise value.
     """
-    A = require_self_adjoint(A, tau)
     decomp = spectral_decomposition(A, tau, tau_eig)
-    family = [
-        outer_daseinise_projection(spectral_family_at(decomp, r, tau_eig), context, tau)
-        for r in decomp.eigenvalues
-    ]
-    return _operator_from_family(decomp.eigenvalues, family, context.dim)
+    return _daseinise_decomposition(decomp, context, outer_daseinise_projection, tau, tau_eig)

@@ -180,14 +180,10 @@ def check_global_element(poset: ContextPoset, element: GlobalElementOfOmega) -> 
     for cid, sieve in element.sieves.items():
         if sieve.base != cid:
             raise BaseMismatch(f"sieve stored at {cid!r} is based at {sieve.base!r}")
-    for sup_id in poset.ids:
-        for sub_id in poset.down_ids(sup_id):
-            if sub_id == sup_id:
-                continue
-            sub = poset.get(sub_id)
-            restricted = omega_restriction(poset, element.at(sup_id), sub)
-            if restricted != element.at(sub_id):
-                return False
+    for sup_id, sub_id in poset.inclusions:
+        restricted = omega_restriction(poset, element.at(sup_id), poset.get(sub_id))
+        if restricted != element.at(sub_id):
+            return False
     return True
 
 

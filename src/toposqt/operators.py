@@ -126,43 +126,6 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
 
-@dataclass(frozen=True)
-class SpectralFamily:
-    """Right-continuous cumulative family E_r of a self-adjoint operator.
-
-    ``cumulative[i]`` is the spectral projection onto eigenvalues <=
-    ``thresholds[i]``; the last entry is the identity.  For an arbitrary real
-    ``r`` the family takes the value at the largest threshold <= r and is zero
-    below the first threshold.
-    """
-
-    thresholds: tuple[float, ...]
-    cumulative: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.cumulative[0].shape[0]
-
-    def at(self, r: float, tau_eig: float = TAU_EIG) -> np.ndarray:
-        out = zero(self.dim)
-        for threshold, proj in zip(self.thresholds, self.cumulative):
-            if threshold <= r + tau_eig:
-                out = proj
-            else:
-                break
-        return out
-
-
-def spectral_family(decomp: SpectralDecomposition) -> SpectralFamily:
-    """Cumulative sums of the spectral projectors."""
-    running = zero(decomp.dim)
-    cumulative = []
-    for proj in decomp.projectors:
-        running = running + proj
-        cumulative.append(running)
-    return SpectralFamily(decomp.eigenvalues, tuple(cumulative))
-
-
 def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float = TAU_EIG) -> np.ndarray:
     """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``)."""
     out = zero(decomp.dim)

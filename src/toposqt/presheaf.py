@@ -125,15 +125,11 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     keys = set(subobject.selection.keys())
     if keys != set(poset.ids):
         raise IncompleteAssignment("subobject must assign a subset to every poset context")
-    for sup in poset:
-        chosen = subobject.at(sup.id)
-        for sub_id in poset.down_ids(sup.id):
-            if sub_id == sup.id:
-                continue
-            table = poset.restriction_indices(sup.id, sub_id)
-            target = subobject.at(sub_id)
-            if any(table[i] not in target for i in chosen):
-                return False
+    for sup_id, sub_id in poset.inclusions:
+        table = poset.restriction_indices(sup_id, sub_id)
+        target = subobject.at(sub_id)
+        if any(table[i] not in target for i in subobject.at(sup_id)):
+            return False
     return True
 
 

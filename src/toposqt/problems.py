@@ -66,41 +66,7 @@ class Problem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Problem):
             return NotImplemented
-        if self.dim != other.dim or self.tolerances != other.tolerances:
-            return False
-        if len(self.bases) != len(other.bases) or len(self.projector_sets) != len(other.projector_sets):
-            return False
-        for mine, theirs in zip(self.bases, other.bases):
-            if len(mine) != len(theirs) or any(
-                not np.array_equal(v, w) for v, w in zip(mine, theirs)
-            ):
-                return False
-        for mine, theirs in zip(self.projector_sets, other.projector_sets):
-            if len(mine) != len(theirs) or any(
-                not np.array_equal(p, q) for p, q in zip(mine, theirs)
-            ):
-                return False
-        if set(self.states) != set(other.states) or any(
-            not np.array_equal(self.states[k], other.states[k]) for k in self.states
-        ):
-            return False
-        if set(self.observables) != set(other.observables) or any(
-            not np.array_equal(self.observables[k], other.observables[k])
-            for k in self.observables
-        ):
-            return False
-        if set(self.propositions) != set(other.propositions):
-            return False
-        for k, mine in self.propositions.items():
-            theirs = other.propositions[k]
-            if type(mine) is not type(theirs):
-                return False
-            if isinstance(mine, IntervalProposition):
-                if mine != theirs:
-                    return False
-            elif not np.array_equal(mine.projector, theirs.projector):
-                return False
-        return True
+        return problem_to_dict(self) == problem_to_dict(other)
 
 
 def problem_from_dict(raw: dict) -> Problem:

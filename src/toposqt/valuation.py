@@ -18,11 +18,12 @@ import numpy as np
 
 from .contexts import Context, ContextPoset
 from .daseinisation import (
-    inner_daseinise_selfadjoint,
+    _daseinise_decomposition,
+    daseinise_proposition,
+    inner_daseinise_projection,
     outer_daseinise_projection,
-    outer_daseinise_selfadjoint,
 )
-from .errors import NotUnitVector, SearchBudgetExceeded, UnknownCharacter
+from .errors import NotUnitVector, SearchBudgetExceeded
 from .logic import GlobalElementOfOmega, Sieve
 from .operators import (
     TAU,
@@ -32,7 +33,7 @@ from .operators import (
     spectral_decomposition,
     zero,
 )
-from .presheaf import Character, ClopenSubobject, restrict_character, subobject_of_projector
+from .presheaf import Character, ClopenSubobject, _require_member, is_clopen_subobject
 
 #: Default node budget for the global-section search.
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -58,14 +59,8 @@ class PseudoState:
 def pseudo_state(poset: ContextPoset, psi, tau: float = TAU) -> PseudoState:
     """Outer-daseinise the state's rank-one projector over the poset."""
     psi = _require_unit(psi, tau)
-    P = np.outer(psi, psi.conj())
-    projectors: dict[str, np.ndarray] = {}
-    selection: dict[str, frozenset[int]] = {}
-    for context in poset:
-        approx = outer_daseinise_projection(P, context, tau)
-        projectors[context.id] = approx
-        selection[context.id] = subobject_of_projector(context, approx, tau)
-    return PseudoState(P, projectors, ClopenSubobject(selection))
+    d = daseinise_proposition(poset, np.outer(psi, psi.conj()), tau)
+    return PseudoState(d.source, d.per_context_projector, d.subobject)
 
 
 def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EIG) -> np.ndarray:
@@ -93,12 +88,11 @@ def truth_value(poset: ContextPoset, P, psi, tau: float = TAU) -> GlobalElementO
     """
     P = require_projector(P, tau)
     psi = _require_unit(psi, tau)
-    certain: set[str] = set()
-    for context in poset:
-        approx = outer_daseinise_projection(P, context, tau)
-        expectation = float(np.real(psi.conj() @ (approx @ psi)))
-        if expectation >= 1.0 - 10.0 * tau:
-            certain.add(context.id)
+    certain = {
+        cid
+        for cid, approx in daseinise_proposition(poset, P, tau).per_context_projector.items()
+        if float(np.real(psi.conj() @ (approx @ psi))) >= 1.0 - 10.0 * tau
+    }
     sieves = {
         cid: Sieve(cid, frozenset(certain.intersection(poset.down_ids(cid))))
         for cid in poset.ids
@@ -129,21 +123,15 @@ def quantity_value_arrow(
 ) -> IntervalPair:
     """Evaluate a quantity at a character: per subcontext, the value of the
     inner (mu) and outer (nu) daseinisation under the restricted character."""
-    A = require_self_adjoint(A, tau)
-    if character.context_id != context.id:
-        raise UnknownCharacter(
-            f"character belongs to {character.context_id!r}, not {context.id!r}"
-        )
-    if not 0 <= character.atom_index < context.n_atoms:
-        raise UnknownCharacter(f"atom index {character.atom_index} out of range")
+    decomp = spectral_decomposition(A, tau, tau_eig)
+    _require_member(context, character)
     mu: dict[str, float] = {}
     nu: dict[str, float] = {}
     for sub_id in poset.down_ids(context.id):
         sub = poset.get(sub_id)
-        lam = restrict_character(context, character, sub, tau)
-        inner = inner_daseinise_selfadjoint(A, sub, tau, tau_eig)
-        outer = outer_daseinise_selfadjoint(A, sub, tau, tau_eig)
-        atom = sub.atoms[lam.atom_index]
+        inner = _daseinise_decomposition(decomp, sub, outer_daseinise_projection, tau, tau_eig)
+        outer = _daseinise_decomposition(decomp, sub, inner_daseinise_projection, tau, tau_eig)
+        atom = sub.atoms[poset.restriction_indices(context.id, sub_id)[character.atom_index]]
         weight = float(np.trace(atom).real)
         mu[sub_id] = float(np.trace(inner @ atom).real) / weight
         nu[sub_id] = float(np.trace(outer @ atom).real) / weight
@@ -164,14 +152,8 @@ def is_global_section(poset: ContextPoset, section: GlobalSection) -> bool:
     """Check the restriction-consistency of a candidate section."""
     if set(section.assignment.keys()) != set(poset.ids):
         return False
-    for sup_id in poset.ids:
-        for sub_id in poset.down_ids(sup_id):
-            if sub_id == sup_id:
-                continue
-            table = poset.restriction_indices(sup_id, sub_id)
-            if table[section.assignment[sup_id]] != section.assignment[sub_id]:
-                return False
-    return True
+    singletons = {cid: {value} for cid, value in section.assignment.items()}
+    return is_clopen_subobject(poset, ClopenSubobject(singletons))
 
 
 def global_sections(
@@ -186,9 +168,9 @@ def global_sections(
     Absence of sections certifies contextuality for this finite poset only.
     """
     order = list(poset.ids)  # already sorted by descending atom count
-    strict_subs = {
-        cid: [s for s in poset.down_ids(cid) if s != cid] for cid in order
-    }
+    strict_subs: dict[str, list[str]] = {cid: [] for cid in order}
+    for sup_id, sub_id in poset.inclusions:
+        strict_subs[sup_id].append(sub_id)
     forced: dict[str, int] = {}
     sections: list[GlobalSection] = []
     nodes = 0

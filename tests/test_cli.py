@@ -135,6 +135,13 @@ def test_sections_command(capsys):
     assert len(report["sections"]) == 4
 
 
+def test_sections_budget_zero_is_domain_error(capsys):
+    code, out, err = _run(capsys, "sections", "--input", SPIN2_PATH, "--budget", "0")
+    assert code == 1
+    assert out == ""
+    assert "exceeded the budget of 0 nodes" in err
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = _run(capsys, "truth", "--input", SPIN2_PATH, "--prop", "Sz_in_-3_-1", "--state", "psi1")
     _, second, _ = _run(capsys, "truth", "--input", SPIN2_PATH, "--prop", "Sz_in_-3_-1", "--state", "psi1")

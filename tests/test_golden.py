@@ -1,0 +1,110 @@
+"""Golden reports: every CLI report on the shipped problems, pinned by sha256.
+
+The hashes were taken from the JSON output of the reference implementation;
+any refactoring of the presheaf, daseinisation or valuation layers must keep
+each report byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from importlib import resources
+
+import pytest
+
+from toposqt.cli import main
+from toposqt.contexts import is_subcontext
+from toposqt.problems import load_problem, problem_poset
+from toposqt.valuation import GlobalSection, global_sections, is_global_section
+
+DATA = resources.files("toposqt.data")
+
+
+def _path(name: str) -> str:
+    with resources.as_file(DATA / f"{name}.json") as p:
+        return str(p)
+
+
+def _spin2_reports() -> list[tuple[str, ...]]:
+    raw = json.loads((DATA / "spin2.json").read_text(encoding="utf-8"))
+    runs: list[tuple[str, ...]] = [
+        ("contexts",),
+        ("spectrum",),
+        ("heyting-check",),
+        ("sections",),
+    ]
+    for prop in sorted(raw["propositions"]):
+        for mode in ("outer", "inner"):
+            runs.append(("daseinize", "--prop", prop, "--mode", mode))
+        for state in sorted(raw["states"]):
+            runs.append(("truth", "--prop", prop, "--state", state))
+    for state in sorted(raw["states"]):
+        runs.append(("pseudo-state", "--state", state))
+    for observable in sorted(raw["observables"]):
+        runs.append(("value", "--observable", observable))
+    return [(argv[0], "--input", _path("spin2"), *argv[1:]) for argv in runs]
+
+
+#: sha256 of the JSON report, keyed by problem and the argv after ``--input``.
+GOLDEN = {
+    "spin2 contexts": "40ed8f513f762d549a193eb6234cbbb341c7acdfc4b22cafbc66ea68248ced9f",
+    "spin2 spectrum": "851921b8f3484d61ccc19c5740b68702744d6017903ca37c2fec39288d5acd34",
+    "spin2 heyting-check": "b90eb092aeda4e03207204e87fb923bb2cc35845af3b77d6fd220dbbe8f69310",
+    "spin2 sections": "a4e19fe7602563d8257e669a6db0ef29d1a160961b7b821cdd05b1fd8867e6bd",
+    "spin2 daseinize --prop Sz_in_-3_-1 --mode outer": "713a72b6626b7a7da703eb16f0e0a5a359757658427ef57c5be073332d04d780",
+    "spin2 daseinize --prop Sz_in_-3_-1 --mode inner": "31d68c53d5ca0711ddc4d7d846b7c81d264bafe2eb59d0ff5a2485aeda7ae7e7",
+    "spin2 truth --prop Sz_in_-3_-1 --state psi1": "c1e671fe76772f6787fce452ae5f38d3e8da46bcf2fb9fba7861ce54a76d0fe9",
+    "spin2 truth --prop Sz_in_-3_-1 --state psi2": "f255d923bce85228b1b54607e034327721a1e0a67e3a81f2f9f9f8ba09a0bdd1",
+    "spin2 daseinize --prop Sz_in_1.3_2.3 --mode outer": "61de66ab35f6fc8f3c2050e2e39fa99f4a4a3fc917a7c26a08398d2fee7b3750",
+    "spin2 daseinize --prop Sz_in_1.3_2.3 --mode inner": "07cf1145f797c1f8339f0162938c13266fb366fb74555362ca4705d9ecb540fe",
+    "spin2 truth --prop Sz_in_1.3_2.3 --state psi1": "9c2a0edd20a894671f17b4d1df92d8beba23ec09530b7fdb14738d3ee2781c8a",
+    "spin2 truth --prop Sz_in_1.3_2.3 --state psi2": "0fa4c48a91ef776a88b40f6774dd09a2d9cfcc2fcf45be6c35e4b0e7d3063008",
+    "spin2 pseudo-state --state psi1": "e8328e503620fa39192cefb256c9efeabe773c59ce06539d8e19687b1e766dc1",
+    "spin2 pseudo-state --state psi2": "9a617fcff43113b84beb80531e1e3328cdb5d8d5f45b1f450b830eaf14bdbdbe",
+    "spin2 value --observable Sz": "7e34fe72bf945d07bd44f24235f7eb95c396bb9191a705831a6498da2fd9de4f",
+    "ks18 contexts": "22710675d3ea9d914694e5265af177e85a914638511bd9c0ca299a4cb6a3b018",
+    "ks18 spectrum": "632e1699f334647c8c8f967003b10ae6adbee3e6778ba4aba67f361c316a44b4",
+    "ks18 sections": "0d530f8e9a92372c310a966af43bdaf27c317fc71c750f1648886fd06d21c03b",
+}
+
+RUNS = [("spin2", argv) for argv in _spin2_reports()] + [
+    ("ks18", (command, "--input", _path("ks18"))) for command in ("contexts", "spectrum", "sections")
+]
+
+
+def _key(problem: str, argv: tuple[str, ...]) -> str:
+    return " ".join((problem, argv[0], *argv[3:]))
+
+
+@pytest.mark.parametrize("problem,argv", RUNS, ids=[_key(p, a) for p, a in RUNS])
+def test_report_is_byte_identical(capsys, problem, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[_key(problem, argv)]
+
+
+@pytest.fixture(scope="module")
+def spin2_poset():
+    return problem_poset(load_problem(_path("spin2")))
+
+
+def test_inclusions_match_brute_force(spin2_poset):
+    contexts = list(spin2_poset)
+    expected = {
+        (sup.id, sub.id)
+        for sup in contexts
+        for sub in contexts
+        if sub.id != sup.id and is_subcontext(sub, sup)
+    }
+    assert set(spin2_poset.inclusions) == expected
+    assert len(spin2_poset.inclusions) == len(expected)
+
+
+def test_global_section_rejects_one_changed_entry(spin2_poset):
+    section = global_sections(spin2_poset)[0]
+    assert is_global_section(spin2_poset, section)
+    for cid, value in section.assignment.items():
+        n_atoms = spin2_poset.get(cid).n_atoms
+        changed = dict(section.assignment, **{cid: (value + 1) % n_atoms})
+        assert not is_global_section(spin2_poset, GlobalSection(changed))

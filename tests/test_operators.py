@@ -14,7 +14,6 @@ from toposqt.operators import (
     is_self_adjoint,
     projector_leq,
     spectral_decomposition,
-    spectral_family,
     spectral_family_at,
     spectral_order_leq,
 )
@@ -72,13 +71,6 @@ def test_spectral_family_monotone_and_tops_out(sz):
         assert projector_leq(previous, current)
         previous = current
     assert np.allclose(spectral_family_at(decomp, max(decomp.eigenvalues)), np.eye(4))
-
-
-def test_spectral_family_object_matches_pointwise(sz):
-    decomp = spectral_decomposition(sz)
-    family = spectral_family(decomp)
-    for r in (-3.0, -2.0, -0.5, 0.0, 1.9, 2.0, 10.0):
-        assert np.allclose(family.at(r), spectral_family_at(decomp, r))
 
 
 def test_projector_leq_examples(std_projectors):

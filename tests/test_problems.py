@@ -125,6 +125,26 @@ def test_round_trip(spin2, tmp_path):
     assert serialize_problem(again) == text
 
 
+def test_problems_differing_in_one_entry_compare_unequal():
+    one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    other = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    base = {
+        "dim": 2,
+        "bases": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+        "observables": {"a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
+    }
+    with_set = problem_from_dict(dict(base, projector_sets=[[one]]))
+    assert with_set == problem_from_dict(dict(base, projector_sets=[[one]]))
+    assert with_set != problem_from_dict(dict(base, projector_sets=[[other]]))
+    # the same projection, once given directly and once as an interval
+    by_projector = problem_from_dict(dict(base, propositions={"p": {"projector": one}}))
+    by_interval = problem_from_dict(
+        dict(base, propositions={"p": {"observable": "a", "interval": [0.5, 1.5]}})
+    )
+    assert np.allclose(resolve_proposition(by_projector, "p"), resolve_proposition(by_interval, "p"))
+    assert by_projector != by_interval
+
+
 def test_ks18_file_loads():
     with resources.as_file(_data_path("ks18.json")) as path:
         problem = load_problem(path)
