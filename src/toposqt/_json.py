@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import ParseError
@@ -24,13 +26,15 @@ def matrix_to_json(A: np.ndarray, ndigits: int | None = None) -> list:
     return [[_pair(z, ndigits) for z in row] for row in A]
 
 
+def finite_number(x) -> bool:
+    """A JSON number, not a boolean, that is a finite float: NaN, infinities
+    and integers beyond the float range fail the comparison."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _complex_from_pair(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
-    ):
-        raise ParseError(f"{where}: expected a [re, im] number pair, got {obj!r}")
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(finite_number, obj)):
+        raise ParseError(f"{where}: expected a [re, im] pair of finite numbers, got {obj!r}")
     return complex(obj[0], obj[1])
 
 

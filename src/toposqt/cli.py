@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        if name in ("contexts", "spectrum", "value", "heyting-check"):
+        if name in ("spectrum", "value", "heyting-check"):
             p.add_argument("--context", help="restrict to one context id")
         if name in ("daseinize", "truth"):
             p.add_argument("--prop", help="proposition name")

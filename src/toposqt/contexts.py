@@ -5,7 +5,14 @@ atoms: a pairwise-orthogonal family of projections summing to the identity.
 The scalar algebra (a single atom) is excluded throughout.  A context poset
 is a finite, inclusion-ordered family of contexts generated from user seeds:
 it contains every subalgebra of a seed generated by a subset of its atoms,
-plus the pairwise intersections of the seeds.
+plus the intersection closure of the seeds.
+
+Every poset context is a partition of one seed's atoms, so the poset is
+combinatorics over the seed atoms.  One tolerance rule decides it: two atoms
+a, b touch iff ||ab||_F > tau.  Two contexts coincide iff their atoms touch
+the same seed atoms; V <= W iff every atom of W touches exactly one atom of V
+(the restriction of that atom); and the atoms of the meet of V and W are the
+connected components of the graph of touching V and W atoms.
 
 Atom order, context identifiers and poset order are all canonical so that
 repeated runs over the same input produce byte-identical output.
@@ -15,8 +22,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,17 +38,12 @@ from .errors import (
 )
 from .operators import (
     TAU,
-    as_operator,
     close,
     identity,
-    projector_leq,
     projector_rank,
     require_projector,
     zero,
 )
-
-#: Tolerance used when deciding that two independently built contexts coincide.
-DEDUP_TAU = 1e-8
 
 
 def _reference_matrix(dim: int) -> np.ndarray:
@@ -59,19 +62,6 @@ def _atom_sort_key(A: np.ndarray, ref: np.ndarray) -> tuple:
     rank = projector_rank(A)
     weight = round(float(np.trace(A @ ref).real), 12) + 0.0
     return (rank, weight, _rounded_entries(A))
-
-
-def canonical_atoms(atoms: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Sort atoms by (rank, reference-trace weight, rounded entries)."""
-    atoms = [as_operator(a) for a in atoms]
-    ref = _reference_matrix(atoms[0].shape[0])
-    ordered = sorted(atoms, key=lambda a: _atom_sort_key(a, ref))
-    out = []
-    for a in ordered:
-        a = a.copy()
-        a.setflags(write=False)
-        out.append(a)
-    return tuple(out)
 
 
 def _context_id(atoms: Sequence[np.ndarray]) -> str:
@@ -115,6 +105,17 @@ class Context:
         return f"Context({self.id}, ranks=[{ranks}])"
 
 
+def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence) -> tuple:
+    # The context of valid atoms, sorted by (rank, reference-trace weight,
+    # rounded entries), followed by each companion sequence permuted alike.
+    ref = _reference_matrix(atoms[0].shape[0])
+    order = sorted(range(len(atoms)), key=lambda i: _atom_sort_key(atoms[i], ref))
+    ordered = tuple(np.array(atoms[i], dtype=complex) for i in order)
+    for a in ordered:
+        a.setflags(write=False)
+    return (Context(_context_id(ordered), ordered), *(tuple(c[i] for i in order) for c in companions))
+
+
 def context_from_atoms(atoms: Iterable[np.ndarray], tau: float = TAU) -> Context:
     """Build a context from an explicit resolution of the identity.
 
@@ -136,8 +137,7 @@ def context_from_atoms(atoms: Iterable[np.ndarray], tau: float = TAU) -> Context
         total += a
     if not close(total, identity(dim), tau):
         raise ValidationError("atoms do not sum to the identity")
-    ordered = canonical_atoms(atoms)
-    return Context(_context_id(ordered), ordered)
+    return _canonical_context(atoms)[0]
 
 
 def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) -> Context:
@@ -188,151 +188,123 @@ def context_from_basis(vectors: Iterable[np.ndarray], tau: float = TAU) -> Conte
     return context_from_atoms(atoms, tau)
 
 
+def _touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
+    # For each left atom a, the bitmask of the right atoms b with ||ab||_F > tau.
+    if len({a.shape for a in (*left, *right)}) > 1:
+        raise DimensionMismatch("atoms live on different Hilbert spaces")
+    norms = np.linalg.norm(np.asarray(left)[:, None] @ np.asarray(right)[None, :], axis=(2, 3))
+    return [sum(1 << j for j in np.flatnonzero(row > tau).tolist()) for row in norms]
+
+
+def _hits(mask: int, masks: Sequence[int]) -> int:
+    # Bitmask of the entries of ``masks`` that share a bit with ``mask``.
+    return sum(1 << j for j, m in enumerate(masks) if m & mask)
+
+
+def _join(masks: Sequence[int], block: Iterable[int]) -> int:
+    out = 0
+    for i in block:
+        out |= masks[i]
+    return out
+
+
+def _partition(masks: Sequence[int], n: int) -> tuple[int, ...] | None:
+    # ``masks[j]`` holds the fine atoms that coarse atom j touches.  When they
+    # partition the n fine atoms, return the table fine atom -> coarse atom.
+    seen = 0
+    for mask in masks:
+        if not mask or mask & seen:
+            return None
+        seen |= mask
+    if seen != (1 << n) - 1:
+        return None
+    return tuple(next(j for j, mask in enumerate(masks) if mask >> i & 1) for i in range(n))
+
+
+def _components(masks: Sequence[int]) -> list[list[int]]:
+    # ``masks[i]`` holds the right atoms that left atom i touches; the left
+    # atoms are grouped by the connected components of this touch graph.
+    groups: list[tuple[list[int], int]] = []
+    for i, mask in enumerate(masks):
+        members, rest = [i], []
+        for group, reach in groups:
+            if reach & mask:
+                members += group
+                mask |= reach
+            else:
+                rest.append((group, reach))
+        groups = rest + [(sorted(members), mask)]
+    return [group for group, _ in groups]
+
+
+def _restriction_table(sup: Context, sub: Context, tau: float) -> tuple[int, ...] | None:
+    return _partition(_touch_masks(sub.atoms, sup.atoms, tau), sup.n_atoms)
+
+
 def is_subcontext(v1: Context, v2: Context, tau: float = TAU) -> bool:
-    """True iff v1 is a subalgebra of v2 (each v1 atom is a sum of v2 atoms)."""
-    if v1.dim != v2.dim:
-        raise DimensionMismatch("contexts live on different Hilbert spaces")
-    return all(_sum_of_atoms(v2, a, tau) for a in v1.atoms)
-
-
-def _sum_of_atoms(context: Context, projector: np.ndarray, tau: float) -> bool:
-    # Membership of an arbitrary projection in the context's Boolean lattice.
-    dominated = [b for b in context.atoms if projector_leq(b, projector, tau)]
-    total = zero(context.dim)
-    for b in dominated:
-        total += b
-    return close(total, projector, tau)
+    """True iff v1 is a subalgebra of v2: every v2 atom touches exactly one v1 atom."""
+    return _restriction_table(v2, v1, tau) is not None
 
 
 def intersect_contexts(v1: Context, v2: Context, tau: float = TAU) -> Context | None:
     """Intersection algebra, or ``None`` when it is the scalars.
 
-    The common projections of two contexts form a Boolean lattice; its atoms
-    (the minimal nonzero common projections) are found by enumerating the
-    subset sums of one side and testing membership in the other.
+    Its atoms are the sums of v1 atoms over the connected components of the
+    graph linking a v1 atom to every v2 atom it touches.
     """
-    if v1.dim != v2.dim:
-        raise DimensionMismatch("contexts live on different Hilbert spaces")
-    dim = v1.dim
-    common: list[np.ndarray] = []
-    for r in range(1, len(v1.atoms) + 1):
-        for subset in combinations(range(len(v1.atoms)), r):
-            candidate = zero(dim)
-            for i in subset:
-                candidate += v1.atoms[i]
-            if _sum_of_atoms(v2, candidate, tau):
-                common.append(candidate)
-    minimal: list[np.ndarray] = []
-    for c in common:
-        strictly_below = [
-            d for d in common if projector_leq(d, c, tau) and not close(d, c, tau)
-        ]
-        if not strictly_below:
-            minimal.append(c)
-    if len(minimal) < 2:
+    groups = _components(_touch_masks(v1.atoms, v2.atoms, tau))
+    if len(groups) < 2:
         return None
-    return context_from_atoms(minimal, tau)
+    return context_from_atoms([sum(v1.atoms[i] for i in g) for g in groups], tau)
 
 
-def coarsenings(context: Context, tau: float = TAU) -> list[Context]:
-    """Subalgebras generated by nonempty subsets of the atoms, incl. the context."""
-    out: list[Context] = []
-    n = len(context.atoms)
-    dim = context.dim
-    for r in range(1, n + 1):
-        for subset in combinations(range(n), r):
-            atoms = [context.atoms[i] for i in subset]
-            remainder = identity(dim)
-            for a in atoms:
-                remainder = remainder - a
-            if float(np.linalg.norm(remainder)) > tau:
-                atoms.append(remainder)
-            if len(atoms) >= 2:
-                out.append(context_from_atoms(atoms, tau))
-    return out
+class _Node(NamedTuple):
+    """A poset context with two bitmasks over the seed atoms per atom."""
+
+    context: Context
+    own: tuple[int, ...]  # the seed atoms each atom sums
+    touch: tuple[int, ...]  # the seed atoms each atom touches
 
 
-class _Registry:
-    """Deduplicating store of contexts (exact rounded key, then tolerance)."""
-
-    def __init__(self) -> None:
-        self._by_id: dict[str, Context] = {}
-
-    def add(self, context: Context) -> Context:
-        found = self.lookup(context)
-        if found is not None:
-            return found
-        self._by_id[context.id] = context
-        return context
-
-    def lookup(self, context: Context) -> Context | None:
-        hit = self._by_id.get(context.id)
-        if hit is not None:
-            return hit
-        signature = tuple(projector_rank(a) for a in context.atoms)
-        for other in self._by_id.values():
-            if len(other.atoms) != len(context.atoms):
-                continue
-            if tuple(projector_rank(a) for a in other.atoms) != signature:
-                continue
-            if _atoms_match(context.atoms, other.atoms):
-                return other
-        return None
-
-    def contexts(self) -> list[Context]:
-        return list(self._by_id.values())
-
-
-def _atoms_match(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float = DEDUP_TAU) -> bool:
-    # Greedy matching: every atom on one side pairs with exactly one on the other.
-    unused = list(range(len(right)))
-    for a in left:
-        for k in list(unused):
-            if close(a, right[k], tau):
-                unused.remove(k)
-                break
-        else:
-            return False
-    return not unused
+def _add(registry: dict, base: _Node, blocks: list[list[int]], matrices) -> None:
+    # Register the context whose atoms join ``blocks`` of ``base``'s atoms,
+    # unless its key (the set of touch masks) is taken; ``matrices()`` gives
+    # the new atoms in block order and is only called for a new key.
+    touch = [_join(base.touch, b) for b in blocks]
+    if frozenset(touch) not in registry:
+        own = [_join(base.own, b) for b in blocks]
+        registry[frozenset(touch)] = _Node(*_canonical_context(matrices(), own, touch))
 
 
 class ContextPoset:
     """Immutable inclusion-ordered family of contexts.
 
-    Instances are produced by :func:`build_poset`; the inclusion relation and
-    the per-inclusion atom restriction tables are precomputed so that presheaf
-    operations are table lookups.
+    Instances are produced by :func:`build_poset`.  The order and the
+    per-inclusion atom restriction tables are read off the seed-atom masks,
+    without matrices: sub <= sup iff every sup atom (the seed atoms it sums)
+    touches exactly one sub atom, and that atom is its restriction.
     """
 
-    def __init__(self, contexts: Sequence[Context], tau: float = TAU) -> None:
-        ordered = sorted(contexts, key=lambda c: (-c.n_atoms, c.id))
-        self._contexts: tuple[Context, ...] = tuple(ordered)
-        self._by_id: dict[str, Context] = {c.id: c for c in ordered}
+    def __init__(self, nodes: Sequence[_Node]) -> None:
+        ordered = sorted(nodes, key=lambda n: (-n.context.n_atoms, n.context.id))
+        self._contexts: tuple[Context, ...] = tuple(n.context for n in ordered)
+        self._by_id: dict[str, Context] = {c.id: c for c in self._contexts}
         if len(self._by_id) != len(ordered):
             raise ValidationError("duplicate context ids in poset")
-        self._ids: tuple[str, ...] = tuple(c.id for c in ordered)
-        self._down: dict[str, tuple[str, ...]] = {
-            sup.id: tuple(sub.id for sub in ordered if is_subcontext(sub, sup, tau))
-            for sup in ordered
-        }
-        self._below: dict[str, frozenset[str]] = {k: frozenset(v) for k, v in self._down.items()}
-        self._inclusions: tuple[tuple[str, str], ...] = tuple(
-            (sup_id, sub_id)
-            for sup_id in self._ids
-            for sub_id in self._down[sup_id]
-            if sub_id != sup_id
-        )
+        self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
+        self._down: dict[str, tuple[str, ...]] = {}
         self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
         for sup in ordered:
-            for sub_id in self._down[sup.id]:
-                sub = self._by_id[sub_id]
-                table = []
-                for a in sup.atoms:
-                    hits = [j for j, b in enumerate(sub.atoms) if projector_leq(a, b, tau)]
-                    if len(hits) != 1:
-                        raise ValidationError("atom of a finer context not dominated by a unique coarser atom")
-                    table.append(hits[0])
-                self._restriction[(sup.id, sub_id)] = tuple(table)
+            down = []
+            for sub in ordered:
+                table = _partition([_hits(t, sup.own) for t in sub.touch], len(sup.own))
+                if table is not None:
+                    down.append(sub.context.id)
+                    self._restriction[(sup.context.id, sub.context.id)] = table
+            self._down[sup.context.id] = tuple(down)
+        self._inclusions: tuple[tuple[str, str], ...] = tuple(
+            pair for pair in self._restriction if pair[0] != pair[1]
+        )
 
     # -- basic container protocol ------------------------------------------
 
@@ -373,7 +345,7 @@ class ContextPoset:
         """True iff the context ``sub_id`` is included in ``sup_id``."""
         if sup_id not in self._by_id or sub_id not in self._by_id:
             raise UnknownContext("both contexts must belong to the poset")
-        return sub_id in self._below[sup_id]
+        return (sup_id, sub_id) in self._restriction
 
     def down_ids(self, context_id: str) -> tuple[str, ...]:
         """Ids of all subcontexts (the down-set), in canonical poset order."""
@@ -389,11 +361,11 @@ class ContextPoset:
         except KeyError:
             raise UnknownContext(f"{sub_id!r} is not a subcontext of {sup_id!r}") from None
 
-    def find(self, atoms: Iterable[np.ndarray], tau: float = DEDUP_TAU) -> Context | None:
+    def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
         """Locate the poset context with the given atom set, if present."""
-        wanted = canonical_atoms(atoms)
+        wanted = context_from_atoms(atoms)
         for c in self._contexts:
-            if len(c.atoms) == len(wanted) and _atoms_match(wanted, c.atoms, tau):
+            if c.n_atoms == wanted.n_atoms and is_subcontext(wanted, c):
                 return c
         return None
 
@@ -404,44 +376,54 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     The poset contains every subalgebra of a seed generated by a subset of
     its atoms, together with the intersection closure of the seeds (so any
     two seeds sharing structure are connected through their meet).  The
-    scalar algebra is excluded, near-identical contexts are merged, and the
-    inclusion order is computed for all pairs.
+    scalar algebra is excluded.  The only geometry is one touch test between
+    all seed atoms; every context is a partition of one seed's atoms, and
+    identity, meets and the order follow from the seed-atom masks.
     """
     seeds = list(seed_contexts)
     if not seeds:
         raise EmptySeed("at least one seed context is required")
-    dim = seeds[0].dim
+    seed_atoms = [a for s in seeds for a in s.atoms]
+    rows = _touch_masks(seed_atoms, seed_atoms, tau)
+    nodes, offset = [], 0
     for s in seeds:
-        if s.dim != dim:
-            raise DimensionMismatch("seed contexts live on different Hilbert spaces")
+        bits = range(offset, offset + s.n_atoms)
+        nodes.append(_Node(s, tuple(1 << i for i in bits), tuple(rows[i] for i in bits)))
+        offset += s.n_atoms
 
-    closure = _Registry()
-    frontier = [closure.add(s) for s in seeds]
-    # Intersection closure of the seeds (meets of meets included).
-    while frontier:
-        fresh: list[Context] = []
-        current = closure.contexts()
-        for new in frontier:
+    closure: dict[frozenset, _Node] = {}
+    for node in nodes:
+        closure.setdefault(frozenset(node.touch), node)
+    # Intersection closure of the seeds (meets of meets included): each round
+    # meets the contexts found in the previous one with everything known.
+    start = 0
+    while start < len(closure):
+        current = list(closure.values())
+        for new in current[start:]:
             for old in current:
-                if new.id == old.id:
-                    continue
-                meet = intersect_contexts(new, old, tau)
-                if meet is None:
-                    continue
-                if closure.lookup(meet) is None:
-                    fresh.append(closure.add(meet))
-        frontier = fresh
+                groups = _components([_hits(t, old.own) for t in new.touch])
+                if len(groups) >= 2:
+                    atoms = new.context.atoms
+                    _add(closure, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups])
+        start = len(current)
 
-    registry = _Registry()
-    for s in seeds:
-        seed = registry.add(s)
-        for sub in coarsenings(seed, tau):
-            registry.add(sub)
+    registry: dict[frozenset, _Node] = {}
+    for s in nodes:
+        seed = registry.setdefault(frozenset(s.touch), s)
+        atoms = seed.context.atoms
+        n = len(atoms)
+        # Subsets of all atoms, or of all but one, give the seed itself.
+        for r in range(1, n - 1):
+            for subset in combinations(range(n), r):
+                chosen = [atoms[i] for i in subset]
+                rest = [i for i in range(n) if i not in subset]
+                _add(registry, seed, [[i] for i in subset] + [rest],
+                     lambda: chosen + [reduce(np.subtract, chosen, identity(seed.context.dim))])
     # Meets join as bare contexts: coarsening them further would pull in
     # subalgebras that none of the seed families contain.
-    for c in closure.contexts():
-        registry.add(c)
-    return ContextPoset(registry.contexts(), tau)
+    for node in closure.values():
+        registry.setdefault(frozenset(node.touch), node)
+    return ContextPoset(list(registry.values()))
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

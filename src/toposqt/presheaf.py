@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import Context, ContextPoset, is_subcontext
+from .contexts import Context, ContextPoset, _restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter
 from .operators import TAU, as_operator, projector_leq, zero
 
@@ -58,17 +58,12 @@ def evaluate_character(context: Context, character: Character, A, tau: float = T
 def restrict_character(
     context: Context, character: Character, sub: Context, tau: float = TAU
 ) -> Character:
-    """Restriction along an inclusion: the unique coarse atom dominating ours."""
+    """Restriction along an inclusion: the unique coarse atom touching ours."""
     _require_member(context, character)
-    if sub.id == context.id:
-        return Character(sub.id, character.atom_index)
-    if not is_subcontext(sub, context, tau):
+    table = _restriction_table(context, sub, tau)
+    if table is None:
         raise NotASubcontext(f"{sub.id!r} is not a subcontext of {context.id!r}")
-    atom = context.atoms[character.atom_index]
-    for j, coarse in enumerate(sub.atoms):
-        if projector_leq(atom, coarse, tau):
-            return Character(sub.id, j)
-    raise NotASubcontext("no coarse atom dominates the character's atom")
+    return Character(sub.id, table[character.atom_index])
 
 
 def _require_member(context: Context, character: Character) -> None:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._json import matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
+from ._json import finite_number, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
 from .contexts import Context, ContextPoset, build_poset, context_from_basis, context_from_projectors
 from .errors import ParseError, ValidationError
 from .operators import TAU, TAU_EIG, is_projector, is_self_adjoint
@@ -69,6 +69,19 @@ class Problem:
         return problem_to_dict(self) == problem_to_dict(other)
 
 
+def _number(x, where: str) -> float:
+    if not finite_number(x):
+        raise ParseError(f"{where}: expected a finite number, got {x!r}")
+    return float(x)
+
+
+def _container(raw: dict, key: str, kind: type):
+    value = raw.get(key, kind())
+    if not isinstance(value, kind):
+        raise ParseError(f"{key}: expected {'a list' if kind is list else 'an object'}")
+    return value
+
+
 def problem_from_dict(raw: dict) -> Problem:
     """Validate a parsed problem dictionary; every invariant checked eagerly."""
     if not isinstance(raw, dict):
@@ -76,20 +89,22 @@ def problem_from_dict(raw: dict) -> Problem:
     if "dim" not in raw or not isinstance(raw["dim"], int) or raw["dim"] < 2:
         raise ValidationError("dim must be an integer >= 2")
     dim = raw["dim"]
-    tau = TAU
-    tau_eig = TAU_EIG
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ParseError("tolerances: expected an object")
-    if "tau" in tol_raw:
-        tau = float(tol_raw["tau"])
-    if "tau_eig" in tol_raw:
-        tau_eig = float(tol_raw["tau_eig"])
+    tol_raw = _container(raw, "tolerances", dict)
+    tau = _number(tol_raw.get("tau", TAU), "tolerances.tau")
+    tau_eig = _number(tol_raw.get("tau_eig", TAU_EIG), "tolerances.tau_eig")
     if tau <= 0 or tau_eig <= 0:
         raise ValidationError("tolerances must be positive")
 
+    def operator(obj, where: str, valid, fault: str) -> np.ndarray:
+        mat = matrix_from_json(obj, where)
+        if mat.shape != (dim, dim):
+            raise ValidationError(f"{where}: dimension mismatch")
+        if not valid(mat, tau):
+            raise ValidationError(f"{where}: {fault}")
+        return mat
+
     bases = []
-    for b, basis_raw in enumerate(raw.get("bases", [])):
+    for b, basis_raw in enumerate(_container(raw, "bases", list)):
         if not isinstance(basis_raw, list):
             raise ParseError(f"bases[{b}]: expected a list of vectors")
         vectors = tuple(
@@ -103,21 +118,16 @@ def problem_from_dict(raw: dict) -> Problem:
         bases.append(vectors)
 
     projector_sets = []
-    for s, set_raw in enumerate(raw.get("projector_sets", [])):
+    for s, set_raw in enumerate(_container(raw, "projector_sets", list)):
         if not isinstance(set_raw, list) or not set_raw:
             raise ParseError(f"projector_sets[{s}]: expected a nonempty list of matrices")
-        mats = tuple(
-            matrix_from_json(m, f"projector_sets[{s}][{i}]") for i, m in enumerate(set_raw)
-        )
-        for i, m in enumerate(mats):
-            if m.shape != (dim, dim):
-                raise ValidationError(f"projector_sets[{s}][{i}]: dimension mismatch")
-            if not is_projector(m, tau):
-                raise ValidationError(f"projector_sets[{s}][{i}]: not a projection")
-        projector_sets.append(mats)
+        projector_sets.append(tuple(
+            operator(m, f"projector_sets[{s}][{i}]", is_projector, "not a projection")
+            for i, m in enumerate(set_raw)
+        ))
 
     states = {}
-    for name, vec_raw in raw.get("states", {}).items():
+    for name, vec_raw in _container(raw, "states", dict).items():
         vec = vector_from_json(vec_raw, f"states.{name}")
         if vec.shape != (dim,):
             raise ValidationError(f"states.{name}: dimension mismatch")
@@ -126,37 +136,28 @@ def problem_from_dict(raw: dict) -> Problem:
         states[name] = vec
 
     observables = {}
-    for name, mat_raw in raw.get("observables", {}).items():
-        mat = matrix_from_json(mat_raw, f"observables.{name}")
-        if mat.shape != (dim, dim):
-            raise ValidationError(f"observables.{name}: dimension mismatch")
-        if not is_self_adjoint(mat, tau):
-            raise ValidationError(f"observables.{name}: observable not self-adjoint")
-        observables[name] = mat
+    for name, mat_raw in _container(raw, "observables", dict).items():
+        observables[name] = operator(
+            mat_raw, f"observables.{name}", is_self_adjoint, "observable not self-adjoint"
+        )
 
     propositions: dict[str, IntervalProposition | ProjectorProposition] = {}
-    for name, prop_raw in raw.get("propositions", {}).items():
+    for name, prop_raw in _container(raw, "propositions", dict).items():
         if not isinstance(prop_raw, dict):
             raise ParseError(f"propositions.{name}: expected an object")
         if "projector" in prop_raw:
-            mat = matrix_from_json(prop_raw["projector"], f"propositions.{name}.projector")
-            if mat.shape != (dim, dim):
-                raise ValidationError(f"propositions.{name}: dimension mismatch")
-            if not is_projector(mat, tau):
-                raise ValidationError(f"propositions.{name}: not a projection")
+            where = f"propositions.{name}.projector"
+            mat = operator(prop_raw["projector"], where, is_projector, "not a projection")
             propositions[name] = ProjectorProposition(mat)
         elif "observable" in prop_raw and "interval" in prop_raw:
             obs = prop_raw["observable"]
-            if obs not in observables:
+            if not isinstance(obs, str) or obs not in observables:
                 raise ValidationError(f"propositions.{name}: unknown observable {obs!r}")
             interval = prop_raw["interval"]
-            if (
-                not isinstance(interval, list)
-                or len(interval) != 2
-                or not all(isinstance(x, (int, float)) for x in interval)
-            ):
-                raise ParseError(f"propositions.{name}.interval: expected [lo, hi]")
-            lo, hi = float(interval[0]), float(interval[1])
+            where = f"propositions.{name}.interval"
+            if not isinstance(interval, list) or len(interval) != 2:
+                raise ParseError(f"{where}: expected [lo, hi]")
+            lo, hi = (_number(x, f"{where}[{i}]") for i, x in enumerate(interval))
             if lo > hi:
                 raise ValidationError(f"propositions.{name}: interval lo > hi")
             propositions[name] = IntervalProposition(obs, (lo, hi))

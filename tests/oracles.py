@@ -55,6 +55,18 @@ def is_sum_of_atoms(context: Context, R: np.ndarray, tau: float = 1e-9) -> bool:
     return any(np.linalg.norm(R - S) <= tau for S in all_projections(context))
 
 
+def brute_meet(v1: Context, v2: Context, tau: float = 1e-9) -> list[np.ndarray] | None:
+    """Atoms of the intersection algebra: the minimal nonzero subset sums of
+    v1 that are also subset sums of v2, or ``None`` when only 0 and 1 are."""
+    common = [S for S in all_projections(v1)[1:] if is_sum_of_atoms(v2, S, tau)]
+    minimal = [
+        S
+        for S in common
+        if not any(np.linalg.norm(T - S) > tau and projector_leq(T, S, tau) for T in common)
+    ]
+    return minimal if len(minimal) >= 2 else None
+
+
 def downsets_brute(elements, is_leq) -> set[frozenset]:
     """All downward-closed subsets, by filtering the whole power set."""
     elements = list(elements)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +200,47 @@ def test_run_command_rejects_unknown(capsys):
     problem = load_problem(SPIN2_PATH)
     with pytest.raises(ValueError):
         run_command("bogus", problem, {})
+
+
+def test_contexts_command_takes_no_context_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["contexts", "--input", SPIN2_PATH, "--context", "ctx-0000000000"])
+    assert exc.value.code == 2
+
+
+_NAN_INTERVAL = {"p": {"observable": "Sz", "interval": [float("nan"), 1.0]}}
+_INF_INTERVAL = {"p": {"observable": "Sz", "interval": [0.0, float("inf")]}}
+_NAN_STATE = {"psi": [[float("nan"), 0.0], [0, 0], [0, 0], [0, 0]]}
+_HUGE_STATE = {"psi": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}
+_LIST_OBSERVABLE = {"p": {"observable": ["Sz"], "interval": [0.0, 1.0]}}
+
+
+@pytest.mark.parametrize(
+    "key,value,path",
+    [
+        ("states", [], "states"),
+        ("observables", [], "observables"),
+        ("propositions", [], "propositions"),
+        ("bases", 5, "bases"),
+        ("projector_sets", 7, "projector_sets"),
+        ("tolerances", {"tau": "x"}, "tolerances.tau"),
+        ("tolerances", {"tau_eig": float("nan")}, "tolerances.tau_eig"),
+        ("propositions", _NAN_INTERVAL, "propositions.p.interval[0]"),
+        ("propositions", _INF_INTERVAL, "propositions.p.interval[1]"),
+        ("states", _NAN_STATE, "states.psi"),
+        ("states", _HUGE_STATE, "states.psi"),
+        ("propositions", _LIST_OBSERVABLE, "propositions.p"),
+    ],
+    ids=["states", "observables", "propositions", "bases", "projector_sets", "tau",
+         "tau_eig_nan", "interval_nan", "interval_inf", "state_nan", "state_huge_int", "observable_name_list"],
+)
+def test_malformed_problem_file_is_domain_error(capsys, tmp_path, key, value, path):
+    raw = json.loads(Path(SPIN2_PATH).read_text(encoding="utf-8"))
+    raw[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = _run(capsys, "contexts", "--input", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}:")
+    assert "Traceback" not in err

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from importlib import resources
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import locate
-from oracles import all_projections, is_sum_of_atoms
+from oracles import all_projections, brute_meet, is_sum_of_atoms
 from toposqt.contexts import (
     build_poset,
     context_from_basis,
@@ -24,6 +25,7 @@ from toposqt.errors import (
     UnknownContext,
     ValidationError,
 )
+from toposqt.problems import load_problem, problem_seed_contexts
 
 
 def test_context_from_full_projector_family(std_projectors, maximal_context):
@@ -237,3 +239,55 @@ def test_poset_order_is_a_partial_order(poset_two_bases):
             for c in ids:
                 if poset_two_bases.is_leq(a, b) and poset_two_bases.is_leq(b, c):
                     assert poset_two_bases.is_leq(a, c)
+
+
+def _assert_meet_matches_oracle(v1, v2):
+    expected = brute_meet(v1, v2)
+    meet = intersect_contexts(v1, v2)
+    if expected is None:
+        assert meet is None
+        return
+    assert meet is not None and meet.n_atoms == len(expected)
+    for atom in meet.atoms:
+        assert sum(np.linalg.norm(atom - S) <= 1e-9 for S in expected) == 1
+
+
+def test_intersection_agrees_with_subset_sum_oracle(poset_two_bases):
+    for v1 in poset_two_bases:
+        for v2 in poset_two_bases:
+            _assert_meet_matches_oracle(v1, v2)
+
+
+def test_ks18_seed_intersections_agree_with_subset_sum_oracle():
+    with resources.as_file(resources.files("toposqt.data") / "ks18.json") as path:
+        seeds = problem_seed_contexts(load_problem(path))
+    assert len(seeds) == 9
+    for v1 in seeds:
+        for v2 in seeds:
+            _assert_meet_matches_oracle(v1, v2)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 3e-9, 1e-6])
+def test_one_tolerance_decides_identity_and_order(maximal_context, theta):
+    # The second basis shares e1 with the standard one; its copy of e0 is
+    # rotated towards q3 by theta.  Whatever theta, identity and inclusion
+    # must be decided alike: no context may be merged and then lose its
+    # inclusions.
+    e = np.eye(4, dtype=complex)
+    q3 = (e[2] + e[3]) / np.sqrt(2)
+    q4 = (e[2] - e[3]) / np.sqrt(2)
+    c, s = np.cos(theta), np.sin(theta)
+    rotated = context_from_basis([c * e[0] + s * q3, e[1], c * q3 - s * e[0], q4])
+    poset = build_poset([maximal_context, rotated])
+    maximal = [v for v in poset if v.n_atoms == 4]
+    assert len(maximal) == 2
+    assert all(len(poset.down_ids(v.id)) == 11 for v in maximal)
+    expected = {
+        (sup.id, sub.id)
+        for sup in poset
+        for sub in poset
+        if sub.id != sup.id and all(is_sum_of_atoms(sup, a) for a in sub.atoms)
+    }
+    assert set(poset.inclusions) == expected
+    assert len(poset.inclusions) == len(expected)
+    assert (len(poset), len(expected)) == ((19, 42) if theta <= 1e-12 else (21, 44))
