@@ -9,10 +9,10 @@ plus the intersection closure of the seeds.
 
 Every poset context is a partition of one seed's atoms, so the poset is
 combinatorics over the seed atoms.  One tolerance rule decides it: two atoms
-a, b touch iff ||ab||_F > tau.  Two contexts coincide iff their atoms touch
-the same seed atoms; V <= W iff every atom of W touches exactly one atom of V
-(the restriction of that atom); and the atoms of the meet of V and W are the
-connected components of the graph of touching V and W atoms.
+a, b touch iff ||ab||_F > tau.  V <= W iff every atom of W touches exactly
+one atom of V (the restriction of that atom); two contexts coincide iff each
+lies inside the other; and the atoms of the meet of V and W are the connected
+components of the graph of touching V and W atoms.
 
 Atom order, context identifiers and poset order are all canonical so that
 repeated runs over the same input produce byte-identical output.
@@ -42,7 +42,6 @@ from .operators import (
     identity,
     projector_rank,
     require_projector,
-    zero,
 )
 
 
@@ -120,22 +119,15 @@ def context_from_atoms(atoms: Iterable[np.ndarray], tau: float = TAU) -> Context
     """Build a context from an explicit resolution of the identity.
 
     Raises ``NotProjector`` / ``ValidationError`` when the atoms are not a
-    pairwise-orthogonal projective partition of the identity, and
-    ``TrivialAlgebra`` when only one atom is supplied.
+    projective partition of the identity (each atom touches itself and no
+    other), and ``TrivialAlgebra`` when only one atom is supplied.
     """
     atoms = [require_projector(a, tau) for a in atoms]
     if len(atoms) < 2:
         raise TrivialAlgebra("a context needs at least two atoms; the scalar algebra is excluded")
-    dim = atoms[0].shape[0]
-    total = zero(dim)
-    for i, a in enumerate(atoms):
-        if a.shape[0] != dim:
-            raise DimensionMismatch("atoms live on different Hilbert spaces")
-        for b in atoms[i + 1 :]:
-            if not close(a @ b, zero(dim), tau):
-                raise ValidationError("atoms are not pairwise orthogonal")
-        total += a
-    if not close(total, identity(dim), tau):
+    if _touch_masks(atoms, atoms, tau) != [1 << i for i in range(len(atoms))]:
+        raise ValidationError("atoms are not nonzero and pairwise orthogonal")
+    if not close(sum(atoms), identity(atoms[0].shape[0]), tau):
         raise ValidationError("atoms do not sum to the identity")
     return _canonical_context(atoms)[0]
 
@@ -150,15 +142,13 @@ def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) 
     gens = [require_projector(g, tau) for g in generators]
     if not gens:
         raise TrivialAlgebra("no generators supplied")
-    dim = gens[0].shape[0]
-    for g in gens:
-        if g.shape[0] != dim:
-            raise DimensionMismatch("generators live on different Hilbert spaces")
+    if len({g.shape for g in gens}) > 1:
+        raise DimensionMismatch("generators live on different Hilbert spaces")
     for i, g in enumerate(gens):
         for h in gens[i + 1 :]:
             if not close(g @ h, h @ g, tau):
                 raise NonCommutingGenerators("generators do not pairwise commute")
-    one = identity(dim)
+    one = identity(gens[0].shape[0])
     products = [one]
     for g in gens:
         nxt = []
@@ -179,11 +169,8 @@ def context_from_basis(vectors: Iterable[np.ndarray], tau: float = TAU) -> Conte
     dim = vecs[0].shape[0]
     if len(vecs) != dim:
         raise ValidationError(f"basis needs {dim} vectors, got {len(vecs)}")
-    for i, v in enumerate(vecs):
-        for j, w in enumerate(vecs):
-            expected = 1.0 if i == j else 0.0
-            if abs(np.vdot(v, w) - expected) > max(tau, 1e-9):
-                raise ValidationError("basis not orthonormal")
+    if np.abs(np.conj(vecs) @ np.transpose(vecs) - np.eye(dim)).max() > max(tau, 1e-9):
+        raise ValidationError("basis not orthonormal")
     atoms = [np.outer(v, v.conj()) for v in vecs]
     return context_from_atoms(atoms, tau)
 
@@ -208,17 +195,18 @@ def _join(masks: Sequence[int], block: Iterable[int]) -> int:
     return out
 
 
-def _partition(masks: Sequence[int], n: int) -> tuple[int, ...] | None:
-    # ``masks[j]`` holds the fine atoms that coarse atom j touches.  When they
-    # partition the n fine atoms, return the table fine atom -> coarse atom.
-    seen = 0
-    for mask in masks:
-        if not mask or mask & seen:
+def _table(touch: Sequence[int], own: Sequence[int]) -> tuple[int, ...] | None:
+    # Coarse atom j touches the bits in ``touch[j]``; fine atom i sums the bits
+    # in ``own[i]``.  The coarse context lies inside the fine one iff every fine
+    # atom touches exactly one coarse atom (its restriction, listed in the
+    # returned table) and every coarse atom touches some fine atom.
+    table = []
+    for mask in own:
+        hits = [j for j, t in enumerate(touch) if t & mask]
+        if len(hits) != 1:
             return None
-        seen |= mask
-    if seen != (1 << n) - 1:
-        return None
-    return tuple(next(j for j, mask in enumerate(masks) if mask >> i & 1) for i in range(n))
+        table += hits
+    return tuple(table) if len(set(table)) == len(touch) else None
 
 
 def _components(masks: Sequence[int]) -> list[list[int]]:
@@ -237,13 +225,15 @@ def _components(masks: Sequence[int]) -> list[list[int]]:
     return [group for group, _ in groups]
 
 
-def _restriction_table(sup: Context, sub: Context, tau: float) -> tuple[int, ...] | None:
-    return _partition(_touch_masks(sub.atoms, sup.atoms, tau), sup.n_atoms)
+def restriction_table(sup: Context, sub: Context, tau: float = TAU) -> tuple[int, ...] | None:
+    """The index of the one ``sub`` atom that each ``sup`` atom touches, or
+    ``None`` when ``sub`` is not a subcontext of ``sup``."""
+    return _table(_touch_masks(sub.atoms, sup.atoms, tau), [1 << i for i in range(sup.n_atoms)])
 
 
 def is_subcontext(v1: Context, v2: Context, tau: float = TAU) -> bool:
     """True iff v1 is a subalgebra of v2: every v2 atom touches exactly one v1 atom."""
-    return _restriction_table(v2, v1, tau) is not None
+    return restriction_table(v2, v1, tau) is not None
 
 
 def intersect_contexts(v1: Context, v2: Context, tau: float = TAU) -> Context | None:
@@ -266,42 +256,56 @@ class _Node(NamedTuple):
     touch: tuple[int, ...]  # the seed atoms each atom touches
 
 
-def _add(registry: dict, base: _Node, blocks: list[list[int]], matrices) -> None:
-    # Register the context whose atoms join ``blocks`` of ``base``'s atoms,
-    # unless its key (the set of touch masks) is taken; ``matrices()`` gives
-    # the new atoms in block order and is only called for a new key.
+def _admit(nodes: dict[str, _Node], touch: Sequence[int], make) -> _Node:
+    # First wins: a candidate is the first registered node with as many atoms
+    # that includes it (equal counts make inclusion mutual), else the node
+    # with its id; ``make()`` builds the candidate node only when it is new.
+    for node in nodes.values():
+        if len(node.own) == len(touch) and _table(touch, node.own) is not None:
+            return node
+    node = make()
+    return nodes.setdefault(node.context.id, node)
+
+
+def _add(nodes: dict[str, _Node], base: _Node, blocks: list[list[int]], matrices) -> None:
+    # Admit the context whose atoms join ``blocks`` of ``base``'s atoms;
+    # ``matrices()`` gives its atoms in block order.
     touch = [_join(base.touch, b) for b in blocks]
-    if frozenset(touch) not in registry:
-        own = [_join(base.own, b) for b in blocks]
-        registry[frozenset(touch)] = _Node(*_canonical_context(matrices(), own, touch))
+    own = [_join(base.own, b) for b in blocks]
+    _admit(nodes, touch, lambda: _Node(*_canonical_context(matrices(), own, touch)))
 
 
 class ContextPoset:
     """Immutable inclusion-ordered family of contexts.
 
-    Instances are produced by :func:`build_poset`.  The order and the
+    Instances are produced only by :func:`build_poset`.  The order and the
     per-inclusion atom restriction tables are read off the seed-atom masks,
     without matrices: sub <= sup iff every sup atom (the seed atoms it sums)
-    touches exactly one sub atom, and that atom is its restriction.
+    touches exactly one sub atom, and that atom is its restriction.  An order
+    that the touch test cannot make transitive raises ``ValidationError``.
     """
 
     def __init__(self, nodes: Sequence[_Node]) -> None:
         ordered = sorted(nodes, key=lambda n: (-n.context.n_atoms, n.context.id))
         self._contexts: tuple[Context, ...] = tuple(n.context for n in ordered)
         self._by_id: dict[str, Context] = {c.id: c for c in self._contexts}
-        if len(self._by_id) != len(ordered):
-            raise ValidationError("duplicate context ids in poset")
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
         self._down: dict[str, tuple[str, ...]] = {}
         self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
         for sup in ordered:
             down = []
             for sub in ordered:
-                table = _partition([_hits(t, sup.own) for t in sub.touch], len(sup.own))
+                table = _table(sub.touch, sup.own) if len(sub.own) <= len(sup.own) else None
                 if table is not None:
                     down.append(sub.context.id)
                     self._restriction[(sup.context.id, sub.context.id)] = table
             self._down[sup.context.id] = tuple(down)
+        for sup, down in self._down.items():
+            if any((sup, low) not in self._restriction for sub in down for low in self._down[sub]):
+                raise ValidationError(
+                    f"the touch test cannot order the contexts below {sup} transitively:"
+                    " some products of seed atoms lie close to tau"
+                )
         self._inclusions: tuple[tuple[str, str], ...] = tuple(
             pair for pair in self._restriction if pair[0] != pair[1]
         )
@@ -378,7 +382,9 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     two seeds sharing structure are connected through their meet).  The
     scalar algebra is excluded.  The only geometry is one touch test between
     all seed atoms; every context is a partition of one seed's atoms, and
-    identity, meets and the order follow from the seed-atom masks.
+    identity, meets and the order follow from the seed-atom masks.  Of two
+    contexts that include each other, or that share an id, the first one
+    generated is kept: each seed, then the contexts it refines, then the meets.
     """
     seeds = list(seed_contexts)
     if not seeds:
@@ -391,9 +397,9 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
         nodes.append(_Node(s, tuple(1 << i for i in bits), tuple(rows[i] for i in bits)))
         offset += s.n_atoms
 
-    closure: dict[frozenset, _Node] = {}
+    closure: dict[str, _Node] = {}
     for node in nodes:
-        closure.setdefault(frozenset(node.touch), node)
+        _admit(closure, node.touch, lambda: node)
     # Intersection closure of the seeds (meets of meets included): each round
     # meets the contexts found in the previous one with everything known.
     start = 0
@@ -407,9 +413,9 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
                     _add(closure, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups])
         start = len(current)
 
-    registry: dict[frozenset, _Node] = {}
+    registry: dict[str, _Node] = {}
     for s in nodes:
-        seed = registry.setdefault(frozenset(s.touch), s)
+        seed = _admit(registry, s.touch, lambda: s)
         atoms = seed.context.atoms
         n = len(atoms)
         # Subsets of all atoms, or of all but one, give the seed itself.
@@ -422,12 +428,10 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     # Meets join as bare contexts: coarsening them further would pull in
     # subalgebras that none of the seed families contain.
     for node in closure.values():
-        registry.setdefault(frozenset(node.touch), node)
+        _admit(registry, node.touch, lambda: node)
     return ContextPoset(list(registry.values()))
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:
     """All subcontexts of ``context`` within the poset, including itself."""
-    if context.id not in poset:
-        raise UnknownContext(f"context {context.id!r} is not in the poset")
     return tuple(poset.get(cid) for cid in poset.down_ids(context.id))

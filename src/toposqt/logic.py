@@ -68,8 +68,6 @@ def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]
     already has.  Raises ``EnumerationLimitExceeded`` when the down-set has
     more than ``ENUMERATION_CAP`` elements.
     """
-    if context.id not in poset:
-        raise UnknownContext(f"context {context.id!r} is not in the poset")
     elements = list(poset.down_ids(context.id))
     if len(elements) > ENUMERATION_CAP:
         raise EnumerationLimitExceeded(

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import Context, ContextPoset, _restriction_table
+from .contexts import Context, ContextPoset, restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter
 from .operators import TAU, as_operator, projector_leq, zero
 
@@ -60,7 +60,7 @@ def restrict_character(
 ) -> Character:
     """Restriction along an inclusion: the unique coarse atom touching ours."""
     _require_member(context, character)
-    table = _restriction_table(context, sub, tau)
+    table = restriction_table(context, sub, tau)
     if table is None:
         raise NotASubcontext(f"{sub.id!r} is not a subcontext of {context.id!r}")
     return Character(sub.id, table[character.atom_index])

@@ -228,17 +228,21 @@ def test_is_subcontext_dimension_mismatch(maximal_context):
         intersect_contexts(small, maximal_context)
 
 
-def test_poset_order_is_a_partial_order(poset_two_bases):
-    ids = poset_two_bases.ids
+def _assert_partial_order(poset):
+    ids = poset.ids
     for a in ids:
-        assert poset_two_bases.is_leq(a, a)
+        assert poset.is_leq(a, a)
     for a in ids:
         for b in ids:
-            if poset_two_bases.is_leq(a, b) and poset_two_bases.is_leq(b, a):
+            if poset.is_leq(a, b) and poset.is_leq(b, a):
                 assert a == b
             for c in ids:
-                if poset_two_bases.is_leq(a, b) and poset_two_bases.is_leq(b, c):
-                    assert poset_two_bases.is_leq(a, c)
+                if poset.is_leq(a, b) and poset.is_leq(b, c):
+                    assert poset.is_leq(a, c)
+
+
+def test_poset_order_is_a_partial_order(poset_two_bases):
+    _assert_partial_order(poset_two_bases)
 
 
 def _assert_meet_matches_oracle(v1, v2):
@@ -291,3 +295,57 @@ def test_one_tolerance_decides_identity_and_order(maximal_context, theta):
     assert set(poset.inclusions) == expected
     assert len(poset.inclusions) == len(expected)
     assert (len(poset), len(expected)) == ((19, 42) if theta <= 1e-12 else (21, 44))
+
+
+def _rotated_basis(theta: float) -> np.ndarray:
+    # The standard basis of C^4 rotated by theta in the (e0, e2) plane.
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, 0, s, 0], [0, 1, 0, 0], [-s, 0, c, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def test_seeds_touching_only_through_a_middle_seed_give_a_partial_order():
+    # |<a0|b2>| = |<b0|c2>| = 0.8e-9 lie below tau = 1e-9, but |<a0|c2>| =
+    # 1.6e-9 does not: touching is not transitive.  The middle seed is the
+    # first seed under the partition test, the third is not, and the order
+    # built from the three must still be a partial order.
+    a, b, c = (context_from_basis(_rotated_basis(t)) for t in (0.8e-9, 0.0, -0.8e-9))
+    poset = build_poset([a, b, c])
+    _assert_partial_order(poset)
+    assert b.id not in poset and {a.id, c.id} <= set(poset.ids)
+    assert not poset.is_leq(a.id, c.id) and not poset.is_leq(c.id, a.id)
+
+
+def test_contexts_with_equal_ids_are_one_context():
+    # At tau = 1e-12 the two bases are distinct contexts under the touch
+    # test, but their atoms agree to 10 decimals and so do their ids.
+    a, b = (context_from_basis(_rotated_basis(t)) for t in (0.0, 1e-11))
+    assert a.id == b.id and not is_subcontext(a, b, tau=1e-12)
+    poset = build_poset([a, b], tau=1e-12)
+    assert len(poset) == 11 and len(set(poset.ids)) == 11
+    _assert_partial_order(poset)
+
+
+def _givens(i: int, j: int, theta: float) -> np.ndarray:
+    rotation = np.eye(4, dtype=complex)
+    c, s = np.cos(theta), np.sin(theta)
+    rotation[i, i] = rotation[j, j] = c
+    rotation[i, j], rotation[j, i] = s, -s
+    return rotation
+
+
+def test_order_the_tolerance_cannot_make_transitive_is_an_error():
+    # Each seed is the standard basis turned by two rotations below tau.
+    # Some of the resulting atom products lie so close to tau that the touch
+    # test orders X <= Y <= Z without X <= Z; that order is refused.
+    turns = [
+        [(0, 3, 6e-10), (1, 3, -6e-10)],
+        [(2, 3, -6e-10), (0, 3, -6e-10)],
+        [(2, 3, 9e-10), (1, 3, 9e-10)],
+    ]
+    seeds = [
+        context_from_basis(_givens(*second) @ _givens(*first)) for first, second in turns
+    ]
+    with pytest.raises(ValidationError, match="transitively"):
+        build_poset(seeds)
+    for pair in combinations(seeds, 2):
+        _assert_partial_order(build_poset(list(pair)))
