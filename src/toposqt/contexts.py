@@ -42,6 +42,7 @@ from .operators import (
     identity,
     projector_rank,
     require_projector,
+    touch_masks,
 )
 
 
@@ -52,23 +53,12 @@ def _reference_matrix(dim: int) -> np.ndarray:
     return (idx[:, None] * dim + idx[None, :] + 1.0).astype(complex)
 
 
-def _rounded_entries(A: np.ndarray) -> tuple:
-    flat = A.reshape(-1)
-    return tuple((round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0) for z in flat)
-
-
-def _atom_sort_key(A: np.ndarray, ref: np.ndarray) -> tuple:
-    rank = projector_rank(A)
-    weight = round(float(np.trace(A @ ref).real), 12) + 0.0
-    return (rank, weight, _rounded_entries(A))
-
-
-def _context_id(atoms: Sequence[np.ndarray]) -> str:
+def _context_id(rounded: Sequence[np.ndarray]) -> str:
+    # Hash of the atoms rounded to 10 digits, in canonical order.
     digest = hashlib.sha1()
-    for a in atoms:
-        # +0.0 collapses negative zeros so the hash is phase-insensitive
-        digest.update((np.round(a.real, 10) + 0.0).tobytes())
-        digest.update((np.round(a.imag, 10) + 0.0).tobytes())
+    for a in rounded:
+        digest.update(a.real.tobytes())
+        digest.update(a.imag.tobytes())
     return "ctx-" + digest.hexdigest()[:10]
 
 
@@ -106,13 +96,22 @@ class Context:
 
 def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence) -> tuple:
     # The context of valid atoms, sorted by (rank, reference-trace weight,
-    # rounded entries), followed by each companion sequence permuted alike.
+    # entries), followed by each companion sequence permuted alike.  The
+    # weight and the entries are rounded to 10 digits, as in the id; +0.0
+    # collapses negative zeros so the id is phase-insensitive.
     ref = _reference_matrix(atoms[0].shape[0])
-    order = sorted(range(len(atoms)), key=lambda i: _atom_sort_key(atoms[i], ref))
+    rounded = [np.round(a, 10) + 0.0 for a in atoms]
+    keys = [
+        (projector_rank(a), round(float(np.trace(a @ ref).real), 10) + 0.0,
+         r.view(float).ravel().tolist())
+        for a, r in zip(atoms, rounded)
+    ]
+    order = sorted(range(len(atoms)), key=keys.__getitem__)
     ordered = tuple(np.array(atoms[i], dtype=complex) for i in order)
     for a in ordered:
         a.setflags(write=False)
-    return (Context(_context_id(ordered), ordered), *(tuple(c[i] for i in order) for c in companions))
+    context = Context(_context_id([rounded[i] for i in order]), ordered)
+    return (context, *(tuple(c[i] for i in order) for c in companions))
 
 
 def context_from_atoms(atoms: Iterable[np.ndarray], tau: float = TAU) -> Context:
@@ -125,7 +124,7 @@ def context_from_atoms(atoms: Iterable[np.ndarray], tau: float = TAU) -> Context
     atoms = [require_projector(a, tau) for a in atoms]
     if len(atoms) < 2:
         raise TrivialAlgebra("a context needs at least two atoms; the scalar algebra is excluded")
-    if _touch_masks(atoms, atoms, tau) != [1 << i for i in range(len(atoms))]:
+    if touch_masks(atoms, atoms, tau) != [1 << i for i in range(len(atoms))]:
         raise ValidationError("atoms are not nonzero and pairwise orthogonal")
     if not close(sum(atoms), identity(atoms[0].shape[0]), tau):
         raise ValidationError("atoms do not sum to the identity")
@@ -175,14 +174,6 @@ def context_from_basis(vectors: Iterable[np.ndarray], tau: float = TAU) -> Conte
     return context_from_atoms(atoms, tau)
 
 
-def _touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
-    # For each left atom a, the bitmask of the right atoms b with ||ab||_F > tau.
-    if len({a.shape for a in (*left, *right)}) > 1:
-        raise DimensionMismatch("atoms live on different Hilbert spaces")
-    norms = np.linalg.norm(np.asarray(left)[:, None] @ np.asarray(right)[None, :], axis=(2, 3))
-    return [sum(1 << j for j in np.flatnonzero(row > tau).tolist()) for row in norms]
-
-
 def _hits(mask: int, masks: Sequence[int]) -> int:
     # Bitmask of the entries of ``masks`` that share a bit with ``mask``.
     return sum(1 << j for j, m in enumerate(masks) if m & mask)
@@ -228,7 +219,7 @@ def _components(masks: Sequence[int]) -> list[list[int]]:
 def restriction_table(sup: Context, sub: Context, tau: float = TAU) -> tuple[int, ...] | None:
     """The index of the one ``sub`` atom that each ``sup`` atom touches, or
     ``None`` when ``sub`` is not a subcontext of ``sup``."""
-    return _table(_touch_masks(sub.atoms, sup.atoms, tau), [1 << i for i in range(sup.n_atoms)])
+    return _table(touch_masks(sub.atoms, sup.atoms, tau), [1 << i for i in range(sup.n_atoms)])
 
 
 def is_subcontext(v1: Context, v2: Context, tau: float = TAU) -> bool:
@@ -242,7 +233,7 @@ def intersect_contexts(v1: Context, v2: Context, tau: float = TAU) -> Context | 
     Its atoms are the sums of v1 atoms over the connected components of the
     graph linking a v1 atom to every v2 atom it touches.
     """
-    groups = _components(_touch_masks(v1.atoms, v2.atoms, tau))
+    groups = _components(touch_masks(v1.atoms, v2.atoms, tau))
     if len(groups) < 2:
         return None
     return context_from_atoms([sum(v1.atoms[i] for i in g) for g in groups], tau)
@@ -390,7 +381,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     if not seeds:
         raise EmptySeed("at least one seed context is required")
     seed_atoms = [a for s in seeds for a in s.atoms]
-    rows = _touch_masks(seed_atoms, seed_atoms, tau)
+    rows = touch_masks(seed_atoms, seed_atoms, tau)
     nodes, offset = [], 0
     for s in seeds:
         bits = range(offset, offset + s.n_atoms)

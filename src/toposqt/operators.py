@@ -3,7 +3,8 @@
 Everything downstream (contexts, spectra, daseinisation) reduces to a handful
 of exact-mathematics predicates evaluated with explicit floating-point
 tolerances: self-adjointness, projection checks, spectral decompositions,
-cumulative spectral families, and the projector and spectral orders.
+cumulative spectral families, the projector and spectral orders, and the
+touch test ||ab||_F > tau between families of projections.
 
 Operators are plain complex ``numpy`` arrays; values returned by this module
 are freshly allocated and never aliased to caller data.
@@ -12,6 +13,7 @@ are freshly allocated and never aliased to caller data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -133,6 +135,15 @@ def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float =
         if lam <= r + tau_eig:
             out += proj
     return out
+
+
+def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
+    """For each left projection a, the bitmask of the right projections b it
+    touches (||ab||_F > tau): the one place where a tolerance meets geometry."""
+    if len({a.shape for a in (*left, *right)}) > 1:
+        raise DimensionMismatch("atoms live on different Hilbert spaces")
+    norms = np.linalg.norm(np.asarray(left)[:, None] @ np.asarray(right)[None, :], axis=(2, 3))
+    return [sum(1 << j for j in np.flatnonzero(row > tau).tolist()) for row in norms]
 
 
 def projector_leq(P, Q, tau: float = TAU) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .contexts import Context, ContextPoset, restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter
-from .operators import TAU, as_operator, projector_leq, zero
+from .operators import TAU, as_operator, identity, require_projector, touch_masks
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,8 @@ def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject)
 
 
 def subobject_of_projector(context: Context, projector, tau: float = TAU) -> frozenset[int]:
-    """Atom indices where a projection member of the context evaluates to 1."""
-    P = as_operator(projector)
-    if float(np.linalg.norm(P - zero(context.dim))) <= tau:
-        return frozenset()
-    return frozenset(
-        i for i, a in enumerate(context.atoms) if projector_leq(a, P, tau)
-    )
+    """Atom indices where a projection member of the context evaluates to 1:
+    the atoms that do not touch its complement."""
+    P = require_projector(projector, tau)
+    rest = touch_masks(context.atoms, [identity(context.dim) - P], tau)
+    return frozenset(i for i, mask in enumerate(rest) if not mask)

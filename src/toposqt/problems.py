@@ -94,6 +94,9 @@ def problem_from_dict(raw: dict) -> Problem:
     tau_eig = _number(tol_raw.get("tau_eig", TAU_EIG), "tolerances.tau_eig")
     if tau <= 0 or tau_eig <= 0:
         raise ValidationError("tolerances must be positive")
+    # sum_Q ||aQ||_F^2 = rank a >= 1 over <= dim projections Q: a touches some Q.
+    if tau >= dim ** -0.5:
+        raise ValidationError(f"tolerances.tau: must be below 1/sqrt(dim) = {dim ** -0.5:.6g}")
 
     def operator(obj, where: str, valid, fault: str) -> np.ndarray:
         mat = matrix_from_json(obj, where)

@@ -2,12 +2,12 @@
 
 A pure state enters the presheaf picture as the outer daseinisation of its
 rank-one projector (the pseudo-state).  The truth value of a proposition at a
-context is the sieve of subcontexts where the daseinised projection has
-expectation one in the state; these sieves always assemble into a global
-element of the classifier.  Physical quantities read off interval endpoints
-from inner/outer daseinisation along a character, and the search for global
-sections of the spectral presheaf decides contextuality for the finite poset
-at hand.
+context is the sieve of subcontexts where the pseudo-state lies below the
+daseinised proposition; these sieves always assemble into a global element
+of the classifier.  Physical quantities read off interval endpoints from the
+spectral projections that a character's restricted atoms touch, and the
+search for global sections of the spectral presheaf decides contextuality
+for the finite poset at hand.
 """
 
 from __future__ import annotations
@@ -17,22 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import Context, ContextPoset
-from .daseinisation import (
-    _daseinise_decomposition,
-    daseinise_proposition,
-    inner_daseinise_projection,
-    outer_daseinise_projection,
-)
+from .daseinisation import daseinise_proposition, spectral_bounds
 from .errors import NotUnitVector, SearchBudgetExceeded
 from .logic import GlobalElementOfOmega, Sieve
-from .operators import (
-    TAU,
-    TAU_EIG,
-    require_projector,
-    require_self_adjoint,
-    spectral_decomposition,
-    zero,
-)
+from .operators import TAU, TAU_EIG, require_self_adjoint, spectral_decomposition, zero
 from .presheaf import Character, ClopenSubobject, _require_member, is_clopen_subobject
 
 #: Default node budget for the global-section search.
@@ -81,18 +69,16 @@ def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EI
 def truth_value(poset: ContextPoset, P, psi, tau: float = TAU) -> GlobalElementOfOmega:
     """Sieve-valued truth of a projection in a state, one sieve per context.
 
-    At each context the sieve collects the subcontexts where the outer
-    daseinisation of P has expectation one in the state (within a one-sided
-    tolerance, since a projection's expectation never exceeds one).  The
+    The sieve collects the subcontexts V where, at V and at every subcontext
+    of V, the pseudo-state lies below the outer daseinisation of P: every
+    atom touching the state's ray also touches P.  (Touches add up in
+    quadrature as atoms merge, so the test at V alone is not monotone.)  The
     result always satisfies the global-element matching condition.
     """
-    P = require_projector(P, tau)
-    psi = _require_unit(psi, tau)
-    certain = {
-        cid
-        for cid, approx in daseinise_proposition(poset, P, tau).per_context_projector.items()
-        if float(np.real(psi.conj() @ (approx @ psi))) >= 1.0 - 10.0 * tau
-    }
+    outer = daseinise_proposition(poset, P, tau).subobject
+    state = pseudo_state(poset, psi, tau).subobject
+    below = {cid for cid in poset.ids if state.at(cid) <= outer.at(cid)}
+    certain = {cid for cid in below if below.issuperset(poset.down_ids(cid))}
     sieves = {
         cid: Sieve(cid, frozenset(certain.intersection(poset.down_ids(cid))))
         for cid in poset.ids
@@ -121,20 +107,17 @@ def quantity_value_arrow(
     tau: float = TAU,
     tau_eig: float = TAU_EIG,
 ) -> IntervalPair:
-    """Evaluate a quantity at a character: per subcontext, the value of the
-    inner (mu) and outer (nu) daseinisation under the restricted character."""
+    """Evaluate a quantity at a character: per subcontext, the least (mu) and
+    greatest (nu) eigenvalue of A whose spectral projection the restricted
+    character's atom touches, i.e. the values of the inner and outer
+    daseinisations of A there."""
     decomp = spectral_decomposition(A, tau, tau_eig)
     _require_member(context, character)
-    mu: dict[str, float] = {}
-    nu: dict[str, float] = {}
-    for sub_id in poset.down_ids(context.id):
-        sub = poset.get(sub_id)
-        inner = _daseinise_decomposition(decomp, sub, outer_daseinise_projection, tau, tau_eig)
-        outer = _daseinise_decomposition(decomp, sub, inner_daseinise_projection, tau, tau_eig)
-        atom = sub.atoms[poset.restriction_indices(context.id, sub_id)[character.atom_index]]
-        weight = float(np.trace(atom).real)
-        mu[sub_id] = float(np.trace(inner @ atom).real) / weight
-        nu[sub_id] = float(np.trace(outer @ atom).real) / weight
+    down, fine = poset.down_ids(context.id), character.atom_index
+    atoms = [poset.get(s).atoms[poset.restriction_indices(context.id, s)[fine]] for s in down]
+    bounds = spectral_bounds(decomp, atoms, tau)
+    mu = {sub_id: lo for sub_id, (lo, _) in zip(down, bounds)}
+    nu = {sub_id: hi for sub_id, (_, hi) in zip(down, bounds)}
     return IntervalPair(context.id, mu, nu)
 
 

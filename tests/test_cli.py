@@ -224,6 +224,8 @@ _LIST_OBSERVABLE = {"p": {"observable": ["Sz"], "interval": [0.0, 1.0]}}
         ("bases", 5, "bases"),
         ("projector_sets", 7, "projector_sets"),
         ("tolerances", {"tau": "x"}, "tolerances.tau"),
+        ("tolerances", {"tau": 0.5}, "tolerances.tau"),
+        ("tolerances", {"tau": 2}, "tolerances.tau"),
         ("tolerances", {"tau_eig": float("nan")}, "tolerances.tau_eig"),
         ("propositions", _NAN_INTERVAL, "propositions.p.interval[0]"),
         ("propositions", _INF_INTERVAL, "propositions.p.interval[1]"),
@@ -232,6 +234,7 @@ _LIST_OBSERVABLE = {"p": {"observable": ["Sz"], "interval": [0.0, 1.0]}}
         ("propositions", _LIST_OBSERVABLE, "propositions.p"),
     ],
     ids=["states", "observables", "propositions", "bases", "projector_sets", "tau",
+         "tau_at_bound", "tau_above_one",
          "tau_eig_nan", "interval_nan", "interval_inf", "state_nan", "state_huge_int", "observable_name_list"],
 )
 def test_malformed_problem_file_is_domain_error(capsys, tmp_path, key, value, path):

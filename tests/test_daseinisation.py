@@ -258,3 +258,43 @@ def test_selfadjoint_route_agrees_on_projections(poset11):
                 inner_daseinise_projection(P, context),
                 atol=1e-9,
             )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    values=st.lists(st.integers(-2, 2), min_size=4, max_size=4).filter(lambda v: len(set(v)) < 4),
+    frame=st.sampled_from(["first", "second", "random"]),
+    seed=st.integers(0, 10**9),
+)
+def test_selfadjoint_daseinisation_matches_brute_force(poset_two_bases, values, frame, seed):
+    from toposqt.presheaf import gelfand_spectrum
+    from toposqt.valuation import quantity_value_arrow
+
+    first, second = (poset_two_bases.get(cid) for cid in poset_two_bases.ids[:2])
+    if frame == "random":
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        rays = [q[:, i] for i in range(4)]
+    else:
+        # eigenvectors: the rays of one maximal context of the poset
+        atoms = (first if frame == "first" else second).atoms
+        rays = [np.linalg.eigh(a)[1][:, -1] for a in atoms]
+    A = sum(v * np.outer(r, r.conj()) for v, r in zip(values, rays))
+    grid = tuple(float(v) for v in sorted(set(values)))
+    brute = {}
+    for context in poset_two_bases:
+        outer = brute_outer_selfadjoint(A, context, grid)
+        inner = brute_inner_selfadjoint(A, context, grid)
+        assert np.allclose(outer_daseinise_selfadjoint(A, context), outer, atol=1e-9)
+        assert np.allclose(inner_daseinise_selfadjoint(A, context), inner, atol=1e-9)
+        brute[context.id] = (inner, outer)
+    for context in poset_two_bases:
+        for ch in gelfand_spectrum(context):
+            pair = quantity_value_arrow(poset_two_bases, A, context, ch)
+            for sub_id in poset_two_bases.down_ids(context.id):
+                sub = poset_two_bases.get(sub_id)
+                atom = sub.atoms[poset_two_bases.restriction_indices(context.id, sub_id)[ch.atom_index]]
+                inner, outer = brute[sub_id]
+                weight = np.trace(atom).real
+                assert pair.mu[sub_id] == pytest.approx(np.trace(inner @ atom).real / weight, abs=1e-9)
+                assert pair.nu[sub_id] == pytest.approx(np.trace(outer @ atom).real / weight, abs=1e-9)

@@ -9,7 +9,7 @@ from conftest import locate
 from toposqt.contexts import build_poset, context_from_basis, context_from_projectors
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded
-from toposqt.logic import check_global_element, principal_sieve
+from toposqt.logic import check_global_element, is_sieve, principal_sieve
 from toposqt.presheaf import (
     coefficients_in,
     evaluate_character,
@@ -110,7 +110,7 @@ def test_truth_monotone_in_the_proposition(poset11, std_projectors):
         assert small.at(cid).members <= large.at(cid).members
 
 
-def test_totally_true_iff_pseudo_state_below_proposition(poset11, std_projectors):
+def test_totally_true_iff_pseudo_state_below_proposition(poset11, maximal_context, std_projectors):
     p = std_projectors
     psi = np.array([1, 0, 0, 0], dtype=complex)
     w = pseudo_state(poset11, psi)
@@ -128,6 +128,30 @@ def test_totally_true_iff_pseudo_state_below_proposition(poset11, std_projectors
     assert any(
         element.at(cid) != principal_sieve(poset11, cid) for cid in poset11.ids
     )
+
+    # A state a hair off the ray: its expectation of p0 is 1 - 1e-12, yet its
+    # pseudo-state is not below p0, and truth agrees with the pseudo-state.
+    eps = 1e-6
+    tilted = np.array([np.cos(eps), np.sin(eps), 0, 0], dtype=complex)
+    w = pseudo_state(poset11, tilted)
+    element = truth_value(poset11, p[0], tilted)
+    assert not subobject_leq(poset11, w.subobject, daseinise_proposition(poset11, p[0]).subobject)
+    assert any(
+        element.at(cid) != principal_sieve(poset11, cid) for cid in poset11.ids
+    )
+
+    # Touches add up in quadrature under coarsening: e1 and e2 each miss this
+    # state at tau = 1e-9, but e1 + e2 touches it (1.13e-9).  The pseudo-state
+    # is below p0 at the maximal context, not at its coarsening
+    # {e0, e3, e1 + e2}; truth must still be a sieve at every context, and is
+    # not totally true at the maximal context.
+    skew = np.array([1, 0.8e-9, 0.8e-9, 0], dtype=complex)
+    skew /= np.linalg.norm(skew)
+    w = pseudo_state(poset11, skew)
+    element = truth_value(poset11, p[0], skew)
+    assert not subobject_leq(poset11, w.subobject, daseinise_proposition(poset11, p[0]).subobject)
+    assert all(is_sieve(poset11, element.at(cid)) for cid in poset11.ids)
+    assert element.at(maximal_context.id) != principal_sieve(poset11, maximal_context.id)
 
 
 def test_quantity_value_sharp_at_member_context(poset11, maximal_context, sz):
