@@ -40,6 +40,7 @@ from .operators import (
     TAU,
     close,
     identity,
+    is_orthonormal,
     projector_rank,
     require_projector,
     touch_masks,
@@ -168,7 +169,7 @@ def context_from_basis(vectors: Iterable[np.ndarray], tau: float = TAU) -> Conte
     dim = vecs[0].shape[0]
     if len(vecs) != dim:
         raise ValidationError(f"basis needs {dim} vectors, got {len(vecs)}")
-    if np.abs(np.conj(vecs) @ np.transpose(vecs) - np.eye(dim)).max() > max(tau, 1e-9):
+    if not is_orthonormal(vecs, tau):
         raise ValidationError("basis not orthonormal")
     atoms = [np.outer(v, v.conj()) for v in vecs]
     return context_from_atoms(atoms, tau)
@@ -300,6 +301,7 @@ class ContextPoset:
         self._inclusions: tuple[tuple[str, str], ...] = tuple(
             pair for pair in self._restriction if pair[0] != pair[1]
         )
+        self._character_downs: dict[tuple[str, int], frozenset[tuple[str, int]]] = {}
 
     # -- basic container protocol ------------------------------------------
 
@@ -355,6 +357,18 @@ class ContextPoset:
             return self._restriction[(sup_id, sub_id)]
         except KeyError:
             raise UnknownContext(f"{sub_id!r} is not a subcontext of {sup_id!r}") from None
+
+    def _character_down(self, character: tuple[str, int]) -> frozenset[tuple[str, int]]:
+        # The down-set of the character (sup, i) under restriction: the pairs
+        # (sub, restriction_indices(sup, sub)[i]) over down_ids(sup), itself
+        # included.  Built on first use.
+        below = self._character_downs.get(character)
+        if below is None:
+            sup, i = character
+            below = self._character_downs[character] = frozenset(
+                (sub, self._restriction[(sup, sub)][i]) for sub in self._down[sup]
+            )
+        return below
 
     def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
         """Locate the poset context with the given atom set, if present."""

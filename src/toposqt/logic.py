@@ -1,12 +1,16 @@
 """Sieves, the subobject classifier, and Heyting operations.
 
-A sieve on a context is a downward-closed set of its subcontexts; the set of
-sieves on each context carries a Heyting algebra whose implication is
-``S1 -> S2 = {V' | every subcontext of V' in S1 is in S2}``.  The same
-implication pattern, stated on characters and their restrictions, turns the
-clopen subobjects of the spectral presheaf into a Heyting algebra.  Truth
-values are global elements: one sieve per context, compatible with all
-restrictions.
+A sieve on a context V is a down-set of the contexts below V, and a clopen
+subobject of the spectral presheaf is a down-set of its characters ordered
+by restriction.  One rule gives both Heyting algebras their implication: x
+lies in S1 -> S2 iff the down-set of x meets S1 only inside S2.  With S1
+everything it gives the largest down-set inside S2, so the same rule decides
+whether a set is a sieve, whether a selection is clopen, and which contexts
+a truth value keeps.  Truth values are global elements: one sieve per
+context, compatible with all restrictions.  Compatible sieves are exactly
+the traces on each context's down-set of one down-set, their union, so a
+sieve that is not downward closed, or that holds a member outside its
+base's down-set, is rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     PosetMismatch,
     UnknownContext,
 )
-from .presheaf import ClopenSubobject
+from .presheaf import ClopenSubobject, _implication
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -54,45 +58,31 @@ def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     down = set(poset.down_ids(sieve.base))
     if not sieve.members <= down:
         return False
-    for member in sieve.members:
-        if not set(poset.down_ids(member)) <= sieve.members:
-            return False
-    return True
+    closed = _implication(poset.down_ids, sieve.members, down - sieve.members)
+    return len(closed) == len(sieve.members)
 
 
 def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]:
     """All sieves on the context, deterministically ordered.
 
     Enumerates the downward-closed subsets of the down-set by deciding
-    elements bottom-up; an element may join only when everything below it
-    already has.  Raises ``EnumerationLimitExceeded`` when the down-set has
-    more than ``ENUMERATION_CAP`` elements.
+    elements bottom-up; an element may join a subset only when its down-set
+    meets the decided elements inside that subset.  Raises
+    ``EnumerationLimitExceeded`` when the down-set has more than
+    ``ENUMERATION_CAP`` elements.
     """
-    elements = list(poset.down_ids(context.id))
+    elements = poset.down_ids(context.id)
     if len(elements) > ENUMERATION_CAP:
         raise EnumerationLimitExceeded(
             f"down-set has {len(elements)} contexts; exhaustive sieve enumeration "
             f"is capped at {ENUMERATION_CAP}"
         )
-    # Bottom-up order: every context comes after all of its subcontexts.
-    elements.sort(key=lambda cid: (len(poset.down_ids(cid)), cid))
-    strict_down = {
-        cid: frozenset(d for d in poset.down_ids(cid) if d != cid) for cid in elements
-    }
-    found: list[frozenset[str]] = []
-
-    def extend(k: int, current: set[str]) -> None:
-        if k == len(elements):
-            found.append(frozenset(current))
-            return
-        cid = elements[k]
-        extend(k + 1, current)
-        if strict_down[cid] <= current:
-            current.add(cid)
-            extend(k + 1, current)
-            current.remove(cid)
-
-    extend(0, set())
+    # Reversed poset order is bottom-up: a context comes after all of its
+    # subcontexts, which are decided by then.
+    found, decided = [frozenset()], set()
+    for cid in reversed(elements):
+        found += [s | {cid} for s in found if _implication(poset.down_ids, (cid,), decided - s)]
+        decided.add(cid)
     sieves = [Sieve(context.id, members) for members in found]
     sieves.sort(key=lambda s: (len(s.members), tuple(sorted(s.members))))
     return tuple(sieves)
@@ -132,12 +122,8 @@ def sieve_connective(
         return Sieve(s1.base, s1.members & s2.members)
     if kind == "or":
         return Sieve(s1.base, s1.members | s2.members)
-    members = frozenset(
-        cid
-        for cid in poset.down_ids(s1.base)
-        if (set(poset.down_ids(cid)) & s1.members) <= s2.members
-    )
-    return Sieve(s1.base, members)
+    outside = s1.members - s2.members
+    return Sieve(s1.base, frozenset(_implication(poset.down_ids, poset.down_ids(s1.base), outside)))
 
 
 class GlobalElementOfOmega:
@@ -172,17 +158,18 @@ def totally_false(poset: ContextPoset) -> GlobalElementOfOmega:
 
 
 def check_global_element(poset: ContextPoset, element: GlobalElementOfOmega) -> bool:
-    """True iff the per-context sieves agree under every restriction."""
+    """True iff the per-context sieves are sieves and agree under every
+    restriction: each is the trace on its base's down-set of one down-set."""
     if set(element.sieves.keys()) != set(poset.ids):
         raise IncompleteAssignment("global element must assign a sieve to every context")
     for cid, sieve in element.sieves.items():
         if sieve.base != cid:
             raise BaseMismatch(f"sieve stored at {cid!r} is based at {sieve.base!r}")
-    for sup_id, sub_id in poset.inclusions:
-        restricted = omega_restriction(poset, element.at(sup_id), poset.get(sub_id))
-        if restricted != element.at(sub_id):
-            return False
-    return True
+    # Matching sieves are the traces on each down-set of one down-set: their union.
+    union = frozenset().union(*(s.members for s in element.sieves.values()))
+    if any(element.at(cid).members != union.intersection(poset.down_ids(cid)) for cid in poset.ids):
+        return False
+    return len(_implication(poset.down_ids, union, set(poset.ids) - union)) == len(union)
 
 
 def global_element_connective(
@@ -229,17 +216,9 @@ def subobject_connective(
         return ClopenSubobject({cid: s1.at(cid) & s2.at(cid) for cid in poset.ids})
     if kind == "or":
         return ClopenSubobject({cid: s1.at(cid) | s2.at(cid) for cid in poset.ids})
-    selection: dict[str, frozenset[int]] = {}
-    for sup in poset:
-        kept = []
-        for i in range(sup.n_atoms):
-            ok = True
-            for sub_id in poset.down_ids(sup.id):
-                j = i if sub_id == sup.id else poset.restriction_indices(sup.id, sub_id)[i]
-                if j in s1.at(sub_id) and j not in s2.at(sub_id):
-                    ok = False
-                    break
-            if ok:
-                kept.append(i)
-        selection[sup.id] = frozenset(kept)
+    outside = {(cid, j) for cid in poset.ids for j in s1.at(cid) - s2.at(cid)}
+    characters = [(c.id, i) for c in poset for i in range(c.n_atoms)]
+    selection: dict[str, set[int]] = {cid: set() for cid in poset.ids}
+    for cid, i in _implication(poset._character_down, characters, outside):
+        selection[cid].add(i)
     return ClopenSubobject(selection)

@@ -58,6 +58,14 @@ def is_projector(P, tau: float = TAU) -> bool:
     return is_self_adjoint(P, tau) and close(P @ P, P, tau)
 
 
+def is_orthonormal(vectors, tau: float = TAU) -> bool:
+    """Every entry of the Gram matrix within tau of the identity's; tau is
+    floored at 1e-9, the rounding of vectors given as decimals.  A unit
+    vector is an orthonormal family of one."""
+    vecs = np.asarray(vectors, dtype=complex)
+    return bool(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= max(tau, 1e-9))
+
+
 def require_self_adjoint(A, tau: float = TAU) -> np.ndarray:
     A = as_operator(A)
     if not is_self_adjoint(A, tau):

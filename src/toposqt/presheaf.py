@@ -5,12 +5,16 @@ unital functional sends exactly one atom to 1, so a character is stored as an
 atom index.  Evaluation is coefficient lookup, restriction follows atom
 domination, and a clopen subobject is a per-context subset of atom indices
 that is compatible with every restriction map.
+
+The clopen subobjects are the down-sets of the characters ordered by
+restriction; ``_implication`` is the one rule for down-sets that this module,
+the logic layer and the truth values share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -115,17 +119,26 @@ def empty_subobject(poset: ContextPoset) -> ClopenSubobject:
     return ClopenSubobject({c.id: frozenset() for c in poset})
 
 
+def _implication(down: Callable[..., Iterable], elements: Iterable, outside: AbstractSet) -> list:
+    # The elements x whose down-set ``down(x)`` misses ``outside = S - T``,
+    # i.e. meets S only inside T: the Heyting implication S => T of down-sets,
+    # restricted to ``elements``.  With ``outside`` the complement of T it is
+    # the largest down-set inside T, so T is a down-set iff it keeps all of T.
+    return [x for x in elements if outside.isdisjoint(down(x))]
+
+
 def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool:
-    """True iff every restriction maps the selection into the selection below."""
-    keys = set(subobject.selection.keys())
-    if keys != set(poset.ids):
+    """True iff the selected characters form a down-set under restriction:
+    every restriction of a selected character is selected.  An index outside
+    a context's atoms is no character, so it makes the selection not clopen."""
+    if set(subobject.selection.keys()) != set(poset.ids):
         raise IncompleteAssignment("subobject must assign a subset to every poset context")
-    for sup_id, sub_id in poset.inclusions:
-        table = poset.restriction_indices(sup_id, sub_id)
-        target = subobject.at(sub_id)
-        if any(table[i] not in target for i in subobject.at(sup_id)):
-            return False
-    return True
+    atoms = {c.id: frozenset(range(c.n_atoms)) for c in poset}
+    if not all(subobject.at(cid) <= indices for cid, indices in atoms.items()):
+        return False
+    chosen = [(cid, i) for cid, indices in atoms.items() for i in indices if i in subobject.at(cid)]
+    outside = {(cid, j) for cid, indices in atoms.items() for j in indices - subobject.at(cid)}
+    return len(_implication(poset._character_down, chosen, outside)) == len(chosen)
 
 
 def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 from ._json import finite_number, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
 from .contexts import Context, ContextPoset, build_poset, context_from_basis, context_from_projectors
 from .errors import ParseError, ValidationError
-from .operators import TAU, TAU_EIG, is_projector, is_self_adjoint
+from .operators import TAU, TAU_EIG, is_orthonormal, is_projector, is_self_adjoint
 from .valuation import proposition_projector
 
 
@@ -115,9 +115,8 @@ def problem_from_dict(raw: dict) -> Problem:
         )
         if len(vectors) != dim or any(v.shape != (dim,) for v in vectors):
             raise ValidationError(f"bases[{b}]: expected {dim} vectors of length {dim}")
-        gram = np.array([[np.vdot(v, w) for w in vectors] for v in vectors])
-        if np.linalg.norm(gram - np.eye(dim)) > 1e-9:
-            raise ValidationError("basis not orthonormal")
+        if not is_orthonormal(vectors, tau):
+            raise ValidationError(f"bases[{b}]: basis not orthonormal")
         bases.append(vectors)
 
     projector_sets = []
@@ -134,7 +133,7 @@ def problem_from_dict(raw: dict) -> Problem:
         vec = vector_from_json(vec_raw, f"states.{name}")
         if vec.shape != (dim,):
             raise ValidationError(f"states.{name}: dimension mismatch")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        if not is_orthonormal([vec], tau):
             raise ValidationError(f"states.{name}: state not unit norm")
         states[name] = vec
 

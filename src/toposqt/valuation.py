@@ -20,8 +20,8 @@ from .contexts import Context, ContextPoset
 from .daseinisation import daseinise_proposition, spectral_bounds
 from .errors import NotUnitVector, SearchBudgetExceeded
 from .logic import GlobalElementOfOmega, Sieve
-from .operators import TAU, TAU_EIG, require_self_adjoint, spectral_decomposition, zero
-from .presheaf import Character, ClopenSubobject, _require_member, is_clopen_subobject
+from .operators import TAU, TAU_EIG, is_orthonormal, require_self_adjoint, spectral_decomposition, zero
+from .presheaf import Character, ClopenSubobject, _implication, _require_member, is_clopen_subobject
 
 #: Default node budget for the global-section search.
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -29,7 +29,7 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 
 def _require_unit(psi, tau: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > max(tau, 1e-9):
+    if not is_orthonormal([psi], tau):
         raise NotUnitVector("state vector must have norm one")
     return psi
 
@@ -77,12 +77,9 @@ def truth_value(poset: ContextPoset, P, psi, tau: float = TAU) -> GlobalElementO
     """
     outer = daseinise_proposition(poset, P, tau).subobject
     state = pseudo_state(poset, psi, tau).subobject
-    below = {cid for cid in poset.ids if state.at(cid) <= outer.at(cid)}
-    certain = {cid for cid in below if below.issuperset(poset.down_ids(cid))}
-    sieves = {
-        cid: Sieve(cid, frozenset(certain.intersection(poset.down_ids(cid))))
-        for cid in poset.ids
-    }
+    outside = {cid for cid in poset.ids if not state.at(cid) <= outer.at(cid)}
+    certain = frozenset(_implication(poset.down_ids, poset.ids, outside))
+    sieves = {cid: Sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
     return GlobalElementOfOmega(sieves)
 
 
@@ -150,47 +147,27 @@ def global_sections(
     Raises ``SearchBudgetExceeded`` after ``budget`` assignment attempts.
     Absence of sections certifies contextuality for this finite poset only.
     """
-    order = list(poset.ids)  # already sorted by descending atom count
-    strict_subs: dict[str, list[str]] = {cid: [] for cid in order}
-    for sup_id, sub_id in poset.inclusions:
-        strict_subs[sup_id].append(sub_id)
-    forced: dict[str, int] = {}
+    order = poset.ids  # already sorted by descending atom count
     sections: list[GlobalSection] = []
     nodes = 0
-
-    def propagate(cid: str, value: int, trail: list[str]) -> bool:
-        for sub_id in strict_subs[cid]:
-            pushed = poset.restriction_indices(cid, sub_id)[value]
-            known = forced.get(sub_id)
-            if known is None:
-                forced[sub_id] = pushed
-                trail.append(sub_id)
-            elif known != pushed:
-                return False
-        return True
-
-    def search(k: int) -> None:
-        nonlocal nodes
+    # Each entry is a position in ``order`` and the atoms forced so far; the
+    # children of an entry are pushed in reverse so that they pop in order.
+    stack: list[tuple[int, dict[str, int]]] = [(0, {})]
+    while stack:
+        k, forced = stack.pop()
+        while k < len(order) and order[k] in forced:
+            k += 1
         if k == len(order):
             sections.append(GlobalSection(dict(sorted(forced.items()))))
-            return
-        cid = order[k]
-        if cid in forced:
-            search(k + 1)
-            return
-        context = poset.get(cid)
-        for value in range(context.n_atoms):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"section search exceeded the budget of {budget} nodes"
-                )
-            trail = [cid]
-            forced[cid] = value
-            if propagate(cid, value, trail):
-                search(k + 1)
-            for t in trail:
-                del forced[t]
-
-    search(0)
+            continue
+        n_atoms = poset.get(order[k]).n_atoms
+        nodes += n_atoms
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"section search exceeded the budget of {budget} nodes")
+        children = []
+        for value in range(n_atoms):
+            below = poset._character_down((order[k], value))
+            if all(forced.get(sub, j) == j for sub, j in below):
+                children.append((k + 1, {**forced, **dict(below)}))
+        stack += reversed(children)
     return tuple(sections)

@@ -108,3 +108,9 @@ def test_global_section_rejects_one_changed_entry(spin2_poset):
         n_atoms = spin2_poset.get(cid).n_atoms
         changed = dict(section.assignment, **{cid: (value + 1) % n_atoms})
         assert not is_global_section(spin2_poset, GlobalSection(changed))
+    # -1 is no atom index, though Python would read it as the last one and
+    # the section choosing the last atom at the top is a global section.
+    top = spin2_poset.ids[0]
+    last = global_sections(spin2_poset)[-1].assignment
+    assert last[top] == spin2_poset.get(top).n_atoms - 1
+    assert not is_global_section(spin2_poset, GlobalSection(dict(last, **{top: -1})))

@@ -27,6 +27,7 @@ from toposqt.logic import (
     totally_true,
 )
 from toposqt.presheaf import empty_subobject, full_subobject, is_clopen_subobject
+from toposqt.valuation import pseudo_state, truth_value
 
 
 @pytest.fixture(scope="module")
@@ -194,12 +195,26 @@ def test_subobject_connectives_stay_clopen(poset11, std_projectors):
         assert is_clopen_subobject(poset11, subobject_connective(poset11, kind, s1, s2))
 
 
-def test_global_element_checks(poset11, named):
+def test_global_element_checks(poset11, named, poset_two_bases):
     assert check_global_element(poset11, totally_true(poset11))
     assert check_global_element(poset11, totally_false(poset11))
     broken = totally_true(poset11)
     broken.sieves[named["V1"].id] = empty_sieve(named["V1"].id)
     assert not check_global_element(poset11, broken)
+    # Every restriction of {V} to a smaller context is empty, as it should be,
+    # but {V} is not downward closed.
+    top = named["V"].id
+    lonely = totally_false(poset11)
+    lonely.sieves[top] = Sieve(top, frozenset({top}))
+    assert not check_global_element(poset11, lonely)
+    # A member outside the maximal context's down-set survives no restriction.
+    foreign = totally_true(poset11)
+    foreign.sieves[top] = Sieve(top, principal_sieve(poset11, top).members | {"ctx-foreign"})
+    assert not check_global_element(poset11, foreign)
+    first, second = (c.id for c in poset_two_bases if c.n_atoms == 4)
+    crossed = totally_true(poset_two_bases)
+    crossed.sieves[first] = Sieve(first, crossed.at(first).members | {second})
+    assert not check_global_element(poset_two_bases, crossed)
 
 
 def test_global_element_requires_every_context(poset11, named):
@@ -246,3 +261,31 @@ def test_subobject_connective_poset_mismatch(poset11, named):
     partial = ClopenSubobject({named["V"].id: frozenset({0})})
     with pytest.raises(PosetMismatch):
         subobject_connective(poset11, "and", partial, partial)
+
+
+def test_logic_on_two_maximal_contexts(poset_two_bases, std_projectors):
+    """Exhaustive sieve algebra below each maximal context of a poset whose
+    maximal contexts have different down-sets (19 contexts)."""
+    poset = poset_two_bases
+    maximal = [c for c in poset if c.n_atoms == 4]
+    assert len(poset) == 19 and len(maximal) == 2
+    assert set(poset.down_ids(maximal[0].id)) != set(poset.down_ids(maximal[1].id))
+    for context in maximal:
+        sieves = enumerate_sieves(poset, context)
+        oracle = downsets_brute(poset.down_ids(context.id), poset.is_leq)
+        assert {s.members for s in sieves} == oracle and len(sieves) == len(oracle)
+        for a, b in product(sieves, repeat=2):
+            largest = frozenset().union(*(r for r in oracle if r & a.members <= b.members))
+            assert largest in oracle
+            assert sieve_connective(poset, "implies", a, b).members == largest
+
+    below = {v: {w for w in poset.ids if poset.is_leq(w, v)} for v in poset.ids}
+    states = list(np.eye(4, dtype=complex)) + [np.array([0, 0, 1, 1], dtype=complex) / np.sqrt(2)]
+    for P, psi in product(std_projectors, states):
+        outer = daseinise_proposition(poset, P).subobject
+        state = pseudo_state(poset, psi).subobject
+        passes = {cid for cid in poset.ids if state.at(cid) <= outer.at(cid)}
+        certain = {v for v in poset.ids if below[v] <= passes}
+        element = truth_value(poset, P, psi)
+        for v in poset.ids:
+            assert element.at(v).members == certain & below[v]

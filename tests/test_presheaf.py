@@ -148,6 +148,11 @@ def test_incompatible_selection_is_not_clopen(poset11, maximal_context, std_proj
     selection[maximal_context.id] = frozenset({0})  # the ray of p1
     selection[v1.id] = frozenset({1})  # only the complement atom
     assert not is_clopen_subobject(poset11, ClopenSubobject(selection))
+    # An index outside a context's atoms is no character, below or above.
+    for context in (v1, maximal_context):
+        selection = {c.id: frozenset(range(c.n_atoms)) for c in poset11}
+        selection[context.id] |= {99}
+        assert not is_clopen_subobject(poset11, ClopenSubobject(selection))
 
 
 def test_clopen_check_requires_full_assignment(poset11, maximal_context):

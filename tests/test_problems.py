@@ -16,6 +16,7 @@ from toposqt.problems import (
     resolve_proposition,
     serialize_problem,
 )
+from toposqt.valuation import pseudo_state
 
 
 def _data_path(name: str):
@@ -61,13 +62,40 @@ def test_minimal_problem():
 
 def test_non_orthonormal_basis_rejected():
     s = 1.0 / np.sqrt(2)
-    with pytest.raises(ValidationError, match="basis not orthonormal"):
+    with pytest.raises(ValidationError, match=r"^bases\[0\]: basis not orthonormal"):
         problem_from_dict(
             {
                 "dim": 2,
                 "bases": [[[[1.0, 0.0], [0.0, 0.0]], [[s, 0.0], [s, 0.0]]]],
             }
         )
+
+
+_SLACK = 1e-8  # beyond 1e-9, within the file's tau of 1e-6
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"bases": [[[[1.0, 0.0], [0.0, 0.0]], [[_SLACK, 0.0], [1.0, 0.0]]]]},
+        {"states": {"s": [[1.0 + _SLACK, 0.0], [0.0, 0.0]]}},
+    ],
+    ids=["basis-off-orthonormal", "state-off-unit"],
+)
+def test_load_applies_the_library_tolerance(tmp_path, extra):
+    raw = {
+        "dim": 2,
+        "bases": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+        "tolerances": {"tau": 1e-6},
+        **extra,
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(raw))
+    problem = load_problem(path)
+    # the library accepts later what the loader accepted
+    poset = problem_poset(problem)
+    for psi in problem.states.values():
+        pseudo_state(poset, psi, problem.tolerances.tau)
 
 
 def test_parse_error_has_position(tmp_path):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -208,6 +211,19 @@ def test_single_basis_sections(poset11):
     assert len(sections) == 4
     for section in sections:
         assert is_global_section(poset11, section)
+
+
+def test_section_search_does_not_recurse():
+    # 247 contexts: one level of recursion per context would exceed the limit.
+    poset = build_poset([context_from_basis(np.eye(8))])
+    assert len(poset) == 247
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        sections = global_sections(poset)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sections) == 8
 
 
 def test_two_atom_poset_has_two_sections(std_projectors):
