@@ -11,6 +11,7 @@ import hashlib
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from toposqt.cli import main
@@ -114,3 +115,62 @@ def test_global_section_rejects_one_changed_entry(spin2_poset):
     last = global_sections(spin2_poset)[-1].assignment
     assert last[top] == spin2_poset.get(top).n_atoms - 1
     assert not is_global_section(spin2_poset, GlobalSection(dict(last, **{top: -1})))
+
+
+def _c(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _ks18_query_problem() -> dict:
+    # ks18's bases and tolerances, with states, an observable and
+    # propositions of its own; ks18.json itself has none of these.
+    raw = json.loads((DATA / "ks18.json").read_text(encoding="utf-8"))
+    plus = np.full((2, 2), 0.5)
+    plus_projector = np.zeros((4, 4))
+    plus_projector[:2, :2] = plus
+    return {
+        "dim": raw["dim"],
+        "bases": raw["bases"],
+        "tolerances": raw["tolerances"],
+        "states": {
+            "e0": [_c(z) for z in (1, 0, 0, 0)],
+            "tilted": [_c(z) for z in (0.5, 0.5j, 0.5, -0.5)],
+        },
+        "observables": {"A": [[_c(x) for x in row] for row in np.diag([1.0, 1.0, 0.0, -1.0])]},
+        "propositions": {
+            "plus": {"projector": [[_c(x) for x in row] for row in plus_projector]},
+            "A_in_0.5_1.5": {"observable": "A", "interval": [0.5, 1.5]},
+        },
+    }
+
+
+KS18_QUERIES = [
+    *(("daseinize", "--prop", p, "--mode", m) for p in ("A_in_0.5_1.5", "plus") for m in ("outer", "inner")),
+    *(("truth", "--prop", p, "--state", s) for p in ("A_in_0.5_1.5", "plus") for s in ("e0", "tilted")),
+    *(("pseudo-state", "--state", s) for s in ("e0", "tilted")),
+    ("value", "--observable", "A"),
+]
+
+#: sha256 of the JSON report on ks18's bases with the queries above.
+GOLDEN_KS18_QUERIES = {
+    "daseinize --prop A_in_0.5_1.5 --mode outer": "a6a84a359d8cd901176f620835e2a7875727ab4c4f25aa304ee657675fbcb429",
+    "daseinize --prop A_in_0.5_1.5 --mode inner": "21d2e70e04a9902d47dbcba29535e419426e311bac4417294fa116766c038037",
+    "daseinize --prop plus --mode outer": "b90b860804c5a71219000bab633b692c38296a0c08cb1d50991f1a83ec46307b",
+    "daseinize --prop plus --mode inner": "c224b9b5450e7cd3cfa822942d0c33bbd88a9d9a0dba6cdc06c8be9f435ced0b",
+    "truth --prop A_in_0.5_1.5 --state e0": "4e84be34dd1cab8ba5aafaf03c797a363f6837f81b4dc32b4d942d0bb7f14d97",
+    "truth --prop A_in_0.5_1.5 --state tilted": "f0a5e7a032b5bb3fb99e0bffd1257028f4c53d9c98cb79dd8b0e823cbea7fe20",
+    "truth --prop plus --state e0": "a10e19b19b8d13a9d6c7eca73219e2630ce748a6e1e2d625f665780e5fbba720",
+    "truth --prop plus --state tilted": "6db3881ee5f0e56481f5f811a6c0c12fcfe5b98aa1f1fdb1ab109202638fa01a",
+    "pseudo-state --state e0": "c75638790fe19e4bca7082666b5233604c39982d8793020f8e018b887db8cefa",
+    "pseudo-state --state tilted": "39bf073c7c544f8e00bbab90c6172f73f1a962fd426f7056f3a5fc463e897c9f",
+    "value --observable A": "e0c1f066f32e5cb1f6e28b9b783650b765f9a5325c1ec0511c800e75ec87721e",
+}
+
+
+@pytest.mark.parametrize("argv", KS18_QUERIES, ids=[" ".join(a) for a in KS18_QUERIES])
+def test_ks18_query_report_is_byte_identical(capsys, tmp_path, argv):
+    path = tmp_path / "ks18_queries.json"
+    path.write_text(json.dumps(_ks18_query_problem()), encoding="utf-8")
+    assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_KS18_QUERIES[" ".join(argv)]
