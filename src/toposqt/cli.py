@@ -18,11 +18,11 @@ import numpy as np
 
 from ._json import matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
-from .daseinisation import daseinise_proposition, inner_daseinise_projection
+from .daseinisation import _daseinise_poset
 from .errors import ToposError, ValidationError
 from .logic import Sieve, enumerate_sieves, principal_sieve, sieve_connective
 from .operators import projector_rank
-from .presheaf import gelfand_spectrum, subobject_of_projector
+from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
 from .valuation import (
     DEFAULT_SEARCH_BUDGET,
@@ -103,17 +103,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "prop")
         mode = options.get("mode") or "outer"
         projector = resolve_proposition(problem, name)
-        if mode == "outer":
-            result = daseinise_proposition(poset, projector, tau)
-            per_context = result.per_context_projector
-            selection = {cid: result.subobject.at(cid) for cid in poset.ids}
-        else:
-            per_context = {
-                c.id: inner_daseinise_projection(projector, c, tau) for c in poset
-            }
-            selection = {
-                c.id: subobject_of_projector(c, per_context[c.id], tau) for c in poset
-            }
+        per_context, selection = _daseinise_poset(poset, projector, tau, int(mode == "outer"))
         contexts = {
             cid: {
                 "projector": matrix_to_json(per_context[cid], 12),

@@ -1,67 +1,47 @@
 """Outer and inner approximation of operators into a context.
 
-Every approximation is read off one touch test: whether an atom a of the
-context touches a projection Q (||aQ||_F > tau).  For a projection P, the
-outer approximation (smallest projection of the context above P) is the sum
-of the atoms touching P, and the inner one (largest projection below P) is
-the sum of the atoms that do not touch 1 - P, where P's characters evaluate
-to 1.  For a self-adjoint A and its spectral projections, the
-spectral-order outer approximation takes on each atom the greatest
-eigenvalue whose spectral projection the atom touches, and the inner one the
-least: sum_a lambda_max(a) a and sum_a lambda_min(a) a.
-"""
+Every approximation is read off one rule: each atom a of the context gets
+the least and the greatest eigenvalue of a self-adjoint A whose spectral
+projection it touches (||aQ||_F > tau).  The outer approximation (smallest
+member of the context spectrally above A) is sum_a lambda_max(a) a, and the
+inner one (largest below A) is sum_a lambda_min(a) a.  A projection P is the
+two-valued quantity with value 0 on 1 - P and 1 on P, on which the spectral
+order is the projection order: its outer approximation is the sum of the
+atoms touching P, and its inner one the sum of the atoms touching P but not
+1 - P, where P's characters evaluate to 1.  An atom touching neither (only
+possible at a large tau) has no bound, and both approximations reject it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
 
 import numpy as np
 
 from .contexts import Context, ContextPoset
-from .errors import ValidationError
 from .operators import (
     TAU,
     TAU_EIG,
-    SpectralDecomposition,
-    identity,
+    _two_valued,
     require_projector,
+    spectral_bounds,
     spectral_decomposition,
-    touch_masks,
     zero,
 )
-from .presheaf import ClopenSubobject, subobject_of_projector
+from .presheaf import ClopenSubobject
 
 
-def _touch_range(
-    atoms: Sequence[np.ndarray], family: Sequence[np.ndarray], tau: float
-) -> list[tuple[int, int]]:
-    # For each atom, the indices of the first and the last projection of the
-    # orthogonal family ``family`` that it touches.
-    ranges = []
-    for mask in touch_masks(atoms, family, tau):
-        if not mask:
-            raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
-        ranges.append(((mask & -mask).bit_length() - 1, mask.bit_length() - 1))
-    return ranges
-
-
-def _touches(P: np.ndarray, atoms: Sequence[np.ndarray], tau: float) -> list[bool]:
-    # Whether each atom touches P, read off (1 - P, P) to reject huge tau.
-    return [last == 1 for _, last in _touch_range(atoms, (identity(P.shape[0]) - P, P), tau)]
-
-
-def spectral_bounds(decomp: SpectralDecomposition, atoms, tau: float) -> list[tuple[float, float]]:
-    """For each atom, the least and the greatest eigenvalue whose spectral
-    projection the atom touches."""
-    ranges = _touch_range(atoms, decomp.projectors, tau)
-    return [(decomp.eigenvalues[first], decomp.eigenvalues[last]) for first, last in ranges]
-
-
-def _atom_sum(context: Context, indices) -> np.ndarray:
+def _approximation(context: Context, bounds, end: int) -> np.ndarray:
+    # sum_a bound(a) a, with each atom's least (end 0) or greatest (end 1)
+    # bound.  Only nonzero bounds are added, in place and in atom order, and
+    # a bound of 1 adds the atom itself.
     out = zero(context.dim)
-    for i in indices:
-        out += context.atoms[i]
+    for a, bound in zip(context.atoms, bounds):
+        value = bound[end]
+        if value == 1.0:
+            out += a
+        elif value:
+            out += value * a
     return out
 
 
@@ -71,14 +51,15 @@ def outer_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndar
     Equals the sum of the atoms that P touches (a P != 0); the identity when
     every atom is touched, zero only for P = 0.
     """
-    touched = _touches(require_projector(P, tau), context.atoms, tau)
-    return _atom_sum(context, (i for i, hit in enumerate(touched) if hit))
+    bounds = spectral_bounds(_two_valued(require_projector(P, tau)), context.atoms, tau)
+    return _approximation(context, bounds, 1)
 
 
 def inner_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndarray:
     """Largest projection of the context dominated by P: the sum of the
-    atoms that do not touch 1 - P."""
-    return _atom_sum(context, subobject_of_projector(context, P, tau))
+    atoms that touch P but not 1 - P."""
+    bounds = spectral_bounds(_two_valued(require_projector(P, tau)), context.atoms, tau)
+    return _approximation(context, bounds, 0)
 
 
 @dataclass(frozen=True)
@@ -91,24 +72,24 @@ class DaseinisedProposition:
     subobject: ClopenSubobject
 
 
+def _daseinise_poset(poset: ContextPoset, P: np.ndarray, tau: float, end: int) -> tuple[dict, dict]:
+    # The inner (end 0) or outer (end 1) approximation of a validated
+    # projection at every context, and the atoms it selects there, from one
+    # spectral_bounds call over all the poset's atoms.
+    bounds = iter(spectral_bounds(_two_valued(P), [a for c in poset for a in c.atoms], tau))
+    projectors, selection = {}, {}
+    for context in poset:
+        own = list(islice(bounds, context.n_atoms))
+        projectors[context.id] = _approximation(context, own, end)
+        selection[context.id] = frozenset(i for i, bound in enumerate(own) if bound[end])
+    return projectors, selection
+
+
 def daseinise_proposition(poset: ContextPoset, P, tau: float = TAU) -> DaseinisedProposition:
     """Outer-daseinise a projection over every context of the poset."""
     P = require_projector(P, tau)
-    hits = iter(_touches(P, [a for c in poset for a in c.atoms], tau))
-    projectors: dict[str, np.ndarray] = {}
-    selection: dict[str, frozenset[int]] = {}
-    for context in poset:
-        touched = [i for i in range(context.n_atoms) if next(hits)]
-        projectors[context.id] = _atom_sum(context, touched)
-        selection[context.id] = frozenset(touched)
+    projectors, selection = _daseinise_poset(poset, P, tau, 1)
     return DaseinisedProposition(P, projectors, ClopenSubobject(selection))
-
-
-def _spectral_bound(A, context: Context, end: int, tau: float, tau_eig: float) -> np.ndarray:
-    # Each atom times the eigenvalue at the first (end 0) or last (end 1)
-    # spectral projection of A that it touches.
-    bounds = spectral_bounds(spectral_decomposition(A, tau, tau_eig), context.atoms, tau)
-    return sum((b[end] * a for a, b in zip(context.atoms, bounds)), zero(context.dim))
 
 
 def outer_daseinise_selfadjoint(
@@ -120,7 +101,8 @@ def outer_daseinise_selfadjoint(
     the atom a touches.  The result is spectrally above A and its spectrum
     is contained in A's.
     """
-    return _spectral_bound(A, context, 1, tau, tau_eig)
+    bounds = spectral_bounds(spectral_decomposition(A, tau, tau_eig), context.atoms, tau)
+    return _approximation(context, bounds, 1)
 
 
 def inner_daseinise_selfadjoint(
@@ -128,4 +110,5 @@ def inner_daseinise_selfadjoint(
 ) -> np.ndarray:
     """Largest member of the context spectrally below A: sum_a lambda_min(a) a,
     with lambda_min(a) the least eigenvalue whose spectral projection a touches."""
-    return _spectral_bound(A, context, 0, tau, tau_eig)
+    bounds = spectral_bounds(spectral_decomposition(A, tau, tau_eig), context.atoms, tau)
+    return _approximation(context, bounds, 0)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotProjector, NotSelfAdjoint
+from .errors import DimensionMismatch, NotProjector, NotSelfAdjoint, ValidationError
 
 #: Default tolerance for operator identity checks (A == B entrywise, Frobenius).
 TAU = 1e-9
@@ -151,7 +151,22 @@ def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: fl
     if len({a.shape for a in (*left, *right)}) > 1:
         raise DimensionMismatch("atoms live on different Hilbert spaces")
     norms = np.linalg.norm(np.asarray(left)[:, None] @ np.asarray(right)[None, :], axis=(2, 3))
-    return [sum(1 << j for j in np.flatnonzero(row > tau).tolist()) for row in norms]
+    return [sum(1 << j for j, hit in enumerate(row) if hit) for row in (norms > tau).tolist()]
+
+
+def _two_valued(P: np.ndarray) -> SpectralDecomposition:
+    # A projection read as the quantity with value 0 on 1 - P and 1 on P.
+    return SpectralDecomposition((0.0, 1.0), (identity(P.shape[0]) - P, P))
+
+
+def spectral_bounds(decomp: SpectralDecomposition, atoms, tau: float) -> list[tuple[float, float]]:
+    """For each atom, the least and the greatest eigenvalue whose spectral
+    projection the atom touches."""
+    masks = touch_masks(atoms, decomp.projectors, tau)
+    if not all(masks):
+        raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
+    lam = decomp.eigenvalues
+    return [(lam[(m & -m).bit_length() - 1], lam[m.bit_length() - 1]) for m in masks]
 
 
 def projector_leq(P, Q, tau: float = TAU) -> bool:

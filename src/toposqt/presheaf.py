@@ -20,7 +20,7 @@ import numpy as np
 
 from .contexts import Context, ContextPoset, restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter
-from .operators import TAU, as_operator, identity, require_projector, touch_masks
+from .operators import TAU, _two_valued, as_operator, require_projector, spectral_bounds
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,8 @@ def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject)
 
 def subobject_of_projector(context: Context, projector, tau: float = TAU) -> frozenset[int]:
     """Atom indices where a projection member of the context evaluates to 1:
-    the atoms that do not touch its complement."""
+    the atoms whose least bound in the two-valued quantity P is 1, i.e. that
+    touch P but not its complement."""
     P = require_projector(projector, tau)
-    rest = touch_masks(context.atoms, [identity(context.dim) - P], tau)
-    return frozenset(i for i, mask in enumerate(rest) if not mask)
+    bounds = spectral_bounds(_two_valued(P), context.atoms, tau)
+    return frozenset(i for i, (lo, _) in enumerate(bounds) if lo == 1.0)

@@ -17,10 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import Context, ContextPoset
-from .daseinisation import daseinise_proposition, spectral_bounds
+from .daseinisation import daseinise_proposition
 from .errors import NotUnitVector, SearchBudgetExceeded
 from .logic import GlobalElementOfOmega, Sieve
-from .operators import TAU, TAU_EIG, is_orthonormal, require_self_adjoint, spectral_decomposition, zero
+from .operators import (
+    TAU,
+    TAU_EIG,
+    is_orthonormal,
+    require_self_adjoint,
+    spectral_bounds,
+    spectral_decomposition,
+    zero,
+)
 from .presheaf import Character, ClopenSubobject, _implication, _require_member, is_clopen_subobject
 
 #: Default node budget for the global-section search.

@@ -23,9 +23,9 @@ from toposqt.daseinisation import (
     outer_daseinise_projection,
     outer_daseinise_selfadjoint,
 )
-from toposqt.errors import NotProjector
+from toposqt.errors import NotProjector, ValidationError
 from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq
-from toposqt.presheaf import is_clopen_subobject
+from toposqt.presheaf import is_clopen_subobject, subobject_of_projector
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,28 @@ def test_daseinise_rejects_non_projector(maximal_context):
         outer_daseinise_projection(np.diag([0.5, 0, 0, 0]), maximal_context)
     with pytest.raises(NotProjector):
         inner_daseinise_projection(np.diag([2.0, 0, 0, 0]), maximal_context)
+
+
+def test_approximations_reject_an_atom_touching_neither_p_nor_its_complement():
+    # At tau = 0.75, |a P|_F = |a (1 - P)|_F = 1/sqrt(2) for a = e0, e1 and
+    # P = |+><+|: the atom has no bound in the two-valued quantity P, so
+    # neither approximation can place it.
+    tau = 0.75
+    context = context_from_basis(np.eye(4), tau)
+    plus = np.zeros((4, 4), dtype=complex)
+    plus[:2, :2] = 0.5
+    for approximate in (outer_daseinise_projection, inner_daseinise_projection):
+        with pytest.raises(ValidationError):
+            approximate(plus, context, tau)
+    with pytest.raises(ValidationError):
+        subobject_of_projector(context, plus, tau)
+    # No atom touches the zero member of (1 - P, P) for P = 0 or P = 1.
+    zero, one = np.zeros((4, 4), dtype=complex), np.eye(4, dtype=complex)
+    for approximate in (outer_daseinise_projection, inner_daseinise_projection):
+        assert np.allclose(approximate(zero, context, tau), zero)
+        assert np.allclose(approximate(one, context, tau), one)
+    assert subobject_of_projector(context, zero, tau) == frozenset()
+    assert subobject_of_projector(context, one, tau) == frozenset(range(4))
 
 
 def test_daseinised_proposition_character_sets(poset11, maximal_context, std_projectors):
