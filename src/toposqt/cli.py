@@ -21,16 +21,10 @@ from .contexts import ContextPoset
 from .daseinisation import _daseinise_poset
 from .errors import ToposError, ValidationError
 from .logic import Sieve, enumerate_sieves, principal_sieve, sieve_connective
-from .operators import projector_rank
+from .operators import projector_rank, spectral_decomposition
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
-from .valuation import (
-    DEFAULT_SEARCH_BUDGET,
-    global_sections,
-    pseudo_state,
-    quantity_value_arrow,
-    truth_value,
-)
+from .valuation import DEFAULT_SEARCH_BUDGET, _value_arrow, global_sections, pseudo_state, truth_value
 
 COMMANDS = (
     "contexts",
@@ -150,11 +144,11 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "observable")
         if name not in problem.observables:
             raise ValidationError(f"unknown observable {name!r}")
-        A = problem.observables[name]
+        decomp = spectral_decomposition(problem.observables[name], tau, tau_eig)
         intervals = []
         for context in _select_contexts(poset, options):
             for ch in gelfand_spectrum(context):
-                pair = quantity_value_arrow(poset, A, context, ch, tau, tau_eig)
+                pair = _value_arrow(poset, decomp, context, ch, tau)
                 intervals.append(
                     {
                         "context": context.id,

@@ -47,6 +47,13 @@ from .operators import (
 )
 
 
+#: Decimal digits of each atom entry (and of its reference weight) kept for
+#: the canonical atom order and the context id.  Independent of tau: a
+#: perturbation of about 1e-10 can move an entry across a rounding boundary
+#: and change the id, as it would for any hash of the content.
+ID_DIGITS = 10
+
+
 def _reference_matrix(dim: int) -> np.ndarray:
     # Fixed weight matrix whose trace pairing separates the standard atoms;
     # only used to impose a deterministic atom order.
@@ -55,7 +62,7 @@ def _reference_matrix(dim: int) -> np.ndarray:
 
 
 def _context_id(rounded: Sequence[np.ndarray]) -> str:
-    # Hash of the atoms rounded to 10 digits, in canonical order.
+    # Hash of the atoms rounded to ID_DIGITS digits, in canonical order.
     digest = hashlib.sha1()
     for a in rounded:
         digest.update(a.real.tobytes())
@@ -98,12 +105,12 @@ class Context:
 def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence) -> tuple:
     # The context of valid atoms, sorted by (rank, reference-trace weight,
     # entries), followed by each companion sequence permuted alike.  The
-    # weight and the entries are rounded to 10 digits, as in the id; +0.0
-    # collapses negative zeros so the id is phase-insensitive.
+    # weight and the entries are rounded to ID_DIGITS digits, as in the id;
+    # +0.0 collapses negative zeros so the id is phase-insensitive.
     ref = _reference_matrix(atoms[0].shape[0])
-    rounded = [np.round(a, 10) + 0.0 for a in atoms]
+    rounded = [np.round(a, ID_DIGITS) + 0.0 for a in atoms]
     keys = [
-        (projector_rank(a), round(float(np.trace(a @ ref).real), 10) + 0.0,
+        (projector_rank(a), round(float(np.trace(a @ ref).real), ID_DIGITS) + 0.0,
          r.view(float).ravel().tolist())
         for a, r in zip(atoms, rounded)
     ]

@@ -25,6 +25,10 @@ TAU = 1e-9
 #: Default tolerance for eigenvalue clustering and spectrum membership.
 TAU_EIG = 1e-8
 
+#: Least tolerance of the orthonormality test: vectors written as decimals
+#: (0.70710678...) are rounded, so a tau below this would reject them.
+ORTHONORMAL_FLOOR = 1e-9
+
 
 def as_operator(entries) -> np.ndarray:
     """Coerce to a square complex matrix."""
@@ -60,10 +64,10 @@ def is_projector(P, tau: float = TAU) -> bool:
 
 def is_orthonormal(vectors, tau: float = TAU) -> bool:
     """Every entry of the Gram matrix within tau of the identity's; tau is
-    floored at 1e-9, the rounding of vectors given as decimals.  A unit
-    vector is an orthonormal family of one."""
+    floored at ORTHONORMAL_FLOOR, the rounding of vectors given as decimals.
+    A unit vector is an orthonormal family of one."""
     vecs = np.asarray(vectors, dtype=complex)
-    return bool(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= max(tau, 1e-9))
+    return bool(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= max(tau, ORTHONORMAL_FLOOR))
 
 
 def require_self_adjoint(A, tau: float = TAU) -> np.ndarray:

@@ -12,9 +12,9 @@ The on-disk format is a single JSON object::
      "tolerances": {"tau": num, "tau_eig": num}}
 
 with complex matrices as row-major nested arrays of [re, im] pairs.  All
-referenced names must resolve and every invariant (orthonormal bases, unit
-states, self-adjoint observables, projection propositions) is checked when
-the file is loaded.
+referenced names must resolve, every key must be one of the above, and every
+invariant (orthonormal bases, unit states, self-adjoint observables,
+projection propositions) is checked when the file is loaded.
 """
 
 from __future__ import annotations
@@ -82,14 +82,24 @@ def _container(raw: dict, key: str, kind: type):
     return value
 
 
+def _known_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    # A misspelt key would otherwise be ignored and its default used silently.
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"{where}{key}: unknown key; expected one of {', '.join(known)}")
+
+
 def problem_from_dict(raw: dict) -> Problem:
     """Validate a parsed problem dictionary; every invariant checked eagerly."""
     if not isinstance(raw, dict):
         raise ParseError("problem file must contain a JSON object")
+    top = ("dim", "bases", "projector_sets", "states", "observables", "propositions", "tolerances")
+    _known_keys(raw, top, "")
     if "dim" not in raw or not isinstance(raw["dim"], int) or raw["dim"] < 2:
         raise ValidationError("dim must be an integer >= 2")
     dim = raw["dim"]
     tol_raw = _container(raw, "tolerances", dict)
+    _known_keys(tol_raw, ("tau", "tau_eig"), "tolerances.")
     tau = _number(tol_raw.get("tau", TAU), "tolerances.tau")
     tau_eig = _number(tol_raw.get("tau_eig", TAU_EIG), "tolerances.tau_eig")
     if tau <= 0 or tau_eig <= 0:
@@ -147,6 +157,7 @@ def problem_from_dict(raw: dict) -> Problem:
     for name, prop_raw in _container(raw, "propositions", dict).items():
         if not isinstance(prop_raw, dict):
             raise ParseError(f"propositions.{name}: expected an object")
+        _known_keys(prop_raw, ("projector", "observable", "interval"), f"propositions.{name}.")
         if "projector" in prop_raw:
             where = f"propositions.{name}.projector"
             mat = operator(prop_raw["projector"], where, is_projector, "not a projection")

@@ -23,6 +23,7 @@ from .logic import GlobalElementOfOmega, Sieve
 from .operators import (
     TAU,
     TAU_EIG,
+    SpectralDecomposition,
     is_orthonormal,
     require_self_adjoint,
     spectral_bounds,
@@ -116,7 +117,14 @@ def quantity_value_arrow(
     greatest (nu) eigenvalue of A whose spectral projection the restricted
     character's atom touches, i.e. the values of the inner and outer
     daseinisations of A there."""
-    decomp = spectral_decomposition(A, tau, tau_eig)
+    return _value_arrow(poset, spectral_decomposition(A, tau, tau_eig), context, character, tau)
+
+
+def _value_arrow(
+    poset: ContextPoset, decomp: SpectralDecomposition, context: Context, character: Character, tau: float
+) -> IntervalPair:
+    # quantity_value_arrow for an A already decomposed, so that a sweep over
+    # many characters decomposes it once.
     _require_member(context, character)
     down, fine = poset.down_ids(context.id), character.atom_index
     atoms = [poset.get(s).atoms[poset.restriction_indices(context.id, s)[fine]] for s in down]

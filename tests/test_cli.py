@@ -116,6 +116,25 @@ def test_value_command(capsys, spin2_poset, std_projectors):
     assert by_atom[1]["nu"][v1.id] == 0.0
 
 
+def test_value_command_decomposes_the_observable_once(capsys, monkeypatch):
+    import toposqt.cli
+    import toposqt.valuation
+    from toposqt.operators import spectral_decomposition
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectral_decomposition(*args, **kwargs)
+
+    monkeypatch.setattr(toposqt.valuation, "spectral_decomposition", counted)
+    monkeypatch.setattr(toposqt.cli, "spectral_decomposition", counted, raising=False)
+    code, out, _ = _run(capsys, "value", "--input", SPIN2_PATH, "--observable", "Sz")
+    assert code == 0
+    assert len(json.loads(out)["intervals"]) == 30
+    assert len(calls) == 1
+
+
 def test_heyting_check_command(capsys, spin2_poset):
     v1_id = spin2_poset.ids[-1]  # a two-atom context
     code, out, _ = _run(
@@ -213,6 +232,7 @@ _INF_INTERVAL = {"p": {"observable": "Sz", "interval": [0.0, float("inf")]}}
 _NAN_STATE = {"psi": [[float("nan"), 0.0], [0, 0], [0, 0], [0, 0]]}
 _HUGE_STATE = {"psi": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}
 _LIST_OBSERVABLE = {"p": {"observable": ["Sz"], "interval": [0.0, 1.0]}}
+_EXTRA_INTERVALS = {"p": {"observable": "Sz", "interval": [0.0, 1.0], "intervals": [0.0, 1.0]}}
 
 
 @pytest.mark.parametrize(
@@ -232,10 +252,14 @@ _LIST_OBSERVABLE = {"p": {"observable": ["Sz"], "interval": [0.0, 1.0]}}
         ("states", _NAN_STATE, "states.psi"),
         ("states", _HUGE_STATE, "states.psi"),
         ("propositions", _LIST_OBSERVABLE, "propositions.p"),
+        ("tolerance", {"tau": 1e-6}, "tolerance"),
+        ("tolerances", {"tua": 1e-6}, "tolerances.tua"),
+        ("propositions", _EXTRA_INTERVALS, "propositions.p.intervals"),
     ],
     ids=["states", "observables", "propositions", "bases", "projector_sets", "tau",
          "tau_at_bound", "tau_above_one",
-         "tau_eig_nan", "interval_nan", "interval_inf", "state_nan", "state_huge_int", "observable_name_list"],
+         "tau_eig_nan", "interval_nan", "interval_inf", "state_nan", "state_huge_int", "observable_name_list",
+         "unknown_top_key", "unknown_tolerance_key", "unknown_proposition_key"],
 )
 def test_malformed_problem_file_is_domain_error(capsys, tmp_path, key, value, path):
     raw = json.loads(Path(SPIN2_PATH).read_text(encoding="utf-8"))
