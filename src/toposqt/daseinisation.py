@@ -9,7 +9,8 @@ two-valued quantity with value 0 on 1 - P and 1 on P, on which the spectral
 order is the projection order: its outer approximation is the sum of the
 atoms touching P, and its inner one the sum of the atoms touching P but not
 1 - P, where P's characters evaluate to 1.  An atom touching neither (only
-possible at a large tau) has no bound, and both approximations reject it."""
+possible at a large tau) has no bound, and both approximations reject it.
+"""
 
 from __future__ import annotations
 

@@ -3,8 +3,9 @@
 Everything downstream (contexts, spectra, daseinisation) reduces to a handful
 of exact-mathematics predicates evaluated with explicit floating-point
 tolerances: self-adjointness, projection checks, spectral decompositions,
-cumulative spectral families, the projector and spectral orders, and the
-touch test ||ab||_F > tau between families of projections.
+cumulative spectral families, the projector and spectral orders, the
+touch test ||ab||_F > tau between families of projections, and the spectral
+bounds of an atom read off it.
 
 Operators are plain complex ``numpy`` arrays; values returned by this module
 are freshly allocated and never aliased to caller data.

@@ -125,9 +125,8 @@ def _ks18_query_problem() -> dict:
     # ks18's bases and tolerances, with states, an observable and
     # propositions of its own; ks18.json itself has none of these.
     raw = json.loads((DATA / "ks18.json").read_text(encoding="utf-8"))
-    plus = np.full((2, 2), 0.5)
-    plus_projector = np.zeros((4, 4))
-    plus_projector[:2, :2] = plus
+    plus = np.zeros((4, 4))  # |+><+| with + = (e0 + e1)/sqrt(2)
+    plus[:2, :2] = 0.5
     return {
         "dim": raw["dim"],
         "bases": raw["bases"],
@@ -138,7 +137,7 @@ def _ks18_query_problem() -> dict:
         },
         "observables": {"A": [[_c(x) for x in row] for row in np.diag([1.0, 1.0, 0.0, -1.0])]},
         "propositions": {
-            "plus": {"projector": [[_c(x) for x in row] for row in plus_projector]},
+            "plus": {"projector": [[_c(x) for x in row] for row in plus]},
             "A_in_0.5_1.5": {"observable": "A", "interval": [0.5, 1.5]},
         },
     }
