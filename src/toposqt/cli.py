@@ -178,31 +178,30 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
 
 
 def _check_sieve_laws(poset: ContextPoset, base: str, sieves) -> dict:
-    top = principal_sieve(poset, base)
+    # Each connective is computed once per pair of sieves (once per sieve for
+    # "not") and kept as a position in ``sieves``; the laws are then lookups.
+    sets = [s.members for s in sieves]
+    where = {members: i for i, members in enumerate(sets)}
+    meet, join, implies = (
+        [[where[sieve_connective(poset, kind, a, b).members] for b in sieves] for a in sieves]
+        for kind in ("and", "or", "implies")
+    )
+    leq = [[a <= b for b in sets] for a in sets]
+    top, empty = where[principal_sieve(poset, base).members], where[frozenset()]
     violations = 0
     witness = None
-    for s in sieves:
-        negation = sieve_connective(poset, "not", s)
-        if sieve_connective(poset, "and", s, negation).members:
-            violations += 1
-        if witness is None and sieve_connective(poset, "or", s, negation) != top:
+    for i, s in enumerate(sieves):
+        negation = where[sieve_connective(poset, "not", s).members]
+        violations += meet[i][negation] != empty
+        if witness is None and join[i][negation] != top:
             witness = sorted(s.members)
-    triples = islice(product(sieves, repeat=3), HEYTING_TRIPLE_CAP)
-    checked = 0
-    for a, b, c in triples:
-        checked += 1
-        conj = sieve_connective(poset, "and", a, b)
-        disj = sieve_connective(poset, "or", b, c)
-        if sieve_connective(poset, "and", a, disj) != sieve_connective(
-            poset, "or", conj, sieve_connective(poset, "and", a, c)
-        ):
-            violations += 1
-        implication = sieve_connective(poset, "implies", b, c)
-        if (conj.members <= c.members) != (a.members <= implication.members):
-            violations += 1
+    for a, b, c in islice(product(range(len(sets)), repeat=3), HEYTING_TRIPLE_CAP):
+        conj = meet[a][b]
+        violations += meet[a][join[b][c]] != join[conj][meet[a][c]]
+        violations += leq[conj][c] != leq[a][implies[b][c]]
     return {
         "sieve_count": len(sieves),
-        "triples_checked": checked,
+        "triples_checked": min(len(sets) ** 3, HEYTING_TRIPLE_CAP),
         "violations": violations,
         "excluded_middle_witness": witness,
     }

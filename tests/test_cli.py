@@ -147,6 +147,25 @@ def test_heyting_check_command(capsys, spin2_poset):
     assert entry["violations"] == 0
 
 
+def test_heyting_check_computes_each_connective_once_per_pair(capsys, monkeypatch):
+    import toposqt.cli
+    from toposqt.logic import sieve_connective
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return sieve_connective(*args)
+
+    monkeypatch.setattr(toposqt.cli, "sieve_connective", counted)
+    code, out, _ = _run(capsys, "heyting-check", "--input", SPIN2_PATH)
+    assert code == 0
+    counts = [entry["sieve_count"] for entry in json.loads(out)["contexts"].values()]
+    # 3 m^2 + m per context of m sieves: 39,638 on spin2.
+    assert len(calls) <= sum(3 * m * m + m for m in counts) == 39_638
+    assert calls.count("not") == sum(counts)
+
+
 def test_sections_command(capsys):
     code, out, _ = _run(capsys, "sections", "--input", SPIN2_PATH)
     assert code == 0
