@@ -18,7 +18,7 @@ import numpy as np
 
 from ._json import matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
-from .daseinisation import _daseinise_poset
+from .daseinisation import _approximation, _daseinise_poset
 from .errors import ToposError, ValidationError
 from .logic import Sieve, enumerate_sieves, principal_sieve, sieve_connective
 from .operators import projector_rank, spectral_decomposition
@@ -97,13 +97,14 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "prop")
         mode = options.get("mode") or "outer"
         projector = resolve_proposition(problem, name)
-        per_context, selection = _daseinise_poset(poset, projector, tau, int(mode == "outer"))
+        end = int(mode == "outer")
+        bounds, selection = _daseinise_poset(poset, projector, tau, end)
         contexts = {
-            cid: {
-                "projector": matrix_to_json(per_context[cid], 12),
-                "characters": sorted(selection[cid]),
+            c.id: {
+                "projector": matrix_to_json(_approximation(c, bounds[c.id], end), 12),
+                "characters": sorted(selection[c.id]),
             }
-            for cid in poset.ids
+            for c in poset
         }
         return {
             "proposition": name,

@@ -173,6 +173,8 @@ def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) 
 def context_from_basis(vectors: Iterable[np.ndarray], tau: float = TAU) -> Context:
     """Maximal context of an orthonormal basis (rank-one atoms)."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if not vecs:
+        raise ValidationError("basis needs at least one vector")
     dim = vecs[0].shape[0]
     if len(vecs) != dim:
         raise ValidationError(f"basis needs {dim} vectors, got {len(vecs)}")

@@ -74,22 +74,19 @@ class DaseinisedProposition:
 
 
 def _daseinise_poset(poset: ContextPoset, P: np.ndarray, tau: float, end: int) -> tuple[dict, dict]:
-    # The inner (end 0) or outer (end 1) approximation of a validated
-    # projection at every context, and the atoms it selects there, from one
-    # spectral_bounds call over all the poset's atoms.
+    # Each context's atom bounds for a validated projection, from one
+    # spectral_bounds call over all the poset's atoms, and the atoms where its
+    # inner (end 0) or outer (end 1) approximation is 1.
     bounds = iter(spectral_bounds(_two_valued(P), [a for c in poset for a in c.atoms], tau))
-    projectors, selection = {}, {}
-    for context in poset:
-        own = list(islice(bounds, context.n_atoms))
-        projectors[context.id] = _approximation(context, own, end)
-        selection[context.id] = frozenset(i for i, bound in enumerate(own) if bound[end])
-    return projectors, selection
+    own = {c.id: list(islice(bounds, c.n_atoms)) for c in poset}
+    return own, {cid: frozenset(i for i, b in enumerate(o) if b[end]) for cid, o in own.items()}
 
 
 def daseinise_proposition(poset: ContextPoset, P, tau: float = TAU) -> DaseinisedProposition:
     """Outer-daseinise a projection over every context of the poset."""
     P = require_projector(P, tau)
-    projectors, selection = _daseinise_poset(poset, P, tau, 1)
+    bounds, selection = _daseinise_poset(poset, P, tau, 1)
+    projectors = {c.id: _approximation(c, bounds[c.id], 1) for c in poset}
     return DaseinisedProposition(P, projectors, ClopenSubobject(selection))
 
 

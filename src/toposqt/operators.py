@@ -34,8 +34,8 @@ ORTHONORMAL_FLOOR = 1e-9
 def as_operator(entries) -> np.ndarray:
     """Coerce to a square complex matrix."""
     A = np.asarray(entries, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {A.shape}")
     return A
 
 

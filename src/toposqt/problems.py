@@ -96,14 +96,14 @@ def problem_from_dict(raw: dict) -> Problem:
     top = ("dim", "bases", "projector_sets", "states", "observables", "propositions", "tolerances")
     _known_keys(raw, top, "")
     if "dim" not in raw or not isinstance(raw["dim"], int) or raw["dim"] < 2:
-        raise ValidationError("dim must be an integer >= 2")
+        raise ValidationError("dim: must be an integer >= 2")
     dim = raw["dim"]
     tol_raw = _container(raw, "tolerances", dict)
     _known_keys(tol_raw, ("tau", "tau_eig"), "tolerances.")
     tau = _number(tol_raw.get("tau", TAU), "tolerances.tau")
     tau_eig = _number(tol_raw.get("tau_eig", TAU_EIG), "tolerances.tau_eig")
     if tau <= 0 or tau_eig <= 0:
-        raise ValidationError("tolerances must be positive")
+        raise ValidationError(f"tolerances.{'tau' if tau <= 0 else 'tau_eig'}: must be positive")
     # sum_Q ||aQ||_F^2 = rank a >= 1 over <= dim projections Q: a touches some Q.
     if tau >= dim ** -0.5:
         raise ValidationError(f"tolerances.tau: must be below 1/sqrt(dim) = {dim ** -0.5:.6g}")
@@ -181,7 +181,7 @@ def problem_from_dict(raw: dict) -> Problem:
             )
 
     if not bases and not projector_sets:
-        raise ValidationError("problem needs at least one basis or projector set")
+        raise ValidationError("bases: problem needs at least one basis or projector set")
     return Problem(
         dim=dim,
         bases=tuple(bases),
@@ -195,11 +195,15 @@ def problem_from_dict(raw: dict) -> Problem:
 
 def load_problem(path) -> Problem:
     """Read and validate a problem file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, nested too deeply, or an integer too long to convert.
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: problem file must contain a JSON object")
     return problem_from_dict(raw)
 
 

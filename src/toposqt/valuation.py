@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import Context, ContextPoset
-from .daseinisation import daseinise_proposition
+from .daseinisation import DaseinisedProposition, _daseinise_poset, daseinise_proposition
 from .errors import NotUnitVector, SearchBudgetExceeded
 from .logic import GlobalElementOfOmega, Sieve
 from .operators import (
@@ -25,6 +25,7 @@ from .operators import (
     TAU_EIG,
     SpectralDecomposition,
     is_orthonormal,
+    require_projector,
     require_self_adjoint,
     spectral_bounds,
     spectral_decomposition,
@@ -36,28 +37,18 @@ from .presheaf import Character, ClopenSubobject, _implication, _require_member,
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
-def _require_unit(psi, tau: float) -> np.ndarray:
+def _ray(psi, tau: float) -> np.ndarray:
+    # The projector |psi><psi| onto a unit vector's ray.
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if not is_orthonormal([psi], tau):
         raise NotUnitVector("state vector must have norm one")
-    return psi
+    return np.outer(psi, psi.conj())
 
 
-@dataclass(frozen=True)
-class PseudoState:
-    """Per-context smallest projections certain in the state, with their
-    character sets: the daseinised rank-one projector of the state."""
-
-    state: np.ndarray
-    per_context_projector: dict[str, np.ndarray]
-    subobject: ClopenSubobject
-
-
-def pseudo_state(poset: ContextPoset, psi, tau: float = TAU) -> PseudoState:
-    """Outer-daseinise the state's rank-one projector over the poset."""
-    psi = _require_unit(psi, tau)
-    d = daseinise_proposition(poset, np.outer(psi, psi.conj()), tau)
-    return PseudoState(d.source, d.per_context_projector, d.subobject)
+def pseudo_state(poset: ContextPoset, psi, tau: float = TAU) -> DaseinisedProposition:
+    """Outer-daseinise the state's rank-one projector |psi><psi| over the poset:
+    per context, the smallest projection certain in the state."""
+    return daseinise_proposition(poset, _ray(psi, tau), tau)
 
 
 def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EIG) -> np.ndarray:
@@ -84,9 +75,9 @@ def truth_value(poset: ContextPoset, P, psi, tau: float = TAU) -> GlobalElementO
     quadrature as atoms merge, so the test at V alone is not monotone.)  The
     result always satisfies the global-element matching condition.
     """
-    outer = daseinise_proposition(poset, P, tau).subobject
-    state = pseudo_state(poset, psi, tau).subobject
-    outside = {cid for cid in poset.ids if not state.at(cid) <= outer.at(cid)}
+    outer = _daseinise_poset(poset, require_projector(P, tau), tau, 1)[1]
+    state = _daseinise_poset(poset, require_projector(_ray(psi, tau), tau), tau, 1)[1]
+    outside = {cid for cid in poset.ids if not state[cid] <= outer[cid]}
     certain = frozenset(_implication(poset.down_ids, poset.ids, outside))
     sieves = {cid: Sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
     return GlobalElementOfOmega(sieves)

@@ -246,12 +246,48 @@ def test_contexts_command_takes_no_context_option(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command,option,value,message",
+    [
+        ("pseudo-state", "--state", "nope", "unknown state 'nope'"),
+        ("value", "--observable", "nope", "unknown observable 'nope'"),
+    ],
+)
+def test_unknown_name_is_domain_error(capsys, command, option, value, message):
+    code, out, err = _run(capsys, command, "--input", SPIN2_PATH, option, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 _NAN_INTERVAL = {"p": {"observable": "Sz", "interval": [float("nan"), 1.0]}}
 _INF_INTERVAL = {"p": {"observable": "Sz", "interval": [0.0, float("inf")]}}
 _NAN_STATE = {"psi": [[float("nan"), 0.0], [0, 0], [0, 0], [0, 0]]}
 _HUGE_STATE = {"psi": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}
 _LIST_OBSERVABLE = {"p": {"observable": ["Sz"], "interval": [0.0, 1.0]}}
 _EXTRA_INTERVALS = {"p": {"observable": "Sz", "interval": [0.0, 1.0], "intervals": [0.0, 1.0]}}
+_E = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+_NOT_SELF_ADJOINT = [[[float(j == i + 1), 0.0] for j in range(4)] for i in range(4)]
+_TWO_BY_TWO = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_LOAD_ERRORS = [
+    ("dim", 1, "dim", "dim_small"),
+    ("dim", "4", "dim", "dim_not_int"),
+    ("tolerances", {"tau": -1e-9}, "tolerances.tau", "tau_negative"),
+    ("tolerances", {"tau_eig": 0}, "tolerances.tau_eig", "tau_eig_zero"),
+    ("observables", {"A": _TWO_BY_TWO}, "observables.A", "matrix_wrong_size"),
+    ("observables", {"A": _NOT_SELF_ADJOINT}, "observables.A", "matrix_not_self_adjoint"),
+    ("observables", {"A": 5}, "observables.A", "matrix_not_a_list"),
+    ("observables", {"A": [[[1.0, 0.0]], [[0.0, 0.0]]]}, "observables.A", "matrix_not_square"),
+    ("bases", [5], "bases[0]", "basis_not_a_list"),
+    ("bases", [_E[:3]], "bases[0]", "basis_short"),
+    ("bases", [], "bases", "no_basis"),
+    ("projector_sets", [[]], "projector_sets[0]", "projector_set_empty"),
+    ("states", {"psi": _E[0][:2]}, "states.psi", "state_wrong_size"),
+    ("states", {"psi": []}, "states.psi", "state_empty"),
+    ("propositions", {"p": 5}, "propositions.p", "proposition_not_an_object"),
+    ("propositions", {"p": {"observable": "Sz", "interval": [0.0]}}, "propositions.p.interval", "interval_short"),
+    ("propositions", {"p": {"observable": "Sz"}}, "propositions.p", "proposition_neither_form"),
+]
 
 
 @pytest.mark.parametrize(
@@ -274,11 +310,13 @@ _EXTRA_INTERVALS = {"p": {"observable": "Sz", "interval": [0.0, 1.0], "intervals
         ("tolerance", {"tau": 1e-6}, "tolerance"),
         ("tolerances", {"tua": 1e-6}, "tolerances.tua"),
         ("propositions", _EXTRA_INTERVALS, "propositions.p.intervals"),
+        *(case[:3] for case in _LOAD_ERRORS),
     ],
     ids=["states", "observables", "propositions", "bases", "projector_sets", "tau",
          "tau_at_bound", "tau_above_one",
          "tau_eig_nan", "interval_nan", "interval_inf", "state_nan", "state_huge_int", "observable_name_list",
-         "unknown_top_key", "unknown_tolerance_key", "unknown_proposition_key"],
+         "unknown_top_key", "unknown_tolerance_key", "unknown_proposition_key",
+         *(case[3] for case in _LOAD_ERRORS)],
 )
 def test_malformed_problem_file_is_domain_error(capsys, tmp_path, key, value, path):
     raw = json.loads(Path(SPIN2_PATH).read_text(encoding="utf-8"))
@@ -289,4 +327,19 @@ def test_malformed_problem_file_is_domain_error(capsys, tmp_path, key, value, pa
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {path}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"dim": 4\xff}', b"[" * 200_000, b'{"dim": ' + b"1" * 5000 + b"}", b"[]"],
+    ids=["not_utf8", "nested_too_deep", "integer_too_long", "not_an_object"],
+)
+def test_unreadable_problem_file_is_domain_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    code, out, err = _run(capsys, "contexts", "--input", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}:")
     assert "Traceback" not in err

@@ -65,6 +65,11 @@ def test_trivial_algebra_rejected():
         context_from_projectors([np.eye(4, dtype=complex)])
 
 
+def test_empty_basis_rejected():
+    with pytest.raises(ValidationError, match="at least one vector"):
+        context_from_basis([])
+
+
 def test_basis_must_be_orthonormal():
     with pytest.raises(ValidationError):
         context_from_basis([np.array([1, 0]), np.array([1, 1]) / np.sqrt(2)])

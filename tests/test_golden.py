@@ -1,8 +1,8 @@
 """Golden reports: every CLI report on the shipped problems, pinned by sha256.
 
-The hashes were taken from the JSON output of the reference implementation;
-any refactoring of the presheaf, daseinisation or valuation layers must keep
-each report byte-identical.
+The hashes were taken from the JSON and table output of the reference
+implementation; any refactoring of the presheaf, daseinisation, valuation or
+logic layers must keep each report byte-identical.
 """
 
 from __future__ import annotations
@@ -66,11 +66,32 @@ GOLDEN = {
     "spin2 value --observable Sz": "7e34fe72bf945d07bd44f24235f7eb95c396bb9191a705831a6498da2fd9de4f",
     "ks18 contexts": "22710675d3ea9d914694e5265af177e85a914638511bd9c0ca299a4cb6a3b018",
     "ks18 spectrum": "632e1699f334647c8c8f967003b10ae6adbee3e6778ba4aba67f361c316a44b4",
+    "ks18 heyting-check": "418932ac0f286d06a660732bf5ed2412ba93d6c852b292e44fb912c9391b3415",
     "ks18 sections": "0d530f8e9a92372c310a966af43bdaf27c317fc71c750f1648886fd06d21c03b",
 }
 
+#: sha256 of the ``--format table`` report of every spin2 run above.
+GOLDEN_TABLES = {
+    "spin2 contexts": "77b7190dd7f983902b4a238a10e70f6bdb96e94deb18e1ac19cccd16c41c8bde",
+    "spin2 spectrum": "ffde6f8d41fc7c2996d37d42dba975b5728920800ab2ec5b500d2f5973975794",
+    "spin2 heyting-check": "0ad9f1fb21e44d91c08c940349488fb2094dd33e8376a9449016a1b1c422b39b",
+    "spin2 sections": "285a343b73d4339a3e17dd4224d6eaddcd9e8120bf3295d95dc1592058247d73",
+    "spin2 daseinize --prop Sz_in_-3_-1 --mode outer": "d734a35ec2db42f8687246111daeba0156d601b20cf701f3c774e048fb085922",
+    "spin2 daseinize --prop Sz_in_-3_-1 --mode inner": "c2976755e78a99099503ef5a687426897dc9c2bed862de8c951ea2764171fd6d",
+    "spin2 truth --prop Sz_in_-3_-1 --state psi1": "530c681a72760b838a2087bfe5b57c9cff1574f8ea67c1d4df713e27bfd58630",
+    "spin2 truth --prop Sz_in_-3_-1 --state psi2": "6f8a0e2a1e128c58cb78ae6e7a99a4769607ade9b2aabc008fce47bb2450c085",
+    "spin2 daseinize --prop Sz_in_1.3_2.3 --mode outer": "5b9a140155fcfb3e97abe97be6812fa35ebcff5039bac0d4d4fdcca65321f8d8",
+    "spin2 daseinize --prop Sz_in_1.3_2.3 --mode inner": "e97703504c9cefeadcdb9a0ec9d7cc5319a09c875273b06f55d2d2f0c0219bd4",
+    "spin2 truth --prop Sz_in_1.3_2.3 --state psi1": "03f42e3abf28e7bf4bd6144844e86851e5ee2576e89e9730db908ade739ca1cc",
+    "spin2 truth --prop Sz_in_1.3_2.3 --state psi2": "514729ab618759f991d14bcfdfeab0f14623a9f624d6c88e871b52ea6126c1ee",
+    "spin2 pseudo-state --state psi1": "b4fde7bbde9aace09bc81d5b9f6bd5ef383c6241dd4616b9181b677b3b8e8ec4",
+    "spin2 pseudo-state --state psi2": "990d024f3363edb9412b3ce7cb87130d36d213bf98a71862486ef94a59c88f22",
+    "spin2 value --observable Sz": "a6b2f99027d9e7f7ec037a23fe549582dbfbe8491ede61c10a60997c04843aba",
+}
+
 RUNS = [("spin2", argv) for argv in _spin2_reports()] + [
-    ("ks18", (command, "--input", _path("ks18"))) for command in ("contexts", "spectrum", "sections")
+    ("ks18", (command, "--input", _path("ks18")))
+    for command in ("contexts", "spectrum", "heyting-check", "sections")
 ]
 
 
@@ -83,6 +104,16 @@ def test_report_is_byte_identical(capsys, problem, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[_key(problem, argv)]
+
+
+TABLE_RUNS = [(p, argv) for p, argv in RUNS if p == "spin2"]
+
+
+@pytest.mark.parametrize("problem,argv", TABLE_RUNS, ids=[_key(p, a) for p, a in TABLE_RUNS])
+def test_table_report_is_byte_identical(capsys, problem, argv):
+    assert main([*argv, "--format", "table"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_TABLES[_key(problem, argv)]
 
 
 @pytest.fixture(scope="module")

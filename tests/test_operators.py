@@ -180,6 +180,15 @@ def test_dimension_mismatch_raises(sz):
         projector_leq(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
 
 
+def test_empty_matrix_raises_dimension_mismatch():
+    from toposqt.valuation import proposition_projector
+
+    with pytest.raises(DimensionMismatch):
+        spectral_decomposition(np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch):
+        proposition_projector(np.zeros((0, 0)), (0.0, 1.0))
+
+
 def test_decomposition_projectors_are_orthogonal_resolution():
     rng = np.random.default_rng(5)
     gauss = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -105,6 +105,11 @@ def test_parse_error_has_position(tmp_path):
         load_problem(bad)
 
 
+def test_problem_must_be_an_object():
+    with pytest.raises(ParseError, match="must contain a JSON object"):
+        problem_from_dict([{"dim": 2}])
+
+
 def test_malformed_pair_rejected():
     with pytest.raises(ParseError):
         problem_from_dict({"dim": 2, "bases": [[[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]})

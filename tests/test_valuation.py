@@ -296,6 +296,41 @@ def test_truth_value_requires_projector(poset11, sz):
         truth_value(poset11, sz, psi)
 
 
+def test_truth_value_checks_p_before_the_state(poset11, sz, std_projectors):
+    from toposqt.errors import NotProjector
+
+    long = np.array([1, 1, 0, 0], dtype=complex)
+    with pytest.raises(NotProjector):
+        truth_value(poset11, sz, long)
+    with pytest.raises(NotUnitVector):
+        truth_value(poset11, std_projectors[0], long)
+
+
+def test_pseudo_state_is_the_daseinised_ray(poset11):
+    psi = np.array([0.6, 0.8j, 0, 0])
+    ray = np.outer(psi, psi.conj())
+    w, d = pseudo_state(poset11, psi), daseinise_proposition(poset11, ray)
+    assert type(w) is type(d)
+    assert np.array_equal(w.source, ray)
+    assert w.subobject == d.subobject
+    assert all(np.array_equal(w.per_context_projector[c], d.per_context_projector[c]) for c in poset11.ids)
+
+
+def test_truth_value_sums_no_projector(poset11, std_projectors, monkeypatch):
+    import toposqt.daseinisation
+
+    psi = np.array([0.6, 0.8, 0, 0], dtype=complex)
+    P = std_projectors[0] + std_projectors[1]
+    expected = truth_value(poset11, P, psi)
+
+    def refuse(*args):
+        raise AssertionError("truth_value summed a per-context projector")
+
+    monkeypatch.setattr(toposqt.daseinisation, "_approximation", refuse)
+    assert truth_value(poset11, P, psi) == expected
+    assert expected.at(poset11.ids[0]) == principal_sieve(poset11, poset11.ids[0])
+
+
 def test_quantity_value_input_checks(poset11, maximal_context, sz):
     from toposqt.errors import NotSelfAdjoint, UnknownCharacter
     from toposqt.presheaf import Character
