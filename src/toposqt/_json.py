@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 import sys
 
 import numpy as np
@@ -32,9 +33,16 @@ def finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def brief_repr(obj) -> str:
+    """The repr of a value for a one-line error message: reprlib elides deep
+    and long containers, and the text is cut at 60 characters."""
+    text = reprlib.repr(obj)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _complex_from_pair(obj, where: str) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(finite_number, obj)):
-        raise ParseError(f"{where}: expected a [re, im] pair of finite numbers, got {obj!r}")
+        raise ParseError(f"{where}: expected a [re, im] pair of finite numbers, got {brief_repr(obj)}")
     return complex(obj[0], obj[1])
 
 

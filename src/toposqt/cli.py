@@ -24,7 +24,7 @@ from .logic import Sieve, enumerate_sieves, principal_sieve, sieve_connective
 from .operators import projector_rank, spectral_decomposition
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
-from .valuation import DEFAULT_SEARCH_BUDGET, _value_arrow, global_sections, pseudo_state, truth_value
+from .valuation import DEFAULT_SEARCH_BUDGET, _value_arrows, global_sections, pseudo_state, truth_value
 
 COMMANDS = (
     "contexts",
@@ -148,8 +148,8 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         decomp = spectral_decomposition(problem.observables[name], tau, tau_eig)
         intervals = []
         for context in _select_contexts(poset, options):
-            for ch in gelfand_spectrum(context):
-                pair = _value_arrow(poset, decomp, context, ch, tau)
+            characters = gelfand_spectrum(context)
+            for ch, pair in zip(characters, _value_arrows(poset, decomp, context, characters, tau)):
                 intervals.append(
                     {
                         "context": context.id,

@@ -196,6 +196,11 @@ def _join(masks: Sequence[int], block: Iterable[int]) -> int:
     return out
 
 
+def _bits(mask: int) -> list[int]:
+    # Positions of the set bits of ``mask``, in increasing order.
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
 def _table(touch: Sequence[int], own: Sequence[int]) -> tuple[int, ...] | None:
     # Coarse atom j touches the bits in ``touch[j]``; fine atom i sums the bits
     # in ``own[i]``.  The coarse context lies inside the fine one iff every fine
@@ -284,10 +289,15 @@ class ContextPoset:
     without matrices: sub <= sup iff every sup atom (the seed atoms it sums)
     touches exactly one sub atom, and that atom is its restriction.  An order
     that the touch test cannot make transitive raises ``ValidationError``.
+    The poset keeps the seed atoms and each atom's seed mask, so that a
+    touch with a family of projections is read off one ``touch_table`` of
+    the seed atoms.
     """
 
-    def __init__(self, nodes: Sequence[_Node]) -> None:
+    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray]) -> None:
         ordered = sorted(nodes, key=lambda n: (-n.context.n_atoms, n.context.id))
+        self._seed_atoms = seed_atoms
+        self._own: dict[str, tuple[int, ...]] = {n.context.id: n.own for n in ordered}
         self._contexts: tuple[Context, ...] = tuple(n.context for n in ordered)
         self._by_id: dict[str, Context] = {c.id: c for c in self._contexts}
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
@@ -311,6 +321,8 @@ class ContextPoset:
             pair for pair in self._restriction if pair[0] != pair[1]
         )
         self._character_downs: dict[tuple[str, int], frozenset[tuple[str, int]]] = {}
+        self._atom_seeds: tuple[np.ndarray, np.ndarray] | None = None
+        self._restricted_seeds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic container protocol ------------------------------------------
 
@@ -379,6 +391,35 @@ class ContextPoset:
             )
         return below
 
+    def _seed_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        # The stacked seed atoms, and a 0/1 matrix whose row k marks the seed
+        # atoms that the k-th poset atom sums (contexts in poset order, atoms
+        # in atom order): its product with a touch_table of the seed atoms is
+        # the table of every poset atom.  Built on first use.
+        if self._atom_seeds is None:
+            masks = [mask for c in self._contexts for mask in self._own[c.id]]
+            sums = np.zeros((len(masks), len(self._seed_atoms)))
+            for k, mask in enumerate(masks):
+                sums[k, _bits(mask)] = 1.0
+            self._atom_seeds = np.asarray(self._seed_atoms), sums
+        return self._atom_seeds
+
+    def _restricted_sums(self, context_id: str) -> tuple[np.ndarray, np.ndarray]:
+        # The seed atoms that the context's atoms sum, stacked, and a 0/1
+        # array whose entry [i, d, b] marks seed atom b in the atom that atom
+        # i restricts to at the d-th context of down_ids(context_id): the sum
+        # of the context atoms in i's restriction class.  Built on first use.
+        found = self._restricted_seeds.get(context_id)
+        if found is None:
+            own = self._own[context_id]
+            bits = _bits(_join(own, range(len(own))))
+            seeds_of = np.array([[mask >> b & 1 for b in bits] for mask in own], dtype=float)
+            tables = np.array([self._restriction[(context_id, sub)] for sub in self._down[context_id]])
+            same_class = tables[None, :, :] == tables.T[:, :, None]
+            found = np.asarray([self._seed_atoms[b] for b in bits]), same_class @ seeds_of
+            self._restricted_seeds[context_id] = found
+        return found
+
     def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
         """Locate the poset context with the given atom set, if present."""
         wanted = context_from_atoms(atoms)
@@ -443,7 +484,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     # subalgebras that none of the seed families contain.
     for node in closure.values():
         _admit(registry, node.touch, lambda: node)
-    return ContextPoset(list(registry.values()))
+    return ContextPoset(list(registry.values()), seed_atoms)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

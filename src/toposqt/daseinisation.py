@@ -10,6 +10,9 @@ order is the projection order: its outer approximation is the sum of the
 atoms touching P, and its inner one the sum of the atoms touching P but not
 1 - P, where P's characters evaluate to 1.  An atom touching neither (only
 possible at a large tau) has no bound, and both approximations reject it.
+Over a whole poset the touches are read off one ``touch_table`` of the seed
+atoms: an atom touches Q iff the entries of the seed atoms it sums add up to
+more than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .operators import (
     require_projector,
     spectral_bounds,
     spectral_decomposition,
+    table_bounds,
+    touch_table,
     zero,
 )
 from .presheaf import ClopenSubobject
@@ -74,10 +79,12 @@ class DaseinisedProposition:
 
 
 def _daseinise_poset(poset: ContextPoset, P: np.ndarray, tau: float, end: int) -> tuple[dict, dict]:
-    # Each context's atom bounds for a validated projection, from one
-    # spectral_bounds call over all the poset's atoms, and the atoms where its
-    # inner (end 0) or outer (end 1) approximation is 1.
-    bounds = iter(spectral_bounds(_two_valued(P), [a for c in poset for a in c.atoms], tau))
+    # Each context's atom bounds for a validated projection, read off one
+    # touch_table of the seed atoms against (1 - P, P), and the atoms where
+    # its inner (end 0) or outer (end 1) approximation is 1.
+    family = _two_valued(P)
+    seeds, sums = poset._seed_sums()
+    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, tau))
     own = {c.id: list(islice(bounds, c.n_atoms)) for c in poset}
     return own, {cid: frozenset(i for i, b in enumerate(o) if b[end]) for cid, o in own.items()}
 

@@ -4,8 +4,9 @@ Everything downstream (contexts, spectra, daseinisation) reduces to a handful
 of exact-mathematics predicates evaluated with explicit floating-point
 tolerances: self-adjointness, projection checks, spectral decompositions,
 cumulative spectral families, the projector and spectral orders, the
-touch test ||ab||_F > tau between families of projections, and the spectral
-bounds of an atom read off it.
+touch test ||ab||_F > tau between families of projections (or its squared
+form, ||ab||_F^2 > tau^2, read off a table that sums over orthogonal atoms),
+and the spectral bounds of an atom read off it.
 
 Operators are plain complex ``numpy`` arrays; values returned by this module
 are freshly allocated and never aliased to caller data.
@@ -126,17 +127,15 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
     """
     A = require_self_adjoint(A, tau)
     raw, vecs = np.linalg.eigh(A)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(raw)):
-        if raw[i] - raw[clusters[-1][-1]] <= 2.0 * tau_eig:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    values = raw.tolist()
+    # Each cluster is the slice raw[i:j]; its mean np.add.reduce / count is
+    # bit-identical to np.mean (the same pairwise sum), without its overhead.
+    starts = [0] + [i for i in range(1, len(values)) if values[i] - values[i - 1] > 2.0 * tau_eig]
     eigenvalues = []
     projectors = []
-    for idx in clusters:
-        eigenvalues.append(float(np.mean(raw[idx])))
-        block = vecs[:, idx]
+    for i, j in zip(starts, starts[1:] + [len(values)]):
+        eigenvalues.append(float(np.add.reduce(raw[i:j]) / (j - i)))
+        block = vecs[:, i:j]
         projectors.append(block @ block.conj().T)
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
@@ -150,13 +149,34 @@ def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float =
     return out
 
 
-def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
-    """For each left projection a, the bitmask of the right projections b it
-    touches (||ab||_F > tau): the one place where a tolerance meets geometry."""
+def _touches(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> np.ndarray:
+    # [a, b]: left projection a touches right projection b, ||ab||_F > tau.
     if len({a.shape for a in (*left, *right)}) > 1:
         raise DimensionMismatch("atoms live on different Hilbert spaces")
-    norms = np.linalg.norm(np.asarray(left)[:, None] @ np.asarray(right)[None, :], axis=(2, 3))
-    return [sum(1 << j for j, hit in enumerate(row) if hit) for row in (norms > tau).tolist()]
+    return np.linalg.norm(np.asarray(left)[:, None] @ np.asarray(right)[None, :], axis=(2, 3)) > tau
+
+
+def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
+    """For each left projection a, the bitmask of the right projections b it
+    touches (||ab||_F > tau)."""
+    return [sum(1 << j for j, hit in enumerate(row) if hit) for row in _touches(left, right, tau).tolist()]
+
+
+def touch_table(left: np.ndarray, right: Sequence[np.ndarray]) -> np.ndarray:
+    """||ab||_F^2 for each projection a of the stack ``left`` (row) and each
+    right projection b (column), summed from the entries of the product ab.
+
+    For pairwise-orthogonal a_1, ..., a_k, ||(a_1 + ... + a_k) b||_F^2 is the
+    sum of the rows' entries, so the table of a family's atoms decides the
+    touch test (entry > tau^2) for every sum of them.  tr(ab) would equal it
+    in exact arithmetic, but its rounding (about 1e-16) lies far above tau^2.
+    """
+    n, dim = len(left), left.shape[-1]
+    if {b.shape for b in right} != {left.shape[1:]}:
+        raise DimensionMismatch("atoms live on different Hilbert spaces")
+    # One matrix product: entry [a, i, b, j] is (ab)[i, j].
+    products = (left.reshape(n * dim, dim) @ np.concatenate(right, axis=1)).reshape(n, dim, len(right), dim)
+    return np.einsum("aibj,aibj->ab", products.conj(), products).real
 
 
 def _two_valued(P: np.ndarray) -> SpectralDecomposition:
@@ -164,14 +184,27 @@ def _two_valued(P: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition((0.0, 1.0), (identity(P.shape[0]) - P, P))
 
 
+def _bounds(hits: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[tuple[float, float]]:
+    # For each row of hits[atom, projection], the least and the greatest
+    # eigenvalue whose projection the atom touches.
+    lam, last = eigenvalues, len(eigenvalues) - 1
+    try:
+        return [(lam[row.index(True)], lam[last - row[::-1].index(True)]) for row in hits.tolist()]
+    except ValueError:
+        raise ValidationError(f"an atom touches no projection of the family at tau={tau}") from None
+
+
 def spectral_bounds(decomp: SpectralDecomposition, atoms, tau: float) -> list[tuple[float, float]]:
     """For each atom, the least and the greatest eigenvalue whose spectral
     projection the atom touches."""
-    masks = touch_masks(atoms, decomp.projectors, tau)
-    if not all(masks):
-        raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
-    lam = decomp.eigenvalues
-    return [(lam[(m & -m).bit_length() - 1], lam[m.bit_length() - 1]) for m in masks]
+    return _bounds(_touches(atoms, decomp.projectors, tau), decomp.eigenvalues, tau)
+
+
+def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[tuple[float, float]]:
+    """spectral_bounds read off rows of a touch_table against the spectral
+    projections, or off sums of its rows: a row touches the projections
+    whose entries exceed tau^2."""
+    return _bounds(rows > tau * tau, eigenvalues, tau)
 
 
 def projector_leq(P, Q, tau: float = TAU) -> bool:

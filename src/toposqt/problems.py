@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._json import finite_number, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
+from ._json import brief_repr, finite_number, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
 from .contexts import Context, ContextPoset, build_poset, context_from_basis, context_from_projectors
 from .errors import ParseError, ValidationError
 from .operators import TAU, TAU_EIG, is_orthonormal, is_projector, is_self_adjoint
@@ -71,7 +71,7 @@ class Problem:
 
 def _number(x, where: str) -> float:
     if not finite_number(x):
-        raise ParseError(f"{where}: expected a finite number, got {x!r}")
+        raise ParseError(f"{where}: expected a finite number, got {brief_repr(x)}")
     return float(x)
 
 

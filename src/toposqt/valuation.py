@@ -13,6 +13,8 @@ for the finite poset at hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +29,9 @@ from .operators import (
     is_orthonormal,
     require_projector,
     require_self_adjoint,
-    spectral_bounds,
     spectral_decomposition,
+    table_bounds,
+    touch_table,
     zero,
 )
 from .presheaf import Character, ClopenSubobject, _implication, _require_member, is_clopen_subobject
@@ -108,21 +111,27 @@ def quantity_value_arrow(
     greatest (nu) eigenvalue of A whose spectral projection the restricted
     character's atom touches, i.e. the values of the inner and outer
     daseinisations of A there."""
-    return _value_arrow(poset, spectral_decomposition(A, tau, tau_eig), context, character, tau)
+    return _value_arrows(poset, spectral_decomposition(A, tau, tau_eig), context, [character], tau)[0]
 
 
-def _value_arrow(
-    poset: ContextPoset, decomp: SpectralDecomposition, context: Context, character: Character, tau: float
-) -> IntervalPair:
-    # quantity_value_arrow for an A already decomposed, so that a sweep over
-    # many characters decomposes it once.
-    _require_member(context, character)
-    down, fine = poset.down_ids(context.id), character.atom_index
-    atoms = [poset.get(s).atoms[poset.restriction_indices(context.id, s)[fine]] for s in down]
-    bounds = spectral_bounds(decomp, atoms, tau)
-    mu = {sub_id: lo for sub_id, (lo, _) in zip(down, bounds)}
-    nu = {sub_id: hi for sub_id, (_, hi) in zip(down, bounds)}
-    return IntervalPair(context.id, mu, nu)
+def _value_arrows(
+    poset: ContextPoset, decomp: SpectralDecomposition, context: Context, characters: Sequence[Character], tau: float
+) -> list[IntervalPair]:
+    # quantity_value_arrow at several characters of one context, for an A
+    # already decomposed: one touch_table of the seed atoms that the
+    # context's atoms sum, read at each restricted atom as the sum of the rows
+    # of the context atoms in its restriction class.
+    for character in characters:
+        _require_member(context, character)
+    down = poset.down_ids(context.id)
+    seeds, sums = poset._restricted_sums(context.id)
+    rows = sums[[ch.atom_index for ch in characters]] @ touch_table(seeds, decomp.projectors)
+    bounds = iter(table_bounds(rows.reshape(-1, rows.shape[-1]), decomp.eigenvalues, tau))
+    pairs = []
+    for _ in characters:
+        at = list(zip(down, islice(bounds, len(down))))
+        pairs.append(IntervalPair(context.id, {s: lo for s, (lo, _) in at}, {s: hi for s, (_, hi) in at}))
+    return pairs
 
 
 @dataclass(frozen=True)

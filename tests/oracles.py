@@ -11,8 +11,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from toposqt.contexts import Context
-from toposqt.operators import projector_leq, spectral_order_leq, zero
+from toposqt.contexts import Context, ContextPoset
+from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq, touch_masks, zero
 
 
 def all_projections(context: Context) -> list[np.ndarray]:
@@ -136,6 +136,35 @@ def brute_inner_selfadjoint(A: np.ndarray, context: Context, grid) -> np.ndarray
             best = B
     assert all(spectral_order_leq(B, best) for B in candidates)
     return best
+
+
+def touch_selection(poset: ContextPoset, P: np.ndarray, tau: float = 1e-9) -> dict[str, frozenset[int]]:
+    """Per context, the atoms whose own matrices touch P (||aP||_F > tau)."""
+    return {c.id: frozenset(i for i, m in enumerate(touch_masks(c.atoms, [P], tau)) if m) for c in poset}
+
+
+def touch_truth(poset: ContextPoset, P: np.ndarray, psi: np.ndarray, tau: float = 1e-9) -> dict[str, frozenset[str]]:
+    """Per context V, the subcontexts W of V at and below which every atom
+    matrix touching the ray of psi also touches P."""
+    outer = touch_selection(poset, P, tau)
+    state = touch_selection(poset, np.outer(psi, psi.conj()), tau)
+    fails = {cid for cid in poset.ids if not state[cid] <= outer[cid]}
+    certain = {cid for cid in poset.ids if fails.isdisjoint(poset.down_ids(cid))}
+    return {cid: frozenset(certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
+
+
+def touch_interval(poset: ContextPoset, A: np.ndarray, context: Context, atom: int, tau: float = 1e-9):
+    """(mu, nu) of a character, from the matrix of the atom it restricts to at
+    each subcontext: the least and greatest eigenvalue it touches."""
+    decomp = spectral_decomposition(A, tau)
+    lam = decomp.eigenvalues
+    mu, nu = {}, {}
+    for sub_id in poset.down_ids(context.id):
+        restricted = poset.get(sub_id).atoms[poset.restriction_indices(context.id, sub_id)[atom]]
+        mask = touch_masks([restricted], decomp.projectors, tau)[0]
+        touched = [k for k in range(len(lam)) if mask >> k & 1]
+        mu[sub_id], nu[sub_id] = lam[touched[0]], lam[touched[-1]]
+    return mu, nu
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -343,3 +343,21 @@ def test_unreadable_problem_file_is_domain_error(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith(f"error: {bad}:")
     assert "Traceback" not in err
+
+
+def test_error_line_names_a_deep_value_briefly(capsys, tmp_path):
+    # A state entry of 900 nested lists: the message keeps the JSON path and
+    # elides the value instead of printing its whole repr.
+    raw = json.loads(Path(SPIN2_PATH).read_text(encoding="utf-8"))
+    deep = [0.0, 0.0]
+    for _ in range(900):
+        deep = [deep]
+    raw["states"] = {"psi": [deep, [0, 0], [0, 0], [0, 0]]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = _run(capsys, "contexts", "--input", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: states.psi:")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 200

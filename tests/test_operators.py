@@ -202,3 +202,20 @@ def test_decomposition_projectors_are_orthogonal_resolution():
             assert np.linalg.norm(p @ q) <= 1e-9
     assert np.allclose(total, np.eye(4))
     assert all(a < b for a, b in zip(decomp.eigenvalues, decomp.eigenvalues[1:]))
+
+
+@pytest.mark.parametrize("size", range(1, 12))
+def test_cluster_eigenvalue_is_the_numpy_mean(size):
+    # A cluster of ``size`` eigenvalues within 1e-9 of 0.1, between two
+    # isolated ones.  Its eigenvalue is pinned to np.mean of the raw values,
+    # to the last bit: Python's sum differs from it on some of these spectra
+    # from size 8 on, and np.add.reduceat from size 3 on.
+    rng = np.random.default_rng([size, 2024])
+    for _ in range(5):
+        dim = size + 2
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        A = q @ np.diag(np.r_[-1.0, 0.1 + rng.random(size) * 1e-9, 1.0]) @ q.conj().T
+        A = (A + A.conj().T) / 2
+        raw = np.linalg.eigh(A)[0]
+        decomp = spectral_decomposition(A)
+        assert decomp.eigenvalues == (float(raw[0]), float(np.mean(raw[1:-1])), float(raw[-1]))
