@@ -9,10 +9,11 @@ plus the intersection closure of the seeds.
 
 Every poset context is a partition of one seed's atoms, so the poset is
 combinatorics over the seed atoms.  One tolerance rule decides it: two atoms
-a, b touch iff ||ab||_F > tau.  V <= W iff every atom of W touches exactly
-one atom of V (the restriction of that atom); two contexts coincide iff each
-lies inside the other; and the atoms of the meet of V and W are the connected
-components of the graph of touching V and W atoms.
+a, b touch iff ||ab||_F^2 > tau^2, an entry of ``operators.touch_table``.
+V <= W iff every atom of W touches exactly one atom of V (the restriction of
+that atom); two contexts coincide iff each lies inside the other; and the
+atoms of the meet of V and W are the connected components of the graph of
+touching V and W atoms.  Generators are refined into atoms by the same rule.
 
 Atom order, context identifiers and poset order are all canonical so that
 repeated runs over the same input produce byte-identical output.
@@ -144,7 +145,7 @@ def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) 
 
     The atoms are the minimal nonzero products over all choices of P or 1-P
     per generator, which is the algebra the generators generate in finite
-    dimension.
+    dimension.  A product p q is kept iff p touches q.
     """
     gens = [require_projector(g, tau) for g in generators]
     if not gens:
@@ -158,13 +159,9 @@ def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) 
     one = identity(gens[0].shape[0])
     products = [one]
     for g in gens:
-        nxt = []
-        for q in (g, one - g):
-            for p in products:
-                prod = p @ q
-                if float(np.linalg.norm(prod)) > tau:
-                    nxt.append(prod)
-        products = nxt
+        family = (g, one - g)
+        masks = touch_masks(products, family, tau)
+        products = [p @ q for k, q in enumerate(family) for p, m in zip(products, masks) if m >> k & 1]
     if len(products) < 2:
         raise TrivialAlgebra("generators only produce the scalar algebra")
     return context_from_atoms(products, tau)

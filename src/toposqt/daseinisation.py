@@ -2,17 +2,18 @@
 
 Every approximation is read off one rule: each atom a of the context gets
 the least and the greatest eigenvalue of a self-adjoint A whose spectral
-projection it touches (||aQ||_F > tau).  The outer approximation (smallest
-member of the context spectrally above A) is sum_a lambda_max(a) a, and the
-inner one (largest below A) is sum_a lambda_min(a) a.  A projection P is the
-two-valued quantity with value 0 on 1 - P and 1 on P, on which the spectral
-order is the projection order: its outer approximation is the sum of the
-atoms touching P, and its inner one the sum of the atoms touching P but not
-1 - P, where P's characters evaluate to 1.  An atom touching neither (only
-possible at a large tau) has no bound, and both approximations reject it.
-Over a whole poset the touches are read off one ``touch_table`` of the seed
-atoms: an atom touches Q iff the entries of the seed atoms it sums add up to
-more than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).
+projection it touches (||aQ||_F^2 > tau^2, an entry of ``touch_table``).
+The outer approximation (smallest member of the context spectrally above A)
+is sum_a lambda_max(a) a, and the inner one (largest below A) is
+sum_a lambda_min(a) a.  A projection P is the two-valued quantity with value
+0 on 1 - P and 1 on P, on which the spectral order is the projection order:
+its outer approximation is the sum of the atoms touching P, and its inner
+one the sum of the atoms touching P but not 1 - P, where P's characters
+evaluate to 1.  An atom touching neither (only possible at a large tau) has
+no bound, and both approximations reject it.  In one context the table's
+rows are the context's atoms.  Over a whole poset they are the seed atoms:
+an atom touches Q iff the entries of the seed atoms it sums add up to more
+than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).
 """
 
 from __future__ import annotations

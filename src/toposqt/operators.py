@@ -4,9 +4,10 @@ Everything downstream (contexts, spectra, daseinisation) reduces to a handful
 of exact-mathematics predicates evaluated with explicit floating-point
 tolerances: self-adjointness, projection checks, spectral decompositions,
 cumulative spectral families, the projector and spectral orders, the
-touch test ||ab||_F > tau between families of projections (or its squared
-form, ||ab||_F^2 > tau^2, read off a table that sums over orthogonal atoms),
-and the spectral bounds of an atom read off it.
+touch test between families of projections, and the spectral bounds of an
+atom read off it.  There is one touch rule: a touches b iff
+||ab||_F^2 > tau^2, an entry of ``touch_table``, whose rows add up over
+orthogonal atoms.
 
 Operators are plain complex ``numpy`` arrays; values returned by this module
 are freshly allocated and never aliased to caller data.
@@ -149,34 +150,30 @@ def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float =
     return out
 
 
-def _touches(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> np.ndarray:
-    # [a, b]: left projection a touches right projection b, ||ab||_F > tau.
+def touch_table(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
+    """||ab||_F^2 for each left projection a (row) and each right projection
+    b (column), summed from the entries of the product ab.  Every touch test
+    of the library is an entry of this table compared with tau^2.
+
+    For pairwise-orthogonal a_1, ..., a_k, ||(a_1 + ... + a_k) b||_F^2 is the
+    sum of the rows' entries, so the table of a family's atoms decides the
+    touch test for every sum of them.  tr(ab) would equal it in exact
+    arithmetic, but its rounding (about 1e-16) lies far above tau^2.
+    """
     if len({a.shape for a in (*left, *right)}) > 1:
         raise DimensionMismatch("atoms live on different Hilbert spaces")
-    return np.linalg.norm(np.asarray(left)[:, None] @ np.asarray(right)[None, :], axis=(2, 3)) > tau
+    left = np.asarray(left)
+    n, dim = len(left), left.shape[-1]
+    # One matrix product: entry [a, i, b, j] is (ab)[i, j].
+    products = (left.reshape(n * dim, dim) @ np.concatenate(right, axis=1)).reshape(n, dim, len(right), dim)
+    return np.einsum("aibj,aibj->ab", products.conj(), products).real
 
 
 def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
     """For each left projection a, the bitmask of the right projections b it
-    touches (||ab||_F > tau)."""
-    return [sum(1 << j for j, hit in enumerate(row) if hit) for row in _touches(left, right, tau).tolist()]
-
-
-def touch_table(left: np.ndarray, right: Sequence[np.ndarray]) -> np.ndarray:
-    """||ab||_F^2 for each projection a of the stack ``left`` (row) and each
-    right projection b (column), summed from the entries of the product ab.
-
-    For pairwise-orthogonal a_1, ..., a_k, ||(a_1 + ... + a_k) b||_F^2 is the
-    sum of the rows' entries, so the table of a family's atoms decides the
-    touch test (entry > tau^2) for every sum of them.  tr(ab) would equal it
-    in exact arithmetic, but its rounding (about 1e-16) lies far above tau^2.
-    """
-    n, dim = len(left), left.shape[-1]
-    if {b.shape for b in right} != {left.shape[1:]}:
-        raise DimensionMismatch("atoms live on different Hilbert spaces")
-    # One matrix product: entry [a, i, b, j] is (ab)[i, j].
-    products = (left.reshape(n * dim, dim) @ np.concatenate(right, axis=1)).reshape(n, dim, len(right), dim)
-    return np.einsum("aibj,aibj->ab", products.conj(), products).real
+    touches (touch_table entry > tau^2)."""
+    hits = touch_table(left, right) > tau * tau
+    return [sum(1 << j for j, hit in enumerate(row) if hit) for row in hits.tolist()]
 
 
 def _two_valued(P: np.ndarray) -> SpectralDecomposition:
@@ -184,12 +181,13 @@ def _two_valued(P: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition((0.0, 1.0), (identity(P.shape[0]) - P, P))
 
 
-def _bounds(hits: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[tuple[float, float]]:
-    # For each row of hits[atom, projection], the least and the greatest
-    # eigenvalue whose projection the atom touches.
+def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[tuple[float, float]]:
+    """For each row of a touch_table against the spectral projections of a
+    quantity, or each sum of its rows, the least and the greatest eigenvalue
+    whose projection the row touches (entry > tau^2)."""
     lam, last = eigenvalues, len(eigenvalues) - 1
     try:
-        return [(lam[row.index(True)], lam[last - row[::-1].index(True)]) for row in hits.tolist()]
+        return [(lam[row.index(True)], lam[last - row[::-1].index(True)]) for row in (rows > tau * tau).tolist()]
     except ValueError:
         raise ValidationError(f"an atom touches no projection of the family at tau={tau}") from None
 
@@ -197,14 +195,7 @@ def _bounds(hits: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[
 def spectral_bounds(decomp: SpectralDecomposition, atoms, tau: float) -> list[tuple[float, float]]:
     """For each atom, the least and the greatest eigenvalue whose spectral
     projection the atom touches."""
-    return _bounds(_touches(atoms, decomp.projectors, tau), decomp.eigenvalues, tau)
-
-
-def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[tuple[float, float]]:
-    """spectral_bounds read off rows of a touch_table against the spectral
-    projections, or off sums of its rows: a row touches the projections
-    whose entries exceed tau^2."""
-    return _bounds(rows > tau * tau, eigenvalues, tau)
+    return table_bounds(touch_table(atoms, decomp.projectors), decomp.eigenvalues, tau)
 
 
 def projector_leq(P, Q, tau: float = TAU) -> bool:
