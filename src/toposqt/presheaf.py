@@ -20,7 +20,7 @@ import numpy as np
 
 from .contexts import Context, ContextPoset, restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter
-from .operators import TAU, _two_valued, as_operator, require_projector, spectral_bounds
+from .operators import TAU, _two_valued, as_operator, require_projector, require_same_dim, spectral_bounds
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ def coefficients_in(context: Context, A, tau: float = TAU) -> np.ndarray:
     ``tau``.
     """
     A = as_operator(A)
+    require_same_dim(A, context.atoms[0])
     coeffs = np.array(
         [np.trace(A @ a) / np.trace(a) for a in context.atoms], dtype=complex
     )

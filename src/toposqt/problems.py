@@ -95,9 +95,10 @@ def problem_from_dict(raw: dict) -> Problem:
         raise ParseError("problem file must contain a JSON object")
     top = ("dim", "bases", "projector_sets", "states", "observables", "propositions", "tolerances")
     _known_keys(raw, top, "")
-    if "dim" not in raw or not isinstance(raw["dim"], int) or raw["dim"] < 2:
-        raise ValidationError("dim: must be an integer >= 2")
-    dim = raw["dim"]
+    dim = raw.get("dim")
+    # Past the float range, 1/sqrt(dim) below would overflow.
+    if not isinstance(dim, int) or not finite_number(dim) or dim < 2:
+        raise ValidationError("dim: must be an integer >= 2 within the float range")
     tol_raw = _container(raw, "tolerances", dict)
     _known_keys(tol_raw, ("tau", "tau_eig"), "tolerances.")
     tau = _number(tol_raw.get("tau", TAU), "tolerances.tau")

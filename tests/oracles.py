@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from toposqt.contexts import Context, ContextPoset
-from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq, touch_masks, zero
+from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq, zero
 
 
 def all_projections(context: Context) -> list[np.ndarray]:
@@ -140,7 +140,7 @@ def brute_inner_selfadjoint(A: np.ndarray, context: Context, grid) -> np.ndarray
 
 def touch_selection(poset: ContextPoset, P: np.ndarray, tau: float = 1e-9) -> dict[str, frozenset[int]]:
     """Per context, the atoms whose own matrices touch P (||aP||_F > tau)."""
-    return {c.id: frozenset(i for i, m in enumerate(touch_masks(c.atoms, [P], tau)) if m) for c in poset}
+    return {c.id: frozenset(i for i, a in enumerate(c.atoms) if np.linalg.norm(a @ P) > tau) for c in poset}
 
 
 def touch_truth(poset: ContextPoset, P: np.ndarray, psi: np.ndarray, tau: float = 1e-9) -> dict[str, frozenset[str]]:
@@ -161,8 +161,7 @@ def touch_interval(poset: ContextPoset, A: np.ndarray, context: Context, atom: i
     mu, nu = {}, {}
     for sub_id in poset.down_ids(context.id):
         restricted = poset.get(sub_id).atoms[poset.restriction_indices(context.id, sub_id)[atom]]
-        mask = touch_masks([restricted], decomp.projectors, tau)[0]
-        touched = [k for k in range(len(lam)) if mask >> k & 1]
+        touched = [k for k, Q in enumerate(decomp.projectors) if np.linalg.norm(restricted @ Q) > tau]
         mu[sub_id], nu[sub_id] = lam[touched[0]], lam[touched[-1]]
     return mu, nu
 

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_self_adjoint, random_unit_vector
+from oracles import random_projector, random_self_adjoint, random_unit_vector
 from toposqt.errors import DimensionMismatch, NotProjector, NotSelfAdjoint
 from toposqt.operators import (
+    TAU,
     is_projector,
     is_self_adjoint,
     projector_leq,
     spectral_decomposition,
     spectral_family_at,
     spectral_order_leq,
+    touch_masks,
+    touch_table,
 )
 
 
@@ -219,3 +222,46 @@ def test_cluster_eigenvalue_is_the_numpy_mean(size):
         raw = np.linalg.eigh(A)[0]
         decomp = spectral_decomposition(A)
         assert decomp.eigenvalues == (float(raw[0]), float(np.mean(raw[1:-1])), float(raw[-1]))
+
+
+def _norm_masks(left, right, tau):
+    # Oracle for touch_masks: ||ab||_F > tau, one product at a time.
+    return [sum(1 << j for j, b in enumerate(right) if np.linalg.norm(a @ b) > tau) for a in left]
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_touch_masks_match_the_pairwise_norm(dim):
+    # Rays of a random basis against each other (orthogonal up to rounding),
+    # against a sum of them and against random projections.
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        rays = [np.outer(v, v.conj()) for v in basis.T]
+        left = rays + [random_projector(rng, dim, int(rng.integers(1, dim))) for _ in range(3)]
+        right = rays[: dim // 2] + [sum(rays[dim // 2 :]), random_projector(rng, dim, 1)]
+        assert touch_masks(left, right, TAU) == _norm_masks(left, right, TAU)
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_touch_masks_of_the_standard_basis(dim):
+    rays = [np.diag(row).astype(complex) for row in np.eye(dim)]
+    assert np.array_equal(touch_table(rays, rays), np.eye(dim))
+    assert touch_masks(rays, rays, TAU) == [1 << i for i in range(dim)] == _norm_masks(rays, rays, TAU)
+
+
+@pytest.mark.parametrize("angle, touches", [(0.8e-9, False), (1.2e-9, True), (1.6e-9, True)])
+def test_touch_masks_at_a_ray_turned_near_tau(angle, touches):
+    # ||e0 v||_F = sin(angle) for the ray v of e1 turned by angle towards e0.
+    e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    v = np.array([np.sin(angle), np.cos(angle), 0.0])
+    turned = np.outer(v, v).astype(complex)
+    assert touch_masks([e0], [turned], 1e-9) == [int(touches)] == _norm_masks([e0], [turned], 1e-9)
+
+
+def test_touch_masks_reject_mixed_dimensions_on_the_left():
+    left = [np.eye(4, dtype=complex), np.eye(5, dtype=complex)]
+    right = [np.eye(4, dtype=complex)]
+    with pytest.raises(DimensionMismatch):
+        touch_masks(left, right, TAU)
+    with pytest.raises(DimensionMismatch):
+        touch_table(left, right)

@@ -7,10 +7,11 @@ import pytest
 
 from conftest import locate
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.errors import NotASubcontext, NotInAlgebra, UnknownCharacter
+from toposqt.errors import DimensionMismatch, NotASubcontext, NotInAlgebra, UnknownCharacter
 from toposqt.presheaf import (
     Character,
     ClopenSubobject,
+    coefficients_in,
     empty_subobject,
     evaluate_character,
     full_subobject,
@@ -67,6 +68,15 @@ def test_evaluation_rejects_non_members(poset11, std_projectors):
     ch = gelfand_spectrum(v2)[0]
     with pytest.raises(NotInAlgebra):
         evaluate_character(v2, ch, p1)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_evaluation_checks_the_dimension(maximal_context, dim):
+    ch = gelfand_spectrum(maximal_context)[0]
+    with pytest.raises(DimensionMismatch):
+        coefficients_in(maximal_context, np.eye(dim))
+    with pytest.raises(DimensionMismatch):
+        evaluate_character(maximal_context, ch, np.eye(dim))
 
 
 def test_restriction_table_of_the_worked_example(poset11, maximal_context, std_projectors):

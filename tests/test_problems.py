@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from toposqt.errors import ParseError, ValidationError
+from toposqt.cli import render_json, run_command
+from toposqt.errors import ParseError, ToposError, ValidationError
 from toposqt.problems import (
     load_problem,
     problem_from_dict,
@@ -187,3 +191,48 @@ def test_ks18_file_loads():
         tuple(np.round(v, 9)) for basis in problem.bases for v in basis
     }
     assert len(rays) == 18
+
+
+SPIN2_RAW = json.loads(_data_path("spin2.json").read_text(encoding="utf-8"))
+
+# Arbitrary JSON, with the values a loader most easily mistakes for numbers.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.floats(),
+    st.integers(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 2**64]),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated_spin2(draw):
+    # Walk from the top of the spin2 dict to some key or index, then drop it
+    # or replace its value.
+    raw = copy.deepcopy(SPIN2_RAW)
+    parent, key = raw, draw(st.sampled_from(sorted(raw)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON)
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_spin2())
+@example({**SPIN2_RAW, "dim": 10**400})
+def test_a_mutated_problem_gives_a_report_or_a_topos_error(raw):
+    try:
+        report = run_command("contexts", problem_from_dict(raw), {})
+    except ToposError:
+        return
+    json.loads(render_json(report))

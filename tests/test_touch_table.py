@@ -2,10 +2,10 @@
 
 Daseinisation, pseudo-states, truth values and interval values over a whole
 poset decide each touch from one table of ||bQ||_F^2 over the seed atoms b.
-The oracles in ``oracles.py`` apply ``touch_masks`` to every coarse atom's
-own matrix instead.  Inputs aligned with a basis put many atom-projection
-pairs at exact orthogonality, where a table of tr(bQ) would read rounding
-noise as a touch.
+The oracles in ``oracles.py`` share no code with that table: they test
+||aQ||_F > tau on every coarse atom's own matrix a, one pair at a time.
+Inputs aligned with a basis put many atom-projection pairs at exact
+orthogonality, where a table of tr(bQ) would read rounding noise as a touch.
 """
 
 from __future__ import annotations
