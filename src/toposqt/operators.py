@@ -186,8 +186,9 @@ def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> 
     quantity, or each sum of its rows, the least and the greatest eigenvalue
     whose projection the row touches (entry > tau^2)."""
     lam, last = eigenvalues, len(eigenvalues) - 1
+    hits = rows > tau * tau
     try:
-        return [(lam[row.index(True)], lam[last - row[::-1].index(True)]) for row in (rows > tau * tau).tolist()]
+        return [(lam[row.index(True)], lam[last - row[::-1].index(True)]) for row in hits.tolist()]
     except ValueError:
         raise ValidationError(f"an atom touches no projection of the family at tau={tau}") from None
 

@@ -138,9 +138,15 @@ def brute_inner_selfadjoint(A: np.ndarray, context: Context, grid) -> np.ndarray
     return best
 
 
+def pair_touch_masks(left, right, tau: float = 1e-9) -> list[int]:
+    """For each left projection a, the bitmask of the right projections b
+    with ||ab||_F > tau, one product at a time."""
+    return [sum(1 << j for j, b in enumerate(right) if np.linalg.norm(a @ b) > tau) for a in left]
+
+
 def touch_selection(poset: ContextPoset, P: np.ndarray, tau: float = 1e-9) -> dict[str, frozenset[int]]:
     """Per context, the atoms whose own matrices touch P (||aP||_F > tau)."""
-    return {c.id: frozenset(i for i, a in enumerate(c.atoms) if np.linalg.norm(a @ P) > tau) for c in poset}
+    return {c.id: frozenset(i for i, m in enumerate(pair_touch_masks(c.atoms, [P], tau)) if m) for c in poset}
 
 
 def touch_truth(poset: ContextPoset, P: np.ndarray, psi: np.ndarray, tau: float = 1e-9) -> dict[str, frozenset[str]]:
@@ -161,7 +167,8 @@ def touch_interval(poset: ContextPoset, A: np.ndarray, context: Context, atom: i
     mu, nu = {}, {}
     for sub_id in poset.down_ids(context.id):
         restricted = poset.get(sub_id).atoms[poset.restriction_indices(context.id, sub_id)[atom]]
-        touched = [k for k, Q in enumerate(decomp.projectors) if np.linalg.norm(restricted @ Q) > tau]
+        mask = pair_touch_masks([restricted], decomp.projectors, tau)[0]
+        touched = [k for k in range(len(lam)) if mask >> k & 1]
         mu[sub_id], nu[sub_id] = lam[touched[0]], lam[touched[-1]]
     return mu, nu
 

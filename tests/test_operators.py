@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_projector, random_self_adjoint, random_unit_vector
+from oracles import pair_touch_masks, random_projector, random_self_adjoint, random_unit_vector
 from toposqt.errors import DimensionMismatch, NotProjector, NotSelfAdjoint
 from toposqt.operators import (
     TAU,
@@ -224,11 +224,6 @@ def test_cluster_eigenvalue_is_the_numpy_mean(size):
         assert decomp.eigenvalues == (float(raw[0]), float(np.mean(raw[1:-1])), float(raw[-1]))
 
 
-def _norm_masks(left, right, tau):
-    # Oracle for touch_masks: ||ab||_F > tau, one product at a time.
-    return [sum(1 << j for j, b in enumerate(right) if np.linalg.norm(a @ b) > tau) for a in left]
-
-
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_touch_masks_match_the_pairwise_norm(dim):
     # Rays of a random basis against each other (orthogonal up to rounding),
@@ -239,14 +234,14 @@ def test_touch_masks_match_the_pairwise_norm(dim):
         rays = [np.outer(v, v.conj()) for v in basis.T]
         left = rays + [random_projector(rng, dim, int(rng.integers(1, dim))) for _ in range(3)]
         right = rays[: dim // 2] + [sum(rays[dim // 2 :]), random_projector(rng, dim, 1)]
-        assert touch_masks(left, right, TAU) == _norm_masks(left, right, TAU)
+        assert touch_masks(left, right, TAU) == pair_touch_masks(left, right, TAU)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_touch_masks_of_the_standard_basis(dim):
     rays = [np.diag(row).astype(complex) for row in np.eye(dim)]
     assert np.array_equal(touch_table(rays, rays), np.eye(dim))
-    assert touch_masks(rays, rays, TAU) == [1 << i for i in range(dim)] == _norm_masks(rays, rays, TAU)
+    assert touch_masks(rays, rays, TAU) == [1 << i for i in range(dim)] == pair_touch_masks(rays, rays, TAU)
 
 
 @pytest.mark.parametrize("angle, touches", [(0.8e-9, False), (1.2e-9, True), (1.6e-9, True)])
@@ -255,7 +250,7 @@ def test_touch_masks_at_a_ray_turned_near_tau(angle, touches):
     e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     v = np.array([np.sin(angle), np.cos(angle), 0.0])
     turned = np.outer(v, v).astype(complex)
-    assert touch_masks([e0], [turned], 1e-9) == [int(touches)] == _norm_masks([e0], [turned], 1e-9)
+    assert touch_masks([e0], [turned], 1e-9) == [int(touches)] == pair_touch_masks([e0], [turned], 1e-9)
 
 
 def test_touch_masks_reject_mixed_dimensions_on_the_left():
