@@ -1,30 +1,90 @@
-"""JSON encoding of complex vectors and matrices as [re, im] pairs."""
+"""JSON for reports and problem files: complex vectors and matrices as
+[re, im] pairs, and one writer for indented, key-sorted documents."""
 
 from __future__ import annotations
 
 import reprlib
 import sys
+from json.encoder import encode_basestring_ascii as _str
 
 import numpy as np
 
 from .errors import ParseError
 
 
-def _pair(z: complex, ndigits: int | None) -> list[float]:
-    re, im = float(z.real), float(z.imag)
-    if ndigits is not None:
-        re = round(re, ndigits) + 0.0
-        im = round(im, ndigits) + 0.0
-    return [re, im]
+def _row(re: list[float], im: list[float], ndigits: int | None) -> list[list[float]]:
+    if ndigits is None:
+        return [[x, y] for x, y in zip(re, im)]
+    return [[round(x, ndigits) + 0.0, round(y, ndigits) + 0.0] for x, y in zip(re, im)]
 
 
 def vector_to_json(v: np.ndarray, ndigits: int | None = None) -> list:
-    return [_pair(z, ndigits) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return _row(v.real.tolist(), v.imag.tolist(), ndigits)
 
 
 def matrix_to_json(A: np.ndarray, ndigits: int | None = None) -> list:
     A = np.asarray(A, dtype=complex)
-    return [[_pair(z, ndigits) for z in row] for row in A]
+    return [_row(re, im, ndigits) for re, im in zip(A.real.tolist(), A.imag.tolist())]
+
+
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS = {
+    str: _str,
+    float: _float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+_EXACT = {*_SCALARS, list, tuple, dict}
+
+#: The order in which ``json`` tries the types of a value whose type is none
+#: of these exactly (``np.float64`` is a float, ``IntEnum`` an int).
+_KINDS = (str, int, float, list, tuple, dict)
+
+
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return _str(k) + ": "
+
+
+def _encode(obj, pad: str) -> str:
+    kind = type(obj)
+    if kind not in _EXACT:
+        kind = next((k for k in _KINDS if isinstance(obj, k)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if kind in _SCALARS:
+        return _SCALARS[kind](obj)
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    if kind is dict:
+        brackets, children = "{}", [_key(k) + _encode(v, inner) for k, v in sorted(obj.items())]
+    else:
+        # Most leaves of a report are the floats of [re, im] pairs.
+        brackets, children = "[]", [_float(x) if type(x) is float else _encode(x, inner) for x in obj]
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(children) + "\n" + pad + brackets[1]
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, in
+    one pass that builds a string per value; dict keys must be str."""
+    return _encode(obj, "") + "\n"
 
 
 def finite_number(x) -> bool:

@@ -9,14 +9,13 @@ reports.  Exit status: 0 on success, 1 on a domain error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice, product
 from typing import Mapping
 
 import numpy as np
 
-from ._json import matrix_to_json, round_real, vector_to_json
+from ._json import dumps, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
 from .daseinisation import _approximation, _daseinise_poset
 from .errors import ToposError, ValidationError
@@ -225,7 +224,7 @@ def _resolve_state(problem: Problem, name: str) -> np.ndarray:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return dumps(report)
 
 
 def render_table(command: str, report: dict) -> str:

@@ -288,12 +288,13 @@ class ContextPoset:
     that the touch test cannot make transitive raises ``ValidationError``.
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
-    the seed atoms.
+    the seed atoms, and keeps the tolerance it was built with for ``find``.
     """
 
-    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray]) -> None:
+    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray], tau: float) -> None:
         ordered = sorted(nodes, key=lambda n: (-n.context.n_atoms, n.context.id))
         self._seed_atoms = seed_atoms
+        self._tau = tau
         self._own: dict[str, tuple[int, ...]] = {n.context.id: n.own for n in ordered}
         self._contexts: tuple[Context, ...] = tuple(n.context for n in ordered)
         self._by_id: dict[str, Context] = {c.id: c for c in self._contexts}
@@ -419,9 +420,9 @@ class ContextPoset:
 
     def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
         """Locate the poset context with the given atom set, if present."""
-        wanted = context_from_atoms(atoms)
+        wanted = context_from_atoms(atoms, self._tau)
         for c in self._contexts:
-            if c.n_atoms == wanted.n_atoms and is_subcontext(wanted, c):
+            if c.n_atoms == wanted.n_atoms and is_subcontext(wanted, c, self._tau):
                 return c
         return None
 
@@ -481,7 +482,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     # subalgebras that none of the seed families contain.
     for node in closure.values():
         _admit(registry, node.touch, lambda: node)
-    return ContextPoset(list(registry.values()), seed_atoms)
+    return ContextPoset(list(registry.values()), seed_atoms, tau)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._json import brief_repr, finite_number, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
+from ._json import brief_repr, dumps, finite_number, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
 from .contexts import Context, ContextPoset, build_poset, context_from_basis, context_from_projectors
 from .errors import ParseError, ValidationError
 from .operators import TAU, TAU_EIG, is_orthonormal, is_projector, is_self_adjoint
@@ -233,7 +233,7 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def serialize_problem(problem: Problem) -> str:
-    return json.dumps(problem_to_dict(problem), indent=2, sort_keys=True) + "\n"
+    return dumps(problem_to_dict(problem))
 
 
 def problem_seed_contexts(problem: Problem) -> list[Context]:

@@ -354,3 +354,13 @@ def test_order_the_tolerance_cannot_make_transitive_is_an_error():
         build_poset(seeds)
     for pair in combinations(seeds, 2):
         _assert_partial_order(build_poset(list(pair)))
+
+
+def test_find_uses_the_tolerance_the_poset_was_built_with():
+    # The basis vectors carry 1e-8 noise: they are orthonormal within tau =
+    # 1e-6 but not within the default 1e-9, and neither are their atoms.
+    rng = np.random.default_rng(7)
+    noisy = np.eye(4, dtype=complex) + 1e-8 * rng.standard_normal((4, 4))
+    poset = build_poset([context_from_basis(noisy, tau=1e-6)], tau=1e-6)
+    for context in poset:
+        assert poset.find(context.atoms) is context

@@ -1,0 +1,130 @@
+"""The report writer and the [re, im] encoding of vectors and matrices."""
+
+from __future__ import annotations
+
+import json
+from enum import IntEnum
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from toposqt._json import dumps, matrix_to_json, vector_to_json
+
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]),
+)
+_LEAVES = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+    st.text(st.characters(codec=None, exclude_categories=())),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(st.characters(codec=None, exclude_categories=()), max_size=4), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+@example([])
+@example({})
+@example([[], {}, [[]], {"": {}}, ()])
+@example({"\ud800": "\udfff", "é\x00\x1f ": "\U0001f600", "b": 1, "a": -0.0})
+@example([float("nan"), float("inf"), -float("inf"), 5e-324, 1e308, 2**64, -(2**64) - 1, True, False, None])
+@example([np.float64(0.1), np.float64("nan"), np.float64(-0.0), _Level.LOW, (1, (2.5,))])
+def test_the_writer_matches_indented_sorted_json(value):
+    assert dumps(value) == _stdlib(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a"}, {None: 0}, {1.5: 0}, {True: 0}, {"x": {2: 3}}, [{"ok": [{(1, 2): 0}]}]],
+)
+def test_a_key_that_is_not_a_string_is_a_type_error(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(1), 1j, {"a": {1, 2}}, [b"bytes"]])
+def test_a_value_json_cannot_write_is_a_type_error(value):
+    with pytest.raises(TypeError):
+        _stdlib(value)
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+# -- [re, im] encoding ------------------------------------------------------------
+
+
+def _per_entry(z, ndigits):
+    re, im = float(z.real), float(z.imag)
+    if ndigits is not None:
+        re, im = round(re, ndigits) + 0.0, round(im, ndigits) + 0.0
+    return [re, im]
+
+
+def _matrix_per_entry(A, ndigits):
+    return [[_per_entry(z, ndigits) for z in row] for row in np.asarray(A, dtype=complex)]
+
+
+def _vector_per_entry(v, ndigits):
+    return [_per_entry(z, ndigits) for z in np.asarray(v, dtype=complex).reshape(-1)]
+
+
+#: Doubles nearest a 12-digit rounding tie; on the first four ``np.round``
+#: rounds the other way from ``round``.
+_TIES = [float(s) for s in (
+    "0.8353515329235", "0.5329790685565", "1.0000000000005", "0.9999999999995",
+    "0.0000000000005", "0.0000000000015", "0.1234567890125",
+)]
+
+
+def _matrices(rng):
+    for dim in range(1, 7):
+        for _ in range(5):
+            yield rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            yield (rng.integers(0, 10**12, (dim, dim)) + 0.5) / 1e12 * (1 - 2j)
+    ties = np.array(_TIES + [-t for t in _TIES] + [0.0, -0.0, -1e-15, -4.9e-13, 1e-300])
+    yield np.resize(ties, (5, 5)) + 1j * np.resize(ties[::-1], (5, 5))
+    yield np.array([[-0.0 - 0.0j, -1e-15 + 1e-14j], [0.0 - 1e-13j, -4.9e-13 - 0.0j]])
+    yield np.eye(3)
+    yield np.array([[1]])
+
+
+@pytest.mark.parametrize("ndigits", [None, 12])
+def test_rowwise_encoding_equals_the_per_entry_form(ndigits):
+    for A in _matrices(np.random.default_rng(20261017)):
+        encoded = matrix_to_json(A, ndigits)
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(encoded) == repr(_matrix_per_entry(A, ndigits))
+        assert all(type(x) is float for row in encoded for pair in row for x in pair)
+        for v in (A[0], A.reshape(-1)):
+            assert repr(vector_to_json(v, ndigits)) == repr(_vector_per_entry(v, ndigits))
+
+
+def test_rounding_is_correctly_rounded_not_numpy_rounding():
+    # The first tie is one on which np.round and round disagree.
+    assert round(_TIES[0], 12) != float(np.round(_TIES[0], 12))
+    assert matrix_to_json(np.array([[_TIES[0]]]), 12) == [[[round(_TIES[0], 12), 0.0]]]
