@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice, product
 from typing import Mapping
 
 import numpy as np
@@ -19,7 +18,7 @@ from ._json import dumps, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
 from .daseinisation import _approximation, _daseinise_poset
 from .errors import ToposError, ValidationError
-from .logic import Sieve, enumerate_sieves, principal_sieve, sieve_connective
+from .logic import Sieve, enumerate_sieves, principal_sieve
 from .operators import projector_rank, spectral_decomposition
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
@@ -36,8 +35,12 @@ COMMANDS = (
     "sections",
 )
 
-#: Most sieve triples checked per context by ``heyting-check``.
+#: Sieve triples checked per context by ``heyting-check`` unless ``--triples``
+#: says otherwise.
 HEYTING_TRIPLE_CAP = 200_000
+
+#: Most triples whose laws are gathered at once (whole values of a).
+_TRIPLE_BLOCK = 1 << 18
 
 
 def _ranks(context) -> list[int]:
@@ -160,10 +163,15 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         return {"observable": name, "intervals": intervals}
 
     if command == "heyting-check":
+        limit = options.get("triples")
+        if limit is None:
+            limit = HEYTING_TRIPLE_CAP
+        if limit != "all" and not (isinstance(limit, int) and limit > 0):
+            raise ValidationError(f"triples must be a positive integer or 'all', not {limit!r}")
         report = {}
         for context in _select_contexts(poset, options):
             sieves = enumerate_sieves(poset, context)
-            report[context.id] = _check_sieve_laws(poset, context.id, sieves)
+            report[context.id] = _check_sieve_laws(poset, context.id, sieves, limit)
         return {"contexts": report}
 
     # sections
@@ -177,31 +185,53 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     }
 
 
-def _check_sieve_laws(poset: ContextPoset, base: str, sieves) -> dict:
-    # Each connective is computed once per pair of sieves (once per sieve for
-    # "not") and kept as a position in ``sieves``; the laws are then lookups.
+def _sieve_tables(poset: ContextPoset, base: str, sieves) -> tuple[np.ndarray, ...]:
+    # For every pair (a, b) of positions in ``sieves``: the positions of
+    # (a and b), (a or b) and (a implies b), and whether a lies inside b.
+    # Read off the sieves as ints over the base's frame; ``sieves`` holds
+    # every sieve on the base, so every result has a position.
+    frame = poset._sieve_frames[base]
+    masks = np.array([sum(map(frame.bit.__getitem__, s.members)) for s in sieves], dtype=np.int64)
+    order = np.argsort(masks)
+
+    def position(values: np.ndarray) -> np.ndarray:
+        return order[np.searchsorted(masks, values, sorter=order)]
+
+    a, b = masks[:, None], masks[None, :]
+    outside = a & ~b
+    # S => T keeps x iff below[x] & S & ~T == 0.
+    implies = sum(np.where(outside & below, 0, bit) for bit, below in zip(frame.bit.values(), frame.below))
+    return position(a & b), position(a | b), position(implies), outside == 0
+
+
+def _check_sieve_laws(poset: ContextPoset, base: str, sieves, limit: int | str) -> dict:
+    # The laws are gathers on the connective tables: non-contradiction per
+    # sieve, then distributivity and residuation on the first ``limit`` (or
+    # "all") triples (a, b, c) of positions in lexicographic order, a block
+    # of values of a at a time.
+    meet, join, implies, leq = _sieve_tables(poset, base, sieves)
+    m = len(sieves)
     sets = [s.members for s in sieves]
-    where = {members: i for i, members in enumerate(sets)}
-    meet, join, implies = (
-        [[where[sieve_connective(poset, kind, a, b).members] for b in sieves] for a in sieves]
-        for kind in ("and", "or", "implies")
-    )
-    leq = [[a <= b for b in sets] for a in sets]
-    top, empty = where[principal_sieve(poset, base).members], where[frozenset()]
-    violations = 0
-    witness = None
-    for i, s in enumerate(sieves):
-        negation = where[sieve_connective(poset, "not", s).members]
-        violations += meet[i][negation] != empty
-        if witness is None and join[i][negation] != top:
-            witness = sorted(s.members)
-    for a, b, c in islice(product(range(len(sets)), repeat=3), HEYTING_TRIPLE_CAP):
-        conj = meet[a][b]
-        violations += meet[a][join[b][c]] != join[conj][meet[a][c]]
-        violations += leq[conj][c] != leq[a][implies[b][c]]
+    top, empty = sets.index(principal_sieve(poset, base).members), sets.index(frozenset())
+    negation = implies[:, empty]
+    violations = int(np.count_nonzero(meet[np.arange(m), negation] != empty))
+    failures = np.flatnonzero(join[np.arange(m), negation] != top)
+    witness = sorted(sets[failures[0]]) if failures.size else None
+    total = m**3 if limit == "all" else min(m**3, limit)
+    rows = max(1, _TRIPLE_BLOCK // (m * m))
+    for first in range(0, -(-total // (m * m)), rows):
+        a = np.arange(first, min(first + rows, m))
+        count = min(total - first * m * m, a.size * m * m)
+        conj = meet[a]  # a and b, indexed [a, b]
+        triple = a[:, None, None]
+        for broken in (
+            meet[triple, join] != join[conj[:, :, None], conj[:, None, :]],
+            leq[conj] != leq[triple, implies],
+        ):
+            violations += int(np.count_nonzero(broken.reshape(-1)[:count]))
     return {
-        "sieve_count": len(sieves),
-        "triples_checked": min(len(sets) ** 3, HEYTING_TRIPLE_CAP),
+        "sieve_count": m,
+        "triples_checked": total,
         "violations": violations,
         "excluded_middle_witness": witness,
     }
@@ -301,9 +331,26 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--observable", help="observable name")
         if name == "daseinize":
             p.add_argument("--mode", choices=("outer", "inner"), default="outer")
+        if name == "heyting-check":
+            p.add_argument(
+                "--triples", type=_triples, default=HEYTING_TRIPLE_CAP, metavar="N|all",
+                help=f"sieve triples checked per context (default {HEYTING_TRIPLE_CAP:,})",
+            )
         if name == "sections":
             p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     return parser
+
+
+def _triples(text: str) -> int | str:
+    if text == "all":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer or 'all', got {text!r}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     options = {
         key: getattr(args, key, None)
-        for key in ("context", "state", "prop", "observable", "mode", "budget")
+        for key in ("context", "state", "prop", "observable", "mode", "budget", "triples")
     }
     try:
         problem = load_problem(args.input)

@@ -278,6 +278,38 @@ def _add(nodes: dict[str, _Node], base: _Node, blocks: list[list[int]], matrices
     _admit(nodes, touch, lambda: _Node(*_canonical_context(matrices(), own, touch)))
 
 
+class _SieveFrame(NamedTuple):
+    """A context's down-set as bit positions, for sieves held as ints.
+
+    Bit i stands for ``ids[i]``.  The ids run in reverse sorted order, so that
+    among sieves of one size a larger int has the smaller sorted member tuple.
+    """
+
+    ids: tuple[str, ...]
+    bit: dict[str, int]  # id -> 1 << its position, in position order
+    below: tuple[int, ...]  # below[i]: the mask of down_ids(ids[i])
+    down: frozenset[str]  # all of ids
+    above: dict[str, frozenset[str]]  # id -> the ids at or above it
+
+
+class _SieveFrames(dict):
+    """Sieve frames by context id, each built from the down-sets on first use."""
+
+    def __init__(self, down: dict[str, tuple[str, ...]]) -> None:
+        super().__init__()
+        self._down = down
+
+    def __missing__(self, context_id: str) -> _SieveFrame:
+        if context_id not in self._down:
+            raise UnknownContext(f"no context with id {context_id!r} in this poset")
+        ids = tuple(sorted(self._down[context_id], reverse=True))
+        bit = {cid: 1 << i for i, cid in enumerate(ids)}
+        below = tuple(sum(map(bit.__getitem__, self._down[cid])) for cid in ids)
+        above = {cid: frozenset(x for x, mask in zip(ids, below) if mask & bit[cid]) for cid in ids}
+        frame = self[context_id] = _SieveFrame(ids, bit, below, frozenset(ids), above)
+        return frame
+
+
 class ContextPoset:
     """Immutable inclusion-ordered family of contexts.
 
@@ -319,6 +351,7 @@ class ContextPoset:
             pair for pair in self._restriction if pair[0] != pair[1]
         )
         self._character_downs: dict[tuple[str, int], frozenset[tuple[str, int]]] = {}
+        self._sieve_frames = _SieveFrames(self._down)
         self._atom_seeds: tuple[np.ndarray, np.ndarray] | None = None
         self._restricted_seeds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 

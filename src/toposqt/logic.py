@@ -36,7 +36,7 @@ _BINARY_KINDS = ("and", "or", "implies")
 _ALL_KINDS = _BINARY_KINDS + ("not",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sieve:
     """A downward-closed set of subcontexts of the base context."""
 
@@ -54,38 +54,41 @@ def empty_sieve(context_id: str) -> Sieve:
 
 
 def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
-    """Membership in the base's down-set plus downward closure."""
-    down = set(poset.down_ids(sieve.base))
-    if not sieve.members <= down:
+    """Membership in the base's down-set plus downward closure: the largest
+    down-set inside the members is all of them."""
+    frame = poset._sieve_frames[sieve.base]
+    if not sieve.members <= frame.down:
         return False
-    closed = _implication(poset.down_ids, sieve.members, down - sieve.members)
-    return len(closed) == len(sieve.members)
+    outside = frame.down - sieve.members
+    return frame.down.difference(*map(frame.above.__getitem__, outside)) == sieve.members
 
 
 def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]:
-    """All sieves on the context, deterministically ordered.
+    """All sieves on the context, ordered by size and then by sorted members.
 
-    Enumerates the downward-closed subsets of the down-set by deciding
-    elements bottom-up; an element may join a subset only when its down-set
-    meets the decided elements inside that subset.  Raises
+    Enumerates the downward-closed subsets of the down-set as ints over its
+    frame, deciding elements bottom-up; an element may join a subset only
+    when everything strictly below it is in that subset.  Raises
     ``EnumerationLimitExceeded`` when the down-set has more than
     ``ENUMERATION_CAP`` elements.
     """
-    elements = poset.down_ids(context.id)
-    if len(elements) > ENUMERATION_CAP:
+    frame = poset._sieve_frames[context.id]
+    if len(frame.ids) > ENUMERATION_CAP:
         raise EnumerationLimitExceeded(
-            f"down-set has {len(elements)} contexts; exhaustive sieve enumeration "
+            f"down-set has {len(frame.ids)} contexts; exhaustive sieve enumeration "
             f"is capped at {ENUMERATION_CAP}"
         )
-    # Reversed poset order is bottom-up: a context comes after all of its
-    # subcontexts, which are decided by then.
-    found, decided = [frozenset()], set()
-    for cid in reversed(elements):
-        found += [s | {cid} for s in found if _implication(poset.down_ids, (cid,), decided - s)]
-        decided.add(cid)
-    sieves = [Sieve(context.id, members) for members in found]
-    sieves.sort(key=lambda s: (len(s.members), tuple(sorted(s.members))))
-    return tuple(sieves)
+    # A smaller down-set comes first, so an element comes after all of its
+    # subcontexts, which are decided by then.  Each sieve is built as an int
+    # and as its set of members side by side.
+    found = [(0, frozenset())]
+    elements = sorted(zip(frame.ids, frame.bit.values(), frame.below), key=lambda e: e[2].bit_count())
+    for cid, b, below in elements:
+        strict = below ^ b
+        found += [(s | b, members | {cid}) for s, members in found if s & strict == strict]
+    # The bit order makes (size, -int) the order of (size, sorted members).
+    found.sort(key=lambda pair: (pair[0].bit_count(), -pair[0]))
+    return tuple(Sieve(context.id, members) for _, members in found)
 
 
 def omega_restriction(poset: ContextPoset, sieve: Sieve, sub: Context) -> Sieve:
@@ -105,25 +108,27 @@ def sieve_connective(
 
     ``and``/``or`` are intersection/union; ``implies`` keeps the subcontexts
     all of whose subcontexts inside s1 also lie in s2; ``not s`` is
-    ``s implies empty``.
+    ``s implies empty``.  A sieve with a member outside its base's down-set
+    raises ``NotASubcontext``.
     """
     if kind not in _ALL_KINDS:
         raise ValueError(f"unknown connective {kind!r}")
-    if kind == "not":
-        if s2 is not None:
-            raise ValueError("'not' is unary")
-        s2 = empty_sieve(s1.base)
-        kind = "implies"
-    elif s2 is None:
-        raise ValueError(f"{kind!r} needs two sieves")
-    if s1.base != s2.base:
+    if (kind == "not") != (s2 is None):
+        raise ValueError("'not' is unary" if kind == "not" else f"{kind!r} needs two sieves")
+    if s2 is not None and s1.base != s2.base:
         raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
+    frame = poset._sieve_frames[s1.base]
+    a = s1.members
+    b = frozenset() if s2 is None else s2.members
+    if not (a <= frame.down and b <= frame.down):
+        raise NotASubcontext(f"a sieve on {s1.base!r} holds a member outside its down-set")
     if kind == "and":
-        return Sieve(s1.base, s1.members & s2.members)
+        return Sieve(s1.base, a & b)
     if kind == "or":
-        return Sieve(s1.base, s1.members | s2.members)
-    outside = s1.members - s2.members
-    return Sieve(s1.base, frozenset(_implication(poset.down_ids, poset.down_ids(s1.base), outside)))
+        return Sieve(s1.base, a | b)
+    # S => T keeps x iff below[x] & S & ~T == 0: all of the down-set but what
+    # lies at or above a member of S - T.
+    return Sieve(s1.base, frame.down.difference(*map(frame.above.__getitem__, a - b)))
 
 
 class GlobalElementOfOmega:

@@ -64,3 +64,20 @@ def locate(poset, atoms):
     context = poset.find(atoms)
     assert context is not None, "expected context missing from poset"
     return context
+
+
+def random_small_poset(seed: int):
+    """A poset on C^3 or C^4 from one to three orthonormal bases, each made
+    from an earlier one by rotating a random pair of its vectors, so that
+    the bases share rays and meet.  Every down-set has at most 14 contexts."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 5))
+    bases = [np.eye(dim, dtype=complex)]
+    for _ in range(int(rng.integers(0, 3))):
+        basis = bases[int(rng.integers(len(bases)))].copy()
+        i, j = rng.choice(dim, size=2, replace=False)
+        angle = rng.uniform(0.2, 1.3)
+        c, s = np.cos(angle), np.sin(angle)
+        basis[[i, j]] = c * basis[i] + s * basis[j], -s * basis[i] + c * basis[j]
+        bases.append(basis)
+    return build_poset([context_from_basis(b) for b in bases])

@@ -7,10 +7,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import locate
+from conftest import locate, random_small_poset
 from oracles import downsets_brute
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.errors import BaseMismatch, EnumerationLimitExceeded, IncompleteAssignment
+from toposqt.errors import BaseMismatch, EnumerationLimitExceeded, IncompleteAssignment, NotASubcontext
 from toposqt.logic import (
     GlobalElementOfOmega,
     Sieve,
@@ -55,6 +55,21 @@ def test_sieve_counts_match_brute_force(poset11, named):
     oracle = downsets_brute(poset11.down_ids(named["V"].id), poset11.is_leq)
     assert {s.members for s in big} == oracle
     assert len(big) == 114
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enumeration_and_is_sieve_match_brute_force_on_random_posets(seed):
+    poset = random_small_poset(seed)
+    rng = np.random.default_rng(seed)
+    for context in poset:
+        down = poset.down_ids(context.id)
+        oracle = downsets_brute(down, poset.is_leq)
+        sieves = enumerate_sieves(poset, context)
+        assert all(s.base == context.id for s in sieves)
+        assert [s.members for s in sieves] == sorted(oracle, key=lambda d: (len(d), sorted(d)))
+        for chosen in rng.random((64, len(down))) < 0.5:
+            members = frozenset(cid for cid, keep in zip(down, chosen) if keep)
+            assert is_sieve(poset, Sieve(context.id, members)) == (members in oracle)
 
 
 def test_all_enumerated_sieves_are_sieves(poset11, named):
@@ -111,6 +126,21 @@ def test_excluded_middle_fails(poset11, named):
     lem = sieve_connective(poset11, "or", s1, negation)
     assert lem.members == frozenset({named["V1"].id, named["V2"].id})
     assert lem != principal_sieve(poset11, base)
+
+
+@pytest.mark.parametrize("kind", ["and", "or", "implies", "not"])
+def test_connective_rejects_a_member_outside_the_down_set(poset11, named, kind):
+    # V3 is not below V12: a set holding it is no sieve on V12, whichever
+    # operand holds it.
+    base = named["V12"].id
+    valid = Sieve(base, frozenset({named["V1"].id}))
+    for members in ({named["V3"].id}, {named["V3"].id, named["V1"].id}):
+        foreign = Sieve(base, frozenset(members))
+        assert not is_sieve(poset11, foreign)
+        operands = [(foreign,)] if kind == "not" else [(foreign, valid), (valid, foreign), (foreign, foreign)]
+        for sieves in operands:
+            with pytest.raises(NotASubcontext):
+                sieve_connective(poset11, kind, *sieves)
 
 
 def test_sieve_base_mismatch(poset11, named):

@@ -4,17 +4,18 @@ Usage, from the root of this checkout::
 
     python3 tools/bench_pair.py --parent DIR --slug NAME \\
         --pairs build:1-10 --held-out build:20261017 --pairs query:1 --pairs heyting:1 \\
-        [--seconds 20]
+        [--traced heyting:1-3] [--seconds 20]
 
 Each pair runs ``benchmarks/run.py --workload W --seed N --seconds S`` once in
 the parent checkout ``DIR`` and once in this tree, one after the other; the
 side that runs first alternates from pair to pair, so drift of the host's
-speed falls on both sides alike.  ``--pairs`` and ``--held-out`` take a
-workload and a seed list (``1-10``, ``3,7``, or both joined by commas) and may
-be repeated.  ``BENCH_<NAME>.json`` gets every run's last JSON line, and for
-each workload the quartiles of each end-to-end metric on both sides over the
+speed falls on both sides alike.  ``--pairs``, ``--held-out`` and ``--traced``
+take a workload and a seed list (``1-10``, ``3,7``, or both joined by commas)
+and may be repeated; ``--traced`` pairs run with ``--trace 1`` and report the
+per-layer metrics.  ``BENCH_<NAME>.json`` gets every run's last JSON line, and
+for each workload the quartiles of each metric on both sides over the
 ``--pairs`` seeds, with the number of pairs in which this tree was lower.
-Held-out pairs are kept apart from those summaries.
+Held-out and traced pairs are summarised apart from those.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def _describe(checkout: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     command = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds)]
+               "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(command[1:])} exited {done.returncode}\n{done.stderr}")
@@ -83,10 +84,11 @@ def _summary(records: list[dict]) -> dict:
         for metric in pairs[0]["parent"]["metrics"]:
             parent = [r["parent"]["metrics"][metric]["value"] for r in pairs]
             change = [r["change"]["metrics"][metric]["value"] for r in pairs]
+            base = statistics.median(parent)
             summary[workload][metric] = {
                 "parent": _quartiles(parent),
                 "change": _quartiles(change),
-                "median_change_pct": 100.0 * (statistics.median(change) / statistics.median(parent) - 1.0),
+                "median_change_pct": 100.0 * (statistics.median(change) / base - 1.0) if base else None,
                 "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
                 "pairs": len(pairs),
             }
@@ -100,22 +102,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--slug", required=True, help="the record is written to BENCH_<slug>.json")
     parser.add_argument("--pairs", type=_seeds, action="append", default=[], metavar="WORKLOAD:SEEDS")
     parser.add_argument("--held-out", type=_seeds, action="append", default=[], metavar="WORKLOAD:SEEDS")
+    parser.add_argument("--traced", type=_seeds, action="append", default=[], metavar="WORKLOAD:SEEDS")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--claim", default="", help="one line: what the change claims")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
 
-    runs = [(w, s, False) for w, seeds in args.pairs for s in seeds]
-    runs += [(w, s, True) for w, seeds in args.held_out for s in seeds]
+    runs = [(w, s, False, 0) for w, seeds in args.pairs for s in seeds]
+    runs += [(w, s, True, 0) for w, seeds in args.held_out for s in seeds]
+    runs += [(w, s, False, 1) for w, seeds in args.traced for s in seeds]
     records = []
-    for i, (workload, seed, held_out) in enumerate(runs):
+    for i, (workload, seed, held_out, trace) in enumerate(runs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        record = {"workload": workload, "seed": seed, "held_out": held_out, "first": order[0]}
+        record = {"workload": workload, "seed": seed, "held_out": held_out, "trace": trace, "first": order[0]}
         for side in order:
-            record[side] = _run(sides[side], workload, seed, args.seconds)
+            record[side] = _run(sides[side], workload, seed, args.seconds, trace)
         records.append(record)
-        print(f"{workload} seed {seed}: run_s parent {record['parent']['metrics']['run_s']['value']:.4f}"
-              f" change {record['change']['metrics']['run_s']['value']:.4f}", file=sys.stderr)
+        shown = "trace.overhead_pct" if trace else "run_s"
+        print(f"{workload} seed {seed}: {shown} parent {record['parent']['metrics'][shown]['value']:.4f}"
+              f" change {record['change']['metrics'][shown]['value']:.4f}", file=sys.stderr)
+    plain = [r for r in records if not r["trace"]]
 
     document = {
         "name": args.slug,
@@ -125,14 +131,16 @@ def main(argv: list[str] | None = None) -> int:
             [f"--slug {args.slug}", f"--seconds {args.seconds:g}"]
             + [f"--pairs {w}:{','.join(map(str, s))}" for w, s in args.pairs]
             + [f"--held-out {w}:{','.join(map(str, s))}" for w, s in args.held_out]
+            + [f"--traced {w}:{','.join(map(str, s))}" for w, s in args.traced]
         ),
         "protocol": "one run per side and pair, the side that runs first alternating from pair to pair;"
-                    " summaries are over the non-held-out pairs",
+                    " summaries are over the untraced non-held-out pairs, held_out and traced apart",
         "hardware": {"machine": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
                      "python": platform.python_version(), "numpy": version("numpy")},
         "sides": {side: _describe(path) for side, path in sides.items()},
-        "summary": _summary([r for r in records if not r["held_out"]]),
-        "held_out": _summary([r for r in records if r["held_out"]]) if args.held_out else {},
+        "summary": _summary([r for r in plain if not r["held_out"]]),
+        "held_out": _summary([r for r in plain if r["held_out"]]),
+        "traced": _summary([r for r in records if r["trace"]]),
         "records": records,
     }
     out = ROOT / f"BENCH_{args.slug}.json"
