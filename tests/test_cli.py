@@ -175,9 +175,10 @@ def test_heyting_tables_match_brute_force_on_random_posets(seed):
     rng = np.random.default_rng(seed)
     for context in poset:
         oracle = downsets_brute(poset.down_ids(context.id), poset.is_leq)
-        sets = [s.members for s in enumerate_sieves(poset, context)]
+        sieves = enumerate_sieves(poset, context)
+        sets = [s.members for s in sieves]
         assert set(sets) == oracle
-        meet, join, implies, leq = _sieve_tables(poset, context.id, enumerate_sieves(poset, context))
+        meet, join, implies, leq = _sieve_tables(poset, context.id, sieves)
         m = len(sets)
         for i, j in product(range(m), repeat=2):
             assert sets[meet[i, j]] == sets[i] & sets[j]
