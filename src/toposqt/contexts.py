@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptySeed,
+    EnumerationLimitExceeded,
     NonCommutingGenerators,
     TrivialAlgebra,
     UnknownContext,
@@ -54,6 +55,11 @@ from .operators import (
 #: and change the id, as it would for any hash of the content.
 ID_DIGITS = 10
 
+#: The most contexts ``build_poset`` may generate, counted before it builds
+#: any: a seed of n atoms spans 2^n - n - 1 of them (itself and the contexts
+#: its atom subsets generate), summed over the seeds.
+CONTEXT_CAP = 4096
+
 
 def _reference_matrix(dim: int) -> np.ndarray:
     # Fixed weight matrix whose trace pairing separates the standard atoms;
@@ -62,13 +68,10 @@ def _reference_matrix(dim: int) -> np.ndarray:
     return (idx[:, None] * dim + idx[None, :] + 1.0).astype(complex)
 
 
-def _context_id(rounded: Sequence[np.ndarray]) -> str:
-    # Hash of the atoms rounded to ID_DIGITS digits, in canonical order.
-    digest = hashlib.sha1()
-    for a in rounded:
-        digest.update(a.real.tobytes())
-        digest.update(a.imag.tobytes())
-    return "ctx-" + digest.hexdigest()[:10]
+def _context_id(rounded: Sequence[bytes]) -> str:
+    # Hash of the atoms rounded to ID_DIGITS digits, in canonical order: for
+    # each atom, the bytes of its real parts and then of its imaginary parts.
+    return "ctx-" + hashlib.sha1(b"".join(rounded)).hexdigest()[:10]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,23 +106,31 @@ class Context:
         return f"Context({self.id}, ranks=[{ranks}])"
 
 
-def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence) -> tuple:
+def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence, memo: dict | None = None) -> tuple:
     # The context of valid atoms, sorted by (rank, reference-trace weight,
     # entries), followed by each companion sequence permuted alike.  The
     # weight and the entries are rounded to ID_DIGITS digits, as in the id;
-    # +0.0 collapses negative zeros so the id is phase-insensitive.
-    ref = _reference_matrix(atoms[0].shape[0])
-    rounded = [np.round(a, ID_DIGITS) + 0.0 for a in atoms]
-    keys = [
-        (projector_rank(a), round(float(np.trace(a @ ref).real), ID_DIGITS) + 0.0,
-         r.view(float).ravel().tolist())
-        for a, r in zip(atoms, rounded)
-    ]
-    order = sorted(range(len(atoms)), key=keys.__getitem__)
-    ordered = tuple(np.array(atoms[i], dtype=complex) for i in order)
-    for a in ordered:
-        a.setflags(write=False)
-    context = Context(_context_id([rounded[i] for i in order]), ordered)
+    # +0.0 collapses negative zeros so the id is phase-insensitive.  ``memo``
+    # keeps each atom's sort key, rounded bytes and read-only copy by its
+    # bytes, for atoms of one dimension and dtype: equal bytes give equal keys.
+    memo = {} if memo is None else memo
+    ref = None
+    keyed = []
+    for a in atoms:
+        raw = a.tobytes()
+        found = memo.get(raw)
+        if found is None:
+            if ref is None:
+                ref = _reference_matrix(a.shape[0])
+            rounded = np.round(a, ID_DIGITS) + 0.0
+            key = (projector_rank(a), round(float(np.trace(a @ ref).real), ID_DIGITS) + 0.0,
+                   rounded.view(float).ravel().tolist())
+            frozen = np.array(a, dtype=complex)
+            frozen.setflags(write=False)
+            found = memo[raw] = key, rounded.real.tobytes() + rounded.imag.tobytes(), frozen
+        keyed.append(found)
+    order = sorted(range(len(atoms)), key=lambda i: keyed[i][0])
+    context = Context(_context_id([keyed[i][1] for i in order]), tuple(keyed[i][2] for i in order))
     return (context, *(tuple(c[i] for i in order) for c in companions))
 
 
@@ -259,23 +270,109 @@ class _Node(NamedTuple):
     touch: tuple[int, ...]  # the seed atoms each atom touches
 
 
-def _admit(nodes: dict[str, _Node], touch: Sequence[int], make) -> _Node:
-    # First wins: a candidate is the first registered node with as many atoms
-    # that includes it (equal counts make inclusion mutual), else the node
-    # with its id; ``make()`` builds the candidate node only when it is new.
-    for node in nodes.values():
-        if len(node.own) == len(touch) and _table(touch, node.own) is not None:
-            return node
-    node = make()
-    return nodes.setdefault(node.context.id, node)
+def _includes(node: _Node, touch: Sequence[int]) -> bool:
+    # The node has as many atoms as the candidate of ``touch`` and includes it.
+    return len(node.own) == len(touch) and _table(touch, node.own) is not None
 
 
-def _add(nodes: dict[str, _Node], base: _Node, blocks: list[list[int]], matrices) -> None:
+class _Registry:
+    """Poset nodes by id, in the order admitted.  First wins: of two nodes
+    that include each other, or that share an id, the first one admitted is
+    kept and the other is never built."""
+
+    def __init__(self, seed_masks: Sequence[int]) -> None:
+        self.nodes: dict[str, _Node] = {}
+        self._seed_masks = seed_masks  # the bits of each seed's atoms
+        self._by_own: dict[frozenset[int], tuple[int, _Node]] = {}  # own -> (position, first node)
+
+    def admit(self, touch: Sequence[int], make) -> _Node:
+        # The first node with as many atoms that includes the candidate atoms
+        # of ``touch`` (equal counts make inclusion mutual), else the node with
+        # its id; ``make()`` builds the candidate node only when it is new.
+        found = self._including(touch)
+        if found is not None:
+            return found
+        node = make()
+        kept = self.nodes.setdefault(node.context.id, node)
+        if kept is node:
+            self._by_own.setdefault(frozenset(node.own), (len(self.nodes), node))
+        return kept
+
+    def _including(self, touch: Sequence[int]) -> _Node | None:
+        # A node of seed s with as many atoms includes the candidate only if
+        # every atom of s touches one candidate atom and the node's atoms sum
+        # the classes of s's atoms by that candidate atom; that partition is
+        # looked up for each seed.  A seed atom that touches no candidate atom
+        # leaves the scan of every node.
+        reach = _join(touch, range(len(touch)))
+        if any(reach & seed != seed for seed in self._seed_masks):
+            return next((node for node in self.nodes.values() if _includes(node, touch)), None)
+        hits = []
+        for seed in self._seed_masks:
+            parts = [t & seed for t in touch]
+            if sum(parts) == seed:  # the parts are disjoint
+                found = self._by_own.get(frozenset(parts))
+                if found is not None and _includes(found[1], touch):
+                    hits.append(found)
+        return min(hits, key=lambda hit: hit[0])[1] if hits else None
+
+
+def _add(nodes: _Registry, base: _Node, blocks: list[list[int]], matrices, memo: dict) -> None:
     # Admit the context whose atoms join ``blocks`` of ``base``'s atoms;
     # ``matrices()`` gives its atoms in block order.
     touch = [_join(base.touch, b) for b in blocks]
     own = [_join(base.own, b) for b in blocks]
-    _admit(nodes, touch, lambda: _Node(*_canonical_context(matrices(), own, touch)))
+    nodes.admit(touch, lambda: _Node(*_canonical_context(matrices(), own, touch, memo=memo)))
+
+
+def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
+    # A 0/1 uint8 matrix whose row k holds the low ``width`` bits of masks[k].
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+
+
+#: Most entries of one block of the order product (sup atoms x sub atoms).
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, list[list[int]]]]:
+    # For each of ``nodes`` (sorted by falling atom count), in turn: its
+    # position, the positions of the nodes it includes, and the restriction
+    # table to each.  Sup atom i hits sub atom k iff the seed atoms that i
+    # sums meet those that k touches, so the hits of a block of sups with one
+    # atom count against the atoms of every sub with no more atoms are one
+    # product of 0/1 matrices.  A hit of the k-th atom of a sub adds
+    # 1 + base * k, and reduceat sums per sub: each sup atom must hit one
+    # atom (the sum modulo base is 1), whose index is the sum over base.  The
+    # sub atoms must all be hit, which depends only on the union of the sup's
+    # atoms, so it is read once per union.
+    counts = np.array([len(n.own) for n in nodes])
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    own = _bit_rows([m for n in nodes for m in n.own], width).T.astype(np.float32)
+    touch = _bit_rows([m for n in nodes for m in n.touch], width).astype(np.float32)
+    base = int(counts.max()) + 1
+    weight = (np.concatenate([np.arange(c) for c in counts]) * base + 1).astype(np.float32)[:, None]
+    unions = [_join(n.own, range(len(n.own))) for n in nodes]
+    distinct = {u: k for k, u in enumerate(dict.fromkeys(unions))}
+    reached = touch @ _bit_rows(list(distinct), width).T.astype(np.float32) > 0
+    covered = (np.add.reduceat(reached, starts, dtype=np.int32) == counts[:, None]).T
+    cover_rows = np.array([distinct[u] for u in unions])
+    for m in dict.fromkeys(counts.tolist()):
+        first, end = np.searchsorted(-counts, [-m, -m + 1])
+        a0 = starts[first]
+        segments = starts[first:] - a0
+        step = max(1, _BLOCK_ENTRIES // (m * (len(weight) - a0)))
+        for lo in range(first, end, step):
+            hi = min(lo + step, end)
+            hits = touch[a0:] @ own[:, starts[lo] : starts[lo] + (hi - lo) * m]
+            np.minimum(hits, 1.0, out=hits)
+            hits *= weight[a0:]
+            sums = np.add.reduceat(hits, segments).T.reshape(hi - lo, m, -1).astype(np.int64)
+            ok = ((sums % base) == 1).all(axis=1) & covered[cover_rows[lo:hi], first:]
+            for k in range(hi - lo):
+                below = np.flatnonzero(ok[k])
+                yield lo + k, first + below, (sums[k][:, below] // base).T.tolist()
 
 
 class _SieveFrame(NamedTuple):
@@ -333,18 +430,23 @@ class ContextPoset:
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
         self._down: dict[str, tuple[str, ...]] = {}
         self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
-        for sup in ordered:
-            down = []
-            for sub in ordered:
-                table = _table(sub.touch, sup.own) if len(sub.own) <= len(sup.own) else None
-                if table is not None:
-                    down.append(sub.context.id)
-                    self._restriction[(sup.context.id, sub.context.id)] = table
-            self._down[sup.context.id] = tuple(down)
-        for sup, down in self._down.items():
-            if any((sup, low) not in self._restriction for sub in down for low in self._down[sub]):
+        ids = np.array(self._ids, dtype=object)
+        leq = np.zeros((len(ordered), len(ordered)), dtype=np.float32)
+        for row, below, tables in _order_rows(ordered, len(seed_atoms)):
+            sup = self._ids[row]
+            down = self._down[sup] = tuple(ids[below].tolist())
+            for sub, table in zip(down, tables):
+                self._restriction[(sup, sub)] = tuple(table)
+            leq[row, below] = 1.0
+        # X <= Y <= Z must give X <= Z: leq @ leq may only hit leq (in row
+        # blocks, to bound the memory the product takes).
+        step = _BLOCK_ENTRIES // len(leq) + 1
+        for lo in range(0, len(leq), step):
+            block = leq[lo : lo + step]
+            broken = np.flatnonzero(((block @ leq > 0) & (block == 0)).any(axis=1))
+            if broken.size:
                 raise ValidationError(
-                    f"the touch test cannot order the contexts below {sup} transitively:"
+                    f"the touch test cannot order the contexts below {self._ids[lo + broken[0]]} transitively:"
                     " some products of seed atoms lie close to tau"
                 )
         self._inclusions: tuple[tuple[str, str], ...] = tuple(
@@ -429,9 +531,7 @@ class ContextPoset:
         # the table of every poset atom.  Built on first use.
         if self._atom_seeds is None:
             masks = [mask for c in self._contexts for mask in self._own[c.id]]
-            sums = np.zeros((len(masks), len(self._seed_atoms)))
-            for k, mask in enumerate(masks):
-                sums[k, _bits(mask)] = 1.0
+            sums = _bit_rows(masks, len(self._seed_atoms)).astype(float)
             self._atom_seeds = np.asarray(self._seed_atoms), sums
         return self._atom_seeds
 
@@ -471,37 +571,47 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     identity, meets and the order follow from the seed-atom masks.  Of two
     contexts that include each other, or that share an id, the first one
     generated is kept: each seed, then the contexts it refines, then the meets.
+    Seeds that span more than ``CONTEXT_CAP`` contexts raise
+    ``EnumerationLimitExceeded`` before any context is built.
     """
     seeds = list(seed_contexts)
     if not seeds:
         raise EmptySeed("at least one seed context is required")
+    count = sum(2**s.n_atoms - s.n_atoms - 1 for s in seeds)
+    if count > CONTEXT_CAP:
+        raise EnumerationLimitExceeded(
+            f"the seeds span up to {count:,} contexts (2^n - n - 1 for a seed of n atoms),"
+            f" more than the cap of {CONTEXT_CAP:,}"
+        )
     seed_atoms = [a for s in seeds for a in s.atoms]
     rows = touch_masks(seed_atoms, seed_atoms, tau)
-    nodes, offset = [], 0
+    nodes, seed_masks, offset = [], [], 0
     for s in seeds:
         bits = range(offset, offset + s.n_atoms)
         nodes.append(_Node(s, tuple(1 << i for i in bits), tuple(rows[i] for i in bits)))
+        seed_masks.append(((1 << s.n_atoms) - 1) << offset)
         offset += s.n_atoms
+    memo: dict = {}
 
-    closure: dict[str, _Node] = {}
+    closure = _Registry(seed_masks)
     for node in nodes:
-        _admit(closure, node.touch, lambda: node)
+        closure.admit(node.touch, lambda: node)
     # Intersection closure of the seeds (meets of meets included): each round
     # meets the contexts found in the previous one with everything known.
     start = 0
-    while start < len(closure):
-        current = list(closure.values())
+    while start < len(closure.nodes):
+        current = list(closure.nodes.values())
         for new in current[start:]:
             for old in current:
                 groups = _components([_hits(t, old.own) for t in new.touch])
                 if len(groups) >= 2:
                     atoms = new.context.atoms
-                    _add(closure, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups])
+                    _add(closure, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups], memo)
         start = len(current)
 
-    registry: dict[str, _Node] = {}
+    registry = _Registry(seed_masks)
     for s in nodes:
-        seed = _admit(registry, s.touch, lambda: s)
+        seed = registry.admit(s.touch, lambda: s)
         atoms = seed.context.atoms
         n = len(atoms)
         # Subsets of all atoms, or of all but one, give the seed itself.
@@ -510,12 +620,12 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
                 chosen = [atoms[i] for i in subset]
                 rest = [i for i in range(n) if i not in subset]
                 _add(registry, seed, [[i] for i in subset] + [rest],
-                     lambda: chosen + [reduce(np.subtract, chosen, identity(seed.context.dim))])
+                     lambda: chosen + [reduce(np.subtract, chosen, identity(seed.context.dim))], memo)
     # Meets join as bare contexts: coarsening them further would pull in
     # subalgebras that none of the seed families contain.
-    for node in closure.values():
-        _admit(registry, node.touch, lambda: node)
-    return ContextPoset(list(registry.values()), seed_atoms, tau)
+    for node in closure.nodes.values():
+        registry.admit(node.touch, lambda: node)
+    return ContextPoset(list(registry.nodes.values()), seed_atoms, tau)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

@@ -8,6 +8,7 @@ library functions it validates.
 from __future__ import annotations
 
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,6 +66,41 @@ def brute_meet(v1: Context, v2: Context, tau: float = 1e-9) -> list[np.ndarray] 
         if not any(np.linalg.norm(T - S) > tau and projector_leq(T, S, tau) for T in common)
     ]
     return minimal if len(minimal) >= 2 else None
+
+
+def same_context(v1, v2, tau: float = 1e-9) -> bool:
+    """Equal atom sets, each atom matched by one within tau in norm."""
+    return len(v1.atoms) == len(v2.atoms) and all(
+        sum(np.linalg.norm(a - b) <= tau for b in v2.atoms) == 1 for a in v1.atoms
+    )
+
+
+def brute_poset_size(seeds, tau: float = 1e-9) -> int:
+    """Number of distinct contexts spanned by the seeds: every algebra
+    generated by a subset of one seed's atoms (other than the scalars), and
+    the seeds closed under brute_meet, compared by their atom matrices."""
+    found: list = []
+    closure = list(seeds)
+    for seed in seeds:
+        n = len(seed.atoms)
+        for r in range(1, n - 1):
+            for subset in combinations(range(n), r):
+                chosen = [seed.atoms[i] for i in subset]
+                found.append(SimpleNamespace(atoms=chosen + [np.eye(seed.dim) - sum(chosen)], dim=seed.dim))
+    grown = True
+    while grown:
+        grown = False
+        for v1, v2 in product(list(closure), repeat=2):
+            atoms = brute_meet(v1, v2, tau)
+            meet = SimpleNamespace(atoms=atoms, dim=v1.dim)
+            if atoms is not None and not any(same_context(meet, c, tau) for c in closure):
+                closure.append(meet)
+                grown = True
+    distinct: list = []
+    for context in found + closure:
+        if not any(same_context(context, d, tau) for d in distinct):
+            distinct.append(context)
+    return len(distinct)
 
 
 def downsets_brute(elements, is_leq) -> set[frozenset]:

@@ -448,3 +448,16 @@ def test_error_line_names_a_deep_value_briefly(capsys, tmp_path):
     assert err.startswith("error: states.psi:")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and len(err) < 200
+
+
+def test_basis_over_the_context_cap_is_domain_error(capsys, tmp_path):
+    # The standard basis of C^13 spans 2^13 - 14 = 8,178 contexts.
+    eye = np.eye(13)
+    problem = {"dim": 13, "bases": [[[[float(x), 0.0] for x in row] for row in eye]]}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(problem), encoding="utf-8")
+    code, out, err = _run(capsys, "contexts", "--input", str(big))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the seeds span up to 8,178 contexts")
+    assert "Traceback" not in err

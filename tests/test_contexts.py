@@ -9,17 +9,21 @@ import numpy as np
 import pytest
 
 from conftest import locate
-from oracles import all_projections, brute_meet, is_sum_of_atoms
+from oracles import all_projections, brute_meet, brute_poset_size, is_sum_of_atoms, same_context
+from toposqt import contexts
 from toposqt.contexts import (
+    CONTEXT_CAP,
     build_poset,
     context_from_basis,
     context_from_projectors,
     down_set,
     intersect_contexts,
     is_subcontext,
+    restriction_table,
 )
 from toposqt.errors import (
     EmptySeed,
+    EnumerationLimitExceeded,
     NonCommutingGenerators,
     TrivialAlgebra,
     UnknownContext,
@@ -364,3 +368,106 @@ def test_find_uses_the_tolerance_the_poset_was_built_with():
     poset = build_poset([context_from_basis(noisy, tau=1e-6)], tau=1e-6)
     for context in poset:
         assert poset.find(context.atoms) is context
+
+
+def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
+    # Haar-random unitary: QR of a complex Gaussian matrix, phases fixed.
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _order_case(name: str) -> tuple[list, float]:
+    if name == "spin2":
+        with resources.as_file(resources.files("toposqt.data") / "spin2.json") as path:
+            problem = load_problem(path)
+        return problem_seed_contexts(problem), problem.tolerances.tau
+    rng = np.random.default_rng(12)
+    if name == "haar-d6":
+        return [context_from_basis(_haar(rng, 6).T)], 1e-9
+    # Two bases of C^5 sharing two rays (each with a new phase); the other
+    # three rays of the second are a Haar rotation of the complement.
+    first = _haar(rng, 5).T
+    kept = first[:2] * np.exp(2j * np.pi * rng.random(2))[:, None]
+    q, _ = np.linalg.qr(np.column_stack([*kept, *np.eye(5)]))
+    second = np.vstack([kept, (q[:, 2:5] @ _haar(rng, 3)).T])
+    return [context_from_basis(first), context_from_basis(second)], 1e-9
+
+
+@pytest.mark.parametrize("name", ["spin2", "haar-d6", "d5-2b-2s"])
+def test_order_and_tables_match_the_dense_test_on_every_pair(name):
+    seeds, tau = _order_case(name)
+    poset = build_poset(seeds, tau)
+    every = list(poset)
+    for sup in every:
+        tables = {sub.id: restriction_table(sup, sub, tau) for sub in every}
+        assert poset.down_ids(sup.id) == tuple(sub.id for sub in every if tables[sub.id] is not None)
+        for sub_id in poset.down_ids(sup.id):
+            assert poset.restriction_indices(sup.id, sub_id) == tables[sub_id]
+
+
+def _turned(basis: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
+    # The rows of ``basis`` turned by theta in the (e_i, e_j) plane.
+    return basis @ _givens(i, j, theta).T
+
+
+def test_first_generated_context_is_kept_under_the_touch_test(monkeypatch):
+    # Three bases of C^4 share rays, so coarsenings of the later ones equal
+    # earlier coarsenings.  The later two are turned by 2e-10: the touch test
+    # merges their shared coarsenings with the earlier ones, but the ids
+    # differ, so only the inclusion test can merge them.  The poset must hold
+    # the first of each, in the order seeds, coarsenings, meets.
+    e = np.eye(4, dtype=complex)
+    plus, minus = (e[2] + e[3]) / np.sqrt(2), (e[2] - e[3]) / np.sqrt(2)
+    mid, low = (e[1] + e[2]) / np.sqrt(2), (e[1] - e[2]) / np.sqrt(2)
+    seeds = [
+        context_from_basis(e),
+        context_from_basis(_turned(np.array([e[0], e[1], plus, minus]), 0, 2, 2e-10)),
+        context_from_basis(_turned(np.array([e[0], mid, low, e[3]]), 0, 3, 2e-10)),
+    ]
+    ray = [context_from_projectors([s.atoms[np.argmax([a[0, 0].real for a in s.atoms])]]) for s in seeds]
+    assert len({r.id for r in ray}) == 3 and all(same_context(ray[0], r) for r in ray)
+
+    made, phases = [], []
+    canonical, registry = contexts._canonical_context, contexts._Registry
+
+    def spy(*args, **kwargs):
+        out = canonical(*args, **kwargs)
+        made.append((len(phases), out[0]))
+        return out
+
+    class Phases(registry):
+        def __init__(self, *args):
+            phases.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(contexts, "_canonical_context", spy)
+    monkeypatch.setattr(contexts, "_Registry", Phases)
+    poset = build_poset(seeds)
+    # The first registry gathers the meets, the second the coarsenings.
+    offered = seeds + [c for phase, c in made if phase == 2] + [c for phase, c in made if phase == 1]
+    first = []
+    for context in offered:
+        if not any(same_context(context, kept) for kept in first):
+            first.append(context)
+    assert len(poset) == len(first) == brute_poset_size(seeds)
+    assert all(any(context is kept for kept in first) for context in poset)
+
+
+def test_seeds_over_the_context_cap_are_refused_before_any_coarsening(monkeypatch):
+    # A single basis of C^12 spans 4,083 contexts, one of C^13 spans 8,178.
+    assert 2**12 - 13 <= CONTEXT_CAP < 2**13 - 14
+    seed = context_from_basis(np.eye(13))
+
+    def no_coarsening(*args, **kwargs):
+        raise AssertionError("a context was built")
+
+    monkeypatch.setattr(contexts, "_canonical_context", no_coarsening)
+    with pytest.raises(EnumerationLimitExceeded, match="8,178 contexts"):
+        build_poset([seed])
+
+
+def test_context_cap_counts_every_seed(monkeypatch, maximal_context, second_basis):
+    monkeypatch.setattr(contexts, "CONTEXT_CAP", 11)
+    assert len(build_poset([maximal_context])) == 11
+    with pytest.raises(EnumerationLimitExceeded, match="22 contexts"):
+        build_poset([maximal_context, second_basis])
