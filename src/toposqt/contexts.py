@@ -55,9 +55,10 @@ from .operators import (
 #: and change the id, as it would for any hash of the content.
 ID_DIGITS = 10
 
-#: The most contexts ``build_poset`` may generate, counted before it builds
-#: any: a seed of n atoms spans 2^n - n - 1 of them (itself and the contexts
-#: its atom subsets generate), summed over the seeds.
+#: The most contexts that ``build_poset`` lets its seeds span on their own,
+#: counted before it builds any: a seed of n atoms spans 2^n - n - 1 (itself
+#: and the contexts its atom subsets generate), summed over the seeds.  Meets
+#: of several seeds are not counted, so such a poset can hold more.
 CONTEXT_CAP = 4096
 
 
@@ -303,7 +304,10 @@ class _Registry:
         # every atom of s touches one candidate atom and the node's atoms sum
         # the classes of s's atoms by that candidate atom; that partition is
         # looked up for each seed.  A seed atom that touches no candidate atom
-        # leaves the scan of every node.
+        # leaves the scan of every node.  That takes tau >= 1/sqrt(dim), which
+        # the problem loader refuses: the at most dim candidate atoms c sum to
+        # the identity, so the ||b c||_F^2 of a seed atom b sum to its rank,
+        # and one of them is at least 1/dim.
         reach = _join(touch, range(len(touch)))
         if any(reach & seed != seed for seed in self._seed_masks):
             return next((node for node in self.nodes.values() if _includes(node, touch)), None)
@@ -336,7 +340,8 @@ def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, list[list[int]]]]:
+def _order_rows(nodes: Sequence[_Node], seed_masks: Sequence[int], width: int
+                ) -> Iterator[tuple[int, np.ndarray, list[list[int]]]]:
     # For each of ``nodes`` (sorted by falling atom count), in turn: its
     # position, the positions of the nodes it includes, and the restriction
     # table to each.  Sup atom i hits sub atom k iff the seed atoms that i
@@ -345,20 +350,20 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
     # product of 0/1 matrices.  A hit of the k-th atom of a sub adds
     # 1 + base * k, and reduceat sums per sub: each sup atom must hit one
     # atom (the sum modulo base is 1), whose index is the sum over base.  The
-    # sub atoms must all be hit, which depends only on the union of the sup's
-    # atoms, so it is read once per union.  The float32 sums stay exact
-    # integers while m * base**2 < 2**24, for up to about 250 atoms.
+    # sub atoms must all be hit, which depends only on the seed atoms the
+    # sup's atoms sum together: those of its seed (``seed_masks``), since
+    # every poset context partitions all atoms of one seed.  So it is read
+    # once per seed.  The float32 sums stay exact integers while
+    # m * base**2 < 2**24, for up to about 250 atoms.
     counts = np.array([len(n.own) for n in nodes])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     own = _bit_rows([m for n in nodes for m in n.own], width).T.astype(np.float32)
     touch = _bit_rows([m for n in nodes for m in n.touch], width).astype(np.float32)
     base = int(counts.max()) + 1
     weight = (np.concatenate([np.arange(c) for c in counts]) * base + 1).astype(np.float32)[:, None]
-    unions = [_join(n.own, range(len(n.own))) for n in nodes]
-    distinct = {u: k for k, u in enumerate(dict.fromkeys(unions))}
-    reached = touch @ _bit_rows(list(distinct), width).T.astype(np.float32) > 0
+    reached = touch @ _bit_rows(seed_masks, width).T.astype(np.float32) > 0
     covered = (np.add.reduceat(reached, starts, dtype=np.int32) == counts[:, None]).T
-    cover_rows = np.array([distinct[u] for u in unions])
+    seed_of = np.array([next(k for k, seed in enumerate(seed_masks) if seed & n.own[0]) for n in nodes])
     for m in dict.fromkeys(counts.tolist()):
         first, end = np.searchsorted(-counts, [-m, -m + 1])
         a0 = starts[first]
@@ -370,7 +375,7 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
             np.minimum(hits, 1.0, out=hits)
             hits *= weight[a0:]
             sums = np.add.reduceat(hits, segments).T.reshape(hi - lo, m, -1).astype(np.int64)
-            ok = ((sums % base) == 1).all(axis=1) & covered[cover_rows[lo:hi], first:]
+            ok = ((sums % base) == 1).all(axis=1) & covered[seed_of[lo:hi], first:]
             for k in range(hi - lo):
                 below = np.flatnonzero(ok[k])
                 yield lo + k, first + below, (sums[k][:, below] // base).T.tolist()
@@ -421,7 +426,8 @@ class ContextPoset:
     the seed atoms, and keeps the tolerance it was built with for ``find``.
     """
 
-    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray], tau: float) -> None:
+    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray], seed_masks: Sequence[int],
+                 tau: float) -> None:
         ordered = sorted(nodes, key=lambda n: (-n.context.n_atoms, n.context.id))
         self._seed_atoms = seed_atoms
         self._tau = tau
@@ -433,7 +439,7 @@ class ContextPoset:
         self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
         ids = np.array(self._ids, dtype=object)
         leq = np.zeros((len(ordered), len(ordered)), dtype=np.float32)
-        for row, below, tables in _order_rows(ordered, len(seed_atoms)):
+        for row, below, tables in _order_rows(ordered, seed_masks, len(seed_atoms)):
             sup = self._ids[row]
             down = self._down[sup] = tuple(ids[below].tolist())
             for sub, table in zip(down, tables):
@@ -572,7 +578,8 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     identity, meets and the order follow from the seed-atom masks.  Of two
     contexts that include each other, or that share an id, the first one
     generated is kept: each seed, then the contexts it refines, then the meets.
-    Seeds that span more than ``CONTEXT_CAP`` contexts raise
+    Seeds that span more than ``CONTEXT_CAP`` contexts on their own (2^n -
+    n - 1 for a seed of n atoms, meets not counted) raise
     ``EnumerationLimitExceeded`` before any context is built.
     """
     seeds = list(seed_contexts)
@@ -581,8 +588,8 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     count = sum(2**s.n_atoms - s.n_atoms - 1 for s in seeds)
     if count > CONTEXT_CAP:
         raise EnumerationLimitExceeded(
-            f"the seeds span up to {count:,} contexts (2^n - n - 1 for a seed of n atoms),"
-            f" more than the cap of {CONTEXT_CAP:,}"
+            f"the seeds span {count:,} contexts on their own (2^n - n - 1 for a seed of n atoms,"
+            f" meets not counted), more than the cap of {CONTEXT_CAP:,}"
         )
     seed_atoms = [a for s in seeds for a in s.atoms]
     rows = touch_masks(seed_atoms, seed_atoms, tau)
@@ -626,7 +633,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     # subalgebras that none of the seed families contain.
     for node in closure.nodes.values():
         registry.admit(node.touch, lambda: node)
-    return ContextPoset(list(registry.nodes.values()), seed_atoms, tau)
+    return ContextPoset(list(registry.nodes.values()), seed_atoms, seed_masks, tau)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

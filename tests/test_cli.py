@@ -459,5 +459,5 @@ def test_basis_over_the_context_cap_is_domain_error(capsys, tmp_path):
     code, out, err = _run(capsys, "contexts", "--input", str(big))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: the seeds span up to 8,178 contexts")
+    assert err.startswith("error: the seeds span 8,178 contexts on their own")
     assert "Traceback" not in err

@@ -453,6 +453,46 @@ def test_first_generated_context_is_kept_under_the_touch_test(monkeypatch):
     assert all(any(context is kept for kept in first) for context in poset)
 
 
+def test_first_wins_and_the_order_hold_when_a_seed_atom_touches_no_atom(monkeypatch):
+    # At tau >= 1/sqrt(dim), open to API callers only, a seed atom can touch
+    # no atom of another context: each Hadamard ray has weight 1/4 on every
+    # ray of the first two seeds, below tau^2.  The second seed is the first
+    # turned so that each ray keeps weight 0.8 on its own axis, so the touch
+    # test merges it, and the coarsenings it shares, with the first seed,
+    # though the ids differ.  Registry lookups then take the scan of every
+    # node, and some sub atoms are hit by no sup atom.  The poset must match
+    # the plain first-wins scan, and its order the per-pair mask test.
+    tau = 0.75
+    e = np.eye(4, dtype=complex)
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    seeds = [context_from_basis(basis, tau) for basis in
+             (e, _turned(e, 0, 1, np.arcsin(np.sqrt(0.2))), hadamard, _haar(np.random.default_rng(1), 4).T)]
+    built = []
+
+    class Spy(contexts.ContextPoset):
+        def __init__(self, nodes, *args):
+            built.append(nodes)
+            super().__init__(nodes, *args)
+
+    monkeypatch.setattr(contexts, "ContextPoset", Spy)
+    poset = build_poset(seeds, tau)
+    assert seeds[0] in poset and seeds[1].id != seeds[0].id and seeds[1] not in poset
+    node = {n.context.id: n for n in built[0]}
+    for sup in poset.ids:
+        tables = {sub: contexts._table(node[sub].touch, node[sup].own) for sub in poset.ids}
+        assert poset.down_ids(sup) == tuple(sub for sub in poset.ids if tables[sub] is not None)
+        for sub in poset.down_ids(sup):
+            assert poset.restriction_indices(sup, sub) == tables[sub]
+
+    def scan(self, touch):
+        return next((n for n in self.nodes.values() if contexts._includes(n, touch)), None)
+
+    monkeypatch.setattr(contexts._Registry, "_including", scan)
+    oracle = build_poset(seeds, tau)
+    assert poset.ids == oracle.ids
+    assert all(poset.down_ids(cid) == oracle.down_ids(cid) for cid in poset.ids)
+
+
 def test_seeds_over_the_context_cap_are_refused_before_any_coarsening(monkeypatch):
     # A single basis of C^12 spans 4,083 contexts, one of C^13 spans 8,178.
     assert 2**12 - 13 <= CONTEXT_CAP < 2**13 - 14

@@ -2,10 +2,10 @@
 
 Usage, from the root of this checkout::
 
-    python3 tools/time_single_basis.py 4 5 6 7 8 9 10 [--repeat 3]
+    python3 tools/time_single_basis.py 4 5 6 7 8 9 10
 
 Prints, for each dimension n, the context count (2^n - n - 1) and the least
-and the median wall time of ``--repeat`` builds.  The basis of dimension n is
+and the median wall time of ``REPEAT`` builds.  The basis of dimension n is
 ``benchmarks/inputs.haar_unitary`` drawn from seed ``[1, n]``.  The library
 comes from ``PYTHONPATH`` when it names one (to time another checkout), else
 from this checkout's ``src``.
@@ -27,16 +27,18 @@ from inputs import haar_unitary  # noqa: E402
 
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
 
+#: Builds timed per dimension.
+REPEAT = 3
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dims", type=int, nargs="+")
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     for dim in args.dims:
         seed = context_from_basis(list(haar_unitary(np.random.default_rng([1, dim]), dim).T))
         times = []
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             start = time.perf_counter()
             poset = build_poset([seed])
             times.append(time.perf_counter() - start)
