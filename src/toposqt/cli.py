@@ -72,8 +72,6 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     poset = problem_poset(problem)
-    tau = problem.tolerances.tau
-    tau_eig = problem.tolerances.tau_eig
 
     if command == "contexts":
         return {
@@ -100,7 +98,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         mode = options.get("mode") or "outer"
         projector = resolve_proposition(problem, name)
         end = int(mode == "outer")
-        bounds, selection = _daseinise_poset(poset, projector, tau, end)
+        bounds, selection = _daseinise_poset(poset, projector, end)
         contexts = {
             c.id: {
                 "projector": matrix_to_json(_approximation(c, bounds[c.id], end), 12),
@@ -118,7 +116,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     if command == "pseudo-state":
         name = _require_option(options, "state")
         psi = _resolve_state(problem, name)
-        ps = pseudo_state(poset, psi, tau)
+        ps = pseudo_state(poset, psi)
         return {
             "state": name,
             "vector": vector_to_json(psi, 12),
@@ -136,7 +134,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         state_name = _require_option(options, "state")
         projector = resolve_proposition(problem, prop_name)
         psi = _resolve_state(problem, state_name)
-        element = truth_value(poset, projector, psi, tau)
+        element = truth_value(poset, projector, psi)
         return {
             "proposition": prop_name,
             "state": state_name,
@@ -147,11 +145,12 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "observable")
         if name not in problem.observables:
             raise ValidationError(f"unknown observable {name!r}")
-        decomp = spectral_decomposition(problem.observables[name], tau, tau_eig)
+        tolerances = problem.tolerances
+        decomp = spectral_decomposition(problem.observables[name], tolerances.tau, tolerances.tau_eig)
         intervals = []
         for context in _select_contexts(poset, options):
             characters = gelfand_spectrum(context)
-            for ch, pair in zip(characters, _value_arrows(poset, decomp, context, characters, tau)):
+            for ch, pair in zip(characters, _value_arrows(poset, decomp, context, characters)):
                 intervals.append(
                     {
                         "context": context.id,

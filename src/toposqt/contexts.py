@@ -423,7 +423,9 @@ class ContextPoset:
     that the touch test cannot make transitive raises ``ValidationError``.
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
-    the seed atoms, and keeps the tolerance it was built with for ``find``.
+    the seed atoms.  It keeps the tolerance it was built with, and every
+    call over the whole poset (``find``, daseinisation, pseudo-states, truth
+    values and interval values) runs at that one tau.
     """
 
     def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray], seed_masks: Sequence[int],
@@ -557,6 +559,14 @@ class ContextPoset:
             found = np.asarray([self._seed_atoms[b] for b in bits]), same_class @ seeds_of
             self._restricted_seeds[context_id] = found
         return found
+
+    def _tolerance(self, tau: float | None) -> float:
+        # The poset's own tau, for a poset-wide call given ``tau`` (None, or
+        # the same value).  Another tau would decide touches the poset was
+        # not built with.
+        if tau is not None and tau != self._tau:
+            raise ValidationError(f"tau={tau} differs from the tau={self._tau} the poset was built with")
+        return self._tau
 
     def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
         """Locate the poset context with the given atom set, if present."""

@@ -13,7 +13,8 @@ evaluate to 1.  An atom touching neither (only possible at a large tau) has
 no bound, and both approximations reject it.  In one context the table's
 rows are the context's atoms.  Over a whole poset they are the seed atoms:
 an atom touches Q iff the entries of the seed atoms it sums add up to more
-than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).
+than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).  A poset has one
+tau, the one it was built with, and the poset-wide functions read it there.
 """
 
 from __future__ import annotations
@@ -79,21 +80,29 @@ class DaseinisedProposition:
     subobject: ClopenSubobject
 
 
-def _daseinise_poset(poset: ContextPoset, P: np.ndarray, tau: float, end: int) -> tuple[dict, dict]:
+def _daseinise_poset(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict, dict]:
     # Each context's atom bounds for a validated projection, read off one
-    # touch_table of the seed atoms against (1 - P, P), and the atoms where
-    # its inner (end 0) or outer (end 1) approximation is 1.
+    # touch_table of the seed atoms against (1 - P, P) at the poset's tau, and
+    # the atoms where its inner (end 0) or outer (end 1) approximation is 1.
     family = _two_valued(P)
     seeds, sums = poset._seed_sums()
-    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, tau))
+    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset._tau))
     own = {c.id: list(islice(bounds, c.n_atoms)) for c in poset}
     return own, {cid: frozenset(i for i, b in enumerate(o) if b[end]) for cid, o in own.items()}
 
 
-def daseinise_proposition(poset: ContextPoset, P, tau: float = TAU) -> DaseinisedProposition:
-    """Outer-daseinise a projection over every context of the poset."""
-    P = require_projector(P, tau)
-    bounds, selection = _daseinise_poset(poset, P, tau, 1)
+def daseinise_proposition(poset: ContextPoset, P, tau: float | None = None) -> DaseinisedProposition:
+    """Outer-daseinise a projection over every context of the poset.
+
+    P is checked and touched at the poset's tau; a ``tau`` other than that
+    raises ``ValidationError``.
+    """
+    return _outer_proposition(poset, require_projector(P, poset._tolerance(tau)))
+
+
+def _outer_proposition(poset: ContextPoset, P: np.ndarray) -> DaseinisedProposition:
+    # daseinise_proposition for a projection checked already.
+    bounds, selection = _daseinise_poset(poset, P, 1)
     projectors = {c.id: _approximation(c, bounds[c.id], 1) for c in poset}
     return DaseinisedProposition(P, projectors, ClopenSubobject(selection))
 

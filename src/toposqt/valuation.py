@@ -7,7 +7,8 @@ daseinised proposition; these sieves always assemble into a global element
 of the classifier.  Physical quantities read off interval endpoints from the
 spectral projections that a character's restricted atoms touch, and the
 search for global sections of the spectral presheaf decides contextuality
-for the finite poset at hand.
+for the finite poset at hand.  Every touch runs at the poset's one tau, the
+tau it was built with; a state is checked once, as a unit vector within it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .contexts import Context, ContextPoset
-from .daseinisation import DaseinisedProposition, _daseinise_poset, daseinise_proposition
+from .daseinisation import DaseinisedProposition, _daseinise_poset, _outer_proposition
 from .errors import NotUnitVector, SearchBudgetExceeded
 from .logic import GlobalElementOfOmega, Sieve
 from .operators import (
@@ -48,10 +49,11 @@ def _ray(psi, tau: float) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def pseudo_state(poset: ContextPoset, psi, tau: float = TAU) -> DaseinisedProposition:
+def pseudo_state(poset: ContextPoset, psi, tau: float | None = None) -> DaseinisedProposition:
     """Outer-daseinise the state's rank-one projector |psi><psi| over the poset:
-    per context, the smallest projection certain in the state."""
-    return daseinise_proposition(poset, _ray(psi, tau), tau)
+    per context, the smallest projection certain in the state.  psi is
+    checked once, as a unit vector at the poset's tau."""
+    return _outer_proposition(poset, _ray(psi, poset._tolerance(tau)))
 
 
 def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EIG) -> np.ndarray:
@@ -69,7 +71,7 @@ def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EI
     return out
 
 
-def truth_value(poset: ContextPoset, P, psi, tau: float = TAU) -> GlobalElementOfOmega:
+def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> GlobalElementOfOmega:
     """Sieve-valued truth of a projection in a state, one sieve per context.
 
     The sieve collects the subcontexts V where, at V and at every subcontext
@@ -78,8 +80,9 @@ def truth_value(poset: ContextPoset, P, psi, tau: float = TAU) -> GlobalElementO
     quadrature as atoms merge, so the test at V alone is not monotone.)  The
     result always satisfies the global-element matching condition.
     """
-    outer = _daseinise_poset(poset, require_projector(P, tau), tau, 1)[1]
-    state = _daseinise_poset(poset, require_projector(_ray(psi, tau), tau), tau, 1)[1]
+    tau = poset._tolerance(tau)
+    outer = _daseinise_poset(poset, require_projector(P, tau), 1)[1]
+    state = _daseinise_poset(poset, _ray(psi, tau), 1)[1]
     outside = {cid for cid in poset.ids if not state[cid] <= outer[cid]}
     certain = frozenset(_implication(poset.down_ids, poset.ids, outside))
     sieves = {cid: Sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
@@ -104,18 +107,20 @@ def quantity_value_arrow(
     A,
     context: Context,
     character: Character,
-    tau: float = TAU,
+    tau: float | None = None,
     tau_eig: float = TAU_EIG,
 ) -> IntervalPair:
     """Evaluate a quantity at a character: per subcontext, the least (mu) and
     greatest (nu) eigenvalue of A whose spectral projection the restricted
     character's atom touches, i.e. the values of the inner and outer
-    daseinisations of A there."""
-    return _value_arrows(poset, spectral_decomposition(A, tau, tau_eig), context, [character], tau)[0]
+    daseinisations of A there.  Touches are tested at the poset's tau;
+    ``tau_eig`` only clusters the eigenvalues of A."""
+    decomp = spectral_decomposition(A, poset._tolerance(tau), tau_eig)
+    return _value_arrows(poset, decomp, context, [character])[0]
 
 
 def _value_arrows(
-    poset: ContextPoset, decomp: SpectralDecomposition, context: Context, characters: Sequence[Character], tau: float
+    poset: ContextPoset, decomp: SpectralDecomposition, context: Context, characters: Sequence[Character]
 ) -> list[IntervalPair]:
     # quantity_value_arrow at several characters of one context, for an A
     # already decomposed: one touch_table of the seed atoms that the
@@ -126,7 +131,7 @@ def _value_arrows(
     down = poset.down_ids(context.id)
     seeds, sums = poset._restricted_sums(context.id)
     rows = sums[[ch.atom_index for ch in characters]] @ touch_table(seeds, decomp.projectors)
-    bounds = iter(table_bounds(rows.reshape(-1, rows.shape[-1]), decomp.eigenvalues, tau))
+    bounds = iter(table_bounds(rows.reshape(-1, rows.shape[-1]), decomp.eigenvalues, poset._tau))
     pairs = []
     for _ in characters:
         at = list(zip(down, islice(bounds, len(down))))

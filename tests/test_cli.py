@@ -356,6 +356,10 @@ _EXTRA_INTERVALS = {"p": {"observable": "Sz", "interval": [0.0, 1.0], "intervals
 _E = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
 _NOT_SELF_ADJOINT = [[[float(j == i + 1), 0.0] for j in range(4)] for i in range(4)]
 _TWO_BY_TWO = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+# (e0 +- e1)/sqrt(2), (e2 +- e3)/sqrt(2) to 10 decimals: orthonormal within
+# 4e-11, which a tau of 1e-12 refuses.
+_R = 0.7071067812
+_TEN_DECIMAL_BASIS = [[[x, 0.0] for x in v] for v in ([_R, _R, 0, 0], [_R, -_R, 0, 0], [0, 0, _R, _R], [0, 0, _R, -_R])]
 _LOAD_ERRORS = [
     ("dim", 1, "dim", "dim_small"),
     ("dim", "4", "dim", "dim_not_int"),
@@ -368,6 +372,7 @@ _LOAD_ERRORS = [
     ("bases", [5], "bases[0]", "basis_not_a_list"),
     ("bases", [_E[:3]], "bases[0]", "basis_short"),
     ("bases", [], "bases", "no_basis"),
+    (("tolerances", "bases"), ({"tau": 1e-12}, [_TEN_DECIMAL_BASIS]), "bases[0]", "basis_ten_decimals_at_tau_1e-12"),
     ("projector_sets", [[]], "projector_sets[0]", "projector_set_empty"),
     ("states", {"psi": _E[0][:2]}, "states.psi", "state_wrong_size"),
     ("states", {"psi": []}, "states.psi", "state_empty"),
@@ -407,7 +412,7 @@ _LOAD_ERRORS = [
 )
 def test_malformed_problem_file_is_domain_error(capsys, tmp_path, key, value, path):
     raw = json.loads(Path(SPIN2_PATH).read_text(encoding="utf-8"))
-    raw[key] = value
+    raw.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw), encoding="utf-8")
     code, out, err = _run(capsys, "contexts", "--input", str(bad))
@@ -448,6 +453,25 @@ def test_error_line_names_a_deep_value_briefly(capsys, tmp_path):
     assert err.startswith("error: states.psi:")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and len(err) < 200
+
+
+def test_state_loaded_within_tau_is_not_checked_again(capsys, tmp_path):
+    # ||psi||^2 - 1 = 9.999995e-7 lies within tau = 1e-6, but the ray's
+    # ||P^2 - P||_F = (||psi||^2 - 1) ||psi||^2 does not: the state is checked
+    # once, as a unit vector, and every command that reads it succeeds.
+    one, zero = [1.0, 0.0], [0.0, 0.0]
+    problem = {
+        "dim": 2,
+        "bases": [[[one, zero], [zero, one]]],
+        "states": {"psi": [[(1 + 9.999995e-7) ** 0.5, 0.0], zero]},
+        "propositions": {"up": {"projector": [[one, zero], [zero, zero]]}},
+        "tolerances": {"tau": 1e-6},
+    }
+    path = tmp_path / "long_state.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    for argv in (["pseudo-state", "--state", "psi"], ["truth", "--prop", "up", "--state", "psi"]):
+        code, out, err = _run(capsys, *argv, "--input", str(path))
+        assert (code, err) == (0, "")
 
 
 def test_basis_over_the_context_cap_is_domain_error(capsys, tmp_path):

@@ -29,7 +29,10 @@ from toposqt.errors import (
     UnknownContext,
     ValidationError,
 )
+from toposqt.daseinisation import daseinise_proposition
+from toposqt.presheaf import gelfand_spectrum
 from toposqt.problems import load_problem, problem_seed_contexts
+from toposqt.valuation import pseudo_state, quantity_value_arrow, truth_value
 
 
 def test_context_from_full_projector_family(std_projectors, maximal_context):
@@ -368,6 +371,29 @@ def test_find_uses_the_tolerance_the_poset_was_built_with():
     poset = build_poset([context_from_basis(noisy, tau=1e-6)], tau=1e-6)
     for context in poset:
         assert poset.find(context.atoms) is context
+
+
+def test_poset_wide_calls_use_the_tolerance_the_poset_was_built_with():
+    # The noisy basis above.  Without tau, each call runs at the poset's 1e-6
+    # (at the default 1e-9 every noisy atom would touch every projection, and
+    # all four results would differ), and a call at another tau is refused.
+    rng = np.random.default_rng(7)
+    noisy = np.eye(4, dtype=complex) + 1e-8 * rng.standard_normal((4, 4))
+    poset = build_poset([context_from_basis(noisy, tau=1e-6)], tau=1e-6)
+    P, A = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([2.0, 1.0, -1.0, -2.0])
+    psi = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
+    maximal = poset.get(poset.ids[0])
+    character = gelfand_spectrum(maximal)[0]
+    calls = {
+        "daseinise_proposition": lambda *tau: daseinise_proposition(poset, P, *tau).subobject,
+        "pseudo_state": lambda *tau: pseudo_state(poset, psi, *tau).subobject,
+        "truth_value": lambda *tau: truth_value(poset, P, psi, *tau),
+        "quantity_value_arrow": lambda *tau: quantity_value_arrow(poset, A, maximal, character, *tau),
+    }
+    for name, call in calls.items():
+        assert call() == call(1e-6), name
+        with pytest.raises(ValidationError, match=r"tau=1e-09 differs from the tau=1e-06"):
+            call(1e-9)
 
 
 def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
