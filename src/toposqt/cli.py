@@ -96,6 +96,8 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     if command == "daseinize":
         name = _require_option(options, "prop")
         mode = options.get("mode") or "outer"
+        if mode not in ("outer", "inner"):
+            raise ValidationError(f"unknown daseinisation mode {mode!r}; use 'outer' or 'inner'")
         projector = resolve_proposition(problem, name)
         end = int(mode == "outer")
         bounds, selection = _daseinise_poset(poset, projector, end)

@@ -271,15 +271,11 @@ class _Node(NamedTuple):
     touch: tuple[int, ...]  # the seed atoms each atom touches
 
 
-def _includes(node: _Node, touch: Sequence[int]) -> bool:
-    # The node has as many atoms as the candidate of ``touch`` and includes it.
-    return len(node.own) == len(touch) and _table(touch, node.own) is not None
-
-
 class _Registry:
     """Poset nodes by id, in the order admitted.  First wins: of two nodes
     that include each other, or that share an id, the first one admitted is
-    kept and the other is never built."""
+    kept and the other is never built.  Each seed atom touches an atom of
+    every seed (checked by ``build_poset``), so lookups go by seed partition."""
 
     def __init__(self, seed_masks: Sequence[int]) -> None:
         self.nodes: dict[str, _Node] = {}
@@ -300,23 +296,16 @@ class _Registry:
         return kept
 
     def _including(self, touch: Sequence[int]) -> _Node | None:
-        # A node of seed s with as many atoms includes the candidate only if
-        # every atom of s touches one candidate atom and the node's atoms sum
-        # the classes of s's atoms by that candidate atom; that partition is
-        # looked up for each seed.  A seed atom that touches no candidate atom
-        # leaves the scan of every node.  That takes tau >= 1/sqrt(dim), which
-        # the problem loader refuses: the at most dim candidate atoms c sum to
-        # the identity, so the ||b c||_F^2 of a seed atom b sum to its rank,
-        # and one of them is at least 1/dim.
-        reach = _join(touch, range(len(touch)))
-        if any(reach & seed != seed for seed in self._seed_masks):
-            return next((node for node in self.nodes.values() if _includes(node, touch)), None)
+        # A node of seed s with as many atoms includes the candidate iff the
+        # candidate's touches cut s's atoms into disjoint parts that are the
+        # node's atoms.  That partition is looked up for each seed; the
+        # earliest node found wins.
         hits = []
         for seed in self._seed_masks:
             parts = [t & seed for t in touch]
             if sum(parts) == seed:  # the parts are disjoint
                 found = self._by_own.get(frozenset(parts))
-                if found is not None and _includes(found[1], touch):
+                if found is not None:
                     hits.append(found)
         return min(hits, key=lambda hit: hit[0])[1] if hits else None
 
@@ -340,8 +329,7 @@ def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _order_rows(nodes: Sequence[_Node], seed_masks: Sequence[int], width: int
-                ) -> Iterator[tuple[int, np.ndarray, list[list[int]]]]:
+def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, list[list[int]]]]:
     # For each of ``nodes`` (sorted by falling atom count), in turn: its
     # position, the positions of the nodes it includes, and the restriction
     # table to each.  Sup atom i hits sub atom k iff the seed atoms that i
@@ -349,21 +337,17 @@ def _order_rows(nodes: Sequence[_Node], seed_masks: Sequence[int], width: int
     # atom count against the atoms of every sub with no more atoms are one
     # product of 0/1 matrices.  A hit of the k-th atom of a sub adds
     # 1 + base * k, and reduceat sums per sub: each sup atom must hit one
-    # atom (the sum modulo base is 1), whose index is the sum over base.  The
-    # sub atoms must all be hit, which depends only on the seed atoms the
-    # sup's atoms sum together: those of its seed (``seed_masks``), since
-    # every poset context partitions all atoms of one seed.  So it is read
-    # once per seed.  The float32 sums stay exact integers while
-    # m * base**2 < 2**24, for up to about 250 atoms.
+    # atom (the sum modulo base is 1), whose index is the sum over base.
+    # Every sub atom is hit: it touches some atom of the sup's seed
+    # (``build_poset`` checks it), and the sup's atoms sum all of them.  The
+    # float32 sums stay exact integers while m * base**2 < 2**24, for up to
+    # about 250 atoms.
     counts = np.array([len(n.own) for n in nodes])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     own = _bit_rows([m for n in nodes for m in n.own], width).T.astype(np.float32)
     touch = _bit_rows([m for n in nodes for m in n.touch], width).astype(np.float32)
     base = int(counts.max()) + 1
     weight = (np.concatenate([np.arange(c) for c in counts]) * base + 1).astype(np.float32)[:, None]
-    reached = touch @ _bit_rows(seed_masks, width).T.astype(np.float32) > 0
-    covered = (np.add.reduceat(reached, starts, dtype=np.int32) == counts[:, None]).T
-    seed_of = np.array([next(k for k, seed in enumerate(seed_masks) if seed & n.own[0]) for n in nodes])
     for m in dict.fromkeys(counts.tolist()):
         first, end = np.searchsorted(-counts, [-m, -m + 1])
         a0 = starts[first]
@@ -375,7 +359,7 @@ def _order_rows(nodes: Sequence[_Node], seed_masks: Sequence[int], width: int
             np.minimum(hits, 1.0, out=hits)
             hits *= weight[a0:]
             sums = np.add.reduceat(hits, segments).T.reshape(hi - lo, m, -1).astype(np.int64)
-            ok = ((sums % base) == 1).all(axis=1) & covered[seed_of[lo:hi], first:]
+            ok = ((sums % base) == 1).all(axis=1)
             for k in range(hi - lo):
                 below = np.flatnonzero(ok[k])
                 yield lo + k, first + below, (sums[k][:, below] // base).T.tolist()
@@ -421,6 +405,7 @@ class ContextPoset:
     without matrices: sub <= sup iff every sup atom (the seed atoms it sums)
     touches exactly one sub atom, and that atom is its restriction.  An order
     that the touch test cannot make transitive raises ``ValidationError``.
+    Each seed atom touches an atom of every seed (checked by ``build_poset``).
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
     the seed atoms.  It keeps the tolerance it was built with, and every
@@ -428,8 +413,7 @@ class ContextPoset:
     values and interval values) runs at that one tau.
     """
 
-    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray], seed_masks: Sequence[int],
-                 tau: float) -> None:
+    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray], tau: float) -> None:
         ordered = sorted(nodes, key=lambda n: (-n.context.n_atoms, n.context.id))
         self._seed_atoms = seed_atoms
         self._tau = tau
@@ -441,7 +425,7 @@ class ContextPoset:
         self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
         ids = np.array(self._ids, dtype=object)
         leq = np.zeros((len(ordered), len(ordered)), dtype=np.float32)
-        for row, below, tables in _order_rows(ordered, seed_masks, len(seed_atoms)):
+        for row, below, tables in _order_rows(ordered, len(seed_atoms)):
             sup = self._ids[row]
             down = self._down[sup] = tuple(ids[below].tolist())
             for sub, table in zip(down, tables):
@@ -590,7 +574,10 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     generated is kept: each seed, then the contexts it refines, then the meets.
     Seeds that span more than ``CONTEXT_CAP`` contexts on their own (2^n -
     n - 1 for a seed of n atoms, meets not counted) raise
-    ``EnumerationLimitExceeded`` before any context is built.
+    ``EnumerationLimitExceeded`` before any context is built, and so do
+    seeds with an atom that touches no atom of some seed (``ValidationError``
+    naming tau).  Exact seeds of C^n pass for tau < 1/sqrt(n), the loader's
+    bound: a seed atom's ||bc||_F^2 over a seed's atoms c sum to its rank.
     """
     seeds = list(seed_contexts)
     if not seeds:
@@ -609,6 +596,13 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
         nodes.append(_Node(s, tuple(1 << i for i in bits), tuple(rows[i] for i in bits)))
         seed_masks.append(((1 << s.n_atoms) - 1) << offset)
         offset += s.n_atoms
+    # Each row meets every seed and each seed's rows cover every seed atom:
+    # both ways round, as the float table need not be symmetric.
+    if any(not row & seed for row in rows for seed in seed_masks) or any(
+        _join(rows, _bits(seed)) != (1 << offset) - 1 for seed in seed_masks
+    ):
+        raise ValidationError(f"at tau={tau} a seed atom touches no atom of some seed;"
+                              " exact seeds of C^n touch for every tau < 1/sqrt(n)")
     memo: dict = {}
 
     closure = _Registry(seed_masks)
@@ -643,7 +637,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     # subalgebras that none of the seed families contain.
     for node in closure.nodes.values():
         registry.admit(node.touch, lambda: node)
-    return ContextPoset(list(registry.nodes.values()), seed_atoms, seed_masks, tau)
+    return ContextPoset(list(registry.nodes.values()), seed_atoms, tau)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

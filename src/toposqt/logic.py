@@ -184,6 +184,9 @@ def global_element_connective(
     g2: GlobalElementOfOmega | None = None,
 ) -> GlobalElementOfOmega:
     """Pointwise Heyting operation on global elements of the classifier."""
+    for name, g in (("first", g1), ("second", g2)):
+        if g is not None and not g.sieves.keys() >= set(poset.ids):
+            raise IncompleteAssignment(f"{name} global element must assign a sieve to every context")
     sieves = {}
     for cid in poset.ids:
         other = None if g2 is None else g2.at(cid)

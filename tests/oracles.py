@@ -214,6 +214,12 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    # Haar-random unitary: QR of a complex Gaussian matrix, phases fixed.
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(gauss)

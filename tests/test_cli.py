@@ -327,6 +327,14 @@ def test_run_command_rejects_unknown(capsys):
         run_command("bogus", problem, {})
 
 
+def test_run_command_refuses_an_unknown_daseinisation_mode():
+    # The CLI's choices hide this; a caller of run_command must not get the
+    # inner approximation under another name.
+    problem = load_problem(SPIN2_PATH)
+    with pytest.raises(ValidationError, match="'foo'"):
+        run_command("daseinize", problem, {"prop": "Sz_in_1.3_2.3", "mode": "foo"})
+
+
 def test_contexts_command_takes_no_context_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["contexts", "--input", SPIN2_PATH, "--context", "ctx-0000000000"])

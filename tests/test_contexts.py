@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import locate
-from oracles import all_projections, brute_meet, brute_poset_size, is_sum_of_atoms, same_context
+from oracles import all_projections, brute_meet, brute_poset_size, is_sum_of_atoms, random_unitary, same_context
 from toposqt import contexts
 from toposqt.contexts import (
     CONTEXT_CAP,
@@ -396,12 +396,6 @@ def test_poset_wide_calls_use_the_tolerance_the_poset_was_built_with():
             call(1e-9)
 
 
-def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
-    # Haar-random unitary: QR of a complex Gaussian matrix, phases fixed.
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def _order_case(name: str) -> tuple[list, float]:
     if name == "spin2":
         with resources.as_file(resources.files("toposqt.data") / "spin2.json") as path:
@@ -409,13 +403,13 @@ def _order_case(name: str) -> tuple[list, float]:
         return problem_seed_contexts(problem), problem.tolerances.tau
     rng = np.random.default_rng(12)
     if name == "haar-d6":
-        return [context_from_basis(_haar(rng, 6).T)], 1e-9
+        return [context_from_basis(random_unitary(rng, 6).T)], 1e-9
     # Two bases of C^5 sharing two rays (each with a new phase); the other
     # three rays of the second are a Haar rotation of the complement.
-    first = _haar(rng, 5).T
+    first = random_unitary(rng, 5).T
     kept = first[:2] * np.exp(2j * np.pi * rng.random(2))[:, None]
     q, _ = np.linalg.qr(np.column_stack([*kept, *np.eye(5)]))
-    second = np.vstack([kept, (q[:, 2:5] @ _haar(rng, 3)).T])
+    second = np.vstack([kept, (q[:, 2:5] @ random_unitary(rng, 3)).T])
     return [context_from_basis(first), context_from_basis(second)], 1e-9
 
 
@@ -479,44 +473,23 @@ def test_first_generated_context_is_kept_under_the_touch_test(monkeypatch):
     assert all(any(context is kept for kept in first) for context in poset)
 
 
-def test_first_wins_and_the_order_hold_when_a_seed_atom_touches_no_atom(monkeypatch):
+def test_seeds_with_an_atom_touching_no_atom_of_another_seed_are_refused(monkeypatch):
     # At tau >= 1/sqrt(dim), open to API callers only, a seed atom can touch
-    # no atom of another context: each Hadamard ray has weight 1/4 on every
-    # ray of the first two seeds, below tau^2.  The second seed is the first
-    # turned so that each ray keeps weight 0.8 on its own axis, so the touch
-    # test merges it, and the coarsenings it shares, with the first seed,
-    # though the ids differ.  Registry lookups then take the scan of every
-    # node, and some sub atoms are hit by no sup atom.  The poset must match
-    # the plain first-wins scan, and its order the per-pair mask test.
+    # no atom of another seed: each Hadamard ray has weight 1/4 on every
+    # standard ray, below tau^2.  Such seeds are refused before any context
+    # is built; each basis alone still passes.
     tau = 0.75
-    e = np.eye(4, dtype=complex)
     hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
-    seeds = [context_from_basis(basis, tau) for basis in
-             (e, _turned(e, 0, 1, np.arcsin(np.sqrt(0.2))), hadamard, _haar(np.random.default_rng(1), 4).T)]
-    built = []
+    seeds = [context_from_basis(basis, tau) for basis in (np.eye(4), hadamard)]
 
-    class Spy(contexts.ContextPoset):
-        def __init__(self, nodes, *args):
-            built.append(nodes)
-            super().__init__(nodes, *args)
+    def no_context(*args, **kwargs):
+        raise AssertionError("a context was built")
 
-    monkeypatch.setattr(contexts, "ContextPoset", Spy)
-    poset = build_poset(seeds, tau)
-    assert seeds[0] in poset and seeds[1].id != seeds[0].id and seeds[1] not in poset
-    node = {n.context.id: n for n in built[0]}
-    for sup in poset.ids:
-        tables = {sub: contexts._table(node[sub].touch, node[sup].own) for sub in poset.ids}
-        assert poset.down_ids(sup) == tuple(sub for sub in poset.ids if tables[sub] is not None)
-        for sub in poset.down_ids(sup):
-            assert poset.restriction_indices(sup, sub) == tables[sub]
-
-    def scan(self, touch):
-        return next((n for n in self.nodes.values() if contexts._includes(n, touch)), None)
-
-    monkeypatch.setattr(contexts._Registry, "_including", scan)
-    oracle = build_poset(seeds, tau)
-    assert poset.ids == oracle.ids
-    assert all(poset.down_ids(cid) == oracle.down_ids(cid) for cid in poset.ids)
+    monkeypatch.setattr(contexts, "_canonical_context", no_context)
+    with pytest.raises(ValidationError, match="at tau=0.75 a seed atom touches no atom of some seed"):
+        build_poset(seeds, tau)
+    monkeypatch.undo()
+    assert [len(build_poset([seed], tau)) for seed in seeds] == [11, 11]
 
 
 def test_seeds_over_the_context_cap_are_refused_before_any_coarsening(monkeypatch):

@@ -254,6 +254,15 @@ def test_global_element_requires_every_context(poset11, named):
         )
 
 
+def test_global_element_connective_requires_every_context_of_each_operand(poset11, named):
+    whole = totally_true(poset11)
+    partial = GlobalElementOfOmega({named["V"].id: principal_sieve(poset11, named["V"].id)})
+    for args in (("and", partial, whole), ("and", whole, partial), ("not", partial)):
+        name = "first" if args[1] is partial else "second"
+        with pytest.raises(IncompleteAssignment, match=name):
+            global_element_connective(poset11, *args)
+
+
 def test_global_elements_closed_under_connectives(poset11, std_projectors):
     from toposqt.valuation import truth_value
 

@@ -1,0 +1,36 @@
+"""Smoke tests of the scripts under ``tools/`` that write the README's and
+the BENCH records' numbers."""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _tool(name: str, monkeypatch):
+    # Load tools/<name>.py as a module; the sys.path entries it adds are
+    # undone after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"_tool_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
+    assert _tool("time_single_basis", monkeypatch).main(["4", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["dim 4: 11 contexts", "dim 5: 26 contexts"]
+
+
+def test_bench_pair_reads_a_seed_list(monkeypatch):
+    seeds = _tool("bench_pair", monkeypatch)._seeds
+    assert seeds("build:1-3,7") == ("build", [1, 2, 3, 7])
+    with pytest.raises(argparse.ArgumentTypeError, match="expected WORKLOAD:SEEDS"):
+        seeds(":1-3")

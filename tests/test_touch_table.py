@@ -15,7 +15,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oracles import random_projector, random_unit_vector, touch_interval, touch_selection, touch_truth
+from oracles import (
+    random_projector,
+    random_unit_vector,
+    random_unitary,
+    touch_interval,
+    touch_selection,
+    touch_truth,
+)
 from toposqt.contexts import build_poset, context_from_basis
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import DimensionMismatch, ValidationError
@@ -24,20 +31,15 @@ from toposqt.problems import load_problem, problem_poset
 from toposqt.valuation import pseudo_state, quantity_value_arrow, truth_value
 
 
-def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _rotated_bases(dim: int, shared: int | None, seed: int) -> list[np.ndarray]:
     # One Haar-random basis (as columns), and with ``shared`` set a second
     # basis that keeps its first ``shared`` rays and rotates the rest.
     rng = np.random.default_rng([dim, seed])
-    first = _haar(rng, dim)
+    first = random_unitary(rng, dim)
     if shared is None:
         return [first]
     turn = np.eye(dim, dtype=complex)
-    turn[shared:, shared:] = _haar(rng, dim - shared)
+    turn[shared:, shared:] = random_unitary(rng, dim - shared)
     return [first, first @ turn]
 
 
@@ -57,7 +59,7 @@ def _queries(rng: np.random.Generator, bases: list[np.ndarray]):
         observables.append(basis @ np.diag(values) @ basis.conj().T)
     projectors.append(random_projector(rng, dim, int(rng.integers(1, 4))))
     states.append(random_unit_vector(rng, dim))
-    spread = _haar(rng, dim)
+    spread = random_unitary(rng, dim)
     observables.append(spread @ np.diag(np.r_[1.0, 1.0, np.arange(dim - 2.0)]) @ spread.conj().T)
     return projectors, states, observables
 
