@@ -62,29 +62,64 @@ def _key(k) -> str:
     return _str(k) + ": "
 
 
-def _encode(obj, pad: str) -> str:
-    kind = type(obj)
-    if kind not in _EXACT:
-        kind = next((k for k in _KINDS if isinstance(obj, k)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if kind in _SCALARS:
-        return _SCALARS[kind](obj)
-    if not obj:
-        return "{}" if kind is dict else "[]"
-    inner = pad + "  "
-    if kind is dict:
-        brackets, children = "{}", [_key(k) + _encode(v, inner) for k, v in sorted(obj.items())]
-    else:
-        # Most leaves of a report are the floats of [re, im] pairs.
-        brackets, children = "[]", [_float(x) if type(x) is float else _encode(x, inner) for x in obj]
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(children) + "\n" + pad + brackets[1]
+def _is_matrix(obj: list) -> bool:
+    # A nonempty list of rows of [re, im] float pairs, judged by its first
+    # entry.  This only decides which texts ``dumps`` keeps for reuse.
+    row = obj[0]
+    if type(row) is not list or not row:
+        return False
+    pair = row[0]
+    return type(pair) is list and len(pair) == 2 and type(pair[0]) is float
 
 
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, in
-    one pass that builds a string per value; dict keys must be str."""
-    return _encode(obj, "") + "\n"
+    one pass that builds a string per value; dict keys must be str.
+
+    The text of a matrix (see ``_is_matrix``) is kept by the matrix's id and
+    indent and reused wherever the same list object recurs at that indent.
+    Every value stays reachable from ``obj`` for the whole call, so an id
+    names one object throughout."""
+    written: dict[tuple[int, str], str] = {}
+
+    def encode(obj, pad: str) -> str:
+        kind = type(obj)
+        if kind not in _EXACT:
+            kind = next((k for k in _KINDS if isinstance(obj, k)), None)
+            if kind is None:
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if kind in _SCALARS:
+            return _SCALARS[kind](obj)
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        # Each level is one join, with the brackets on the first and last
+        # parts: no copy of the body, and one allocation per level.
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            parts = ["{\n" + inner]
+            for k, v in sorted(obj.items()):
+                parts += (_key(k), encode(v, inner), sep)
+            parts[-1] = "\n" + pad + "}"
+            return "".join(parts)
+        key = None
+        if kind is list and _is_matrix(obj):
+            key = (id(obj), pad)
+            text = written.get(key)
+            if text is not None:
+                return text
+        # Most leaves of a report are the floats of [re, im] pairs.
+        children = [_float(x) if type(x) is float else encode(x, inner) for x in obj]
+        children[0] = "[\n" + inner + children[0]
+        children[-1] += "\n" + pad + "]"
+        text = sep.join(children)
+        if key is not None:
+            written[key] = text
+        return text
+
+    text = encode(obj, "")
+    text += "\n"  # CPython resizes the sole reference in place
+    return text
 
 
 def finite_number(x) -> bool:

@@ -47,12 +47,23 @@ def _ranks(context) -> list[int]:
     return [projector_rank(a) for a in context.atoms]
 
 
-def _context_entry(context) -> dict:
+def _context_entry(context, encoded: dict[int, tuple[int, list]]) -> dict:
+    # ``encoded`` holds each atom's rank and matrix_to_json list by the id of
+    # its array: the poset keeps one read-only array per distinct atom,
+    # shared by every context that holds it, so each is encoded once per
+    # report and its list is shared too.
+    ranks, atoms = [], []
+    for a in context.atoms:
+        found = encoded.get(id(a))
+        if found is None:
+            found = encoded[id(a)] = projector_rank(a), matrix_to_json(a, 12)
+        ranks.append(found[0])
+        atoms.append(found[1])
     return {
         "id": context.id,
         "atom_count": context.n_atoms,
-        "atom_ranks": _ranks(context),
-        "atoms": [matrix_to_json(a, 12) for a in context.atoms],
+        "atom_ranks": ranks,
+        "atoms": atoms,
     }
 
 
@@ -68,16 +79,20 @@ def _sieve_json(sieve: Sieve) -> dict:
 
 
 def run_command(command: str, problem: Problem, options: Mapping) -> dict:
-    """Execute one CLI command against a loaded problem; returns the report."""
+    """Execute one CLI command against a loaded problem; returns the report.
+
+    In the ``contexts`` report, contexts that hold the same atom share one
+    list for its matrix."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     poset = problem_poset(problem)
 
     if command == "contexts":
+        encoded: dict[int, tuple[int, list]] = {}
         return {
             "dim": poset.dim,
             "count": len(poset),
-            "contexts": [_context_entry(c) for c in poset],
+            "contexts": [_context_entry(c, encoded) for c in poset],
             "leq": sorted([sub, sup] for sup, sub in poset.inclusions),
         }
 

@@ -26,6 +26,7 @@ from .errors import (
     NotASubcontext,
     PosetMismatch,
     UnknownContext,
+    ValidationError,
 )
 from .presheaf import ClopenSubobject, _implication
 
@@ -112,9 +113,9 @@ def sieve_connective(
     raises ``NotASubcontext``.
     """
     if kind not in _ALL_KINDS:
-        raise ValueError(f"unknown connective {kind!r}")
+        raise ValidationError(f"unknown connective {kind!r}")
     if (kind == "not") != (s2 is None):
-        raise ValueError("'not' is unary" if kind == "not" else f"{kind!r} needs two sieves")
+        raise ValidationError("'not' is unary" if kind == "not" else f"{kind!r} needs two sieves")
     if s2 is not None and s1.base != s2.base:
         raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
     frame = poset._sieve_frames[s1.base]
@@ -207,17 +208,17 @@ def subobject_connective(
     ``s implies bottom``.
     """
     if kind not in _ALL_KINDS:
-        raise ValueError(f"unknown connective {kind!r}")
+        raise ValidationError(f"unknown connective {kind!r}")
     ids = set(poset.ids)
     if set(s1.selection.keys()) != ids:
         raise PosetMismatch("first subobject is not defined over this poset")
     if kind == "not":
         if s2 is not None:
-            raise ValueError("'not' is unary")
+            raise ValidationError("'not' is unary")
         s2 = ClopenSubobject({cid: frozenset() for cid in poset.ids})
         kind = "implies"
     elif s2 is None:
-        raise ValueError(f"{kind!r} needs two subobjects")
+        raise ValidationError(f"{kind!r} needs two subobjects")
     if set(s2.selection.keys()) != ids:
         raise PosetMismatch("second subobject is not defined over this poset")
     if kind == "and":

@@ -13,11 +13,12 @@ import pytest
 import toposqt.cli
 from conftest import locate, random_small_poset
 from oracles import downsets_brute
-from toposqt.cli import _sieve_tables, main, run_command
+from toposqt._json import matrix_to_json
+from toposqt.cli import _sieve_tables, main, render_json, run_command
 from toposqt.contexts import build_poset, context_from_basis
 from toposqt.errors import ValidationError
 from toposqt.logic import enumerate_sieves, sieve_connective
-from toposqt.problems import load_problem, problem_poset
+from toposqt.problems import load_problem, problem_from_dict, problem_poset
 
 with resources.as_file(resources.files("toposqt.data") / "spin2.json") as _p:
     SPIN2_PATH = str(_p)
@@ -43,6 +44,38 @@ def test_contexts_command(capsys):
     assert len(report["contexts"]) == 11
     ids = {entry["id"] for entry in report["contexts"]}
     assert all(sub in ids and sup in ids for sub, sup in report["leq"])
+
+
+def _bases_sharing_rays(seed: int, dim: int = 5, count: int = 3) -> list[np.ndarray]:
+    # A Haar-random orthonormal basis (as rows), then bases that each mix two
+    # rays of the previous one by a random unitary and keep the others.
+    rng = np.random.default_rng(seed)
+    bases = [np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0].T]
+    for _ in range(count - 1):
+        basis = bases[-1].copy()
+        i, j = rng.choice(dim, size=2, replace=False)
+        angle, phase = rng.uniform(0.2, 1.3), np.exp(2j * np.pi * rng.random())
+        c, s = np.cos(angle), np.sin(angle) * phase
+        basis[[i, j]] = c * basis[i] + s * basis[j], -np.conj(s) * basis[i] + c * basis[j]
+        bases.append(basis)
+    return bases
+
+
+@pytest.mark.parametrize("seed", [3, 20261017])
+def test_contexts_report_of_bases_sharing_rays(seed):
+    # Contexts of bases that share rays share atoms; the report holds one
+    # list per distinct atom, and writes as the standard library does.
+    bases = _bases_sharing_rays(seed)
+    problem = problem_from_dict(
+        {"dim": 5, "bases": [[[[z.real, z.imag] for z in v] for v in basis] for basis in bases]}
+    )
+    report = run_command("contexts", problem, {})
+    assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    entries = report["contexts"]
+    assert len({id(m) for e in entries for m in e["atoms"]}) < sum(e["atom_count"] for e in entries)
+    poset = problem_poset(problem)
+    for entry in entries:
+        assert entry["atoms"] == [matrix_to_json(a, 12) for a in poset.get(entry["id"]).atoms]
 
 
 def test_spectrum_command(capsys, spin2_poset):

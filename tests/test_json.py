@@ -58,6 +58,40 @@ def test_the_writer_matches_indented_sorted_json(value):
     assert dumps(value) == _stdlib(value)
 
 
+#: Lists of rows of [re, im] pairs: the shape whose text the writer reuses.
+_MATRICES = st.lists(st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=3), max_size=3)
+
+
+@st.composite
+def _shared_lists(draw):
+    # One list object placed at several positions and depths of the value,
+    # beside a generated value that may hold it again deeper down.
+    shared = draw(st.one_of(_MATRICES, st.lists(_VALUES, max_size=4)))
+    value = draw(
+        st.recursive(
+            st.one_of(st.just(shared), _LEAVES),
+            lambda children: st.one_of(
+                st.lists(children, max_size=4),
+                st.dictionaries(st.text(max_size=3), children, max_size=4),
+            ),
+            max_leaves=12,
+        )
+    )
+    return draw(st.permutations([shared, [shared], {"k": shared, "v": [value, shared]}, value]))
+
+
+_M = [[[0.1, -0.0], [1.0, 2.5]]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_lists())
+@example([[]])
+@example([[[]], [[1.0]]])
+@example([_M, [_M], {"k": _M, "j": [_M, _M]}])
+def test_a_list_met_again_is_written_as_the_stdlib_writes_it(value):
+    assert dumps(value) == _stdlib(value)
+
+
 @pytest.mark.parametrize(
     "value",
     [{1: "a"}, {None: 0}, {1.5: 0}, {True: 0}, {"x": {2: 3}}, [{"ok": [{(1, 2): 0}]}]],

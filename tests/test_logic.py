@@ -10,7 +10,13 @@ import pytest
 from conftest import locate, random_small_poset
 from oracles import downsets_brute
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.errors import BaseMismatch, EnumerationLimitExceeded, IncompleteAssignment, NotASubcontext
+from toposqt.errors import (
+    BaseMismatch,
+    EnumerationLimitExceeded,
+    IncompleteAssignment,
+    NotASubcontext,
+    ValidationError,
+)
 from toposqt.logic import (
     GlobalElementOfOmega,
     Sieve,
@@ -274,6 +280,19 @@ def test_global_elements_closed_under_connectives(poset11, std_projectors):
         assert check_global_element(poset11, combined)
     negated = global_element_connective(poset11, "not", g1)
     assert check_global_element(poset11, negated)
+
+
+@pytest.mark.parametrize(
+    "kind, operands", [("xor", 2), ("xor", 1), ("not", 2), ("and", 1), ("implies", 1)]
+)
+def test_connectives_reject_an_unknown_kind_or_a_wrong_operand_count(poset11, named, kind, operands):
+    for connective, operand in (
+        (sieve_connective, principal_sieve(poset11, named["V"].id)),
+        (global_element_connective, totally_true(poset11)),
+        (subobject_connective, full_subobject(poset11)),
+    ):
+        with pytest.raises(ValidationError):
+            connective(poset11, kind, *[operand] * operands)
 
 
 def test_enumerate_sieves_unknown_context(poset11):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,11 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
     assert _tool("time_single_basis", monkeypatch).main(["4", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[0] for line in lines] == ["dim 4: 11 contexts", "dim 5: 26 contexts"]
+    for line in lines:
+        assert re.fullmatch(
+            r"dim \d: \d+ contexts, build min [\d.]+ s, median [\d.]+ s; report min [\d.]+ s, median [\d.]+ s",
+            line,
+        )
 
 
 def test_bench_pair_reads_a_seed_list(monkeypatch):

@@ -1,11 +1,13 @@
-"""Time ``build_poset`` on one Haar-random orthonormal basis per dimension, in process.
+"""Time ``build_poset`` and the ``contexts`` report on one Haar-random orthonormal basis per dimension, in process.
 
 Usage, from the root of this checkout::
 
     python3 tools/time_single_basis.py 4 5 6 7 8 9 10
 
-Prints, for each dimension n, the context count (2^n - n - 1) and the least
-and the median wall time of ``REPEAT`` builds.  The basis of dimension n is
+Prints, for each dimension n, the context count (2^n - n - 1), the least and
+the median wall time of ``REPEAT`` builds, and the same for ``REPEAT``
+``contexts`` reports of the same basis (``run_command``, which builds the
+poset again, plus ``render_json``).  The basis of dimension n is
 ``benchmarks/inputs.haar_unitary`` drawn from seed ``[1, n]``.  The library
 comes from ``PYTHONPATH`` when it names one (to time another checkout), else
 from this checkout's ``src``.
@@ -23,12 +25,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path += [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import numpy as np  # noqa: E402
-from inputs import haar_unitary  # noqa: E402
+from inputs import haar_unitary, problem_dict  # noqa: E402
 
+from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
+from toposqt.problems import problem_from_dict  # noqa: E402
 
-#: Builds timed per dimension.
+#: Builds, and reports, timed per dimension.
 REPEAT = 3
+
+
+def _times(call) -> tuple[str, object]:
+    # "min X s, median Y s" over REPEAT calls, and the last call's result.
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return f"min {min(times):.3f} s, median {statistics.median(times):.3f} s", result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,13 +50,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("dims", type=int, nargs="+")
     args = parser.parse_args(argv)
     for dim in args.dims:
-        seed = context_from_basis(list(haar_unitary(np.random.default_rng([1, dim]), dim).T))
-        times = []
-        for _ in range(REPEAT):
-            start = time.perf_counter()
-            poset = build_poset([seed])
-            times.append(time.perf_counter() - start)
-        print(f"dim {dim}: {len(poset)} contexts, min {min(times):.3f} s, median {statistics.median(times):.3f} s")
+        basis = list(haar_unitary(np.random.default_rng([1, dim]), dim).T)
+        seed = context_from_basis(basis)
+        build, poset = _times(lambda: build_poset([seed]))
+        problem = problem_from_dict(problem_dict(dim, [basis]))
+        report, _ = _times(lambda: render_json(run_command("contexts", problem, {})))
+        print(f"dim {dim}: {len(poset)} contexts, build {build}; report {report}")
     return 0
 
 
