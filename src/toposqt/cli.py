@@ -18,7 +18,7 @@ from ._json import dumps, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
 from .daseinisation import _approximation, _daseinise_poset
 from .errors import ToposError, ValidationError
-from .logic import Sieve, enumerate_sieves, principal_sieve
+from .logic import Sieve, enumerate_sieves
 from .operators import projector_rank, spectral_decomposition
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
@@ -224,14 +224,14 @@ def _check_sieve_laws(poset: ContextPoset, base: str, sieves, limit: int | str) 
     # The laws are gathers on the connective tables: non-contradiction per
     # sieve, then distributivity and residuation on the first ``limit`` (or
     # "all") triples (a, b, c) of positions in lexicographic order, a block
-    # of values of a at a time.
+    # of values of a at a time.  The sieves run by size: the empty one is
+    # at 0 and the principal one at m - 1.
     meet, join, implies, leq = _sieve_tables(poset, base, sieves)
     m = len(sieves)
     sets = [s.members for s in sieves]
-    top, empty = sets.index(principal_sieve(poset, base).members), sets.index(frozenset())
-    negation = implies[:, empty]
-    violations = int(np.count_nonzero(meet[np.arange(m), negation] != empty))
-    failures = np.flatnonzero(join[np.arange(m), negation] != top)
+    negation = implies[:, 0]
+    violations = int(np.count_nonzero(meet[np.arange(m), negation] != 0))
+    failures = np.flatnonzero(join[np.arange(m), negation] != m - 1)
     witness = sorted(sets[failures[0]]) if failures.size else None
     total = m**3 if limit == "all" else min(m**3, limit)
     rows = max(1, _TRIPLE_BLOCK // (m * m))

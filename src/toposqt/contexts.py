@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -112,8 +112,8 @@ def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence, memo:
     # entries), followed by each companion sequence permuted alike.  The
     # weight and the entries are rounded to ID_DIGITS digits, as in the id;
     # +0.0 collapses negative zeros so the id is phase-insensitive.  ``memo``
-    # keeps each atom's sort key, rounded bytes and read-only copy by its
-    # bytes, for atoms of one dimension and dtype: equal bytes give equal keys.
+    # keeps each atom's sort key, rounded bytes and read-only array (the atom
+    # itself if it is one) by its bytes, for atoms of one dimension and dtype.
     memo = {} if memo is None else memo
     ref = None
     keyed = []
@@ -126,7 +126,7 @@ def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence, memo:
             rounded = np.round(a, ID_DIGITS) + 0.0
             key = (projector_rank(a), round(float(np.trace(a @ ref).real), ID_DIGITS) + 0.0,
                    rounded.view(float).ravel().tolist())
-            frozen = np.array(a, dtype=complex)
+            frozen = a if a.dtype == complex and not a.flags.writeable else np.array(a, dtype=complex)
             frozen.setflags(write=False)
             found = memo[raw] = key, rounded.real.tobytes() + rounded.imag.tobytes(), frozen
         keyed.append(found)
@@ -283,10 +283,9 @@ class _Registry:
         self._by_own: dict[frozenset[int], tuple[int, _Node]] = {}  # own -> (position, first node)
 
     def admit(self, touch: Sequence[int], make) -> _Node:
-        # The first node with as many atoms that includes the candidate atoms
-        # of ``touch`` (equal counts make inclusion mutual), else the node with
-        # its id; ``make()`` builds the candidate node only when it is new.
-        found = self._including(touch)
+        # ``find``'s node for the candidate atoms of ``touch``, else the node
+        # with its id; ``make()`` builds the candidate node only when it is new.
+        found = self.find(touch)
         if found is not None:
             return found
         node = make()
@@ -295,11 +294,11 @@ class _Registry:
             self._by_own.setdefault(frozenset(node.own), (len(self.nodes), node))
         return kept
 
-    def _including(self, touch: Sequence[int]) -> _Node | None:
-        # A node of seed s with as many atoms includes the candidate iff the
-        # candidate's touches cut s's atoms into disjoint parts that are the
-        # node's atoms.  That partition is looked up for each seed; the
-        # earliest node found wins.
+    def find(self, touch: Sequence[int]) -> _Node | None:
+        # The earliest node with as many atoms as ``touch`` that includes them
+        # (so each includes the other).  A node of seed s does iff their
+        # touches cut s's atoms into disjoint parts that are the node's atoms:
+        # that partition is looked up for each seed.
         hits = []
         for seed in self._seed_masks:
             parts = [t & seed for t in touch]
@@ -310,12 +309,12 @@ class _Registry:
         return min(hits, key=lambda hit: hit[0])[1] if hits else None
 
 
-def _add(nodes: _Registry, base: _Node, blocks: list[list[int]], matrices, memo: dict) -> None:
+def _add(nodes: _Registry, base: _Node, blocks: list[list[int]], matrices, memo: dict) -> _Node:
     # Admit the context whose atoms join ``blocks`` of ``base``'s atoms;
     # ``matrices()`` gives its atoms in block order.
     touch = [_join(base.touch, b) for b in blocks]
     own = [_join(base.own, b) for b in blocks]
-    nodes.admit(touch, lambda: _Node(*_canonical_context(matrices(), own, touch, memo=memo)))
+    return nodes.admit(touch, lambda: _Node(*_canonical_context(matrices(), own, touch, memo=memo)))
 
 
 def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
@@ -413,13 +412,13 @@ class ContextPoset:
     values and interval values) runs at that one tau.
     """
 
-    def __init__(self, nodes: Sequence[_Node], seed_atoms: Sequence[np.ndarray], tau: float) -> None:
-        ordered = sorted(nodes, key=lambda n: (-n.context.n_atoms, n.context.id))
+    def __init__(self, registry: _Registry, seed_atoms: Sequence[np.ndarray], tau: float) -> None:
+        ordered = sorted(registry.nodes.values(), key=lambda n: (-n.context.n_atoms, n.context.id))
+        self._registry = registry
         self._seed_atoms = seed_atoms
         self._tau = tau
-        self._own: dict[str, tuple[int, ...]] = {n.context.id: n.own for n in ordered}
         self._contexts: tuple[Context, ...] = tuple(n.context for n in ordered)
-        self._by_id: dict[str, Context] = {c.id: c for c in self._contexts}
+        self._atom_indices: dict[str, frozenset[int]] = {c.id: frozenset(range(c.n_atoms)) for c in self._contexts}
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
         self._down: dict[str, tuple[str, ...]] = {}
         self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
@@ -459,9 +458,7 @@ class ContextPoset:
         return len(self._contexts)
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, Context):
-            return item.id in self._by_id
-        return item in self._by_id
+        return (item.id if isinstance(item, Context) else item) in self._registry.nodes
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -479,7 +476,7 @@ class ContextPoset:
 
     def get(self, context_id: str) -> Context:
         try:
-            return self._by_id[context_id]
+            return self._registry.nodes[context_id].context
         except KeyError:
             raise UnknownContext(f"no context with id {context_id!r} in this poset") from None
 
@@ -487,7 +484,7 @@ class ContextPoset:
 
     def is_leq(self, sub_id: str, sup_id: str) -> bool:
         """True iff the context ``sub_id`` is included in ``sup_id``."""
-        if sup_id not in self._by_id or sub_id not in self._by_id:
+        if sup_id not in self._registry.nodes or sub_id not in self._registry.nodes:
             raise UnknownContext("both contexts must belong to the poset")
         return (sup_id, sub_id) in self._restriction
 
@@ -523,7 +520,7 @@ class ContextPoset:
         # in atom order): its product with a touch_table of the seed atoms is
         # the table of every poset atom.  Built on first use.
         if self._atom_seeds is None:
-            masks = [mask for c in self._contexts for mask in self._own[c.id]]
+            masks = [mask for c in self._contexts for mask in self._registry.nodes[c.id].own]
             sums = _bit_rows(masks, len(self._seed_atoms)).astype(float)
             self._atom_seeds = np.asarray(self._seed_atoms), sums
         return self._atom_seeds
@@ -535,7 +532,7 @@ class ContextPoset:
         # of the context atoms in i's restriction class.  Built on first use.
         found = self._restricted_seeds.get(context_id)
         if found is None:
-            own = self._own[context_id]
+            own = self._registry.nodes[context_id].own
             bits = _bits(_join(own, range(len(own))))
             seeds_of = np.array([[mask >> b & 1 for b in bits] for mask in own], dtype=float)
             tables = np.array([self._restriction[(context_id, sub)] for sub in self._down[context_id]])
@@ -553,12 +550,11 @@ class ContextPoset:
         return self._tau
 
     def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
-        """Locate the poset context with the given atom set, if present."""
+        """Locate the poset context with the given atom set, if present, by
+        its partition of a seed's atoms, as the build matches a new context."""
         wanted = context_from_atoms(atoms, self._tau)
-        for c in self._contexts:
-            if c.n_atoms == wanted.n_atoms and is_subcontext(wanted, c, self._tau):
-                return c
-        return None
+        found = self._registry.find(touch_masks(wanted.atoms, self._seed_atoms, self._tau))
+        return None if found is None else found.context
 
 
 def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPoset:
@@ -590,40 +586,22 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
         )
     seed_atoms = [a for s in seeds for a in s.atoms]
     rows = touch_masks(seed_atoms, seed_atoms, tau)
-    nodes, seed_masks, offset = [], [], 0
-    for s in seeds:
-        bits = range(offset, offset + s.n_atoms)
-        nodes.append(_Node(s, tuple(1 << i for i in bits), tuple(rows[i] for i in bits)))
-        seed_masks.append(((1 << s.n_atoms) - 1) << offset)
-        offset += s.n_atoms
+    ends = [0, *accumulate(s.n_atoms for s in seeds)]
+    seed_masks = [(1 << hi) - (1 << lo) for lo, hi in zip(ends, ends[1:])]
     # Each row meets every seed and each seed's rows cover every seed atom:
     # both ways round, as the float table need not be symmetric.
     if any(not row & seed for row in rows for seed in seed_masks) or any(
-        _join(rows, _bits(seed)) != (1 << offset) - 1 for seed in seed_masks
+        _join(rows, _bits(seed)) != (1 << len(rows)) - 1 for seed in seed_masks
     ):
         raise ValidationError(f"at tau={tau} a seed atom touches no atom of some seed;"
                               " exact seeds of C^n touch for every tau < 1/sqrt(n)")
     memo: dict = {}
-
-    closure = _Registry(seed_masks)
-    for node in nodes:
-        closure.admit(node.touch, lambda: node)
-    # Intersection closure of the seeds (meets of meets included): each round
-    # meets the contexts found in the previous one with everything known.
-    start = 0
-    while start < len(closure.nodes):
-        current = list(closure.nodes.values())
-        for new in current[start:]:
-            for old in current:
-                groups = _components([_hits(t, old.own) for t in new.touch])
-                if len(groups) >= 2:
-                    atoms = new.context.atoms
-                    _add(closure, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups], memo)
-        start = len(current)
-
     registry = _Registry(seed_masks)
-    for s in nodes:
-        seed = registry.admit(s.touch, lambda: s)
+    met: dict[str, _Node] = {}  # the seeds and their meets, each once
+    for s, lo, hi in zip(seeds, ends, ends[1:]):
+        own, touch = [1 << i for i in range(lo, hi)], rows[lo:hi]
+        seed = registry.admit(touch, lambda: _Node(*_canonical_context(s.atoms, own, touch, memo=memo)))
+        met.setdefault(seed.context.id, seed)
         atoms = seed.context.atoms
         n = len(atoms)
         # Subsets of all atoms, or of all but one, give the seed itself.
@@ -633,11 +611,22 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
                 rest = [i for i in range(n) if i not in subset]
                 _add(registry, seed, [[i] for i in subset] + [rest],
                      lambda: chosen + [reduce(np.subtract, chosen, identity(seed.context.dim))], memo)
-    # Meets join as bare contexts: coarsening them further would pull in
-    # subalgebras that none of the seed families contain.
-    for node in closure.nodes.values():
-        registry.admit(node.touch, lambda: node)
-    return ContextPoset(list(registry.nodes.values()), seed_atoms, tau)
+    # Intersection closure of the seeds (meets of meets included): each round
+    # meets the contexts found in the previous one with everything known.
+    # Meets are not coarsened: that would pull in subalgebras that none of
+    # the seed families contain.
+    start = 0
+    while start < len(met):
+        current = list(met.values())
+        for new in current[start:]:
+            for old in current:
+                groups = _components([_hits(t, old.own) for t in new.touch])
+                if len(groups) >= 2:
+                    atoms = new.context.atoms
+                    meet = _add(registry, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups], memo)
+                    met.setdefault(meet.context.id, meet)
+        start = len(current)
+    return ContextPoset(registry, seed_atoms, tau)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

@@ -25,6 +25,7 @@ from .errors import (
     IncompleteAssignment,
     NotASubcontext,
     PosetMismatch,
+    UnknownCharacter,
     UnknownContext,
     ValidationError,
 )
@@ -205,13 +206,11 @@ def subobject_connective(
 
     ``and``/``or`` act contextwise; ``implies`` keeps a character when all
     its restrictions that land in s1 also land in s2; ``not s`` is
-    ``s implies bottom``.
+    ``s implies bottom``.  An operand that selects an index outside its
+    context's atoms, which is no character, raises ``UnknownCharacter``.
     """
     if kind not in _ALL_KINDS:
         raise ValidationError(f"unknown connective {kind!r}")
-    ids = set(poset.ids)
-    if set(s1.selection.keys()) != ids:
-        raise PosetMismatch("first subobject is not defined over this poset")
     if kind == "not":
         if s2 is not None:
             raise ValidationError("'not' is unary")
@@ -219,8 +218,12 @@ def subobject_connective(
         kind = "implies"
     elif s2 is None:
         raise ValidationError(f"{kind!r} needs two subobjects")
-    if set(s2.selection.keys()) != ids:
-        raise PosetMismatch("second subobject is not defined over this poset")
+    spectra = poset._atom_indices  # each context's atom indices, in poset order
+    for name, s in (("first", s1), ("second", s2)):
+        if s.selection.keys() != spectra.keys():
+            raise PosetMismatch(f"{name} subobject is not defined over this poset")
+        if not all(map(frozenset.issubset, map(s.selection.__getitem__, poset.ids), spectra.values())):
+            raise UnknownCharacter(f"{name} subobject selects an index outside its context's atoms")
     if kind == "and":
         return ClopenSubobject({cid: s1.at(cid) & s2.at(cid) for cid in poset.ids})
     if kind == "or":

@@ -7,8 +7,10 @@ domination, and a clopen subobject is a per-context subset of atom indices
 that is compatible with every restriction map.
 
 The clopen subobjects are the down-sets of the characters ordered by
-restriction; ``_implication`` is the one rule for down-sets that this module,
-the logic layer and the truth values share.
+restriction.  One rule decides down-sets: x lies in S => T iff its down-set
+meets S only inside T.  ``_implication`` applies it to subobjects, global
+elements and truth values; sieves apply it on a frame's up-sets (``is_sieve``,
+``sieve_connective``), and ``heyting-check`` on int masks.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     """True iff the selected characters form a down-set under restriction:
     every restriction of a selected character is selected.  An index outside
     a context's atoms is no character, so it makes the selection not clopen."""
-    if set(subobject.selection.keys()) != set(poset.ids):
+    atoms = poset._atom_indices
+    if subobject.selection.keys() != atoms.keys():
         raise IncompleteAssignment("subobject must assign a subset to every poset context")
-    atoms = {c.id: frozenset(range(c.n_atoms)) for c in poset}
     if not all(subobject.at(cid) <= indices for cid, indices in atoms.items()):
         return False
     chosen = [(cid, i) for cid, indices in atoms.items() for i in indices if i in subobject.at(cid)]

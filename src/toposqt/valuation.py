@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._json import brief_repr
 from .contexts import Context, ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise_poset, _outer_proposition
-from .errors import NotUnitVector, SearchBudgetExceeded
+from .errors import NotUnitVector, SearchBudgetExceeded, ValidationError
 from .logic import GlobalElementOfOmega, Sieve
 from .operators import (
     TAU,
@@ -59,10 +60,14 @@ def pseudo_state(poset: ContextPoset, psi, tau: float | None = None) -> Daseinis
 def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EIG) -> np.ndarray:
     """Spectral projection of A onto a closed interval of eigenvalues.
 
-    Endpoint membership is decided within ``tau_eig``.
+    Endpoint membership is decided within ``tau_eig``.  An interval that is
+    not a pair of numbers raises ``ValidationError``.
     """
     A = require_self_adjoint(A, tau)
-    lo, hi = float(interval[0]), float(interval[1])
+    try:
+        lo, hi = map(float, interval)
+    except (TypeError, ValueError):
+        raise ValidationError(f"interval must be a pair of numbers, got {brief_repr(interval)}") from None
     decomp = spectral_decomposition(A, tau, tau_eig)
     out = zero(decomp.dim)
     for lam, proj in zip(decomp.eigenvalues, decomp.projectors):

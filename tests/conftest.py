@@ -81,3 +81,35 @@ def random_small_poset(seed: int):
         basis[[i, j]] = c * basis[i] + s * basis[j], -s * basis[i] + c * basis[j]
         bases.append(basis)
     return build_poset([context_from_basis(b) for b in bases])
+
+
+#: Four partitions of the rays of a Fourier basis of C^6, one projector set
+#: each.  The meet {014}{235} of the first and the third has two blocks of
+#: several atoms of either, so it is no seed's coarsening (a coarsening keeps
+#: all but one block a single atom).  Neither is {012}{345}, the meet of the
+#: fourth with the meet {01}{2}{345} of the second and the third; no two
+#: seeds meet in it, and that middle meet is also a coarsening of the third.
+FOURIER_PARTITIONS = (
+    ((0, 4), (1,), (2, 5), (3,)),
+    ((0,), (1,), (2,), (3,), (4, 5)),
+    ((0, 1), (2,), (3, 5), (4,)),
+    ((0, 2), (1,), (3, 5), (4,)),
+)
+
+
+def fourier_rays(dim: int = 6) -> np.ndarray:
+    """The rank-one projections onto the Fourier basis vectors of C^dim."""
+    k = np.arange(dim)
+    vectors = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+    return np.array([np.outer(v, v.conj()) for v in vectors])
+
+
+def projector_set_problem() -> dict:
+    """A problem file body whose seeds are the FOURIER_PARTITIONS projector
+    sets: each block of rays gives one generator."""
+    rays = fourier_rays()
+
+    def matrix(block) -> list:
+        return [[[float(z.real), float(z.imag)] for z in row] for row in sum(rays[i] for i in block)]
+
+    return {"dim": 6, "projector_sets": [[matrix(b) for b in part] for part in FOURIER_PARTITIONS]}

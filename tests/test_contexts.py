@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import locate
+from conftest import fourier_rays, locate, projector_set_problem
 from oracles import all_projections, brute_meet, brute_poset_size, is_sum_of_atoms, random_unitary, same_context
 from toposqt import contexts
 from toposqt.contexts import (
@@ -31,7 +31,7 @@ from toposqt.errors import (
 )
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.presheaf import gelfand_spectrum
-from toposqt.problems import load_problem, problem_seed_contexts
+from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
 from toposqt.valuation import pseudo_state, quantity_value_arrow, truth_value
 
 
@@ -447,24 +447,24 @@ def test_first_generated_context_is_kept_under_the_touch_test(monkeypatch):
     ray = [context_from_projectors([s.atoms[np.argmax([a[0, 0].real for a in s.atoms])]]) for s in seeds]
     assert len({r.id for r in ray}) == 3 and all(same_context(ray[0], r) for r in ray)
 
-    made, phases = [], []
-    canonical, registry = contexts._canonical_context, contexts._Registry
+    # Every candidate is built and recorded as it is offered to the registry.
+    offered = []
 
-    def spy(*args, **kwargs):
-        out = canonical(*args, **kwargs)
-        made.append((len(phases), out[0]))
-        return out
+    class Recording(contexts._Registry):
+        def admit(self, touch, make):
+            node = make()
+            offered.append(node.context)
+            return super().admit(touch, lambda: node)
 
-    class Phases(registry):
-        def __init__(self, *args):
-            phases.append(self)
-            super().__init__(*args)
-
-    monkeypatch.setattr(contexts, "_canonical_context", spy)
-    monkeypatch.setattr(contexts, "_Registry", Phases)
+    monkeypatch.setattr(contexts, "_Registry", Recording)
     poset = build_poset(seeds)
-    # The first registry gathers the meets, the second the coarsenings.
-    offered = seeds + [c for phase, c in made if phase == 2] + [c for phase, c in made if phase == 1]
+    # Each seed offers itself and then its 2^n - n - 2 coarsenings; the meets
+    # come after them all.
+    cut = sum(2**s.n_atoms - s.n_atoms - 1 for s in seeds)
+    seeds_offered = [c for c in offered[:cut] if c.id in {s.id for s in seeds}]
+    assert [c.id for c in seeds_offered] == [s.id for s in seeds]
+    coarsenings = [c for c in offered[:cut] if not any(c is s for s in seeds_offered)]
+    offered = seeds_offered + coarsenings + offered[cut:]
     first = []
     for context in offered:
         if not any(same_context(context, kept) for kept in first):
@@ -510,3 +510,48 @@ def test_context_cap_counts_every_seed(monkeypatch, maximal_context, second_basi
     assert len(build_poset([maximal_context])) == 11
     with pytest.raises(EnumerationLimitExceeded, match="22 contexts"):
         build_poset([maximal_context, second_basis])
+
+
+def _ks18():
+    with resources.as_file(resources.files("toposqt.data") / "ks18.json") as path:
+        return load_problem(path)
+
+
+def test_projector_sets_meet_outside_every_coarsening():
+    problem = problem_from_dict(projector_set_problem())
+    poset = build_poset(problem_seed_contexts(problem))
+    rays = fourier_rays()
+    for blocks in (((0, 1, 4), (2, 3, 5)), ((0, 1, 2), (3, 4, 5))):
+        assert poset.find([sum(rays[i] for i in b) for b in blocks]) is not None
+    assert len(poset) == brute_poset_size(problem_seed_contexts(problem))
+
+
+@pytest.mark.parametrize("name", ["ks18", "projector-sets"])
+def test_built_poset_holds_one_array_per_distinct_atom(name):
+    problem = _ks18() if name == "ks18" else problem_from_dict(projector_set_problem())
+    poset = build_poset(problem_seed_contexts(problem), problem.tolerances.tau)
+    arrays = [a for c in poset for a in c.atoms]
+    assert len({id(a) for a in arrays}) == len({a.tobytes() for a in arrays}) < len(arrays)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_find_returns_every_context_of_ks18_and_of_a_perturbed_copy():
+    problem = _ks18()
+    tau = problem.tolerances.tau
+    rng = np.random.default_rng(16)
+    noisy = [np.array(b) + 1e-12 * rng.standard_normal((len(b), problem.dim)) for b in problem.bases]
+    poset, moved = (build_poset([context_from_basis(b, tau) for b in bases], tau) for bases in (problem.bases, noisy))
+    for p in (poset, moved):
+        assert all(p.find(c.atoms) is c for c in p)
+    image = [poset.find(c.atoms) for c in moved]
+    assert len(moved) == len(poset) == len({c.id for c in image if c is not None})
+
+
+def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
+    # One basis of C^4 spans the partitions that keep all but one block a
+    # single ray; two blocks of two rays are not among them.
+    p = std_projectors
+    assert poset11.find([p[0] + p[1], p[2] + p[3]]) is None
+    assert poset11.find([p[0] + p[1], p[2], p[3]]) is not None
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    assert poset11.find(context_from_basis(hadamard).atoms) is None

@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import projector_set_problem
 
 from toposqt.cli import main
 from toposqt.contexts import is_subcontext
@@ -204,3 +205,17 @@ def test_ks18_query_report_is_byte_identical(capsys, tmp_path, argv):
     assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_KS18_QUERIES[" ".join(argv)]
+
+
+#: sha256 of the ``contexts`` report of ``conftest.projector_set_problem``,
+#: whose seeds meet in partitions that no seed coarsens to, one of them only
+#: as a meet of meets.
+PROJECTOR_SET_CONTEXTS_SHA256 = "e4aa9b70a21cfae70a0b280652990034595be2f2d5373121df8da900a30750cc"
+
+
+def test_projector_set_contexts_report_is_byte_identical(capsys, tmp_path):
+    path = tmp_path / "projector_sets.json"
+    path.write_text(json.dumps(projector_set_problem()), encoding="utf-8")
+    assert main(["contexts", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PROJECTOR_SET_CONTEXTS_SHA256

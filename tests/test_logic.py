@@ -312,6 +312,23 @@ def test_omega_restriction_requires_inclusion(poset11, named):
         omega_restriction(poset11, s, named["V2"])
 
 
+@pytest.mark.parametrize("kind", ["and", "or", "implies", "not"])
+def test_subobject_connective_refuses_an_index_outside_the_atoms(poset11, kind):
+    # Index 7 on the 4-atom context is no character: ``and`` would drop it
+    # and ``or`` keep it, so either operand holding it is refused.
+    from toposqt.errors import UnknownCharacter
+    from toposqt.presheaf import ClopenSubobject
+
+    full = full_subobject(poset11)
+    top = poset11.ids[0]
+    assert poset11.get(top).n_atoms == 4
+    stray = ClopenSubobject({**full.selection, top: full.at(top) | {7}})
+    assert not is_clopen_subobject(poset11, stray)
+    for operands in [(stray,)] if kind == "not" else [(stray, full), (full, stray)]:
+        with pytest.raises(UnknownCharacter, match="outside its context's atoms"):
+            subobject_connective(poset11, kind, *operands)
+
+
 def test_subobject_connective_poset_mismatch(poset11, named):
     from toposqt.errors import PosetMismatch
     from toposqt.presheaf import ClopenSubobject

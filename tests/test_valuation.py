@@ -11,7 +11,7 @@ import pytest
 from conftest import locate
 from toposqt.contexts import build_poset, context_from_basis, context_from_projectors
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded
+from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded, ValidationError
 from toposqt.logic import check_global_element, is_sieve, principal_sieve
 from toposqt.presheaf import (
     coefficients_in,
@@ -74,6 +74,12 @@ def test_proposition_projector_from_interval(sz, std_projectors):
     assert np.allclose(P, std_projectors[3])
     P = proposition_projector(sz, (0.0, 2.0))
     assert np.allclose(P, std_projectors[0] + std_projectors[1] + std_projectors[2])
+
+
+@pytest.mark.parametrize("interval", [(1,), None, ("a", "b")])
+def test_proposition_projector_refuses_an_interval_that_is_not_a_pair_of_numbers(sz, interval):
+    with pytest.raises(ValidationError, match="interval must be a pair of numbers"):
+        proposition_projector(sz, interval)
 
 
 def test_truth_value_table(poset11, std_projectors, maximal_context):
