@@ -19,7 +19,7 @@ from .contexts import ContextPoset
 from .daseinisation import _approximation, _daseinise_poset
 from .errors import ToposError, ValidationError
 from .logic import Sieve, enumerate_sieves
-from .operators import projector_rank, spectral_decomposition
+from .operators import spectral_decomposition
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
 from .valuation import DEFAULT_SEARCH_BUDGET, _value_arrows, global_sections, pseudo_state, truth_value
@@ -43,26 +43,21 @@ HEYTING_TRIPLE_CAP = 200_000
 _TRIPLE_BLOCK = 1 << 18
 
 
-def _ranks(context) -> list[int]:
-    return [projector_rank(a) for a in context.atoms]
-
-
-def _context_entry(context, encoded: dict[int, tuple[int, list]]) -> dict:
-    # ``encoded`` holds each atom's rank and matrix_to_json list by the id of
-    # its array: the poset keeps one read-only array per distinct atom,
-    # shared by every context that holds it, so each is encoded once per
-    # report and its list is shared too.
-    ranks, atoms = [], []
+def _context_entry(context, encoded: dict[int, list]) -> dict:
+    # ``encoded`` holds each atom's matrix_to_json list by the id of its
+    # array: the poset keeps one read-only array per distinct atom, shared by
+    # every context that holds it, so each is encoded once per report and its
+    # list is shared too.
+    atoms = []
     for a in context.atoms:
         found = encoded.get(id(a))
         if found is None:
-            found = encoded[id(a)] = projector_rank(a), matrix_to_json(a, 12)
-        ranks.append(found[0])
-        atoms.append(found[1])
+            found = encoded[id(a)] = matrix_to_json(a, 12)
+        atoms.append(found)
     return {
         "id": context.id,
         "atom_count": context.n_atoms,
-        "atom_ranks": ranks,
+        "atom_ranks": list(context.ranks),
         "atoms": atoms,
     }
 
@@ -88,7 +83,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     poset = problem_poset(problem)
 
     if command == "contexts":
-        encoded: dict[int, tuple[int, list]] = {}
+        encoded: dict[int, list] = {}
         return {
             "dim": poset.dim,
             "count": len(poset),
@@ -104,7 +99,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
                     {"context": ch.context_id, "atom": ch.atom_index}
                     for ch in gelfand_spectrum(context)
                 ],
-                "atom_ranks": _ranks(context),
+                "atom_ranks": list(context.ranks),
             }
         return {"contexts": report}
 
@@ -182,7 +177,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         limit = options.get("triples")
         if limit is None:
             limit = HEYTING_TRIPLE_CAP
-        if limit != "all" and not (isinstance(limit, int) and limit > 0):
+        if limit != "all" and not (isinstance(limit, int) and not isinstance(limit, bool) and limit > 0):
             raise ValidationError(f"triples must be a positive integer or 'all', not {limit!r}")
         report = {}
         for context in _select_contexts(poset, options):
@@ -346,14 +341,14 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "value":
             p.add_argument("--observable", help="observable name")
         if name == "daseinize":
-            p.add_argument("--mode", choices=("outer", "inner"), default="outer")
+            p.add_argument("--mode", choices=("outer", "inner"))
         if name == "heyting-check":
             p.add_argument(
-                "--triples", type=_triples, default=HEYTING_TRIPLE_CAP, metavar="N|all",
+                "--triples", type=_triples, metavar="N|all",
                 help=f"sieve triples checked per context (default {HEYTING_TRIPLE_CAP:,})",
             )
         if name == "sections":
-            p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+            p.add_argument("--budget", type=int)
     return parser
 
 

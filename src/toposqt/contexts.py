@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -85,6 +85,7 @@ class Context:
 
     id: str
     atoms: tuple[np.ndarray, ...]
+    ranks: tuple[int, ...]  # each atom's rank, in atom order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Context):
@@ -103,17 +104,17 @@ class Context:
         return len(self.atoms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        ranks = ",".join(str(projector_rank(a)) for a in self.atoms)
-        return f"Context({self.id}, ranks=[{ranks}])"
+        return f"Context({self.id}, ranks=[{','.join(map(str, self.ranks))}])"
 
 
 def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence, memo: dict | None = None) -> tuple:
     # The context of valid atoms, sorted by (rank, reference-trace weight,
-    # entries), followed by each companion sequence permuted alike.  The
-    # weight and the entries are rounded to ID_DIGITS digits, as in the id;
-    # +0.0 collapses negative zeros so the id is phase-insensitive.  ``memo``
-    # keeps each atom's sort key, rounded bytes and read-only array (the atom
-    # itself if it is one) by its bytes, for atoms of one dimension and dtype.
+    # entries) with the ranks kept, followed by each companion sequence
+    # permuted alike.  The weight and the entries are rounded to ID_DIGITS
+    # digits, as in the id; +0.0 collapses negative zeros so the id is
+    # phase-insensitive.  ``memo`` keeps each atom's sort key, rounded bytes
+    # and read-only array (the atom itself if it is one) by its bytes, for
+    # atoms of one dimension and dtype.
     memo = {} if memo is None else memo
     ref = None
     keyed = []
@@ -131,7 +132,8 @@ def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence, memo:
             found = memo[raw] = key, rounded.real.tobytes() + rounded.imag.tobytes(), frozen
         keyed.append(found)
     order = sorted(range(len(atoms)), key=lambda i: keyed[i][0])
-    context = Context(_context_id([keyed[i][1] for i in order]), tuple(keyed[i][2] for i in order))
+    context = Context(_context_id([keyed[i][1] for i in order]), tuple(keyed[i][2] for i in order),
+                      tuple(keyed[i][0][0] for i in order))
     return (context, *(tuple(c[i] for i in order) for c in companions))
 
 
@@ -378,22 +380,16 @@ class _SieveFrame(NamedTuple):
     above: dict[str, frozenset[str]]  # id -> the ids at or above it
 
 
-class _SieveFrames(dict):
-    """Sieve frames by context id, each built from the down-sets on first use."""
+class _Table(dict):
+    """Values by key, each made by ``make(key)`` on first lookup and kept."""
 
-    def __init__(self, down: dict[str, tuple[str, ...]]) -> None:
+    def __init__(self, make) -> None:
         super().__init__()
-        self._down = down
+        self._make = make
 
-    def __missing__(self, context_id: str) -> _SieveFrame:
-        if context_id not in self._down:
-            raise UnknownContext(f"no context with id {context_id!r} in this poset")
-        ids = tuple(sorted(self._down[context_id], reverse=True))
-        bit = {cid: 1 << i for i, cid in enumerate(ids)}
-        below = tuple(sum(map(bit.__getitem__, self._down[cid])) for cid in ids)
-        above = {cid: frozenset(x for x, mask in zip(ids, below) if mask & bit[cid]) for cid in ids}
-        frame = self[context_id] = _SieveFrame(ids, bit, below, frozenset(ids), above)
-        return frame
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
 
 
 class ContextPoset:
@@ -444,10 +440,10 @@ class ContextPoset:
         self._inclusions: tuple[tuple[str, str], ...] = tuple(
             pair for pair in self._restriction if pair[0] != pair[1]
         )
-        self._character_downs: dict[tuple[str, int], frozenset[tuple[str, int]]] = {}
-        self._sieve_frames = _SieveFrames(self._down)
-        self._atom_seeds: tuple[np.ndarray, np.ndarray] | None = None
-        self._restricted_seeds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # Tables derived from the order, each entry built on first use and kept.
+        self._character_down = _Table(self._build_character_down)
+        self._sieve_frames = _Table(self._build_sieve_frame)
+        self._restricted_sums = _Table(self._build_restricted_sums)
 
     # -- basic container protocol ------------------------------------------
 
@@ -502,44 +498,41 @@ class ContextPoset:
         except KeyError:
             raise UnknownContext(f"{sub_id!r} is not a subcontext of {sup_id!r}") from None
 
-    def _character_down(self, character: tuple[str, int]) -> frozenset[tuple[str, int]]:
+    def _build_character_down(self, character: tuple[str, int]) -> frozenset[tuple[str, int]]:
         # The down-set of the character (sup, i) under restriction: the pairs
         # (sub, restriction_indices(sup, sub)[i]) over down_ids(sup), itself
-        # included.  Built on first use.
-        below = self._character_downs.get(character)
-        if below is None:
-            sup, i = character
-            below = self._character_downs[character] = frozenset(
-                (sub, self._restriction[(sup, sub)][i]) for sub in self._down[sup]
-            )
-        return below
+        # included.
+        sup, i = character
+        return frozenset((sub, self._restriction[(sup, sub)][i]) for sub in self.down_ids(sup))
 
+    def _build_sieve_frame(self, context_id: str) -> _SieveFrame:
+        ids = tuple(sorted(self.down_ids(context_id), reverse=True))
+        bit = {cid: 1 << i for i, cid in enumerate(ids)}
+        below = tuple(sum(map(bit.__getitem__, self._down[cid])) for cid in ids)
+        above = {cid: frozenset(x for x, mask in zip(ids, below) if mask & bit[cid]) for cid in ids}
+        return _SieveFrame(ids, bit, below, frozenset(ids), above)
+
+    @cached_property
     def _seed_sums(self) -> tuple[np.ndarray, np.ndarray]:
         # The stacked seed atoms, and a 0/1 matrix whose row k marks the seed
         # atoms that the k-th poset atom sums (contexts in poset order, atoms
         # in atom order): its product with a touch_table of the seed atoms is
-        # the table of every poset atom.  Built on first use.
-        if self._atom_seeds is None:
-            masks = [mask for c in self._contexts for mask in self._registry.nodes[c.id].own]
-            sums = _bit_rows(masks, len(self._seed_atoms)).astype(float)
-            self._atom_seeds = np.asarray(self._seed_atoms), sums
-        return self._atom_seeds
+        # the table of every poset atom.
+        masks = [mask for c in self._contexts for mask in self._registry.nodes[c.id].own]
+        return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float)
 
-    def _restricted_sums(self, context_id: str) -> tuple[np.ndarray, np.ndarray]:
+    def _build_restricted_sums(self, context_id: str) -> tuple[np.ndarray, np.ndarray]:
         # The seed atoms that the context's atoms sum, stacked, and a 0/1
         # array whose entry [i, d, b] marks seed atom b in the atom that atom
         # i restricts to at the d-th context of down_ids(context_id): the sum
-        # of the context atoms in i's restriction class.  Built on first use.
-        found = self._restricted_seeds.get(context_id)
-        if found is None:
-            own = self._registry.nodes[context_id].own
-            bits = _bits(_join(own, range(len(own))))
-            seeds_of = np.array([[mask >> b & 1 for b in bits] for mask in own], dtype=float)
-            tables = np.array([self._restriction[(context_id, sub)] for sub in self._down[context_id]])
-            same_class = tables[None, :, :] == tables.T[:, :, None]
-            found = np.asarray([self._seed_atoms[b] for b in bits]), same_class @ seeds_of
-            self._restricted_seeds[context_id] = found
-        return found
+        # of the context atoms in i's restriction class.
+        down = self.down_ids(context_id)
+        own = self._registry.nodes[context_id].own
+        bits = _bits(_join(own, range(len(own))))
+        seeds_of = np.array([[mask >> b & 1 for b in bits] for mask in own], dtype=float)
+        tables = np.array([self._restriction[(context_id, sub)] for sub in down])
+        same_class = tables[None, :, :] == tables.T[:, :, None]
+        return np.asarray([self._seed_atoms[b] for b in bits]), same_class @ seeds_of
 
     def _tolerance(self, tau: float | None) -> float:
         # The poset's own tau, for a poset-wide call given ``tau`` (None, or

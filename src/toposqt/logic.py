@@ -74,12 +74,12 @@ def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]
     ``EnumerationLimitExceeded`` when the down-set has more than
     ``ENUMERATION_CAP`` elements.
     """
-    frame = poset._sieve_frames[context.id]
-    if len(frame.ids) > ENUMERATION_CAP:
+    size = len(poset.down_ids(context.id))
+    if size > ENUMERATION_CAP:
         raise EnumerationLimitExceeded(
-            f"down-set has {len(frame.ids)} contexts; exhaustive sieve enumeration "
-            f"is capped at {ENUMERATION_CAP}"
+            f"down-set has {size} contexts; exhaustive sieve enumeration is capped at {ENUMERATION_CAP}"
         )
+    frame = poset._sieve_frames[context.id]
     # A smaller down-set comes first, so an element comes after all of its
     # subcontexts, which are decided by then.  Each sieve is built as an int
     # and as its set of members side by side.
@@ -231,6 +231,6 @@ def subobject_connective(
     outside = {(cid, j) for cid in poset.ids for j in s1.at(cid) - s2.at(cid)}
     characters = [(c.id, i) for c in poset for i in range(c.n_atoms)]
     selection: dict[str, set[int]] = {cid: set() for cid in poset.ids}
-    for cid, i in _implication(poset._character_down, characters, outside):
+    for cid, i in _implication(poset._character_down.__getitem__, characters, outside):
         selection[cid].add(i)
     return ClopenSubobject(selection)

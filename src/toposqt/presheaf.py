@@ -141,7 +141,7 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
         return False
     chosen = [(cid, i) for cid, indices in atoms.items() for i in indices if i in subobject.at(cid)]
     outside = {(cid, j) for cid, indices in atoms.items() for j in indices - subobject.at(cid)}
-    return len(_implication(poset._character_down, chosen, outside)) == len(chosen)
+    return len(_implication(poset._character_down.__getitem__, chosen, outside)) == len(chosen)
 
 
 def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> bool:

@@ -13,6 +13,8 @@ tau it was built with; a state is checked once, as a unit vector within it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -61,13 +63,16 @@ def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EI
     """Spectral projection of A onto a closed interval of eigenvalues.
 
     Endpoint membership is decided within ``tau_eig``.  An interval that is
-    not a pair of numbers raises ``ValidationError``.
+    not a pair of numbers (a string, or a NaN endpoint) raises
+    ``ValidationError``; infinite endpoints leave that side open.
     """
     A = require_self_adjoint(A, tau)
     try:
         lo, hi = map(float, interval)
     except (TypeError, ValueError):
-        raise ValidationError(f"interval must be a pair of numbers, got {brief_repr(interval)}") from None
+        lo = hi = math.nan
+    if isinstance(interval, (str, bytes)) or math.isnan(lo) or math.isnan(hi):
+        raise ValidationError(f"interval must be a pair of numbers, got {brief_repr(interval)}")
     decomp = spectral_decomposition(A, tau, tau_eig)
     out = zero(decomp.dim)
     for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
@@ -134,7 +139,7 @@ def _value_arrows(
     for character in characters:
         _require_member(context, character)
     down = poset.down_ids(context.id)
-    seeds, sums = poset._restricted_sums(context.id)
+    seeds, sums = poset._restricted_sums[context.id]
     rows = sums[[ch.atom_index for ch in characters]] @ touch_table(seeds, decomp.projectors)
     bounds = iter(table_bounds(rows.reshape(-1, rows.shape[-1]), decomp.eigenvalues, poset._tau))
     pairs = []
@@ -170,9 +175,12 @@ def global_sections(
     Backtracking over atom choices, most-constrained (largest) contexts
     first; every assignment is propagated through the whole down-set at once
     so inconsistencies between overlapping contexts prune immediately.
-    Raises ``SearchBudgetExceeded`` after ``budget`` assignment attempts.
+    Raises ``SearchBudgetExceeded`` after ``budget`` assignment attempts,
+    and ``ValidationError`` for a budget that is not an integer (or is a bool).
     Absence of sections certifies contextuality for this finite poset only.
     """
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+        raise ValidationError(f"budget must be an integer, got {brief_repr(budget)}")
     order = poset.ids  # already sorted by descending atom count
     sections: list[GlobalSection] = []
     nodes = 0
@@ -192,7 +200,7 @@ def global_sections(
             raise SearchBudgetExceeded(f"section search exceeded the budget of {budget} nodes")
         children = []
         for value in range(n_atoms):
-            below = poset._character_down((order[k], value))
+            below = poset._character_down[order[k], value]
             if all(forced.get(sub, j) == j for sub, j in below):
                 children.append((k + 1, {**forced, **dict(below)}))
         stack += reversed(children)

@@ -368,6 +368,32 @@ def test_run_command_refuses_an_unknown_daseinisation_mode():
         run_command("daseinize", problem, {"prop": "Sz_in_1.3_2.3", "mode": "foo"})
 
 
+@pytest.mark.parametrize("triples", [True, False])
+def test_run_command_refuses_a_bool_triple_count(triples):
+    with pytest.raises(ValidationError, match="triples must be a positive integer"):
+        run_command("heyting-check", load_problem(SPIN2_PATH), {"triples": triples})
+
+
+@pytest.mark.parametrize("budget", ["10", 10.5, True])
+def test_run_command_refuses_a_budget_that_is_not_an_integer(budget):
+    with pytest.raises(ValidationError, match="budget must be an integer"):
+        run_command("sections", load_problem(SPIN2_PATH), {"budget": budget})
+
+
+@pytest.mark.parametrize(
+    "command, given",
+    [("daseinize", {"prop": "Sz_in_1.3_2.3"}), ("heyting-check", {}), ("sections", {})],
+)
+def test_the_defaults_of_mode_triples_and_budget_live_in_run_command(capsys, command, given):
+    # The parser leaves each option unset, and run_command fills it in.
+    argv = [command, "--input", SPIN2_PATH, *(f"--{k}={v}" for k, v in given.items())]
+    args = vars(toposqt.cli._build_parser().parse_args(argv))
+    assert [args.get(key) for key in ("mode", "triples", "budget")] == [None, None, None]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out == render_json(run_command(command, load_problem(SPIN2_PATH), given))
+
+
 def test_contexts_command_takes_no_context_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["contexts", "--input", SPIN2_PATH, "--context", "ctx-0000000000"])

@@ -30,6 +30,7 @@ from toposqt.errors import (
     ValidationError,
 )
 from toposqt.daseinisation import daseinise_proposition
+from toposqt.operators import projector_rank
 from toposqt.presheaf import gelfand_spectrum
 from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
 from toposqt.valuation import pseudo_state, quantity_value_arrow, truth_value
@@ -533,6 +534,15 @@ def test_built_poset_holds_one_array_per_distinct_atom(name):
     arrays = [a for c in poset for a in c.atoms]
     assert len({id(a) for a in arrays}) == len({a.tobytes() for a in arrays}) < len(arrays)
     assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("name", ["ks18", "projector-sets"])
+def test_context_ranks_are_the_ranks_of_its_atoms(name):
+    problem = _ks18() if name == "ks18" else problem_from_dict(projector_set_problem())
+    poset = build_poset(problem_seed_contexts(problem), problem.tolerances.tau)
+    for c in poset:
+        assert c.ranks == tuple(projector_rank(a) for a in c.atoms)
+    assert max(r for c in poset for r in c.ranks) > 1
 
 
 def test_find_returns_every_context_of_ks18_and_of_a_perturbed_copy():

@@ -9,12 +9,14 @@ import pytest
 
 from conftest import locate, random_small_poset
 from oracles import downsets_brute
+from toposqt.contexts import build_poset, context_from_basis
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import (
     BaseMismatch,
     EnumerationLimitExceeded,
     IncompleteAssignment,
     NotASubcontext,
+    UnknownContext,
     ValidationError,
 )
 from toposqt.logic import (
@@ -295,10 +297,32 @@ def test_connectives_reject_an_unknown_kind_or_a_wrong_operand_count(poset11, na
             connective(poset11, kind, *[operand] * operands)
 
 
-def test_enumerate_sieves_unknown_context(poset11):
-    from toposqt.contexts import context_from_basis
-    from toposqt.errors import UnknownContext
+def test_enumeration_refusal_builds_no_frame():
+    # The maximal context of one basis of C^5 has 26 contexts below it.
+    poset = build_poset([context_from_basis(np.eye(5))])
+    top = poset.get(poset.ids[0])
+    with pytest.raises(EnumerationLimitExceeded, match="26 contexts"):
+        enumerate_sieves(poset, top)
+    assert top.id not in poset._sieve_frames
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda poset, foreign, inside: is_sieve(poset, empty_sieve(foreign.id)),
+        lambda poset, foreign, inside: sieve_connective(poset, "and", empty_sieve(foreign.id), empty_sieve(foreign.id)),
+        lambda poset, foreign, inside: sieve_connective(poset, "not", empty_sieve(foreign.id)),
+        lambda poset, foreign, inside: principal_sieve(poset, foreign.id),
+        lambda poset, foreign, inside: omega_restriction(poset, empty_sieve(foreign.id), inside),
+        lambda poset, foreign, inside: omega_restriction(poset, principal_sieve(poset, inside.id), foreign),
+    ],
+)
+def test_a_foreign_context_id_is_an_unknown_context(poset11, second_basis, maximal_context, call):
+    with pytest.raises(UnknownContext):
+        call(poset11, second_basis, maximal_context)
+
+
+def test_enumerate_sieves_unknown_context(poset11):
     foreign = context_from_basis(np.eye(2))
     with pytest.raises(UnknownContext):
         enumerate_sieves(poset11, foreign)

@@ -11,7 +11,7 @@ import pytest
 from conftest import locate
 from toposqt.contexts import build_poset, context_from_basis, context_from_projectors
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded, ValidationError
+from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded, UnknownContext, ValidationError
 from toposqt.logic import check_global_element, is_sieve, principal_sieve
 from toposqt.presheaf import (
     coefficients_in,
@@ -76,10 +76,23 @@ def test_proposition_projector_from_interval(sz, std_projectors):
     assert np.allclose(P, std_projectors[0] + std_projectors[1] + std_projectors[2])
 
 
-@pytest.mark.parametrize("interval", [(1,), None, ("a", "b")])
+@pytest.mark.parametrize(
+    "interval", [(1,), None, ("a", "b"), "12", b"12", (np.nan, 3.0), (-3.0, float("nan")), (np.float32("nan"), 1)]
+)
 def test_proposition_projector_refuses_an_interval_that_is_not_a_pair_of_numbers(sz, interval):
     with pytest.raises(ValidationError, match="interval must be a pair of numbers"):
         proposition_projector(sz, interval)
+
+
+def test_proposition_projector_takes_numpy_and_infinite_endpoints(sz, std_projectors):
+    p = std_projectors
+    numpy_endpoints = proposition_projector(sz, (np.int64(1), np.float32(2.5)))
+    assert np.array_equal(numpy_endpoints, proposition_projector(sz, (1, 2.5)))
+    assert np.allclose(numpy_endpoints, p[0])
+    assert np.allclose(proposition_projector(sz, (-np.inf, 0.0)), p[1] + p[2] + p[3])
+    assert np.allclose(proposition_projector(sz, (1.0, np.inf)), p[0])
+    assert np.allclose(proposition_projector(sz, (-np.inf, np.inf)), np.eye(4))
+    assert not proposition_projector(sz, (np.inf, np.inf)).any()
 
 
 def test_truth_value_table(poset11, std_projectors, maximal_context):
@@ -240,6 +253,23 @@ def test_two_atom_poset_has_two_sections(std_projectors):
 def test_search_budget(poset11):
     with pytest.raises(SearchBudgetExceeded):
         global_sections(poset11, budget=1)
+
+
+@pytest.mark.parametrize("budget", [None, "10", 10.0, True, False, np.bool_(True)])
+def test_search_budget_must_be_an_integer(poset11, budget):
+    with pytest.raises(ValidationError, match="budget must be an integer"):
+        global_sections(poset11, budget)
+
+
+def test_search_budget_takes_numpy_integers(poset11):
+    assert global_sections(poset11, np.int64(1000)) == global_sections(poset11, 1000)
+    with pytest.raises(SearchBudgetExceeded):
+        global_sections(poset11, np.int32(1))
+
+
+def test_quantity_value_arrow_of_a_foreign_context_is_an_unknown_context(poset11, second_basis, sz):
+    with pytest.raises(UnknownContext):
+        quantity_value_arrow(poset11, sz, second_basis, gelfand_spectrum(second_basis)[0])
 
 
 def test_sections_of_overlapping_bases_respect_shared_rays():
