@@ -16,7 +16,7 @@ import numpy as np
 
 from ._json import dumps, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
-from .daseinisation import _approximation, _daseinise_poset
+from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import ToposError, ValidationError
 from .logic import Sieve, enumerate_sieves
 from .operators import spectral_decomposition
@@ -69,6 +69,15 @@ def _select_contexts(poset: ContextPoset, options: Mapping) -> list:
     return [poset.get(wanted)]
 
 
+def _per_context(daseinised: DaseinisedProposition) -> dict:
+    # The daseinize and pseudo-state reports' map: per context, in poset
+    # order, the approximation and the characters where it is 1.
+    return {
+        cid: {"projector": matrix_to_json(projector, 12), "characters": sorted(daseinised.subobject.at(cid))}
+        for cid, projector in daseinised.per_context_projector.items()
+    }
+
+
 def _sieve_json(sieve: Sieve) -> dict:
     return {"base": sieve.base, "members": sorted(sieve.members)}
 
@@ -105,40 +114,26 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
 
     if command == "daseinize":
         name = _require_option(options, "prop")
-        mode = options.get("mode") or "outer"
+        mode = options.get("mode")
+        if mode is None:
+            mode = "outer"
         if mode not in ("outer", "inner"):
             raise ValidationError(f"unknown daseinisation mode {mode!r}; use 'outer' or 'inner'")
         projector = resolve_proposition(problem, name)
-        end = int(mode == "outer")
-        bounds, selection = _daseinise_poset(poset, projector, end)
-        contexts = {
-            c.id: {
-                "projector": matrix_to_json(_approximation(c, bounds[c.id], end), 12),
-                "characters": sorted(selection[c.id]),
-            }
-            for c in poset
-        }
         return {
             "proposition": name,
             "mode": mode,
             "projector": matrix_to_json(projector, 12),
-            "contexts": contexts,
+            "contexts": _per_context(_daseinise(poset, projector, int(mode == "outer"))),
         }
 
     if command == "pseudo-state":
         name = _require_option(options, "state")
         psi = _resolve_state(problem, name)
-        ps = pseudo_state(poset, psi)
         return {
             "state": name,
             "vector": vector_to_json(psi, 12),
-            "contexts": {
-                cid: {
-                    "projector": matrix_to_json(ps.per_context_projector[cid], 12),
-                    "characters": sorted(ps.subobject.at(cid)),
-                }
-                for cid in poset.ids
-            },
+            "contexts": _per_context(pseudo_state(poset, psi)),
         }
 
     if command == "truth":

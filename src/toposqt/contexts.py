@@ -22,6 +22,7 @@ repeated runs over the same input produce byte-identical output.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, combinations
@@ -381,14 +382,15 @@ class _SieveFrame(NamedTuple):
 
 
 class _Table(dict):
-    """Values by key, each made by ``make(key)`` on first lookup and kept."""
+    """Values by key, each made by ``make(key)`` on first lookup and kept.
+    ``make`` is a bound method held weakly, so a table keeps no poset alive."""
 
     def __init__(self, make) -> None:
         super().__init__()
-        self._make = make
+        self._make = weakref.WeakMethod(make)
 
     def __missing__(self, key):
-        value = self[key] = self._make(key)
+        value = self[key] = self._make()(key)
         return value
 
 

@@ -72,8 +72,8 @@ def inner_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndar
 
 @dataclass(frozen=True)
 class DaseinisedProposition:
-    """A projection together with its per-context approximations and their
-    character sets (one clopen subobject of the spectral presheaf)."""
+    """A projection with its per-context approximations and the characters
+    where each is 1 (outer ones: a clopen subobject of the spectral presheaf)."""
 
     source: np.ndarray
     per_context_projector: dict[str, np.ndarray]
@@ -97,13 +97,13 @@ def daseinise_proposition(poset: ContextPoset, P, tau: float | None = None) -> D
     P is checked and touched at the poset's tau; a ``tau`` other than that
     raises ``ValidationError``.
     """
-    return _outer_proposition(poset, require_projector(P, poset._tolerance(tau)))
+    return _daseinise(poset, require_projector(P, poset._tolerance(tau)), 1)
 
 
-def _outer_proposition(poset: ContextPoset, P: np.ndarray) -> DaseinisedProposition:
-    # daseinise_proposition for a projection checked already.
-    bounds, selection = _daseinise_poset(poset, P, 1)
-    projectors = {c.id: _approximation(c, bounds[c.id], 1) for c in poset}
+def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedProposition:
+    # The inner (end 0) or outer (end 1) daseinisation of a checked projection.
+    bounds, selection = _daseinise_poset(poset, P, end)
+    projectors = {c.id: _approximation(c, bounds[c.id], end) for c in poset}
     return DaseinisedProposition(P, projectors, ClopenSubobject(selection))
 
 

@@ -15,6 +15,7 @@ are freshly allocated and never aliased to caller data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,13 +138,18 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
 
-def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float = TAU_EIG) -> np.ndarray:
-    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``)."""
+def _spectral_projection(decomp: SpectralDecomposition, lo: float, hi: float, tau_eig: float) -> np.ndarray:
+    # Sum of the spectral projectors with eigenvalue in [lo - tau_eig, hi + tau_eig].
     out = zero(decomp.dim)
     for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
-        if lam <= r + tau_eig:
+        if lo - tau_eig <= lam <= hi + tau_eig:
             out += proj
     return out
+
+
+def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float = TAU_EIG) -> np.ndarray:
+    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``)."""
+    return _spectral_projection(decomp, -math.inf, r, tau_eig)
 
 
 def touch_table(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:

@@ -23,20 +23,19 @@ import numpy as np
 
 from ._json import brief_repr
 from .contexts import Context, ContextPoset
-from .daseinisation import DaseinisedProposition, _daseinise_poset, _outer_proposition
+from .daseinisation import DaseinisedProposition, _daseinise, _daseinise_poset
 from .errors import NotUnitVector, SearchBudgetExceeded, ValidationError
 from .logic import GlobalElementOfOmega, Sieve
 from .operators import (
     TAU,
     TAU_EIG,
     SpectralDecomposition,
+    _spectral_projection,
     is_orthonormal,
     require_projector,
-    require_self_adjoint,
     spectral_decomposition,
     table_bounds,
     touch_table,
-    zero,
 )
 from .presheaf import Character, ClopenSubobject, _implication, _require_member, is_clopen_subobject
 
@@ -56,29 +55,23 @@ def pseudo_state(poset: ContextPoset, psi, tau: float | None = None) -> Daseinis
     """Outer-daseinise the state's rank-one projector |psi><psi| over the poset:
     per context, the smallest projection certain in the state.  psi is
     checked once, as a unit vector at the poset's tau."""
-    return _outer_proposition(poset, _ray(psi, poset._tolerance(tau)))
+    return _daseinise(poset, _ray(psi, poset._tolerance(tau)), 1)
 
 
 def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EIG) -> np.ndarray:
     """Spectral projection of A onto a closed interval of eigenvalues.
 
     Endpoint membership is decided within ``tau_eig``.  An interval that is
-    not a pair of numbers (a string, or a NaN endpoint) raises
-    ``ValidationError``; infinite endpoints leave that side open.
+    not a pair of real numbers (a string; a bool, str, bytes or NaN endpoint)
+    raises ``ValidationError``; infinite endpoints leave that side open.
     """
-    A = require_self_adjoint(A, tau)
     try:
-        lo, hi = map(float, interval)
+        lo, hi = (math.nan if isinstance(x, (bool, np.bool_, str, bytes)) else float(x) for x in interval)
     except (TypeError, ValueError):
         lo = hi = math.nan
     if isinstance(interval, (str, bytes)) or math.isnan(lo) or math.isnan(hi):
         raise ValidationError(f"interval must be a pair of numbers, got {brief_repr(interval)}")
-    decomp = spectral_decomposition(A, tau, tau_eig)
-    out = zero(decomp.dim)
-    for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
-        if lo - tau_eig <= lam <= hi + tau_eig:
-            out += proj
-    return out
+    return _spectral_projection(spectral_decomposition(A, tau, tau_eig), lo, hi, tau_eig)
 
 
 def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> GlobalElementOfOmega:

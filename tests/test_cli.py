@@ -360,12 +360,13 @@ def test_run_command_rejects_unknown(capsys):
         run_command("bogus", problem, {})
 
 
-def test_run_command_refuses_an_unknown_daseinisation_mode():
-    # The CLI's choices hide this; a caller of run_command must not get the
-    # inner approximation under another name.
+@pytest.mark.parametrize("mode", ["foo", "", 0])
+def test_run_command_refuses_an_unknown_daseinisation_mode(mode):
+    # The CLI's choices hide this; a caller of run_command must not get
+    # either approximation under another name.  Only an absent mode is outer.
     problem = load_problem(SPIN2_PATH)
-    with pytest.raises(ValidationError, match="'foo'"):
-        run_command("daseinize", problem, {"prop": "Sz_in_1.3_2.3", "mode": "foo"})
+    with pytest.raises(ValidationError, match=f"mode {mode!r};"):
+        run_command("daseinize", problem, {"prop": "Sz_in_1.3_2.3", "mode": mode})
 
 
 @pytest.mark.parametrize("triples", [True, False])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from importlib import resources
 from itertools import combinations
 
@@ -30,10 +32,11 @@ from toposqt.errors import (
     ValidationError,
 )
 from toposqt.daseinisation import daseinise_proposition
+from toposqt.logic import enumerate_sieves
 from toposqt.operators import projector_rank
 from toposqt.presheaf import gelfand_spectrum
 from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
-from toposqt.valuation import pseudo_state, quantity_value_arrow, truth_value
+from toposqt.valuation import global_sections, pseudo_state, quantity_value_arrow, truth_value
 
 
 def test_context_from_full_projector_family(std_projectors, maximal_context):
@@ -565,3 +568,23 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
     assert poset11.find([p[0] + p[1], p[2], p[3]]) is not None
     hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
     assert poset11.find(context_from_basis(hadamard).atoms) is None
+
+
+def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
+    # The tables derived from the order hold the poset weakly, so a poset
+    # whose tables were all read is freed when its last reference goes.
+    gc.disable()
+    try:
+        poset = build_poset([context_from_basis(np.eye(4))])
+        top = poset.get(poset.ids[0])
+        assert global_sections(poset)  # _character_down
+        assert enumerate_sieves(poset, top)  # _sieve_frames
+        quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # _restricted_sums
+        daseinise_proposition(poset, std_projectors[0])  # _seed_sums
+        assert poset._character_down and poset._sieve_frames and poset._restricted_sums
+        assert "_seed_sums" in vars(poset)
+        dropped = weakref.ref(poset)
+        del poset
+        assert dropped() is None
+    finally:
+        gc.enable()

@@ -198,13 +198,36 @@ GOLDEN_KS18_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("argv", KS18_QUERIES, ids=[" ".join(a) for a in KS18_QUERIES])
-def test_ks18_query_report_is_byte_identical(capsys, tmp_path, argv):
+#: sha256 of the ``--format table`` report of each query above.
+GOLDEN_KS18_QUERY_TABLES = {
+    "daseinize --prop A_in_0.5_1.5 --mode outer": "a05d4d8a73fb48a122df79ff0650cab1150bf0a8c6adbc14132ba9ff1ff6c485",
+    "daseinize --prop A_in_0.5_1.5 --mode inner": "63b937d90564a4155f4a42b86d817edc23cc463850fe36e649abd70bcbe747f0",
+    "daseinize --prop plus --mode outer": "abac65474c2c80425cd620f69fc537960fba50b5d1aab2adb8cf4778c764138f",
+    "daseinize --prop plus --mode inner": "b51746f57a94eb857eb73946911b394e8868423c291d6c3c1c8549c0a0bde669",
+    "truth --prop A_in_0.5_1.5 --state e0": "114a7b39e9ea6451cb899e253e6b27bbbdb5beefe850413631f28c7f24a3c02f",
+    "truth --prop A_in_0.5_1.5 --state tilted": "c58a182d9b1242537e57d00b7aedd9af2c646db06f6531fd985eb47fb1979903",
+    "truth --prop plus --state e0": "666dfdaec94d959c78f8cef77232caa65919afbce1be72ad5fd6b5e291178b48",
+    "truth --prop plus --state tilted": "3bcbfde5e5387e56c423ae2fd1eca6e6bffcd425f3847a23229dbb8b59fbf9f9",
+    "pseudo-state --state e0": "245c45b09f6c586c51908a3aa3e9b3847ddab1747f3dfd5577d6742eaa492368",
+    "pseudo-state --state tilted": "684ae942e9874083904715f39621cbf9b6a850cb18f5fd119b1147d79babc638",
+    "value --observable A": "11a42b7c8eba0d76c53d19de08e3d475831fdc960e7e8f734aee7739b22ad864",
+}
+
+# The JSON runs keep the bare query as their id; the table runs add
+# ``--format table`` to it.
+KS18_QUERY_RUNS = [pytest.param(argv, "json", id=" ".join(argv)) for argv in KS18_QUERIES] + [
+    pytest.param(argv, "table", id=" ".join((*argv, "--format", "table"))) for argv in KS18_QUERIES
+]
+
+
+@pytest.mark.parametrize("argv,fmt", KS18_QUERY_RUNS)
+def test_ks18_query_report_is_byte_identical(capsys, tmp_path, argv, fmt):
     path = tmp_path / "ks18_queries.json"
     path.write_text(json.dumps(_ks18_query_problem()), encoding="utf-8")
-    assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
+    assert main([argv[0], "--input", str(path), *argv[1:], "--format", fmt]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_KS18_QUERIES[" ".join(argv)]
+    golden = GOLDEN_KS18_QUERIES if fmt == "json" else GOLDEN_KS18_QUERY_TABLES
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden[" ".join(argv)]
 
 
 #: sha256 of the ``contexts`` report of ``conftest.projector_set_problem``,

@@ -13,6 +13,7 @@ from toposqt.contexts import build_poset, context_from_basis, context_from_proje
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded, UnknownContext, ValidationError
 from toposqt.logic import check_global_element, is_sieve, principal_sieve
+from toposqt.operators import TAU_EIG, spectral_decomposition, spectral_family_at
 from toposqt.presheaf import (
     coefficients_in,
     evaluate_character,
@@ -77,11 +78,37 @@ def test_proposition_projector_from_interval(sz, std_projectors):
 
 
 @pytest.mark.parametrize(
-    "interval", [(1,), None, ("a", "b"), "12", b"12", (np.nan, 3.0), (-3.0, float("nan")), (np.float32("nan"), 1)]
+    "interval",
+    [
+        (1,),
+        None,
+        ("a", "b"),
+        "12",
+        b"12",
+        (np.nan, 3.0),
+        (-3.0, float("nan")),
+        (np.float32("nan"), 1),
+        ("1", "2"),
+        (True, 2),
+        (1, b"2"),
+    ],
 )
 def test_proposition_projector_refuses_an_interval_that_is_not_a_pair_of_numbers(sz, interval):
     with pytest.raises(ValidationError, match="interval must be a pair of numbers"):
         proposition_projector(sz, interval)
+
+
+@pytest.mark.parametrize("tau_eig", [TAU_EIG, 1e-3])
+def test_an_endpoint_keeps_an_eigenvalue_within_tau_eig_of_it(tau_eig):
+    # Both interval endpoints and the spectral family's r keep the projector
+    # of an eigenvalue lam at tau_eig / 2 from it, and drop it at 3 tau_eig.
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    decomp = spectral_decomposition(A, tau_eig=tau_eig)
+    lam, below, at = decomp.eigenvalues[1], np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0])
+    for near, kept in ((0.5 * tau_eig, at), (3 * tau_eig, np.zeros((4, 4)))):
+        assert np.array_equal(proposition_projector(A, (lam + near, 2.5), tau_eig=tau_eig), kept)
+        assert np.array_equal(proposition_projector(A, (1.5, lam - near), tau_eig=tau_eig), kept)
+        assert np.array_equal(spectral_family_at(decomp, lam - near, tau_eig), below + kept)
 
 
 def test_proposition_projector_takes_numpy_and_infinite_endpoints(sz, std_projectors):
