@@ -12,13 +12,11 @@ import argparse
 import sys
 from typing import Mapping
 
-import numpy as np
-
 from ._json import dumps, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import ToposError, ValidationError
-from .logic import Sieve, enumerate_sieves
+from .logic import Sieve, _check_sieve_laws
 from .operators import spectral_decomposition
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
@@ -38,9 +36,6 @@ COMMANDS = (
 #: Sieve triples checked per context by ``heyting-check`` unless ``--triples``
 #: says otherwise.
 HEYTING_TRIPLE_CAP = 200_000
-
-#: Most triples whose laws are gathered at once (whole values of a).
-_TRIPLE_BLOCK = 1 << 18
 
 
 def _context_entry(context, encoded: dict[int, list]) -> dict:
@@ -176,8 +171,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
             raise ValidationError(f"triples must be a positive integer or 'all', not {limit!r}")
         report = {}
         for context in _select_contexts(poset, options):
-            sieves = enumerate_sieves(poset, context)
-            report[context.id] = _check_sieve_laws(poset, context.id, sieves, limit)
+            report[context.id] = _check_sieve_laws(poset, context.id, limit)
         return {"contexts": report}
 
     # sections
@@ -191,58 +185,6 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     }
 
 
-def _sieve_tables(poset: ContextPoset, base: str, sieves) -> tuple[np.ndarray, ...]:
-    # For every pair (a, b) of positions in ``sieves``: the positions of
-    # (a and b), (a or b) and (a implies b), and whether a lies inside b.
-    # Read off the sieves as ints over the base's frame; ``sieves`` holds
-    # every sieve on the base, so every result has a position.
-    frame = poset._sieve_frames[base]
-    masks = np.array([sum(map(frame.bit.__getitem__, s.members)) for s in sieves], dtype=np.int64)
-    order = np.argsort(masks)
-
-    def position(values: np.ndarray) -> np.ndarray:
-        return order[np.searchsorted(masks, values, sorter=order)]
-
-    a, b = masks[:, None], masks[None, :]
-    outside = a & ~b
-    # S => T keeps x iff below[x] & S & ~T == 0.
-    implies = sum(np.where(outside & below, 0, bit) for bit, below in zip(frame.bit.values(), frame.below))
-    return position(a & b), position(a | b), position(implies), outside == 0
-
-
-def _check_sieve_laws(poset: ContextPoset, base: str, sieves, limit: int | str) -> dict:
-    # The laws are gathers on the connective tables: non-contradiction per
-    # sieve, then distributivity and residuation on the first ``limit`` (or
-    # "all") triples (a, b, c) of positions in lexicographic order, a block
-    # of values of a at a time.  The sieves run by size: the empty one is
-    # at 0 and the principal one at m - 1.
-    meet, join, implies, leq = _sieve_tables(poset, base, sieves)
-    m = len(sieves)
-    sets = [s.members for s in sieves]
-    negation = implies[:, 0]
-    violations = int(np.count_nonzero(meet[np.arange(m), negation] != 0))
-    failures = np.flatnonzero(join[np.arange(m), negation] != m - 1)
-    witness = sorted(sets[failures[0]]) if failures.size else None
-    total = m**3 if limit == "all" else min(m**3, limit)
-    rows = max(1, _TRIPLE_BLOCK // (m * m))
-    for first in range(0, -(-total // (m * m)), rows):
-        a = np.arange(first, min(first + rows, m))
-        count = min(total - first * m * m, a.size * m * m)
-        conj = meet[a]  # a and b, indexed [a, b]
-        triple = a[:, None, None]
-        for broken in (
-            meet[triple, join] != join[conj[:, :, None], conj[:, None, :]],
-            leq[conj] != leq[triple, implies],
-        ):
-            violations += int(np.count_nonzero(broken.reshape(-1)[:count]))
-    return {
-        "sieve_count": m,
-        "triples_checked": total,
-        "violations": violations,
-        "excluded_middle_witness": witness,
-    }
-
-
 def _require_option(options: Mapping, key: str) -> str:
     value = options.get(key)
     if not value:
@@ -250,7 +192,7 @@ def _require_option(options: Mapping, key: str) -> str:
     return value
 
 
-def _resolve_state(problem: Problem, name: str) -> np.ndarray:
+def _resolve_state(problem: Problem, name: str):
     if name not in problem.states:
         raise ValidationError(f"unknown state {name!r}")
     return problem.states[name]

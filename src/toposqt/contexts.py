@@ -331,13 +331,14 @@ def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, list[list[int]]]]:
+def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     # For each of ``nodes`` (sorted by falling atom count), in turn: its
-    # position, the positions of the nodes it includes, and the restriction
-    # table to each.  Sup atom i hits sub atom k iff the seed atoms that i
-    # sums meet those that k touches, so the hits of a block of sups with one
-    # atom count against the atoms of every sub with no more atoms are one
-    # product of 0/1 matrices.  A hit of the k-th atom of a sub adds
+    # position, the positions of the nodes it includes, and an int array
+    # whose row k is the restriction table to the k-th of them.  Sup atom i
+    # hits sub atom k iff the seed atoms that i sums meet those that k
+    # touches, so the hits of a block of sups with one atom count against
+    # the atoms of every sub with no more atoms are one product of 0/1
+    # matrices.  A hit of the k-th atom of a sub adds
     # 1 + base * k, and reduceat sums per sub: each sup atom must hit one
     # atom (the sum modulo base is 1), whose index is the sum over base.
     # Every sub atom is hit: it touches some atom of the sup's seed
@@ -364,7 +365,7 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
             ok = ((sums % base) == 1).all(axis=1)
             for k in range(hi - lo):
                 below = np.flatnonzero(ok[k])
-                yield lo + k, first + below, (sums[k][:, below] // base).T.tolist()
+                yield lo + k, first + below, (sums[k][:, below] // base).T
 
 
 class _SieveFrame(NamedTuple):
@@ -375,7 +376,6 @@ class _SieveFrame(NamedTuple):
     """
 
     ids: tuple[str, ...]
-    bit: dict[str, int]  # id -> 1 << its position, in position order
     below: tuple[int, ...]  # below[i]: the mask of down_ids(ids[i])
     down: frozenset[str]  # all of ids
     above: dict[str, frozenset[str]]  # id -> the ids at or above it
@@ -419,14 +419,13 @@ class ContextPoset:
         self._atom_indices: dict[str, frozenset[int]] = {c.id: frozenset(range(c.n_atoms)) for c in self._contexts}
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
         self._down: dict[str, tuple[str, ...]] = {}
-        self._restriction: dict[tuple[str, str], tuple[int, ...]] = {}
+        self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down
         ids = np.array(self._ids, dtype=object)
         leq = np.zeros((len(ordered), len(ordered)), dtype=np.float32)
         for row, below, tables in _order_rows(ordered, len(seed_atoms)):
             sup = self._ids[row]
-            down = self._down[sup] = tuple(ids[below].tolist())
-            for sub, table in zip(down, tables):
-                self._restriction[(sup, sub)] = tuple(table)
+            self._down[sup] = tuple(ids[below].tolist())
+            self._tables[sup] = tables
             leq[row, below] = 1.0
         # X <= Y <= Z must give X <= Z: leq @ leq may only hit leq (in row
         # blocks, to bound the memory the product takes).
@@ -439,9 +438,6 @@ class ContextPoset:
                     f"the touch test cannot order the contexts below {self._ids[lo + broken[0]]} transitively:"
                     " some products of seed atoms lie close to tau"
                 )
-        self._inclusions: tuple[tuple[str, str], ...] = tuple(
-            pair for pair in self._restriction if pair[0] != pair[1]
-        )
         # Tables derived from the order, each entry built on first use and kept.
         self._character_down = _Table(self._build_character_down)
         self._sieve_frames = _Table(self._build_sieve_frame)
@@ -466,7 +462,7 @@ class ContextPoset:
     def inclusions(self) -> tuple[tuple[str, str], ...]:
         """Every strict inclusion as a ``(sup_id, sub_id)`` pair, in canonical
         poset order of the sup and then of the sub."""
-        return self._inclusions
+        return tuple((sup, sub) for sup, down in self._down.items() for sub in down if sub != sup)
 
     @property
     def dim(self) -> int:
@@ -484,7 +480,7 @@ class ContextPoset:
         """True iff the context ``sub_id`` is included in ``sup_id``."""
         if sup_id not in self._registry.nodes or sub_id not in self._registry.nodes:
             raise UnknownContext("both contexts must belong to the poset")
-        return (sup_id, sub_id) in self._restriction
+        return sub_id in self._down[sup_id]
 
     def down_ids(self, context_id: str) -> tuple[str, ...]:
         """Ids of all subcontexts (the down-set), in canonical poset order."""
@@ -496,23 +492,24 @@ class ContextPoset:
     def restriction_indices(self, sup_id: str, sub_id: str) -> tuple[int, ...]:
         """Atom index map along an inclusion: fine atom -> dominating coarse atom."""
         try:
-            return self._restriction[(sup_id, sub_id)]
-        except KeyError:
+            k = self._down[sup_id].index(sub_id)
+        except (KeyError, ValueError):
             raise UnknownContext(f"{sub_id!r} is not a subcontext of {sup_id!r}") from None
+        return tuple(self._tables[sup_id][k].tolist())
 
     def _build_character_down(self, character: tuple[str, int]) -> frozenset[tuple[str, int]]:
         # The down-set of the character (sup, i) under restriction: the pairs
         # (sub, restriction_indices(sup, sub)[i]) over down_ids(sup), itself
         # included.
         sup, i = character
-        return frozenset((sub, self._restriction[(sup, sub)][i]) for sub in self.down_ids(sup))
+        return frozenset(zip(self.down_ids(sup), self._tables[sup][:, i].tolist()))
 
     def _build_sieve_frame(self, context_id: str) -> _SieveFrame:
         ids = tuple(sorted(self.down_ids(context_id), reverse=True))
         bit = {cid: 1 << i for i, cid in enumerate(ids)}
         below = tuple(sum(map(bit.__getitem__, self._down[cid])) for cid in ids)
         above = {cid: frozenset(x for x, mask in zip(ids, below) if mask & bit[cid]) for cid in ids}
-        return _SieveFrame(ids, bit, below, frozenset(ids), above)
+        return _SieveFrame(ids, below, frozenset(ids), above)
 
     @cached_property
     def _seed_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -528,11 +525,10 @@ class ContextPoset:
         # array whose entry [i, d, b] marks seed atom b in the atom that atom
         # i restricts to at the d-th context of down_ids(context_id): the sum
         # of the context atoms in i's restriction class.
-        down = self.down_ids(context_id)
         own = self._registry.nodes[context_id].own
         bits = _bits(_join(own, range(len(own))))
         seeds_of = np.array([[mask >> b & 1 for b in bits] for mask in own], dtype=float)
-        tables = np.array([self._restriction[(context_id, sub)] for sub in down])
+        tables = self._tables[context_id]
         same_class = tables[None, :, :] == tables.T[:, :, None]
         return np.asarray([self._seed_atoms[b] for b in bits]), same_class @ seeds_of
 

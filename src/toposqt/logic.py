@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .contexts import Context, ContextPoset
 from .errors import (
     BaseMismatch,
@@ -33,6 +35,9 @@ from .presheaf import ClopenSubobject, _implication
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
+
+#: Most triples whose laws are gathered at once (whole values of a).
+_TRIPLE_BLOCK = 1 << 18
 
 _BINARY_KINDS = ("and", "or", "implies")
 _ALL_KINDS = _BINARY_KINDS + ("not",)
@@ -65,6 +70,28 @@ def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     return frame.down.difference(*map(frame.above.__getitem__, outside)) == sieve.members
 
 
+def _sieves(poset: ContextPoset, context_id: str) -> list[tuple[int, frozenset[str]]]:
+    # Every sieve on the context as (int over its frame, members), in
+    # enumerate_sieves' order; the cap is checked before the frame is built.
+    size = len(poset.down_ids(context_id))
+    if size > ENUMERATION_CAP:
+        raise EnumerationLimitExceeded(
+            f"down-set has {size} contexts; exhaustive sieve enumeration is capped at {ENUMERATION_CAP}"
+        )
+    frame = poset._sieve_frames[context_id]
+    # A smaller down-set comes first, so an element comes after all of its
+    # subcontexts, which are decided by then.  Each sieve is built as an int
+    # and as its set of members side by side.
+    found = [(0, frozenset())]
+    elements = sorted(zip(frame.ids, (1 << i for i in range(size)), frame.below), key=lambda e: e[2].bit_count())
+    for cid, b, below in elements:
+        strict = below ^ b
+        found += [(s | b, members | {cid}) for s, members in found if s & strict == strict]
+    # The bit order makes (size, -int) the order of (size, sorted members).
+    found.sort(key=lambda pair: (pair[0].bit_count(), -pair[0]))
+    return found
+
+
 def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]:
     """All sieves on the context, ordered by size and then by sorted members.
 
@@ -74,23 +101,58 @@ def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]
     ``EnumerationLimitExceeded`` when the down-set has more than
     ``ENUMERATION_CAP`` elements.
     """
-    size = len(poset.down_ids(context.id))
-    if size > ENUMERATION_CAP:
-        raise EnumerationLimitExceeded(
-            f"down-set has {size} contexts; exhaustive sieve enumeration is capped at {ENUMERATION_CAP}"
-        )
-    frame = poset._sieve_frames[context.id]
-    # A smaller down-set comes first, so an element comes after all of its
-    # subcontexts, which are decided by then.  Each sieve is built as an int
-    # and as its set of members side by side.
-    found = [(0, frozenset())]
-    elements = sorted(zip(frame.ids, frame.bit.values(), frame.below), key=lambda e: e[2].bit_count())
-    for cid, b, below in elements:
-        strict = below ^ b
-        found += [(s | b, members | {cid}) for s, members in found if s & strict == strict]
-    # The bit order makes (size, -int) the order of (size, sorted members).
-    found.sort(key=lambda pair: (pair[0].bit_count(), -pair[0]))
-    return tuple(Sieve(context.id, members) for _, members in found)
+    return tuple(Sieve(context.id, members) for _, members in _sieves(poset, context.id))
+
+
+def _sieve_tables(poset: ContextPoset, base: str, masks: list[int]) -> tuple[np.ndarray, ...]:
+    # For every pair (a, b) of positions in ``masks``, every sieve on the
+    # base as an int over its frame: the positions of (a and b), (a or b)
+    # and (a implies b), and whether a lies inside b.
+    below = poset._sieve_frames[base].below
+    masks = np.array(masks, dtype=np.int64)
+    order = np.argsort(masks)
+
+    def position(values: np.ndarray) -> np.ndarray:
+        return order[np.searchsorted(masks, values, sorter=order)]
+
+    a, b = masks[:, None], masks[None, :]
+    outside = a & ~b
+    # S => T keeps x iff below[x] & S & ~T == 0.
+    implies = sum(np.where(outside & mask, 0, 1 << i) for i, mask in enumerate(below))
+    return position(a & b), position(a | b), position(implies), outside == 0
+
+
+def _check_sieve_laws(poset: ContextPoset, base: str, limit: int | str) -> dict:
+    # The laws are gathers on the connective tables: non-contradiction per
+    # sieve, then distributivity and residuation on the first ``limit`` (or
+    # "all") triples (a, b, c) of positions in lexicographic order, a block
+    # of values of a at a time.  The sieves run by size: the empty one is
+    # at 0 and the principal one at m - 1.
+    sieves = _sieves(poset, base)
+    meet, join, implies, leq = _sieve_tables(poset, base, [mask for mask, _ in sieves])
+    m = len(sieves)
+    negation = implies[:, 0]
+    violations = int(np.count_nonzero(meet[np.arange(m), negation] != 0))
+    failures = np.flatnonzero(join[np.arange(m), negation] != m - 1)
+    witness = sorted(sieves[failures[0]][1]) if failures.size else None
+    total = m**3 if limit == "all" else min(m**3, limit)
+    rows = max(1, _TRIPLE_BLOCK // (m * m))
+    for first in range(0, -(-total // (m * m)), rows):
+        a = np.arange(first, min(first + rows, m))
+        count = min(total - first * m * m, a.size * m * m)
+        conj = meet[a]  # a and b, indexed [a, b]
+        triple = a[:, None, None]
+        for broken in (
+            meet[triple, join] != join[conj[:, :, None], conj[:, None, :]],
+            leq[conj] != leq[triple, implies],
+        ):
+            violations += int(np.count_nonzero(broken.reshape(-1)[:count]))
+    return {
+        "sieve_count": m,
+        "triples_checked": total,
+        "violations": violations,
+        "excluded_middle_witness": witness,
+    }
 
 
 def omega_restriction(poset: ContextPoset, sieve: Sieve, sub: Context) -> Sieve:
@@ -164,14 +226,19 @@ def totally_false(poset: ContextPoset) -> GlobalElementOfOmega:
     return GlobalElementOfOmega({cid: empty_sieve(cid) for cid in poset.ids})
 
 
+def _require_assignment(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> None:
+    # One sieve per poset context and no other, each based where it is stored.
+    if element.sieves.keys() != set(poset.ids):
+        raise IncompleteAssignment(f"{name} must assign a sieve to every context and to no other")
+    for cid, sieve in element.sieves.items():
+        if sieve.base != cid:
+            raise BaseMismatch(f"{name}: sieve stored at {cid!r} is based at {sieve.base!r}")
+
+
 def check_global_element(poset: ContextPoset, element: GlobalElementOfOmega) -> bool:
     """True iff the per-context sieves are sieves and agree under every
     restriction: each is the trace on its base's down-set of one down-set."""
-    if set(element.sieves.keys()) != set(poset.ids):
-        raise IncompleteAssignment("global element must assign a sieve to every context")
-    for cid, sieve in element.sieves.items():
-        if sieve.base != cid:
-            raise BaseMismatch(f"sieve stored at {cid!r} is based at {sieve.base!r}")
+    _require_assignment(poset, element, "global element")
     # Matching sieves are the traces on each down-set of one down-set: their union.
     union = frozenset().union(*(s.members for s in element.sieves.values()))
     if any(element.at(cid).members != union.intersection(poset.down_ids(cid)) for cid in poset.ids):
@@ -187,8 +254,8 @@ def global_element_connective(
 ) -> GlobalElementOfOmega:
     """Pointwise Heyting operation on global elements of the classifier."""
     for name, g in (("first", g1), ("second", g2)):
-        if g is not None and not g.sieves.keys() >= set(poset.ids):
-            raise IncompleteAssignment(f"{name} global element must assign a sieve to every context")
+        if g is not None:
+            _require_assignment(poset, g, f"{name} global element")
     sieves = {}
     for cid in poset.ids:
         other = None if g2 is None else g2.at(cid)

@@ -16,11 +16,13 @@ are freshly allocated and never aliased to caller data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._json import brief_repr
 from .errors import DimensionMismatch, NotProjector, NotSelfAdjoint, ValidationError
 
 #: Default tolerance for operator identity checks (A == B entrywise, Frobenius).
@@ -121,8 +123,9 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
 
     Clusters are the connected components of the union of intervals of radius
     ``tau_eig`` around each raw eigenvalue, so nearly degenerate eigenvalues
-    map to a single projector.
+    map to a single projector.  ``tau_eig`` must be a finite positive number.
     """
+    _require_tau_eig(tau_eig)
     A = require_self_adjoint(A, tau)
     raw, vecs = np.linalg.eigh(A)
     values = raw.tolist()
@@ -138,6 +141,13 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
 
+def _require_tau_eig(tau_eig) -> None:
+    # The loader's bound on tau_eig: NaN or inf would merge the whole
+    # spectrum into one cluster, and 0 or less would drop eigenvalues at r.
+    if isinstance(tau_eig, bool) or not isinstance(tau_eig, numbers.Real) or not 0 < tau_eig < math.inf:
+        raise ValidationError(f"tau_eig must be a finite positive number, got {brief_repr(tau_eig)}")
+
+
 def _spectral_projection(decomp: SpectralDecomposition, lo: float, hi: float, tau_eig: float) -> np.ndarray:
     # Sum of the spectral projectors with eigenvalue in [lo - tau_eig, hi + tau_eig].
     out = zero(decomp.dim)
@@ -148,7 +158,9 @@ def _spectral_projection(decomp: SpectralDecomposition, lo: float, hi: float, ta
 
 
 def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float = TAU_EIG) -> np.ndarray:
-    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``)."""
+    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``, a
+    finite positive number)."""
+    _require_tau_eig(tau_eig)
     return _spectral_projection(decomp, -math.inf, r, tau_eig)
 
 

@@ -145,7 +145,10 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
 
 
 def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> bool:
-    """Contextwise inclusion of subobjects."""
+    """Contextwise inclusion of subobjects, each defined on exactly the
+    poset's contexts."""
+    if any(s.selection.keys() != poset._atom_indices.keys() for s in (s1, s2)):
+        raise IncompleteAssignment("both subobjects must assign a subset to every poset context and no other")
     return all(s1.at(cid) <= s2.at(cid) for cid in poset.ids)
 
 

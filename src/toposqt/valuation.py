@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -62,14 +63,15 @@ def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EI
     """Spectral projection of A onto a closed interval of eigenvalues.
 
     Endpoint membership is decided within ``tau_eig``.  An interval that is
-    not a pair of real numbers (a string; a bool, str, bytes or NaN endpoint)
-    raises ``ValidationError``; infinite endpoints leave that side open.
+    not an ordered pair of real numbers (a string, a set or a mapping; a
+    bool, str, bytes or NaN endpoint) raises ``ValidationError``; infinite
+    endpoints leave that side open.
     """
     try:
         lo, hi = (math.nan if isinstance(x, (bool, np.bool_, str, bytes)) else float(x) for x in interval)
     except (TypeError, ValueError):
         lo = hi = math.nan
-    if isinstance(interval, (str, bytes)) or math.isnan(lo) or math.isnan(hi):
+    if isinstance(interval, (str, bytes, Set, Mapping)) or math.isnan(lo) or math.isnan(hi):
         raise ValidationError(f"interval must be a pair of numbers, got {brief_repr(interval)}")
     return _spectral_projection(spectral_decomposition(A, tau, tau_eig), lo, hi, tau_eig)
 

@@ -4,20 +4,17 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import toposqt.cli
-from conftest import locate, random_small_poset
-from oracles import downsets_brute
+from conftest import locate
 from toposqt._json import matrix_to_json
-from toposqt.cli import _sieve_tables, main, render_json, run_command
+from toposqt.cli import main, render_json, run_command
 from toposqt.contexts import build_poset, context_from_basis
 from toposqt.errors import ValidationError
-from toposqt.logic import enumerate_sieves, sieve_connective
 from toposqt.problems import load_problem, problem_from_dict, problem_poset
 
 with resources.as_file(resources.files("toposqt.data") / "spin2.json") as _p:
@@ -183,87 +180,6 @@ def test_heyting_check_command(capsys, spin2_poset):
     entry = report["contexts"][v1_id]
     assert entry["sieve_count"] == 2
     assert entry["violations"] == 0
-
-
-def test_heyting_tables_match_sieve_connective():
-    # On every spin2 context, each entry of the four tables is the position
-    # of sieve_connective's result, or the inclusion of the two sieves.
-    poset = problem_poset(load_problem(SPIN2_PATH))
-    for context in poset:
-        sieves = enumerate_sieves(poset, context)
-        meet, join, implies, leq = _sieve_tables(poset, context.id, sieves)
-        for (i, a), (j, b) in product(enumerate(sieves), repeat=2):
-            assert sieves[meet[i, j]] == sieve_connective(poset, "and", a, b)
-            assert sieves[join[i, j]] == sieve_connective(poset, "or", a, b)
-            assert sieves[implies[i, j]] == sieve_connective(poset, "implies", a, b)
-            assert leq[i, j] == (a.members <= b.members)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_heyting_tables_match_brute_force_on_random_posets(seed):
-    # Intersection, union and inclusion on every pair; the implication, the
-    # largest down-set whose meet with a lies inside b, on every pair of a
-    # small context and on sampled pairs of a large one.
-    poset = random_small_poset(seed)
-    rng = np.random.default_rng(seed)
-    for context in poset:
-        oracle = downsets_brute(poset.down_ids(context.id), poset.is_leq)
-        sieves = enumerate_sieves(poset, context)
-        sets = [s.members for s in sieves]
-        assert set(sets) == oracle
-        meet, join, implies, leq = _sieve_tables(poset, context.id, sieves)
-        m = len(sets)
-        for i, j in product(range(m), repeat=2):
-            assert sets[meet[i, j]] == sets[i] & sets[j]
-            assert sets[join[i, j]] == sets[i] | sets[j]
-            assert leq[i, j] == (sets[i] <= sets[j])
-        pairs = product(range(m), repeat=2) if m <= 30 else rng.integers(m, size=(300, 2)).tolist()
-        for i, j in pairs:
-            largest = frozenset().union(*(d for d in oracle if d & sets[i] <= sets[j]))
-            assert sets[implies[i, j]] == largest
-
-
-def _law_loop(meet, join, implies, leq, limit, top, empty) -> tuple[int, int | None]:
-    # The laws as a plain loop over the first ``limit`` triples.
-    m = len(meet)
-    violations, witness = 0, None
-    for i in range(m):
-        negation = implies[i][empty]
-        violations += meet[i][negation] != empty
-        if witness is None and join[i][negation] != top:
-            witness = i
-    for a, b, c in islice(product(range(m), repeat=3), limit):
-        conj = meet[a][b]
-        violations += meet[a][join[b][c]] != join[conj][meet[a][c]]
-        violations += leq[conj][c] != leq[a][implies[b][c]]
-    return violations, witness
-
-
-@pytest.mark.parametrize("block", [20, 60, 1 << 18])
-@pytest.mark.parametrize("limit", [1, 7, 25, 30, 60, 125, 10**6, "all"])
-def test_law_check_counts_like_a_triple_loop(monkeypatch, block, limit):
-    # Corrupted tables make violations to count; blocks of one or two values
-    # of a and a limit inside a block check the gathers against the loop.
-    poset = problem_poset(load_problem(SPIN2_PATH))
-    context = next(c for c in poset if c.n_atoms == 3)
-    sieves = enumerate_sieves(poset, context)
-    m = len(sieves)
-    assert m == 5
-    rng = np.random.default_rng(7)
-    tables = [t.copy() for t in _sieve_tables(poset, context.id, sieves)]
-    for table in tables[:3]:
-        spoilt = rng.random(table.shape) < 0.3
-        table[spoilt] = rng.integers(m, size=int(spoilt.sum()))
-    tables[3] ^= rng.random((m, m)) < 0.3
-    monkeypatch.setattr(toposqt.cli, "_sieve_tables", lambda *args: tables)
-    monkeypatch.setattr(toposqt.cli, "_TRIPLE_BLOCK", block)
-    report = toposqt.cli._check_sieve_laws(poset, context.id, sieves, limit)
-    total = m**3 if limit == "all" else min(m**3, limit)
-    violations, witness = _law_loop(*(t.tolist() for t in tables), total, top=m - 1, empty=0)
-    assert violations > 0
-    assert report["violations"] == violations
-    assert report["triples_checked"] == total
-    assert report["excluded_middle_witness"] == (None if witness is None else sorted(sieves[witness].members))
 
 
 def test_heyting_check_all_triples(capsys):

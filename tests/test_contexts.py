@@ -234,6 +234,21 @@ def test_restriction_tables_match_projector_order(poset11):
                 assert np.allclose(coarse @ atom @ coarse, atom)
 
 
+def test_restriction_indices_and_is_leq_refuse_a_pair_outside_the_order(poset11, second_basis):
+    # Two 3-atom contexts, neither below the other, and a context that is
+    # not in the poset.
+    a, b = [c.id for c in poset11 if c.n_atoms == 3][:2]
+    top, foreign = poset11.ids[0], second_basis.id
+    assert foreign not in poset11
+    assert not poset11.is_leq(a, b) and not poset11.is_leq(b, a)
+    for sup, sub in ((a, b), (b, top), (foreign, a), (top, foreign)):
+        with pytest.raises(UnknownContext):
+            poset11.restriction_indices(sup, sub)
+    for sub, sup in ((foreign, top), (top, foreign)):
+        with pytest.raises(UnknownContext):
+            poset11.is_leq(sub, sup)
+
+
 def test_is_subcontext_dimension_mismatch(maximal_context):
     from toposqt.errors import DimensionMismatch
 

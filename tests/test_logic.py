@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from itertools import product
+from importlib import resources
+from itertools import islice, product
 
 import numpy as np
 import pytest
 
+import toposqt.logic
 from conftest import locate, random_small_poset
 from oracles import downsets_brute
 from toposqt.contexts import build_poset, context_from_basis
@@ -22,6 +24,9 @@ from toposqt.errors import (
 from toposqt.logic import (
     GlobalElementOfOmega,
     Sieve,
+    _check_sieve_laws,
+    _sieve_tables,
+    _sieves,
     check_global_element,
     empty_sieve,
     enumerate_sieves,
@@ -35,7 +40,11 @@ from toposqt.logic import (
     totally_true,
 )
 from toposqt.presheaf import empty_subobject, full_subobject, is_clopen_subobject
+from toposqt.problems import load_problem, problem_poset
 from toposqt.valuation import pseudo_state, truth_value
+
+with resources.as_file(resources.files("toposqt.data") / "spin2.json") as _p:
+    SPIN2_PATH = str(_p)
 
 
 @pytest.fixture(scope="module")
@@ -262,13 +271,18 @@ def test_global_element_requires_every_context(poset11, named):
         )
 
 
-def test_global_element_connective_requires_every_context_of_each_operand(poset11, named):
+def test_global_element_connective_requires_every_context_of_each_operand(poset11, named, second_basis):
+    # Each operand must hold one sieve at every context of the poset, at no
+    # other context, and each based where it is stored.
     whole = totally_true(poset11)
     partial = GlobalElementOfOmega({named["V"].id: principal_sieve(poset11, named["V"].id)})
-    for args in (("and", partial, whole), ("and", whole, partial), ("not", partial)):
-        name = "first" if args[1] is partial else "second"
-        with pytest.raises(IncompleteAssignment, match=name):
-            global_element_connective(poset11, *args)
+    extra = GlobalElementOfOmega({**whole.sieves, second_basis.id: empty_sieve(second_basis.id)})
+    crossed = GlobalElementOfOmega({**whole.sieves, named["V1"].id: empty_sieve(named["V2"].id)})
+    for odd, error in ((partial, IncompleteAssignment), (extra, IncompleteAssignment), (crossed, BaseMismatch)):
+        for args in (("and", odd, whole), ("and", whole, odd), ("not", odd)):
+            name = "first" if args[1] is odd else "second"
+            with pytest.raises(error, match=name):
+                global_element_connective(poset11, *args)
 
 
 def test_global_elements_closed_under_connectives(poset11, std_projectors):
@@ -388,3 +402,85 @@ def test_logic_on_two_maximal_contexts(poset_two_bases, std_projectors):
         element = truth_value(poset, P, psi)
         for v in poset.ids:
             assert element.at(v).members == certain & below[v]
+
+
+def test_heyting_tables_match_sieve_connective():
+    # On every spin2 context, each entry of the four tables is the position
+    # of sieve_connective's result, or the inclusion of the two sieves.
+    poset = problem_poset(load_problem(SPIN2_PATH))
+    for context in poset:
+        sieves = enumerate_sieves(poset, context)
+        masks = [mask for mask, _ in _sieves(poset, context.id)]
+        meet, join, implies, leq = _sieve_tables(poset, context.id, masks)
+        for (i, a), (j, b) in product(enumerate(sieves), repeat=2):
+            assert sieves[meet[i, j]] == sieve_connective(poset, "and", a, b)
+            assert sieves[join[i, j]] == sieve_connective(poset, "or", a, b)
+            assert sieves[implies[i, j]] == sieve_connective(poset, "implies", a, b)
+            assert leq[i, j] == (a.members <= b.members)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_heyting_tables_match_brute_force_on_random_posets(seed):
+    # Intersection, union and inclusion on every pair; the implication, the
+    # largest down-set whose meet with a lies inside b, on every pair of a
+    # small context and on sampled pairs of a large one.
+    poset = random_small_poset(seed)
+    rng = np.random.default_rng(seed)
+    for context in poset:
+        oracle = downsets_brute(poset.down_ids(context.id), poset.is_leq)
+        masks, sets = zip(*_sieves(poset, context.id))
+        assert [Sieve(context.id, s) for s in sets] == list(enumerate_sieves(poset, context))
+        assert set(sets) == oracle
+        meet, join, implies, leq = _sieve_tables(poset, context.id, list(masks))
+        m = len(sets)
+        for i, j in product(range(m), repeat=2):
+            assert sets[meet[i, j]] == sets[i] & sets[j]
+            assert sets[join[i, j]] == sets[i] | sets[j]
+            assert leq[i, j] == (sets[i] <= sets[j])
+        pairs = product(range(m), repeat=2) if m <= 30 else rng.integers(m, size=(300, 2)).tolist()
+        for i, j in pairs:
+            largest = frozenset().union(*(d for d in oracle if d & sets[i] <= sets[j]))
+            assert sets[implies[i, j]] == largest
+
+
+def _law_loop(meet, join, implies, leq, limit, top, empty) -> tuple[int, int | None]:
+    # The laws as a plain loop over the first ``limit`` triples.
+    m = len(meet)
+    violations, witness = 0, None
+    for i in range(m):
+        negation = implies[i][empty]
+        violations += meet[i][negation] != empty
+        if witness is None and join[i][negation] != top:
+            witness = i
+    for a, b, c in islice(product(range(m), repeat=3), limit):
+        conj = meet[a][b]
+        violations += meet[a][join[b][c]] != join[conj][meet[a][c]]
+        violations += leq[conj][c] != leq[a][implies[b][c]]
+    return violations, witness
+
+
+@pytest.mark.parametrize("block", [20, 60, 1 << 18])
+@pytest.mark.parametrize("limit", [1, 7, 25, 30, 60, 125, 10**6, "all"])
+def test_law_check_counts_like_a_triple_loop(monkeypatch, block, limit):
+    # Corrupted tables make violations to count; blocks of one or two values
+    # of a and a limit inside a block check the gathers against the loop.
+    poset = problem_poset(load_problem(SPIN2_PATH))
+    context = next(c for c in poset if c.n_atoms == 3)
+    sieves = _sieves(poset, context.id)
+    m = len(sieves)
+    assert m == 5
+    rng = np.random.default_rng(7)
+    tables = [t.copy() for t in _sieve_tables(poset, context.id, [mask for mask, _ in sieves])]
+    for table in tables[:3]:
+        spoilt = rng.random(table.shape) < 0.3
+        table[spoilt] = rng.integers(m, size=int(spoilt.sum()))
+    tables[3] ^= rng.random((m, m)) < 0.3
+    monkeypatch.setattr(toposqt.logic, "_sieve_tables", lambda *args: tables)
+    monkeypatch.setattr(toposqt.logic, "_TRIPLE_BLOCK", block)
+    report = _check_sieve_laws(poset, context.id, limit)
+    total = m**3 if limit == "all" else min(m**3, limit)
+    violations, witness = _law_loop(*(t.tolist() for t in tables), total, top=m - 1, empty=0)
+    assert violations > 0
+    assert report["violations"] == violations
+    assert report["triples_checked"] == total
+    assert report["excluded_middle_witness"] == (None if witness is None else sorted(sieves[witness][1]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pair_touch_masks, random_projector, random_self_adjoint, random_unit_vector
-from toposqt.errors import DimensionMismatch, NotProjector, NotSelfAdjoint
+from toposqt.errors import DimensionMismatch, NotProjector, NotSelfAdjoint, ValidationError
 from toposqt.operators import (
     TAU,
     is_projector,
@@ -56,6 +56,20 @@ def test_decomposition_degenerate_ranks_and_reconstruction():
 def test_decomposition_rejects_non_self_adjoint():
     with pytest.raises(NotSelfAdjoint):
         spectral_decomposition(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+BAD_TAU_EIGS = [float("nan"), float("inf"), -float("inf"), 0, 0.0, -1e-8, True, False, "1e-8", None]
+
+
+@pytest.mark.parametrize("tau_eig", BAD_TAU_EIGS, ids=repr)
+def test_a_tau_eig_that_is_not_a_finite_positive_number_is_refused(tau_eig):
+    # NaN or inf would merge the whole spectrum into one cluster, and a
+    # negative tau_eig would drop the eigenvalue at r.
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValidationError, match="tau_eig"):
+        spectral_decomposition(A, tau_eig=tau_eig)
+    with pytest.raises(ValidationError, match="tau_eig"):
+        spectral_family_at(spectral_decomposition(A), 2.0, tau_eig)
 
 
 def test_spectral_family_at_sz(sz):

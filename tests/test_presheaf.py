@@ -18,6 +18,7 @@ from toposqt.presheaf import (
     gelfand_spectrum,
     is_clopen_subobject,
     restrict_character,
+    subobject_leq,
 )
 
 
@@ -171,3 +172,17 @@ def test_clopen_check_requires_full_assignment(poset11, maximal_context):
     partial = ClopenSubobject({maximal_context.id: frozenset({0})})
     with pytest.raises(IncompleteAssignment):
         is_clopen_subobject(poset11, partial)
+
+
+def test_subobject_leq_requires_exactly_the_posets_contexts(poset11, second_basis):
+    from toposqt.errors import IncompleteAssignment
+
+    full = full_subobject(poset11)
+    top = poset11.ids[0]
+    missing = ClopenSubobject({cid: s for cid, s in full.selection.items() if cid != top})
+    extra = ClopenSubobject({**full.selection, second_basis.id: frozenset({0})})
+    for odd in (missing, extra):
+        for operands in ((odd, full), (full, odd)):
+            with pytest.raises(IncompleteAssignment):
+                subobject_leq(poset11, *operands)
+    assert subobject_leq(poset11, empty_subobject(poset11), full)

@@ -69,8 +69,8 @@ def test_pseudo_state_projector_is_certain_everywhere(poset11):
 
 
 def test_proposition_projector_from_interval(sz, std_projectors):
-    P = proposition_projector(sz, (1.3, 2.3))
-    assert np.allclose(P, std_projectors[0])
+    for interval in ((1.3, 2.3), [1.3, 2.3], np.array([1.3, 2.3])):
+        assert np.allclose(proposition_projector(sz, interval), std_projectors[0])
     P = proposition_projector(sz, (-3.0, -1.0))
     assert np.allclose(P, std_projectors[3])
     P = proposition_projector(sz, (0.0, 2.0))
@@ -91,6 +91,9 @@ def test_proposition_projector_from_interval(sz, std_projectors):
         ("1", "2"),
         (True, 2),
         (1, b"2"),
+        {8.0, 1.0},
+        frozenset({1.0, 2.0}),
+        {1: "a", 2: "b"},
     ],
 )
 def test_proposition_projector_refuses_an_interval_that_is_not_a_pair_of_numbers(sz, interval):
@@ -292,6 +295,13 @@ def test_search_budget_takes_numpy_integers(poset11):
     assert global_sections(poset11, np.int64(1000)) == global_sections(poset11, 1000)
     with pytest.raises(SearchBudgetExceeded):
         global_sections(poset11, np.int32(1))
+
+
+def test_quantity_value_arrow_refuses_a_nan_tau_eig(poset11, maximal_context):
+    # NaN would merge the whole spectrum: mu = 2.5 at every context.
+    ch = gelfand_spectrum(maximal_context)[0]
+    with pytest.raises(ValidationError, match="tau_eig"):
+        quantity_value_arrow(poset11, np.diag([1.0, 2.0, 3.0, 4.0]), maximal_context, ch, tau_eig=float("nan"))
 
 
 def test_quantity_value_arrow_of_a_foreign_context_is_an_unknown_context(poset11, second_basis, sz):
