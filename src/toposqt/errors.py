@@ -55,15 +55,12 @@ class UnknownCharacter(ToposError):
 
 
 class IncompleteAssignment(ToposError):
-    """A per-context assignment does not cover every context of the poset."""
+    """A per-context assignment does not cover every context of the poset,
+    or assigns a context outside it."""
 
 
 class BaseMismatch(ToposError):
     """Sieve connectives require both operands to share a base context."""
-
-
-class PosetMismatch(ToposError):
-    """Subobject connectives require operands over the same poset."""
 
 
 class EnumerationLimitExceeded(ToposError):

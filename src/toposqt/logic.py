@@ -24,14 +24,11 @@ from .contexts import Context, ContextPoset
 from .errors import (
     BaseMismatch,
     EnumerationLimitExceeded,
-    IncompleteAssignment,
     NotASubcontext,
-    PosetMismatch,
     UnknownCharacter,
-    UnknownContext,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _implication
+from .presheaf import ClopenSubobject, _implication, _require_contexts, empty_subobject
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -156,13 +153,13 @@ def _check_sieve_laws(poset: ContextPoset, base: str, limit: int | str) -> dict:
 
 
 def omega_restriction(poset: ContextPoset, sieve: Sieve, sub: Context) -> Sieve:
-    """Pull a sieve back along an inclusion: members below the subcontext."""
-    if sub.id not in poset or sieve.base not in poset:
-        raise UnknownContext("sieve base and target must belong to the poset")
+    """Pull a sieve back along an inclusion: members below the subcontext.
+    A sieve with a member outside its base's down-set raises ``NotASubcontext``."""
     if not poset.is_leq(sub.id, sieve.base):
         raise NotASubcontext(f"{sub.id!r} is not a subcontext of {sieve.base!r}")
-    down = frozenset(poset.down_ids(sub.id))
-    return Sieve(sub.id, sieve.members & down)
+    if not sieve.members.issubset(poset.down_ids(sieve.base)):
+        raise NotASubcontext(f"a sieve on {sieve.base!r} holds a member outside its down-set")
+    return Sieve(sub.id, sieve.members.intersection(poset.down_ids(sub.id)))
 
 
 def sieve_connective(
@@ -228,8 +225,7 @@ def totally_false(poset: ContextPoset) -> GlobalElementOfOmega:
 
 def _require_assignment(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> None:
     # One sieve per poset context and no other, each based where it is stored.
-    if element.sieves.keys() != set(poset.ids):
-        raise IncompleteAssignment(f"{name} must assign a sieve to every context and to no other")
+    _require_contexts(poset, element.sieves, name)
     for cid, sieve in element.sieves.items():
         if sieve.base != cid:
             raise BaseMismatch(f"{name}: sieve stored at {cid!r} is based at {sieve.base!r}")
@@ -278,17 +274,13 @@ def subobject_connective(
     """
     if kind not in _ALL_KINDS:
         raise ValidationError(f"unknown connective {kind!r}")
+    if (kind == "not") != (s2 is None):
+        raise ValidationError("'not' is unary" if kind == "not" else f"{kind!r} needs two subobjects")
     if kind == "not":
-        if s2 is not None:
-            raise ValidationError("'not' is unary")
-        s2 = ClopenSubobject({cid: frozenset() for cid in poset.ids})
-        kind = "implies"
-    elif s2 is None:
-        raise ValidationError(f"{kind!r} needs two subobjects")
+        s2, kind = empty_subobject(poset), "implies"
     spectra = poset._atom_indices  # each context's atom indices, in poset order
     for name, s in (("first", s1), ("second", s2)):
-        if s.selection.keys() != spectra.keys():
-            raise PosetMismatch(f"{name} subobject is not defined over this poset")
+        _require_contexts(poset, s.selection, f"{name} subobject")
         if not all(map(frozenset.issubset, map(s.selection.__getitem__, poset.ids), spectra.values())):
             raise UnknownCharacter(f"{name} subobject selects an index outside its context's atoms")
     if kind == "and":

@@ -15,11 +15,13 @@ elements and truth values; sieves apply it on a frame's up-sets (``is_sieve``,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping
 
 import numpy as np
 
+from ._json import brief_repr
 from .contexts import Context, ContextPoset, restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter
 from .operators import TAU, _two_valued, as_operator, require_projector, require_same_dim, spectral_bounds
@@ -78,8 +80,11 @@ def _require_member(context: Context, character: Character) -> None:
         raise UnknownCharacter(
             f"character belongs to {character.context_id!r}, not {context.id!r}"
         )
-    if not 0 <= character.atom_index < context.n_atoms:
-        raise UnknownCharacter(f"atom index {character.atom_index} out of range")
+    index = character.atom_index
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise UnknownCharacter(f"atom index must be an integer, got {brief_repr(index)}")
+    if not 0 <= index < context.n_atoms:
+        raise UnknownCharacter(f"atom index {index} out of range")
 
 
 class ClopenSubobject:
@@ -122,6 +127,13 @@ def empty_subobject(poset: ContextPoset) -> ClopenSubobject:
     return ClopenSubobject({c.id: frozenset() for c in poset})
 
 
+def _require_contexts(poset: ContextPoset, assignment: Mapping, name: str) -> None:
+    # A subobject, global element or section holds one value per poset
+    # context and at no other context.
+    if assignment.keys() != poset._atom_indices.keys():
+        raise IncompleteAssignment(f"{name} must be defined on every context of the poset and on no other")
+
+
 def _implication(down: Callable[..., Iterable], elements: Iterable, outside: AbstractSet) -> list:
     # The elements x whose down-set ``down(x)`` misses ``outside = S - T``,
     # i.e. meets S only inside T: the Heyting implication S => T of down-sets,
@@ -134,9 +146,8 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     """True iff the selected characters form a down-set under restriction:
     every restriction of a selected character is selected.  An index outside
     a context's atoms is no character, so it makes the selection not clopen."""
+    _require_contexts(poset, subobject.selection, "subobject")
     atoms = poset._atom_indices
-    if subobject.selection.keys() != atoms.keys():
-        raise IncompleteAssignment("subobject must assign a subset to every poset context")
     if not all(subobject.at(cid) <= indices for cid, indices in atoms.items()):
         return False
     chosen = [(cid, i) for cid, indices in atoms.items() for i in indices if i in subobject.at(cid)]
@@ -147,8 +158,8 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
 def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> bool:
     """Contextwise inclusion of subobjects, each defined on exactly the
     poset's contexts."""
-    if any(s.selection.keys() != poset._atom_indices.keys() for s in (s1, s2)):
-        raise IncompleteAssignment("both subobjects must assign a subset to every poset context and no other")
+    for name, s in (("first", s1), ("second", s2)):
+        _require_contexts(poset, s.selection, f"{name} subobject")
     return all(s1.at(cid) <= s2.at(cid) for cid in poset.ids)
 
 

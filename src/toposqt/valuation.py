@@ -38,7 +38,7 @@ from .operators import (
     table_bounds,
     touch_table,
 )
-from .presheaf import Character, ClopenSubobject, _implication, _require_member, is_clopen_subobject
+from .presheaf import Character, ClopenSubobject, _implication, _require_contexts, _require_member, is_clopen_subobject
 
 #: Default node budget for the global-section search.
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -150,14 +150,12 @@ class GlobalSection:
 
     assignment: dict[str, int]
 
-    def character_at(self, context_id: str) -> Character:
-        return Character(context_id, self.assignment[context_id])
-
 
 def is_global_section(poset: ContextPoset, section: GlobalSection) -> bool:
-    """Check the restriction-consistency of a candidate section."""
-    if set(section.assignment.keys()) != set(poset.ids):
-        return False
+    """Check the restriction-consistency of a candidate section.  An
+    assignment not defined on exactly the poset's contexts raises
+    ``IncompleteAssignment``."""
+    _require_contexts(poset, section.assignment, "section")
     singletons = {cid: {value} for cid, value in section.assignment.items()}
     return is_clopen_subobject(poset, ClopenSubobject(singletons))
 

@@ -16,6 +16,7 @@ from toposqt import contexts
 from toposqt.contexts import (
     CONTEXT_CAP,
     build_poset,
+    context_from_atoms,
     context_from_basis,
     context_from_projectors,
     down_set,
@@ -24,6 +25,7 @@ from toposqt.contexts import (
     restriction_table,
 )
 from toposqt.errors import (
+    DimensionMismatch,
     EmptySeed,
     EnumerationLimitExceeded,
     NonCommutingGenerators,
@@ -71,9 +73,29 @@ def test_noncommuting_generators_rejected(std_projectors):
         context_from_projectors([std_projectors[0], slanted])
 
 
-def test_trivial_algebra_rejected():
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: context_from_projectors([np.eye(4, dtype=complex)]), id="identity-generator"),
+        pytest.param(lambda: context_from_projectors([]), id="no-generators"),
+        pytest.param(lambda: context_from_atoms([np.eye(4, dtype=complex)]), id="one-atom"),
+    ],
+)
+def test_trivial_algebra_rejected(build):
     with pytest.raises(TrivialAlgebra):
-        context_from_projectors([np.eye(4, dtype=complex)])
+        build()
+
+
+def test_malformed_atoms_generators_and_bases_are_refused(std_projectors):
+    p1, p2, p3, p4 = std_projectors
+    with pytest.raises(ValidationError, match="pairwise orthogonal"):
+        context_from_atoms([p1 + p2, p2 + p3, p4])
+    with pytest.raises(ValidationError, match="sum to the identity"):
+        context_from_atoms([p1, p2, p3])
+    with pytest.raises(DimensionMismatch):
+        context_from_projectors([p1, np.diag([1.0, 0.0]).astype(complex)])
+    with pytest.raises(ValidationError, match="needs 4 vectors, got 3"):
+        context_from_basis(np.eye(4)[:3])
 
 
 def test_empty_basis_rejected():
@@ -197,10 +219,17 @@ def test_down_sets(poset11, maximal_context, std_projectors):
     assert set(down_set(poset11, v12)) == {v12, v1, v2}
 
 
-def test_down_set_unknown_context(poset11):
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(down_set, id="down_set"),
+        pytest.param(lambda poset, other: poset.get(other.id), id="get"),
+    ],
+)
+def test_down_set_unknown_context(poset11, call):
     other = context_from_basis(np.eye(2))
     with pytest.raises(UnknownContext):
-        down_set(poset11, other)
+        call(poset11, other)
 
 
 def test_context_invariants_hold_everywhere(poset_two_bases):
@@ -220,6 +249,12 @@ def test_dedup_under_permutation_and_phases(maximal_context):
     shuffled = [phases[i] * e[[2, 0, 3, 1][i]] for i in range(4)]
     context = context_from_basis(shuffled)
     assert context.id == maximal_context.id
+    # The same atoms in another order are one context, equal and hashed
+    # alike; a context equals no object of another type, not even its id.
+    reordered = context_from_atoms(maximal_context.atoms[::-1])
+    assert reordered == maximal_context and hash(reordered) == hash(maximal_context)
+    assert maximal_context != maximal_context.id
+    assert maximal_context.__eq__(maximal_context.id) is NotImplemented
 
 
 def test_restriction_tables_match_projector_order(poset11):

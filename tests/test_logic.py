@@ -39,9 +39,9 @@ from toposqt.logic import (
     totally_false,
     totally_true,
 )
-from toposqt.presheaf import empty_subobject, full_subobject, is_clopen_subobject
+from toposqt.presheaf import ClopenSubobject, empty_subobject, full_subobject, is_clopen_subobject, subobject_leq
 from toposqt.problems import load_problem, problem_poset
-from toposqt.valuation import pseudo_state, truth_value
+from toposqt.valuation import GlobalSection, global_sections, is_global_section, pseudo_state, truth_value
 
 with resources.as_file(resources.files("toposqt.data") / "spin2.json") as _p:
     SPIN2_PATH = str(_p)
@@ -348,6 +348,13 @@ def test_omega_restriction_requires_inclusion(poset11, named):
     s = principal_sieve(poset11, named["V1"].id)
     with pytest.raises(NotASubcontext):
         omega_restriction(poset11, s, named["V2"])
+    # A member outside the base's down-set is refused, as sieve_connective
+    # refuses it, not dropped.
+    stray = Sieve(named["V1"].id, frozenset({named["V"].id}))
+    with pytest.raises(NotASubcontext, match="outside its down-set"):
+        omega_restriction(poset11, stray, named["V1"])
+    with pytest.raises(NotASubcontext, match="outside its down-set"):
+        sieve_connective(poset11, "not", stray)
 
 
 @pytest.mark.parametrize("kind", ["and", "or", "implies", "not"])
@@ -368,12 +375,54 @@ def test_subobject_connective_refuses_an_index_outside_the_atoms(poset11, kind):
 
 
 def test_subobject_connective_poset_mismatch(poset11, named):
-    from toposqt.errors import PosetMismatch
-    from toposqt.presheaf import ClopenSubobject
-
     partial = ClopenSubobject({named["V"].id: frozenset({0})})
-    with pytest.raises(PosetMismatch):
+    with pytest.raises(IncompleteAssignment, match="first subobject"):
         subobject_connective(poset11, "and", partial, partial)
+
+
+# The functions that take one value per context, each with the class that
+# wraps a per-context mapping into its operand, a whole mapping on the C^4
+# poset, and its number of operands.
+_SUBOBJECT = (ClopenSubobject, lambda poset: full_subobject(poset).selection)
+_ELEMENT = (GlobalElementOfOmega, lambda poset: totally_true(poset).sieves)
+_SECTION = (GlobalSection, lambda poset: global_sections(poset)[0].assignment)
+
+
+@pytest.mark.parametrize(
+    "call, operand, arity",
+    [
+        pytest.param(is_clopen_subobject, _SUBOBJECT, 1, id="is_clopen_subobject"),
+        pytest.param(subobject_leq, _SUBOBJECT, 2, id="subobject_leq"),
+        pytest.param(
+            lambda poset, *s: subobject_connective(poset, "implies", *s), _SUBOBJECT, 2, id="subobject_connective"
+        ),
+        pytest.param(check_global_element, _ELEMENT, 1, id="check_global_element"),
+        pytest.param(
+            lambda poset, *g: global_element_connective(poset, "and", *g), _ELEMENT, 2,
+            id="global_element_connective",
+        ),
+        pytest.param(is_global_section, _SECTION, 1, id="is_global_section"),
+    ],
+)
+@pytest.mark.parametrize("fault", ["missing", "extra"])
+def test_a_value_not_on_exactly_the_posets_contexts_is_an_incomplete_assignment(
+    poset11, second_basis, call, operand, arity, fault
+):
+    # The whole value less the top context, or with one at a context
+    # outside the poset, at each operand position in turn.
+    wrap, whole = operand
+    values = whole(poset11)
+    top = poset11.ids[0]
+    if fault == "missing":
+        odd = {cid: value for cid, value in values.items() if cid != top}
+    else:
+        odd = {**values, second_basis.id: values[top]}
+    for position in range(arity):
+        operands = [wrap(values)] * arity
+        operands[position] = wrap(odd)
+        name = ("first", "second")[position] if arity == 2 else None
+        with pytest.raises(IncompleteAssignment, match=name):
+            call(poset11, *operands)
 
 
 def test_logic_on_two_maximal_contexts(poset_two_bases, std_projectors):

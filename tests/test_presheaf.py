@@ -20,6 +20,7 @@ from toposqt.presheaf import (
     restrict_character,
     subobject_leq,
 )
+from toposqt.valuation import quantity_value_arrow
 
 
 def test_spectrum_sizes(poset11, std_projectors, maximal_context):
@@ -115,6 +116,31 @@ def test_character_context_mismatch(maximal_context, poset11, std_projectors):
     stray = Character(v1.id, 0)
     with pytest.raises(UnknownCharacter):
         evaluate_character(maximal_context, stray, p1)
+
+
+@pytest.mark.parametrize("index", ["0", 1.0, True, 4, -1], ids=repr)
+def test_an_atom_index_that_is_no_atom_is_an_unknown_character(poset11, maximal_context, std_projectors, sz, index):
+    # A str, a float or a bool is no atom index, and neither is an int
+    # outside the context's four atoms: -1 would read as the last atom.
+    v12 = locate(poset11, [std_projectors[0], std_projectors[1], std_projectors[2] + std_projectors[3]])
+    character = Character(maximal_context.id, index)
+    for call in (
+        lambda: evaluate_character(maximal_context, character, sz),
+        lambda: restrict_character(maximal_context, character, v12),
+        lambda: quantity_value_arrow(poset11, sz, maximal_context, character),
+    ):
+        with pytest.raises(UnknownCharacter):
+            call()
+
+
+def test_a_numpy_integer_atom_index_reads_as_an_int(poset11, maximal_context, std_projectors, sz):
+    v12 = locate(poset11, [std_projectors[0], std_projectors[1], std_projectors[2] + std_projectors[3]])
+    as_numpy, as_int = Character(maximal_context.id, np.int64(1)), Character(maximal_context.id, 1)
+    assert evaluate_character(maximal_context, as_numpy, sz) == evaluate_character(maximal_context, as_int, sz)
+    assert restrict_character(maximal_context, as_numpy, v12) == restrict_character(maximal_context, as_int, v12)
+    assert quantity_value_arrow(poset11, sz, maximal_context, as_numpy) == quantity_value_arrow(
+        poset11, sz, maximal_context, as_int
+    )
 
 
 def test_restriction_composition_law(poset_two_bases):
