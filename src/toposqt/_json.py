@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import numbers
 import reprlib
 import sys
 from json.encoder import encode_basestring_ascii as _str
@@ -123,9 +124,10 @@ def dumps(obj) -> str:
 
 
 def finite_number(x) -> bool:
-    """A JSON number, not a boolean, that is a finite float: NaN, infinities
-    and integers beyond the float range fail the comparison."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    """A real number, not a boolean, that is a finite float: NaN, infinities
+    and integers beyond the float range fail the comparison.  (float and int
+    come first: they match without the slower ``numbers.Real`` check.)"""
+    return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def brief_repr(obj) -> str:

@@ -147,8 +147,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "observable")
         if name not in problem.observables:
             raise ValidationError(f"unknown observable {name!r}")
-        tolerances = problem.tolerances
-        decomp = spectral_decomposition(problem.observables[name], tolerances.tau, tolerances.tau_eig)
+        decomp = spectral_decomposition(problem.observables[name], poset.tolerances.tau, poset.tolerances.tau_eig)
         intervals = []
         for context in _select_contexts(poset, options):
             characters = gelfand_spectrum(context)

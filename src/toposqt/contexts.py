@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ._json import brief_repr, finite_number
 from .errors import (
     DimensionMismatch,
     EmptySeed,
@@ -41,6 +42,8 @@ from .errors import (
 )
 from .operators import (
     TAU,
+    TAU_EIG,
+    Tolerances,
     close,
     identity,
     is_orthonormal,
@@ -405,16 +408,16 @@ class ContextPoset:
     Each seed atom touches an atom of every seed (checked by ``build_poset``).
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
-    the seed atoms.  It keeps the tolerance it was built with, and every
-    call over the whole poset (``find``, daseinisation, pseudo-states, truth
-    values and interval values) runs at that one tau.
+    the seed atoms.  It keeps the ``Tolerances`` it was built with, and
+    every call over the whole poset (``find``, daseinisation, pseudo-states,
+    truth values and interval values) runs at its tau and tau_eig.
     """
 
-    def __init__(self, registry: _Registry, seed_atoms: Sequence[np.ndarray], tau: float) -> None:
+    def __init__(self, registry: _Registry, seed_atoms: Sequence[np.ndarray], tolerances: Tolerances) -> None:
         ordered = sorted(registry.nodes.values(), key=lambda n: (-n.context.n_atoms, n.context.id))
         self._registry = registry
         self._seed_atoms = seed_atoms
-        self._tau = tau
+        self._tolerances = tolerances
         self._contexts: tuple[Context, ...] = tuple(n.context for n in ordered)
         self._atom_indices: dict[str, frozenset[int]] = {c.id: frozenset(range(c.n_atoms)) for c in self._contexts}
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
@@ -457,6 +460,10 @@ class ContextPoset:
     @property
     def ids(self) -> tuple[str, ...]:
         return self._ids
+
+    @property
+    def tolerances(self) -> Tolerances:
+        return self._tolerances
 
     @property
     def inclusions(self) -> tuple[tuple[str, str], ...]:
@@ -532,23 +539,26 @@ class ContextPoset:
         same_class = tables[None, :, :] == tables.T[:, :, None]
         return np.asarray([self._seed_atoms[b] for b in bits]), same_class @ seeds_of
 
-    def _tolerance(self, tau: float | None) -> float:
-        # The poset's own tau, for a poset-wide call given ``tau`` (None, or
-        # the same value).  Another tau would decide touches the poset was
-        # not built with.
-        if tau is not None and tau != self._tau:
-            raise ValidationError(f"tau={tau} differs from the tau={self._tau} the poset was built with")
-        return self._tau
+    def _tolerance(self, tau: float | None = None, tau_eig: float | None = None) -> Tolerances:
+        # The poset's tolerances, for a poset-wide call given each as None or
+        # as the poset's value: another tau would decide touches the poset was
+        # not built with, another tau_eig cluster eigenvalues unlike its calls.
+        for name, value in (("tau", tau), ("tau_eig", tau_eig)):
+            own = getattr(self._tolerances, name)
+            if value is not None and not (finite_number(value) and value == own):
+                raise ValidationError(f"{name}={brief_repr(value)} differs from the {name}={own}"
+                                      " the poset was built with")
+        return self._tolerances
 
     def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
         """Locate the poset context with the given atom set, if present, by
         its partition of a seed's atoms, as the build matches a new context."""
-        wanted = context_from_atoms(atoms, self._tau)
-        found = self._registry.find(touch_masks(wanted.atoms, self._seed_atoms, self._tau))
+        wanted = context_from_atoms(atoms, self._tolerances.tau)
+        found = self._registry.find(touch_masks(wanted.atoms, self._seed_atoms, self._tolerances.tau))
         return None if found is None else found.context
 
 
-def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPoset:
+def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: float = TAU_EIG) -> ContextPoset:
     """Generate the finite poset spanned by the seeds.
 
     The poset contains every subalgebra of a seed generated by a subset of
@@ -565,7 +575,9 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
     seeds with an atom that touches no atom of some seed (``ValidationError``
     naming tau).  Exact seeds of C^n pass for tau < 1/sqrt(n), the loader's
     bound: a seed atom's ||bc||_F^2 over a seed's atoms c sum to its rank.
+    The poset keeps ``Tolerances(tau, tau_eig)``, checked before anything else.
     """
+    tolerances = Tolerances(tau, tau_eig)
     seeds = list(seed_contexts)
     if not seeds:
         raise EmptySeed("at least one seed context is required")
@@ -617,7 +629,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU) -> ContextPo
                     meet = _add(registry, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups], memo)
                     met.setdefault(meet.context.id, meet)
         start = len(current)
-    return ContextPoset(registry, seed_atoms, tau)
+    return ContextPoset(registry, seed_atoms, tolerances)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

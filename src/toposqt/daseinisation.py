@@ -13,8 +13,8 @@ evaluate to 1.  An atom touching neither (only possible at a large tau) has
 no bound, and both approximations reject it.  In one context the table's
 rows are the context's atoms.  Over a whole poset they are the seed atoms:
 an atom touches Q iff the entries of the seed atoms it sums add up to more
-than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).  A poset has one
-tau, the one it was built with, and the poset-wide functions read it there.
+than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).  The poset-wide
+functions read tau from the poset's ``Tolerances`` and refuse another.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _daseinise_poset(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict
     # the atoms where its inner (end 0) or outer (end 1) approximation is 1.
     family = _two_valued(P)
     seeds, sums = poset._seed_sums
-    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset._tau))
+    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset.tolerances.tau))
     own = {c.id: list(islice(bounds, c.n_atoms)) for c in poset}
     return own, {cid: frozenset(i for i, b in enumerate(o) if b[end]) for cid, o in own.items()}
 
@@ -97,7 +97,7 @@ def daseinise_proposition(poset: ContextPoset, P, tau: float | None = None) -> D
     P is checked and touched at the poset's tau; a ``tau`` other than that
     raises ``ValidationError``.
     """
-    return _daseinise(poset, require_projector(P, poset._tolerance(tau)), 1)
+    return _daseinise(poset, require_projector(P, poset._tolerance(tau).tau), 1)
 
 
 def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedProposition:

@@ -28,7 +28,7 @@ from .errors import (
     UnknownCharacter,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _implication, _require_contexts, empty_subobject
+from .presheaf import ClopenSubobject, _implication, _require_contexts, _selects_characters, empty_subobject
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -270,7 +270,8 @@ def subobject_connective(
     ``and``/``or`` act contextwise; ``implies`` keeps a character when all
     its restrictions that land in s1 also land in s2; ``not s`` is
     ``s implies bottom``.  An operand that selects an index outside its
-    context's atoms, which is no character, raises ``UnknownCharacter``.
+    context's atoms, or one that is not an integer, which is no character,
+    raises ``UnknownCharacter``.
     """
     if kind not in _ALL_KINDS:
         raise ValidationError(f"unknown connective {kind!r}")
@@ -278,10 +279,8 @@ def subobject_connective(
         raise ValidationError("'not' is unary" if kind == "not" else f"{kind!r} needs two subobjects")
     if kind == "not":
         s2, kind = empty_subobject(poset), "implies"
-    spectra = poset._atom_indices  # each context's atom indices, in poset order
     for name, s in (("first", s1), ("second", s2)):
-        _require_contexts(poset, s.selection, f"{name} subobject")
-        if not all(map(frozenset.issubset, map(s.selection.__getitem__, poset.ids), spectra.values())):
+        if not _selects_characters(poset, s.selection, f"{name} subobject"):
             raise UnknownCharacter(f"{name} subobject selects an index outside its context's atoms")
     if kind == "and":
         return ClopenSubobject({cid: s1.at(cid) & s2.at(cid) for cid in poset.ids})

@@ -16,13 +16,12 @@ are freshly allocated and never aliased to caller data.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._json import brief_repr
+from ._json import brief_repr, finite_number
 from .errors import DimensionMismatch, NotProjector, NotSelfAdjoint, ValidationError
 
 #: Default tolerance for operator identity checks (A == B entrywise, Frobenius).
@@ -30,6 +29,22 @@ TAU = 1e-9
 
 #: Default tolerance for eigenvalue clustering and spectrum membership.
 TAU_EIG = 1e-8
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Both tolerances, each a finite positive number, kept as floats; any
+    other value raises ``ValidationError``.  (A NaN or infinite tau_eig would
+    merge the whole spectrum into one cluster; a zero one drops endpoints.)"""
+
+    tau: float = TAU
+    tau_eig: float = TAU_EIG
+
+    def __post_init__(self) -> None:
+        for name, value in (("tau", self.tau), ("tau_eig", self.tau_eig)):
+            if not (finite_number(value) and value > 0):
+                raise ValidationError(f"tolerances.{name}: must be a finite positive number, got {brief_repr(value)}")
+            object.__setattr__(self, name, float(value))
 
 
 def as_operator(entries) -> np.ndarray:
@@ -123,9 +138,9 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
 
     Clusters are the connected components of the union of intervals of radius
     ``tau_eig`` around each raw eigenvalue, so nearly degenerate eigenvalues
-    map to a single projector.  ``tau_eig`` must be a finite positive number.
+    map to a single projector.  Both tolerances are checked by ``Tolerances``.
     """
-    _require_tau_eig(tau_eig)
+    Tolerances(tau, tau_eig)
     A = require_self_adjoint(A, tau)
     raw, vecs = np.linalg.eigh(A)
     values = raw.tolist()
@@ -141,13 +156,6 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
 
-def _require_tau_eig(tau_eig) -> None:
-    # The loader's bound on tau_eig: NaN or inf would merge the whole
-    # spectrum into one cluster, and 0 or less would drop eigenvalues at r.
-    if isinstance(tau_eig, bool) or not isinstance(tau_eig, numbers.Real) or not 0 < tau_eig < math.inf:
-        raise ValidationError(f"tau_eig must be a finite positive number, got {brief_repr(tau_eig)}")
-
-
 def _spectral_projection(decomp: SpectralDecomposition, lo: float, hi: float, tau_eig: float) -> np.ndarray:
     # Sum of the spectral projectors with eigenvalue in [lo - tau_eig, hi + tau_eig].
     out = zero(decomp.dim)
@@ -158,9 +166,9 @@ def _spectral_projection(decomp: SpectralDecomposition, lo: float, hi: float, ta
 
 
 def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float = TAU_EIG) -> np.ndarray:
-    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``, a
-    finite positive number)."""
-    _require_tau_eig(tau_eig)
+    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``,
+    checked by ``Tolerances``)."""
+    Tolerances(tau_eig=tau_eig)
     return _spectral_projection(decomp, -math.inf, r, tau_eig)
 
 
@@ -227,15 +235,10 @@ def spectral_order_leq(A, B, tau: float = TAU, tau_eig: float = TAU_EIG) -> bool
     Both cumulative families are constant between consecutive points of the
     merged eigenvalue grid, so checking the grid points decides the order.
     """
-    A = require_self_adjoint(A, tau)
-    B = require_self_adjoint(B, tau)
-    require_same_dim(A, B)
-    da = spectral_decomposition(A, tau, tau_eig)
-    db = spectral_decomposition(B, tau, tau_eig)
-    grid = sorted(set(da.eigenvalues) | set(db.eigenvalues))
-    for r in grid:
-        ea = spectral_family_at(da, r, tau_eig)
-        eb = spectral_family_at(db, r, tau_eig)
-        if not projector_leq(eb, ea, tau):
+    da, db = spectral_decomposition(A, tau, tau_eig), spectral_decomposition(B, tau, tau_eig)
+    require_same_dim(da.projectors[0], db.projectors[0])
+    for r in sorted(set(da.eigenvalues) | set(db.eigenvalues)):
+        ea, eb = (_spectral_projection(d, -math.inf, r, tau_eig) for d in (da, db))
+        if not close(ea @ eb @ ea, eb, tau):  # eb <= ea in the projector order
             return False
     return True

@@ -16,7 +16,9 @@ elements and truth values; sieves apply it on a frame's up-sets (``is_sieve``,
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import AbstractSet, Callable, Iterable, Mapping
 
 import numpy as np
@@ -142,14 +144,23 @@ def _implication(down: Callable[..., Iterable], elements: Iterable, outside: Abs
     return [x for x in elements if outside.isdisjoint(down(x))]
 
 
+def _selects_characters(poset: ContextPoset, selection: Mapping[str, frozenset], name: str) -> bool:
+    # Under the coverage rule, whether each index is an atom of its context:
+    # an integer in range (a bool or a float equal to one passes the subset test).
+    _require_contexts(poset, selection, name)
+    kinds = set(map(type, chain.from_iterable(selection.values())))
+    return all(issubclass(k, numbers.Integral) and k is not bool for k in kinds) and all(
+        map(operator.le, map(selection.__getitem__, poset.ids), poset._atom_indices.values()))
+
+
 def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool:
     """True iff the selected characters form a down-set under restriction:
     every restriction of a selected character is selected.  An index outside
-    a context's atoms is no character, so it makes the selection not clopen."""
-    _require_contexts(poset, subobject.selection, "subobject")
-    atoms = poset._atom_indices
-    if not all(subobject.at(cid) <= indices for cid, indices in atoms.items()):
+    a context's atoms, or one that is not an integer, is no character, so it
+    makes the selection not clopen."""
+    if not _selects_characters(poset, subobject.selection, "subobject"):
         return False
+    atoms = poset._atom_indices
     chosen = [(cid, i) for cid, indices in atoms.items() for i in indices if i in subobject.at(cid)]
     outside = {(cid, j) for cid, indices in atoms.items() for j in indices - subobject.at(cid)}
     return len(_implication(poset._character_down.__getitem__, chosen, outside)) == len(chosen)

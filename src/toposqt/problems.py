@@ -28,14 +28,8 @@ import numpy as np
 from ._json import brief_repr, dumps, finite_number, matrix_from_json, matrix_to_json, vector_from_json, vector_to_json
 from .contexts import Context, ContextPoset, build_poset, context_from_basis, context_from_projectors
 from .errors import ParseError, ValidationError
-from .operators import TAU, TAU_EIG, is_orthonormal, is_projector, is_self_adjoint
+from .operators import Tolerances, is_orthonormal, is_projector, is_self_adjoint
 from .valuation import proposition_projector
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    tau: float = TAU
-    tau_eig: float = TAU_EIG
 
 
 @dataclass(frozen=True)
@@ -89,6 +83,9 @@ def _known_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
             raise ParseError(f"{where}{key}: unknown key; expected one of {', '.join(known)}")
 
 
+# An entry near the float limit overflows in the checks below, and the check
+# then fails and refuses the file: the overflow warning would add nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def problem_from_dict(raw: dict) -> Problem:
     """Validate a parsed problem dictionary; every invariant checked eagerly."""
     if not isinstance(raw, dict):
@@ -101,10 +98,8 @@ def problem_from_dict(raw: dict) -> Problem:
         raise ValidationError("dim: must be an integer >= 2 within the float range")
     tol_raw = _container(raw, "tolerances", dict)
     _known_keys(tol_raw, ("tau", "tau_eig"), "tolerances.")
-    tau = _number(tol_raw.get("tau", TAU), "tolerances.tau")
-    tau_eig = _number(tol_raw.get("tau_eig", TAU_EIG), "tolerances.tau_eig")
-    if tau <= 0 or tau_eig <= 0:
-        raise ValidationError(f"tolerances.{'tau' if tau <= 0 else 'tau_eig'}: must be positive")
+    tolerances = Tolerances(**tol_raw)
+    tau = tolerances.tau
     # sum_Q ||aQ||_F^2 = rank a >= 1 over <= dim projections Q: a touches some Q.
     if tau >= dim ** -0.5:
         raise ValidationError(f"tolerances.tau: must be below 1/sqrt(dim) = {dim ** -0.5:.6g}")
@@ -190,7 +185,7 @@ def problem_from_dict(raw: dict) -> Problem:
         states=states,
         observables=observables,
         propositions=propositions,
-        tolerances=Tolerances(tau, tau_eig),
+        tolerances=tolerances,
     )
 
 
@@ -246,7 +241,7 @@ def problem_seed_contexts(problem: Problem) -> list[Context]:
 
 
 def problem_poset(problem: Problem) -> ContextPoset:
-    return build_poset(problem_seed_contexts(problem), problem.tolerances.tau)
+    return build_poset(problem_seed_contexts(problem), problem.tolerances.tau, problem.tolerances.tau_eig)
 
 
 def resolve_proposition(problem: Problem, name: str) -> np.ndarray:

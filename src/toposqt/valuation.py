@@ -7,8 +7,8 @@ daseinised proposition; these sieves always assemble into a global element
 of the classifier.  Physical quantities read off interval endpoints from the
 spectral projections that a character's restricted atoms touch, and the
 search for global sections of the spectral presheaf decides contextuality
-for the finite poset at hand.  Every touch runs at the poset's one tau, the
-tau it was built with; a state is checked once, as a unit vector within it.
+for the finite poset at hand.  Touches and clusters run at the poset's one
+``Tolerances``; a state is checked once, as a unit vector within its tau.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .operators import (
     TAU,
     TAU_EIG,
     SpectralDecomposition,
+    Tolerances,
     _spectral_projection,
     is_orthonormal,
     require_projector,
@@ -56,7 +57,7 @@ def pseudo_state(poset: ContextPoset, psi, tau: float | None = None) -> Daseinis
     """Outer-daseinise the state's rank-one projector |psi><psi| over the poset:
     per context, the smallest projection certain in the state.  psi is
     checked once, as a unit vector at the poset's tau."""
-    return _daseinise(poset, _ray(psi, poset._tolerance(tau)), 1)
+    return _daseinise(poset, _ray(psi, poset._tolerance(tau).tau), 1)
 
 
 def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EIG) -> np.ndarray:
@@ -65,8 +66,9 @@ def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EI
     Endpoint membership is decided within ``tau_eig``.  An interval that is
     not an ordered pair of real numbers (a string, a set or a mapping; a
     bool, str, bytes or NaN endpoint) raises ``ValidationError``; infinite
-    endpoints leave that side open.
+    endpoints leave that side open.  ``Tolerances`` checks tau and tau_eig first.
     """
+    Tolerances(tau, tau_eig)
     try:
         lo, hi = (math.nan if isinstance(x, (bool, np.bool_, str, bytes)) else float(x) for x in interval)
     except (TypeError, ValueError):
@@ -85,7 +87,7 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     quadrature as atoms merge, so the test at V alone is not monotone.)  The
     result always satisfies the global-element matching condition.
     """
-    tau = poset._tolerance(tau)
+    tau = poset._tolerance(tau).tau
     outer = _daseinise_poset(poset, require_projector(P, tau), 1)[1]
     state = _daseinise_poset(poset, _ray(psi, tau), 1)[1]
     outside = {cid for cid in poset.ids if not state[cid] <= outer[cid]}
@@ -113,14 +115,15 @@ def quantity_value_arrow(
     context: Context,
     character: Character,
     tau: float | None = None,
-    tau_eig: float = TAU_EIG,
+    tau_eig: float | None = None,
 ) -> IntervalPair:
     """Evaluate a quantity at a character: per subcontext, the least (mu) and
     greatest (nu) eigenvalue of A whose spectral projection the restricted
     character's atom touches, i.e. the values of the inner and outer
-    daseinisations of A there.  Touches are tested at the poset's tau;
-    ``tau_eig`` only clusters the eigenvalues of A."""
-    decomp = spectral_decomposition(A, poset._tolerance(tau), tau_eig)
+    daseinisations of A there.  Touches are tested at the poset's tau, and
+    the eigenvalues of A clustered at its tau_eig."""
+    tolerances = poset._tolerance(tau, tau_eig)
+    decomp = spectral_decomposition(A, tolerances.tau, tolerances.tau_eig)
     return _value_arrows(poset, decomp, context, [character])[0]
 
 
@@ -136,7 +139,7 @@ def _value_arrows(
     down = poset.down_ids(context.id)
     seeds, sums = poset._restricted_sums[context.id]
     rows = sums[[ch.atom_index for ch in characters]] @ touch_table(seeds, decomp.projectors)
-    bounds = iter(table_bounds(rows.reshape(-1, rows.shape[-1]), decomp.eigenvalues, poset._tau))
+    bounds = iter(table_bounds(rows.reshape(-1, rows.shape[-1]), decomp.eigenvalues, poset.tolerances.tau))
     pairs = []
     for _ in characters:
         at = list(zip(down, islice(bounds, len(down))))

@@ -35,7 +35,7 @@ from toposqt.errors import (
 )
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.logic import enumerate_sieves
-from toposqt.operators import projector_rank
+from toposqt.operators import Tolerances, projector_rank
 from toposqt.presheaf import gelfand_spectrum
 from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
 from toposqt.valuation import global_sections, pseudo_state, quantity_value_arrow, truth_value
@@ -430,10 +430,11 @@ def test_find_uses_the_tolerance_the_poset_was_built_with():
 def test_poset_wide_calls_use_the_tolerance_the_poset_was_built_with():
     # The noisy basis above.  Without tau, each call runs at the poset's 1e-6
     # (at the default 1e-9 every noisy atom would touch every projection, and
-    # all four results would differ), and a call at another tau is refused.
+    # all four results would differ), and a call at another tau is refused;
+    # so is a tau_eig other than the poset's.
     rng = np.random.default_rng(7)
     noisy = np.eye(4, dtype=complex) + 1e-8 * rng.standard_normal((4, 4))
-    poset = build_poset([context_from_basis(noisy, tau=1e-6)], tau=1e-6)
+    poset = build_poset([context_from_basis(noisy, tau=1e-6)], tau=1e-6, tau_eig=1e-6)
     P, A = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([2.0, 1.0, -1.0, -2.0])
     psi = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     maximal = poset.get(poset.ids[0])
@@ -443,11 +444,26 @@ def test_poset_wide_calls_use_the_tolerance_the_poset_was_built_with():
         "pseudo_state": lambda *tau: pseudo_state(poset, psi, *tau).subobject,
         "truth_value": lambda *tau: truth_value(poset, P, psi, *tau),
         "quantity_value_arrow": lambda *tau: quantity_value_arrow(poset, A, maximal, character, *tau),
+        "quantity_value_arrow tau_eig": lambda *tau_eig: quantity_value_arrow(
+            poset, A, maximal, character, None, *tau_eig
+        ),
     }
     for name, call in calls.items():
+        field = name.partition(" ")[2] or "tau"
         assert call() == call(1e-6), name
-        with pytest.raises(ValidationError, match=r"tau=1e-09 differs from the tau=1e-06"):
+        with pytest.raises(ValidationError, match=rf"{field}=1e-09 differs from the {field}=1e-06"):
             call(1e-9)
+
+
+@pytest.mark.parametrize("value", [0.0, float("nan"), float("inf"), True, "x", None], ids=repr)
+def test_build_poset_refuses_a_tolerance_that_tolerances_refuses(value):
+    # Checked before the seeds: an empty seed list would be an EmptySeed.
+    seeds = [context_from_basis(np.eye(4))]
+    for name in ("tau", "tau_eig"):
+        for call in (lambda: Tolerances(**{name: value}), lambda: build_poset(seeds, **{name: value}),
+                     lambda: build_poset([], **{name: value})):
+            with pytest.raises(ValidationError, match=f"^tolerances.{name}: must be a finite positive number"):
+                call()
 
 
 def _order_case(name: str) -> tuple[list, float]:

@@ -374,6 +374,24 @@ def test_subobject_connective_refuses_an_index_outside_the_atoms(poset11, kind):
             subobject_connective(poset11, kind, *operands)
 
 
+@pytest.mark.parametrize("index", [True, 1.0], ids=repr)
+@pytest.mark.parametrize("kind", ["and", "or", "implies", "not"])
+def test_an_index_that_is_not_an_integer_is_no_character(poset11, kind, index):
+    # True and 1.0 equal and hash as atom 1, so they pass a subset test
+    # against the atom indices; they are refused like an index out of range.
+    from toposqt.errors import UnknownCharacter
+    from toposqt.presheaf import ClopenSubobject
+
+    full = full_subobject(poset11)
+    top = poset11.ids[0]
+    stray = ClopenSubobject({**full.selection, top: frozenset({0, index, 2, 3})})
+    assert not is_clopen_subobject(poset11, stray)
+    everywhere = ClopenSubobject({cid: {index} for cid in poset11.ids})
+    for operands in [(stray,), (everywhere,)] if kind == "not" else [(stray, full), (full, stray)]:
+        with pytest.raises(UnknownCharacter, match="outside its context's atoms"):
+            subobject_connective(poset11, kind, *operands)
+
+
 def test_subobject_connective_poset_mismatch(poset11, named):
     partial = ClopenSubobject({named["V"].id: frozenset({0})})
     with pytest.raises(IncompleteAssignment, match="first subobject"):

@@ -20,6 +20,7 @@ from toposqt.operators import (
     touch_masks,
     touch_table,
 )
+from toposqt.valuation import proposition_projector
 
 
 def test_predicates():
@@ -70,6 +71,21 @@ def test_a_tau_eig_that_is_not_a_finite_positive_number_is_refused(tau_eig):
         spectral_decomposition(A, tau_eig=tau_eig)
     with pytest.raises(ValidationError, match="tau_eig"):
         spectral_family_at(spectral_decomposition(A), 2.0, tau_eig)
+
+
+@pytest.mark.parametrize("value", BAD_TAU_EIGS, ids=repr)
+@pytest.mark.parametrize("name", ["tau", "tau_eig"])
+def test_each_function_taking_tau_eig_checks_both_tolerances_first(name, value):
+    # The operand is not self-adjoint and the interval is no pair, so any
+    # other check made first would raise something else.
+    A = np.array([[0, 1], [0, 0]], dtype=complex)
+    for call in (
+        lambda: spectral_decomposition(A, **{name: value}),
+        lambda: spectral_order_leq(A, A, **{name: value}),
+        lambda: proposition_projector(A, "x", **{name: value}),
+    ):
+        with pytest.raises(ValidationError, match=f"^tolerances.{name}: must be a finite positive number"):
+            call()
 
 
 def test_spectral_family_at_sz(sz):

@@ -227,9 +227,16 @@ def _mutated_spin2(draw):
     return raw
 
 
+# The square of _HUGE overflows: the loader's checks then refuse the entry
+# without an overflow warning.
+_HUGE = 1.3407807929942597e154
+
+
 @settings(max_examples=60, deadline=None)
 @given(_mutated_spin2())
 @example({**SPIN2_RAW, "dim": 10**400})
+@example({**SPIN2_RAW, "bases": [[[[_HUGE, 0.0]] * 4] * 4]})
+@example({**SPIN2_RAW, "observables": {"Sz": [[[0.0, _HUGE]] * 4] * 4}})
 def test_a_mutated_problem_gives_a_report_or_a_topos_error(raw):
     try:
         report = run_command("contexts", problem_from_dict(raw), {})

@@ -35,6 +35,16 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
         )
 
 
+@pytest.mark.parametrize("claim", [None, "", "  "], ids=["missing", "empty", "blank"])
+def test_bench_pair_requires_a_claim(monkeypatch, capsys, claim):
+    # Refused while parsing, before any benchmark runs.
+    argv = ["--parent", ".", "--slug", "x"] + ([] if claim is None else ["--claim", claim])
+    with pytest.raises(SystemExit) as exit_:
+        _tool("bench_pair", monkeypatch).main(argv)
+    assert exit_.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+
+
 def test_bench_pair_reads_a_seed_list(monkeypatch):
     seeds = _tool("bench_pair", monkeypatch)._seeds
     assert seeds("build:1-3,7") == ("build", [1, 2, 3, 7])

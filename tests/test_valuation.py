@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import inspect
+import json
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from conftest import locate
+from toposqt.cli import run_command
 from toposqt.contexts import build_poset, context_from_basis, context_from_projectors
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded, UnknownContext, ValidationError
 from toposqt.logic import check_global_element, is_sieve, principal_sieve
-from toposqt.operators import TAU_EIG, spectral_decomposition, spectral_family_at
+from toposqt.operators import TAU_EIG, Tolerances, spectral_decomposition, spectral_family_at
 from toposqt.presheaf import (
     coefficients_in,
     evaluate_character,
@@ -21,6 +24,7 @@ from toposqt.presheaf import (
     is_clopen_subobject,
     subobject_leq,
 )
+from toposqt.problems import problem_from_dict, problem_poset
 from toposqt.valuation import (
     global_sections,
     is_global_section,
@@ -302,6 +306,25 @@ def test_quantity_value_arrow_refuses_a_nan_tau_eig(poset11, maximal_context):
     ch = gelfand_spectrum(maximal_context)[0]
     with pytest.raises(ValidationError, match="tau_eig"):
         quantity_value_arrow(poset11, np.diag([1.0, 2.0, 3.0, 4.0]), maximal_context, ch, tau_eig=float("nan"))
+
+
+def test_the_value_command_and_the_api_cluster_at_the_posets_tau_eig():
+    # spin2 with tau_eig = 0.1: the eigenvalues 1 and 1.05 form one cluster
+    # of mean 1.025.  The CLI and the poset the problem builds agree on it.
+    raw = json.loads((resources.files("toposqt.data") / "spin2.json").read_text(encoding="utf-8"))
+    raw["tolerances"]["tau_eig"] = 0.1
+    diagonal = [1.0, 1.05, 2.0, 3.0]
+    raw["observables"]["A"] = [[[x if i == j else 0.0, 0.0] for j in range(4)] for i, x in enumerate(diagonal)]
+    problem = problem_from_dict(raw)
+    poset = problem_poset(problem)
+    assert poset.tolerances == Tolerances(1e-9, 0.1)
+    top = poset.get(poset.ids[0])
+    entry = run_command("value", problem, {"observable": "A"})["intervals"][0]
+    assert (entry["context"], entry["character_atom"]) == (top.id, 0)
+    pair = quantity_value_arrow(poset, np.diag(diagonal), top, gelfand_spectrum(top)[0])
+    assert entry["mu"][top.id] == entry["nu"][top.id] == pair.mu[top.id] == pair.nu[top.id] == 1.025
+    with pytest.raises(ValidationError, match="tau_eig=1e-08 differs from the tau_eig=0.1"):
+        quantity_value_arrow(poset, np.diag(diagonal), top, gelfand_spectrum(top)[0], tau_eig=1e-8)
 
 
 def test_quantity_value_arrow_of_a_foreign_context_is_an_unknown_context(poset11, second_basis, sz):

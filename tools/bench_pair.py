@@ -4,7 +4,7 @@ Usage, from the root of this checkout::
 
     python3 tools/bench_pair.py --parent DIR --slug NAME \\
         --pairs build:1-10 --held-out build:20261017 --pairs query:1 --pairs heyting:1 \\
-        [--traced heyting:1-3] [--seconds 20]
+        --claim TEXT [--traced heyting:1-3] [--seconds 20]
 
 Each pair runs ``benchmarks/run.py --workload W --seed N --seconds S`` once in
 the parent checkout ``DIR`` and once in this tree, one after the other; the
@@ -15,7 +15,8 @@ and may be repeated; ``--traced`` pairs run with ``--trace 1`` and report the
 per-layer metrics.  ``BENCH_<NAME>.json`` gets every run's last JSON line, and
 for each workload the quartiles of each metric on both sides over the
 ``--pairs`` seeds, with the number of pairs in which this tree was lower.
-Held-out and traced pairs are summarised apart from those.
+Held-out and traced pairs are summarised apart from those.  ``--claim`` is
+required and may not be blank: a record that claims no gain says ``none``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def _seeds(text: str) -> tuple[str, list[int]]:
     if not workload or not seeds:
         raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS, got {text!r}")
     return workload, seeds
+
+
+def _claim(text: str) -> str:
+    if not text.strip():
+        raise argparse.ArgumentTypeError("the claim is blank; a record that claims no gain says 'none'")
+    return text
 
 
 def _describe(checkout: Path) -> dict:
@@ -104,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--held-out", type=_seeds, action="append", default=[], metavar="WORKLOAD:SEEDS")
     parser.add_argument("--traced", type=_seeds, action="append", default=[], metavar="WORKLOAD:SEEDS")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--claim", default="", help="one line: what the change claims")
+    parser.add_argument("--claim", type=_claim, required=True, help="one line: what the change claims, or 'none'")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
 
