@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import functools
 import numbers
 import reprlib
 import sys
@@ -65,7 +66,8 @@ def _key(k) -> str:
 
 def _is_matrix(obj: list) -> bool:
     # A nonempty list of rows of [re, im] float pairs, judged by its first
-    # entry.  This only decides which texts ``dumps`` keeps for reuse.
+    # entry.  This only decides which lists ``dumps`` tries the template on
+    # and keeps the text of for reuse.
     row = obj[0]
     if type(row) is not list or not row:
         return False
@@ -73,14 +75,50 @@ def _is_matrix(obj: list) -> bool:
     return type(pair) is list and len(pair) == 2 and type(pair[0]) is float
 
 
+@functools.lru_cache(maxsize=64)
+def _template(rows: int, cols: int, pad: str) -> str:
+    # The text of a rows x cols matrix of [re, im] pairs at indent ``pad``,
+    # with a ``%r`` slot per float.
+    p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
+    pair = "[\n" + p6 + "%r,\n" + p6 + "%r\n" + p4 + "]"
+    row = "[\n" + p4 + (",\n" + p4).join([pair] * cols) + "\n" + p2 + "]"
+    return "[\n" + p2 + (",\n" + p2).join([row] * rows) + "\n" + pad + "]"
+
+
+_FLOAT = {float}
+
+
+def _matrix_text(obj: list, pad: str) -> str | None:
+    # A matrix's text in one ``%`` format, or None unless every row is a list
+    # of the first row's length, every entry a list of two floats of exact
+    # type float, and every float finite (``%r`` is ``float.__repr__``, which
+    # JSON writes as such only for finite floats).  A sum that overflows to
+    # infinity also takes the general path, which is still correct.
+    cols = len(obj[0])
+    flat: list = []
+    for row in obj:
+        if type(row) is not list or len(row) != cols:
+            return None
+        for pair in row:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            flat += pair
+    if set(map(type, flat)) != _FLOAT or 0.0 * sum(flat) != 0.0:
+        return None
+    return _template(len(obj), cols, pad) % tuple(flat)
+
+
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, in
     one pass that builds a string per value; dict keys must be str.
 
-    The text of a matrix (see ``_is_matrix``) is kept by the matrix's id and
-    indent and reused wherever the same list object recurs at that indent.
-    Every value stays reachable from ``obj`` for the whole call, so an id
-    names one object throughout."""
+    A matrix (see ``_is_matrix``) of finite floats, in rows of one length,
+    is written in one ``%`` format from a template kept per shape and
+    indent (``_matrix_text``); any other matrix, and every other value,
+    takes the general path, one string per value.  The text of a matrix is
+    kept by the matrix's id and indent and reused wherever the same list
+    object recurs at that indent.  Every value stays reachable from ``obj``
+    for the whole call, so an id names one object throughout."""
     written: dict[tuple[int, str], str] = {}
 
     def encode(obj, pad: str) -> str:
@@ -108,6 +146,10 @@ def dumps(obj) -> str:
             key = (id(obj), pad)
             text = written.get(key)
             if text is not None:
+                return text
+            text = _matrix_text(obj, pad)
+            if text is not None:
+                written[key] = text
                 return text
         # Most leaves of a report are the floats of [re, im] pairs.
         children = [_float(x) if type(x) is float else encode(x, inner) for x in obj]

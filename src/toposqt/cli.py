@@ -17,7 +17,7 @@ from .contexts import ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import ToposError, ValidationError
 from .logic import Sieve, _check_sieve_laws
-from .operators import spectral_decomposition
+from .operators import _decompose
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
 from .valuation import DEFAULT_SEARCH_BUDGET, _value_arrows, global_sections, pseudo_state, truth_value
@@ -147,7 +147,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "observable")
         if name not in problem.observables:
             raise ValidationError(f"unknown observable {name!r}")
-        decomp = spectral_decomposition(problem.observables[name], poset.tolerances.tau, poset.tolerances.tau_eig)
+        decomp = _decompose(problem.observables[name], poset.tolerances)
         intervals = []
         for context in _select_contexts(poset, options):
             characters = gelfand_spectrum(context)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -66,11 +66,15 @@ ID_DIGITS = 10
 CONTEXT_CAP = 4096
 
 
+@cache
 def _reference_matrix(dim: int) -> np.ndarray:
     # Fixed weight matrix whose trace pairing separates the standard atoms;
-    # only used to impose a deterministic atom order.
+    # only used to impose a deterministic atom order.  Built once per
+    # dimension and read-only, as every caller shares it.
     idx = np.arange(dim)
-    return (idx[:, None] * dim + idx[None, :] + 1.0).astype(complex)
+    ref = (idx[:, None] * dim + idx[None, :] + 1.0).astype(complex)
+    ref.setflags(write=False)
+    return ref
 
 
 def _context_id(rounded: Sequence[bytes]) -> str:
@@ -120,16 +124,14 @@ def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence, memo:
     # and read-only array (the atom itself if it is one) by its bytes, for
     # atoms of one dimension and dtype.
     memo = {} if memo is None else memo
-    ref = None
     keyed = []
     for a in atoms:
         raw = a.tobytes()
         found = memo.get(raw)
         if found is None:
-            if ref is None:
-                ref = _reference_matrix(a.shape[0])
             rounded = np.round(a, ID_DIGITS) + 0.0
-            key = (projector_rank(a), round(float(np.trace(a @ ref).real), ID_DIGITS) + 0.0,
+            weight = np.trace(a @ _reference_matrix(a.shape[0])).real
+            key = (projector_rank(a), round(float(weight), ID_DIGITS) + 0.0,
                    rounded.view(float).ravel().tolist())
             frozen = a if a.dtype == complex and not a.flags.writeable else np.array(a, dtype=complex)
             frozen.setflags(write=False)

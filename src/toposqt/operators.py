@@ -140,8 +140,13 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
     ``tau_eig`` around each raw eigenvalue, so nearly degenerate eigenvalues
     map to a single projector.  Both tolerances are checked by ``Tolerances``.
     """
-    Tolerances(tau, tau_eig)
-    A = require_self_adjoint(A, tau)
+    return _decompose(A, Tolerances(tau, tau_eig))
+
+
+def _decompose(A, tolerances: Tolerances) -> SpectralDecomposition:
+    # spectral_decomposition at a pair already checked, such as a poset's.
+    tau_eig = tolerances.tau_eig
+    A = require_self_adjoint(A, tolerances.tau)
     raw, vecs = np.linalg.eigh(A)
     values = raw.tolist()
     # Each cluster is the slice raw[i:j]; its mean np.add.reduce / count is

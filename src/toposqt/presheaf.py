@@ -25,7 +25,7 @@ import numpy as np
 
 from ._json import brief_repr
 from .contexts import Context, ContextPoset, restriction_table
-from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter
+from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter, ValidationError
 from .operators import TAU, _two_valued, as_operator, require_projector, require_same_dim, spectral_bounds
 
 
@@ -100,9 +100,20 @@ class ClopenSubobject:
     __slots__ = ("selection",)
 
     def __init__(self, selection: Mapping[str, frozenset[int]]) -> None:
-        self.selection: dict[str, frozenset[int]] = {
-            cid: frozenset(indices) for cid, indices in selection.items()
-        }
+        try:
+            self.selection: dict[str, frozenset[int]] = {
+                cid: frozenset(indices) for cid, indices in selection.items()
+            }
+        except TypeError:
+            # Name the first context whose value is no iterable of hashables.
+            for cid, indices in selection.items():
+                try:
+                    frozenset(indices)
+                except TypeError:
+                    raise ValidationError(
+                        f"selection at {cid!r} is not a set of atom indices: {brief_repr(indices)}"
+                    ) from None
+            raise
 
     def at(self, context_id: str) -> frozenset[int]:
         return self.selection[context_id]

@@ -32,10 +32,10 @@ from .operators import (
     TAU_EIG,
     SpectralDecomposition,
     Tolerances,
+    _decompose,
     _spectral_projection,
     is_orthonormal,
     require_projector,
-    spectral_decomposition,
     table_bounds,
     touch_table,
 )
@@ -68,14 +68,14 @@ def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EI
     bool, str, bytes or NaN endpoint) raises ``ValidationError``; infinite
     endpoints leave that side open.  ``Tolerances`` checks tau and tau_eig first.
     """
-    Tolerances(tau, tau_eig)
+    tolerances = Tolerances(tau, tau_eig)
     try:
         lo, hi = (math.nan if isinstance(x, (bool, np.bool_, str, bytes)) else float(x) for x in interval)
     except (TypeError, ValueError):
         lo = hi = math.nan
     if isinstance(interval, (str, bytes, Set, Mapping)) or math.isnan(lo) or math.isnan(hi):
         raise ValidationError(f"interval must be a pair of numbers, got {brief_repr(interval)}")
-    return _spectral_projection(spectral_decomposition(A, tau, tau_eig), lo, hi, tau_eig)
+    return _spectral_projection(_decompose(A, tolerances), lo, hi, tolerances.tau_eig)
 
 
 def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> GlobalElementOfOmega:
@@ -122,8 +122,7 @@ def quantity_value_arrow(
     character's atom touches, i.e. the values of the inner and outer
     daseinisations of A there.  Touches are tested at the poset's tau, and
     the eigenvalues of A clustered at its tau_eig."""
-    tolerances = poset._tolerance(tau, tau_eig)
-    decomp = spectral_decomposition(A, tolerances.tau, tolerances.tau_eig)
+    decomp = _decompose(A, poset._tolerance(tau, tau_eig))
     return _value_arrows(poset, decomp, context, [character])[0]
 
 

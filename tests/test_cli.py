@@ -154,16 +154,16 @@ def test_value_command(capsys, spin2_poset, std_projectors):
 def test_value_command_decomposes_the_observable_once(capsys, monkeypatch):
     import toposqt.cli
     import toposqt.valuation
-    from toposqt.operators import spectral_decomposition
+    from toposqt.operators import _decompose
 
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return spectral_decomposition(*args, **kwargs)
+        return _decompose(*args, **kwargs)
 
-    monkeypatch.setattr(toposqt.valuation, "spectral_decomposition", counted)
-    monkeypatch.setattr(toposqt.cli, "spectral_decomposition", counted, raising=False)
+    monkeypatch.setattr(toposqt.valuation, "_decompose", counted)
+    monkeypatch.setattr(toposqt.cli, "_decompose", counted)
     code, out, _ = _run(capsys, "value", "--input", SPIN2_PATH, "--observable", "Sz")
     assert code == 0
     assert len(json.loads(out)["intervals"]) == 30

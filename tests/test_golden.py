@@ -8,16 +8,19 @@ logic layers must keep each report byte-identical.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import projector_set_problem
 
-from toposqt.cli import main
+from toposqt.cli import main, render_json, run_command
 from toposqt.contexts import is_subcontext
-from toposqt.problems import load_problem, problem_poset
+from toposqt.problems import load_problem, problem_from_dict, problem_poset
 from toposqt.valuation import GlobalSection, global_sections, is_global_section
 
 DATA = resources.files("toposqt.data")
@@ -250,3 +253,47 @@ def test_projector_set_contexts_report_is_byte_identical(capsys, tmp_path):
     assert main(["contexts", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PROJECTOR_SET_CONTEXTS_SHA256
+
+
+def _benchmark_inputs():
+    # benchmarks/inputs.py, loaded as a module of its own (registered, as its
+    # dataclasses need): the seeded problem files of the ``build`` workload
+    # and the Haar-random bases.
+    name = "_benchmark_inputs"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+#: sha256 of the ``contexts`` report of the dim-8 basis that
+#: ``tools/time_single_basis.py`` draws (seed [1, 8]) and of the five
+#: multi-basis inputs of the seed-1 ``build`` benchmark, taken before the
+#: report writer got its matrix template.
+CONTEXTS_SHA256 = {
+    "single-d8": "cd337fefe9765d7e8dacc915c9c4080ed6f4e6959cd2b59bf9cd1c38ee6b53fb",
+    "multi-d4-2b-1s": "5beafe86e927d28a289909882e068ad3f832fcd23e308e35abe10b9f51a804fc",
+    "multi-d4-3b-1s": "6e38a74999c2616783ee6e77a4cdf77b26d285c286330facb20448bec8e9331f",
+    "multi-d5-2b-1s": "1c8057adc81f4eb6f7c68ed5f265152ef02444f5154c7fc464f2aac13524192a",
+    "multi-d5-2b-2s": "76ec90d45ca9b491b94fa0fe68af1cb862b9f348a68760d9a8fab0981c1b93e7",
+    "multi-d5-3b-2s": "979420ef061317f226116b69ee29eec41731c0e64a4dc9ca2e66513816dcda86",
+}
+
+
+@pytest.fixture(scope="module")
+def benchmark_problems(tmp_path_factory):
+    inputs = _benchmark_inputs()
+    basis = list(inputs.haar_unitary(np.random.default_rng([1, 8]), 8).T)
+    problems = {"single-d8": problem_from_dict(inputs.problem_dict(8, [basis]))}
+    cases, texts = inputs.make_build_inputs(1, tmp_path_factory.mktemp("build"), Path(_path("spin2")).parent)
+    inputs.write_files(texts)
+    problems.update((case.name, load_problem(case.path)) for case in cases if case.tag == "multi")
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS_SHA256))
+def test_benchmark_contexts_report_is_byte_identical(benchmark_problems, name):
+    text = render_json(run_command("contexts", benchmark_problems[name], {}))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CONTEXTS_SHA256[name]

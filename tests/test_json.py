@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toposqt._json import dumps, matrix_to_json, vector_to_json
+from toposqt._json import _matrix_text, dumps, matrix_to_json, vector_to_json
 
 
 def _stdlib(obj) -> str:
@@ -89,6 +89,90 @@ _M = [[[0.1, -0.0], [1.0, 2.5]]]
 @example([[[]], [[1.0]]])
 @example([_M, [_M], {"k": _M, "j": [_M, _M]}])
 def test_a_list_met_again_is_written_as_the_stdlib_writes_it(value):
+    assert dumps(value) == _stdlib(value)
+
+
+#: Finite floats, and entries a matrix of finite floats may not hold.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ODD_ENTRIES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    _FINITE.map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+)
+
+
+@st.composite
+def _near_matrices(draw):
+    # A rows x cols matrix of [re, im] pairs of finite floats, then one change
+    # that a matrix written from the template may not have: a ragged row, a
+    # pair of length 1 or 3, a tuple row or pair, an entry that is no finite
+    # float of exact type float, or entries near 1e308 whose sum overflows.
+    # Unchanged matrices (and -0.0 among finite floats) stay on the template.
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    floats = _FINITE
+    if draw(st.booleans()):
+        # Any two of one sign sum past the largest float.
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        floats = st.floats(9e307, 1.7e308).map(lambda x: sign * x)
+    matrix = [[[draw(floats), draw(floats)] for _ in range(cols)] for _ in range(rows)]
+    i, j, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1))
+    change = draw(st.sampled_from(["none", "ragged", "short pair", "long pair", "tuple row", "tuple pair", "entry"]))
+    if change == "ragged":
+        if draw(st.booleans()) or cols == 1:
+            matrix[i].append([draw(_FINITE), draw(_FINITE)])
+        else:
+            matrix[i].pop()
+    elif change == "short pair":
+        matrix[i][j] = matrix[i][j][:1]
+    elif change == "long pair":
+        matrix[i][j].append(draw(_FINITE))
+    elif change == "tuple row":
+        matrix[i] = tuple(matrix[i])
+    elif change == "tuple pair":
+        matrix[i][j] = tuple(matrix[i][j])
+    elif change == "entry":
+        matrix[i][j][k] = draw(_ODD_ENTRIES)
+    return matrix
+
+
+_BIG = [[[1e308, 1e308], [1e308, 0.5]]]
+
+
+@pytest.mark.parametrize(
+    "matrix,templated",
+    [
+        ([[[0.1, -0.0], [1.0, 2.5]]], True),
+        ([[[0.1, -0.0]], [[1.0, 2.5], [3.0, 4.0]]], False),
+        ([[[0.1, -0.0]], [[1.0]]], False),
+        ([[[0.1, -0.0]], ([1.0, 2.5],)], False),
+        ([[[0.1, -0.0]], [(1.0, 2.5)]], False),
+        ([[[0.1, -0.0]], [[1, 2.5]]], False),
+        ([[[0.1, -0.0]], [[np.float64(1.0), 2.5]]], False),
+        ([[[0.1, float("nan")]]], False),
+        (_BIG, False),
+    ],
+)
+def test_only_a_matrix_of_finite_floats_in_even_rows_takes_the_template(matrix, templated):
+    # The template path declines, and the general path writes, the rest.
+    assert (_matrix_text(matrix, "") is not None) is templated
+    assert dumps(matrix) == _stdlib(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_matrices())
+@example([[[0.1, -0.0]], [[2.5, 1.0]]])
+@example([[[0.1, -0.0], [1.0, 2.0]], [[2.5, 1.0]]])
+@example([[[0.1]], [[2.5, 1.0, 3.0]]])
+@example([[[0.1, 1.0]], ([2.5, 1.0],)])
+@example([[(0.1, 1.0)], [[2.5, 1.0]]])
+@example([[[0.1, 1]], [[True, np.float64(2.5)]]])
+@example([[[0.1, float("nan")]], [[float("inf"), -float("inf")]]])
+@example(_BIG)
+def test_a_near_matrix_is_written_as_the_stdlib_writes_it(matrix):
+    # Once alone, and once more as one object at two indents.
+    assert dumps(matrix) == _stdlib(matrix)
+    value = {"a": matrix, "b": [[matrix], matrix]}
     assert dumps(value) == _stdlib(value)
 
 

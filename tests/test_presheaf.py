@@ -7,7 +7,7 @@ import pytest
 
 from conftest import locate
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.errors import DimensionMismatch, NotASubcontext, NotInAlgebra, UnknownCharacter
+from toposqt.errors import DimensionMismatch, NotASubcontext, NotInAlgebra, UnknownCharacter, ValidationError
 from toposqt.presheaf import (
     Character,
     ClopenSubobject,
@@ -190,6 +190,15 @@ def test_incompatible_selection_is_not_clopen(poset11, maximal_context, std_proj
         selection = {c.id: frozenset(range(c.n_atoms)) for c in poset11}
         selection[context.id] |= {99}
         assert not is_clopen_subobject(poset11, ClopenSubobject(selection))
+
+
+@pytest.mark.parametrize("value", [5, None, 1.5, [[0]], [{0}]], ids=["int", "none", "float", "list-of-lists", "list-of-sets"])
+def test_a_selection_value_that_is_no_set_of_indices_is_a_validation_error(poset11, value):
+    # The error names the first context whose value cannot be a set.
+    first, *rest = poset11.ids
+    selection = {first: frozenset({0}), **{cid: value for cid in rest}}
+    with pytest.raises(ValidationError, match=f"selection at {rest[0]!r}"):
+        ClopenSubobject(selection)
 
 
 def test_clopen_check_requires_full_assignment(poset11, maximal_context):

@@ -30,7 +30,8 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
     assert [line.split(",")[0] for line in lines] == ["dim 4: 11 contexts", "dim 5: 26 contexts"]
     for line in lines:
         assert re.fullmatch(
-            r"dim \d: \d+ contexts, build min [\d.]+ s, median [\d.]+ s; report min [\d.]+ s, median [\d.]+ s",
+            r"dim \d: \d+ contexts, build min [\d.]+ s, median [\d.]+ s; "
+            r"run_command min [\d.]+ s, median [\d.]+ s; render_json min [\d.]+ s, median [\d.]+ s",
             line,
         )
 

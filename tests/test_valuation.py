@@ -327,6 +327,21 @@ def test_the_value_command_and_the_api_cluster_at_the_posets_tau_eig():
         quantity_value_arrow(poset, np.diag(diagonal), top, gelfand_spectrum(top)[0], tau_eig=1e-8)
 
 
+def test_quantity_value_arrow_checks_the_posets_tolerances_once(poset11, maximal_context, sz, monkeypatch):
+    # The poset's pair was checked when it was built; ContextPoset._tolerance
+    # compares any given value with it, and no Tolerances is built again.
+    import toposqt.operators
+
+    ch = gelfand_spectrum(maximal_context)[0]
+    expected = quantity_value_arrow(poset11, sz, maximal_context, ch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quantity_value_arrow checked the tolerances again")
+
+    monkeypatch.setattr(toposqt.operators, "Tolerances", refuse)
+    assert quantity_value_arrow(poset11, sz, maximal_context, ch, tau_eig=TAU_EIG) == expected
+
+
 def test_quantity_value_arrow_of_a_foreign_context_is_an_unknown_context(poset11, second_basis, sz):
     with pytest.raises(UnknownContext):
         quantity_value_arrow(poset11, sz, second_basis, gelfand_spectrum(second_basis)[0])

@@ -6,8 +6,9 @@ Usage, from the root of this checkout::
 
 Prints, for each dimension n, the context count (2^n - n - 1), the least and
 the median wall time of ``REPEAT`` builds, and the same for ``REPEAT``
-``contexts`` reports of the same basis (``run_command``, which builds the
-poset again, plus ``render_json``).  The basis of dimension n is
+``contexts`` reports of the same basis, in their two parts: ``run_command``,
+which builds the poset again and makes the report's dict, and
+``render_json``, which writes that dict as text.  The basis of dimension n is
 ``benchmarks/inputs.haar_unitary`` drawn from seed ``[1, n]``.  The library
 comes from ``PYTHONPATH`` when it names one (to time another checkout), else
 from this checkout's ``src``.
@@ -54,8 +55,9 @@ def main(argv: list[str] | None = None) -> int:
         seed = context_from_basis(basis)
         build, poset = _times(lambda: build_poset([seed]))
         problem = problem_from_dict(problem_dict(dim, [basis]))
-        report, _ = _times(lambda: render_json(run_command("contexts", problem, {})))
-        print(f"dim {dim}: {len(poset)} contexts, build {build}; report {report}")
+        command, report = _times(lambda: run_command("contexts", problem, {}))
+        render, _ = _times(lambda: render_json(report))
+        print(f"dim {dim}: {len(poset)} contexts, build {build}; run_command {command}; render_json {render}")
     return 0
 
 
