@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -47,7 +47,6 @@ from .operators import (
     close,
     identity,
     is_orthonormal,
-    projector_rank,
     require_projector,
     touch_masks,
 )
@@ -115,29 +114,41 @@ class Context:
         return f"Context({self.id}, ranks=[{','.join(map(str, self.ranks))}])"
 
 
-def _canonical_context(atoms: Sequence[np.ndarray], *companions: Sequence, memo: dict | None = None) -> tuple:
-    # The context of valid atoms, sorted by (rank, reference-trace weight,
-    # entries) with the ranks kept, followed by each companion sequence
-    # permuted alike.  The weight and the entries are rounded to ID_DIGITS
-    # digits, as in the id; +0.0 collapses negative zeros so the id is
-    # phase-insensitive.  ``memo`` keeps each atom's sort key, rounded bytes
-    # and read-only array (the atom itself if it is one) by its bytes, for
-    # atoms of one dimension and dtype.
-    memo = {} if memo is None else memo
-    keyed = []
-    for a in atoms:
-        raw = a.tobytes()
-        found = memo.get(raw)
-        if found is None:
-            rounded = np.round(a, ID_DIGITS) + 0.0
-            weight = np.trace(a @ _reference_matrix(a.shape[0])).real
-            key = (projector_rank(a), round(float(weight), ID_DIGITS) + 0.0,
-                   rounded.view(float).ravel().tolist())
-            frozen = a if a.dtype == complex and not a.flags.writeable else np.array(a, dtype=complex)
-            frozen.setflags(write=False)
-            found = memo[raw] = key, rounded.real.tobytes() + rounded.imag.tobytes(), frozen
-        keyed.append(found)
-    order = sorted(range(len(atoms)), key=lambda i: keyed[i][0])
+def _key_atoms(atoms: Sequence[np.ndarray], memo: dict) -> list[tuple]:
+    # Each atom's entry in ``memo``, which keeps by the atom's bytes its sort
+    # key (rank, reference-trace weight, entries), the rounded bytes of its id
+    # and a read-only array (the atom itself if it is one), for atoms of one
+    # dimension and dtype.  The missing atoms are keyed in one stacked pass.
+    # The weight and the entries are rounded to ID_DIGITS digits, as in the
+    # id; +0.0 collapses negative zeros so the id is phase-insensitive.
+    raws = [a.tobytes() for a in atoms]
+    missing = [i for i, raw in enumerate(raws) if raw not in memo]
+    if missing:
+        stack = np.asarray(atoms, dtype=complex)
+        if len(missing) < len(stack):
+            stack = stack[missing]
+        stack.setflags(write=False)
+        count, dim = len(missing), stack.shape[-1]
+        rounded = np.round(stack, ID_DIGITS) + 0.0
+        ranks = np.trace(stack, axis1=1, axis2=2).real.tolist()
+        weights = np.trace(stack @ _reference_matrix(dim), axis1=1, axis2=2).real.tolist()
+        entries = rounded.view(float).reshape(count, -1).tolist()
+        # Row k: the real parts of atom k, then its imaginary parts.
+        ids = np.concatenate((rounded.real, rounded.imag), axis=1).tobytes()
+        size = len(ids) // count
+        for k, i in enumerate(missing):
+            a = atoms[i]
+            frozen = a if a.dtype == complex and not a.flags.writeable else stack[k]
+            key = (int(round(ranks[k])), round(weights[k], ID_DIGITS) + 0.0, entries[k])
+            memo.setdefault(raws[i], (key, ids[k * size : (k + 1) * size], frozen))
+    return [memo[raw] for raw in raws]
+
+
+def _canonical_context(keyed: Sequence[tuple], *companions: Sequence) -> tuple:
+    # The context of atoms given by their ``_key_atoms`` entries, sorted by
+    # key with the ranks kept, followed by each companion sequence permuted
+    # alike.
+    order = sorted(range(len(keyed)), key=lambda i: keyed[i][0])
     context = Context(_context_id([keyed[i][1] for i in order]), tuple(keyed[i][2] for i in order),
                       tuple(keyed[i][0][0] for i in order))
     return (context, *(tuple(c[i] for i in order) for c in companions))
@@ -157,7 +168,7 @@ def context_from_atoms(atoms: Iterable[np.ndarray], tau: float = TAU) -> Context
         raise ValidationError("atoms are not nonzero and pairwise orthogonal")
     if not close(sum(atoms), identity(atoms[0].shape[0]), tau):
         raise ValidationError("atoms do not sum to the identity")
-    return _canonical_context(atoms)[0]
+    return _canonical_context(_key_atoms(atoms, {}))[0]
 
 
 def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) -> Context:
@@ -317,12 +328,31 @@ class _Registry:
         return min(hits, key=lambda hit: hit[0])[1] if hits else None
 
 
-def _add(nodes: _Registry, base: _Node, blocks: list[list[int]], matrices, memo: dict) -> _Node:
+def _add(nodes: _Registry, base: _Node, blocks: list[list[int]], keyed) -> _Node:
     # Admit the context whose atoms join ``blocks`` of ``base``'s atoms;
-    # ``matrices()`` gives its atoms in block order.
+    # ``keyed()`` gives the ``_key_atoms`` entries of its atoms in block order.
     touch = [_join(base.touch, b) for b in blocks]
     own = [_join(base.own, b) for b in blocks]
-    return nodes.admit(touch, lambda: _Node(*_canonical_context(matrices(), own, touch, memo=memo)))
+    return nodes.admit(touch, lambda: _Node(*_canonical_context(keyed(), own, touch)))
+
+
+def _complements(atoms: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    # Every subset of 1 to n - 2 of the n stacked atoms, by size and then in
+    # ``combinations`` order, and the stacked complements of their sums: the
+    # identity less the subset's atoms, subtracted in subset order, the same
+    # elementwise arithmetic as reduce(np.subtract, chosen, identity(dim)).
+    n, dim = atoms.shape[:2]
+    subsets: list[tuple[int, ...]] = []
+    blocks = [np.empty((0, dim, dim), dtype=complex)]
+    for r in range(1, n - 1):
+        chosen = list(combinations(range(n), r))
+        columns = np.array(chosen).T
+        block = identity(dim) - atoms[columns[0]]
+        for column in columns[1:]:
+            block -= atoms[column]
+        subsets += chosen
+        blocks.append(block)
+    return subsets, np.concatenate(blocks)
 
 
 def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
@@ -571,6 +601,10 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: flo
     identity, meets and the order follow from the seed-atom masks.  Of two
     contexts that include each other, or that share an id, the first one
     generated is kept: each seed, then the contexts it refines, then the meets.
+    Atoms are keyed for the canonical order and the id in stacked passes: one
+    for all seeds' atoms, one per seed for the complements of its coarsenings
+    (built by subset size), and one per new meet; the contexts are still
+    offered one at a time, in the order above.
     Seeds that span more than ``CONTEXT_CAP`` contexts on their own (2^n -
     n - 1 for a seed of n atoms, meets not counted) raise
     ``EnumerationLimitExceeded`` before any context is built, and so do
@@ -601,21 +635,23 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: flo
         raise ValidationError(f"at tau={tau} a seed atom touches no atom of some seed;"
                               " exact seeds of C^n touch for every tau < 1/sqrt(n)")
     memo: dict = {}
+    seed_keys = _key_atoms(seed_atoms, memo)
     registry = _Registry(seed_masks)
     met: dict[str, _Node] = {}  # the seeds and their meets, each once
-    for s, lo, hi in zip(seeds, ends, ends[1:]):
+    for lo, hi in zip(ends, ends[1:]):
         own, touch = [1 << i for i in range(lo, hi)], rows[lo:hi]
-        seed = registry.admit(touch, lambda: _Node(*_canonical_context(s.atoms, own, touch, memo=memo)))
+        seed = registry.admit(touch, lambda: _Node(*_canonical_context(seed_keys[lo:hi], own, touch)))
         met.setdefault(seed.context.id, seed)
+        # Subsets of all atoms, or of all but one, give the seed itself.  The
+        # other coarsenings' new atoms are keyed in one pass, and each
+        # coarsening is offered in turn.
         atoms = seed.context.atoms
         n = len(atoms)
-        # Subsets of all atoms, or of all but one, give the seed itself.
-        for r in range(1, n - 1):
-            for subset in combinations(range(n), r):
-                chosen = [atoms[i] for i in subset]
-                rest = [i for i in range(n) if i not in subset]
-                _add(registry, seed, [[i] for i in subset] + [rest],
-                     lambda: chosen + [reduce(np.subtract, chosen, identity(seed.context.dim))], memo)
+        subsets, complements = _complements(np.asarray(atoms))
+        keys = _key_atoms(atoms, memo)
+        for subset, rest in zip(subsets, _key_atoms(complements, memo)):
+            _add(registry, seed, [[i] for i in subset] + [[i for i in range(n) if i not in subset]],
+                 lambda: [keys[i] for i in subset] + [rest])
     # Intersection closure of the seeds (meets of meets included): each round
     # meets the contexts found in the previous one with everything known.
     # Meets are not coarsened: that would pull in subalgebras that none of
@@ -628,7 +664,8 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: flo
                 groups = _components([_hits(t, old.own) for t in new.touch])
                 if len(groups) >= 2:
                     atoms = new.context.atoms
-                    meet = _add(registry, new, groups, lambda: [sum(atoms[i] for i in g) for g in groups], memo)
+                    meet = _add(registry, new, groups,
+                                lambda: _key_atoms([sum(atoms[i] for i in g) for g in groups], memo))
                     met.setdefault(meet.context.id, meet)
         start = len(current)
     return ContextPoset(registry, seed_atoms, tolerances)

@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._json import brief_repr
 from .contexts import Context, ContextPoset
 from .errors import (
     BaseMismatch,
@@ -57,14 +58,27 @@ def empty_sieve(context_id: str) -> Sieve:
     return Sieve(context_id, frozenset())
 
 
+def _members(sieve: Sieve) -> frozenset[str] | set[str]:
+    # The sieve's members, or ValidationError when its base is not an id or
+    # its members are not a set of ids (naming the base).
+    if not isinstance(sieve.base, str):
+        raise ValidationError(f"the base of a sieve is not a context id: {brief_repr(sieve.base)}")
+    members = sieve.members
+    if not (isinstance(members, (set, frozenset)) and all(isinstance(m, str) for m in members)):
+        raise ValidationError(f"the members of a sieve on {sieve.base!r} are not a set of context ids")
+    return members
+
+
 def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     """Membership in the base's down-set plus downward closure: the largest
-    down-set inside the members is all of them."""
+    down-set inside the members is all of them.  A base that is not an id,
+    or members that are not a set of ids, raise ``ValidationError``."""
+    members = _members(sieve)
     frame = poset._sieve_frames[sieve.base]
-    if not sieve.members <= frame.down:
+    if not members <= frame.down:
         return False
-    outside = frame.down - sieve.members
-    return frame.down.difference(*map(frame.above.__getitem__, outside)) == sieve.members
+    outside = frame.down - members
+    return frame.down.difference(*map(frame.above.__getitem__, outside)) == members
 
 
 def _sieves(poset: ContextPoset, context_id: str) -> list[tuple[int, frozenset[str]]]:
@@ -154,12 +168,15 @@ def _check_sieve_laws(poset: ContextPoset, base: str, limit: int | str) -> dict:
 
 def omega_restriction(poset: ContextPoset, sieve: Sieve, sub: Context) -> Sieve:
     """Pull a sieve back along an inclusion: members below the subcontext.
-    A sieve with a member outside its base's down-set raises ``NotASubcontext``."""
+    A sieve with a member outside its base's down-set raises
+    ``NotASubcontext``, and a base that is not an id or members that are not
+    a set of ids ``ValidationError``."""
+    members = _members(sieve)
     if not poset.is_leq(sub.id, sieve.base):
         raise NotASubcontext(f"{sub.id!r} is not a subcontext of {sieve.base!r}")
-    if not sieve.members.issubset(poset.down_ids(sieve.base)):
+    if not members.issubset(poset.down_ids(sieve.base)):
         raise NotASubcontext(f"a sieve on {sieve.base!r} holds a member outside its down-set")
-    return Sieve(sub.id, sieve.members.intersection(poset.down_ids(sub.id)))
+    return Sieve(sub.id, frozenset(members).intersection(poset.down_ids(sub.id)))
 
 
 def sieve_connective(

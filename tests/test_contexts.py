@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from functools import reduce
 from importlib import resources
 from itertools import combinations
 
@@ -11,7 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import fourier_rays, locate, projector_set_problem
-from oracles import all_projections, brute_meet, brute_poset_size, is_sum_of_atoms, random_unitary, same_context
+from oracles import (
+    all_projections,
+    brute_meet,
+    brute_poset_size,
+    is_sum_of_atoms,
+    random_projector,
+    random_unitary,
+    same_context,
+)
 from toposqt import contexts
 from toposqt.contexts import (
     CONTEXT_CAP,
@@ -541,6 +550,88 @@ def test_first_generated_context_is_kept_under_the_touch_test(monkeypatch):
             first.append(context)
     assert len(poset) == len(first) == brute_poset_size(seeds)
     assert all(any(context is kept for kept in first) for context in poset)
+
+
+def _atom_key(a: np.ndarray) -> tuple:
+    # One atom's sort key, id bytes and unrounded reference weight, one numpy
+    # call at a time: the reference that the stacked pass must match.
+    rounded = np.round(a, contexts.ID_DIGITS) + 0.0
+    weight = np.trace(a @ contexts._reference_matrix(a.shape[0])).real
+    key = (projector_rank(a), round(float(weight), contexts.ID_DIGITS) + 0.0, rounded.view(float).ravel().tolist())
+    return key, rounded.real.tobytes() + rounded.imag.tobytes(), weight
+
+
+def _partition(rng: np.random.Generator, dim: int, cuts) -> list[np.ndarray]:
+    # The atoms of a Haar-random basis of C^dim, cut into blocks at ``cuts``.
+    u = random_unitary(rng, dim)
+    ends = [0, *cuts, dim]
+    return [u[:, lo:hi] @ u[:, lo:hi].conj().T for lo, hi in zip(ends, ends[1:])]
+
+
+def _cuts(rng: np.random.Generator, dim: int) -> list[int]:
+    # Random cut points that split C^dim into at least two blocks.
+    return sorted(rng.choice(np.arange(1, dim), size=max(1, (dim - 1) // 2), replace=False).tolist())
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_stacked_keys_match_the_per_atom_formula_bit_for_bit(dim):
+    rng = np.random.default_rng([23, dim])
+    atoms = [random_projector(rng, dim, rank) for rank in range(1, dim) for _ in range(3)]
+    weights = np.trace(np.asarray(atoms) @ contexts._reference_matrix(dim), axis1=1, axis2=2).real
+    for a, (key, rounded, frozen), weight in zip(atoms, contexts._key_atoms(atoms, {}), weights, strict=True):
+        expected_key, expected_rounded, expected_weight = _atom_key(a)
+        assert weight.tobytes() == expected_weight.tobytes()
+        assert key[0] == expected_key[0]
+        assert np.float64(key[1]).tobytes() == np.float64(expected_key[1]).tobytes()
+        assert np.array(key[2]).tobytes() == np.array(expected_key[2]).tobytes()
+        assert rounded == expected_rounded
+        assert frozen.tobytes() == a.tobytes() and not frozen.flags.writeable
+    # The id of a context: the per-atom bytes in per-atom key order.
+    for cuts in (range(1, dim), _cuts(rng, dim)):
+        parts = _partition(rng, dim, cuts)
+        per_atom = sorted(map(_atom_key, parts), key=lambda k: k[0])
+        assert context_from_atoms(parts).id == contexts._context_id([k[1] for k in per_atom])
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_stacked_complements_match_a_reduce_bit_for_bit(dim):
+    rng = np.random.default_rng([24, dim])
+    for atoms in (_partition(rng, dim, range(1, dim)), _partition(rng, dim, _cuts(rng, dim))):
+        n = len(atoms)
+        subsets, complements = contexts._complements(np.asarray(atoms))
+        assert subsets == [s for r in range(1, n - 1) for s in combinations(range(n), r)]
+        assert complements.shape == (len(subsets), dim, dim)
+        for subset, complement in zip(subsets, complements):
+            chosen = [atoms[i] for i in subset]
+            assert complement.tobytes() == reduce(np.subtract, chosen, np.eye(dim, dtype=complex)).tobytes()
+
+
+@pytest.mark.parametrize("case", ["one seed", "two seeds"])
+def test_of_two_candidates_with_one_id_the_first_generated_is_kept(monkeypatch, maximal_context, case):
+    # _context_id is patched so that a later coarsening gets the id of an
+    # earlier one: of the first seed's first and last coarsenings, or of the
+    # first seed's first and the second seed's last.  The later one is never
+    # kept, and nothing else changes.
+    seeds = [maximal_context]
+    if case == "two seeds":
+        seeds.append(context_from_basis(random_unitary(np.random.default_rng(23), 4).T))
+    plain = build_poset(seeds)
+    nodes = list(plain._registry.nodes.values())
+    assert len(nodes) == 11 * len(seeds)  # no meets: a Haar basis meets C^4's standard one in the scalars
+    earlier = nodes[1].context
+    later = [n.context for n in nodes if min(n.own) >= 1 << 4 * (len(seeds) - 1)][-1]
+    assert later.id not in {s.id for s in seeds} and later.id != earlier.id
+    real = contexts._context_id
+
+    def collide(rounded):
+        return earlier.id if real(rounded) == later.id else real(rounded)
+
+    monkeypatch.setattr(contexts, "_context_id", collide)
+    poset = build_poset(seeds)
+    assert set(poset.ids) == set(plain.ids) - {later.id}
+    kept = poset.get(earlier.id)
+    assert kept.ranks == earlier.ranks and all(map(np.array_equal, kept.atoms, earlier.atoms))
+    assert poset.find(earlier.atoms) is kept and poset.find(later.atoms) is None
 
 
 def test_seeds_with_an_atom_touching_no_atom_of_another_seed_are_refused(monkeypatch):

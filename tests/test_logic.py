@@ -357,6 +357,48 @@ def test_omega_restriction_requires_inclusion(poset11, named):
         sieve_connective(poset11, "not", stray)
 
 
+@pytest.fixture(scope="module")
+def spin2_poset():
+    return problem_poset(load_problem(SPIN2_PATH))
+
+
+@pytest.mark.parametrize(
+    "members",
+    [lambda top: [top], lambda top: (top,), lambda top: top, lambda top: {top: True}, lambda top: None,
+     lambda top: frozenset({0}), lambda top: {top, 0}],
+    ids=["list", "tuple", "str", "dict", "None", "int-member", "set-with-int"],
+)
+def test_members_that_are_not_a_set_of_ids_are_a_validation_error(spin2_poset, members):
+    # is_sieve and omega_restriction refuse them naming the base, where they
+    # escaped as TypeError or AttributeError.
+    top = spin2_poset.ids[0]
+    sub = spin2_poset.get(spin2_poset.down_ids(top)[-1])
+    sieve = Sieve(top, members(top))
+    with pytest.raises(ValidationError, match=f"sieve on {top!r} are not a set of context ids"):
+        is_sieve(spin2_poset, sieve)
+    with pytest.raises(ValidationError, match=f"sieve on {top!r} are not a set of context ids"):
+        omega_restriction(spin2_poset, sieve, sub)
+
+
+@pytest.mark.parametrize("base", [[0], 5, None], ids=repr)
+def test_a_sieve_base_that_is_not_an_id_is_a_validation_error(spin2_poset, base):
+    sub = spin2_poset.get(spin2_poset.ids[-1])
+    sieve = Sieve(base, frozenset())
+    with pytest.raises(ValidationError, match="the base of a sieve is not a context id"):
+        is_sieve(spin2_poset, sieve)
+    with pytest.raises(ValidationError, match="the base of a sieve is not a context id"):
+        omega_restriction(spin2_poset, sieve, sub)
+
+
+def test_a_plain_set_of_ids_is_read_as_a_frozenset(spin2_poset):
+    top = spin2_poset.ids[0]
+    sub = spin2_poset.get(spin2_poset.down_ids(top)[-1])
+    assert is_sieve(spin2_poset, Sieve(top, set(spin2_poset.down_ids(top))))
+    assert not is_sieve(spin2_poset, Sieve(top, {top}))
+    pulled = omega_restriction(spin2_poset, Sieve(top, set(spin2_poset.down_ids(top))), sub)
+    assert pulled == principal_sieve(spin2_poset, sub.id)
+
+
 @pytest.mark.parametrize("kind", ["and", "or", "implies", "not"])
 def test_subobject_connective_refuses_an_index_outside_the_atoms(poset11, kind):
     # Index 7 on the 4-atom context is no character: ``and`` would drop it
