@@ -117,8 +117,9 @@ class Context:
 def _key_atoms(atoms: Sequence[np.ndarray], memo: dict) -> list[tuple]:
     # Each atom's entry in ``memo``, which keeps by the atom's bytes its sort
     # key (rank, reference-trace weight, entries), the rounded bytes of its id
-    # and a read-only array (the atom itself if it is one), for atoms of one
-    # dimension and dtype.  The missing atoms are keyed in one stacked pass.
+    # and a read-only array (the atom itself if nothing writable lies under
+    # it), for atoms of one dimension and dtype.  The missing atoms are keyed
+    # in one stacked pass.
     # The weight and the entries are rounded to ID_DIGITS digits, as in the
     # id; +0.0 collapses negative zeros so the id is phase-insensitive.
     raws = [a.tobytes() for a in atoms]
@@ -138,10 +139,23 @@ def _key_atoms(atoms: Sequence[np.ndarray], memo: dict) -> list[tuple]:
         size = len(ids) // count
         for k, i in enumerate(missing):
             a = atoms[i]
-            frozen = a if a.dtype == complex and not a.flags.writeable else stack[k]
+            frozen = a if a.dtype == complex and _read_only_throughout(a) else stack[k]
             key = (int(round(ranks[k])), round(weights[k], ID_DIGITS) + 0.0, entries[k])
             memo.setdefault(raws[i], (key, ids[k * size : (k + 1) * size], frozen))
     return [memo[raw] for raw in raws]
+
+
+def _read_only_throughout(a: np.ndarray) -> bool:
+    # True when the array and every array under it, down to the one that owns
+    # the data, are read-only: a read-only view of a writable array changes
+    # when its base does.
+    while not a.flags.writeable:
+        if a.base is None:
+            return True
+        if not isinstance(a.base, np.ndarray):
+            return False
+        a = a.base
+    return False
 
 
 def _canonical_context(keyed: Sequence[tuple], *companions: Sequence) -> tuple:

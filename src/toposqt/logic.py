@@ -49,13 +49,28 @@ class Sieve:
     members: frozenset[str]
 
 
+_set_base = Sieve.base.__set__
+_set_members = Sieve.members.__set__
+
+
+def _new_sieve(base: str, members: frozenset[str]) -> Sieve:
+    # A Sieve the library has just computed, filled through its slot
+    # descriptors at about 0.6 of the cost of the frozen dataclass __init__,
+    # which stores each field through object.__setattr__.  The result is the
+    # public Sieve in every respect, frozen included.
+    sieve = object.__new__(Sieve)
+    _set_base(sieve, base)
+    _set_members(sieve, members)
+    return sieve
+
+
 def principal_sieve(poset: ContextPoset, context_id: str) -> Sieve:
     """The maximal sieve on a context: its whole down-set ("totally true")."""
-    return Sieve(context_id, frozenset(poset.down_ids(context_id)))
+    return _new_sieve(context_id, frozenset(poset.down_ids(context_id)))
 
 
 def empty_sieve(context_id: str) -> Sieve:
-    return Sieve(context_id, frozenset())
+    return _new_sieve(context_id, frozenset())
 
 
 def _members(sieve: Sieve) -> frozenset[str] | set[str]:
@@ -112,7 +127,8 @@ def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]
     ``EnumerationLimitExceeded`` when the down-set has more than
     ``ENUMERATION_CAP`` elements.
     """
-    return tuple(Sieve(context.id, members) for _, members in _sieves(poset, context.id))
+    base = context.id
+    return tuple([_new_sieve(base, members) for _, members in _sieves(poset, base)])
 
 
 def _sieve_tables(poset: ContextPoset, base: str, masks: list[int]) -> tuple[np.ndarray, ...]:
@@ -176,7 +192,7 @@ def omega_restriction(poset: ContextPoset, sieve: Sieve, sub: Context) -> Sieve:
         raise NotASubcontext(f"{sub.id!r} is not a subcontext of {sieve.base!r}")
     if not members.issubset(poset.down_ids(sieve.base)):
         raise NotASubcontext(f"a sieve on {sieve.base!r} holds a member outside its down-set")
-    return Sieve(sub.id, frozenset(members).intersection(poset.down_ids(sub.id)))
+    return _new_sieve(sub.id, frozenset(members).intersection(poset.down_ids(sub.id)))
 
 
 def sieve_connective(
@@ -187,26 +203,39 @@ def sieve_connective(
     ``and``/``or`` are intersection/union; ``implies`` keeps the subcontexts
     all of whose subcontexts inside s1 also lie in s2; ``not s`` is
     ``s implies empty``.  A sieve with a member outside its base's down-set
-    raises ``NotASubcontext``.
+    raises ``NotASubcontext``; one whose base is not hashable or whose
+    members are no set, ``ValidationError`` naming the base.
     """
-    if kind not in _ALL_KINDS:
-        raise ValidationError(f"unknown connective {kind!r}")
-    if (kind == "not") != (s2 is None):
-        raise ValidationError("'not' is unary" if kind == "not" else f"{kind!r} needs two sieves")
-    if s2 is not None and s1.base != s2.base:
-        raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
-    frame = poset._sieve_frames[s1.base]
+    if s2 is None:
+        if kind != "not":
+            raise ValidationError(f"{kind!r} needs two sieves" if kind in _BINARY_KINDS else f"unknown connective {kind!r}")
+        b = frozenset()
+    else:
+        if kind not in _BINARY_KINDS:
+            raise ValidationError("'not' is unary" if kind == "not" else f"unknown connective {kind!r}")
+        if s1.base != s2.base:
+            raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
+        b = s2.members
+    base = s1.base
     a = s1.members
-    b = frozenset() if s2 is None else s2.members
-    if not (a <= frame.down and b <= frame.down):
-        raise NotASubcontext(f"a sieve on {s1.base!r} holds a member outside its down-set")
+    try:
+        frame = poset._sieve_frames[base]
+        inside = a <= frame.down and b <= frame.down
+    except TypeError:
+        # An unhashable base, or members that are no set: name the base.
+        for sieve in (s1, s2):
+            if sieve is not None:
+                _members(sieve)
+        raise
+    if not inside:
+        raise NotASubcontext(f"a sieve on {base!r} holds a member outside its down-set")
     if kind == "and":
-        return Sieve(s1.base, a & b)
+        return _new_sieve(base, a & b)
     if kind == "or":
-        return Sieve(s1.base, a | b)
+        return _new_sieve(base, a | b)
     # S => T keeps x iff below[x] & S & ~T == 0: all of the down-set but what
     # lies at or above a member of S - T.
-    return Sieve(s1.base, frame.down.difference(*map(frame.above.__getitem__, a - b)))
+    return _new_sieve(base, frame.down.difference(*map(frame.above.__getitem__, a - b)))
 
 
 class GlobalElementOfOmega:
@@ -241,9 +270,11 @@ def totally_false(poset: ContextPoset) -> GlobalElementOfOmega:
 
 
 def _require_assignment(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> None:
-    # One sieve per poset context and no other, each based where it is stored.
+    # One Sieve per poset context and no other, each based where it is stored.
     _require_contexts(poset, element.sieves, name)
     for cid, sieve in element.sieves.items():
+        if not isinstance(sieve, Sieve):
+            raise ValidationError(f"{name}: the value stored at {cid!r} is not a Sieve: {brief_repr(sieve)}")
         if sieve.base != cid:
             raise BaseMismatch(f"{name}: sieve stored at {cid!r} is based at {sieve.base!r}")
 

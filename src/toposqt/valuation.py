@@ -26,7 +26,7 @@ from ._json import brief_repr
 from .contexts import Context, ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise, _daseinise_poset
 from .errors import NotUnitVector, SearchBudgetExceeded, ValidationError
-from .logic import GlobalElementOfOmega, Sieve
+from .logic import GlobalElementOfOmega, _new_sieve
 from .operators import (
     TAU,
     TAU_EIG,
@@ -92,7 +92,7 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     state = _daseinise_poset(poset, _ray(psi, tau), 1)[1]
     outside = {cid for cid in poset.ids if not state[cid] <= outer[cid]}
     certain = frozenset(_implication(poset.down_ids, poset.ids, outside))
-    sieves = {cid: Sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
+    sieves = {cid: _new_sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
     return GlobalElementOfOmega(sieves)
 
 

@@ -696,6 +696,21 @@ def test_built_poset_holds_one_array_per_distinct_atom(name):
     assert not any(a.flags.writeable for a in arrays)
 
 
+def test_a_read_only_view_of_a_writable_array_is_copied():
+    # The view changes when its base does, so the context keeps its own copy
+    # and its atoms stay what its id was taken from; a read-only atom of a
+    # built context has nothing writable under it and is kept as it is.
+    base = np.diag([1, 0, 0, 0]).astype(complex)
+    view = base[:]
+    view.setflags(write=False)
+    c = context_from_atoms([view, np.diag([0, 1, 1, 1]).astype(complex)])
+    kept = next(a for a in c.atoms if a[0, 0] == 1)
+    assert kept is not view and not kept.flags.writeable
+    base[0, 0] = 7
+    assert kept[0, 0] == 1 and c.id == context_from_atoms(c.atoms).id
+    assert all(a is b for a, b in zip(context_from_atoms(c.atoms).atoms, c.atoms))
+
+
 @pytest.mark.parametrize("name", ["ks18", "projector-sets"])
 def test_context_ranks_are_the_ranks_of_its_atoms(name):
     problem = _ks18() if name == "ks18" else problem_from_dict(projector_set_problem())

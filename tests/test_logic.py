@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from importlib import resources
 from itertools import islice, product
 
@@ -45,6 +46,8 @@ from toposqt.valuation import GlobalSection, global_sections, is_global_section,
 
 with resources.as_file(resources.files("toposqt.data") / "spin2.json") as _p:
     SPIN2_PATH = str(_p)
+with resources.as_file(resources.files("toposqt.data") / "ks18.json") as _p:
+    KS18_PATH = str(_p)
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +400,117 @@ def test_a_plain_set_of_ids_is_read_as_a_frozenset(spin2_poset):
     assert not is_sieve(spin2_poset, Sieve(top, {top}))
     pulled = omega_restriction(spin2_poset, Sieve(top, set(spin2_poset.down_ids(top))), sub)
     assert pulled == principal_sieve(spin2_poset, sub.id)
+
+
+@pytest.mark.parametrize(
+    "operands",
+    [
+        lambda top: (Sieve(top, "abc"), Sieve(top, frozenset())),
+        lambda top: (Sieve(top, frozenset()), Sieve(top, [top])),
+        lambda top: (Sieve(top, {top: True}), Sieve(top, frozenset())),
+        lambda top: (Sieve(top, [top]),),
+    ],
+    ids=["str", "list-second", "dict", "list-unary"],
+)
+def test_connective_members_that_are_no_set_are_a_validation_error(spin2_poset, operands):
+    # They escaped from the subset test as TypeError.
+    top = spin2_poset.ids[0]
+    sieves = operands(top)
+    for kind in ("not",) if len(sieves) == 1 else ("and", "or", "implies"):
+        with pytest.raises(ValidationError, match=f"sieve on {top!r} are not a set of context ids"):
+            sieve_connective(spin2_poset, kind, *sieves)
+
+
+def test_connective_on_an_unhashable_base_is_a_validation_error(spin2_poset):
+    # It escaped from the frame lookup as "TypeError: unhashable type".
+    odd = Sieve([1], frozenset())
+    for kind, sieves in (("and", (odd, odd)), ("implies", (odd, odd)), ("not", (odd,))):
+        with pytest.raises(ValidationError, match=r"the base of a sieve is not a context id: \[1\]"):
+            sieve_connective(spin2_poset, kind, *sieves)
+
+
+def test_a_global_element_of_bare_sets_is_a_validation_error(spin2_poset):
+    # Values that are frozensets, not Sieves, escaped as AttributeError.
+    top = spin2_poset.ids[0]
+    bare = GlobalElementOfOmega({cid: frozenset(spin2_poset.down_ids(cid)) for cid in spin2_poset.ids})
+    true = totally_true(spin2_poset)
+    with pytest.raises(ValidationError, match=f"^global element: the value stored at {top!r} is not a Sieve"):
+        check_global_element(spin2_poset, bare)
+    for kind, operands, name in (("not", (bare,), "first"), ("and", (bare, true), "first"), ("or", (true, bare), "second")):
+        with pytest.raises(ValidationError, match=f"^{name} global element: the value stored at {top!r} is not a Sieve"):
+            global_element_connective(spin2_poset, kind, *operands)
+    listed = GlobalElementOfOmega({cid: Sieve(cid, list(s.members)) for cid, s in true.sieves.items()})
+    with pytest.raises(ValidationError, match=f"sieve on {top!r} are not a set of context ids"):
+        global_element_connective(spin2_poset, "and", listed, true)
+
+
+@pytest.fixture(scope="module")
+def ks18_poset():
+    return problem_poset(load_problem(KS18_PATH))
+
+
+def _library_sieves(poset):
+    # One sieve from every path that builds a result Sieve: enumeration,
+    # principal and empty sieves, restriction, each connective and truth.
+    for context in poset:
+        sieves = enumerate_sieves(poset, context)
+        yield from sieves
+        yield principal_sieve(poset, context.id)
+        yield empty_sieve(context.id)
+        yield omega_restriction(poset, sieves[-2], poset.get(poset.down_ids(context.id)[-1]))
+        for a, b in zip(sieves, reversed(sieves)):
+            for kind in ("and", "or", "implies"):
+                yield sieve_connective(poset, kind, a, b)
+            yield sieve_connective(poset, "not", a)
+    e = np.eye(poset.get(poset.ids[0]).atoms[0].shape[0])
+    yield from truth_value(poset, np.diag(e[0] + e[1]), (e[0] + e[2]) / np.sqrt(2)).sieves.values()
+
+
+@pytest.mark.parametrize("name", ["poset11", "ks18_poset"])
+def test_result_sieves_are_the_public_sieve(request, name):
+    # Built without the dataclass __init__, a result is still equal to, hashes
+    # and prints as the Sieve of its fields, and is as frozen.
+    poset = request.getfixturevalue(name)
+    built = list(_library_sieves(poset))
+    assert len(built) > 10 * len(poset)
+    for sieve in built:
+        twin = Sieve(sieve.base, sieve.members)
+        assert type(sieve) is Sieve and type(sieve.members) is frozenset
+        assert sieve == twin and twin == sieve and {sieve, twin} == {twin}
+        assert hash(sieve) == hash(twin) and repr(sieve) == repr(twin)
+        assert sieve != Sieve(sieve.base, sieve.members | {"ctx-foreign"})
+        for field, value in (("base", "ctx-foreign"), ("members", frozenset())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sieve, field, value)
+        assert sieve == twin
+
+
+def test_result_sieves_skip_the_dataclass_init(poset11, named, monkeypatch):
+    # One connective of each kind, and every other path, builds its Sieve
+    # through the slot descriptors; the count shows the patch is seen.
+    base = named["V12"].id
+    a, b = Sieve(base, frozenset({named["V1"].id})), Sieve(base, frozenset({named["V2"].id}))
+    element = totally_true(poset11)
+    calls = []
+    init = Sieve.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Sieve, "__init__", counting)
+    for kind in ("and", "or", "implies"):
+        sieve_connective(poset11, kind, a, b)
+    sieve_connective(poset11, "not", a)
+    enumerate_sieves(poset11, named["V"])
+    principal_sieve(poset11, base)
+    empty_sieve(base)
+    omega_restriction(poset11, a, named["V1"])
+    global_element_connective(poset11, "implies", element, element)
+    truth_value(poset11, np.diag([1.0, 0, 0, 0]), np.eye(4)[0])
+    assert calls == []
+    Sieve(base, frozenset())
+    assert calls == [(base, frozenset())]
 
 
 @pytest.mark.parametrize("kind", ["and", "or", "implies", "not"])

@@ -1,4 +1,4 @@
-"""Time ``build_poset`` and the ``contexts`` report on one Haar-random orthonormal basis per dimension, in process.
+"""Time ``build_poset``, the ``contexts`` report and truth-value logic on one Haar-random orthonormal basis per dimension, in process.
 
 Usage, from the root of this checkout::
 
@@ -8,15 +8,20 @@ Prints, for each dimension n, the context count (2^n - n - 1), the least and
 the median wall time of ``REPEAT`` builds, and the same for ``REPEAT``
 ``contexts`` reports of the same basis, in their two parts: ``run_command``,
 which builds the poset again and makes the report's dict, and
-``render_json``, which writes that dict as text.  The basis of dimension n is
-``benchmarks/inputs.haar_unitary`` drawn from seed ``[1, n]``.  The library
-comes from ``PYTHONPATH`` when it names one (to time another checkout), else
-from this checkout's ``src``.
+``render_json``, which writes that dict as text.  Then, on a fresh poset each,
+the first and a warm call of ``truth_value`` and of
+``global_element_connective`` ``and`` and ``implies``, whose first call
+builds every context's sieve frame.  The propositions are sums of atoms of
+the top context (the basis) and the state is an even superposition of two
+of its rays.  The basis of dimension n is ``benchmarks/inputs.haar_unitary``
+drawn from seed ``[1, n]``.  The library comes from ``PYTHONPATH`` when it
+names one (to time another checkout), else from this checkout's ``src``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import statistics
 import sys
 import time
@@ -30,7 +35,9 @@ from inputs import haar_unitary, problem_dict  # noqa: E402
 
 from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
+from toposqt.logic import global_element_connective  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
+from toposqt.valuation import truth_value  # noqa: E402
 
 #: Builds, and reports, timed per dimension.
 REPEAT = 3
@@ -46,6 +53,32 @@ def _times(call) -> tuple[str, object]:
     return f"min {min(times):.3f} s, median {statistics.median(times):.3f} s", result
 
 
+def _first_and_warm(call) -> str:
+    # "first X ms, warm Y ms": two calls in a row, each after a collection,
+    # so that neither pays for the garbage of the builds and reports before.
+    times = []
+    for _ in range(2):
+        gc.collect()
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return f"first {1e3 * times[0]:.2f} ms, warm {1e3 * times[1]:.2f} ms"
+
+
+def _logic(seed, basis: list[np.ndarray]) -> str:
+    # truth_value and two connectives of truth values, each on a fresh poset,
+    # so that each first call builds what it uses.
+    P, Q = (sum(np.outer(basis[i], basis[i].conj()) for i in pair) for pair in ((0, 1), (0, 2)))
+    psi = (basis[0] + basis[1]) / np.sqrt(2)
+    poset = build_poset([seed])
+    parts = [f"truth_value {_first_and_warm(lambda: truth_value(poset, P, psi))}"]
+    for kind in ("and", "implies"):
+        poset = build_poset([seed])
+        g1, g2 = truth_value(poset, P, psi), truth_value(poset, Q, psi)
+        parts.append(f"{kind} {_first_and_warm(lambda: global_element_connective(poset, kind, g1, g2))}")
+    return "; ".join(parts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dims", type=int, nargs="+")
@@ -57,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         problem = problem_from_dict(problem_dict(dim, [basis]))
         command, report = _times(lambda: run_command("contexts", problem, {}))
         render, _ = _times(lambda: render_json(report))
-        print(f"dim {dim}: {len(poset)} contexts, build {build}; run_command {command}; render_json {render}")
+        print(f"dim {dim}: {len(poset)} contexts, build {build}; run_command {command}; render_json {render}; "
+              f"{_logic(seed, basis)}")
     return 0
 
 
