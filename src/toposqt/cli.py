@@ -39,21 +39,11 @@ HEYTING_TRIPLE_CAP = 200_000
 
 
 def _context_entry(context, encoded: dict[int, list]) -> dict:
-    # ``encoded`` holds each atom's matrix_to_json list by the id of its
-    # array: the poset keeps one read-only array per distinct atom, shared by
-    # every context that holds it, so each is encoded once per report and its
-    # list is shared too.
-    atoms = []
-    for a in context.atoms:
-        found = encoded.get(id(a))
-        if found is None:
-            found = encoded[id(a)] = matrix_to_json(a, 12)
-        atoms.append(found)
     return {
         "id": context.id,
         "atom_count": context.n_atoms,
         "atom_ranks": list(context.ranks),
-        "atoms": atoms,
+        "atoms": [encoded[id(a)] for a in context.atoms],
     }
 
 
@@ -87,7 +77,10 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
     poset = problem_poset(problem)
 
     if command == "contexts":
-        encoded: dict[int, list] = {}
+        # The poset keeps one array per distinct atom: each gets one list, by
+        # its id, made in one call on their stack and shared where it recurs.
+        atoms = {id(a): a for c in poset for a in c.atoms}
+        encoded = dict(zip(atoms, matrix_to_json(list(atoms.values()), 12)))
         return {
             "dim": poset.dim,
             "count": len(poset),

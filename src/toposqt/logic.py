@@ -48,6 +48,11 @@ class Sieve:
     base: str
     members: frozenset[str]
 
+    def __post_init__(self) -> None:
+        # A plain set is frozen, so results of connectives on it can be hashed.
+        if isinstance(self.members, set):
+            object.__setattr__(self, "members", frozenset(self.members))
+
 
 _set_base = Sieve.base.__set__
 _set_members = Sieve.members.__set__
@@ -284,7 +289,7 @@ def check_global_element(poset: ContextPoset, element: GlobalElementOfOmega) -> 
     restriction: each is the trace on its base's down-set of one down-set."""
     _require_assignment(poset, element, "global element")
     # Matching sieves are the traces on each down-set of one down-set: their union.
-    union = frozenset().union(*(s.members for s in element.sieves.values()))
+    union = frozenset().union(*map(_members, element.sieves.values()))
     if any(element.at(cid).members != union.intersection(poset.down_ids(cid)) for cid in poset.ids):
         return False
     return len(_implication(poset.down_ids, union, set(poset.ids) - union)) == len(union)

@@ -11,7 +11,6 @@ import pytest
 
 import toposqt.cli
 from conftest import locate
-from toposqt._json import matrix_to_json
 from toposqt.cli import main, render_json, run_command
 from toposqt.contexts import build_poset, context_from_basis
 from toposqt.errors import ValidationError
@@ -71,8 +70,16 @@ def test_contexts_report_of_bases_sharing_rays(seed):
     entries = report["contexts"]
     assert len({id(m) for e in entries for m in e["atoms"]}) < sum(e["atom_count"] for e in entries)
     poset = problem_poset(problem)
+    listed: dict[int, list] = {}
     for entry in entries:
-        assert entry["atoms"] == [matrix_to_json(a, 12) for a in poset.get(entry["id"]).atoms]
+        atoms = poset.get(entry["id"]).atoms
+        expected = [
+            [[[round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0] for z in row] for row in a.tolist()] for a in atoms
+        ]
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(entry["atoms"]) == repr(expected)
+        for a, m in zip(atoms, entry["atoms"]):
+            assert listed.setdefault(id(a), m) is m
 
 
 def test_spectrum_command(capsys, spin2_poset):

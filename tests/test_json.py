@@ -246,3 +246,43 @@ def test_rounding_is_correctly_rounded_not_numpy_rounding():
     # The first tie is one on which np.round and round disagree.
     assert round(_TIES[0], 12) != float(np.round(_TIES[0], 12))
     assert matrix_to_json(np.array([[_TIES[0]]]), 12) == [[[round(_TIES[0], 12), 0.0]]]
+
+
+_SPECIAL = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+            2.0**40, -(2.0**40), 2.0**53 + 2, 1e15 + 0.5]
+
+
+@st.composite
+def _rounding_cases(draw):
+    # ndigits (mostly 0-15, sometimes None or outside the range in which
+    # 10**ndigits is a double) and a stack of two matrices of one shape whose
+    # entries include the doubles next to (k + 0.5) / 10**n.
+    ndigits = draw(st.one_of(st.integers(0, 15), st.none(), st.sampled_from([-2, 16, 22, 23, 30])))
+    n = ndigits if ndigits is not None and 0 <= ndigits <= 15 else draw(st.integers(0, 15))
+
+    @st.composite
+    def near_tie(draw):
+        x = (draw(st.integers(-(10**17), 10**17)) + 0.5) / 10.0**n
+        for _ in range(draw(st.integers(0, 2))):
+            x = np.nextafter(x, draw(st.sampled_from([-np.inf, np.inf])))
+        return float(x)
+
+    entries = st.one_of(st.floats(), st.sampled_from(_SPECIAL), near_tie(), st.sampled_from(_TIES))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(entries, min_size=4 * rows * cols, max_size=4 * rows * cols))
+    z = np.empty((2, rows, cols), dtype=complex)
+    z.real.flat, z.imag.flat = parts[::2], parts[1::2]
+    return ndigits, z
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_rounding_cases())
+def test_stacked_rounding_equals_the_per_entry_form(case):
+    ndigits, stack = case
+    per_matrix = [_matrix_per_entry(A, ndigits) for A in stack]
+    for A, expected in zip(stack, per_matrix):
+        assert repr(matrix_to_json(A, ndigits)) == repr(expected)
+        assert repr(vector_to_json(A, ndigits)) == repr(_vector_per_entry(A, ndigits))
+    assert repr(matrix_to_json(stack, ndigits)) == repr(per_matrix)
+    deeper = np.stack([stack, stack[::-1]])
+    assert repr(matrix_to_json(deeper, ndigits)) == repr([per_matrix, per_matrix[::-1]])

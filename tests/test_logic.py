@@ -402,6 +402,18 @@ def test_a_plain_set_of_ids_is_read_as_a_frozenset(spin2_poset):
     assert pulled == principal_sieve(spin2_poset, sub.id)
 
 
+def test_connectives_on_plain_set_operands_give_hashable_sieves(spin2_poset):
+    # A set operand gave back members that were a set, so "and" and "or"
+    # results could not be hashed.
+    top = spin2_poset.ids[0]
+    a, b = Sieve(top, set(spin2_poset.down_ids(top))), Sieve(top, set())
+    assert type(a.members) is frozenset and a == principal_sieve(spin2_poset, top)
+    for kind, operands in (("and", (a, b)), ("or", (a, b)), ("implies", (b, a)), ("not", (b,))):
+        result = sieve_connective(spin2_poset, kind, *operands)
+        assert type(result.members) is frozenset
+        assert hash(result) == hash(Sieve(top, frozenset(result.members)))
+
+
 @pytest.mark.parametrize(
     "operands",
     [
@@ -442,6 +454,12 @@ def test_a_global_element_of_bare_sets_is_a_validation_error(spin2_poset):
     listed = GlobalElementOfOmega({cid: Sieve(cid, list(s.members)) for cid, s in true.sieves.items()})
     with pytest.raises(ValidationError, match=f"sieve on {top!r} are not a set of context ids"):
         global_element_connective(spin2_poset, "and", listed, true)
+    # check_global_element read the list as no global element, and a list of
+    # lists escaped from the union as TypeError.
+    nested = GlobalElementOfOmega({**true.sieves, top: Sieve(top, [[1]])})
+    for element in (listed, nested):
+        with pytest.raises(ValidationError, match=f"sieve on {top!r} are not a set of context ids"):
+            check_global_element(spin2_poset, element)
 
 
 @pytest.fixture(scope="module")
