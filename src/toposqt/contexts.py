@@ -44,6 +44,7 @@ from .operators import (
     TAU,
     TAU_EIG,
     Tolerances,
+    _complex,
     close,
     identity,
     is_orthonormal,
@@ -214,7 +215,7 @@ def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) 
 
 def context_from_basis(vectors: Iterable[np.ndarray], tau: float = TAU) -> Context:
     """Maximal context of an orthonormal basis (rank-one atoms)."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    vecs = [_complex(v).reshape(-1) for v in vectors]
     if not vecs:
         raise ValidationError("basis needs at least one vector")
     dim = vecs[0].shape[0]
@@ -565,13 +566,14 @@ class ContextPoset:
         return _SieveFrame(ids, below, frozenset(ids), above)
 
     @cached_property
-    def _seed_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        # The stacked seed atoms, and a 0/1 matrix whose row k marks the seed
+    def _seed_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The stacked seed atoms, a 0/1 matrix whose row k marks the seed
         # atoms that the k-th poset atom sums (contexts in poset order, atoms
-        # in atom order): its product with a touch_table of the seed atoms is
-        # the table of every poset atom.
+        # in atom order), whose product with a touch_table of the seed atoms
+        # is the table of every poset atom, and each context's first row.
         masks = [mask for c in self._contexts for mask in self._registry.nodes[c.id].own]
-        return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float)
+        starts = np.cumsum([0] + [c.n_atoms for c in self._contexts[:-1]])
+        return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float), starts
 
     def _build_restricted_sums(self, context_id: str) -> tuple[np.ndarray, np.ndarray]:
         # The seed atoms that the context's atoms sum, stacked, and a 0/1

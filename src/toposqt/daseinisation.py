@@ -85,7 +85,7 @@ def _daseinise_poset(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict
     # touch_table of the seed atoms against (1 - P, P) at the poset's tau, and
     # the atoms where its inner (end 0) or outer (end 1) approximation is 1.
     family = _two_valued(P)
-    seeds, sums = poset._seed_sums
+    seeds, sums, _ = poset._seed_sums
     bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset.tolerances.tau))
     own = {c.id: list(islice(bounds, c.n_atoms)) for c in poset}
     return own, {cid: frozenset(i for i, b in enumerate(o) if b[end]) for cid, o in own.items()}

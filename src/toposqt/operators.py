@@ -47,9 +47,18 @@ class Tolerances:
             object.__setattr__(self, name, float(value))
 
 
+def _complex(data) -> np.ndarray:
+    # Array data as a complex array; data that numpy cannot read as numbers
+    # (strings, mappings, ragged rows) raise ValidationError.
+    try:
+        return np.asarray(data, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected numeric array data, got {brief_repr(data)}") from None
+
+
 def as_operator(entries) -> np.ndarray:
-    """Coerce to a square complex matrix."""
-    A = np.asarray(entries, dtype=complex)
+    """Coerce to a square complex matrix (``ValidationError`` for data that are not numbers)."""
+    A = _complex(entries)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {A.shape}")
     return A
@@ -64,8 +73,12 @@ def zero(dim: int) -> np.ndarray:
 
 
 def close(A: np.ndarray, B: np.ndarray, tau: float = TAU) -> bool:
-    """Frobenius-norm equality within ``tau``."""
-    return float(np.linalg.norm(np.asarray(A) - np.asarray(B))) <= tau
+    """Frobenius-norm equality within ``tau``: np.linalg.norm(A - B) <= tau,
+    by norm's own formula (the same value, without its dispatch)."""
+    d = np.asarray(A) - np.asarray(B)
+    d = (d if d.dtype.kind in "fc" else d.astype(float)).ravel(order="K")
+    re, im = d.real, d.imag
+    return math.sqrt(re.dot(re) + im.dot(im)) <= tau
 
 
 def is_self_adjoint(A, tau: float = TAU) -> bool:
@@ -83,7 +96,7 @@ def is_orthonormal(vectors, tau: float = TAU) -> bool:
     """Every entry of the Gram matrix within tau of the identity's, the same
     tau as every other check: vectors written as decimals must be accurate to
     it.  A unit vector is an orthonormal family of one."""
-    vecs = np.asarray(vectors, dtype=complex)
+    vecs = _complex(vectors)
     return bool(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= tau)
 
 
@@ -150,14 +163,15 @@ def _decompose(A, tolerances: Tolerances) -> SpectralDecomposition:
     raw, vecs = np.linalg.eigh(A)
     values = raw.tolist()
     # Each cluster is the slice raw[i:j]; its mean np.add.reduce / count is
-    # bit-identical to np.mean (the same pairwise sum), without its overhead.
+    # bit-identical to np.mean (the same pairwise sum), without its overhead,
+    # and a singleton's mean is its value.
     starts = [0] + [i for i in range(1, len(values)) if values[i] - values[i - 1] > 2.0 * tau_eig]
+    vh = vecs.conj().T
     eigenvalues = []
     projectors = []
     for i, j in zip(starts, starts[1:] + [len(values)]):
-        eigenvalues.append(float(np.add.reduce(raw[i:j]) / (j - i)))
-        block = vecs[:, i:j]
-        projectors.append(block @ block.conj().T)
+        eigenvalues.append(values[i] if j - i == 1 else float(np.add.reduce(raw[i:j]) / (j - i)))
+        projectors.append(vecs[:, i:j] @ vh[i:j])
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
 
 
@@ -187,7 +201,9 @@ def touch_table(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.n
     touch test for every sum of them.  tr(ab) would equal it in exact
     arithmetic, but its rounding (about 1e-16) lies far above tau^2.
     """
-    if len({a.shape for a in (*left, *right)}) > 1:
+    stacked = isinstance(left, np.ndarray)  # a stack's rows share its shape[1:]
+    shapes = {left.shape[1:], *[b.shape for b in right]} if stacked else {a.shape for a in (*left, *right)}
+    if len(shapes) > 1:
         raise DimensionMismatch("atoms live on different Hilbert spaces")
     left = np.asarray(left)
     n, dim = len(left), left.shape[-1]

@@ -17,14 +17,13 @@ import math
 import numbers
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from ._json import brief_repr
 from .contexts import Context, ContextPoset
-from .daseinisation import DaseinisedProposition, _daseinise, _daseinise_poset
+from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import NotUnitVector, SearchBudgetExceeded, ValidationError
 from .logic import GlobalElementOfOmega, _new_sieve
 from .operators import (
@@ -32,8 +31,10 @@ from .operators import (
     TAU_EIG,
     SpectralDecomposition,
     Tolerances,
+    _complex,
     _decompose,
     _spectral_projection,
+    _two_valued,
     is_orthonormal,
     require_projector,
     table_bounds,
@@ -47,7 +48,7 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 
 def _ray(psi, tau: float) -> np.ndarray:
     # The projector |psi><psi| onto a unit vector's ray.
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = _complex(psi).reshape(-1)
     if not is_orthonormal([psi], tau):
         raise NotUnitVector("state vector must have norm one")
     return np.outer(psi, psi.conj())
@@ -85,12 +86,20 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     of V, the pseudo-state lies below the outer daseinisation of P: every
     atom touching the state's ray also touches P.  (Touches add up in
     quadrature as atoms merge, so the test at V alone is not monotone.)  The
-    result always satisfies the global-element matching condition.
+    result always satisfies the global-element matching condition.  Both
+    outer daseinisations are read off one touch_table of the seed atoms
+    against 1 - P, P, 1 - |psi><psi| and |psi><psi|; an atom that touches
+    neither projection of P's family or of the state's raises ``ValidationError``.
     """
     tau = poset._tolerance(tau).tau
-    outer = _daseinise_poset(poset, require_projector(P, tau), 1)[1]
-    state = _daseinise_poset(poset, _ray(psi, tau), 1)[1]
-    outside = {cid for cid in poset.ids if not state[cid] <= outer[cid]}
+    P, ray = require_projector(P, tau), _ray(psi, tau)
+    seeds, sums, starts = poset._seed_sums
+    hits = sums @ touch_table(seeds, _two_valued(P).projectors + _two_valued(ray).projectors) > tau * tau
+    if not (hits[:, :2].any(axis=1) & hits[:, 2:].any(axis=1)).all():
+        raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
+    # The contexts with an atom that touches the ray but not P: the pseudo-state is not below P there.
+    fails = np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts).tolist()
+    outside = {cid for cid, fail in zip(poset.ids, fails) if fail}
     certain = frozenset(_implication(poset.down_ids, poset.ids, outside))
     sieves = {cid: _new_sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
     return GlobalElementOfOmega(sieves)
@@ -137,12 +146,12 @@ def _value_arrows(
         _require_member(context, character)
     down = poset.down_ids(context.id)
     seeds, sums = poset._restricted_sums[context.id]
-    rows = sums[[ch.atom_index for ch in characters]] @ touch_table(seeds, decomp.projectors)
-    bounds = iter(table_bounds(rows.reshape(-1, rows.shape[-1]), decomp.eigenvalues, poset.tolerances.tau))
+    table = touch_table(seeds, decomp.projectors)
     pairs = []
-    for _ in characters:
-        at = list(zip(down, islice(bounds, len(down))))
-        pairs.append(IntervalPair(context.id, {s: lo for s, (lo, _) in at}, {s: hi for s, (_, hi) in at}))
+    for character in characters:
+        bounds = table_bounds(sums[character.atom_index] @ table, decomp.eigenvalues, poset.tolerances.tau)
+        pairs.append(IntervalPair(context.id, {s: lo for s, (lo, _) in zip(down, bounds)},
+                                  {s: hi for s, (_, hi) in zip(down, bounds)}))
     return pairs
 
 

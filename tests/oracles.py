@@ -209,6 +209,21 @@ def touch_interval(poset: ContextPoset, A: np.ndarray, context: Context, atom: i
     return mu, nu
 
 
+def reference_decompose(A: np.ndarray, tau_eig: float = 1e-8) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+    """Eigenvalues and projectors of a self-adjoint A by the plain
+    per-cluster loop: each cluster's mean by np.add.reduce over its slice,
+    even for one eigenvalue, and each projector from its own conjugated block."""
+    raw, vecs = np.linalg.eigh(A)
+    values = raw.tolist()
+    starts = [0] + [i for i in range(1, len(values)) if values[i] - values[i - 1] > 2.0 * tau_eig]
+    eigenvalues, projectors = [], []
+    for i, j in zip(starts, starts[1:] + [len(values)]):
+        eigenvalues.append(float(np.add.reduce(raw[i:j]) / (j - i)))
+        block = vecs[:, i:j]
+        projectors.append(block @ block.conj().T)
+    return tuple(eigenvalues), tuple(projectors)
+
+
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

@@ -4,13 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_touch_masks, random_projector, random_self_adjoint, random_unit_vector
+from oracles import (
+    pair_touch_masks,
+    random_projector,
+    random_self_adjoint,
+    random_unit_vector,
+    random_unitary,
+    reference_decompose,
+)
 from toposqt.errors import DimensionMismatch, NotProjector, NotSelfAdjoint, ValidationError
 from toposqt.operators import (
     TAU,
+    Tolerances,
+    _decompose,
+    close,
     is_projector,
     is_self_adjoint,
     projector_leq,
@@ -252,6 +262,44 @@ def test_cluster_eigenvalue_is_the_numpy_mean(size):
         raw = np.linalg.eigh(A)[0]
         decomp = spectral_decomposition(A)
         assert decomp.eigenvalues == (float(raw[0]), float(np.mean(raw[1:-1])), float(raw[-1]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), min_size=1, max_size=10),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example([0.5] * 8 + [-1, 2], 0, True)  # one cluster of 8: numpy's pairwise sum
+@example([3] * 10, 1, True)
+def test_decompose_equals_the_per_cluster_loop(values, seed, rotate):
+    # A spectrum with repeats, diagonal or turned by a Haar-random unitary so
+    # that equal eigenvalues come out of eigh a few ulps apart.
+    A = np.diag(values).astype(complex)
+    if rotate:
+        U = random_unitary(np.random.default_rng(seed), len(values))
+        A = U @ A @ U.conj().T
+        A = (A + A.conj().T) / 2
+    decomp = _decompose(A, Tolerances())
+    eigenvalues, projectors = reference_decompose(A)
+    assert decomp.eigenvalues == eigenvalues
+    assert len(decomp.projectors) == len(projectors)
+    assert all(np.array_equal(p, q) for p, q in zip(decomp.projectors, projectors))
+
+
+@pytest.mark.parametrize("dtype", [complex, float, int])
+def test_close_is_the_frobenius_norm_test(dtype):
+    # The same norm to the last bit: close holds at tau = ||A - B||_F and
+    # fails at the next float below it.
+    rng = np.random.default_rng(3)
+    for shape in [(1, 1), (4, 4), (3, 5)]:
+        A, B = (rng.normal(size=shape) * 10 + 1j * rng.normal(size=shape) for _ in range(2))
+        if dtype is not complex:
+            A, B = A.real.astype(dtype), B.real.astype(dtype)
+        norm = float(np.linalg.norm(A - B))
+        for tau in (norm, np.nextafter(norm, 0.0), norm / 2, 2 * norm, 1e-9):
+            assert close(A, B, tau) == (norm <= tau)
+    assert close(np.eye(3, dtype=int), np.eye(3, dtype=int), 0.0)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))

@@ -70,8 +70,8 @@ def _rotated_case(dim: int, shared: int | None, seed: int):
     return poset, _queries(np.random.default_rng([dim, seed, 1]), bases)
 
 
-def _ks18_case():
-    with resources.as_file(resources.files("toposqt.data") / "ks18.json") as path:
+def _shipped_case(name: str):
+    with resources.as_file(resources.files("toposqt.data") / f"{name}.json") as path:
         problem = load_problem(path)
     bases = [np.array(b).T for b in problem.bases[::4]]
     return problem_poset(problem), _queries(np.random.default_rng(18), bases)
@@ -84,6 +84,7 @@ CASES = {
     "dim5-two-sharing1": (5, 1),
     "dim6-one": (6, None),
     "dim6-two-sharing2": (6, 2),
+    "spin2": None,
     "ks18": None,
 }
 
@@ -91,7 +92,7 @@ CASES = {
 @pytest.fixture(scope="module", params=list(CASES))
 def case(request):
     spec = CASES[request.param]
-    return _ks18_case() if spec is None else _rotated_case(*spec, seed=7)
+    return _shipped_case(request.param) if spec is None else _rotated_case(*spec, seed=7)
 
 
 def test_selections_equal_the_atom_matrix_touches(case):
@@ -148,3 +149,8 @@ def test_poset_wide_paths_reject_an_atom_touching_no_projection():
         daseinise_proposition(poset, P, tau)
     with pytest.raises(ValidationError, match="touches no projection"):
         truth_value(poset, P, np.eye(4)[2], tau)
+    # Every atom touches a standard P or its complement, but not the ray of |+>.
+    with pytest.raises(ValidationError, match="touches no projection"):
+        truth_value(poset, np.diag([1.0, 0.0, 0.0, 0.0]), plus, tau)
+    with pytest.raises(ValidationError, match="touches no projection"):
+        pseudo_state(poset, plus, tau)

@@ -454,6 +454,25 @@ def test_quantity_value_input_checks(poset11, maximal_context, sz):
         quantity_value_arrow(poset11, sz, maximal_context, stray)
 
 
+_STRINGS = [["a", "b", "c", "d"]] * 4
+_STRING_CALLS = {
+    "truth_value state": lambda poset, ctx, ch: truth_value(poset, np.eye(4), _STRINGS[0]),
+    "pseudo_state": lambda poset, ctx, ch: pseudo_state(poset, _STRINGS[0]),
+    "spectral_decomposition": lambda poset, ctx, ch: spectral_decomposition(_STRINGS),
+    "daseinise_proposition": lambda poset, ctx, ch: daseinise_proposition(poset, _STRINGS),
+    "quantity_value_arrow A": lambda poset, ctx, ch: quantity_value_arrow(poset, _STRINGS, ctx, ch),
+    "context_from_basis": lambda poset, ctx, ch: context_from_basis(_STRINGS),
+    "find": lambda poset, ctx, ch: poset.find([_STRINGS] * 4),
+}
+
+
+@pytest.mark.parametrize("call", list(_STRING_CALLS.values()), ids=list(_STRING_CALLS))
+def test_string_array_data_is_a_validation_error(poset11, maximal_context, call):
+    # numpy reads none of these as complex numbers; the library says so.
+    with pytest.raises(ValidationError, match="expected numeric array data"):
+        call(poset11, maximal_context, gelfand_spectrum(maximal_context)[0])
+
+
 def test_random_complex_bases_full_pipeline():
     rng = np.random.default_rng(1234)
     gauss = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

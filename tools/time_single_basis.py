@@ -11,9 +11,12 @@ which builds the poset again and makes the report's dict, and
 ``render_json``, which writes that dict as text.  Then, on a fresh poset each,
 the first and a warm call of ``truth_value`` and of
 ``global_element_connective`` ``and`` and ``implies``, whose first call
-builds every context's sieve frame.  The propositions are sums of atoms of
-the top context (the basis) and the state is an even superposition of two
-of its rays.  The basis of dimension n is ``benchmarks/inputs.haar_unitary``
+builds every context's sieve frame, and of a value sweep: one
+``quantity_value_arrow`` per character of every context, whose first call
+builds every context's restricted sums.  The propositions are sums of atoms
+of the top context (the basis), the state is an even superposition of two
+of its rays, and the observable of the sweep has the eigenvalues 0, ..., n - 1
+on the basis rays.  The basis of dimension n is ``benchmarks/inputs.haar_unitary``
 drawn from seed ``[1, n]``.  The library comes from ``PYTHONPATH`` when it
 names one (to time another checkout), else from this checkout's ``src``.
 """
@@ -36,8 +39,9 @@ from inputs import haar_unitary, problem_dict  # noqa: E402
 from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
 from toposqt.logic import global_element_connective  # noqa: E402
+from toposqt.presheaf import gelfand_spectrum  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
-from toposqt.valuation import truth_value  # noqa: E402
+from toposqt.valuation import quantity_value_arrow, truth_value  # noqa: E402
 
 #: Builds, and reports, timed per dimension.
 REPEAT = 3
@@ -66,8 +70,8 @@ def _first_and_warm(call) -> str:
 
 
 def _logic(seed, basis: list[np.ndarray]) -> str:
-    # truth_value and two connectives of truth values, each on a fresh poset,
-    # so that each first call builds what it uses.
+    # truth_value, two connectives of truth values and a value sweep, each on
+    # a fresh poset, so that each first call builds what it uses.
     P, Q = (sum(np.outer(basis[i], basis[i].conj()) for i in pair) for pair in ((0, 1), (0, 2)))
     psi = (basis[0] + basis[1]) / np.sqrt(2)
     poset = build_poset([seed])
@@ -76,6 +80,15 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
         poset = build_poset([seed])
         g1, g2 = truth_value(poset, P, psi), truth_value(poset, Q, psi)
         parts.append(f"{kind} {_first_and_warm(lambda: global_element_connective(poset, kind, g1, g2))}")
+    A = sum(k * np.outer(v, v.conj()) for k, v in enumerate(basis))
+    poset = build_poset([seed])
+
+    def sweep():
+        for context in poset:
+            for character in gelfand_spectrum(context):
+                quantity_value_arrow(poset, A, context, character)
+
+    parts.append(f"value sweep {_first_and_warm(sweep)}")
     return "; ".join(parts)
 
 
