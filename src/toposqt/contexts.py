@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -381,20 +381,20 @@ def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
     # For each of ``nodes`` (sorted by falling atom count), in turn: its
-    # position, the positions of the nodes it includes, and an int array
-    # whose row k is the restriction table to the k-th of them.  Sup atom i
-    # hits sub atom k iff the seed atoms that i sums meet those that k
-    # touches, so the hits of a block of sups with one atom count against
-    # the atoms of every sub with no more atoms are one product of 0/1
-    # matrices.  A hit of the k-th atom of a sub adds
-    # 1 + base * k, and reduceat sums per sub: each sup atom must hit one
-    # atom (the sum modulo base is 1), whose index is the sum over base.
-    # Every sub atom is hit: it touches some atom of the sup's seed
-    # (``build_poset`` checks it), and the sup's atoms sum all of them.  The
-    # float32 sums stay exact integers while m * base**2 < 2**24, for up to
-    # about 250 atoms.
+    # position, the positions of the nodes it includes, an int array whose
+    # row k is the restriction table to the k-th of them, and those
+    # positions as the bits of an int.  Sup atom i hits sub atom k iff the
+    # seed atoms that i sums meet those that k touches, so the hits of a
+    # block of sups with one atom count against the atoms of every sub with
+    # no more atoms are one product of 0/1 matrices.  A hit of the k-th atom
+    # of a sub adds 1 + base * k, and reduceat sums per sub: each sup atom
+    # must hit one atom (the sum modulo base is 1), whose index is the sum
+    # over base.  Every sub atom is hit: it touches some atom of the sup's
+    # seed (``build_poset`` checks it), and the sup's atoms sum all of them.
+    # The float32 sums stay exact integers while m * base**2 < 2**24, for up
+    # to about 250 atoms.
     counts = np.array([len(n.own) for n in nodes])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     own = _bit_rows([m for n in nodes for m in n.own], width).T.astype(np.float32)
@@ -415,20 +415,22 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
             ok = ((sums % base) == 1).all(axis=1)
             for k in range(hi - lo):
                 below = np.flatnonzero(ok[k])
-                yield lo + k, first + below, (sums[k][:, below] // base).T
+                down = int.from_bytes(np.packbits(ok[k], bitorder="little").tobytes(), "little") << int(first)
+                yield lo + k, first + below, (sums[k][:, below] // base).T, down
 
 
 class _SieveFrame(NamedTuple):
     """A context's down-set as bit positions, for sieves held as ints.
 
-    Bit i stands for ``ids[i]``.  The ids run in reverse sorted order, so that
-    among sieves of one size a larger int has the smaller sorted member tuple.
+    Bit i stands for ``ids[i]``, and x lies in S => T iff ``below[x]`` misses
+    the mask of S - T.  The ids run in reverse sorted order, so that among
+    sieves of one size a larger int has the smaller sorted member tuple.
     """
 
     ids: tuple[str, ...]
     below: tuple[int, ...]  # below[i]: the mask of down_ids(ids[i])
     down: frozenset[str]  # all of ids
-    above: dict[str, frozenset[str]]  # id -> the ids at or above it
+    bit: dict[str, int]  # id -> its bit
 
 
 class _Table(dict):
@@ -451,7 +453,8 @@ class ContextPoset:
     per-inclusion atom restriction tables are read off the seed-atom masks,
     without matrices: sub <= sup iff every sup atom (the seed atoms it sums)
     touches exactly one sub atom, and that atom is its restriction.  An order
-    that the touch test cannot make transitive raises ``ValidationError``.
+    that the touch test cannot make transitive raises ``ValidationError``:
+    each down-set, an int over poset positions, must hold its members'.
     Each seed atom touches an atom of every seed (checked by ``build_poset``).
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
@@ -471,23 +474,16 @@ class ContextPoset:
         self._down: dict[str, tuple[str, ...]] = {}
         self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down
         ids = np.array(self._ids, dtype=object)
-        leq = np.zeros((len(ordered), len(ordered)), dtype=np.float32)
-        for row, below, tables in _order_rows(ordered, len(seed_atoms)):
+        order = list(_order_rows(ordered, len(seed_atoms)))
+        downs = [down for *_, down in order]  # by position, as ints over positions
+        for row, below, tables, down in order:
             sup = self._ids[row]
             self._down[sup] = tuple(ids[below].tolist())
             self._tables[sup] = tables
-            leq[row, below] = 1.0
-        # X <= Y <= Z must give X <= Z: leq @ leq may only hit leq (in row
-        # blocks, to bound the memory the product takes).
-        step = _BLOCK_ENTRIES // len(leq) + 1
-        for lo in range(0, len(leq), step):
-            block = leq[lo : lo + step]
-            broken = np.flatnonzero(((block @ leq > 0) & (block == 0)).any(axis=1))
-            if broken.size:
-                raise ValidationError(
-                    f"the touch test cannot order the contexts below {self._ids[lo + broken[0]]} transitively:"
-                    " some products of seed atoms lie close to tau"
-                )
+            # X <= Y <= Z must give X <= Z: each down-set holds those of its members.
+            if reduce(int.__or__, map(downs.__getitem__, below.tolist()), down) != down:
+                raise ValidationError(f"the touch test cannot order the contexts below {sup} transitively:"
+                                      " some products of seed atoms lie close to tau")
         # Tables derived from the order, each entry built on first use and kept.
         self._character_down = _Table(self._build_character_down)
         self._sieve_frames = _Table(self._build_sieve_frame)
@@ -562,8 +558,7 @@ class ContextPoset:
         ids = tuple(sorted(self.down_ids(context_id), reverse=True))
         bit = {cid: 1 << i for i, cid in enumerate(ids)}
         below = tuple(sum(map(bit.__getitem__, self._down[cid])) for cid in ids)
-        above = {cid: frozenset(x for x, mask in zip(ids, below) if mask & bit[cid]) for cid in ids}
-        return _SieveFrame(ids, below, frozenset(ids), above)
+        return _SieveFrame(ids, below, frozenset(ids), bit)
 
     @cached_property
     def _seed_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

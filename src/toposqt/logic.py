@@ -16,6 +16,7 @@ base's down-set, is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -95,10 +96,9 @@ def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     or members that are not a set of ids, raise ``ValidationError``."""
     members = _members(sieve)
     frame = poset._sieve_frames[sieve.base]
-    if not members <= frame.down:
-        return False
-    outside = frame.down - members
-    return frame.down.difference(*map(frame.above.__getitem__, outside)) == members
+    # S => T with S - T the non-members: no member may lie at or above one.
+    outside = sum(map(frame.bit.__getitem__, frame.down - members))
+    return members <= frame.down and members.isdisjoint(compress(frame.ids, map(outside.__and__, frame.below)))
 
 
 def _sieves(poset: ContextPoset, context_id: str) -> list[tuple[int, frozenset[str]]]:
@@ -240,7 +240,9 @@ def sieve_connective(
         return _new_sieve(base, a | b)
     # S => T keeps x iff below[x] & S & ~T == 0: all of the down-set but what
     # lies at or above a member of S - T.
-    return _new_sieve(base, frame.down.difference(*map(frame.above.__getitem__, a - b)))
+    m = sum(map(frame.bit.__getitem__, a - b))
+    kept = frame.down.difference(compress(frame.ids, map(m.__and__, frame.below))) if m else frame.down
+    return _new_sieve(base, kept)
 
 
 class GlobalElementOfOmega:

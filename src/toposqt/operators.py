@@ -89,7 +89,7 @@ def is_self_adjoint(A, tau: float = TAU) -> bool:
 def is_projector(P, tau: float = TAU) -> bool:
     """Self-adjoint and idempotent within ``tau``."""
     P = as_operator(P)
-    return is_self_adjoint(P, tau) and close(P @ P, P, tau)
+    return close(P, P.conj().T, tau) and close(P @ P, P, tau)
 
 
 def is_orthonormal(vectors, tau: float = TAU) -> bool:
@@ -102,14 +102,14 @@ def is_orthonormal(vectors, tau: float = TAU) -> bool:
 
 def require_self_adjoint(A, tau: float = TAU) -> np.ndarray:
     A = as_operator(A)
-    if not is_self_adjoint(A, tau):
+    if not close(A, A.conj().T, tau):
         raise NotSelfAdjoint(f"matrix differs from its conjugate transpose beyond tau={tau}")
     return A
 
 
 def require_projector(P, tau: float = TAU) -> np.ndarray:
     P = as_operator(P)
-    if not is_projector(P, tau):
+    if not (close(P, P.conj().T, tau) and close(P @ P, P, tau)):
         raise NotProjector(f"matrix is not an orthogonal projection within tau={tau}")
     return P
 

@@ -9,8 +9,8 @@ that is compatible with every restriction map.
 The clopen subobjects are the down-sets of the characters ordered by
 restriction.  One rule decides down-sets: x lies in S => T iff its down-set
 meets S only inside T.  ``_implication`` applies it to subobjects, global
-elements and truth values; sieves apply it on a frame's up-sets (``is_sieve``,
-``sieve_connective``), and ``heyting-check`` on int masks.
+elements and truth values; sieves apply it to int masks over a frame of one
+context's down-set (``is_sieve``, ``sieve_connective`` and ``heyting-check``).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from oracles import (
 from toposqt import contexts
 from toposqt.contexts import (
     CONTEXT_CAP,
+    _order_rows,
     build_poset,
     context_from_atoms,
     context_from_basis,
@@ -406,6 +407,19 @@ def _givens(i: int, j: int, theta: float) -> np.ndarray:
     rotation[i, i] = rotation[j, j] = c
     rotation[i, j], rotation[j, i] = s, -s
     return rotation
+
+
+@pytest.mark.parametrize("name", ["poset11", "poset_two_bases"])
+def test_order_rows_give_each_down_set_as_an_int_over_positions(request, name):
+    # The transitivity check reads these ints; the reference is one bit per
+    # included position, and the positions are those of down_ids.
+    poset = request.getfixturevalue(name)
+    ordered = [poset._registry.nodes[cid] for cid in poset.ids]
+    rows = list(_order_rows(ordered, len(poset._seed_atoms)))
+    assert [row for row, *_ in rows] == list(range(len(poset)))
+    for row, below, _, down in rows:
+        assert down == sum(1 << p for p in below.tolist())
+        assert [poset.ids[p] for p in below] == list(poset.down_ids(poset.ids[row]))
 
 
 def test_order_the_tolerance_cannot_make_transitive_is_an_error():

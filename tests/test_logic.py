@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from importlib import resources
-from itertools import islice, product
+from itertools import compress, islice, product
 
 import numpy as np
 import pytest
@@ -90,6 +90,58 @@ def test_enumeration_and_is_sieve_match_brute_force_on_random_posets(seed):
         for chosen in rng.random((64, len(down))) < 0.5:
             members = frozenset(cid for cid, keep in zip(down, chosen) if keep)
             assert is_sieve(poset, Sieve(context.id, members)) == (members in oracle)
+
+
+@pytest.fixture(scope="module")
+def dim6_top():
+    # The top context of the C^6 single-basis poset (57 contexts): a down-set
+    # too large to enumerate, so only the connectives' int path reads it.
+    poset = build_poset([context_from_basis(list(np.eye(6)))])
+    top = poset.ids[0]
+    assert len(poset.down_ids(top)) == 57 > toposqt.logic.ENUMERATION_CAP
+    return poset, top
+
+
+def _closure(poset, down, rng) -> frozenset[str]:
+    # The down-set of up to five random generators, by brute force over is_leq.
+    generators = [down[i] for i in rng.choice(len(down), size=rng.integers(6), replace=False)]
+    return frozenset(x for x in down if any(poset.is_leq(x, g) for g in generators))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_connectives_match_brute_force_past_the_enumeration_cap(dim6_top, seed):
+    # x lies in a => b iff everything below x in a lies in b.
+    poset, top = dim6_top
+    down = poset.down_ids(top)
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        a, b = _closure(poset, down, rng), _closure(poset, down, rng)
+        implies = {x for x in down if all(y in b for y in a if poset.is_leq(y, x))}
+        negation = {x for x in down if not any(poset.is_leq(y, x) for y in a)}
+        s1, s2 = Sieve(top, a), Sieve(top, b)
+        assert sieve_connective(poset, "and", s1, s2).members == a & b
+        assert sieve_connective(poset, "or", s1, s2).members == a | b
+        assert sieve_connective(poset, "implies", s1, s2).members == implies
+        assert sieve_connective(poset, "not", s1).members == negation
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_is_sieve_matches_brute_force_past_the_enumeration_cap(dim6_top, seed):
+    # Random subsets of each density, and down-sets with one member added or
+    # taken away, against downward closure decided by is_leq.
+    poset, top = dim6_top
+    down = poset.down_ids(top)
+    rng = np.random.default_rng(seed)
+    candidates = [frozenset(compress(down, rng.random(len(down)) < p)) for p in (0.1, 0.5, 0.9, 1.0)]
+    for _ in range(8):
+        closed = _closure(poset, down, rng)
+        candidates += [closed, closed | {down[rng.integers(len(down))]}, closed - {down[rng.integers(len(down))]}]
+    outcomes = set()
+    for members in candidates:
+        downward = all(y in members for x in members for y in down if poset.is_leq(y, x))
+        assert is_sieve(poset, Sieve(top, members)) == downward
+        outcomes.add(downward)
+    assert outcomes == {True, False}
 
 
 def test_all_enumerated_sieves_are_sieves(poset11, named):

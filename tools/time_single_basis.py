@@ -16,8 +16,10 @@ builds every context's sieve frame, and of a value sweep: one
 builds every context's restricted sums.  The propositions are sums of atoms
 of the top context (the basis), the state is an even superposition of two
 of its rays, and the observable of the sweep has the eigenvalues 0, ..., n - 1
-on the basis rays.  The basis of dimension n is ``benchmarks/inputs.haar_unitary``
-drawn from seed ``[1, n]``.  The library comes from ``PYTHONPATH`` when it
+on the basis rays.  Each line ends with the process peak RSS so far, a
+high-water mark, so it never falls from one dimension to the next.  The
+basis of dimension n is ``benchmarks/inputs.haar_unitary`` drawn from seed
+``[1, n]``.  The library comes from ``PYTHONPATH`` when it
 names one (to time another checkout), else from this checkout's ``src``.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import resource
 import statistics
 import sys
 import time
@@ -104,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         command, report = _times(lambda: run_command("contexts", problem, {}))
         render, _ = _times(lambda: render_json(report))
         print(f"dim {dim}: {len(poset)} contexts, build {build}; run_command {command}; render_json {render}; "
-              f"{_logic(seed, basis)}")
+              f"{_logic(seed, basis)}; peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     return 0
 
 
