@@ -241,8 +241,7 @@ def sieve_connective(
     # S => T keeps x iff below[x] & S & ~T == 0: all of the down-set but what
     # lies at or above a member of S - T.
     m = sum(map(frame.bit.__getitem__, a - b))
-    kept = frame.down.difference(compress(frame.ids, map(m.__and__, frame.below))) if m else frame.down
-    return _new_sieve(base, kept)
+    return _new_sieve(base, frame.down.difference(compress(frame.ids, map(m.__and__, frame.below))))
 
 
 class GlobalElementOfOmega:

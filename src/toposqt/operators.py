@@ -81,15 +81,18 @@ def close(A: np.ndarray, B: np.ndarray, tau: float = TAU) -> bool:
     return math.sqrt(re.dot(re) + im.dot(im)) <= tau
 
 
+def _self_adjoint(A: np.ndarray, tau: float, idempotent: bool = False) -> bool:
+    # The rule of both checks, on an array already coerced by as_operator.
+    return close(A, A.conj().T, tau) and (not idempotent or close(A @ A, A, tau))
+
+
 def is_self_adjoint(A, tau: float = TAU) -> bool:
-    A = as_operator(A)
-    return close(A, A.conj().T, tau)
+    return _self_adjoint(as_operator(A), tau)
 
 
 def is_projector(P, tau: float = TAU) -> bool:
     """Self-adjoint and idempotent within ``tau``."""
-    P = as_operator(P)
-    return close(P, P.conj().T, tau) and close(P @ P, P, tau)
+    return _self_adjoint(as_operator(P), tau, idempotent=True)
 
 
 def is_orthonormal(vectors, tau: float = TAU) -> bool:
@@ -102,14 +105,14 @@ def is_orthonormal(vectors, tau: float = TAU) -> bool:
 
 def require_self_adjoint(A, tau: float = TAU) -> np.ndarray:
     A = as_operator(A)
-    if not close(A, A.conj().T, tau):
+    if not _self_adjoint(A, tau):
         raise NotSelfAdjoint(f"matrix differs from its conjugate transpose beyond tau={tau}")
     return A
 
 
 def require_projector(P, tau: float = TAU) -> np.ndarray:
     P = as_operator(P)
-    if not (close(P, P.conj().T, tau) and close(P @ P, P, tau)):
+    if not _self_adjoint(P, tau, idempotent=True):
         raise NotProjector(f"matrix is not an orthogonal projection within tau={tau}")
     return P
 
