@@ -383,18 +383,18 @@ _BLOCK_ENTRIES = 1 << 18
 
 def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
     # For each of ``nodes`` (sorted by falling atom count), in turn: its
-    # position, the positions of the nodes it includes, an int array whose
-    # row k is the restriction table to the k-th of them, and those
-    # positions as the bits of an int.  Sup atom i hits sub atom k iff the
-    # seed atoms that i sums meet those that k touches, so the hits of a
-    # block of sups with one atom count against the atoms of every sub with
-    # no more atoms are one product of 0/1 matrices.  A hit of the k-th atom
-    # of a sub adds 1 + base * k, and reduceat sums per sub: each sup atom
-    # must hit one atom (the sum modulo base is 1), whose index is the sum
-    # over base.  Every sub atom is hit: it touches some atom of the sup's
-    # seed (``build_poset`` checks it), and the sup's atoms sum all of them.
-    # The float32 sums stay exact integers while m * base**2 < 2**24, for up
-    # to about 250 atoms.
+    # position, the positions of the nodes it includes, an int array whose row
+    # k is the restriction table to the k-th of them, and those positions as
+    # an int, position p at bit len(nodes) - 1 - p (so no wider than the nodes
+    # from its group on).  Sup atom i hits sub atom k iff the seed atoms that
+    # i sums meet those that k touches, so the hits of a block of sups with
+    # one atom count against the atoms of every sub with no more atoms are one
+    # product of 0/1 matrices.  A hit of the k-th atom of a sub adds
+    # 1 + base * k, and reduceat sums per sub: each sup atom must hit one atom
+    # (the sum modulo base is 1), whose index is the sum over base.  Every sub
+    # atom is hit: it touches some atom of the sup's seed (``build_poset``
+    # checks it), and the sup's atoms sum all of them.  The float32 sums stay
+    # exact integers while m * base**2 < 2**24, for up to about 250 atoms.
     counts = np.array([len(n.own) for n in nodes])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     own = _bit_rows([m for n in nodes for m in n.own], width).T.astype(np.float32)
@@ -415,22 +415,22 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
             ok = ((sums % base) == 1).all(axis=1)
             for k in range(hi - lo):
                 below = np.flatnonzero(ok[k])
-                down = int.from_bytes(np.packbits(ok[k], bitorder="little").tobytes(), "little") << int(first)
+                down = int.from_bytes(np.packbits(ok[k][::-1], bitorder="little").tobytes(), "little")
                 yield lo + k, first + below, (sums[k][:, below] // base).T, down
 
 
 class _SieveFrame(NamedTuple):
-    """A context's down-set as bit positions, for sieves held as ints.
+    """A context's down-set with the poset's down-set ints of its members.
 
-    Bit i stands for ``ids[i]``, and x lies in S => T iff ``below[x]`` misses
-    the mask of S - T.  The ids run in reverse sorted order, so that among
-    sieves of one size a larger int has the smaller sorted member tuple.
+    ``below[i]`` is the down-set of ``ids[i]`` as an int over poset positions
+    (the bits of ``ContextPoset._bit``), so x lies in S => T iff ``below[x]``
+    misses the mask of S - T.  The ids run in reverse sorted order, the bit
+    order in which sieves are enumerated (``logic._sieves``).
     """
 
     ids: tuple[str, ...]
-    below: tuple[int, ...]  # below[i]: the mask of down_ids(ids[i])
+    below: tuple[int, ...]  # below[i]: the down-set int of ids[i]
     down: frozenset[str]  # all of ids
-    bit: dict[str, int]  # id -> its bit
 
 
 class _Table(dict):
@@ -452,9 +452,9 @@ class ContextPoset:
     Instances are produced only by :func:`build_poset`.  The order and the
     per-inclusion atom restriction tables are read off the seed-atom masks,
     without matrices: sub <= sup iff every sup atom (the seed atoms it sums)
-    touches exactly one sub atom, and that atom is its restriction.  An order
-    that the touch test cannot make transitive raises ``ValidationError``:
-    each down-set, an int over poset positions, must hold its members'.
+    touches exactly one sub atom, and that atom is its restriction.  Sieves,
+    truth values and global elements read each down-set as an int over poset
+    positions; an int that misses part of a member's raises ``ValidationError``.
     Each seed atom touches an atom of every seed (checked by ``build_poset``).
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
@@ -475,13 +475,14 @@ class ContextPoset:
         self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down
         ids = np.array(self._ids, dtype=object)
         order = list(_order_rows(ordered, len(seed_atoms)))
-        downs = [down for *_, down in order]  # by position, as ints over positions
+        self._bit: dict[str, int] = {cid: 1 << i for i, cid in enumerate(reversed(self._ids))}  # as in _order_rows
+        self._below: dict[str, int] = {self._ids[row]: down for row, *_, down in order}  # each id's down-set int
         for row, below, tables, down in order:
             sup = self._ids[row]
             self._down[sup] = tuple(ids[below].tolist())
             self._tables[sup] = tables
             # X <= Y <= Z must give X <= Z: each down-set holds those of its members.
-            if reduce(int.__or__, map(downs.__getitem__, below.tolist()), down) != down:
+            if reduce(int.__or__, map(self._below.__getitem__, self._down[sup]), down) != down:
                 raise ValidationError(f"the touch test cannot order the contexts below {sup} transitively:"
                                       " some products of seed atoms lie close to tau")
         # Tables derived from the order, each entry built on first use and kept.
@@ -556,9 +557,7 @@ class ContextPoset:
 
     def _build_sieve_frame(self, context_id: str) -> _SieveFrame:
         ids = tuple(sorted(self.down_ids(context_id), reverse=True))
-        bit = {cid: 1 << i for i, cid in enumerate(ids)}
-        below = tuple(sum(map(bit.__getitem__, self._down[cid])) for cid in ids)
-        return _SieveFrame(ids, below, frozenset(ids), bit)
+        return _SieveFrame(ids, tuple(map(self._below.__getitem__, ids)), frozenset(ids))
 
     @cached_property
     def _seed_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

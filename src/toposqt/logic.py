@@ -97,12 +97,12 @@ def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     members = _members(sieve)
     frame = poset._sieve_frames[sieve.base]
     # S => T with S - T the non-members: no member may lie at or above one.
-    outside = sum(map(frame.bit.__getitem__, frame.down - members))
+    outside = sum(map(poset._bit.__getitem__, frame.down - members))
     return members <= frame.down and members.isdisjoint(compress(frame.ids, map(outside.__and__, frame.below)))
 
 
 def _sieves(poset: ContextPoset, context_id: str) -> list[tuple[int, frozenset[str]]]:
-    # Every sieve on the context as (int over its frame, members), in
+    # Every sieve on the context as (int over its local bits, members), in
     # enumerate_sieves' order; the cap is checked before the frame is built.
     size = len(poset.down_ids(context_id))
     if size > ENUMERATION_CAP:
@@ -110,13 +110,14 @@ def _sieves(poset: ContextPoset, context_id: str) -> list[tuple[int, frozenset[s
             f"down-set has {size} contexts; exhaustive sieve enumeration is capped at {ENUMERATION_CAP}"
         )
     frame = poset._sieve_frames[context_id]
+    bits = list(map(poset._bit.__getitem__, frame.ids))
     # A smaller down-set comes first, so an element comes after all of its
-    # subcontexts, which are decided by then.  Each sieve is built as an int
-    # and as its set of members side by side.
+    # subcontexts, which are decided by then.  Each sieve is built as its set of
+    # members and as an int over local bits, bit i for frame.ids[i], as int64 tables need.
     found = [(0, frozenset())]
     elements = sorted(zip(frame.ids, (1 << i for i in range(size)), frame.below), key=lambda e: e[2].bit_count())
     for cid, b, below in elements:
-        strict = below ^ b
+        strict = sum(1 << i for i, bit in enumerate(bits) if below & bit) ^ b
         found += [(s | b, members | {cid}) for s, members in found if s & strict == strict]
     # The bit order makes (size, -int) the order of (size, sorted members).
     found.sort(key=lambda pair: (pair[0].bit_count(), -pair[0]))
@@ -136,12 +137,12 @@ def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]
     return tuple([_new_sieve(base, members) for _, members in _sieves(poset, base)])
 
 
-def _sieve_tables(poset: ContextPoset, base: str, masks: list[int]) -> tuple[np.ndarray, ...]:
-    # For every pair (a, b) of positions in ``masks``, every sieve on the
-    # base as an int over its frame: the positions of (a and b), (a or b)
-    # and (a implies b), and whether a lies inside b.
-    below = poset._sieve_frames[base].below
+def _sieve_tables(masks: list[int]) -> tuple[np.ndarray, ...]:
+    # For every pair (a, b) of positions in ``masks``, all sieves on one base as
+    # ints over local bits: the positions of (a and b), (a or b) and (a implies b),
+    # and whether a lies inside b.  The down-set of bit x is the least sieve with x.
     masks = np.array(masks, dtype=np.int64)
+    below = [np.bitwise_and.reduce(masks[masks >> x & 1 == 1]) for x in range(int(masks.max()).bit_length())]
     order = np.argsort(masks)
 
     def position(values: np.ndarray) -> np.ndarray:
@@ -161,7 +162,7 @@ def _check_sieve_laws(poset: ContextPoset, base: str, limit: int | str) -> dict:
     # of values of a at a time.  The sieves run by size: the empty one is
     # at 0 and the principal one at m - 1.
     sieves = _sieves(poset, base)
-    meet, join, implies, leq = _sieve_tables(poset, base, [mask for mask, _ in sieves])
+    meet, join, implies, leq = _sieve_tables([mask for mask, _ in sieves])
     m = len(sieves)
     negation = implies[:, 0]
     violations = int(np.count_nonzero(meet[np.arange(m), negation] != 0))
@@ -240,7 +241,7 @@ def sieve_connective(
         return _new_sieve(base, a | b)
     # S => T keeps x iff below[x] & S & ~T == 0: all of the down-set but what
     # lies at or above a member of S - T.
-    m = sum(map(frame.bit.__getitem__, a - b))
+    m = sum(map(poset._bit.__getitem__, a - b))
     return _new_sieve(base, frame.down.difference(compress(frame.ids, map(m.__and__, frame.below))))
 
 
@@ -289,11 +290,12 @@ def check_global_element(poset: ContextPoset, element: GlobalElementOfOmega) -> 
     """True iff the per-context sieves are sieves and agree under every
     restriction: each is the trace on its base's down-set of one down-set."""
     _require_assignment(poset, element, "global element")
-    # Matching sieves are the traces on each down-set of one down-set: their union.
+    # Matching sieves are the traces of one down-set, their union: no member lies above a non-member.
     union = frozenset().union(*map(_members, element.sieves.values()))
     if any(element.at(cid).members != union.intersection(poset.down_ids(cid)) for cid in poset.ids):
         return False
-    return len(_implication(poset.down_ids, union, set(poset.ids) - union)) == len(union)
+    outside = sum(map(poset._bit.__getitem__, poset._bit.keys() - union))
+    return not any(map(outside.__and__, map(poset._below.__getitem__, union)))
 
 
 def global_element_connective(
@@ -343,6 +345,6 @@ def subobject_connective(
     outside = {(cid, j) for cid in poset.ids for j in s1.at(cid) - s2.at(cid)}
     characters = [(c.id, i) for c in poset for i in range(c.n_atoms)]
     selection: dict[str, set[int]] = {cid: set() for cid in poset.ids}
-    for cid, i in _implication(poset._character_down.__getitem__, characters, outside):
+    for cid, i in _implication(poset, characters, outside):
         selection[cid].add(i)
     return ClopenSubobject(selection)

@@ -8,9 +8,9 @@ that is compatible with every restriction map.
 
 The clopen subobjects are the down-sets of the characters ordered by
 restriction.  One rule decides down-sets: x lies in S => T iff its down-set
-meets S only inside T.  ``_implication`` applies it to subobjects, global
-elements and truth values; sieves apply it to int masks over a frame of one
-context's down-set (``is_sieve``, ``sieve_connective`` and ``heyting-check``).
+meets S only inside T.  ``_implication`` applies it to the character order,
+each character's down-set a frozenset; the context order (sieves, truth
+values, global elements) is read off the poset's down-set ints instead.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
 
@@ -147,12 +147,12 @@ def _require_contexts(poset: ContextPoset, assignment: Mapping, name: str) -> No
         raise IncompleteAssignment(f"{name} must be defined on every context of the poset and on no other")
 
 
-def _implication(down: Callable[..., Iterable], elements: Iterable, outside: AbstractSet) -> list:
-    # The elements x whose down-set ``down(x)`` misses ``outside = S - T``,
-    # i.e. meets S only inside T: the Heyting implication S => T of down-sets,
-    # restricted to ``elements``.  With ``outside`` the complement of T it is
-    # the largest down-set inside T, so T is a down-set iff it keeps all of T.
-    return [x for x in elements if outside.isdisjoint(down(x))]
+def _implication(poset: ContextPoset, characters: Iterable[tuple[str, int]], outside: AbstractSet) -> list:
+    # The characters x whose down-set under restriction misses ``outside =
+    # S - T``, i.e. meets S only inside T: the implication S => T of clopen
+    # subobjects, restricted to ``characters``.  With ``outside`` the complement
+    # of T it is the largest down-set inside T, so T is clopen iff it keeps T.
+    return [x for x in characters if outside.isdisjoint(poset._character_down[x])]
 
 
 def _selects_characters(poset: ContextPoset, selection: Mapping[str, frozenset], name: str) -> bool:
@@ -171,10 +171,9 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     makes the selection not clopen."""
     if not _selects_characters(poset, subobject.selection, "subobject"):
         return False
-    atoms = poset._atom_indices
-    chosen = [(cid, i) for cid, indices in atoms.items() for i in indices if i in subobject.at(cid)]
-    outside = {(cid, j) for cid, indices in atoms.items() for j in indices - subobject.at(cid)}
-    return len(_implication(poset._character_down.__getitem__, chosen, outside)) == len(chosen)
+    chosen = [(cid, i) for cid, indices in subobject.selection.items() for i in indices]
+    outside = {(cid, j) for cid, indices in poset._atom_indices.items() for j in indices - subobject.at(cid)}
+    return len(_implication(poset, chosen, outside)) == len(chosen)
 
 
 def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> bool:

@@ -40,7 +40,7 @@ from .operators import (
     table_bounds,
     touch_table,
 )
-from .presheaf import Character, ClopenSubobject, _implication, _require_contexts, _require_member, is_clopen_subobject
+from .presheaf import Character, ClopenSubobject, _require_contexts, _require_member, is_clopen_subobject
 
 #: Default node budget for the global-section search.
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -97,10 +97,10 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     hits = sums @ touch_table(seeds, _two_valued(P).projectors + _two_valued(ray).projectors) > tau * tau
     if not (hits[:, :2].any(axis=1) & hits[:, 2:].any(axis=1)).all():
         raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
-    # The contexts with an atom that touches the ray but not P: the pseudo-state is not below P there.
-    fails = np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts).tolist()
-    outside = {cid for cid, fail in zip(poset.ids, fails) if fail}
-    certain = frozenset(_implication(poset.down_ids, poset.ids, outside))
+    # The int of the contexts where an atom touches the ray but not P; keep those whose down-set misses it.
+    fails = np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts)
+    failing = int.from_bytes(np.packbits(fails[::-1], bitorder="little").tobytes(), "little")
+    certain = frozenset(cid for cid, below in poset._below.items() if not below & failing)
     sieves = {cid: _new_sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
     return GlobalElementOfOmega(sieves)
 

@@ -411,14 +411,14 @@ def _givens(i: int, j: int, theta: float) -> np.ndarray:
 
 @pytest.mark.parametrize("name", ["poset11", "poset_two_bases"])
 def test_order_rows_give_each_down_set_as_an_int_over_positions(request, name):
-    # The transitivity check reads these ints; the reference is one bit per
-    # included position, and the positions are those of down_ids.
+    # The poset keeps these ints; the reference is one bit per included
+    # position p, at bit N - 1 - p, and the positions are those of down_ids.
     poset = request.getfixturevalue(name)
     ordered = [poset._registry.nodes[cid] for cid in poset.ids]
     rows = list(_order_rows(ordered, len(poset._seed_atoms)))
     assert [row for row, *_ in rows] == list(range(len(poset)))
     for row, below, _, down in rows:
-        assert down == sum(1 << p for p in below.tolist())
+        assert down == sum(1 << (len(poset) - 1 - p) for p in below.tolist()) == poset._below[poset.ids[row]]
         assert [poset.ids[p] for p in below] == list(poset.down_ids(poset.ids[row]))
 
 

@@ -92,13 +92,16 @@ def test_enumeration_and_is_sieve_match_brute_force_on_random_posets(seed):
             assert is_sieve(poset, Sieve(context.id, members)) == (members in oracle)
 
 
-@pytest.fixture(scope="module")
-def dim6_top():
-    # The top context of the C^6 single-basis poset (57 contexts): a down-set
-    # too large to enumerate, so only the connectives' int path reads it.
-    poset = build_poset([context_from_basis(list(np.eye(6)))])
+@pytest.fixture(scope="module", params=[(6, 57), (7, 120)], ids=["C6", "C7"])
+def dim6_top(request):
+    # The top context of the C^6 or C^7 single-basis poset (57 or 120
+    # contexts): a down-set too large to enumerate, so only the connectives'
+    # int path reads it.  At C^7 the down-set ints over poset positions are
+    # wider than an int64.
+    dim, count = request.param
+    poset = build_poset([context_from_basis(list(np.eye(dim)))])
     top = poset.ids[0]
-    assert len(poset.down_ids(top)) == 57 > toposqt.logic.ENUMERATION_CAP
+    assert len(poset.down_ids(top)) == len(poset) == count > toposqt.logic.ENUMERATION_CAP
     return poset, top
 
 
@@ -704,7 +707,7 @@ def test_heyting_tables_match_sieve_connective():
     for context in poset:
         sieves = enumerate_sieves(poset, context)
         masks = [mask for mask, _ in _sieves(poset, context.id)]
-        meet, join, implies, leq = _sieve_tables(poset, context.id, masks)
+        meet, join, implies, leq = _sieve_tables(masks)
         for (i, a), (j, b) in product(enumerate(sieves), repeat=2):
             assert sieves[meet[i, j]] == sieve_connective(poset, "and", a, b)
             assert sieves[join[i, j]] == sieve_connective(poset, "or", a, b)
@@ -724,7 +727,7 @@ def test_heyting_tables_match_brute_force_on_random_posets(seed):
         masks, sets = zip(*_sieves(poset, context.id))
         assert [Sieve(context.id, s) for s in sets] == list(enumerate_sieves(poset, context))
         assert set(sets) == oracle
-        meet, join, implies, leq = _sieve_tables(poset, context.id, list(masks))
+        meet, join, implies, leq = _sieve_tables(list(masks))
         m = len(sets)
         for i, j in product(range(m), repeat=2):
             assert sets[meet[i, j]] == sets[i] & sets[j]
@@ -763,7 +766,7 @@ def test_law_check_counts_like_a_triple_loop(monkeypatch, block, limit):
     m = len(sieves)
     assert m == 5
     rng = np.random.default_rng(7)
-    tables = [t.copy() for t in _sieve_tables(poset, context.id, [mask for mask, _ in sieves])]
+    tables = [t.copy() for t in _sieve_tables([mask for mask, _ in sieves])]
     for table in tables[:3]:
         spoilt = rng.random(table.shape) < 0.3
         table[spoilt] = rng.integers(m, size=int(spoilt.sum()))
