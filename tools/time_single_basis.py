@@ -11,7 +11,8 @@ which builds the poset again and makes the report's dict, and
 ``render_json``, which writes that dict as text.  Then, on a fresh poset each,
 the first and a warm call of ``truth_value`` and of
 ``global_element_connective`` ``and`` and ``implies``, whose first call
-builds every context's sieve frame, and of a value sweep: one
+builds every context's sieve frame (its down-set ids, sorted, and their
+down-set ints, looked up in the poset's), and of a value sweep: one
 ``quantity_value_arrow`` per character of every context, whose first call
 builds every context's restricted sums.  The propositions are sums of atoms
 of the top context (the basis), the state is an even superposition of two
