@@ -475,7 +475,7 @@ class ContextPoset:
         self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down
         ids = np.array(self._ids, dtype=object)
         order = list(_order_rows(ordered, len(seed_atoms)))
-        self._bit: dict[str, int] = {cid: 1 << i for i, cid in enumerate(reversed(self._ids))}  # as in _order_rows
+        self._bit: dict[str, int] = {cid: 1 << (len(self._ids) - 1 - p) for p, cid in enumerate(self._ids)}
         self._below: dict[str, int] = {self._ids[row]: down for row, *_, down in order}  # each id's down-set int
         for row, below, tables, down in order:
             sup = self._ids[row]

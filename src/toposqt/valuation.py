@@ -97,9 +97,9 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     hits = sums @ touch_table(seeds, _two_valued(P).projectors + _two_valued(ray).projectors) > tau * tau
     if not (hits[:, :2].any(axis=1) & hits[:, 2:].any(axis=1)).all():
         raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
-    # The int of the contexts where an atom touches the ray but not P; keep those whose down-set misses it.
-    fails = np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts)
-    failing = int.from_bytes(np.packbits(fails[::-1], bitorder="little").tobytes(), "little")
+    # The bits of the contexts where an atom touches the ray but not P; keep those whose down-set misses them.
+    fails = np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts).tolist()
+    failing = sum(bit for bit, fail in zip(poset._bit.values(), fails) if fail)
     certain = frozenset(cid for cid, below in poset._below.items() if not below & failing)
     sieves = {cid: _new_sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
     return GlobalElementOfOmega(sieves)
