@@ -17,7 +17,7 @@ from .contexts import ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import ToposError, ValidationError
 from .logic import Sieve, _check_sieve_laws
-from .operators import _decompose
+from .operators import _clusters
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
 from .valuation import DEFAULT_SEARCH_BUDGET, _value_arrows, global_sections, pseudo_state, truth_value
@@ -140,17 +140,19 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "observable")
         if name not in problem.observables:
             raise ValidationError(f"unknown observable {name!r}")
-        decomp = _decompose(problem.observables[name], poset.tolerances)
+        eigenvalues, vecs, starts = _clusters(problem.observables[name], poset.tolerances)
+        # Every mu and nu is a cluster eigenvalue, so each is rounded once.
+        clusters = ([round_real(lam) for lam in eigenvalues], vecs, starts)
         intervals = []
         for context in _select_contexts(poset, options):
             characters = gelfand_spectrum(context)
-            for ch, pair in zip(characters, _value_arrows(poset, decomp, context, characters)):
+            for ch, pair in zip(characters, _value_arrows(poset, clusters, context, characters)):
                 intervals.append(
                     {
                         "context": context.id,
                         "character_atom": ch.atom_index,
-                        "mu": {cid: round_real(x) for cid, x in sorted(pair.mu.items())},
-                        "nu": {cid: round_real(x) for cid, x in sorted(pair.nu.items())},
+                        "mu": dict(sorted(pair.mu.items())),
+                        "nu": dict(sorted(pair.nu.items())),
                     }
                 )
         return {"observable": name, "intervals": intervals}

@@ -7,7 +7,9 @@ cumulative spectral families, the projector and spectral orders, the
 touch test between families of projections, and the spectral bounds of an
 atom read off it.  There is one touch rule: a touches b iff
 ||ab||_F^2 > tau^2, an entry of ``touch_table``, whose rows add up over
-orthogonal atoms.
+orthogonal atoms.  Against a quantity's spectral projections P_c = V_c V_c^*
+the entry is read off its eigenvector clusters instead, by ``cluster_table``:
+||aV_c||_F^2 = ||aP_c||_F^2, with the same test, and no P_c is formed.
 
 Operators are plain complex ``numpy`` arrays; values returned by this module
 are freshly allocated and never aliased to caller data.
@@ -159,23 +161,29 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
     return _decompose(A, Tolerances(tau, tau_eig))
 
 
-def _decompose(A, tolerances: Tolerances) -> SpectralDecomposition:
-    # spectral_decomposition at a pair already checked, such as a poset's.
+def _clusters(A, tolerances: Tolerances) -> tuple[tuple[float, ...], np.ndarray, list[int]]:
+    # The one clustering rule, at a pair already checked (such as a poset's):
+    # A checked self-adjoint at tau, the cluster eigenvalues (increasing),
+    # eigh's eigenvectors as columns and the first column of each cluster.
+    # Each cluster is the slice raw[i:j]; its mean np.add.reduce / count is
+    # bit-identical to np.mean (the same pairwise sum), without its overhead,
+    # and a singleton's mean is its value.
     tau_eig = tolerances.tau_eig
     A = require_self_adjoint(A, tolerances.tau)
     raw, vecs = np.linalg.eigh(A)
     values = raw.tolist()
-    # Each cluster is the slice raw[i:j]; its mean np.add.reduce / count is
-    # bit-identical to np.mean (the same pairwise sum), without its overhead,
-    # and a singleton's mean is its value.
     starts = [0] + [i for i in range(1, len(values)) if values[i] - values[i - 1] > 2.0 * tau_eig]
+    eigenvalues = tuple(values[i] if j - i == 1 else float(np.add.reduce(raw[i:j]) / (j - i))
+                        for i, j in zip(starts, starts[1:] + [len(values)]))
+    return eigenvalues, vecs, starts
+
+
+def _decompose(A, tolerances: Tolerances) -> SpectralDecomposition:
+    # spectral_decomposition at a pair already checked, such as a poset's.
+    eigenvalues, vecs, starts = _clusters(A, tolerances)
     vh = vecs.conj().T
-    eigenvalues = []
-    projectors = []
-    for i, j in zip(starts, starts[1:] + [len(values)]):
-        eigenvalues.append(values[i] if j - i == 1 else float(np.add.reduce(raw[i:j]) / (j - i)))
-        projectors.append(vecs[:, i:j] @ vh[i:j])
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    ends = starts[1:] + [len(vecs)]
+    return SpectralDecomposition(eigenvalues, tuple(vecs[:, i:j] @ vh[i:j] for i, j in zip(starts, ends)))
 
 
 def _spectral_projection(decomp: SpectralDecomposition, lo: float, hi: float, tau_eig: float) -> np.ndarray:
@@ -197,7 +205,8 @@ def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float =
 def touch_table(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
     """||ab||_F^2 for each left projection a (row) and each right projection
     b (column), summed from the entries of the product ab.  Every touch test
-    of the library is an entry of this table compared with tau^2.
+    of the library is an entry of this table compared with tau^2, or, against
+    a quantity's spectral projections, the equal entry of ``cluster_table``.
 
     For pairwise-orthogonal a_1, ..., a_k, ||(a_1 + ... + a_k) b||_F^2 is the
     sum of the rows' entries, so the table of a family's atoms decides the
@@ -215,6 +224,23 @@ def touch_table(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.n
     return np.einsum("aibj,aibj->ab", products.conj(), products).real
 
 
+def cluster_table(left: np.ndarray, vecs: np.ndarray, starts: Sequence[int]) -> np.ndarray:
+    """||aV_c||_F^2 for each projection a (row) of a stack and each eigenvalue
+    cluster c (column) of a quantity, whose orthonormal eigenvectors are the
+    columns of vecs from starts[c] up to the next start.  It equals
+    ||aP_c||_F^2, the touch_table entry against the cluster's spectral
+    projection P_c = V_c V_c^*, without forming P_c: the sum over k in c of
+    ||av_k||^2, still a sum of squares (an orthogonal pair reads about 1e-32),
+    compared with tau^2 by the same touch test.
+    """
+    if left.shape[1:] != vecs.shape:
+        raise DimensionMismatch("atoms live on different Hilbert spaces")
+    n, dim = len(left), len(vecs)
+    # One matrix product: entry [a, i, k] is (a v_k)[i].
+    products = (left.reshape(n * dim, dim) @ vecs).reshape(n, dim, dim)
+    return np.add.reduceat(np.einsum("aij,aij->aj", products.conj(), products).real, starts, axis=1)
+
+
 def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
     """For each left projection a, the bitmask of the right projections b it
     touches (touch_table entry > tau^2)."""
@@ -229,8 +255,8 @@ def _two_valued(P: np.ndarray) -> SpectralDecomposition:
 
 def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[tuple[float, float]]:
     """For each row of a touch_table against the spectral projections of a
-    quantity, or each sum of its rows, the least and the greatest eigenvalue
-    whose projection the row touches (entry > tau^2)."""
+    quantity, or of its cluster_table, or each sum of its rows, the least and
+    the greatest eigenvalue whose projection the row touches (entry > tau^2)."""
     lam, last = eigenvalues, len(eigenvalues) - 1
     hits = rows > tau * tau
     try:

@@ -29,12 +29,13 @@ from .logic import GlobalElementOfOmega, _new_sieve
 from .operators import (
     TAU,
     TAU_EIG,
-    SpectralDecomposition,
     Tolerances,
+    _clusters,
     _complex,
     _decompose,
     _spectral_projection,
     _two_valued,
+    cluster_table,
     is_orthonormal,
     require_projector,
     table_bounds,
@@ -130,26 +131,35 @@ def quantity_value_arrow(
     greatest (nu) eigenvalue of A whose spectral projection the restricted
     character's atom touches, i.e. the values of the inner and outer
     daseinisations of A there.  Touches are tested at the poset's tau, and
-    the eigenvalues of A clustered at its tau_eig."""
-    decomp = _decompose(A, poset._tolerance(tau, tau_eig))
-    return _value_arrows(poset, decomp, context, [character])[0]
+    the eigenvalues of A clustered at its tau_eig.  An atom a touches the
+    eigenspace of a cluster c iff ||aV_c||_F^2 > tau^2, read off A's
+    orthonormal eigenvectors V_c; this equals ||aP_c||_F^2 for the spectral
+    projection P_c = V_c V_c^*, which is never formed."""
+    clusters = _clusters(A, poset._tolerance(tau, tau_eig))
+    return _value_arrows(poset, clusters, context, [character])[0]
 
 
 def _value_arrows(
-    poset: ContextPoset, decomp: SpectralDecomposition, context: Context, characters: Sequence[Character]
+    poset: ContextPoset,
+    clusters: tuple[Sequence[float], np.ndarray, Sequence[int]],
+    context: Context,
+    characters: Sequence[Character],
 ) -> list[IntervalPair]:
-    # quantity_value_arrow at several characters of one context, for an A
-    # already decomposed: one touch_table of the seed atoms that the
-    # context's atoms sum, read at each restricted atom as the sum of the rows
-    # of the context atoms in its restriction class.
+    # quantity_value_arrow at several characters of one context, for the
+    # (eigenvalues, vecs, starts) of an A already clustered: one cluster_table
+    # of the seed atoms that the context's atoms sum, whose entries
+    # ||bV_c||_F^2 = ||bP_c||_F^2 are the touch_table's against A's spectral
+    # projections, read at each restricted atom as the sum of the rows of the
+    # context atoms in its restriction class.
+    eigenvalues, vecs, starts = clusters
     for character in characters:
         _require_member(context, character)
     down = poset.down_ids(context.id)
     seeds, sums = poset._restricted_sums[context.id]
-    table = touch_table(seeds, decomp.projectors)
+    table = cluster_table(seeds, vecs, starts)
     pairs = []
     for character in characters:
-        bounds = table_bounds(sums[character.atom_index] @ table, decomp.eigenvalues, poset.tolerances.tau)
+        bounds = table_bounds(sums[character.atom_index] @ table, eigenvalues, poset.tolerances.tau)
         pairs.append(IntervalPair(context.id, {s: lo for s, (lo, _) in zip(down, bounds)},
                                   {s: hi for s, (_, hi) in zip(down, bounds)}))
     return pairs

@@ -19,11 +19,14 @@ from toposqt.errors import DimensionMismatch, NotProjector, NotSelfAdjoint, Vali
 from toposqt.operators import (
     TAU,
     Tolerances,
+    _clusters,
     _decompose,
     close,
+    cluster_table,
     is_projector,
     is_self_adjoint,
     projector_leq,
+    projector_rank,
     spectral_decomposition,
     spectral_family_at,
     spectral_order_leq,
@@ -329,6 +332,62 @@ def test_touch_masks_at_a_ray_turned_near_tau(angle, touches):
     v = np.array([np.sin(angle), np.cos(angle), 0.0])
     turned = np.outer(v, v).astype(complex)
     assert touch_masks([e0], [turned], 1e-9) == [int(touches)] == pair_touch_masks([e0], [turned], 1e-9)
+
+
+def _cluster_hits(left, A) -> np.ndarray:
+    # The cluster table of the atoms against A's eigenvectors, and their
+    # touch_table against A's spectral projections: entries within 1e-15 per
+    # unit of the atom's rank (an entry is at most the rank, and its rounding
+    # scales with it) and the same hits at tau (hits, not bits, are what the
+    # two must share).
+    _, vecs, starts = _clusters(A, Tolerances())
+    table = cluster_table(np.asarray(left), vecs, starts)
+    reference = touch_table(left, _decompose(A, Tolerances()).projectors)
+    assert table.shape == reference.shape == (len(left), len(starts))
+    ranks = np.array([projector_rank(a) for a in left])
+    assert (np.abs(table - reference).max(axis=1) <= 1e-15 * ranks).all()
+    assert np.array_equal(table > TAU * TAU, reference > TAU * TAU)
+    return table > TAU * TAU
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize(
+    "values, cluster_of_ray",
+    [([-1.0, 0.5, 2.0, 3.0], [0, 1, 2, 3]), ([1.0, 1.0 + 5e-9, 2.0, 3.0], [0, 0, 1, 2])],
+    ids=["distinct", "merged"],
+)
+def test_cluster_table_touches_as_the_spectral_projections(rank, values, cluster_of_ray):
+    # Atoms of rank 1 or 2 on the rays of a Haar-random basis, and one random
+    # projection of that rank, against a quantity diagonal in that basis (many
+    # pairs orthogonal up to rounding) and against a generic one; 1 and
+    # 1 + 5e-9 merge at tau_eig.
+    rng = np.random.default_rng([29, rank])
+    basis = random_unitary(rng, 4)
+    rays = [np.outer(v, v.conj()) for v in basis.T]
+    left = [sum(rays[i : i + rank]) for i in range(0, 4, rank)] + [random_projector(rng, 4, rank)]
+    expected = np.zeros((4 // rank, max(cluster_of_ray) + 1), dtype=bool)
+    for ray, cluster in enumerate(cluster_of_ray):
+        expected[ray // rank, cluster] = True
+    for U in (basis, random_unitary(rng, 4)):
+        A = U @ np.diag(values) @ U.conj().T
+        hits = _cluster_hits(left, (A + A.conj().T) / 2)
+        if U is basis:
+            assert np.array_equal(hits[:-1], expected)
+
+
+@pytest.mark.parametrize("angle, touches", [(0.8e-9, False), (1.2e-9, True), (1.6e-9, True)])
+def test_cluster_table_at_a_ray_turned_near_tau(angle, touches):
+    # The rays of test_touch_masks_at_a_ray_turned_near_tau: e0 against the
+    # quantity with value 1 on the turned ray v and 0 on its complement.
+    e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    v = np.array([np.sin(angle), np.cos(angle), 0.0])
+    assert _cluster_hits([e0], np.outer(v, v).astype(complex)).tolist() == [[True, touches]]
+
+
+def test_cluster_table_rejects_a_quantity_of_another_dimension():
+    _, vecs, starts = _clusters(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), Tolerances())
+    with pytest.raises(DimensionMismatch, match="different Hilbert spaces"):
+        cluster_table(np.eye(4, dtype=complex)[None], vecs, starts)
 
 
 def test_touch_masks_reject_mixed_dimensions_on_the_left():

@@ -46,7 +46,8 @@ def _rotated_bases(dim: int, shared: int | None, seed: int) -> list[np.ndarray]:
 def _queries(rng: np.random.Generator, bases: list[np.ndarray]):
     # Per basis, a projection on 1-3 of its rays, one of its rays as a state
     # and an observable diagonal in it with a repeated eigenvalue; then one
-    # generic projection, state and observable.
+    # generic projection, state and observable, and an observable with two
+    # eigenvalues merged at tau_eig.
     dim = bases[0].shape[0]
     projectors, states, observables = [], [], []
     for basis in bases:
@@ -61,6 +62,10 @@ def _queries(rng: np.random.Generator, bases: list[np.ndarray]):
     states.append(random_unit_vector(rng, dim))
     spread = random_unitary(rng, dim)
     observables.append(spread @ np.diag(np.r_[1.0, 1.0, np.arange(dim - 2.0)]) @ spread.conj().T)
+    # Eigenvalues 1 and 1 + 5e-9 on two rays of the first basis: one cluster
+    # at tau_eig, whose eigenvectors eigh may mix across those rays.
+    merged = np.r_[1.0, 1.0 + 5e-9, np.arange(2.0, dim)]
+    observables.append(bases[0] @ np.diag(merged) @ bases[0].conj().T)
     return projectors, states, observables
 
 
