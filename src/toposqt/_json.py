@@ -180,8 +180,16 @@ def dumps(obj) -> str:
 def finite_number(x) -> bool:
     """A real number, not a boolean, that is a finite float: NaN, infinities
     and integers beyond the float range fail the comparison.  (float and int
-    come first: they match without the slower ``numbers.Real`` check.)"""
+    come first: they match without the slower ``numbers.Real`` check.  A
+    numpy float is compared as a float: the float maximum overflows a float32.)"""
+    if isinstance(x, np.floating):
+        x = float(x)
     return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def integer(x) -> bool:
+    """An integer (a numpy one included), not a boolean."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def brief_repr(obj) -> str:

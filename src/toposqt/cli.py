@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Mapping
 
-from ._json import dumps, matrix_to_json, round_real, vector_to_json
+from ._json import dumps, integer, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import ToposError, ValidationError
@@ -161,7 +161,7 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         limit = options.get("triples")
         if limit is None:
             limit = HEYTING_TRIPLE_CAP
-        if limit != "all" and not (isinstance(limit, int) and not isinstance(limit, bool) and limit > 0):
+        if limit != "all" and not (integer(limit) and limit > 0):
             raise ValidationError(f"triples must be a positive integer or 'all', not {limit!r}")
         report = {}
         for context in _select_contexts(poset, options):

@@ -45,6 +45,7 @@ from .operators import (
     TAU_EIG,
     Tolerances,
     _complex,
+    _listed,
     close,
     identity,
     is_orthonormal,
@@ -176,7 +177,7 @@ def context_from_atoms(atoms: Iterable[np.ndarray], tau: float = TAU) -> Context
     projective partition of the identity (each atom touches itself and no
     other), and ``TrivialAlgebra`` when only one atom is supplied.
     """
-    atoms = [require_projector(a, tau) for a in atoms]
+    atoms = [require_projector(a, tau) for a in _listed(atoms, "atoms")]
     if len(atoms) < 2:
         raise TrivialAlgebra("a context needs at least two atoms; the scalar algebra is excluded")
     if touch_masks(atoms, atoms, tau) != [1 << i for i in range(len(atoms))]:
@@ -193,7 +194,7 @@ def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) 
     per generator, which is the algebra the generators generate in finite
     dimension.  A product p q is kept iff p touches q.
     """
-    gens = [require_projector(g, tau) for g in generators]
+    gens = [require_projector(g, tau) for g in _listed(generators, "generators")]
     if not gens:
         raise TrivialAlgebra("no generators supplied")
     if len({g.shape for g in gens}) > 1:
@@ -215,7 +216,7 @@ def context_from_projectors(generators: Iterable[np.ndarray], tau: float = TAU) 
 
 def context_from_basis(vectors: Iterable[np.ndarray], tau: float = TAU) -> Context:
     """Maximal context of an orthonormal basis (rank-one atoms)."""
-    vecs = [_complex(v).reshape(-1) for v in vectors]
+    vecs = [_complex(v).reshape(-1) for v in _listed(vectors, "basis")]
     if not vecs:
         raise ValidationError("basis needs at least one vector")
     dim = vecs[0].shape[0]
@@ -458,9 +459,8 @@ class ContextPoset:
     Each seed atom touches an atom of every seed (checked by ``build_poset``).
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
-    the seed atoms.  It keeps the ``Tolerances`` it was built with, and
-    every call over the whole poset (``find``, daseinisation, pseudo-states,
-    truth values and interval values) runs at its tau and tau_eig.
+    the seed atoms.  It keeps the ``Tolerances`` it was built with, for every
+    call over the whole poset.
     """
 
     def __init__(self, registry: _Registry, seed_atoms: Sequence[np.ndarray], tolerances: Tolerances) -> None:
@@ -499,7 +499,9 @@ class ContextPoset:
         return len(self._contexts)
 
     def __contains__(self, item) -> bool:
-        return (item.id if isinstance(item, Context) else item) in self._registry.nodes
+        if isinstance(item, Context):
+            item = item.id
+        return isinstance(item, str) and item in self._down
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -520,32 +522,30 @@ class ContextPoset:
         return self._contexts[0].dim
 
     def get(self, context_id: str) -> Context:
-        try:
-            return self._registry.nodes[context_id].context
-        except KeyError:
-            raise UnknownContext(f"no context with id {context_id!r} in this poset") from None
+        self.down_ids(context_id)  # the id check
+        return self._registry.nodes[context_id].context
 
     # -- order structure ----------------------------------------------------
 
     def is_leq(self, sub_id: str, sup_id: str) -> bool:
         """True iff the context ``sub_id`` is included in ``sup_id``."""
-        if sup_id not in self._registry.nodes or sub_id not in self._registry.nodes:
-            raise UnknownContext("both contexts must belong to the poset")
-        return sub_id in self._down[sup_id]
+        self.down_ids(sub_id)  # the id check of sub_id
+        return sub_id in self.down_ids(sup_id)
 
     def down_ids(self, context_id: str) -> tuple[str, ...]:
-        """Ids of all subcontexts (the down-set), in canonical poset order."""
+        """Ids of all subcontexts (the down-set), in canonical poset order.
+        The poset's one id check: any other value raises ``UnknownContext``."""
         try:
             return self._down[context_id]
-        except KeyError:
-            raise UnknownContext(f"no context with id {context_id!r} in this poset") from None
+        except (KeyError, TypeError):
+            raise UnknownContext(f"no context with id {brief_repr(context_id)} in this poset") from None
 
     def restriction_indices(self, sup_id: str, sub_id: str) -> tuple[int, ...]:
         """Atom index map along an inclusion: fine atom -> dominating coarse atom."""
         try:
-            k = self._down[sup_id].index(sub_id)
-        except (KeyError, ValueError):
-            raise UnknownContext(f"{sub_id!r} is not a subcontext of {sup_id!r}") from None
+            k = self.down_ids(sup_id).index(sub_id)
+        except ValueError:
+            raise UnknownContext(f"{brief_repr(sub_id)} is not a subcontext of {sup_id!r}") from None
         return tuple(self._tables[sup_id][k].tolist())
 
     def _build_character_down(self, character: tuple[str, int]) -> frozenset[tuple[str, int]]:
@@ -624,7 +624,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: flo
     The poset keeps ``Tolerances(tau, tau_eig)``, checked before anything else.
     """
     tolerances = Tolerances(tau, tau_eig)
-    seeds = list(seed_contexts)
+    seeds = _listed(seed_contexts, "seed contexts")
     if not seeds:
         raise EmptySeed("at least one seed context is required")
     count = sum(2**s.n_atoms - s.n_atoms - 1 for s in seeds)

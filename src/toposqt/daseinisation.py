@@ -13,8 +13,7 @@ evaluate to 1.  An atom touching neither (only possible at a large tau) has
 no bound, and both approximations reject it.  In one context the table's
 rows are the context's atoms.  Over a whole poset they are the seed atoms:
 an atom touches Q iff the entries of the seed atoms it sums add up to more
-than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).  The poset-wide
-functions read tau from the poset's ``Tolerances`` and refuse another.
+than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).
 """
 
 from __future__ import annotations
@@ -92,11 +91,8 @@ def _daseinise_poset(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict
 
 
 def daseinise_proposition(poset: ContextPoset, P, tau: float | None = None) -> DaseinisedProposition:
-    """Outer-daseinise a projection over every context of the poset.
-
-    P is checked and touched at the poset's tau; a ``tau`` other than that
-    raises ``ValidationError``.
-    """
+    """Outer-daseinise a projection over every context of the poset, at the
+    poset's tau."""
     return _daseinise(poset, require_projector(P, poset._tolerance(tau).tau), 1)
 
 

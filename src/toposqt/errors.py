@@ -1,8 +1,8 @@
 """Exception hierarchy for domain errors.
 
-Every error raised on a violated precondition or invariant derives from
-``ToposError`` so callers (notably the CLI) can map domain failures to a
-single exit status.
+Every malformed data argument and every violated precondition or invariant
+raises a ``ToposError`` (README, "The boundary contract"), so callers (notably
+the CLI) can map domain failures to a single exit status.
 """
 
 
@@ -55,8 +55,7 @@ class UnknownCharacter(ToposError):
 
 
 class IncompleteAssignment(ToposError):
-    """A per-context assignment does not cover every context of the poset,
-    or assigns a context outside it."""
+    """A per-context mapping is not defined on exactly the poset's contexts."""
 
 
 class BaseMismatch(ToposError):
@@ -72,8 +71,9 @@ class SearchBudgetExceeded(ToposError):
 
 
 class ParseError(ToposError):
-    """A problem file is not syntactically valid JSON of the expected shape."""
+    """A problem file, or the path given for one, cannot be read as JSON of the expected shape."""
 
 
 class ValidationError(ToposError):
-    """A problem file parsed but violates a declared invariant."""
+    """An argument, or a value of a problem file, is malformed or violates a
+    declared invariant, and no more specific error names the fault."""

@@ -8,9 +8,8 @@ everything it gives the largest down-set inside S2, so the same rule decides
 whether a set is a sieve, whether a selection is clopen, and which contexts
 a truth value keeps.  Truth values are global elements: one sieve per
 context, compatible with all restrictions.  Compatible sieves are exactly
-the traces on each context's down-set of one down-set, their union, so a
-sieve that is not downward closed, or that holds a member outside its
-base's down-set, is rejected.
+the traces on each context's down-set of one down-set, their union.
+Operands are checked as README's boundary contract says, a sieve by ``_members``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .errors import (
     UnknownCharacter,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _implication, _require_contexts, _selects_characters, empty_subobject
+from .presheaf import ClopenSubobject, _implication, _mapping, _require_contexts, _selects_characters, empty_subobject
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -40,6 +39,8 @@ _TRIPLE_BLOCK = 1 << 18
 
 _BINARY_KINDS = ("and", "or", "implies")
 _ALL_KINDS = _BINARY_KINDS + ("not",)
+#: The one refusal of a connective kind: unknown, or given the wrong number of operands.
+_KIND_ERROR = "no connective {!r} of this many operands: 'not' takes one, the others two"
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,26 +80,29 @@ def empty_sieve(context_id: str) -> Sieve:
     return _new_sieve(context_id, frozenset())
 
 
-def _members(sieve: Sieve) -> frozenset[str] | set[str]:
-    # The sieve's members, or ValidationError when its base is not an id or
-    # its members are not a set of ids (naming the base).
+def _members(sieve: Sieve, poset: ContextPoset | None = None) -> frozenset[str] | set[str]:
+    # The one check of a sieve operand, returning its members: ValidationError
+    # naming the base unless its base is an id and its members a set of ids;
+    # given the poset, UnknownContext or NotASubcontext unless they lie in it.
     if not isinstance(sieve.base, str):
         raise ValidationError(f"the base of a sieve is not a context id: {brief_repr(sieve.base)}")
     members = sieve.members
     if not (isinstance(members, (set, frozenset)) and all(isinstance(m, str) for m in members)):
         raise ValidationError(f"the members of a sieve on {sieve.base!r} are not a set of context ids")
+    if poset is not None and not members <= poset._sieve_frames[sieve.base].down:
+        raise NotASubcontext(f"a sieve on {sieve.base!r} holds a member outside its down-set")
     return members
 
 
 def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
-    """Membership in the base's down-set plus downward closure: the largest
-    down-set inside the members is all of them.  A base that is not an id,
-    or members that are not a set of ids, raise ``ValidationError``."""
+    """Whether the members are a down-set of the base's down-set: the
+    largest down-set inside them is all of them, so a member outside the
+    base's down-set makes them no sieve."""
     members = _members(sieve)
     frame = poset._sieve_frames[sieve.base]
     # S => T with S - T the non-members: no member may lie at or above one.
     outside = sum(map(poset._bit.__getitem__, frame.down - members))
-    return members <= frame.down and members.isdisjoint(compress(frame.ids, map(outside.__and__, frame.below)))
+    return members == frame.down.difference(compress(frame.ids, map(outside.__and__, frame.below)))
 
 
 def _sieves(poset: ContextPoset, context_id: str) -> list[tuple[int, frozenset[str]]]:
@@ -189,15 +193,10 @@ def _check_sieve_laws(poset: ContextPoset, base: str, limit: int | str) -> dict:
 
 
 def omega_restriction(poset: ContextPoset, sieve: Sieve, sub: Context) -> Sieve:
-    """Pull a sieve back along an inclusion: members below the subcontext.
-    A sieve with a member outside its base's down-set raises
-    ``NotASubcontext``, and a base that is not an id or members that are not
-    a set of ids ``ValidationError``."""
-    members = _members(sieve)
+    """Pull a sieve back along an inclusion: members below the subcontext."""
+    members = _members(sieve, poset)
     if not poset.is_leq(sub.id, sieve.base):
         raise NotASubcontext(f"{sub.id!r} is not a subcontext of {sieve.base!r}")
-    if not members.issubset(poset.down_ids(sieve.base)):
-        raise NotASubcontext(f"a sieve on {sieve.base!r} holds a member outside its down-set")
     return _new_sieve(sub.id, frozenset(members).intersection(poset.down_ids(sub.id)))
 
 
@@ -208,17 +207,15 @@ def sieve_connective(
 
     ``and``/``or`` are intersection/union; ``implies`` keeps the subcontexts
     all of whose subcontexts inside s1 also lie in s2; ``not s`` is
-    ``s implies empty``.  A sieve with a member outside its base's down-set
-    raises ``NotASubcontext``; one whose base is not hashable or whose
-    members are no set, ``ValidationError`` naming the base.
+    ``s implies empty``.
     """
     if s2 is None:
         if kind != "not":
-            raise ValidationError(f"{kind!r} needs two sieves" if kind in _BINARY_KINDS else f"unknown connective {kind!r}")
+            raise ValidationError(_KIND_ERROR.format(kind))
         b = frozenset()
     else:
         if kind not in _BINARY_KINDS:
-            raise ValidationError("'not' is unary" if kind == "not" else f"unknown connective {kind!r}")
+            raise ValidationError(_KIND_ERROR.format(kind))
         if s1.base != s2.base:
             raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
         b = s2.members
@@ -228,13 +225,11 @@ def sieve_connective(
         frame = poset._sieve_frames[base]
         inside = a <= frame.down and b <= frame.down
     except TypeError:
-        # An unhashable base, or members that are no set: name the base.
-        for sieve in (s1, s2):
-            if sieve is not None:
-                _members(sieve)
-        raise
+        inside = False
     if not inside:
-        raise NotASubcontext(f"a sieve on {base!r} holds a member outside its down-set")
+        # Some operand fails the one operand check, which names its fault.
+        for sieve in (s1,) if s2 is None else (s1, s2):
+            _members(sieve, poset)
     if kind == "and":
         return _new_sieve(base, a & b)
     if kind == "or":
@@ -251,7 +246,7 @@ class GlobalElementOfOmega:
     __slots__ = ("sieves",)
 
     def __init__(self, sieves: Mapping[str, Sieve]) -> None:
-        self.sieves: dict[str, Sieve] = dict(sieves)
+        self.sieves: dict[str, Sieve] = dict(_mapping(sieves, "global element"))
 
     def at(self, context_id: str) -> Sieve:
         return self.sieves[context_id]
@@ -329,10 +324,8 @@ def subobject_connective(
     context's atoms, or one that is not an integer, which is no character,
     raises ``UnknownCharacter``.
     """
-    if kind not in _ALL_KINDS:
-        raise ValidationError(f"unknown connective {kind!r}")
-    if (kind == "not") != (s2 is None):
-        raise ValidationError("'not' is unary" if kind == "not" else f"{kind!r} needs two subobjects")
+    if kind not in _ALL_KINDS or (kind == "not") != (s2 is None):
+        raise ValidationError(_KIND_ERROR.format(kind))
     if kind == "not":
         s2, kind = empty_subobject(poset), "implies"
     for name, s in (("first", s1), ("second", s2)):

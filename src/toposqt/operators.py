@@ -18,6 +18,8 @@ are freshly allocated and never aliased to caller data.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,27 +37,47 @@ TAU_EIG = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Both tolerances, each a finite positive number, kept as floats; any
-    other value raises ``ValidationError``.  (A NaN or infinite tau_eig would
-    merge the whole spectrum into one cluster; a zero one drops endpoints.)"""
+    """Both tolerances, kept as floats after the one tolerance rule: a NaN or
+    infinite tau_eig would merge the whole spectrum, a zero one drop endpoints."""
 
     tau: float = TAU
     tau_eig: float = TAU_EIG
 
     def __post_init__(self) -> None:
-        for name, value in (("tau", self.tau), ("tau_eig", self.tau_eig)):
-            if not (finite_number(value) and value > 0):
-                raise ValidationError(f"tolerances.{name}: must be a finite positive number, got {brief_repr(value)}")
-            object.__setattr__(self, name, float(value))
+        for name in ("tau", "tau_eig"):
+            object.__setattr__(self, name, _tau(getattr(self, name), f"tolerances.{name}"))
+
+
+def _tau(value, name: str = "tau") -> float:
+    # The one tolerance rule, of Tolerances and of every single-context tau.
+    if not (finite_number(value) and value > 0):
+        raise ValidationError(f"{name}: must be a finite positive number, got {brief_repr(value)}")
+    return float(value)
+
+
+#: Largest real or imaginary part of an entry of array data: the squares of
+#: products of two entries (||A @ A - A||_F) then stay finite in every check.
+_MAX_ENTRY = 1e60
 
 
 def _complex(data) -> np.ndarray:
-    # Array data as a complex array; data that numpy cannot read as numbers
-    # (strings, mappings, ragged rows) raise ValidationError.
+    # The one check of array data, as a complex array: data that numpy cannot
+    # read as numbers, and NaN, infinite or larger entries, raise ValidationError.
     try:
-        return np.asarray(data, dtype=complex)
-    except (TypeError, ValueError):
-        raise ValidationError(f"expected numeric array data, got {brief_repr(data)}") from None
+        A = np.asarray(data, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        A = None
+    if A is None or not np.abs(A.ravel().view(float)).max(initial=0.0) <= _MAX_ENTRY:
+        raise ValidationError(f"expected numeric array data, finite and at most {_MAX_ENTRY:g}, got {brief_repr(data)}")
+    return A
+
+
+def _listed(items, name: str) -> list:
+    # An iterable argument as a list; anything else raises ValidationError.
+    try:
+        return list(items)
+    except TypeError:
+        raise ValidationError(f"{name}: expected an iterable, got {brief_repr(items)}") from None
 
 
 def as_operator(entries) -> np.ndarray:
@@ -85,6 +107,7 @@ def close(A: np.ndarray, B: np.ndarray, tau: float = TAU) -> bool:
 
 def _self_adjoint(A: np.ndarray, tau: float, idempotent: bool = False) -> bool:
     # The rule of both checks, on an array already coerced by as_operator.
+    tau = _tau(tau)
     return close(A, A.conj().T, tau) and (not idempotent or close(A @ A, A, tau))
 
 
@@ -102,14 +125,7 @@ def is_orthonormal(vectors, tau: float = TAU) -> bool:
     tau as every other check: vectors written as decimals must be accurate to
     it.  A unit vector is an orthonormal family of one."""
     vecs = _complex(vectors)
-    return bool(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= tau)
-
-
-def require_self_adjoint(A, tau: float = TAU) -> np.ndarray:
-    A = as_operator(A)
-    if not _self_adjoint(A, tau):
-        raise NotSelfAdjoint(f"matrix differs from its conjugate transpose beyond tau={tau}")
-    return A
+    return bool(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= _tau(tau))
 
 
 def require_projector(P, tau: float = TAU) -> np.ndarray:
@@ -156,7 +172,7 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
 
     Clusters are the connected components of the union of intervals of radius
     ``tau_eig`` around each raw eigenvalue, so nearly degenerate eigenvalues
-    map to a single projector.  Both tolerances are checked by ``Tolerances``.
+    map to a single projector.
     """
     return _decompose(A, Tolerances(tau, tau_eig))
 
@@ -168,8 +184,10 @@ def _clusters(A, tolerances: Tolerances) -> tuple[tuple[float, ...], np.ndarray,
     # Each cluster is the slice raw[i:j]; its mean np.add.reduce / count is
     # bit-identical to np.mean (the same pairwise sum), without its overhead,
     # and a singleton's mean is its value.
-    tau_eig = tolerances.tau_eig
-    A = require_self_adjoint(A, tolerances.tau)
+    tau, tau_eig = tolerances.tau, tolerances.tau_eig
+    A = as_operator(A)
+    if not _self_adjoint(A, tau):
+        raise NotSelfAdjoint(f"matrix differs from its conjugate transpose beyond tau={tau}")
     raw, vecs = np.linalg.eigh(A)
     values = raw.tolist()
     starts = [0] + [i for i in range(1, len(values)) if values[i] - values[i - 1] > 2.0 * tau_eig]
@@ -186,20 +204,28 @@ def _decompose(A, tolerances: Tolerances) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, tuple(vecs[:, i:j] @ vh[i:j] for i, j in zip(starts, ends)))
 
 
-def _spectral_projection(decomp: SpectralDecomposition, lo: float, hi: float, tau_eig: float) -> np.ndarray:
-    # Sum of the spectral projectors with eigenvalue in [lo - tau_eig, hi + tau_eig].
+def _spectral_projection(decomp: SpectralDecomposition, interval, tau_eig: float) -> np.ndarray:
+    # Sum of the spectral projectors with eigenvalue in [lo - tau_eig, hi + tau_eig],
+    # for the one interval rule: a pair of real numbers (not bools) lo <= hi,
+    # an infinite end leaving its side open; any other interval raises ValidationError.
+    try:
+        lo, hi = (float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan for x in interval)
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = math.nan
+    if isinstance(interval, (str, bytes, Set, Mapping)) or not lo <= hi:
+        raise ValidationError(f"interval must be a pair of numbers lo <= hi, got {brief_repr(interval)}")
+    lo, hi = lo - tau_eig, hi + tau_eig
     out = zero(decomp.dim)
     for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
-        if lo - tau_eig <= lam <= hi + tau_eig:
+        if lo <= lam <= hi:
             out += proj
     return out
 
 
 def spectral_family_at(decomp: SpectralDecomposition, r: float, tau_eig: float = TAU_EIG) -> np.ndarray:
-    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``,
-    checked by ``Tolerances``)."""
-    Tolerances(tau_eig=tau_eig)
-    return _spectral_projection(decomp, -math.inf, r, tau_eig)
+    """Sum of spectral projectors with eigenvalue <= r (within ``tau_eig``):
+    the projection on the interval (-inf, r)."""
+    return _spectral_projection(decomp, (-math.inf, r), _tau(tau_eig, "tau_eig"))
 
 
 def touch_table(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
@@ -244,6 +270,7 @@ def cluster_table(left: np.ndarray, vecs: np.ndarray, starts: Sequence[int]) -> 
 def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: float) -> list[int]:
     """For each left projection a, the bitmask of the right projections b it
     touches (touch_table entry > tau^2)."""
+    tau = _tau(tau)
     hits = touch_table(left, right) > tau * tau
     return [sum(1 << j for j, hit in enumerate(row) if hit) for row in hits.tolist()]
 
@@ -268,7 +295,7 @@ def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> 
 def spectral_bounds(decomp: SpectralDecomposition, atoms, tau: float) -> list[tuple[float, float]]:
     """For each atom, the least and the greatest eigenvalue whose spectral
     projection the atom touches."""
-    return table_bounds(touch_table(atoms, decomp.projectors), decomp.eigenvalues, tau)
+    return table_bounds(touch_table(atoms, decomp.projectors), decomp.eigenvalues, _tau(tau))
 
 
 def projector_leq(P, Q, tau: float = TAU) -> bool:
@@ -288,7 +315,7 @@ def spectral_order_leq(A, B, tau: float = TAU, tau_eig: float = TAU_EIG) -> bool
     da, db = spectral_decomposition(A, tau, tau_eig), spectral_decomposition(B, tau, tau_eig)
     require_same_dim(da.projectors[0], db.projectors[0])
     for r in sorted(set(da.eigenvalues) | set(db.eigenvalues)):
-        ea, eb = (_spectral_projection(d, -math.inf, r, tau_eig) for d in (da, db))
+        ea, eb = (_spectral_projection(d, (-math.inf, r), tau_eig) for d in (da, db))
         if not close(ea @ eb @ ea, eb, tau):  # eb <= ea in the projector order
             return False
     return True

@@ -11,22 +11,24 @@ restriction.  One rule decides down-sets: x lies in S => T iff its down-set
 meets S only inside T.  ``_implication`` applies it to the character order,
 each character's down-set a frozenset; the context order (sieves, truth
 values, global elements) is read off the poset's down-set ints instead.
+Operands are checked as README's boundary contract says.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
 import numpy as np
 
-from ._json import brief_repr
+from ._json import brief_repr, integer
 from .contexts import Context, ContextPoset, restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter, ValidationError
-from .operators import TAU, _two_valued, as_operator, require_projector, require_same_dim, spectral_bounds
+from .operators import TAU, _tau, _two_valued, as_operator, close, require_projector, require_same_dim, spectral_bounds
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,7 @@ def coefficients_in(context: Context, A, tau: float = TAU) -> np.ndarray:
     coeffs = np.array(
         [np.trace(A @ a) / np.trace(a) for a in context.atoms], dtype=complex
     )
-    residual = A - sum(c * a for c, a in zip(coeffs, context.atoms))
-    if float(np.linalg.norm(residual)) > tau:
+    if not close(A, sum(c * a for c, a in zip(coeffs, context.atoms)), _tau(tau)):
         raise NotInAlgebra("operator is not a combination of the context's atoms")
     return coeffs
 
@@ -78,15 +79,10 @@ def restrict_character(
 
 
 def _require_member(context: Context, character: Character) -> None:
-    if character.context_id != context.id:
-        raise UnknownCharacter(
-            f"character belongs to {character.context_id!r}, not {context.id!r}"
-        )
-    index = character.atom_index
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-        raise UnknownCharacter(f"atom index must be an integer, got {brief_repr(index)}")
-    if not 0 <= index < context.n_atoms:
-        raise UnknownCharacter(f"atom index {index} out of range")
+    # The one check of a character: its context's, with an integer atom index in range.
+    index, n = character.atom_index, context.n_atoms
+    if character.context_id != context.id or not (integer(index) and 0 <= index < n):
+        raise UnknownCharacter(f"no character of {context.id!r} (atoms 0..{n - 1}): {brief_repr(character)}")
 
 
 class ClopenSubobject:
@@ -100,20 +96,12 @@ class ClopenSubobject:
     __slots__ = ("selection",)
 
     def __init__(self, selection: Mapping[str, frozenset[int]]) -> None:
-        try:
-            self.selection: dict[str, frozenset[int]] = {
-                cid: frozenset(indices) for cid, indices in selection.items()
-            }
-        except TypeError:
-            # Name the first context whose value is no iterable of hashables.
-            for cid, indices in selection.items():
-                try:
-                    frozenset(indices)
-                except TypeError:
-                    raise ValidationError(
-                        f"selection at {cid!r} is not a set of atom indices: {brief_repr(indices)}"
-                    ) from None
-            raise
+        self.selection: dict[str, frozenset[int]] = {}
+        for cid, indices in _mapping(selection, "selection").items():
+            try:
+                self.selection[cid] = frozenset(indices)
+            except TypeError:
+                raise ValidationError(f"selection at {cid!r} is no set of indices: {brief_repr(indices)}") from None
 
     def at(self, context_id: str) -> frozenset[int]:
         return self.selection[context_id]
@@ -140,10 +128,17 @@ def empty_subobject(poset: ContextPoset) -> ClopenSubobject:
     return ClopenSubobject({c.id: frozenset() for c in poset})
 
 
+def _mapping(value, name: str) -> Mapping:
+    # A per-context mapping as given, or ValidationError naming it.
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{name} is not a mapping of context ids: {brief_repr(value)}")
+    return value
+
+
 def _require_contexts(poset: ContextPoset, assignment: Mapping, name: str) -> None:
     # A subobject, global element or section holds one value per poset
     # context and at no other context.
-    if assignment.keys() != poset._atom_indices.keys():
+    if _mapping(assignment, name).keys() != poset._atom_indices.keys():
         raise IncompleteAssignment(f"{name} must be defined on every context of the poset and on no other")
 
 

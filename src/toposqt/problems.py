@@ -83,9 +83,6 @@ def _known_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
             raise ParseError(f"{where}{key}: unknown key; expected one of {', '.join(known)}")
 
 
-# An entry near the float limit overflows in the checks below, and the check
-# then fails and refuses the file: the overflow warning would add nothing.
-@np.errstate(over="ignore", invalid="ignore")
 def problem_from_dict(raw: dict) -> Problem:
     """Validate a parsed problem dictionary; every invariant checked eagerly."""
     if not isinstance(raw, dict):
@@ -195,8 +192,8 @@ def load_problem(path) -> Problem:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
-        # Not UTF-8, nested too deeply, or an integer too long to convert.
+    except (TypeError, ValueError, RecursionError) as exc:
+        # No path, not UTF-8, nested too deeply, or an integer too long to convert.
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: problem file must contain a JSON object")
@@ -246,8 +243,8 @@ def problem_poset(problem: Problem) -> ContextPoset:
 
 def resolve_proposition(problem: Problem, name: str) -> np.ndarray:
     """Projection operator of a named proposition."""
-    if name not in problem.propositions:
-        raise ValidationError(f"unknown proposition {name!r}")
+    if not (isinstance(name, str) and name in problem.propositions):
+        raise ValidationError(f"unknown proposition {brief_repr(name)}")
     prop = problem.propositions[name]
     if isinstance(prop, ProjectorProposition):
         return prop.projector

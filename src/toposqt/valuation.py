@@ -8,20 +8,17 @@ of the classifier.  Physical quantities read off interval endpoints from the
 spectral projections that a character's restricted atoms touch, and the
 search for global sections of the spectral presheaf decides contextuality
 for the finite poset at hand.  Touches and clusters run at the poset's one
-``Tolerances``; a state is checked once, as a unit vector within its tau.
+``Tolerances``; operands are checked as README's boundary contract says.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
-from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._json import brief_repr
+from ._json import brief_repr, integer
 from .contexts import Context, ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import NotUnitVector, SearchBudgetExceeded, ValidationError
@@ -57,27 +54,16 @@ def _ray(psi, tau: float) -> np.ndarray:
 
 def pseudo_state(poset: ContextPoset, psi, tau: float | None = None) -> DaseinisedProposition:
     """Outer-daseinise the state's rank-one projector |psi><psi| over the poset:
-    per context, the smallest projection certain in the state.  psi is
-    checked once, as a unit vector at the poset's tau."""
+    per context, the smallest projection certain in the state."""
     return _daseinise(poset, _ray(psi, poset._tolerance(tau).tau), 1)
 
 
 def proposition_projector(A, interval, tau: float = TAU, tau_eig: float = TAU_EIG) -> np.ndarray:
-    """Spectral projection of A onto a closed interval of eigenvalues.
-
-    Endpoint membership is decided within ``tau_eig``.  An interval that is
-    not an ordered pair of real numbers (a string, a set or a mapping; a
-    bool, str, bytes or NaN endpoint) raises ``ValidationError``; infinite
-    endpoints leave that side open.  ``Tolerances`` checks tau and tau_eig first.
-    """
+    """Spectral projection of A onto a closed interval (lo, hi) of
+    eigenvalues, lo <= hi, each end widened by ``tau_eig``; an infinite end
+    leaves that side open.  ``Tolerances`` checks tau and tau_eig first."""
     tolerances = Tolerances(tau, tau_eig)
-    try:
-        lo, hi = (math.nan if isinstance(x, (bool, np.bool_, str, bytes)) else float(x) for x in interval)
-    except (TypeError, ValueError):
-        lo = hi = math.nan
-    if isinstance(interval, (str, bytes, Set, Mapping)) or math.isnan(lo) or math.isnan(hi):
-        raise ValidationError(f"interval must be a pair of numbers, got {brief_repr(interval)}")
-    return _spectral_projection(_decompose(A, tolerances), lo, hi, tolerances.tau_eig)
+    return _spectral_projection(_decompose(A, tolerances), interval, tolerances.tau_eig)
 
 
 def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> GlobalElementOfOmega:
@@ -130,11 +116,10 @@ def quantity_value_arrow(
     """Evaluate a quantity at a character: per subcontext, the least (mu) and
     greatest (nu) eigenvalue of A whose spectral projection the restricted
     character's atom touches, i.e. the values of the inner and outer
-    daseinisations of A there.  Touches are tested at the poset's tau, and
-    the eigenvalues of A clustered at its tau_eig.  An atom a touches the
-    eigenspace of a cluster c iff ||aV_c||_F^2 > tau^2, read off A's
-    orthonormal eigenvectors V_c; this equals ||aP_c||_F^2 for the spectral
-    projection P_c = V_c V_c^*, which is never formed."""
+    daseinisations of A there.  An atom a touches the eigenspace of a cluster
+    c iff ||aV_c||_F^2 > tau^2, read off A's orthonormal eigenvectors V_c;
+    this equals ||aP_c||_F^2 for the spectral projection P_c = V_c V_c^*,
+    which is never formed."""
     clusters = _clusters(A, poset._tolerance(tau, tau_eig))
     return _value_arrows(poset, clusters, context, [character])[0]
 
@@ -173,11 +158,10 @@ class GlobalSection:
 
 
 def is_global_section(poset: ContextPoset, section: GlobalSection) -> bool:
-    """Check the restriction-consistency of a candidate section.  An
-    assignment not defined on exactly the poset's contexts raises
-    ``IncompleteAssignment``."""
+    """Check the restriction-consistency of a candidate section: one
+    character per context, the restrictions of each chosen."""
     _require_contexts(poset, section.assignment, "section")
-    singletons = {cid: {value} for cid, value in section.assignment.items()}
+    singletons = {cid: (value,) for cid, value in section.assignment.items()}
     return is_clopen_subobject(poset, ClopenSubobject(singletons))
 
 
@@ -189,12 +173,11 @@ def global_sections(
     Backtracking over atom choices, most-constrained (largest) contexts
     first; every assignment is propagated through the whole down-set at once
     so inconsistencies between overlapping contexts prune immediately.
-    Raises ``SearchBudgetExceeded`` after ``budget`` assignment attempts,
-    and ``ValidationError`` for a budget that is not an integer (or is a bool).
+    Raises ``SearchBudgetExceeded`` after ``budget`` assignment attempts.
     Absence of sections certifies contextuality for this finite poset only.
     """
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-        raise ValidationError(f"budget must be an integer, got {brief_repr(budget)}")
+    if not (integer(budget) and budget >= 0):
+        raise ValidationError(f"budget must be an integer >= 0, got {brief_repr(budget)}")
     order = poset.ids  # already sorted by descending atom count
     sections: list[GlobalSection] = []
     nodes = 0

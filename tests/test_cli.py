@@ -224,6 +224,12 @@ def test_sections_budget_zero_is_domain_error(capsys):
     assert "exceeded the budget of 0 nodes" in err
 
 
+def test_sections_negative_budget_is_refused(capsys):
+    code, out, err = _run(capsys, "sections", "--input", SPIN2_PATH, "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: budget must be an integer >= 0, got -1\n"
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = _run(capsys, "truth", "--input", SPIN2_PATH, "--prop", "Sz_in_-3_-1", "--state", "psi1")
     _, second, _ = _run(capsys, "truth", "--input", SPIN2_PATH, "--prop", "Sz_in_-3_-1", "--state", "psi1")

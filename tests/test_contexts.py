@@ -774,3 +774,23 @@ def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
         assert dropped() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("bad", [[1], {}, (1, [2]), 5, None, "ctx-foreign"], ids=repr)
+def test_any_value_that_is_no_poset_id_is_an_unknown_context(poset11, bad):
+    # An unhashable value escaped from the dict lookups as TypeError.
+    top = poset11.ids[0]
+    for call in (lambda: poset11.get(bad), lambda: poset11.down_ids(bad), lambda: poset11.is_leq(bad, top),
+                 lambda: poset11.is_leq(top, bad), lambda: poset11.restriction_indices(bad, top),
+                 lambda: poset11.restriction_indices(top, bad)):
+        with pytest.raises(UnknownContext):
+            call()
+    assert bad not in poset11
+    assert top in poset11 and poset11.get(top) in poset11
+
+
+@pytest.mark.parametrize("seeds", [None, 5, 1.5], ids=repr)
+def test_an_argument_that_is_no_iterable_is_a_validation_error(seeds):
+    for call in (build_poset, context_from_atoms, context_from_basis, context_from_projectors):
+        with pytest.raises(ValidationError, match="expected an iterable"):
+            call(seeds)

@@ -397,3 +397,36 @@ def test_touch_masks_reject_mixed_dimensions_on_the_left():
         touch_masks(left, right, TAU)
     with pytest.raises(DimensionMismatch):
         touch_table(left, right)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.inf), 1e300, 2e60], ids=repr)
+def test_array_data_that_is_not_finite_or_too_large_is_a_validation_error(entry):
+    # Such entries warned (overflow, invalid value) or passed as NaN; every
+    # call that takes array data refuses them at operators._complex.
+    A = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    A[0, 1] = A[1, 0] = entry
+    for call in (is_self_adjoint, is_projector, spectral_decomposition, lambda M: projector_leq(M, M)):
+        with pytest.raises(ValidationError, match="expected numeric array data"):
+            call(A)
+    A[0, 1] = A[1, 0] = 1e60  # the largest entry array data may hold
+    assert is_self_adjoint(A)
+
+
+@pytest.mark.parametrize("tau", [None, "1e-9", 0.0, -1e-9, float("nan"), True, [1e-9]], ids=repr)
+def test_a_single_context_tau_follows_the_tolerance_rule(tau):
+    # The rule of Tolerances: a str or None tau escaped as TypeError, a NaN
+    # one refused every matrix, and close itself still takes tau = 0.
+    for call in (lambda: is_self_adjoint(np.eye(2), tau), lambda: is_projector(np.eye(2), tau),
+                 lambda: projector_leq(np.eye(2), np.eye(2), tau)):
+        with pytest.raises(ValidationError, match="^tau: must be a finite positive number"):
+            call()
+    assert close(np.eye(2), np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("r", [None, "1", float("nan"), True, 1j, 10**400], ids=repr)
+def test_spectral_family_at_refuses_a_point_that_is_no_real_number(r):
+    decomp = spectral_decomposition(np.diag([1.0, 2.0]))
+    with pytest.raises(ValidationError, match="interval must be a pair of numbers"):
+        spectral_family_at(decomp, r)
+    assert not spectral_family_at(decomp, -np.inf).any()
+    assert np.allclose(spectral_family_at(decomp, np.float32(1.5)), np.diag([1.0, 0.0]))

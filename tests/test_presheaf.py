@@ -20,6 +20,7 @@ from toposqt.presheaf import (
     restrict_character,
     subobject_leq,
 )
+from toposqt.operators import close
 from toposqt.valuation import quantity_value_arrow
 
 
@@ -70,6 +71,27 @@ def test_evaluation_rejects_non_members(poset11, std_projectors):
     ch = gelfand_spectrum(v2)[0]
     with pytest.raises(NotInAlgebra):
         evaluate_character(v2, ch, p1)
+
+
+def test_membership_is_closeness_to_the_atom_expansion(poset11, std_projectors, sz):
+    # coefficients_in accepts A iff close(A, its atom expansion, tau); NaN
+    # entries are refused as array data, where they once evaluated to nan.
+    p1, p2, p3, p4 = std_projectors
+    v2 = locate(poset11, [p2, p1 + p3 + p4])
+    ch = gelfand_spectrum(v2)[0]
+    member = 3.0 * p2 - (p1 + p3 + p4)
+    for offset, accepted in ((0.4e-9, True), (2e-9, False)):
+        A = member + offset * (p1 - p3)  # distance offset * sqrt(2) from the algebra
+        assert close(A, 3.0 * p2 - (p1 + p3 + p4), 1e-9) == accepted
+        if accepted:
+            assert evaluate_character(v2, ch, A) == pytest.approx(3.0)
+        else:
+            with pytest.raises(NotInAlgebra):
+                evaluate_character(v2, ch, A)
+    broken = member.copy()
+    broken[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="expected numeric array data"):
+        evaluate_character(v2, ch, broken)
 
 
 @pytest.mark.parametrize("dim", [3, 5])
@@ -199,6 +221,19 @@ def test_a_selection_value_that_is_no_set_of_indices_is_a_validation_error(poset
     selection = {first: frozenset({0}), **{cid: value for cid in rest}}
     with pytest.raises(ValidationError, match=f"selection at {rest[0]!r}"):
         ClopenSubobject(selection)
+
+
+@pytest.mark.parametrize("value", [None, 5, "abc", [("ctx", {0})]], ids=repr)
+def test_a_per_context_value_that_is_no_mapping_is_a_validation_error(poset11, value):
+    # It escaped as AttributeError or TypeError from the constructors, and
+    # from is_global_section for a section's assignment.
+    from toposqt.logic import GlobalElementOfOmega
+    from toposqt.valuation import GlobalSection, is_global_section
+
+    for call in (lambda: ClopenSubobject(value), lambda: GlobalElementOfOmega(value),
+                 lambda: is_global_section(poset11, GlobalSection(value))):
+        with pytest.raises(ValidationError, match="is not a mapping of context ids"):
+            call()
 
 
 def test_clopen_check_requires_full_assignment(poset11, maximal_context):

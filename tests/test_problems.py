@@ -243,3 +243,16 @@ def test_a_mutated_problem_gives_a_report_or_a_topos_error(raw):
     except ToposError:
         return
     json.loads(render_json(report))
+
+
+@pytest.mark.parametrize("path", [None, 5, [1], b"spin2.json"], ids=repr)
+def test_load_problem_refuses_a_value_that_is_no_path(path):
+    with pytest.raises(ParseError):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("name", [None, 5, ["p"], "missing"], ids=repr)
+def test_resolve_proposition_refuses_a_name_that_is_no_proposition(name):
+    problem = load_problem(resources.files("toposqt") / "data" / "spin2.json")
+    with pytest.raises(ValidationError, match="unknown proposition"):
+        resolve_proposition(problem, name)

@@ -98,6 +98,7 @@ def test_proposition_projector_from_interval(sz, std_projectors):
         {8.0, 1.0},
         frozenset({1.0, 2.0}),
         {1: "a", 2: "b"},
+        (2, 1),
     ],
 )
 def test_proposition_projector_refuses_an_interval_that_is_not_a_pair_of_numbers(sz, interval):
@@ -299,6 +300,16 @@ def test_search_budget_takes_numpy_integers(poset11):
     assert global_sections(poset11, np.int64(1000)) == global_sections(poset11, 1000)
     with pytest.raises(SearchBudgetExceeded):
         global_sections(poset11, np.int32(1))
+
+
+@pytest.mark.parametrize("budget", [-1, np.int64(-5)], ids=repr)
+def test_a_negative_search_budget_is_refused(poset11, budget):
+    # It reported "exceeded the budget of -1 nodes"; a zero budget stays a
+    # SearchBudgetExceeded.
+    with pytest.raises(ValidationError, match="budget must be an integer >= 0"):
+        global_sections(poset11, budget)
+    with pytest.raises(SearchBudgetExceeded):
+        global_sections(poset11, 0)
 
 
 def test_quantity_value_arrow_refuses_a_nan_tau_eig(poset11, maximal_context):
