@@ -25,7 +25,7 @@ import hashlib
 import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -456,6 +456,8 @@ class ContextPoset:
     touches exactly one sub atom, and that atom is its restriction.  Sieves,
     truth values and global elements read each down-set as an int over poset
     positions; an int that misses part of a member's raises ``ValidationError``.
+    Clopen subobjects and sections read the characters' down-sets as ints
+    over one bit per character (``_characters``).
     Each seed atom touches an atom of every seed (checked by ``build_poset``).
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
@@ -486,7 +488,6 @@ class ContextPoset:
                 raise ValidationError(f"the touch test cannot order the contexts below {sup} transitively:"
                                       " some products of seed atoms lie close to tau")
         # Tables derived from the order, each entry built on first use and kept.
-        self._character_down = _Table(self._build_character_down)
         self._sieve_frames = _Table(self._build_sieve_frame)
         self._restricted_sums = _Table(self._build_restricted_sums)
 
@@ -548,12 +549,38 @@ class ContextPoset:
             raise UnknownContext(f"{brief_repr(sub_id)} is not a subcontext of {sup_id!r}") from None
         return tuple(self._tables[sup_id][k].tolist())
 
-    def _build_character_down(self, character: tuple[str, int]) -> frozenset[tuple[str, int]]:
-        # The down-set of the character (sup, i) under restriction: the pairs
-        # (sub, restriction_indices(sup, sub)[i]) over down_ids(sup), itself
-        # included.
-        sup, i = character
-        return frozenset(zip(self.down_ids(sup), self._tables[sup][:, i].tolist()))
+    @cached_property
+    def _characters(self) -> tuple[dict[str, int], dict[str, tuple[int, ...]], dict[str, int]]:
+        """The characters ordered by restriction, one bit each: ``(top, below, reach)``.
+
+        The character (V, i) has bit ``top[V] - i``.  The bits run in poset
+        order from the top down, so top[V] counts the characters after (V, 0)
+        and a character's down-set int is no wider than the characters from
+        its context on.  ``below[V][i]`` is the down-set of (V, i) as an int
+        over these bits: (W, the restriction of atom i to W) for each W of
+        V's down-set.  x lies in S => T iff ``below[x]`` misses the mask of
+        S - T.  ``reach[V]`` holds every character of V's down-set of
+        contexts, the union of its characters' down-sets, as every character
+        there is the restriction of one of V's.
+        """
+        # Row k of V's table restricts V's atoms to the k-th context W of its
+        # down-set, so its entry i sets bit top[W] - table[k, i] of (V, i)'s int.
+        # The contexts of n atoms follow each other in poset order and their
+        # tables stack into n columns.  Each such group writes the ints of its
+        # characters into one buffer, as many little-endian bytes for each as
+        # the group's first needs: bit e of its c-th is bit 8 * size * c + e.
+        top = dict(zip(self._ids, (np.cumsum([c.n_atoms for c in reversed(self._contexts)])[::-1] - 1).tolist()))
+        below: dict[str, tuple[int, ...]] = {}
+        for n, group in groupby(self._ids, lambda cid: len(self._atom_indices[cid])):
+            ids, downs, tables = zip(*((v, self._down[v], self._tables[v]) for v in group))
+            size = top[ids[0]] // 8 + 1  # bytes per int
+            start = np.repeat(np.arange(len(ids) * n).reshape(-1, n) * 8 * size, list(map(len, downs)), axis=0)
+            at = (start + np.array([top[w] for d in downs for w in d])[:, None] - np.concatenate(tables)).ravel()
+            data = bytearray(len(ids) * n * size)
+            np.add.at(np.frombuffer(data, dtype=np.uint8), at >> 3, (1 << (at & 7)).astype(np.uint8))
+            ints = iter([int.from_bytes(data[a : a + size], "little") for a in range(0, len(data), size)])
+            below.update(zip(ids, zip(*[ints] * n)))  # n ints per context
+        return top, below, {cid: reduce(int.__or__, own) for cid, own in below.items()}
 
     def _build_sieve_frame(self, context_id: str) -> _SieveFrame:
         ids = tuple(sorted(self.down_ids(context_id), reverse=True))

@@ -6,8 +6,13 @@ by restriction.  One rule gives both Heyting algebras their implication: x
 lies in S1 -> S2 iff the down-set of x meets S1 only inside S2.  With S1
 everything it gives the largest down-set inside S2, so the same rule decides
 whether a set is a sieve, whether a selection is clopen, and which contexts
-a truth value keeps.  Truth values are global elements: one sieve per
-context, compatible with all restrictions.  Compatible sieves are exactly
+a truth value keeps.  Each order is encoded once, as down-set ints: a
+context's over one bit per context (``ContextPoset._bit``), a character's
+over one bit per character (``ContextPoset._characters``), so x lies in
+S1 -> S2 iff its down-set int misses the mask of S1 - S2.  Conjunction and
+disjunction stay set operations, per sieve and per context of a subobject.
+Truth values are global elements: one sieve per context, compatible with
+all restrictions.  Compatible sieves are exactly
 the traces on each context's down-set of one down-set, their union.
 Operands are checked as README's boundary contract says, a sieve by ``_members``.
 """
@@ -29,7 +34,7 @@ from .errors import (
     UnknownCharacter,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _implication, _mapping, _require_contexts, _selects_characters, empty_subobject
+from .presheaf import ClopenSubobject, _mapping, _require_contexts, _selects_characters, empty_subobject
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -335,9 +340,7 @@ def subobject_connective(
         return ClopenSubobject({cid: s1.at(cid) & s2.at(cid) for cid in poset.ids})
     if kind == "or":
         return ClopenSubobject({cid: s1.at(cid) | s2.at(cid) for cid in poset.ids})
-    outside = {(cid, j) for cid in poset.ids for j in s1.at(cid) - s2.at(cid)}
-    characters = [(c.id, i) for c in poset for i in range(c.n_atoms)]
-    selection: dict[str, set[int]] = {cid: set() for cid in poset.ids}
-    for cid, i in _implication(poset, characters, outside):
-        selection[cid].add(i)
-    return ClopenSubobject(selection)
+    # S1 => S2 keeps x iff below[x] misses the mask of S1 - S2.
+    top, below, _ = poset._characters
+    mask = sum(1 << (top[cid] - int(j)) for cid in poset.ids for j in s1.at(cid) - s2.at(cid))
+    return ClopenSubobject({cid: frozenset(i for i, x in enumerate(below[cid]) if not x & mask) for cid in poset.ids})

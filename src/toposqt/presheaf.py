@@ -8,9 +8,12 @@ that is compatible with every restriction map.
 
 The clopen subobjects are the down-sets of the characters ordered by
 restriction.  One rule decides down-sets: x lies in S => T iff its down-set
-meets S only inside T.  ``_implication`` applies it to the character order,
-each character's down-set a frozenset; the context order (sieves, truth
-values, global elements) is read off the poset's down-set ints instead.
+meets S only inside T.  Both orders are read off down-set ints: the context
+order (sieves, truth values, global elements) off the poset's, one bit per
+context, and the character order off ``ContextPoset._characters``, one bit
+per character, where x lies in S => T iff its down-set int misses the mask
+of S - T.  A selection is clopen iff it is its own largest down-set: no
+selected character's down-set int meets the complement of its mask.
 Operands are checked as README's boundary contract says.
 """
 
@@ -21,7 +24,6 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Iterable
 
 import numpy as np
 
@@ -118,9 +120,7 @@ class ClopenSubobject:
 
 def full_subobject(poset: ContextPoset) -> ClopenSubobject:
     """The maximal subobject: the whole spectrum at every context."""
-    return ClopenSubobject(
-        {c.id: frozenset(range(c.n_atoms)) for c in poset}
-    )
+    return ClopenSubobject(poset._atom_indices)
 
 
 def empty_subobject(poset: ContextPoset) -> ClopenSubobject:
@@ -142,14 +142,6 @@ def _require_contexts(poset: ContextPoset, assignment: Mapping, name: str) -> No
         raise IncompleteAssignment(f"{name} must be defined on every context of the poset and on no other")
 
 
-def _implication(poset: ContextPoset, characters: Iterable[tuple[str, int]], outside: AbstractSet) -> list:
-    # The characters x whose down-set under restriction misses ``outside =
-    # S - T``, i.e. meets S only inside T: the implication S => T of clopen
-    # subobjects, restricted to ``characters``.  With ``outside`` the complement
-    # of T it is the largest down-set inside T, so T is clopen iff it keeps T.
-    return [x for x in characters if outside.isdisjoint(poset._character_down[x])]
-
-
 def _selects_characters(poset: ContextPoset, selection: Mapping[str, frozenset], name: str) -> bool:
     # Under the coverage rule, whether each index is an atom of its context:
     # an integer in range (a bool or a float equal to one passes the subset test).
@@ -166,9 +158,9 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     makes the selection not clopen."""
     if not _selects_characters(poset, subobject.selection, "subobject"):
         return False
-    chosen = [(cid, i) for cid, indices in subobject.selection.items() for i in indices]
-    outside = {(cid, j) for cid, indices in poset._atom_indices.items() for j in indices - subobject.at(cid)}
-    return len(_implication(poset, chosen, outside)) == len(chosen)
+    top, below, _ = poset._characters
+    outside = ~sum(1 << (top[cid] - int(i)) for cid, indices in subobject.selection.items() for i in indices)
+    return not any(below[cid][i] & outside for cid, indices in subobject.selection.items() for i in indices)
 
 
 def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> bool:

@@ -33,7 +33,6 @@ from .operators import (
     _spectral_projection,
     _two_valued,
     cluster_table,
-    is_orthonormal,
     require_projector,
     table_bounds,
     touch_table,
@@ -47,7 +46,7 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 def _ray(psi, tau: float) -> np.ndarray:
     # The projector |psi><psi| onto a unit vector's ray.
     psi = _complex(psi).reshape(-1)
-    if not is_orthonormal([psi], tau):
+    if not abs(psi.conj() @ psi - 1) <= tau:  # is_orthonormal's Gram entry, of the array already checked
         raise NotUnitVector("state vector must have norm one")
     return np.outer(psi, psi.conj())
 
@@ -172,33 +171,38 @@ def global_sections(
 
     Backtracking over atom choices, most-constrained (largest) contexts
     first; every assignment is propagated through the whole down-set at once
-    so inconsistencies between overlapping contexts prune immediately.
+    so inconsistencies between overlapping contexts prune immediately.  A
+    search node holds two ints over the character bits of
+    ``ContextPoset._characters``: ``forced``, the characters chosen so far,
+    and ``blocked``, the other characters of the contexts they force.  A
+    character is allowed iff its down-set int misses ``blocked``; choosing it
+    ORs that int into ``forced`` and the rest of its context's down-set of
+    characters into ``blocked``.
     Raises ``SearchBudgetExceeded`` after ``budget`` assignment attempts.
     Absence of sections certifies contextuality for this finite poset only.
     """
     if not (integer(budget) and budget >= 0):
         raise ValidationError(f"budget must be an integer >= 0, got {brief_repr(budget)}")
     order = poset.ids  # already sorted by descending atom count
+    top, below, reach = poset._characters
     sections: list[GlobalSection] = []
     nodes = 0
-    # Each entry is a position in ``order`` and the atoms forced so far; the
+    # Each entry is a position in ``order``, ``forced`` and ``blocked``; the
     # children of an entry are pushed in reverse so that they pop in order.
-    stack: list[tuple[int, dict[str, int]]] = [(0, {})]
+    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
     while stack:
-        k, forced = stack.pop()
-        while k < len(order) and order[k] in forced:
+        k, forced, blocked = stack.pop()
+        # A forced context has its other characters blocked, so (V, 0) or (V, 1) is.
+        while k < len(order) and blocked >> (top[order[k]] - 1) & 3:
             k += 1
         if k == len(order):
-            sections.append(GlobalSection(dict(sorted(forced.items()))))
+            # Digit b is bit b of forced; the highest set bit up to top[V] is V's character.
+            digits = format(forced, "b")[::-1]
+            sections.append(GlobalSection({v: top[v] - digits.rindex("1", 0, top[v] + 1) for v in sorted(order)}))
             continue
-        n_atoms = poset.get(order[k]).n_atoms
-        nodes += n_atoms
+        downs, whole = below[order[k]], reach[order[k]]
+        nodes += len(downs)
         if nodes > budget:
             raise SearchBudgetExceeded(f"section search exceeded the budget of {budget} nodes")
-        children = []
-        for value in range(n_atoms):
-            below = poset._character_down[order[k], value]
-            if all(forced.get(sub, j) == j for sub, j in below):
-                children.append((k + 1, {**forced, **dict(below)}))
-        stack += reversed(children)
+        stack += reversed([(k + 1, forced | down, blocked | (whole ^ down)) for down in downs if not down & blocked])
     return tuple(sections)

@@ -13,7 +13,59 @@ from types import SimpleNamespace
 import numpy as np
 
 from toposqt.contexts import Context, ContextPoset
+from toposqt.errors import UnknownContext
 from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq, zero
+
+
+def restriction_maps(poset: ContextPoset) -> dict[tuple[str, str], tuple[int, ...]]:
+    """The atom map of every inclusion W <= V, V itself included, keyed by
+    (V, W): ``restriction_indices`` asked of every ordered pair of contexts,
+    those it refuses being no inclusion."""
+    maps = {}
+    for sup, sub in product(poset.ids, repeat=2):
+        try:
+            maps[sup, sub] = poset.restriction_indices(sup, sub)
+        except UnknownContext:
+            pass
+    return maps
+
+
+def brute_is_clopen(poset: ContextPoset, selection: dict[str, frozenset[int]]) -> bool:
+    """Every restriction of a selected character is selected."""
+    return all(table[i] in selection[sub] for (sup, sub), table in restriction_maps(poset).items()
+               for i in selection[sup])
+
+
+def brute_implies(poset: ContextPoset, s1: dict, s2: dict) -> dict[str, frozenset[int]]:
+    """Per context V, the atoms i such that, for every W <= V, the restriction
+    of i to W lies in s1 only if it lies in s2."""
+    maps = restriction_maps(poset)
+    return {
+        v: frozenset(
+            i for i in range(len(maps[v, v]))
+            if all(t[i] not in s1[w] or t[i] in s2[w] for (sup, w), t in maps.items() if sup == v)
+        )
+        for v in poset.ids
+    }
+
+
+def brute_sections(poset: ContextPoset) -> list[dict[str, int]]:
+    """Every choice of one character per context whose restrictions agree.
+    The product over the contexts, in sorted id order, is taken one factor at
+    a time, and a partial choice is dropped at the first inclusion between
+    two chosen contexts whose restriction map sends one choice elsewhere
+    than the other (the full product of 19 contexts has 10^8 members)."""
+    maps = restriction_maps(poset)
+    partial: list[dict[str, int]] = [{}]
+    for v in sorted(poset.ids):
+        partial = [
+            {**choice, v: i}
+            for choice in partial
+            for i in range(len(maps[v, v]))
+            if all(maps[v, w][i] == j for w, j in choice.items() if (v, w) in maps)
+            and all(maps[w, v][j] == i for w, j in choice.items() if (w, v) in maps)
+        ]
+    return partial
 
 
 def all_projections(context: Context) -> list[np.ndarray]:

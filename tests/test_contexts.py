@@ -757,18 +757,19 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
 
 
 def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
-    # The tables derived from the order hold the poset weakly, so a poset
-    # whose tables were all read is freed when its last reference goes.
+    # The tables derived from the order hold the poset weakly, and the cached
+    # builds hold no reference to it, so a poset whose tables were all read
+    # is freed when its last reference goes.
     gc.disable()
     try:
         poset = build_poset([context_from_basis(np.eye(4))])
         top = poset.get(poset.ids[0])
-        assert global_sections(poset)  # _character_down
+        assert global_sections(poset)  # _characters
         assert enumerate_sieves(poset, top)  # _sieve_frames
         quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # _restricted_sums
         daseinise_proposition(poset, std_projectors[0])  # _seed_sums
-        assert poset._character_down and poset._sieve_frames and poset._restricted_sums
-        assert "_seed_sums" in vars(poset)
+        assert poset._sieve_frames and poset._restricted_sums
+        assert "_seed_sums" in vars(poset) and "_characters" in vars(poset)  # the cached builds
         dropped = weakref.ref(poset)
         del poset
         assert dropped() is None

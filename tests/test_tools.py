@@ -34,7 +34,8 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
             r"run_command min [\d.]+ s, median [\d.]+ s; render_json min [\d.]+ s, median [\d.]+ s; "
             r"truth_value first [\d.]+ ms, warm [\d.]+ ms; and first [\d.]+ ms, warm [\d.]+ ms; "
             r"implies first [\d.]+ ms, warm [\d.]+ ms; value sweep first [\d.]+ ms, warm [\d.]+ ms; "
-            r"peak RSS \d+ MB",
+            r"subobject implies first [\d.]+ ms, warm [\d.]+ ms; is_clopen_subobject first [\d.]+ ms, warm [\d.]+ ms; "
+            r"global_sections first [\d.]+ ms, warm [\d.]+ ms; peak RSS \d+ MB",
             line,
         )
 

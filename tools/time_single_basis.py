@@ -1,4 +1,4 @@
-"""Time ``build_poset``, the ``contexts`` report and truth-value logic on one Haar-random orthonormal basis per dimension, in process.
+"""Time ``build_poset``, the ``contexts`` report, truth values and the character order on one Haar-random basis per dimension.
 
 Usage, from the root of this checkout::
 
@@ -14,11 +14,15 @@ the first and a warm call of ``truth_value`` and of
 builds every context's sieve frame (its down-set ids, sorted, and their
 down-set ints, looked up in the poset's), and of a value sweep: one
 ``quantity_value_arrow`` per character of every context, whose first call
-builds every context's restricted sums.  The propositions are sums of atoms
-of the top context (the basis), the state is an even superposition of two
-of its rays, and the observable of the sweep has the eigenvalues 0, ..., n - 1
-on the basis rays.  Each line ends with the process peak RSS so far, a
-high-water mark, so it never falls from one dimension to the next.  The
+builds every context's restricted sums.  Then, again on a fresh poset each,
+the first and a warm call of ``subobject_connective`` ``implies`` on the
+outer daseinisations of the two propositions, of ``is_clopen_subobject`` on
+the first of them, and of ``global_sections``, whose first calls build the
+character order (every character's down-set int).  The propositions are sums
+of atoms of the top context (the basis), the state is an even superposition
+of two of its rays, and the observable of the sweep has the eigenvalues 0,
+..., n - 1 on the basis rays.  Each line ends with the process peak RSS so
+far, a high-water mark, so it never falls from one dimension to the next.  The
 basis of dimension n is ``benchmarks/inputs.haar_unitary`` drawn from seed
 ``[1, n]``.  The library comes from ``PYTHONPATH`` when it
 names one (to time another checkout), else from this checkout's ``src``.
@@ -42,10 +46,11 @@ from inputs import haar_unitary, problem_dict  # noqa: E402
 
 from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
-from toposqt.logic import global_element_connective  # noqa: E402
-from toposqt.presheaf import gelfand_spectrum  # noqa: E402
+from toposqt.daseinisation import daseinise_proposition  # noqa: E402
+from toposqt.logic import global_element_connective, subobject_connective  # noqa: E402
+from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
-from toposqt.valuation import quantity_value_arrow, truth_value  # noqa: E402
+from toposqt.valuation import global_sections, quantity_value_arrow, truth_value  # noqa: E402
 
 #: Builds, and reports, timed per dimension.
 REPEAT = 3
@@ -73,10 +78,16 @@ def _first_and_warm(call) -> str:
     return f"first {1e3 * times[0]:.2f} ms, warm {1e3 * times[1]:.2f} ms"
 
 
+def _propositions(basis: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    # The projections onto the first and second, and the first and third, basis rays.
+    P, Q = (sum(np.outer(basis[i], basis[i].conj()) for i in pair) for pair in ((0, 1), (0, 2)))
+    return P, Q
+
+
 def _logic(seed, basis: list[np.ndarray]) -> str:
     # truth_value, two connectives of truth values and a value sweep, each on
     # a fresh poset, so that each first call builds what it uses.
-    P, Q = (sum(np.outer(basis[i], basis[i].conj()) for i in pair) for pair in ((0, 1), (0, 2)))
+    P, Q = _propositions(basis)
     psi = (basis[0] + basis[1]) / np.sqrt(2)
     poset = build_poset([seed])
     parts = [f"truth_value {_first_and_warm(lambda: truth_value(poset, P, psi))}"]
@@ -96,6 +107,22 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
     return "; ".join(parts)
 
 
+def _characters(seed, basis: list[np.ndarray]) -> str:
+    # The implication of two clopen subobjects, the clopen test and the
+    # section search, each on a fresh poset, so that each first call builds
+    # the character order.
+    P, Q = _propositions(basis)
+    poset = build_poset([seed])
+    s1, s2 = (daseinise_proposition(poset, R).subobject for R in (P, Q))
+    parts = [f"subobject implies {_first_and_warm(lambda: subobject_connective(poset, 'implies', s1, s2))}"]
+    poset = build_poset([seed])
+    s1 = daseinise_proposition(poset, P).subobject
+    parts.append(f"is_clopen_subobject {_first_and_warm(lambda: is_clopen_subobject(poset, s1))}")
+    poset = build_poset([seed])
+    parts.append(f"global_sections {_first_and_warm(lambda: global_sections(poset))}")
+    return "; ".join(parts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dims", type=int, nargs="+")
@@ -108,7 +135,8 @@ def main(argv: list[str] | None = None) -> int:
         command, report = _times(lambda: run_command("contexts", problem, {}))
         render, _ = _times(lambda: render_json(report))
         print(f"dim {dim}: {len(poset)} contexts, build {build}; run_command {command}; render_json {render}; "
-              f"{_logic(seed, basis)}; peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+              f"{_logic(seed, basis)}; {_characters(seed, basis)}; "
+              f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     return 0
 
 
