@@ -465,7 +465,15 @@ class ContextPoset:
     call over the whole poset.
     """
 
-    def __init__(self, registry: _Registry, seed_atoms: Sequence[np.ndarray], tolerances: Tolerances) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("a ContextPoset is built only by build_poset")
+
+    @classmethod
+    def _from_build(
+        cls, registry: _Registry, seed_atoms: Sequence[np.ndarray], tolerances: Tolerances
+    ) -> ContextPoset:
+        # build_poset's way in: the order and its tables, read off the registry.
+        self = object.__new__(cls)
         ordered = sorted(registry.nodes.values(), key=lambda n: (-n.context.n_atoms, n.context.id))
         self._registry = registry
         self._seed_atoms = seed_atoms
@@ -490,6 +498,7 @@ class ContextPoset:
         # Tables derived from the order, each entry built on first use and kept.
         self._sieve_frames = _Table(self._build_sieve_frame)
         self._restricted_sums = _Table(self._build_restricted_sums)
+        return self
 
     # -- basic container protocol ------------------------------------------
 
@@ -705,7 +714,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: flo
                                 lambda: _key_atoms([sum(atoms[i] for i in g) for g in groups], memo))
                     met.setdefault(meet.context.id, meet)
         start = len(current)
-    return ContextPoset(registry, seed_atoms, tolerances)
+    return ContextPoset._from_build(registry, seed_atoms, tolerances)
 
 
 def down_set(poset: ContextPoset, context: Context) -> tuple[Context, ...]:

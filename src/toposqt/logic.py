@@ -12,15 +12,18 @@ over one bit per character (``ContextPoset._characters``), so x lies in
 S1 -> S2 iff its down-set int misses the mask of S1 - S2.  Conjunction and
 disjunction stay set operations, per sieve and per context of a subobject.
 Truth values are global elements: one sieve per context, compatible with
-all restrictions.  Compatible sieves are exactly
-the traces on each context's down-set of one down-set, their union.
+all restrictions.  Compatible sieves are exactly the traces U ∩ ↓V of one
+down-set U, their union, so a global element the library makes holds U as
+an int over the context bits and builds its sieves on first read; its
+connectives are int rules on U1 and U2, and ``_down_set`` reads a family of
+sieves back to its U, or to None when the sieves are no such traces.
 Operands are checked as README's boundary contract says, a sieve by ``_members``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Mapping
 
 import numpy as np
@@ -92,7 +95,7 @@ def _members(sieve: Sieve, poset: ContextPoset | None = None) -> frozenset[str] 
     if not isinstance(sieve.base, str):
         raise ValidationError(f"the base of a sieve is not a context id: {brief_repr(sieve.base)}")
     members = sieve.members
-    if not (isinstance(members, (set, frozenset)) and all(isinstance(m, str) for m in members)):
+    if not (isinstance(members, (set, frozenset)) and all(map(isinstance, members, repeat(str)))):
         raise ValidationError(f"the members of a sieve on {sieve.base!r} are not a set of context ids")
     if poset is not None and not members <= poset._sieve_frames[sieve.base].down:
         raise NotASubcontext(f"a sieve on {sieve.base!r} holds a member outside its down-set")
@@ -214,15 +217,13 @@ def sieve_connective(
     all of whose subcontexts inside s1 also lie in s2; ``not s`` is
     ``s implies empty``.
     """
-    if s2 is None:
-        if kind != "not":
-            raise ValidationError(_KIND_ERROR.format(kind))
+    if s2 is None and kind == "not":
         b = frozenset()
+    elif kind not in _BINARY_KINDS or s2 is None:
+        raise ValidationError(_KIND_ERROR.format(kind))
+    elif s1.base != s2.base:
+        raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
     else:
-        if kind not in _BINARY_KINDS:
-            raise ValidationError(_KIND_ERROR.format(kind))
-        if s1.base != s2.base:
-            raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
         b = s2.members
     base = s1.base
     a = s1.members
@@ -246,12 +247,26 @@ def sieve_connective(
 
 
 class GlobalElementOfOmega:
-    """One sieve per context; a truth value when the sieves match up."""
+    """One sieve per context; a truth value when the sieves match up.
 
-    __slots__ = ("sieves",)
+    A global element that the library makes holds one down-set U of the
+    poset, as an int over poset positions, and builds its sieves, the traces
+    U ∩ ↓V, on the first read of ``sieves``.  From then on that dict is the
+    element: an edit to it counts, as in an element built from sieves.
+    """
+
+    # _poset and _down, the down-set's int, are set and read only while _sieves is None.
+    __slots__ = ("_sieves", "_poset", "_down")
 
     def __init__(self, sieves: Mapping[str, Sieve]) -> None:
-        self.sieves: dict[str, Sieve] = dict(_mapping(sieves, "global element"))
+        self._sieves: dict[str, Sieve] | None = dict(_mapping(sieves, "global element"))
+
+    @property
+    def sieves(self) -> dict[str, Sieve]:
+        if self._sieves is None:
+            down = frozenset(compress(self._poset.ids, map(self._down.__and__, self._poset._bit.values())))
+            self._sieves = {cid: _new_sieve(cid, down.intersection(ids)) for cid, ids in self._poset._down.items()}
+        return self._sieves
 
     def at(self, context_id: str) -> Sieve:
         return self.sieves[context_id]
@@ -262,57 +277,82 @@ class GlobalElementOfOmega:
         return self.sieves == other.sieves
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(
-            f"{cid}:{sorted(s.members)}" for cid, s in sorted(self.sieves.items())
-        )
+        parts = ", ".join(f"{cid}:{sorted(s.members)}" for cid, s in sorted(self.sieves.items()))
         return f"GlobalElementOfOmega({parts})"
 
 
+def _element(poset: ContextPoset, outside: int) -> GlobalElementOfOmega:
+    # The global element whose down-set keeps each context whose down-set int misses ``outside``.
+    element = object.__new__(GlobalElementOfOmega)
+    element._poset, element._sieves = poset, None
+    element._down = sum(compress(poset._bit.values(), [not below & outside for below in poset._below.values()]))
+    return element
+
+
 def totally_true(poset: ContextPoset) -> GlobalElementOfOmega:
-    return GlobalElementOfOmega({cid: principal_sieve(poset, cid) for cid in poset.ids})
+    return _element(poset, 0)
 
 
 def totally_false(poset: ContextPoset) -> GlobalElementOfOmega:
-    return GlobalElementOfOmega({cid: empty_sieve(cid) for cid in poset.ids})
+    return _element(poset, -1)
 
 
-def _require_assignment(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> None:
-    # One Sieve per poset context and no other, each based where it is stored.
-    _require_contexts(poset, element.sieves, name)
-    for cid, sieve in element.sieves.items():
+def _down_set(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> int | None:
+    # The down-set int of a global element: its own U when it is an unread
+    # element of this poset.  Otherwise its stored sieves must be one Sieve
+    # per poset context, based where stored; U = {V : V in S_V}, and the
+    # sieves match iff U is a down-set and each S_V lies inside U and ↓V with
+    # as many members as U ∩ ↓V.  None when they do not.
+    if element._sieves is None and element._poset is poset:
+        return element._down
+    sieves = element.sieves
+    _require_contexts(poset, sieves, name)
+    for cid, sieve in sieves.items():
         if not isinstance(sieve, Sieve):
             raise ValidationError(f"{name}: the value stored at {cid!r} is not a Sieve: {brief_repr(sieve)}")
         if sieve.base != cid:
             raise BaseMismatch(f"{name}: sieve stored at {cid!r} is based at {sieve.base!r}")
+        if not isinstance(sieve.members, (set, frozenset)):
+            _members(sieve)  # raises, naming the base
+    union = frozenset(cid for cid, sieve in sieves.items() if cid in sieve.members)
+    down = sum(map(poset._bit.__getitem__, union))
+    for cid, m in zip(sieves, [sieve.members for sieve in sieves.values()]):
+        # S_V is all of ↓V when V lies in it, else U ∩ ↓V; inside U either way.
+        size = (poset._below[cid] & (-1 if cid in m else down)).bit_count()
+        if not (len(m) == size and m <= union and m.issubset(poset._down[cid])):
+            # A member that is no id lies outside U; the one sieve check names it.
+            list(map(_members, sieves.values()))
+            return None
+    return down
 
 
 def check_global_element(poset: ContextPoset, element: GlobalElementOfOmega) -> bool:
     """True iff the per-context sieves are sieves and agree under every
-    restriction: each is the trace on its base's down-set of one down-set."""
-    _require_assignment(poset, element, "global element")
-    # Matching sieves are the traces of one down-set, their union: no member lies above a non-member.
-    union = frozenset().union(*map(_members, element.sieves.values()))
-    if any(element.at(cid).members != union.intersection(poset.down_ids(cid)) for cid in poset.ids):
-        return False
-    outside = sum(map(poset._bit.__getitem__, poset._bit.keys() - union))
-    return not any(map(outside.__and__, map(poset._below.__getitem__, union)))
+    restriction: each is the trace on its base's down-set of one down-set.
+    The check reads the sieves, so it never trusts the down-set it checks."""
+    element.sieves  # built now if the library made the element
+    return _down_set(poset, element, "global element") is not None
 
 
 def global_element_connective(
-    poset: ContextPoset,
-    kind: str,
-    g1: GlobalElementOfOmega,
-    g2: GlobalElementOfOmega | None = None,
+    poset: ContextPoset, kind: str, g1: GlobalElementOfOmega, g2: GlobalElementOfOmega | None = None
 ) -> GlobalElementOfOmega:
-    """Pointwise Heyting operation on global elements of the classifier."""
-    for name, g in (("first", g1), ("second", g2)):
-        if g is not None:
-            _require_assignment(poset, g, f"{name} global element")
-    sieves = {}
-    for cid in poset.ids:
-        other = None if g2 is None else g2.at(cid)
-        sieves[cid] = sieve_connective(poset, kind, g1.at(cid), other)
-    return GlobalElementOfOmega(sieves)
+    """Heyting operations on global elements of the classifier, pointwise
+    the sieve connectives, on their down-sets U1 and U2: ``and``/``or`` are
+    U1 ∩ U2 and U1 ∪ U2, ``implies`` keeps the contexts whose down-set
+    misses U1 - U2, and ``not g`` is ``g implies`` the empty down-set.  An
+    operand whose sieves are not the traces of one down-set raises
+    ``ValidationError``."""
+    downs = [0, 0]  # "not g" is "g implies" the empty down-set
+    for i, (name, g) in enumerate(zip(("first", "second"), (g1,) if g2 is None else (g1, g2))):
+        downs[i] = _down_set(poset, g, f"{name} global element")
+        if downs[i] is None:
+            raise ValidationError(f"{name} global element: its sieves are not the traces of one down-set")
+    if kind not in _ALL_KINDS or (kind == "not") != (g2 is None):
+        raise ValidationError(_KIND_ERROR.format(kind))
+    a, b = downs
+    # A down-set U keeps each context whose down-set int misses the complement of U.
+    return _element(poset, {"and": ~(a & b), "or": ~(a | b)}.get(kind, a & ~b))
 
 
 def subobject_connective(

@@ -22,7 +22,7 @@ from ._json import brief_repr, integer
 from .contexts import Context, ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise
 from .errors import NotUnitVector, SearchBudgetExceeded, ValidationError
-from .logic import GlobalElementOfOmega, _new_sieve
+from .logic import GlobalElementOfOmega, _element
 from .operators import (
     TAU,
     TAU_EIG,
@@ -72,7 +72,8 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     of V, the pseudo-state lies below the outer daseinisation of P: every
     atom touching the state's ray also touches P.  (Touches add up in
     quadrature as atoms merge, so the test at V alone is not monotone.)  The
-    result always satisfies the global-element matching condition.  Both
+    result always satisfies the global-element matching condition: it is
+    the down-set of those V, whose sieves are built on first read.  Both
     outer daseinisations are read off one touch_table of the seed atoms
     against 1 - P, P, 1 - |psi><psi| and |psi><psi|; an atom that touches
     neither projection of P's family or of the state's raises ``ValidationError``.
@@ -86,9 +87,7 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     # The bits of the contexts where an atom touches the ray but not P; keep those whose down-set misses them.
     fails = np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts).tolist()
     failing = sum(bit for bit, fail in zip(poset._bit.values(), fails) if fail)
-    certain = frozenset(cid for cid, below in poset._below.items() if not below & failing)
-    sieves = {cid: _new_sieve(cid, certain.intersection(poset.down_ids(cid))) for cid in poset.ids}
-    return GlobalElementOfOmega(sieves)
+    return _element(poset, failing)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,24 @@ def brute_sections(poset: ContextPoset) -> list[dict[str, int]]:
     return partial
 
 
+def brute_element_connective(poset: ContextPoset, kind: str, U1: frozenset, U2: frozenset) -> dict[str, frozenset]:
+    """Per context V, the sieve connective ``kind`` of the traces of the
+    down-sets U1 and U2 on the down-set of V, read from ``is_leq`` alone:
+    their intersection or union, or, for ``implies``, the W <= V all of whose
+    subcontexts in U1 lie in U2; ``not`` ignores U2 and implies the empty set."""
+    out = {}
+    for v in poset.ids:
+        below = {w for w in poset.ids if poset.is_leq(w, v)}
+        a, b = U1 & below, (frozenset() if kind == "not" else U2) & below
+        if kind == "and":
+            out[v] = frozenset(a & b)
+        elif kind == "or":
+            out[v] = frozenset(a | b)
+        else:
+            out[v] = frozenset(w for w in below if all(x in b for x in a if poset.is_leq(x, w)))
+    return out
+
+
 def all_projections(context: Context) -> list[np.ndarray]:
     """The full Boolean lattice of the context: all 2^k subset sums of atoms."""
     n = len(context.atoms)

@@ -341,12 +341,23 @@ def contract(tmp_path_factory):
 
 
 def test_the_draws_cover_every_public_callable(contract):
-    # A ContextPoset comes only from build_poset, whose internals its
-    # constructor takes; its id lookups stand for it.
+    # A ContextPoset comes only from build_poset (its constructor is refused
+    # below); its id lookups stand for it.
     _, specs_, _, _ = contract
     covered = {label.split()[0].split(".")[0] for label, *_ in specs_}
     public = {name for name in toposqt.__all__ if callable(getattr(toposqt, name))}
     assert public == covered
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_callers_poset_constructor_is_a_type_error_naming_build_poset(contract):
+    # The constructor took build_poset's internals: a registry with an empty
+    # seed-atom list escaped as OverflowError.
+    p = contract[0].poset
+    for args, kwargs in (((p._registry, {}, p.tolerances), {}), ((p._registry, p._seed_atoms, p.tolerances), {}),
+                         ((), {}), ((None,), {"tau": 1e-9})):
+        with pytest.raises(TypeError, match="build_poset"):
+            toposqt.ContextPoset(*args, **kwargs)
 
 
 @pytest.mark.filterwarnings("error")

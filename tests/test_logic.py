@@ -322,6 +322,28 @@ def test_global_element_checks(poset11, named, poset_two_bases):
     assert not check_global_element(poset_two_bases, crossed)
 
 
+@pytest.mark.parametrize("kind", ["and", "or", "implies", "not"])
+def test_connectives_refuse_sieves_that_are_no_global_element(poset11, named, poset_two_bases, kind):
+    # The families that check_global_element reads as no global element are
+    # refused in either operand position, where they were combined pointwise.
+    top = named["V"].id
+    broken = totally_true(poset11)
+    broken.sieves[named["V1"].id] = empty_sieve(named["V1"].id)
+    lonely = totally_false(poset11)
+    lonely.sieves[top] = Sieve(top, frozenset({top}))
+    foreign = totally_true(poset11)
+    foreign.sieves[top] = Sieve(top, principal_sieve(poset11, top).members | {"ctx-foreign"})
+    first, second = (c.id for c in poset_two_bases if c.n_atoms == 4)
+    crossed = totally_true(poset_two_bases)
+    crossed.sieves[first] = Sieve(first, crossed.at(first).members | {second})
+    for poset, odd in ((poset11, broken), (poset11, lonely), (poset11, foreign), (poset_two_bases, crossed)):
+        whole = totally_true(poset)
+        for operands in [(odd,)] if kind == "not" else [(odd, whole), (whole, odd)]:
+            name = "first" if operands[0] is odd else "second"
+            with pytest.raises(ValidationError, match=f"^{name} global element: its sieves are not the traces"):
+                global_element_connective(poset, kind, *operands)
+
+
 def test_global_element_requires_every_context(poset11, named):
     with pytest.raises(IncompleteAssignment):
         check_global_element(

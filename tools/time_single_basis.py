@@ -9,10 +9,13 @@ the median wall time of ``REPEAT`` builds, and the same for ``REPEAT``
 ``contexts`` reports of the same basis, in their two parts: ``run_command``,
 which builds the poset again and makes the report's dict, and
 ``render_json``, which writes that dict as text.  Then, on a fresh poset each,
-the first and a warm call of ``truth_value`` and of
-``global_element_connective`` ``and`` and ``implies``, whose first call
-builds every context's sieve frame (its down-set ids, sorted, and their
-down-set ints, looked up in the poset's), and of a value sweep: one
+the first and a warm call of ``truth_value``; of
+``global_element_connective`` ``and``, ``or``, ``implies`` and ``not`` on
+two truth values, whose sieves are not built; of ``implies, read``, the
+implication followed by a read of every sieve of the result, which builds
+them; of ``check_global_element`` on a truth value, which builds its sieves
+at the first call, and also every context's sieve frame (its down-set ids,
+sorted, and their down-set ints, looked up in the poset's); and of a value sweep: one
 ``quantity_value_arrow`` per character of every context, whose first call
 builds every context's restricted sums.  Then, again on a fresh poset each,
 the first and a warm call of ``subobject_connective`` ``implies`` on the
@@ -47,7 +50,7 @@ from inputs import haar_unitary, problem_dict  # noqa: E402
 from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
 from toposqt.daseinisation import daseinise_proposition  # noqa: E402
-from toposqt.logic import global_element_connective, subobject_connective  # noqa: E402
+from toposqt.logic import check_global_element, global_element_connective, subobject_connective  # noqa: E402
 from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
 from toposqt.valuation import global_sections, quantity_value_arrow, truth_value  # noqa: E402
@@ -85,16 +88,24 @@ def _propositions(basis: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _logic(seed, basis: list[np.ndarray]) -> str:
-    # truth_value, two connectives of truth values and a value sweep, each on
-    # a fresh poset, so that each first call builds what it uses.
+    # truth_value, the connectives and the check of truth values, and a value
+    # sweep, each on a fresh poset, so that each first call builds what it uses.
     P, Q = _propositions(basis)
     psi = (basis[0] + basis[1]) / np.sqrt(2)
     poset = build_poset([seed])
     parts = [f"truth_value {_first_and_warm(lambda: truth_value(poset, P, psi))}"]
-    for kind in ("and", "implies"):
+    calls = {
+        "and": lambda poset, g1, g2: global_element_connective(poset, "and", g1, g2),
+        "or": lambda poset, g1, g2: global_element_connective(poset, "or", g1, g2),
+        "implies": lambda poset, g1, g2: global_element_connective(poset, "implies", g1, g2),
+        "not": lambda poset, g1, g2: global_element_connective(poset, "not", g1),
+        "implies, read": lambda poset, g1, g2: global_element_connective(poset, "implies", g1, g2).sieves,
+        "check_global_element": lambda poset, g1, g2: check_global_element(poset, g1),
+    }
+    for label, call in calls.items():
         poset = build_poset([seed])
-        g1, g2 = truth_value(poset, P, psi), truth_value(poset, Q, psi)
-        parts.append(f"{kind} {_first_and_warm(lambda: global_element_connective(poset, kind, g1, g2))}")
+        operands = poset, truth_value(poset, P, psi), truth_value(poset, Q, psi)
+        parts.append(f"{label} {_first_and_warm(lambda: call(*operands))}")
     A = sum(k * np.outer(v, v.conj()) for k, v in enumerate(basis))
     poset = build_poset([seed])
 
