@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Mapping
 
 from ._json import dumps, integer, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
-from .daseinisation import DaseinisedProposition, _daseinise
+from .daseinisation import DaseinisedProposition, daseinise_proposition, inner_daseinise_proposition
 from .errors import ToposError, ValidationError
 from .logic import Sieve, _check_sieve_laws
-from .operators import _clusters
 from .presheaf import gelfand_spectrum
 from .problems import Problem, load_problem, problem_poset, resolve_proposition
-from .valuation import DEFAULT_SEARCH_BUDGET, _value_arrows, global_sections, pseudo_state, truth_value
+from .valuation import DEFAULT_SEARCH_BUDGET, global_sections, pseudo_state, quantity_value_arrows, truth_value
 
 COMMANDS = (
     "contexts",
@@ -108,11 +108,12 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         if mode not in ("outer", "inner"):
             raise ValidationError(f"unknown daseinisation mode {mode!r}; use 'outer' or 'inner'")
         projector = resolve_proposition(problem, name)
+        daseinise = daseinise_proposition if mode == "outer" else inner_daseinise_proposition
         return {
             "proposition": name,
             "mode": mode,
             "projector": matrix_to_json(projector, 12),
-            "contexts": _per_context(_daseinise(poset, projector, int(mode == "outer"))),
+            "contexts": _per_context(daseinise(poset, projector)),
         }
 
     if command == "pseudo-state":
@@ -140,21 +141,19 @@ def run_command(command: str, problem: Problem, options: Mapping) -> dict:
         name = _require_option(options, "observable")
         if name not in problem.observables:
             raise ValidationError(f"unknown observable {name!r}")
-        eigenvalues, vecs, starts = _clusters(problem.observables[name], poset.tolerances)
-        # Every mu and nu is a cluster eigenvalue, so each is rounded once.
-        clusters = ([round_real(lam) for lam in eigenvalues], vecs, starts)
-        intervals = []
-        for context in _select_contexts(poset, options):
-            characters = gelfand_spectrum(context)
-            for ch, pair in zip(characters, _value_arrows(poset, clusters, context, characters)):
-                intervals.append(
-                    {
-                        "context": context.id,
-                        "character_atom": ch.atom_index,
-                        "mu": dict(sorted(pair.mu.items())),
-                        "nu": dict(sorted(pair.nu.items())),
-                    }
-                )
+        wanted = options.get("context")
+        arrows = quantity_value_arrows(poset, problem.observables[name], None if wanted is None else poset.get(wanted))
+        # Every mu and nu is an eigenvalue of the observable: each distinct one is rounded once.
+        rounded = cache(round_real)
+        intervals = [
+            {
+                "context": ch.context_id,
+                "character_atom": ch.atom_index,
+                "mu": {s: rounded(lam) for s, lam in sorted(pair.mu.items())},
+                "nu": {s: rounded(lam) for s, lam in sorted(pair.nu.items())},
+            }
+            for ch, pair in arrows.items()
+        ]
         return {"observable": name, "intervals": intervals}
 
     if command == "heyting-check":

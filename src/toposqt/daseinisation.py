@@ -72,22 +72,15 @@ def inner_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndar
 @dataclass(frozen=True)
 class DaseinisedProposition:
     """A projection with its per-context approximations and the characters
-    where each is 1 (outer ones: a clopen subobject of the spectral presheaf)."""
+    where each is 1.  Those of the outer approximations form a clopen
+    subobject of the spectral presheaf.  Those of the inner ones, where
+    delta^i(P)_V is 1, need not: a character can be selected while its
+    restriction to a subcontext is not, so that ``subobject`` is not clopen
+    in general."""
 
     source: np.ndarray
     per_context_projector: dict[str, np.ndarray]
     subobject: ClopenSubobject
-
-
-def _daseinise_poset(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict, dict]:
-    # Each context's atom bounds for a validated projection, read off one
-    # touch_table of the seed atoms against (1 - P, P) at the poset's tau, and
-    # the atoms where its inner (end 0) or outer (end 1) approximation is 1.
-    family = _two_valued(P)
-    seeds, sums, _ = poset._seed_sums
-    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset.tolerances.tau))
-    own = {c.id: list(islice(bounds, c.n_atoms)) for c in poset}
-    return own, {cid: frozenset(i for i, b in enumerate(o) if b[end]) for cid, o in own.items()}
 
 
 def daseinise_proposition(poset: ContextPoset, P, tau: float | None = None) -> DaseinisedProposition:
@@ -96,10 +89,28 @@ def daseinise_proposition(poset: ContextPoset, P, tau: float | None = None) -> D
     return _daseinise(poset, require_projector(P, poset._tolerance(tau).tau), 1)
 
 
+def inner_daseinise_proposition(poset: ContextPoset, P) -> DaseinisedProposition:
+    """Inner-daseinise a projection over every context of the poset, at the
+    poset's tau: ``inner_daseinise_projection`` at each context, read off
+    the seed-atom table of ``daseinise_proposition``.  The ``subobject``
+    holds the characters where delta^i(P)_V is 1; it is not a clopen
+    subobject in general, and it is not checked as one."""
+    return _daseinise(poset, require_projector(P, poset.tolerances.tau), 0)
+
+
 def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedProposition:
-    # The inner (end 0) or outer (end 1) daseinisation of a checked projection.
-    bounds, selection = _daseinise_poset(poset, P, end)
-    projectors = {c.id: _approximation(c, bounds[c.id], end) for c in poset}
+    # The inner (end 0) or outer (end 1) daseinisation of a checked projection:
+    # each context's atom bounds, read off one touch_table of the seed atoms
+    # against (1 - P, P) at the poset's tau, give its approximation and the
+    # atoms where that is 1.
+    family = _two_valued(P)
+    seeds, sums, _ = poset._seed_sums
+    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset.tolerances.tau))
+    projectors, selection = {}, {}
+    for c in poset:
+        own = list(islice(bounds, c.n_atoms))
+        projectors[c.id] = _approximation(c, own, end)
+        selection[c.id] = frozenset(i for i, b in enumerate(own) if b[end])
     return DaseinisedProposition(P, projectors, ClopenSubobject(selection))
 
 

@@ -34,10 +34,9 @@ from .errors import (
     BaseMismatch,
     EnumerationLimitExceeded,
     NotASubcontext,
-    UnknownCharacter,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _mapping, _require_contexts, _selects_characters, empty_subobject
+from .presheaf import ClopenSubobject, _mapping, _require_characters, _require_contexts, empty_subobject
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -373,9 +372,7 @@ def subobject_connective(
         raise ValidationError(_KIND_ERROR.format(kind))
     if kind == "not":
         s2, kind = empty_subobject(poset), "implies"
-    for name, s in (("first", s1), ("second", s2)):
-        if not _selects_characters(poset, s.selection, f"{name} subobject"):
-            raise UnknownCharacter(f"{name} subobject selects an index outside its context's atoms")
+    _require_characters(poset, s1, s2)
     if kind == "and":
         return ClopenSubobject({cid: s1.at(cid) & s2.at(cid) for cid in poset.ids})
     if kind == "or":

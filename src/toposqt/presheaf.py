@@ -163,11 +163,19 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     return not any(below[cid][i] & outside for cid, indices in subobject.selection.items() for i in indices)
 
 
+def _require_characters(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> None:
+    # Both operands select characters of the poset, or UnknownCharacter.
+    for name, s in (("first", s1), ("second", s2)):
+        if not _selects_characters(poset, s.selection, f"{name} subobject"):
+            raise UnknownCharacter(f"{name} subobject selects an index outside its context's atoms")
+
+
 def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> bool:
     """Contextwise inclusion of subobjects, each defined on exactly the
-    poset's contexts."""
-    for name, s in (("first", s1), ("second", s2)):
-        _require_contexts(poset, s.selection, f"{name} subobject")
+    poset's contexts.  An operand that selects an index outside its
+    context's atoms, or one that is not an integer, which is no character,
+    raises ``UnknownCharacter``."""
+    _require_characters(poset, s1, s2)
     return all(s1.at(cid) <= s2.at(cid) for cid in poset.ids)
 
 

@@ -37,7 +37,14 @@ from .operators import (
     table_bounds,
     touch_table,
 )
-from .presheaf import Character, ClopenSubobject, _require_contexts, _require_member, is_clopen_subobject
+from .presheaf import (
+    Character,
+    ClopenSubobject,
+    _require_contexts,
+    _require_member,
+    gelfand_spectrum,
+    is_clopen_subobject,
+)
 
 #: Default node budget for the global-section search.
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -122,18 +129,34 @@ def quantity_value_arrow(
     return _value_arrows(poset, clusters, context, [character])[0]
 
 
+def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None) -> dict[Character, IntervalPair]:
+    """The arrow delta(A) from the spectral presheaf to the quantity-value
+    object: ``quantity_value_arrow`` at every character of one context, or
+    of every context when ``context`` is None, keyed by character in poset
+    and atom order.  A is checked and clustered once, at the poset's
+    tolerances."""
+    clusters = _clusters(A, poset.tolerances)
+    contexts = poset if context is None else (context,)
+    arrows: dict[Character, IntervalPair] = {}
+    for c in contexts:
+        characters = gelfand_spectrum(c)
+        arrows.update(zip(characters, _value_arrows(poset, clusters, c, characters)))
+    return arrows
+
+
 def _value_arrows(
     poset: ContextPoset,
     clusters: tuple[Sequence[float], np.ndarray, Sequence[int]],
     context: Context,
     characters: Sequence[Character],
 ) -> list[IntervalPair]:
-    # quantity_value_arrow at several characters of one context, for the
-    # (eigenvalues, vecs, starts) of an A already clustered: one cluster_table
-    # of the seed atoms that the context's atoms sum, whose entries
-    # ||bV_c||_F^2 = ||bP_c||_F^2 are the touch_table's against A's spectral
-    # projections, read at each restricted atom as the sum of the rows of the
-    # context atoms in its restriction class.
+    # The one interval-value kernel, of quantity_value_arrow and
+    # quantity_value_arrows: the pairs of several characters of one context,
+    # for the (eigenvalues, vecs, starts) of an A already clustered.  One
+    # cluster_table of the seed atoms that the context's atoms sum, whose
+    # entries ||bV_c||_F^2 = ||bP_c||_F^2 are the touch_table's against A's
+    # spectral projections, read at each restricted atom as the sum of the
+    # rows of the context atoms in its restriction class.
     eigenvalues, vecs, starts = clusters
     for character in characters:
         _require_member(context, character)

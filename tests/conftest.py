@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from toposqt.contexts import build_poset, context_from_basis
+from toposqt.problems import load_problem, problem_poset
 
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
 
@@ -57,6 +60,25 @@ def poset_two_bases(maximal_context, second_basis):
 @pytest.fixture(scope="session")
 def sz():
     return np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
+
+
+@pytest.fixture(scope="session")
+def spin2_poset():
+    """The poset of the shipped spin2 problem (11 contexts)."""
+    return problem_poset(load_problem(resources.files("toposqt.data") / "spin2.json"))
+
+
+@pytest.fixture(scope="session")
+def ks18_poset():
+    """The poset of the shipped 18-ray problem (81 contexts)."""
+    return problem_poset(load_problem(resources.files("toposqt.data") / "ks18.json"))
+
+
+def haar_basis(dim: int, seed: int = 0) -> np.ndarray:
+    """A Haar-random orthonormal basis of C^dim, as the rows of a unitary."""
+    rng = np.random.default_rng([seed, dim])
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return (q * (np.diag(r) / np.abs(np.diag(r)))).T
 
 
 def locate(poset, atoms):

@@ -207,6 +207,7 @@ def specs(w) -> list[tuple[str, object, tuple[str, ...], tuple]]:
         ("DaseinisedProposition", t.DaseinisedProposition, ("any", "any", "any"), (w.P, {}, w.subobject)),
         ("daseinise_proposition", t.daseinise_proposition, ("poset", "matrix", "ptau"), (p, w.P, None)),
         ("inner_daseinise_projection", t.inner_daseinise_projection, ("matrix", "context", "tau"), (w.P, top, 1e-9)),
+        ("inner_daseinise_proposition", t.inner_daseinise_proposition, ("poset", "matrix"), (p, w.P)),
         ("outer_daseinise_projection", t.outer_daseinise_projection, ("matrix", "context", "tau"), (w.P, top, 1e-9)),
         ("inner_daseinise_selfadjoint", t.inner_daseinise_selfadjoint, ("matrix", "context", "tau", "tau"),
          (w.A, sub, 1e-9, 1e-8)),
@@ -256,6 +257,8 @@ def specs(w) -> list[tuple[str, object, tuple[str, ...], tuple]]:
         ("pseudo_state", t.pseudo_state, ("poset", "vector", "ptau"), (p, w.psi, None)),
         ("quantity_value_arrow", t.quantity_value_arrow, ("poset", "matrix", "context", "character", "ptau", "ptau"),
          (p, w.A, top, ch, None, None)),
+        ("quantity_value_arrows", t.quantity_value_arrows, ("poset", "matrix", "context"), (p, w.A, top)),
+        ("quantity_value_arrows poset", t.quantity_value_arrows, ("poset", "matrix"), (p, w.A)),
         ("truth_value", t.truth_value, ("poset", "matrix", "vector", "ptau"), (p, w.P, w.psi, None)),
     ]
 

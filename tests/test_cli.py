@@ -159,7 +159,6 @@ def test_value_command(capsys, spin2_poset, std_projectors):
 
 
 def test_value_command_decomposes_the_observable_once(capsys, monkeypatch):
-    import toposqt.cli
     import toposqt.valuation
     from toposqt.operators import _clusters
 
@@ -170,7 +169,6 @@ def test_value_command_decomposes_the_observable_once(capsys, monkeypatch):
         return _clusters(*args, **kwargs)
 
     monkeypatch.setattr(toposqt.valuation, "_clusters", counted)
-    monkeypatch.setattr(toposqt.cli, "_clusters", counted)
     code, out, _ = _run(capsys, "value", "--input", SPIN2_PATH, "--observable", "Sz")
     assert code == 0
     assert len(json.loads(out)["intervals"]) == 30

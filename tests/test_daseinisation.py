@@ -19,6 +19,7 @@ from toposqt.contexts import context_from_basis
 from toposqt.daseinisation import (
     daseinise_proposition,
     inner_daseinise_projection,
+    inner_daseinise_proposition,
     inner_daseinise_selfadjoint,
     outer_daseinise_projection,
     outer_daseinise_selfadjoint,
@@ -127,6 +128,39 @@ def test_daseinised_proposition_character_sets(poset11, maximal_context, std_pro
     v23 = locate(poset11, [p[1], p[2], p[0] + p[3]])
     assert result.subobject.at(v23.id) == frozenset({2})
     assert np.allclose(result.per_context_projector[v23.id], p[0] + p[3])
+
+
+@pytest.mark.parametrize("case", ["spin2_poset", "ks18_poset", "poset_two_bases"])
+def test_inner_daseinise_proposition_is_the_inner_projection_at_every_context(case, request):
+    # Sums of two atoms of a top context, the complement of one atom, and
+    # random projections (inner zero almost everywhere), against
+    # inner_daseinise_projection at each context, bit for bit; the
+    # characters are where each approximation, a member, is 1.
+    poset = request.getfixturevalue(case)
+    top = poset.get(poset.ids[0])
+    rng = np.random.default_rng(5)
+    eye = np.eye(poset.dim, dtype=complex)
+    for P in (top.atoms[0] + top.atoms[1], eye - top.atoms[-1], *(random_projector(rng, poset.dim, k) for k in (1, 2))):
+        inner = inner_daseinise_proposition(poset, P)
+        assert list(inner.per_context_projector) == list(poset.ids)
+        for context in poset:
+            projector = inner.per_context_projector[context.id]
+            assert np.array_equal(projector, inner_daseinise_projection(P, context, poset.tolerances.tau))
+            assert inner.subobject.at(context.id) == subobject_of_projector(context, projector)
+
+
+def test_inner_selection_is_not_clopen(poset11, std_projectors):
+    # P = e0 + e1 holds the atom e0 of the basis but not the atom e0 + e2 it
+    # restricts to: the selection is no down-set, though the outer one is.
+    p = std_projectors
+    P = p[0] + p[1]
+    inner = inner_daseinise_proposition(poset11, P)
+    assert not is_clopen_subobject(poset11, inner.subobject)
+    assert is_clopen_subobject(poset11, daseinise_proposition(poset11, P).subobject)
+    for atoms, kept in (([p[0], p[1], p[2], p[3]], 2), ([p[0] + p[2], p[1], p[3]], 1)):
+        context = locate(poset11, atoms)
+        below_P = {i for i, a in enumerate(context.atoms) if any(np.allclose(a, p[j]) for j in (0, 1))}
+        assert inner.subobject.at(context.id) == below_P and len(below_P) == kept
 
 
 def test_daseinise_top_and_bottom(poset11):

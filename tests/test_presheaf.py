@@ -256,3 +256,17 @@ def test_subobject_leq_requires_exactly_the_posets_contexts(poset11, second_basi
             with pytest.raises(IncompleteAssignment):
                 subobject_leq(poset11, *operands)
     assert subobject_leq(poset11, empty_subobject(poset11), full)
+
+
+@pytest.mark.parametrize("index", [99, 0.0], ids=repr)
+def test_subobject_leq_refuses_a_selection_that_is_no_character(poset11, index):
+    # Index 99 is outside every context's atoms and 0.0 is no integer; either
+    # operand holding one is refused, as in subobject_connective.
+    from toposqt.errors import UnknownCharacter
+
+    full = full_subobject(poset11)
+    top = poset11.ids[0]
+    stray = ClopenSubobject({**full.selection, top: frozenset({index})})
+    for operands in ((stray, stray), (stray, full), (full, stray)):
+        with pytest.raises(UnknownCharacter, match="outside its context's atoms"):
+            subobject_leq(poset11, *operands)

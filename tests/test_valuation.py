@@ -10,11 +10,18 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import locate
+from conftest import haar_basis, locate
 from toposqt.cli import run_command
 from toposqt.contexts import build_poset, context_from_basis, context_from_projectors
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.errors import NotInAlgebra, NotUnitVector, SearchBudgetExceeded, UnknownContext, ValidationError
+from toposqt.errors import (
+    DimensionMismatch,
+    NotInAlgebra,
+    NotUnitVector,
+    SearchBudgetExceeded,
+    UnknownContext,
+    ValidationError,
+)
 from toposqt.logic import check_global_element, is_sieve, principal_sieve
 from toposqt.operators import TAU_EIG, Tolerances, spectral_decomposition, spectral_family_at
 from toposqt.presheaf import (
@@ -31,6 +38,7 @@ from toposqt.valuation import (
     proposition_projector,
     pseudo_state,
     quantity_value_arrow,
+    quantity_value_arrows,
     truth_value,
 )
 
@@ -240,6 +248,32 @@ def test_interval_pairs_widen_down_the_poset(poset_two_bases, sz):
                 for sub_id in poset_two_bases.down_ids(sup_id):
                     assert pair.mu[sub_id] <= pair.mu[sup_id] + 1e-9
                     assert pair.nu[sub_id] >= pair.nu[sup_id] - 1e-9
+
+
+@pytest.mark.parametrize("case", ["spin2_poset", "ks18_poset", "poset_two_bases", "haar4", "haar5", "haar6"])
+def test_quantity_value_arrows_is_the_arrow_at_every_character(case, request):
+    # The poset-wide call and one context at a time give, in poset and atom
+    # order, the pairs of quantity_value_arrow at each character.  A is a
+    # member of the top context whose atoms share values in pairs, so some
+    # clusters hold two eigenvectors and the intervals vary.
+    if case.startswith("haar"):
+        poset = build_poset([context_from_basis(haar_basis(int(case[-1])))])
+    else:
+        poset = request.getfixturevalue(case)
+    A = sum(i // 2 * a for i, a in enumerate(poset.get(poset.ids[0]).atoms))
+    expected = [(ch, quantity_value_arrow(poset, A, c, ch)) for c in poset for ch in gelfand_spectrum(c)]
+    assert list(quantity_value_arrows(poset, A).items()) == expected
+    by_context = [item for c in poset for item in quantity_value_arrows(poset, A, c).items()]
+    assert by_context == expected
+
+
+def test_quantity_value_arrows_refuses_a_foreign_context_and_a_wrong_dimension(poset11, sz):
+    foreign = context_from_basis(haar_basis(4))
+    with pytest.raises(UnknownContext):
+        quantity_value_arrows(poset11, sz, foreign)
+    for context in (None, poset11.get(poset11.ids[0])):
+        with pytest.raises(DimensionMismatch):
+            quantity_value_arrows(poset11, np.eye(3), context)
 
 
 def test_interval_sharp_wherever_the_observable_is_a_member(poset_two_bases, sz):

@@ -15,9 +15,12 @@ two truth values, whose sieves are not built; of ``implies, read``, the
 implication followed by a read of every sieve of the result, which builds
 them; of ``check_global_element`` on a truth value, which builds its sieves
 at the first call, and also every context's sieve frame (its down-set ids,
-sorted, and their down-set ints, looked up in the poset's); and of a value sweep: one
-``quantity_value_arrow`` per character of every context, whose first call
-builds every context's restricted sums.  Then, again on a fresh poset each,
+sorted, and their down-set ints, looked up in the poset's); of a value
+sweep: one ``quantity_value_arrow`` per character of every context, whose
+first call builds every context's restricted sums; of
+``quantity_value_arrows`` over the whole poset, which builds them too; and
+of ``inner_daseinise_proposition`` of the first proposition, whose first
+call builds the poset's seed sums.  Then, again on a fresh poset each,
 the first and a warm call of ``subobject_connective`` ``implies`` on the
 outer daseinisations of the two propositions, of ``is_clopen_subobject`` on
 the first of them, and of ``global_sections``, whose first calls build the
@@ -49,11 +52,16 @@ from inputs import haar_unitary, problem_dict  # noqa: E402
 
 from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
-from toposqt.daseinisation import daseinise_proposition  # noqa: E402
+from toposqt.daseinisation import daseinise_proposition, inner_daseinise_proposition  # noqa: E402
 from toposqt.logic import check_global_element, global_element_connective, subobject_connective  # noqa: E402
 from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
-from toposqt.valuation import global_sections, quantity_value_arrow, truth_value  # noqa: E402
+from toposqt.valuation import (  # noqa: E402
+    global_sections,
+    quantity_value_arrow,
+    quantity_value_arrows,
+    truth_value,
+)
 
 #: Builds, and reports, timed per dimension.
 REPEAT = 3
@@ -115,6 +123,10 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
                 quantity_value_arrow(poset, A, context, character)
 
     parts.append(f"value sweep {_first_and_warm(sweep)}")
+    poset = build_poset([seed])
+    parts.append(f"value arrows {_first_and_warm(lambda: quantity_value_arrows(poset, A))}")
+    poset = build_poset([seed])
+    parts.append(f"inner daseinisation {_first_and_warm(lambda: inner_daseinise_proposition(poset, P))}")
     return "; ".join(parts)
 
 
