@@ -462,7 +462,8 @@ class ContextPoset:
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
     the seed atoms.  It keeps the ``Tolerances`` it was built with, for every
-    call over the whole poset.
+    call over the whole poset, and one slot for the last quantity it valued
+    (``valuation._quantity``).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -498,6 +499,7 @@ class ContextPoset:
         # Tables derived from the order, each entry built on first use and kept.
         self._sieve_frames = _Table(self._build_sieve_frame)
         self._restricted_sums = _Table(self._build_restricted_sums)
+        self._last_quantity: tuple | None = None
         return self
 
     # -- basic container protocol ------------------------------------------

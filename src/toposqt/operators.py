@@ -178,14 +178,14 @@ def spectral_decomposition(A, tau: float = TAU, tau_eig: float = TAU_EIG) -> Spe
 
 
 def _clusters(A, tolerances: Tolerances) -> tuple[tuple[float, ...], np.ndarray, list[int]]:
-    # The one clustering rule, at a pair already checked (such as a poset's):
-    # A checked self-adjoint at tau, the cluster eigenvalues (increasing),
-    # eigh's eigenvectors as columns and the first column of each cluster.
+    # The one clustering rule, of an operator already coerced by as_operator
+    # at a pair already checked (such as a poset's): A checked self-adjoint
+    # at tau, the cluster eigenvalues (increasing), eigh's eigenvectors as
+    # columns and the first column of each cluster.
     # Each cluster is the slice raw[i:j]; its mean np.add.reduce / count is
     # bit-identical to np.mean (the same pairwise sum), without its overhead,
     # and a singleton's mean is its value.
     tau, tau_eig = tolerances.tau, tolerances.tau_eig
-    A = as_operator(A)
     if not _self_adjoint(A, tau):
         raise NotSelfAdjoint(f"matrix differs from its conjugate transpose beyond tau={tau}")
     raw, vecs = np.linalg.eigh(A)
@@ -198,7 +198,7 @@ def _clusters(A, tolerances: Tolerances) -> tuple[tuple[float, ...], np.ndarray,
 
 def _decompose(A, tolerances: Tolerances) -> SpectralDecomposition:
     # spectral_decomposition at a pair already checked, such as a poset's.
-    eigenvalues, vecs, starts = _clusters(A, tolerances)
+    eigenvalues, vecs, starts = _clusters(as_operator(A), tolerances)
     vh = vecs.conj().T
     ends = starts[1:] + [len(vecs)]
     return SpectralDecomposition(eigenvalues, tuple(vecs[:, i:j] @ vh[i:j] for i, j in zip(starts, ends)))

@@ -32,6 +32,7 @@ from .operators import (
     _decompose,
     _spectral_projection,
     _two_valued,
+    as_operator,
     cluster_table,
     require_projector,
     table_bounds,
@@ -124,45 +125,62 @@ def quantity_value_arrow(
     daseinisations of A there.  An atom a touches the eigenspace of a cluster
     c iff ||aV_c||_F^2 > tau^2, read off A's orthonormal eigenvectors V_c;
     this equals ||aP_c||_F^2 for the spectral projection P_c = V_c V_c^*,
-    which is never formed."""
-    clusters = _clusters(A, poset._tolerance(tau, tau_eig))
-    return _value_arrows(poset, clusters, context, [character])[0]
+    which is never formed.  The poset keeps the clusters and context tables
+    of the last A it valued, so a sweep with one A clusters it once; A's
+    array data, the tolerances and the character are checked on every call."""
+    poset._tolerance(tau, tau_eig)
+    return _value_arrows(poset, _quantity(poset, A), context, [character])[0]
 
 
 def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None) -> dict[Character, IntervalPair]:
     """The arrow delta(A) from the spectral presheaf to the quantity-value
     object: ``quantity_value_arrow`` at every character of one context, or
     of every context when ``context`` is None, keyed by character in poset
-    and atom order.  A is checked and clustered once, at the poset's
-    tolerances."""
-    clusters = _clusters(A, poset.tolerances)
+    and atom order.  A is checked, and clustered at the poset's tolerances
+    unless it was the last A the poset valued."""
+    quantity = _quantity(poset, A)
     contexts = poset if context is None else (context,)
     arrows: dict[Character, IntervalPair] = {}
     for c in contexts:
         characters = gelfand_spectrum(c)
-        arrows.update(zip(characters, _value_arrows(poset, clusters, c, characters)))
+        arrows.update(zip(characters, _value_arrows(poset, quantity, c, characters)))
     return arrows
 
 
+def _quantity(poset: ContextPoset, A) -> tuple:
+    # The poset's one slot for the last quantity it valued: (key, eigenvalues,
+    # vecs, starts, tables), keyed by A's shape and bytes, where tables holds
+    # the cluster_table of each context valued for A so far.  The array data
+    # are checked on every call; a miss clusters A, which checks it
+    # self-adjoint, and only then replaces the slot.  Equal bytes at the
+    # poset's fixed tolerances give the same verdict and clusters.  The slot
+    # holds no reference to the poset or to the caller's array.
+    A = as_operator(A)
+    key = (A.shape, A.tobytes())
+    slot = poset._last_quantity
+    if slot is None or slot[0] != key:
+        slot = poset._last_quantity = (key, *_clusters(A, poset.tolerances), {})
+    return slot
+
+
 def _value_arrows(
-    poset: ContextPoset,
-    clusters: tuple[Sequence[float], np.ndarray, Sequence[int]],
-    context: Context,
-    characters: Sequence[Character],
+    poset: ContextPoset, quantity: tuple, context: Context, characters: Sequence[Character]
 ) -> list[IntervalPair]:
     # The one interval-value kernel, of quantity_value_arrow and
     # quantity_value_arrows: the pairs of several characters of one context,
-    # for the (eigenvalues, vecs, starts) of an A already clustered.  One
-    # cluster_table of the seed atoms that the context's atoms sum, whose
-    # entries ||bV_c||_F^2 = ||bP_c||_F^2 are the touch_table's against A's
-    # spectral projections, read at each restricted atom as the sum of the
-    # rows of the context atoms in its restriction class.
-    eigenvalues, vecs, starts = clusters
+    # for a quantity slot of _quantity.  One cluster_table of the seed atoms
+    # that the context's atoms sum, built on the context's first use for A and
+    # kept in the slot, whose entries ||bV_c||_F^2 = ||bP_c||_F^2 are the
+    # touch_table's against A's spectral projections, read at each restricted
+    # atom as the sum of the rows of the context atoms in its restriction class.
+    _, eigenvalues, vecs, starts, tables = quantity
     for character in characters:
         _require_member(context, character)
     down = poset.down_ids(context.id)
     seeds, sums = poset._restricted_sums[context.id]
-    table = cluster_table(seeds, vecs, starts)
+    table = tables.get(context.id)
+    if table is None:
+        table = tables[context.id] = cluster_table(seeds, vecs, starts)
     pairs = []
     for character in characters:
         bounds = table_bounds(sums[character.atom_index] @ table, eigenvalues, poset.tolerances.tau)

@@ -758,8 +758,8 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
 
 def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
     # The tables derived from the order hold the poset weakly, and the cached
-    # builds hold no reference to it, so a poset whose tables were all read
-    # is freed when its last reference goes.
+    # builds and the quantity slot hold no reference to it, so a poset whose
+    # tables were all read is freed when its last reference goes.
     gc.disable()
     try:
         poset = build_poset([context_from_basis(np.eye(4))])
@@ -770,6 +770,7 @@ def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
         daseinise_proposition(poset, std_projectors[0])  # _seed_sums
         assert poset._sieve_frames and poset._restricted_sums
         assert "_seed_sums" in vars(poset) and "_characters" in vars(poset)  # the cached builds
+        assert poset._last_quantity is not None and poset._last_quantity[4].keys() == {top.id}  # the quantity slot
         dropped = weakref.ref(poset)
         del poset
         assert dropped() is None

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import haar_basis, locate
+from oracles import random_self_adjoint, touch_interval
 from toposqt.cli import run_command
 from toposqt.contexts import build_poset, context_from_basis, context_from_projectors
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import (
     DimensionMismatch,
     NotInAlgebra,
+    NotSelfAdjoint,
     NotUnitVector,
     SearchBudgetExceeded,
     UnknownContext,
@@ -31,7 +33,7 @@ from toposqt.presheaf import (
     is_clopen_subobject,
     subobject_leq,
 )
-from toposqt.problems import problem_from_dict, problem_poset
+from toposqt.problems import load_problem, problem_from_dict, problem_poset
 from toposqt.valuation import (
     global_sections,
     is_global_section,
@@ -274,6 +276,103 @@ def test_quantity_value_arrows_refuses_a_foreign_context_and_a_wrong_dimension(p
     for context in (None, poset11.get(poset11.ids[0])):
         with pytest.raises(DimensionMismatch):
             quantity_value_arrows(poset11, np.eye(3), context)
+
+
+def _shipped_poset(name: str):
+    return problem_poset(load_problem(resources.files("toposqt.data") / f"{name}.json"))
+
+
+def _pairs(poset, A) -> list:
+    # quantity_value_arrow at every character, in poset and atom order.
+    return [(ch, quantity_value_arrow(poset, A, c, ch)) for c in poset for ch in gelfand_spectrum(c)]
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_memo_hits_equal_a_fresh_posets_pairs(name):
+    # The first sweep fills the slot and its tables; the second reads only
+    # hits.  Both equal the pairs of a fresh poset, whose one call clusters A
+    # and builds each context's table once, and, on spin2, the oracle's.
+    poset = _shipped_poset(name)
+    top = poset.get(poset.ids[0])
+    A = random_self_adjoint(np.random.default_rng(11), poset.dim)
+    B = sum(i // 2 * a for i, a in enumerate(top.atoms))  # clusters of two eigenvectors
+    for X in (A, B):
+        fresh = list(quantity_value_arrows(_shipped_poset(name), X).items())
+        assert _pairs(poset, X) == fresh
+        assert poset._last_quantity[0] == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
+        assert poset._last_quantity[4].keys() == set(poset.ids)
+        assert _pairs(poset, X) == fresh
+        if name == "spin2":
+            for ch, pair in fresh:
+                assert (pair.mu, pair.nu) == touch_interval(poset, X, poset.get(ch.context_id), ch.atom_index)
+
+
+def test_an_operand_changed_in_place_is_valued_anew(sz):
+    poset = build_poset([context_from_basis(np.eye(4))])
+    A = sz.copy()
+    old = _pairs(poset, A)
+    A[:] = random_self_adjoint(np.random.default_rng(3), 4)
+    assert _pairs(poset, A) == _pairs(build_poset([context_from_basis(np.eye(4))]), A.copy()) != old
+
+
+def test_a_failed_operand_raises_after_a_memoised_one_and_is_never_stored(sz):
+    poset = build_poset([context_from_basis(np.eye(4))])
+    top = poset.get(poset.ids[0])
+    ch = gelfand_spectrum(top)[0]
+    expected = quantity_value_arrow(poset, sz, top, ch)
+    slot = poset._last_quantity
+    bad = np.triu(np.ones((4, 4))) * 1j
+    for _ in range(2):
+        with pytest.raises(NotSelfAdjoint):
+            quantity_value_arrow(poset, bad, top, ch)
+        with pytest.raises(NotSelfAdjoint):
+            quantity_value_arrows(poset, bad)
+        with pytest.raises(ValidationError, match="expected numeric array data"):
+            quantity_value_arrow(poset, np.full((4, 4), np.nan), top, ch)
+        assert poset._last_quantity is slot
+    assert quantity_value_arrow(poset, sz, top, ch) == expected
+
+
+def test_a_hit_still_checks_the_tolerances_and_the_character(poset11, maximal_context, sz):
+    from toposqt.errors import UnknownCharacter
+    from toposqt.presheaf import Character
+
+    ch = gelfand_spectrum(maximal_context)[0]
+    quantity_value_arrow(poset11, sz, maximal_context, ch)
+    for tolerance in ({"tau": 1e-7}, {"tau_eig": 1e-6}, {"tau_eig": float("nan")}):
+        with pytest.raises(ValidationError, match="differs from the"):
+            quantity_value_arrow(poset11, sz, maximal_context, ch, **tolerance)
+    with pytest.raises(UnknownCharacter):
+        quantity_value_arrow(poset11, sz, maximal_context, Character("ctx-0000000000", 0))
+    with pytest.raises(UnknownCharacter):
+        quantity_value_arrow(poset11, sz, maximal_context, Character(maximal_context.id, 4))
+
+
+def test_a_changed_result_leaves_the_next_call_unchanged(poset11, maximal_context, sz):
+    ch = gelfand_spectrum(maximal_context)[0]
+    pair = quantity_value_arrow(poset11, sz, maximal_context, ch)
+    expected = (dict(pair.mu), dict(pair.nu))
+    pair.mu[maximal_context.id] = pair.nu[maximal_context.id] = 99.0
+    pair.mu.clear()
+    again = quantity_value_arrow(poset11, sz, maximal_context, ch)
+    assert again is not pair and (again.mu, again.nu) == expected
+    arrows = quantity_value_arrows(poset11, sz)
+    arrows[ch].mu.clear()
+    assert quantity_value_arrows(poset11, sz)[ch] == again
+
+
+def test_alternating_two_observables_gives_their_pairs_on_every_call(maximal_context, second_basis, sz):
+    # Each call misses the slot and replaces it; each result still equals
+    # that observable's pair on a fresh poset.
+    poset = build_poset([maximal_context, second_basis])
+    A, B = sz, random_self_adjoint(np.random.default_rng(5), 4)
+    expected = [dict(quantity_value_arrows(build_poset([maximal_context, second_basis]), X)) for X in (A, B)]
+    for c in poset:
+        for ch in gelfand_spectrum(c):
+            for X, arrows in zip((A, B), expected):
+                assert quantity_value_arrow(poset, X, c, ch) == arrows[ch]
+    for X, arrows in zip((A, B, A), expected + expected):
+        assert quantity_value_arrows(poset, X) == arrows
 
 
 def test_interval_sharp_wherever_the_observable_is_a_member(poset_two_bases, sz):

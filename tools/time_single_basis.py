@@ -17,7 +17,10 @@ them; of ``check_global_element`` on a truth value, which builds its sieves
 at the first call, and also every context's sieve frame (its down-set ids,
 sorted, and their down-set ints, looked up in the poset's); of a value
 sweep: one ``quantity_value_arrow`` per character of every context, whose
-first call builds every context's restricted sums; of
+first call builds every context's restricted sums and whose calls after the
+first read the poset's slot for the last quantity valued; of an alternating
+sweep, the same calls with a second observable at every other character, so
+that every call misses the slot and clusters its observable again; of
 ``quantity_value_arrows`` over the whole poset, which builds them too; and
 of ``inner_daseinise_proposition`` of the first proposition, whose first
 call builds the poset's seed sums.  Then, again on a fresh poset each,
@@ -27,8 +30,9 @@ the first of them, and of ``global_sections``, whose first calls build the
 character order (every character's down-set int).  The propositions are sums
 of atoms of the top context (the basis), the state is an even superposition
 of two of its rays, and the observable of the sweep has the eigenvalues 0,
-..., n - 1 on the basis rays.  Each line ends with the process peak RSS so
-far, a high-water mark, so it never falls from one dimension to the next.  The
+..., n - 1 on the basis rays (the second observable n - 1, ..., 0).  Each
+line ends with the process peak RSS so far, a high-water mark, so it never
+falls from one dimension to the next.  The
 basis of dimension n is ``benchmarks/inputs.haar_unitary`` drawn from seed
 ``[1, n]``.  The library comes from ``PYTHONPATH`` when it
 names one (to time another checkout), else from this checkout's ``src``.
@@ -42,6 +46,7 @@ import resource
 import statistics
 import sys
 import time
+from itertools import cycle
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,14 +120,17 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
         operands = poset, truth_value(poset, P, psi), truth_value(poset, Q, psi)
         parts.append(f"{label} {_first_and_warm(lambda: call(*operands))}")
     A = sum(k * np.outer(v, v.conj()) for k, v in enumerate(basis))
-    poset = build_poset([seed])
+    B = sum(k * np.outer(v, v.conj()) for k, v in enumerate(reversed(basis)))
+    for label, operands in (("value sweep", [A]), ("alternating value sweep", [A, B])):
+        poset = build_poset([seed])
 
-    def sweep():
-        for context in poset:
-            for character in gelfand_spectrum(context):
-                quantity_value_arrow(poset, A, context, character)
+        def sweep():
+            operand = cycle(operands)
+            for context in poset:
+                for character in gelfand_spectrum(context):
+                    quantity_value_arrow(poset, next(operand), context, character)
 
-    parts.append(f"value sweep {_first_and_warm(sweep)}")
+        parts.append(f"{label} {_first_and_warm(sweep)}")
     poset = build_poset([seed])
     parts.append(f"value arrows {_first_and_warm(lambda: quantity_value_arrows(poset, A))}")
     poset = build_poset([seed])
