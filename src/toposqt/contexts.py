@@ -462,8 +462,10 @@ class ContextPoset:
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
     the seed atoms.  It keeps the ``Tolerances`` it was built with, for every
-    call over the whole poset, and one slot for the last quantity it valued
-    (``valuation._quantity``).
+    call over the whole poset.  For the interval values it keeps A's
+    clusters for the last quantity A it valued (``valuation._quantity``), and
+    each context keeps the cluster table and the bounds of the characters
+    valued so far for the last A valued there (``valuation._value_arrows``).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -499,7 +501,8 @@ class ContextPoset:
         # Tables derived from the order, each entry built on first use and kept.
         self._sieve_frames = _Table(self._build_sieve_frame)
         self._restricted_sums = _Table(self._build_restricted_sums)
-        self._last_quantity: tuple | None = None
+        self._last_quantity: tuple | None = None  # (key, eigenvalues, vecs, starts)
+        self._context_quantities: dict[str, tuple] = {}  # id -> (key, eigenvalues, table, rows)
         return self
 
     # -- basic container protocol ------------------------------------------

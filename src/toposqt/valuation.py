@@ -21,7 +21,7 @@ import numpy as np
 from ._json import brief_repr, integer
 from .contexts import Context, ContextPoset
 from .daseinisation import DaseinisedProposition, _daseinise
-from .errors import NotUnitVector, SearchBudgetExceeded, ValidationError
+from .errors import NotUnitVector, SearchBudgetExceeded, UnknownContext, ValidationError
 from .logic import GlobalElementOfOmega, _element
 from .operators import (
     TAU,
@@ -125,11 +125,13 @@ def quantity_value_arrow(
     daseinisations of A there.  An atom a touches the eigenspace of a cluster
     c iff ||aV_c||_F^2 > tau^2, read off A's orthonormal eigenvectors V_c;
     this equals ||aP_c||_F^2 for the spectral projection P_c = V_c V_c^*,
-    which is never formed.  The poset keeps the clusters and context tables
-    of the last A it valued, so a sweep with one A clusters it once; A's
-    array data, the tolerances and the character are checked on every call."""
+    which is never formed.  The poset keeps the clusters of the last A it
+    valued, and each context its table and character bounds for the last A
+    valued there, so a sweep with one A clusters it once and a character
+    valued again for that A is read back; A's array data, the tolerances,
+    the context and the character are checked on every call."""
     poset._tolerance(tau, tau_eig)
-    return _value_arrows(poset, _quantity(poset, A), context, [character])[0]
+    return _value_arrows(poset, _keyed(A), _own_context(poset, context), [character])[0]
 
 
 def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None) -> dict[Character, IntervalPair]:
@@ -137,55 +139,81 @@ def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None
     object: ``quantity_value_arrow`` at every character of one context, or
     of every context when ``context`` is None, keyed by character in poset
     and atom order.  A is checked, and clustered at the poset's tolerances
-    unless it was the last A the poset valued."""
-    quantity = _quantity(poset, A)
-    contexts = poset if context is None else (context,)
+    unless it was the last A the poset valued; a context whose last A it was
+    reads its characters' bounds back."""
+    keyed = _keyed(A)
+    contexts = poset if context is None else (_own_context(poset, context),)
     arrows: dict[Character, IntervalPair] = {}
     for c in contexts:
         characters = gelfand_spectrum(c)
-        arrows.update(zip(characters, _value_arrows(poset, quantity, c, characters)))
+        arrows.update(zip(characters, _value_arrows(poset, keyed, c, characters)))
     return arrows
 
 
-def _quantity(poset: ContextPoset, A) -> tuple:
-    # The poset's one slot for the last quantity it valued: (key, eigenvalues,
-    # vecs, starts, tables), keyed by A's shape and bytes, where tables holds
-    # the cluster_table of each context valued for A so far.  The array data
-    # are checked on every call; a miss clusters A, which checks it
-    # self-adjoint, and only then replaces the slot.  Equal bytes at the
-    # poset's fixed tolerances give the same verdict and clusters.  The slot
-    # holds no reference to the poset or to the caller's array.
+def _own_context(poset: ContextPoset, context: Context) -> Context:
+    # The poset's own context of the given one's id, whose atom count and
+    # characters the value calls read: a Context with a poset id and another
+    # atom count is no context of the poset.
+    own = poset.get(context.id)
+    if context.n_atoms != own.n_atoms:
+        raise UnknownContext(f"{context.id!r} has {own.n_atoms} atoms in this poset, not {context.n_atoms}")
+    return own
+
+
+def _keyed(A) -> tuple[tuple, np.ndarray]:
+    # A's array data, checked on every call, and its slot key: its shape and
+    # bytes as as_operator returns it.
     A = as_operator(A)
-    key = (A.shape, A.tobytes())
+    return (A.shape, A.tobytes()), A
+
+
+def _quantity(poset: ContextPoset, keyed: tuple) -> tuple:
+    # The poset's slot for the last quantity it valued, (key, eigenvalues,
+    # vecs, starts), if its key is A's; else A clustered, which checks it
+    # self-adjoint, in a new slot that _value_arrows stores once a context's
+    # table is built from it.  Equal bytes at the poset's fixed tolerances
+    # give the same verdict and clusters.
+    key, A = keyed
     slot = poset._last_quantity
     if slot is None or slot[0] != key:
-        slot = poset._last_quantity = (key, *_clusters(A, poset.tolerances), {})
+        slot = (key, *_clusters(A, poset.tolerances))
     return slot
 
 
 def _value_arrows(
-    poset: ContextPoset, quantity: tuple, context: Context, characters: Sequence[Character]
+    poset: ContextPoset, keyed: tuple, context: Context, characters: Sequence[Character]
 ) -> list[IntervalPair]:
     # The one interval-value kernel, of quantity_value_arrow and
-    # quantity_value_arrows: the pairs of several characters of one context,
-    # for a quantity slot of _quantity.  One cluster_table of the seed atoms
-    # that the context's atoms sum, built on the context's first use for A and
-    # kept in the slot, whose entries ||bV_c||_F^2 = ||bP_c||_F^2 are the
-    # touch_table's against A's spectral projections, read at each restricted
-    # atom as the sum of the rows of the context atoms in its restriction class.
-    _, eigenvalues, vecs, starts, tables = quantity
+    # quantity_value_arrows: the pairs of several characters of one of the
+    # poset's contexts, for A and its key from _keyed.  Each context keeps one
+    # slot, (key, eigenvalues, table, rows), for the last A valued there.  The
+    # table is the cluster_table of the seed atoms that the context's atoms
+    # sum, whose entries ||bV_c||_F^2 = ||bP_c||_F^2 are the touch_table's
+    # against A's spectral projections, read at each restricted atom as the
+    # sum of the rows of the context atoms in its restriction class.  rows[i]
+    # holds character i's (lows, highs) over down_ids, filled on its first
+    # call.  A miss reads the poset's slot, or clusters A, and builds the
+    # table; both slots are stored only then, so an A that fails at its
+    # clusters or at the table (another dimension) leaves every slot as it
+    # was.  A context slot shares the poset slot's key object and
+    # eigenvalues and holds no reference to the poset or to the caller's array.
     for character in characters:
         _require_member(context, character)
     down = poset.down_ids(context.id)
     seeds, sums = poset._restricted_sums[context.id]
-    table = tables.get(context.id)
-    if table is None:
-        table = tables[context.id] = cluster_table(seeds, vecs, starts)
+    slot = poset._context_quantities.get(context.id)
+    if slot is None or slot[0] != keyed[0]:
+        key, eigenvalues, vecs, starts = quantity = _quantity(poset, keyed)
+        slot = (key, eigenvalues, cluster_table(seeds, vecs, starts), [None] * context.n_atoms)
+        poset._last_quantity, poset._context_quantities[context.id] = quantity, slot
+    _, eigenvalues, table, rows = slot
     pairs = []
     for character in characters:
-        bounds = table_bounds(sums[character.atom_index] @ table, eigenvalues, poset.tolerances.tau)
-        pairs.append(IntervalPair(context.id, {s: lo for s, (lo, _) in zip(down, bounds)},
-                                  {s: hi for s, (_, hi) in zip(down, bounds)}))
+        i = character.atom_index
+        if rows[i] is None:
+            rows[i] = tuple(zip(*table_bounds(sums[i] @ table, eigenvalues, poset.tolerances.tau)))
+        lows, highs = rows[i]
+        pairs.append(IntervalPair(context.id, dict(zip(down, lows)), dict(zip(down, highs))))
     return pairs
 
 

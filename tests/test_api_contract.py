@@ -43,6 +43,7 @@ from toposqt import (
     spectral_decomposition,
     totally_true,
 )
+from toposqt.errors import UnknownContext
 
 NAN, INF = float("nan"), float("inf")
 
@@ -68,6 +69,9 @@ def world(directory) -> SimpleNamespace:
     w.top, w.sub = w.poset.get(w.poset.ids[0]), w.poset.get(w.poset.ids[-1])
     turned = np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)
     w.foreign, w.small = context_from_basis(turned), context_from_basis(np.eye(2))
+    # A poset id with another context's atoms: three under a two-atom id, two under the top's.
+    w.forged = (toposqt.Context(w.sub.id, w.top.atoms, w.top.ranks),
+                toposqt.Context(w.top.id, w.sub.atoms, w.sub.ranks))
     w.A = np.diag([1.0, 2.0, 3.0]).astype(complex)
     w.P = np.diag([1.0, 0.0, 0.0]).astype(complex)
     w.psi = np.eye(3, dtype=complex)[0]
@@ -134,7 +138,7 @@ def data_pools(w) -> dict[str, list]:
         "any": [None, 0, NAN, "abc", [1], {}, object(), np.eye(3)],
         # Library objects whose data are malformed: foreign contexts, bad
         # characters, sieves, subobjects, global elements and sections.
-        "context": [w.foreign, w.small],
+        "context": [w.foreign, w.small, *w.forged],
         "character": [Character(top, i) for i in (-1, 3, 99, True, 1.0, "0", None, [0], NAN)]
         + [Character(cid, 0) for cid in ("ctx-foreign", [1], None, w.foreign.id)],
         "sieve": [Sieve(top, m) for m in ([top], "abc", None, {top: True}, frozenset({0}), {top, 0},
@@ -389,3 +393,17 @@ def test_every_pooled_malformed_argument_ends_as_the_contract_says(contract):
     broken = [(label, position, value, end) for label, fn, valid, position, value, wrong in draws(w)
               if (end := outcome(fn, valid, position, value)) not in allowed(roles_of[label][position], wrong)]
     assert broken == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_context_forged_from_a_poset_id_and_other_atoms_is_an_unknown_context(contract):
+    # Three atoms under a two-atom id raised a bare IndexError; two atoms
+    # under the top's id returned a partial arrow of two characters.
+    w = contract[0]
+    for forged, own in zip(w.forged, (w.sub, w.top)):
+        with pytest.raises(UnknownContext):
+            toposqt.quantity_value_arrows(w.poset, w.A, forged)
+        for ch in toposqt.gelfand_spectrum(forged):
+            with pytest.raises(UnknownContext):
+                toposqt.quantity_value_arrow(w.poset, w.A, forged, ch)
+        assert len(toposqt.quantity_value_arrows(w.poset, w.A, own)) == own.n_atoms

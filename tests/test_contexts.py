@@ -758,7 +758,7 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
 
 def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
     # The tables derived from the order hold the poset weakly, and the cached
-    # builds and the quantity slot hold no reference to it, so a poset whose
+    # builds and the quantity slots hold no reference to it, so a poset whose
     # tables were all read is freed when its last reference goes.
     gc.disable()
     try:
@@ -770,7 +770,8 @@ def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
         daseinise_proposition(poset, std_projectors[0])  # _seed_sums
         assert poset._sieve_frames and poset._restricted_sums
         assert "_seed_sums" in vars(poset) and "_characters" in vars(poset)  # the cached builds
-        assert poset._last_quantity is not None and poset._last_quantity[4].keys() == {top.id}  # the quantity slot
+        assert poset._last_quantity is not None  # the poset's quantity slot, and the top context's slot
+        assert poset._context_quantities.keys() == {top.id} and poset._context_quantities[top.id][3][0] is not None
         dropped = weakref.ref(poset)
         del poset
         assert dropped() is None

@@ -37,6 +37,7 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
             r"not first [\d.]+ ms, warm [\d.]+ ms; implies, read first [\d.]+ ms, warm [\d.]+ ms; "
             r"check_global_element first [\d.]+ ms, warm [\d.]+ ms; value sweep first [\d.]+ ms, warm [\d.]+ ms; "
             r"alternating value sweep first [\d.]+ ms, warm [\d.]+ ms; "
+            r"interleaved value sweep first [\d.]+ ms, warm [\d.]+ ms; "
             r"value arrows first [\d.]+ ms, warm [\d.]+ ms; inner daseinisation first [\d.]+ ms, warm [\d.]+ ms; "
             r"subobject implies first [\d.]+ ms, warm [\d.]+ ms; is_clopen_subobject first [\d.]+ ms, warm [\d.]+ ms; "
             r"global_sections first [\d.]+ ms, warm [\d.]+ ms; peak RSS \d+ MB",

@@ -299,8 +299,12 @@ def test_memo_hits_equal_a_fresh_posets_pairs(name):
     for X in (A, B):
         fresh = list(quantity_value_arrows(_shipped_poset(name), X).items())
         assert _pairs(poset, X) == fresh
-        assert poset._last_quantity[0] == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
-        assert poset._last_quantity[4].keys() == set(poset.ids)
+        key = poset._last_quantity[0]
+        assert key == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
+        # Every context keeps X's table and each character's bounds, under the poset slot's key object.
+        assert poset._context_quantities.keys() == set(poset.ids)
+        for slot in poset._context_quantities.values():
+            assert slot[0] is key and slot[1] is poset._last_quantity[1] and None not in slot[3]
         assert _pairs(poset, X) == fresh
         if name == "spin2":
             for ch, pair in fresh:
@@ -320,7 +324,7 @@ def test_a_failed_operand_raises_after_a_memoised_one_and_is_never_stored(sz):
     top = poset.get(poset.ids[0])
     ch = gelfand_spectrum(top)[0]
     expected = quantity_value_arrow(poset, sz, top, ch)
-    slot = poset._last_quantity
+    slot, context_slots = poset._last_quantity, dict(poset._context_quantities)
     bad = np.triu(np.ones((4, 4))) * 1j
     for _ in range(2):
         with pytest.raises(NotSelfAdjoint):
@@ -329,8 +333,98 @@ def test_a_failed_operand_raises_after_a_memoised_one_and_is_never_stored(sz):
             quantity_value_arrows(poset, bad)
         with pytest.raises(ValidationError, match="expected numeric array data"):
             quantity_value_arrow(poset, np.full((4, 4), np.nan), top, ch)
-        assert poset._last_quantity is slot
+        assert poset._last_quantity is slot and poset._context_quantities == context_slots
     assert quantity_value_arrow(poset, sz, top, ch) == expected
+
+
+def _slots(poset) -> tuple:
+    # The poset slot and a copy of each context slot, with its rows.
+    return poset._last_quantity, {cid: (*slot[:3], list(slot[3])) for cid, slot in poset._context_quantities.items()}
+
+
+def _count_clusters(monkeypatch) -> list:
+    import toposqt.valuation
+    from toposqt.operators import _clusters
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _clusters(*args, **kwargs)
+
+    monkeypatch.setattr(toposqt.valuation, "_clusters", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_a_context_keeps_its_quantity_while_another_context_values_another(name, monkeypatch):
+    # Sweep X with A, then Y with B, then X with A again: the poset slot now
+    # holds B, but X's slot still holds A's table and bounds, so the third
+    # sweep clusters nothing and still gives a fresh poset's pairs.
+    poset = _shipped_poset(name)
+    X, Y = poset.get(poset.ids[0]), poset.get(poset.ids[-1])
+    rng = np.random.default_rng(17)
+    A, B = random_self_adjoint(rng, poset.dim), random_self_adjoint(rng, poset.dim)
+    expected = quantity_value_arrows(_shipped_poset(name), A, X)
+    calls = _count_clusters(monkeypatch)
+    for context, operand in ((X, A), (Y, B)):
+        for ch in gelfand_spectrum(context):
+            quantity_value_arrow(poset, operand, context, ch)
+    assert len(calls) == 2
+    assert {ch: quantity_value_arrow(poset, A, X, ch) for ch in gelfand_spectrum(X)} == expected
+    assert len(calls) == 2
+    assert quantity_value_arrows(poset, A, X) == expected and len(calls) == 2
+
+
+def test_characters_valued_out_of_order_and_in_part_give_the_oracles_pairs():
+    # Each call fills only the rows of the characters it asks for; a later
+    # poset-wide call fills the rest, and every pair is the oracle's.
+    poset = _shipped_poset("spin2")
+    top = poset.get(poset.ids[0])
+    A = random_self_adjoint(np.random.default_rng(23), poset.dim)
+    asked = gelfand_spectrum(top)[::-2]  # atoms 3 and 1, in that order
+    for ch in asked:
+        pair = quantity_value_arrow(poset, A, top, ch)
+        assert (pair.mu, pair.nu) == touch_interval(poset, A, top, ch.atom_index)
+    rows = poset._context_quantities[top.id][3]
+    assert [row is not None for row in rows] == [False, True, False, True]
+    assert poset._context_quantities.keys() == {top.id}
+    arrows = quantity_value_arrows(poset, A)
+    assert poset._context_quantities.keys() == set(poset.ids)
+    assert all(None not in slot[3] for slot in poset._context_quantities.values())
+    for ch, pair in arrows.items():
+        context = poset.get(ch.context_id)
+        assert (pair.mu, pair.nu) == touch_interval(poset, A, context, ch.atom_index)
+        assert quantity_value_arrow(poset, A, context, ch) == pair
+
+
+def test_an_operand_that_fails_at_a_context_leaves_every_slot_unchanged(sz, monkeypatch):
+    # sz valued at two contexts and B at a third, then operands that fail
+    # there or over the poset: another dimension fails only at the context's
+    # table, after its clusters, yet the poset slot and every context slot
+    # stay as they were, rows included.
+    poset = build_poset([context_from_basis(np.eye(4))])
+    X, Y, Z = (poset.get(cid) for cid in poset.ids[:3])
+    B = random_self_adjoint(np.random.default_rng(29), 4)
+    for context in (X, Y):
+        quantity_value_arrow(poset, sz, context, gelfand_spectrum(context)[0])
+    quantity_value_arrows(poset, B, Z)
+    before = _slots(poset)
+    ch = gelfand_spectrum(Z)[1]
+    failing = [(np.eye(3), DimensionMismatch), (np.diag([1.0, 2.0, 3.0]), DimensionMismatch),
+               (np.triu(np.ones((4, 4))) * 1j, NotSelfAdjoint), (np.full((4, 4), np.nan), ValidationError)]
+    for bad, error in failing:
+        for call in (lambda: quantity_value_arrow(poset, bad, Z, ch), lambda: quantity_value_arrows(poset, bad, Z),
+                     lambda: quantity_value_arrows(poset, bad)):
+            with pytest.raises(error):
+                call()
+            after = _slots(poset)
+            assert after[0] is before[0] and after[1].keys() == before[1].keys()
+            for cid, slot in before[1].items():
+                assert all(x is y for x, y in zip(after[1][cid][:3], slot[:3])) and after[1][cid][3] == slot[3]
+    expected = quantity_value_arrows(build_poset([context_from_basis(np.eye(4))]), B, Z)
+    calls = _count_clusters(monkeypatch)
+    assert quantity_value_arrows(poset, B, Z) == expected and calls == []
 
 
 def test_a_hit_still_checks_the_tolerances_and_the_character(poset11, maximal_context, sz):

@@ -17,11 +17,16 @@ them; of ``check_global_element`` on a truth value, which builds its sieves
 at the first call, and also every context's sieve frame (its down-set ids,
 sorted, and their down-set ints, looked up in the poset's); of a value
 sweep: one ``quantity_value_arrow`` per character of every context, whose
-first call builds every context's restricted sums and whose calls after the
-first read the poset's slot for the last quantity valued; of an alternating
-sweep, the same calls with a second observable at every other character, so
-that every call misses the slot and clusters its observable again; of
-``quantity_value_arrows`` over the whole poset, which builds them too; and
+first call builds every context's restricted sums and clusters the
+observable, whose first round builds each context's table for it, and whose
+warm round reads back every character's bounds from the context's slot; of
+an alternating sweep, the same calls with a second observable at every
+other character, so that every call misses the slots and clusters its
+observable again; of an interleaved sweep, which sweeps each context with
+one of the two observables, by the parity of its position in the poset, as
+the benchmark's query passes interleave theirs: its first round misses the
+poset's slot at every context, and its warm round reads each context's own;
+of ``quantity_value_arrows`` over the whole poset, which builds them too; and
 of ``inner_daseinise_proposition`` of the first proposition, whose first
 call builds the poset's seed sums.  Then, again on a fresh poset each,
 the first and a warm call of ``subobject_connective`` ``implies`` on the
@@ -131,6 +136,14 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
                     quantity_value_arrow(poset, next(operand), context, character)
 
         parts.append(f"{label} {_first_and_warm(sweep)}")
+    poset = build_poset([seed])
+
+    def interleaved():
+        for i, context in enumerate(poset):
+            for character in gelfand_spectrum(context):
+                quantity_value_arrow(poset, (A, B)[i % 2], context, character)
+
+    parts.append(f"interleaved value sweep {_first_and_warm(interleaved)}")
     poset = build_poset([seed])
     parts.append(f"value arrows {_first_and_warm(lambda: quantity_value_arrows(poset, A))}")
     poset = build_poset([seed])
