@@ -463,9 +463,9 @@ class ContextPoset:
     touch with a family of projections is read off one ``touch_table`` of
     the seed atoms.  It keeps the ``Tolerances`` it was built with, for every
     call over the whole poset.  For the interval values it keeps A's
-    clusters for the last quantity A it valued (``valuation._quantity``), and
-    each context keeps the cluster table and the bounds of the characters
-    valued so far for the last A valued there (``valuation._value_arrows``).
+    eigenvalues and seed-atom cluster table for the last quantity A it valued
+    (``valuation._quantity``), and each context the bounds of the characters
+    valued so far for the last two A valued there (``valuation._value_arrows``).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -500,9 +500,9 @@ class ContextPoset:
                                       " some products of seed atoms lie close to tau")
         # Tables derived from the order, each entry built on first use and kept.
         self._sieve_frames = _Table(self._build_sieve_frame)
-        self._restricted_sums = _Table(self._build_restricted_sums)
-        self._last_quantity: tuple | None = None  # (key, eigenvalues, vecs, starts)
-        self._context_quantities: dict[str, tuple] = {}  # id -> (key, eigenvalues, table, rows)
+        self._first_down = _Table(self._build_first_down)
+        self._last_quantity: tuple | None = None  # (key, eigenvalues, seed table)
+        self._context_quantities: dict[str, tuple] = {}  # id -> up to two (key, eigenvalues, seed table, rows)
         return self
 
     # -- basic container protocol ------------------------------------------
@@ -610,17 +610,12 @@ class ContextPoset:
         starts = np.cumsum([0] + [c.n_atoms for c in self._contexts[:-1]])
         return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float), starts
 
-    def _build_restricted_sums(self, context_id: str) -> tuple[np.ndarray, np.ndarray]:
-        # The seed atoms that the context's atoms sum, stacked, and a 0/1
-        # array whose entry [i, d, b] marks seed atom b in the atom that atom
-        # i restricts to at the d-th context of down_ids(context_id): the sum
-        # of the context atoms in i's restriction class.
-        own = self._registry.nodes[context_id].own
-        bits = _bits(_join(own, range(len(own))))
-        seeds_of = np.array([[mask >> b & 1 for b in bits] for mask in own], dtype=float)
-        tables = self._tables[context_id]
-        same_class = tables[None, :, :] == tables.T[:, :, None]
-        return np.asarray([self._seed_atoms[b] for b in bits]), same_class @ seeds_of
+    def _build_first_down(self, context_id: str) -> np.ndarray:
+        # The _seed_sums row of the first atom of each context of the down-set
+        # (position p has bit N - 1 - p): row k of the context's restriction
+        # tables, added to entry k, gives the rows of the atoms it restricts to.
+        n, first = len(self._ids), self._seed_sums[2]
+        return first[[n - self._bit[w].bit_length() for w in self._down[context_id]]]
 
     def _tolerance(self, tau: float | None = None, tau_eig: float | None = None) -> Tolerances:
         # The poset's tolerances, for a poset-wide call given each as None or

@@ -125,11 +125,12 @@ def quantity_value_arrow(
     daseinisations of A there.  An atom a touches the eigenspace of a cluster
     c iff ||aV_c||_F^2 > tau^2, read off A's orthonormal eigenvectors V_c;
     this equals ||aP_c||_F^2 for the spectral projection P_c = V_c V_c^*,
-    which is never formed.  The poset keeps the clusters of the last A it
-    valued, and each context its table and character bounds for the last A
-    valued there, so a sweep with one A clusters it once and a character
-    valued again for that A is read back; A's array data, the tolerances,
-    the context and the character are checked on every call."""
+    which is never formed.  The poset keeps the eigenvalues and the seed-atom
+    table of the last A it valued, and each context its character bounds for
+    the last two A valued there, so a sweep with one A clusters it once and a
+    character valued again for either A is read back off the restricted
+    atom's own row; A's array data, the tolerances, the context and the
+    character are checked on every call."""
     poset._tolerance(tau, tau_eig)
     return _value_arrows(poset, _keyed(A), _own_context(poset, context), [character])[0]
 
@@ -139,8 +140,8 @@ def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None
     object: ``quantity_value_arrow`` at every character of one context, or
     of every context when ``context`` is None, keyed by character in poset
     and atom order.  A is checked, and clustered at the poset's tolerances
-    unless it was the last A the poset valued; a context whose last A it was
-    reads its characters' bounds back."""
+    unless it was the last A the poset valued; a context that keeps A, one
+    of the last two valued there, reads its characters' bounds back."""
     keyed = _keyed(A)
     contexts = poset if context is None else (_own_context(poset, context),)
     arrows: dict[Character, IntervalPair] = {}
@@ -169,14 +170,15 @@ def _keyed(A) -> tuple[tuple, np.ndarray]:
 
 def _quantity(poset: ContextPoset, keyed: tuple) -> tuple:
     # The poset's slot for the last quantity it valued, (key, eigenvalues,
-    # vecs, starts), if its key is A's; else A clustered, which checks it
-    # self-adjoint, in a new slot that _value_arrows stores once a context's
-    # table is built from it.  Equal bytes at the poset's fixed tolerances
-    # give the same verdict and clusters.
+    # table), if its key is A's; else A clustered, which checks it
+    # self-adjoint, and the cluster_table of the seed atoms against it, in a
+    # new slot that _value_arrows stores once both are built.  Equal bytes at
+    # the poset's fixed tolerances give the same verdict, clusters and table.
     key, A = keyed
     slot = poset._last_quantity
     if slot is None or slot[0] != key:
-        slot = (key, *_clusters(A, poset.tolerances))
+        eigenvalues, vecs, starts = _clusters(A, poset.tolerances)
+        slot = (key, eigenvalues, cluster_table(poset._seed_sums[0], vecs, starts))
     return slot
 
 
@@ -185,33 +187,35 @@ def _value_arrows(
 ) -> list[IntervalPair]:
     # The one interval-value kernel, of quantity_value_arrow and
     # quantity_value_arrows: the pairs of several characters of one of the
-    # poset's contexts, for A and its key from _keyed.  Each context keeps one
-    # slot, (key, eigenvalues, table, rows), for the last A valued there.  The
-    # table is the cluster_table of the seed atoms that the context's atoms
-    # sum, whose entries ||bV_c||_F^2 = ||bP_c||_F^2 are the touch_table's
-    # against A's spectral projections, read at each restricted atom as the
-    # sum of the rows of the context atoms in its restriction class.  rows[i]
-    # holds character i's (lows, highs) over down_ids, filled on its first
-    # call.  A miss reads the poset's slot, or clusters A, and builds the
-    # table; both slots are stored only then, so an A that fails at its
-    # clusters or at the table (another dimension) leaves every slot as it
-    # was.  A context slot shares the poset slot's key object and
-    # eigenvalues and holds no reference to the poset or to the caller's array.
+    # poset's contexts, for A and its key from _keyed.  Each context keeps the
+    # slots (key, eigenvalues, table, rows) of the last two A valued there,
+    # most recent first.  table is the poset slot's cluster_table of the seed
+    # atoms; rows[i] holds character i's (lows, highs) over down_ids, filled
+    # on its first call from the rows of the seed atoms that each restricted
+    # atom, W's own, sums (_seed_sums).  A miss reads the poset's slot, or
+    # clusters A and builds the table, and stores both slots only then: an A
+    # that fails there (another dimension fails at the table) leaves every
+    # slot as it was.  A context slot shares the poset slot's key object,
+    # eigenvalues and table, and holds no reference to the poset or the caller's array.
     for character in characters:
         _require_member(context, character)
     down = poset.down_ids(context.id)
-    seeds, sums = poset._restricted_sums[context.id]
-    slot = poset._context_quantities.get(context.id)
-    if slot is None or slot[0] != keyed[0]:
-        key, eigenvalues, vecs, starts = quantity = _quantity(poset, keyed)
-        slot = (key, eigenvalues, cluster_table(seeds, vecs, starts), [None] * context.n_atoms)
-        poset._last_quantity, poset._context_quantities[context.id] = quantity, slot
-    _, eigenvalues, table, rows = slot
+    slots = poset._context_quantities.get(context.id, ())
+    if not slots or slots[0][0] != keyed[0]:
+        if len(slots) == 2 and slots[1][0] == keyed[0]:
+            slot = slots[1]
+        else:
+            key, eigenvalues, table = poset._last_quantity = _quantity(poset, keyed)
+            slot = (key, eigenvalues, table, [None] * context.n_atoms)
+        slots = poset._context_quantities[context.id] = (slot, *slots[:1])
+    _, eigenvalues, table, rows = slots[0]
     pairs = []
     for character in characters:
         i = character.atom_index
         if rows[i] is None:
-            rows[i] = tuple(zip(*table_bounds(sums[i] @ table, eigenvalues, poset.tolerances.tau)))
+            restricted = poset._first_down[context.id] + poset._tables[context.id][:, i]
+            rows[i] = tuple(zip(*table_bounds(poset._seed_sums[1][restricted] @ table, eigenvalues,
+                                              poset.tolerances.tau)))
         lows, highs = rows[i]
         pairs.append(IntervalPair(context.id, dict(zip(down, lows)), dict(zip(down, highs))))
     return pairs

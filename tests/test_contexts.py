@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fourier_rays, locate, projector_set_problem
 from oracles import (
@@ -18,8 +20,10 @@ from oracles import (
     brute_poset_size,
     is_sum_of_atoms,
     random_projector,
+    random_self_adjoint,
     random_unitary,
     same_context,
+    touch_interval,
 )
 from toposqt import contexts
 from toposqt.contexts import (
@@ -48,7 +52,13 @@ from toposqt.logic import enumerate_sieves
 from toposqt.operators import Tolerances, projector_rank
 from toposqt.presheaf import gelfand_spectrum
 from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
-from toposqt.valuation import global_sections, pseudo_state, quantity_value_arrow, truth_value
+from toposqt.valuation import (
+    global_sections,
+    pseudo_state,
+    quantity_value_arrow,
+    quantity_value_arrows,
+    truth_value,
+)
 
 
 def test_context_from_full_projector_family(std_projectors, maximal_context):
@@ -422,18 +432,20 @@ def test_order_rows_give_each_down_set_as_an_int_over_positions(request, name):
         assert [poset.ids[p] for p in below] == list(poset.down_ids(poset.ids[row]))
 
 
-def test_order_the_tolerance_cannot_make_transitive_is_an_error():
+def _twice_turned_seeds() -> list:
     # Each seed is the standard basis turned by two rotations below tau.
-    # Some of the resulting atom products lie so close to tau that the touch
-    # test orders X <= Y <= Z without X <= Z; that order is refused.
     turns = [
         [(0, 3, 6e-10), (1, 3, -6e-10)],
         [(2, 3, -6e-10), (0, 3, -6e-10)],
         [(2, 3, 9e-10), (1, 3, 9e-10)],
     ]
-    seeds = [
-        context_from_basis(_givens(*second) @ _givens(*first)) for first, second in turns
-    ]
+    return [context_from_basis(_givens(*second) @ _givens(*first)) for first, second in turns]
+
+
+def test_order_the_tolerance_cannot_make_transitive_is_an_error():
+    # Some atom products of the twice-turned seeds lie so close to tau that
+    # the touch test orders X <= Y <= Z without X <= Z; that order is refused.
+    seeds = _twice_turned_seeds()
     with pytest.raises(ValidationError, match="transitively"):
         build_poset(seeds)
     for pair in combinations(seeds, 2):
@@ -523,20 +535,25 @@ def _turned(basis: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
     return basis @ _givens(i, j, theta).T
 
 
+def _turned_shared_ray_seeds() -> list:
+    # Three bases of C^4 that share rays, the later two turned by 2e-10.
+    e = np.eye(4, dtype=complex)
+    plus, minus = (e[2] + e[3]) / np.sqrt(2), (e[2] - e[3]) / np.sqrt(2)
+    mid, low = (e[1] + e[2]) / np.sqrt(2), (e[1] - e[2]) / np.sqrt(2)
+    return [
+        context_from_basis(e),
+        context_from_basis(_turned(np.array([e[0], e[1], plus, minus]), 0, 2, 2e-10)),
+        context_from_basis(_turned(np.array([e[0], mid, low, e[3]]), 0, 3, 2e-10)),
+    ]
+
+
 def test_first_generated_context_is_kept_under_the_touch_test(monkeypatch):
     # Three bases of C^4 share rays, so coarsenings of the later ones equal
     # earlier coarsenings.  The later two are turned by 2e-10: the touch test
     # merges their shared coarsenings with the earlier ones, but the ids
     # differ, so only the inclusion test can merge them.  The poset must hold
     # the first of each, in the order seeds, coarsenings, meets.
-    e = np.eye(4, dtype=complex)
-    plus, minus = (e[2] + e[3]) / np.sqrt(2), (e[2] - e[3]) / np.sqrt(2)
-    mid, low = (e[1] + e[2]) / np.sqrt(2), (e[1] - e[2]) / np.sqrt(2)
-    seeds = [
-        context_from_basis(e),
-        context_from_basis(_turned(np.array([e[0], e[1], plus, minus]), 0, 2, 2e-10)),
-        context_from_basis(_turned(np.array([e[0], mid, low, e[3]]), 0, 3, 2e-10)),
-    ]
+    seeds = _turned_shared_ray_seeds()
     ray = [context_from_projectors([s.atoms[np.argmax([a[0, 0].real for a in s.atoms])]]) for s in seeds]
     assert len({r.id for r in ray}) == 3 and all(same_context(ray[0], r) for r in ray)
 
@@ -564,6 +581,70 @@ def test_first_generated_context_is_kept_under_the_touch_test(monkeypatch):
             first.append(context)
     assert len(poset) == len(first) == brute_poset_size(seeds)
     assert all(any(context is kept for kept in first) for context in poset)
+
+
+def _near_tau_seeds() -> list[tuple[list, float]]:
+    # The near-tau seeds above, each list with its tau: bases turned by
+    # 0.8e-9 either way, two whose ids are equal at tau 1e-12, each pair of
+    # the twice-turned seeds, and the turned bases that share rays.
+    return [
+        ([context_from_basis(_rotated_basis(t)) for t in (0.8e-9, 0.0, -0.8e-9)], 1e-9),
+        ([context_from_basis(_rotated_basis(t)) for t in (0.0, 1e-11)], 1e-12),
+        *[(list(pair), 1e-9) for pair in combinations(_twice_turned_seeds(), 2)],
+        (_turned_shared_ray_seeds(), 1e-9),
+    ]
+
+
+def _assert_values_read_the_restricted_atoms(seeds: list, tau: float, observables: list) -> None:
+    # Every pair of quantity_value_arrows, and of quantity_value_arrow called
+    # per character on another fresh poset, is the oracle's, read off the
+    # matrix of the atom that the character restricts to at each subcontext.
+    for A in observables:
+        arrows = quantity_value_arrows(build_poset(seeds, tau), A)
+        poset = build_poset(seeds, tau)
+        for context in poset:
+            for ch in gelfand_spectrum(context):
+                expected = touch_interval(poset, A, context, ch.atom_index, tau)
+                assert (arrows[ch].mu, arrows[ch].nu) == expected
+                pair = quantity_value_arrow(poset, A, context, ch)
+                assert (pair.mu, pair.nu) == expected
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_values_on_near_tau_seeds_read_each_subcontexts_own_atom(case):
+    # The observables' eigenvectors are the standard basis, which the turned
+    # atoms touch within a few tau^2, and a random one.
+    seeds, tau = _near_tau_seeds()[case]
+    observables = [np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.0, 0.0, 1.0, 2.0]),
+                   random_self_adjoint(np.random.default_rng(case), 4)]
+    _assert_values_read_the_restricted_atoms(seeds, tau, observables)
+
+
+@st.composite
+def _bases_sharing_rays(draw) -> list[np.ndarray]:
+    # Two or three bases of C^3 to C^5, as rows: a Haar-random one, then
+    # bases that each turn two rays of an earlier one and keep the others.
+    dim = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = [random_unitary(rng, dim).T]
+    for _ in range(draw(st.integers(1, 2))):
+        basis = bases[draw(st.integers(0, len(bases) - 1))].copy()
+        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        c, s = np.cos(angle := draw(st.floats(0.2, 1.3))), np.sin(angle)
+        basis[[i, j]] = c * basis[i] + s * basis[j], -s * basis[i] + c * basis[j]
+        bases.append(basis)
+    return bases
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(bases=_bases_sharing_rays())
+def test_values_on_bases_sharing_rays_read_each_subcontexts_own_atom(bases):
+    # A random observable, and one diagonal in the first basis with a
+    # two-fold eigenvalue.
+    rng = np.random.default_rng(len(bases[0]))
+    diagonal = sum(k // 2 * np.outer(v, v.conj()) for k, v in enumerate(bases[0]))
+    seeds = [context_from_basis(b) for b in bases]
+    _assert_values_read_the_restricted_atoms(seeds, 1e-9, [random_self_adjoint(rng, len(bases[0])), diagonal])
 
 
 def _atom_key(a: np.ndarray) -> tuple:
@@ -766,12 +847,12 @@ def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
         top = poset.get(poset.ids[0])
         assert global_sections(poset)  # _characters
         assert enumerate_sieves(poset, top)  # _sieve_frames
-        quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # _restricted_sums
+        quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # _first_down
         daseinise_proposition(poset, std_projectors[0])  # _seed_sums
-        assert poset._sieve_frames and poset._restricted_sums
+        assert poset._sieve_frames and poset._first_down
         assert "_seed_sums" in vars(poset) and "_characters" in vars(poset)  # the cached builds
         assert poset._last_quantity is not None  # the poset's quantity slot, and the top context's slot
-        assert poset._context_quantities.keys() == {top.id} and poset._context_quantities[top.id][3][0] is not None
+        assert poset._context_quantities.keys() == {top.id} and poset._context_quantities[top.id][0][3][0] is not None
         dropped = weakref.ref(poset)
         del poset
         assert dropped() is None

@@ -35,6 +35,7 @@ from toposqt.presheaf import (
 )
 from toposqt.problems import load_problem, problem_from_dict, problem_poset
 from toposqt.valuation import (
+    _keyed,
     global_sections,
     is_global_section,
     proposition_projector,
@@ -289,22 +290,28 @@ def _pairs(poset, A) -> list:
 
 @pytest.mark.parametrize("name", ["spin2", "ks18"])
 def test_memo_hits_equal_a_fresh_posets_pairs(name):
-    # The first sweep fills the slot and its tables; the second reads only
-    # hits.  Both equal the pairs of a fresh poset, whose one call clusters A
-    # and builds each context's table once, and, on spin2, the oracle's.
+    # The first sweep fills the slots and their rows; the second reads only
+    # hits.  Both equal the pairs of a fresh poset, whose one call clusters X
+    # and builds its seed table once, and, on spin2, the oracle's.
     poset = _shipped_poset(name)
     top = poset.get(poset.ids[0])
     A = random_self_adjoint(np.random.default_rng(11), poset.dim)
     B = sum(i // 2 * a for i, a in enumerate(top.atoms))  # clusters of two eigenvectors
+    keys = []
     for X in (A, B):
         fresh = list(quantity_value_arrows(_shipped_poset(name), X).items())
         assert _pairs(poset, X) == fresh
-        key = poset._last_quantity[0]
+        key, eigenvalues, table = poset._last_quantity
         assert key == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
-        # Every context keeps X's table and each character's bounds, under the poset slot's key object.
+        keys.insert(0, key)
+        # Every context keeps X's slot first, under the poset slot's key object,
+        # eigenvalues and seed table, and once B is valued A's after it, each
+        # with every character's bounds.
         assert poset._context_quantities.keys() == set(poset.ids)
-        for slot in poset._context_quantities.values():
-            assert slot[0] is key and slot[1] is poset._last_quantity[1] and None not in slot[3]
+        for slots in poset._context_quantities.values():
+            assert len(slots) == len(keys) and all(slot[0] is k for slot, k in zip(slots, keys))
+            assert slots[0][1] is eigenvalues and slots[0][2] is table
+            assert all(None not in slot[3] for slot in slots)
         assert _pairs(poset, X) == fresh
         if name == "spin2":
             for ch, pair in fresh:
@@ -338,8 +345,21 @@ def test_a_failed_operand_raises_after_a_memoised_one_and_is_never_stored(sz):
 
 
 def _slots(poset) -> tuple:
-    # The poset slot and a copy of each context slot, with its rows.
-    return poset._last_quantity, {cid: (*slot[:3], list(slot[3])) for cid, slot in poset._context_quantities.items()}
+    # The poset slot and a copy of each context's slots, with their rows.
+    return poset._last_quantity, {
+        cid: [(*slot[:3], list(slot[3])) for slot in slots] for cid, slots in poset._context_quantities.items()
+    }
+
+
+def _assert_slots_unchanged(poset, before: tuple) -> None:
+    # The poset slot and each context's slots are the objects of ``before``,
+    # in its order, and their rows hold the same bounds.
+    after = _slots(poset)
+    assert after[0] is before[0] and after[1].keys() == before[1].keys()
+    for cid, slots in before[1].items():
+        assert len(after[1][cid]) == len(slots)
+        for new, old in zip(after[1][cid], slots):
+            assert all(x is y for x, y in zip(new[:3], old[:3])) and new[3] == old[3]
 
 
 def _count_clusters(monkeypatch) -> list:
@@ -386,12 +406,12 @@ def test_characters_valued_out_of_order_and_in_part_give_the_oracles_pairs():
     for ch in asked:
         pair = quantity_value_arrow(poset, A, top, ch)
         assert (pair.mu, pair.nu) == touch_interval(poset, A, top, ch.atom_index)
-    rows = poset._context_quantities[top.id][3]
-    assert [row is not None for row in rows] == [False, True, False, True]
+    (slot,) = poset._context_quantities[top.id]
+    assert [row is not None for row in slot[3]] == [False, True, False, True]
     assert poset._context_quantities.keys() == {top.id}
     arrows = quantity_value_arrows(poset, A)
     assert poset._context_quantities.keys() == set(poset.ids)
-    assert all(None not in slot[3] for slot in poset._context_quantities.values())
+    assert all(len(slots) == 1 and None not in slots[0][3] for slots in poset._context_quantities.values())
     for ch, pair in arrows.items():
         context = poset.get(ch.context_id)
         assert (pair.mu, pair.nu) == touch_interval(poset, A, context, ch.atom_index)
@@ -400,7 +420,7 @@ def test_characters_valued_out_of_order_and_in_part_give_the_oracles_pairs():
 
 def test_an_operand_that_fails_at_a_context_leaves_every_slot_unchanged(sz, monkeypatch):
     # sz valued at two contexts and B at a third, then operands that fail
-    # there or over the poset: another dimension fails only at the context's
+    # there or over the poset: another dimension fails only at the seed
     # table, after its clusters, yet the poset slot and every context slot
     # stay as they were, rows included.
     poset = build_poset([context_from_basis(np.eye(4))])
@@ -418,13 +438,75 @@ def test_an_operand_that_fails_at_a_context_leaves_every_slot_unchanged(sz, monk
                      lambda: quantity_value_arrows(poset, bad)):
             with pytest.raises(error):
                 call()
-            after = _slots(poset)
-            assert after[0] is before[0] and after[1].keys() == before[1].keys()
-            for cid, slot in before[1].items():
-                assert all(x is y for x, y in zip(after[1][cid][:3], slot[:3])) and after[1][cid][3] == slot[3]
+            _assert_slots_unchanged(poset, before)
     expected = quantity_value_arrows(build_poset([context_from_basis(np.eye(4))]), B, Z)
     calls = _count_clusters(monkeypatch)
     assert quantity_value_arrows(poset, B, Z) == expected and calls == []
+
+
+def _observables(poset, count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [random_self_adjoint(rng, poset.dim) for _ in range(count)]
+
+
+def _context_pairs(poset, A, context) -> dict:
+    # quantity_value_arrow at every character of one context.
+    return {ch: quantity_value_arrow(poset, A, context, ch) for ch in gelfand_spectrum(context)}
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_a_context_valued_with_two_quantities_in_turn_clusters_each_once(name, monkeypatch):
+    # A, B, A, B, ... at the top context: the first A and the first B miss
+    # and cluster; every later call reads its own slot back.
+    poset = _shipped_poset(name)
+    top = poset.get(poset.ids[0])
+    A, B = _observables(poset, 2, 31)
+    expected = [_context_pairs(_shipped_poset(name), X, top) for X in (A, B)]
+    calls = _count_clusters(monkeypatch)
+    for turn in range(6):
+        assert _context_pairs(poset, (A, B)[turn % 2], top) == expected[turn % 2]
+        assert len(calls) == min(turn + 1, 2)
+    assert [slot[0] for slot in poset._context_quantities[top.id]] == [_keyed(X)[0] for X in (B, A)]
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_a_context_keeps_the_last_two_quantities_valued_there(name, monkeypatch):
+    # A, B, C: C's miss drops A, the older slot.  B then reads back and
+    # becomes the most recent; A misses again and drops C.
+    poset = _shipped_poset(name)
+    top = poset.get(poset.ids[0])
+    A, B, C = _observables(poset, 3, 37)
+    expected = {id(X): _context_pairs(_shipped_poset(name), X, top) for X in (A, B, C)}
+    calls = _count_clusters(monkeypatch)
+    for X, clustered, kept in ((A, 1, (A,)), (B, 2, (B, A)), (C, 3, (C, B)), (B, 3, (B, C)), (A, 4, (A, B))):
+        assert _context_pairs(poset, X, top) == expected[id(X)]
+        assert len(calls) == clustered
+        assert [slot[0] for slot in poset._context_quantities[top.id]] == [_keyed(Y)[0] for Y in kept]
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_an_operand_that_fails_after_two_quantities_leaves_both_slots(name):
+    # The top context keeps A and B, with some characters valued for each;
+    # operands that fail there or over the poset leave both slots, in their
+    # order and with their rows, and the poset slot as they were.
+    poset = _shipped_poset(name)
+    top = poset.get(poset.ids[0])
+    A, B = _observables(poset, 2, 41)
+    characters = gelfand_spectrum(top)
+    for X, asked in ((A, characters[::2]), (B, characters[1:2])):
+        for ch in asked:
+            quantity_value_arrow(poset, X, top, ch)
+    before = _slots(poset)
+    assert [slot[0] for slot in poset._context_quantities[top.id]] == [_keyed(X)[0] for X in (B, A)]
+    n = poset.dim
+    failing = [(np.eye(n - 1), DimensionMismatch), (np.triu(np.ones((n, n))) * 1j, NotSelfAdjoint),
+               (np.full((n, n), np.nan), ValidationError)]
+    for bad, error in failing:
+        for call in (lambda: quantity_value_arrow(poset, bad, top, characters[0]),
+                     lambda: quantity_value_arrows(poset, bad, top), lambda: quantity_value_arrows(poset, bad)):
+            with pytest.raises(error):
+                call()
+            _assert_slots_unchanged(poset, before)
 
 
 def test_a_hit_still_checks_the_tolerances_and_the_character(poset11, maximal_context, sz):
@@ -456,8 +538,8 @@ def test_a_changed_result_leaves_the_next_call_unchanged(poset11, maximal_contex
 
 
 def test_alternating_two_observables_gives_their_pairs_on_every_call(maximal_context, second_basis, sz):
-    # Each call misses the slot and replaces it; each result still equals
-    # that observable's pair on a fresh poset.
+    # Each context keeps a slot for each observable, filled by the first
+    # calls; each result still equals that observable's pair on a fresh poset.
     poset = build_poset([maximal_context, second_basis])
     A, B = sz, random_self_adjoint(np.random.default_rng(5), 4)
     expected = [dict(quantity_value_arrows(build_poset([maximal_context, second_basis]), X)) for X in (A, B)]

@@ -17,14 +17,14 @@ them; of ``check_global_element`` on a truth value, which builds its sieves
 at the first call, and also every context's sieve frame (its down-set ids,
 sorted, and their down-set ints, looked up in the poset's); of a value
 sweep: one ``quantity_value_arrow`` per character of every context, whose
-first call builds every context's restricted sums and clusters the
-observable, whose first round builds each context's table for it, and whose
-warm round reads back every character's bounds from the context's slot; of
-an alternating sweep, the same calls with a second observable at every
-other character, so that every call misses the slots and clusters its
-observable again; of an interleaved sweep, which sweeps each context with
-one of the two observables, by the parity of its position in the poset, as
-the benchmark's query passes interleave theirs: its first round misses the
+first call clusters the observable and builds its seed-atom table, whose
+first round fills every character's bounds, and whose warm round reads them
+back from the context's slot; of a rotating sweep, the same calls with
+three observables in turn, one per character, so that every call misses
+the two slots a context keeps and clusters its observable again; of an
+interleaved sweep, which sweeps each context with one of the first two
+observables, by the parity of its position in the poset, as the
+benchmark's query passes interleave theirs: its first round misses the
 poset's slot at every context, and its warm round reads each context's own;
 of ``quantity_value_arrows`` over the whole poset, which builds them too; and
 of ``inner_daseinise_proposition`` of the first proposition, whose first
@@ -35,9 +35,9 @@ the first of them, and of ``global_sections``, whose first calls build the
 character order (every character's down-set int).  The propositions are sums
 of atoms of the top context (the basis), the state is an even superposition
 of two of its rays, and the observable of the sweep has the eigenvalues 0,
-..., n - 1 on the basis rays (the second observable n - 1, ..., 0).  Each
-line ends with the process peak RSS so far, a high-water mark, so it never
-falls from one dimension to the next.  The
+..., n - 1 on the basis rays (the second observable n - 1, ..., 0, the
+third k // 2 on ray k).  Each line ends with the process peak RSS so far, a
+high-water mark, so it never falls from one dimension to the next.  The
 basis of dimension n is ``benchmarks/inputs.haar_unitary`` drawn from seed
 ``[1, n]``.  The library comes from ``PYTHONPATH`` when it
 names one (to time another checkout), else from this checkout's ``src``.
@@ -126,7 +126,8 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
         parts.append(f"{label} {_first_and_warm(lambda: call(*operands))}")
     A = sum(k * np.outer(v, v.conj()) for k, v in enumerate(basis))
     B = sum(k * np.outer(v, v.conj()) for k, v in enumerate(reversed(basis)))
-    for label, operands in (("value sweep", [A]), ("alternating value sweep", [A, B])):
+    C = sum(k // 2 * np.outer(v, v.conj()) for k, v in enumerate(basis))
+    for label, operands in (("value sweep", [A]), ("rotating value sweep", [A, B, C])):
         poset = build_poset([seed])
 
         def sweep():
