@@ -11,9 +11,12 @@ Every poset context is a partition of one seed's atoms, so the poset is
 combinatorics over the seed atoms.  One tolerance rule decides it: two atoms
 a, b touch iff ||ab||_F^2 > tau^2, an entry of ``operators.touch_table``.
 V <= W iff every atom of W touches exactly one atom of V (the restriction of
-that atom); two contexts coincide iff each lies inside the other; and the
-atoms of the meet of V and W are the connected components of the graph of
-touching V and W atoms.  Generators are refined into atoms by the same rule.
+that atom).  In a poset this is a rule on labels: the label of a seed atom at
+V is the one atom of V that touches it, and V <= W iff V's labels are defined
+and equal on the seed atoms of each atom of W.  Two contexts coincide iff
+each lies inside the other, and the atoms of the meet of V and W are the
+connected components of the graph of touching V and W atoms.  Generators are
+refined into atoms by the same rule.
 
 Atom order, context identifiers and poset order are all canonical so that
 repeated runs over the same input produce byte-identical output.
@@ -245,18 +248,14 @@ def _bits(mask: int) -> list[int]:
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
-def _table(touch: Sequence[int], own: Sequence[int]) -> tuple[int, ...] | None:
-    # Coarse atom j touches the bits in ``touch[j]``; fine atom i sums the bits
-    # in ``own[i]``.  The coarse context lies inside the fine one iff every fine
-    # atom touches exactly one coarse atom (its restriction, listed in the
-    # returned table) and every coarse atom touches some fine atom.
-    table = []
-    for mask in own:
-        hits = [j for j, t in enumerate(touch) if t & mask]
-        if len(hits) != 1:
-            return None
-        table += hits
-    return tuple(table) if len(set(table)) == len(touch) else None
+def _table(touch: Sequence[int], count: int) -> tuple[int, ...] | None:
+    # Coarse atom j touches the fine atoms in ``touch[j]``, of ``count``.  A
+    # fine atom's label is the one coarse atom that touches it.  The coarse
+    # context lies inside the fine one iff every fine atom has a label (its
+    # restriction, listed in the returned table) and every coarse atom is one.
+    labels = [[j for j, t in enumerate(touch) if t >> i & 1] for i in range(count)]
+    table = tuple(hits[0] for hits in labels if len(hits) == 1)
+    return table if len(table) == count and len(set(table)) == len(touch) else None
 
 
 def _components(masks: Sequence[int]) -> list[list[int]]:
@@ -278,7 +277,7 @@ def _components(masks: Sequence[int]) -> list[list[int]]:
 def restriction_table(sup: Context, sub: Context, tau: float = TAU) -> tuple[int, ...] | None:
     """The index of the one ``sub`` atom that each ``sup`` atom touches, or
     ``None`` when ``sub`` is not a subcontext of ``sup``."""
-    return _table(touch_masks(sub.atoms, sup.atoms, tau), [1 << i for i in range(sup.n_atoms)])
+    return _table(touch_masks(sub.atoms, sup.atoms, tau), sup.n_atoms)
 
 
 def is_subcontext(v1: Context, v2: Context, tau: float = TAU) -> bool:
@@ -378,46 +377,46 @@ def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), size), axis=1, count=width, bitorder="little")
 
 
-#: Most entries of one block of the order product (sup atoms x sub atoms).
-_BLOCK_ENTRIES = 1 << 18
-
-
 def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
     # For each of ``nodes`` (sorted by falling atom count), in turn: its
     # position, the positions of the nodes it includes, an int array whose row
     # k is the restriction table to the k-th of them, and those positions as
     # an int, position p at bit len(nodes) - 1 - p (so no wider than the nodes
-    # from its group on).  Sup atom i hits sub atom k iff the seed atoms that
-    # i sums meet those that k touches, so the hits of a block of sups with
-    # one atom count against the atoms of every sub with no more atoms are one
-    # product of 0/1 matrices.  A hit of the k-th atom of a sub adds
-    # 1 + base * k, and reduceat sums per sub: each sup atom must hit one atom
-    # (the sum modulo base is 1), whose index is the sum over base.  Every sub
-    # atom is hit: it touches some atom of the sup's seed (``build_poset``
-    # checks it), and the sup's atoms sum all of them.  The float32 sums stay
-    # exact integers while m * base**2 < 2**24, for up to about 250 atoms.
-    counts = np.array([len(n.own) for n in nodes])
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    own = _bit_rows([m for n in nodes for m in n.own], width).T.astype(np.float32)
-    touch = _bit_rows([m for n in nodes for m in n.touch], width).astype(np.float32)
-    base = int(counts.max()) + 1
-    weight = (np.concatenate([np.arange(c) for c in counts]) * base + 1).astype(np.float32)[:, None]
+    # from its group on).  W <= V iff W's labels are defined and equal on the
+    # seed atoms of each atom of V, and that label is the atom's restriction:
+    # the one atom of W whose touch mask holds the seed atom.  A label is
+    # undefined only where several do, as each seed atom touches some atom of
+    # every node (``build_poset`` checks it).  So V's down-set int is the AND,
+    # over the seed atoms t of each atom of V, of the int of the nodes whose
+    # labels at t and at the atom's lowest seed atom are defined and equal.
+    n = len(nodes)
+    counts = np.array([len(node.own) for node in nodes])
+    starts = np.cumsum(counts) - counts
+    touch = _bit_rows([m for node in nodes for m in node.touch], width)
+    index = (np.arange(len(touch)) - np.repeat(starts, counts)).astype(np.int16)[:, None]  # atom in its node
+    labels = np.where(np.add.reduceat(touch, starts) == 1, np.add.reduceat(touch * index, starts, dtype=np.int16), -1)
+    # Each pair (s, t) of an atom's lowest seed atom s and a seed atom t of it
+    # has one int: the nodes whose labels at s and t are defined and equal.
+    own = _bit_rows([m for node in nodes for m in node.own], width)
+    low = own.argmax(axis=1)
+    atom, seed = np.nonzero(own)
+    pairs: dict[int, int] = {}  # s * width + t -> column; np.unique would page in numpy's sort code
+    column = [pairs.setdefault(code, len(pairs)) for code in (low[atom] * width + seed).tolist()]
+    s, t = np.divmod(np.array(list(pairs)), width)
+    same = np.packbits(((labels[:, s] == labels[:, t]) & (labels[:, s] >= 0))[::-1].T, axis=1, bitorder="little")
+    ints = [int.from_bytes(row.tobytes(), "little") for row in same]
+    bounds = np.searchsorted(atom, [*starts, len(own)]).tolist()  # where each node's columns start
     for m in dict.fromkeys(counts.tolist()):
-        first, end = np.searchsorted(-counts, [-m, -m + 1])
-        a0 = starts[first]
-        segments = starts[first:] - a0
-        step = max(1, _BLOCK_ENTRIES // (m * (len(weight) - a0)))
-        for lo in range(first, end, step):
-            hi = min(lo + step, end)
-            hits = touch[a0:] @ own[:, starts[lo] : starts[lo] + (hi - lo) * m]
-            np.minimum(hits, 1.0, out=hits)
-            hits *= weight[a0:]
-            sums = np.add.reduceat(hits, segments).T.reshape(hi - lo, m, -1).astype(np.int64)
-            ok = ((sums % base) == 1).all(axis=1)
-            for k in range(hi - lo):
-                below = np.flatnonzero(ok[k])
-                down = int.from_bytes(np.packbits(ok[k][::-1], bitorder="little").tobytes(), "little")
-                yield lo + k, first + below, (sums[k][:, below] // base).T, down
+        first, end = np.searchsorted(-counts, [-m, -m + 1]).tolist()
+        mask, size = (1 << (n - first)) - 1, (n - first + 7) // 8
+        downs = [reduce(int.__and__, map(ints.__getitem__, column[bounds[v] : bounds[v + 1]]), mask)
+                 for v in range(first, end)]
+        raw = np.frombuffer(b"".join(d.to_bytes(size, "little") for d in downs), dtype=np.uint8)
+        ok = np.unpackbits(raw.reshape(end - first, size), axis=1, count=n - first, bitorder="little")[:, ::-1]
+        rows, below = np.nonzero(ok)
+        tables = labels[first + below[:, None], low[starts[first:end, None] + np.arange(m)][rows]]
+        cuts = np.searchsorted(rows, np.arange(1, end - first))
+        yield from zip(range(first, end), np.split(first + below, cuts), np.split(tables, cuts), downs)
 
 
 class _SieveFrame(NamedTuple):
@@ -451,9 +450,10 @@ class ContextPoset:
     """Immutable inclusion-ordered family of contexts.
 
     Instances are produced only by :func:`build_poset`.  The order and the
-    per-inclusion atom restriction tables are read off the seed-atom masks,
-    without matrices: sub <= sup iff every sup atom (the seed atoms it sums)
-    touches exactly one sub atom, and that atom is its restriction.  Sieves,
+    per-inclusion atom restriction tables are read off seed-atom labels,
+    without matrices: a seed atom's label at a context is the one atom that
+    touches it, and sub <= sup iff sub's labels are defined and equal on the
+    seed atoms of each sup atom, whose restriction is that label.  Sieves,
     truth values and global elements read each down-set as an int over poset
     positions; an int that misses part of a member's raises ``ValidationError``.
     Clopen subobjects and sections read the characters' down-sets as ints

@@ -173,6 +173,37 @@ def brute_poset_size(seeds, tau: float = 1e-9) -> int:
     return len(distinct)
 
 
+def order_rows_by_product(nodes, width: int):
+    """The rows of ``contexts._order_rows`` from a product of 0/1 matrices.
+
+    For each node V (nodes sorted by falling atom count): its position, the
+    positions of the nodes W with no more atoms than V that lie inside it,
+    an array whose row k is the restriction table to the k-th of them, and
+    those positions as an int, position p at bit len(nodes) - 1 - p.  Atom i
+    of V hits atom k of W iff the seed atoms that i sums meet those that k
+    touches; W <= V iff each atom of V hits exactly one atom of W, its
+    restriction.  A hit of W's k-th atom weighs 1 + base * k, and the
+    weighted hits are summed per node: each sum is 1 modulo base iff the
+    atom hits one atom of W, whose index is the sum over base.
+    """
+    def bits(masks):
+        return np.array([[m >> s & 1 for s in range(width)] for m in masks], dtype=np.int64)
+
+    counts = [len(node.own) for node in nodes]
+    starts = np.cumsum([0] + counts[:-1])
+    own = bits([m for node in nodes for m in node.own])
+    touch = bits([m for node in nodes for m in node.touch])
+    base = max(counts) + 1
+    weight = np.concatenate([np.arange(c) for c in counts]) * base + 1
+    for v, m in enumerate(counts):
+        first = counts.index(m)
+        hits = np.minimum(touch[starts[first]:] @ own[starts[v] : starts[v] + m].T, 1) * weight[starts[first]:, None]
+        sums = np.add.reduceat(hits, starts[first:] - starts[first]).T  # sup atom x sub node
+        below = np.flatnonzero((sums % base == 1).all(axis=0))
+        down = sum(1 << (len(nodes) - 1 - (first + b)) for b in below.tolist())
+        yield v, first + below, (sums[:, below] // base).T, down
+
+
 def downsets_brute(elements, is_leq) -> set[frozenset]:
     """All downward-closed subsets, by filtering the whole power set."""
     elements = list(elements)

@@ -7,6 +7,7 @@ import weakref
 from functools import reduce
 from importlib import resources
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     brute_meet,
     brute_poset_size,
     is_sum_of_atoms,
+    order_rows_by_product,
     random_projector,
     random_self_adjoint,
     random_unitary,
@@ -645,6 +647,47 @@ def test_values_on_bases_sharing_rays_read_each_subcontexts_own_atom(bases):
     diagonal = sum(k // 2 * np.outer(v, v.conj()) for k, v in enumerate(bases[0]))
     seeds = [context_from_basis(b) for b in bases]
     _assert_values_read_the_restricted_atoms(seeds, 1e-9, [random_self_adjoint(rng, len(bases[0])), diagonal])
+
+
+def _assert_order_rows_equal_the_product(nodes: list, width: int) -> None:
+    # Each row's position, down-set positions, restriction tables and down-set
+    # int, from the seed-atom labels and from the product of 0/1 matrices.
+    rows = list(_order_rows(nodes, width))
+    assert len(rows) == len(nodes)
+    for (row, below, tables, down), expected in zip(rows, order_rows_by_product(nodes, width)):
+        assert (row, down) == (expected[0], expected[3])
+        assert np.array_equal(below, expected[1]) and np.array_equal(tables, expected[2])
+
+
+def _built_nodes(seeds: list, tau: float) -> tuple[list, int]:
+    # build_poset's nodes in poset order and its seed atom count, taken before
+    # the poset reads its order, so an order it refuses is compared too.
+    keep = staticmethod(lambda registry, atoms, _: (registry, atoms))
+    with mock.patch.object(contexts.ContextPoset, "_from_build", keep):
+        registry, atoms = build_poset(seeds, tau)
+    return sorted(registry.nodes.values(), key=lambda n: (-n.context.n_atoms, n.context.id)), len(atoms)
+
+
+@pytest.mark.parametrize("name", ["poset11", "poset_two_bases", "spin2_poset", "ks18_poset"])
+def test_order_rows_equal_the_product_on_the_fixture_posets(request, name):
+    poset = request.getfixturevalue(name)
+    _assert_order_rows_equal_the_product([poset._registry.nodes[cid] for cid in poset.ids], len(poset._seed_atoms))
+
+
+@pytest.mark.parametrize("case", ["spin2", "haar-d6", "d5-2b-2s", *range(7)])
+def test_order_rows_equal_the_product_on_order_cases_and_near_tau_seeds(case):
+    # The near-tau seeds, and last the three twice-turned seeds, whose order
+    # build_poset refuses as not transitive: the labels give it as the
+    # product does.
+    near_tau = [*_near_tau_seeds(), (_twice_turned_seeds(), 1e-9)]
+    seeds, tau = _order_case(case) if isinstance(case, str) else near_tau[case]
+    _assert_order_rows_equal_the_product(*_built_nodes(seeds, tau))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(bases=_bases_sharing_rays())
+def test_order_rows_equal_the_product_on_bases_sharing_rays(bases):
+    _assert_order_rows_equal_the_product(*_built_nodes([context_from_basis(b) for b in bases], 1e-9))
 
 
 def _atom_key(a: np.ndarray) -> tuple:
