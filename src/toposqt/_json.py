@@ -9,6 +9,7 @@ import functools
 import numbers
 import reprlib
 import sys
+from collections import OrderedDict
 from json.encoder import encode_basestring_ascii as _str
 
 import numpy as np
@@ -120,61 +121,124 @@ def _matrix_text(obj: list, pad: str) -> str | None:
     return _template(len(obj), cols, pad) % tuple(flat)
 
 
-def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, in
-    one pass that builds a string per value; dict keys must be str.
+@functools.lru_cache(maxsize=16)
+def _pair_template(count: int, pad: str) -> str:
+    # The text of ``count`` entries of a list, each a [str, str] pair at
+    # indent ``pad``, with a ``%s`` slot per string.
+    pair = "[\n" + pad + "  %s,\n" + pad + "  %s\n" + pad + "]"
+    return (",\n" + pad).join([pair] * count)
 
-    A matrix (see ``_is_matrix``) of finite floats, in rows of one length,
-    is written in one ``%`` format from a template kept per shape and
-    indent (``_matrix_text``); any other matrix, and every other value,
-    takes the general path, one string per value.  The text of a matrix is
-    kept by the matrix's id and indent and reused wherever the same list
-    object recurs at that indent.  Every value stays reachable from ``obj``
-    for the whole call, so an id names one object throughout."""
-    written: dict[tuple[int, str], str] = {}
 
-    def encode(obj, pad: str) -> str:
+_LIST, _TWO, _STR = {list}, {2}, {str}
+
+
+def _pair_strings(obj: list) -> list | None:
+    # The strings of a list of pairs, in order, or None unless every entry is
+    # a list of two strings of exact type str.
+    pair = obj[0]
+    if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str:
+        return None
+    if set(map(type, obj)) != _LIST or set(map(len, obj)) != _TWO:
+        return None
+    strings = [s for p in obj for s in p]
+    return strings if set(map(type, strings)) == _STR else None
+
+
+def dump(obj, write) -> None:
+    """Pass ``dumps(obj)`` to ``write`` in chunks, in order; dict keys must be str.
+
+    The text is made in one pass that appends each value's parts to the
+    current chunk, which goes to ``write`` once it holds about a thousand
+    parts, and at the end.  So no value's text is copied into its parent's,
+    and a chunk is a bounded part of the document.  A matrix (see
+    ``_is_matrix``) of finite floats, in rows of one length, is one part
+    made in one ``%`` format from a template kept per shape and indent
+    (``_matrix_text``).  The texts of the 256 matrices met last are kept by
+    the matrix's id and indent, and reused where the same list object recurs
+    at that indent.  (The ``contexts`` report of one basis of C^12 holds 4094
+    distinct atoms; all but the 12 rays occur once, and their texts would take
+    48 MB.)  A list of [str, str] pairs is written from one pair template, a
+    thousand pairs a part.  Every other value takes the general path, one
+    part per scalar.  Every value stays reachable from ``obj`` for the whole
+    call, so an id names one object throughout.  A value that JSON cannot
+    write is a TypeError, raised after the chunks before it were passed on."""
+    written: OrderedDict[tuple[int, str], str] = OrderedDict()
+    out: list[str] = []
+
+    def flush() -> None:
+        write("".join(out))
+        out.clear()
+
+    def encode(obj, pad: str) -> None:
         kind = type(obj)
         if kind not in _EXACT:
             kind = next((k for k in _KINDS if isinstance(obj, k)), None)
             if kind is None:
                 raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         if kind in _SCALARS:
-            return _SCALARS[kind](obj)
+            out.append(_SCALARS[kind](obj))
+            return
         if not obj:
-            return "{}" if kind is dict else "[]"
-        # Each level is one join, with the brackets on the first and last
-        # parts: no copy of the body, and one allocation per level.
+            out.append("{}" if kind is dict else "[]")
+            return
         inner = pad + "  "
         sep = ",\n" + inner
         if kind is dict:
-            parts = ["{\n" + inner]
+            head = "{\n" + inner
             for k, v in sorted(obj.items()):
-                parts += (_key(k), encode(v, inner), sep)
-            parts[-1] = "\n" + pad + "}"
-            return "".join(parts)
-        key = None
+                out.append(head + _key(k))
+                encode(v, inner)
+                head = sep
+                if len(out) > 1000:
+                    flush()
+            out.append("\n" + pad + "}")
+            return
         if kind is list and _is_matrix(obj):
             key = (id(obj), pad)
             text = written.get(key)
             if text is not None:
-                return text
-            text = _matrix_text(obj, pad)
+                written.move_to_end(key)
+            else:
+                text = _matrix_text(obj, pad)
+                if text is not None:
+                    written[key] = text
+                    if len(written) > 256:
+                        written.popitem(last=False)
             if text is not None:
-                written[key] = text
-                return text
+                out.append(text)
+                return
+        head = "[\n" + inner
+        strings = _pair_strings(obj)
+        if strings is not None:
+            for lo in range(0, len(strings), 2000):
+                piece = strings[lo : lo + 2000]
+                out.extend((head, _pair_template(len(piece) // 2, inner) % tuple(map(_str, piece))))
+                head = sep
+            out.append("\n" + pad + "]")
+            return
         # Most leaves of a report are the floats of [re, im] pairs.
-        children = [_float(x) if type(x) is float else encode(x, inner) for x in obj]
-        children[0] = "[\n" + inner + children[0]
-        children[-1] += "\n" + pad + "]"
-        text = sep.join(children)
-        if key is not None:
-            written[key] = text
-        return text
+        for x in obj:
+            out.append(head)
+            if type(x) is float:
+                out.append(_float(x))
+            else:
+                encode(x, inner)
+            head = sep
+            if len(out) > 1000:
+                flush()
+        out.append("\n" + pad + "]")
 
-    text = encode(obj, "")
-    text += "\n"  # CPython resizes the sole reference in place
-    return text
+    encode(obj, "")
+    out.append("\n")
+    flush()
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte: the
+    chunks of ``dump`` joined once."""
+    chunks: list[str] = []
+    dump(obj, chunks.append)
+    return "".join(chunks)
 
 
 def finite_number(x) -> bool:

@@ -9,11 +9,12 @@ reports.  Exit status: 0 on success, 1 on a domain error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from typing import Mapping
 
-from ._json import dumps, integer, matrix_to_json, round_real, vector_to_json
+from ._json import dump, dumps, integer, matrix_to_json, round_real, vector_to_json
 from .contexts import ContextPoset
 from .daseinisation import DaseinisedProposition, daseinise_proposition, inner_daseinise_proposition
 from .errors import ToposError, ValidationError
@@ -310,10 +311,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ToposError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "table":
-        sys.stdout.write(render_table(args.command, report))
-    else:
-        sys.stdout.write(render_json(report))
+    try:
+        if args.format == "table":
+            sys.stdout.write(render_table(args.command, report))
+        else:
+            dump(report, sys.stdout.write)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Standard output is pointed at devnull, so that
+        # the flush at exit writes what is left there, without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

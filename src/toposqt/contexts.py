@@ -636,6 +636,33 @@ class ContextPoset:
         return None if found is None else found.context
 
 
+def _close_under_meets(registry: _Registry, met: dict[str, _Node], memo: dict) -> None:
+    # Intersection closure of the seeds in ``met`` (meets of meets included),
+    # each meet added to ``met`` by id: each round meets the contexts found in
+    # the previous one with everything known.  Meets are not coarsened: that
+    # would pull in subalgebras that none of the seed families contain.  A
+    # pair is skipped when its meet cannot be new: a context met with itself,
+    # and a two-atom context, whose only proper subalgebra is the scalars,
+    # give back a context of the pair, which the registry finds by its
+    # seed-atom masks.
+    start = 0
+    while start < len(met):
+        current = list(met.values())
+        for new in current[start:]:
+            if new.context.n_atoms == 2:
+                continue
+            for old in current:
+                if old is new or old.context.n_atoms == 2:
+                    continue
+                groups = _components([_hits(t, old.own) for t in new.touch])
+                if len(groups) >= 2:
+                    atoms = new.context.atoms
+                    meet = _add(registry, new, groups,
+                                lambda: _key_atoms([sum(atoms[i] for i in g) for g in groups], memo))
+                    met.setdefault(meet.context.id, meet)
+        start = len(current)
+
+
 def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: float = TAU_EIG) -> ContextPoset:
     """Generate the finite poset spanned by the seeds.
 
@@ -698,22 +725,7 @@ def build_poset(seed_contexts: Sequence[Context], tau: float = TAU, tau_eig: flo
         for subset, rest in zip(subsets, _key_atoms(complements, memo)):
             _add(registry, seed, [[i] for i in subset] + [[i for i in range(n) if i not in subset]],
                  lambda: [keys[i] for i in subset] + [rest])
-    # Intersection closure of the seeds (meets of meets included): each round
-    # meets the contexts found in the previous one with everything known.
-    # Meets are not coarsened: that would pull in subalgebras that none of
-    # the seed families contain.
-    start = 0
-    while start < len(met):
-        current = list(met.values())
-        for new in current[start:]:
-            for old in current:
-                groups = _components([_hits(t, old.own) for t in new.touch])
-                if len(groups) >= 2:
-                    atoms = new.context.atoms
-                    meet = _add(registry, new, groups,
-                                lambda: _key_atoms([sum(atoms[i] for i in g) for g in groups], memo))
-                    met.setdefault(meet.context.id, meet)
-        start = len(current)
+    _close_under_meets(registry, met, memo)
     return ContextPoset._from_build(registry, seed_atoms, tolerances)
 
 

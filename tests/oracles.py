@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
-from toposqt.contexts import Context, ContextPoset
+from toposqt import contexts
+from toposqt.contexts import Context, ContextPoset, build_poset
 from toposqt.errors import UnknownContext
 from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq, zero
 
@@ -171,6 +173,33 @@ def brute_poset_size(seeds, tau: float = 1e-9) -> int:
         if not any(same_context(context, d, tau) for d in distinct):
             distinct.append(context)
     return len(distinct)
+
+
+def admission_ids_of_all_pairs(seeds, tau: float = 1e-9) -> list[str]:
+    """The ids of ``build_poset``'s registry in admission order when its meet
+    closure visits every ordered pair of the contexts met so far, itself and
+    two-atom contexts included, which the library skips.  The meets are the
+    library's (components of the seed-atom masks, admitted by ``_add``), so
+    this checks which pairs may be skipped, not how a meet is made."""
+
+    def every_pair(registry, met, memo):
+        start = 0
+        while start < len(met):
+            current = list(met.values())
+            for new in current[start:]:
+                for old in current:
+                    groups = contexts._components([contexts._hits(t, old.own) for t in new.touch])
+                    if len(groups) >= 2:
+                        atoms = new.context.atoms
+                        meet = contexts._add(registry, new, groups, lambda: contexts._key_atoms(
+                            [sum(atoms[i] for i in g) for g in groups], memo))
+                        met.setdefault(meet.context.id, meet)
+            start = len(current)
+
+    keep = staticmethod(lambda registry, atoms, tolerances: registry)
+    with mock.patch.object(contexts, "_close_under_meets", every_pair), \
+            mock.patch.object(ContextPoset, "_from_build", keep):
+        return list(build_poset(seeds, tau).nodes)
 
 
 def order_rows_by_product(nodes, width: int):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -235,6 +238,36 @@ def test_output_is_deterministic(capsys):
     _, first, _ = _run(capsys, "contexts", "--input", SPIN2_PATH)
     _, second, _ = _run(capsys, "contexts", "--input", SPIN2_PATH)
     assert first == second
+
+
+@pytest.mark.parametrize("form", ["json", "table"])
+def test_a_standard_output_closed_before_the_report_ends_quietly(form):
+    # The read end of the pipe is closed before the command starts: the first
+    # write of the report fails.  The command ends in status 1 with nothing on
+    # standard error, not in a BrokenPipeError traceback at the flush at exit.
+    src = str(Path(toposqt.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "toposqt.cli", "contexts", "--input", SPIN2_PATH, "--format", form],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_the_streamed_report_is_the_rendered_one(capsys, tmp_path):
+    # A report of a few thousand parts, written in several chunks.
+    path = tmp_path / "d7.json"
+    basis = np.linalg.qr(np.random.default_rng(7).standard_normal((7, 7)) + 1j)[0].T
+    path.write_text(json.dumps({"dim": 7, "bases": [[[[z.real, z.imag] for z in v] for v in basis]]}))
+    code, out, err = _run(capsys, "contexts", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == render_json(run_command("contexts", load_problem(path), {}))
+    assert json.loads(out)["count"] == 2**7 - 7 - 1
 
 
 def test_table_format(capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import fourier_rays, locate, projector_set_problem
 from oracles import (
+    admission_ids_of_all_pairs,
     all_projections,
     brute_meet,
     brute_poset_size,
@@ -148,6 +149,17 @@ def test_is_subcontext_agrees_with_subset_sum_oracle(poset11):
         for v2 in poset11:
             expected = all(is_sum_of_atoms(v2, a) for a in v1.atoms)
             assert is_subcontext(v1, v2) == expected
+
+
+def test_a_coarse_atom_that_is_no_fine_atoms_label_is_not_included():
+    # At tau 0.7 the rank-2 atom of the coarse context touches every standard
+    # atom (overlap 2/3) and the ray (1, 1, 1)/sqrt(3) touches none (overlap
+    # 1/3): each fine atom has one label, but the ray is no atom's label.
+    fine = context_from_basis(np.eye(3))
+    ray = np.full((3, 3), 1 / 3)
+    coarse = context_from_atoms([np.eye(3) - ray, ray])
+    assert restriction_table(fine, coarse, 0.7) is None
+    assert not is_subcontext(coarse, fine, 0.7)
 
 
 def test_intersection_of_two_maximal_contexts(maximal_context, second_basis, std_projectors):
@@ -688,6 +700,33 @@ def test_order_rows_equal_the_product_on_order_cases_and_near_tau_seeds(case):
 @given(bases=_bases_sharing_rays())
 def test_order_rows_equal_the_product_on_bases_sharing_rays(bases):
     _assert_order_rows_equal_the_product(*_built_nodes([context_from_basis(b) for b in bases], 1e-9))
+
+
+def _admission_ids(seeds: list, tau: float) -> list[str]:
+    # build_poset's registry ids in admission order, taken before the poset
+    # reads its order, so an order it refuses is compared too.
+    keep = staticmethod(lambda registry, atoms, tolerances: registry)
+    with mock.patch.object(contexts.ContextPoset, "_from_build", keep):
+        return list(build_poset(seeds, tau).nodes)
+
+
+@pytest.mark.parametrize("case", ["ks18", *range(7)])
+def test_skipped_meets_admit_what_every_pair_admits_on_ks18_and_near_tau_seeds(case):
+    # The meet closure skips a context met with itself and every two-atom
+    # context; visiting every pair admits the same nodes in the same order.
+    if case == "ks18":
+        problem = _ks18()
+        seeds, tau = problem_seed_contexts(problem), problem.tolerances.tau
+    else:
+        seeds, tau = [*_near_tau_seeds(), (_twice_turned_seeds(), 1e-9)][case]
+    assert _admission_ids(seeds, tau) == admission_ids_of_all_pairs(seeds, tau)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(bases=_bases_sharing_rays())
+def test_skipped_meets_admit_what_every_pair_admits_on_bases_sharing_rays(bases):
+    seeds = [context_from_basis(b) for b in bases]
+    assert _admission_ids(seeds, 1e-9) == admission_ids_of_all_pairs(seeds, 1e-9)
 
 
 def _atom_key(a: np.ndarray) -> tuple:

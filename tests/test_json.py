@@ -10,11 +10,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toposqt._json import _matrix_text, dumps, matrix_to_json, vector_to_json
+from toposqt._json import _matrix_text, dump, dumps, matrix_to_json, vector_to_json
 
 
 def _stdlib(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _chunks(obj) -> list[str]:
+    chunks: list[str] = []
+    dump(obj, chunks.append)
+    return chunks
+
+
+def _written(obj) -> str:
+    # The text of dumps, which must be the chunks of dump joined.
+    text = dumps(obj)
+    assert "".join(_chunks(obj)) == text
+    return text
 
 
 _FLOATS = st.one_of(
@@ -55,7 +68,7 @@ class _Level(IntEnum):
 @example([float("nan"), float("inf"), -float("inf"), 5e-324, 1e308, 2**64, -(2**64) - 1, True, False, None])
 @example([np.float64(0.1), np.float64("nan"), np.float64(-0.0), _Level.LOW, (1, (2.5,))])
 def test_the_writer_matches_indented_sorted_json(value):
-    assert dumps(value) == _stdlib(value)
+    assert _written(value) == _stdlib(value)
 
 
 #: Lists of rows of [re, im] pairs: the shape whose text the writer reuses.
@@ -89,7 +102,7 @@ _M = [[[0.1, -0.0], [1.0, 2.5]]]
 @example([[[]], [[1.0]]])
 @example([_M, [_M], {"k": _M, "j": [_M, _M]}])
 def test_a_list_met_again_is_written_as_the_stdlib_writes_it(value):
-    assert dumps(value) == _stdlib(value)
+    assert _written(value) == _stdlib(value)
 
 
 #: Finite floats, and entries a matrix of finite floats may not hold.
@@ -156,7 +169,7 @@ _BIG = [[[1e308, 1e308], [1e308, 0.5]]]
 def test_only_a_matrix_of_finite_floats_in_even_rows_takes_the_template(matrix, templated):
     # The template path declines, and the general path writes, the rest.
     assert (_matrix_text(matrix, "") is not None) is templated
-    assert dumps(matrix) == _stdlib(matrix)
+    assert _written(matrix) == _stdlib(matrix)
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,9 +184,66 @@ def test_only_a_matrix_of_finite_floats_in_even_rows_takes_the_template(matrix, 
 @example(_BIG)
 def test_a_near_matrix_is_written_as_the_stdlib_writes_it(matrix):
     # Once alone, and once more as one object at two indents.
-    assert dumps(matrix) == _stdlib(matrix)
+    assert _written(matrix) == _stdlib(matrix)
     value = {"a": matrix, "b": [[matrix], matrix]}
-    assert dumps(value) == _stdlib(value)
+    assert _written(value) == _stdlib(value)
+
+
+class _Str(str):
+    pass
+
+
+#: Lists of [str, str] pairs, the shape the writer fills from a pair template.
+_PAIRS = st.lists(st.lists(st.text(max_size=6), min_size=2, max_size=2), min_size=1, max_size=8)
+#: Entries that are no [str, str] pair of exact type str.
+_NEAR_PAIRS = st.one_of(
+    st.lists(st.text(max_size=3), max_size=3).filter(lambda pair: len(pair) != 2),
+    st.tuples(st.text(max_size=3), st.one_of(st.integers(), st.none(), st.floats(), st.just([]))).map(list),
+    st.tuples(st.text(max_size=3), st.text(max_size=3).map(_Str)).map(list),
+    st.tuples(st.text(max_size=3), st.text(max_size=3)),
+)
+
+
+@st.composite
+def _pair_lists(draw):
+    # A list of pairs, then maybe one entry that is no pair, at any position,
+    # the whole placed in a document beside another.
+    pairs = draw(_PAIRS)
+    if draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(_NEAR_PAIRS))
+    if draw(st.booleans()):
+        pairs.reverse()
+    return draw(st.sampled_from([pairs, {"leq": pairs, "count": len(pairs)}, [pairs, [pairs]]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_lists())
+@example([["a", "b"], ["c", "d"]])
+@example([["a", "b"], ["c"]])
+@example([["a", "b"], ["c", 1]])
+@example([["a", "b"], ["c", _Str("d")]])
+@example([["a", "b"], ("c", "d")])
+@example([[_Str("a"), "b"], ["c", "d"]])
+@example([["\u00e9\ud800", "\x00"], ["\U0001f600", "\""]])
+def test_a_list_of_pairs_is_written_as_the_stdlib_writes_it(value):
+    assert _written(value) == _stdlib(value)
+
+
+def test_a_long_list_of_pairs_and_a_long_report_go_out_in_several_chunks():
+    # More pairs than one piece holds, and more parts than one chunk holds.
+    pairs = [[f"ctx-{i:010x}", f"ctx-{i + 1:010x}"] for i in range(4500)]
+    value = {"leq": pairs, "ints": list(range(5000)), "rows": [[{"x": [i]}] for i in range(3000)]}
+    chunks = _chunks(value)
+    assert len(chunks) > 3
+    assert "".join(chunks) == dumps(value) == _stdlib(value)
+
+
+def test_matrices_met_again_after_many_others_are_written_as_the_stdlib_writes_them():
+    # More distinct matrices than the writer keeps the text of, each met again
+    # after all the others, and the first few met again at once.
+    matrices = [[[[float(i), -0.5]], [[0.25, float(-i)]]] for i in range(600)]
+    value = [matrices, matrices[:5], matrices, {"again": matrices[::-1]}]
+    assert _written(value) == _stdlib(value)
 
 
 @pytest.mark.parametrize(

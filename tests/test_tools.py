@@ -31,7 +31,9 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
     for line in lines:
         assert re.fullmatch(
             r"dim \d: \d+ contexts, build min [\d.]+ s, median [\d.]+ s; "
-            r"run_command min [\d.]+ s, median [\d.]+ s; render_json min [\d.]+ s, median [\d.]+ s; "
+            r"run_command min [\d.]+ s, median [\d.]+ s, peak RSS \d+ MB; "
+            r"dump to a file min [\d.]+ s, median [\d.]+ s, peak RSS \d+ MB; "
+            r"render_json min [\d.]+ s, median [\d.]+ s, peak RSS \d+ MB; "
             r"truth_value first [\d.]+ ms, warm [\d.]+ ms; and first [\d.]+ ms, warm [\d.]+ ms; "
             r"or first [\d.]+ ms, warm [\d.]+ ms; implies first [\d.]+ ms, warm [\d.]+ ms; "
             r"not first [\d.]+ ms, warm [\d.]+ ms; implies, read first [\d.]+ ms, warm [\d.]+ ms; "

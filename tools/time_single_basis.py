@@ -6,9 +6,13 @@ Usage, from the root of this checkout::
 
 Prints, for each dimension n, the context count (2^n - n - 1), the least and
 the median wall time of ``REPEAT`` builds, and the same for ``REPEAT``
-``contexts`` reports of the same basis, in their two parts: ``run_command``,
-which builds the poset again and makes the report's dict, and
-``render_json``, which writes that dict as text.  Then, on a fresh poset each,
+``contexts`` reports of the same basis, in their parts: ``run_command``,
+which builds the poset again and makes the report's dict; ``dump`` of that
+dict to a file, as the CLI streams it to standard output; and
+``render_json``, which makes the whole text as one string.  Each of the three
+is followed by the process peak RSS so far, in that order, so the growth
+from ``run_command`` to the streamed write is the cost of writing in chunks.
+No two results of one part are alive at once.  Then, on a fresh poset each,
 the first and a warm call of ``truth_value``; of
 ``global_element_connective`` ``and``, ``or``, ``implies`` and ``not`` on
 two truth values, whose sieves are not built; of ``implies, read``, the
@@ -36,8 +40,8 @@ character order (every character's down-set int).  The propositions are sums
 of atoms of the top context (the basis), the state is an even superposition
 of two of its rays, and the observable of the sweep has the eigenvalues 0,
 ..., n - 1 on the basis rays (the second observable n - 1, ..., 0, the
-third k // 2 on ray k).  Each line ends with the process peak RSS so far, a
-high-water mark, so it never falls from one dimension to the next.  The
+third k // 2 on ray k).  Each line ends with the process peak RSS so far.  It
+is a high-water mark, so it never falls from one dimension to the next.  The
 basis of dimension n is ``benchmarks/inputs.haar_unitary`` drawn from seed
 ``[1, n]``.  The library comes from ``PYTHONPATH`` when it
 names one (to time another checkout), else from this checkout's ``src``.
@@ -50,6 +54,7 @@ import gc
 import resource
 import statistics
 import sys
+import tempfile
 import time
 from itertools import cycle
 from pathlib import Path
@@ -60,6 +65,7 @@ sys.path += [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import numpy as np  # noqa: E402
 from inputs import haar_unitary, problem_dict  # noqa: E402
 
+from toposqt._json import dump  # noqa: E402
 from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
 from toposqt.daseinisation import daseinise_proposition, inner_daseinise_proposition  # noqa: E402
@@ -81,10 +87,15 @@ def _times(call) -> tuple[str, object]:
     # "min X s, median Y s" over REPEAT calls, and the last call's result.
     times = []
     for _ in range(REPEAT):
+        result = None  # freed before the next call
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
     return f"min {min(times):.3f} s, median {statistics.median(times):.3f} s", result
+
+
+def _peak_rss() -> str:
+    return f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB"
 
 
 def _first_and_warm(call) -> str:
@@ -178,10 +189,14 @@ def main(argv: list[str] | None = None) -> int:
         build, poset = _times(lambda: build_poset([seed]))
         problem = problem_from_dict(problem_dict(dim, [basis]))
         command, report = _times(lambda: run_command("contexts", problem, {}))
+        command += f", {_peak_rss()}"
+        with tempfile.TemporaryFile("w") as out:
+            streamed, _ = _times(lambda: (out.seek(0), dump(report, out.write), out.truncate()))
+        streamed += f", {_peak_rss()}"
         render, _ = _times(lambda: render_json(report))
-        print(f"dim {dim}: {len(poset)} contexts, build {build}; run_command {command}; render_json {render}; "
-              f"{_logic(seed, basis)}; {_characters(seed, basis)}; "
-              f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+        render += f", {_peak_rss()}"
+        print(f"dim {dim}: {len(poset)} contexts, build {build}; run_command {command}; dump to a file {streamed}; "
+              f"render_json {render}; {_logic(seed, basis)}; {_characters(seed, basis)}; {_peak_rss()}")
     return 0
 
 
