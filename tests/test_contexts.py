@@ -51,7 +51,7 @@ from toposqt.errors import (
     ValidationError,
 )
 from toposqt.daseinisation import daseinise_proposition
-from toposqt.logic import enumerate_sieves
+from toposqt.logic import Sieve, enumerate_sieves, sieve_connective
 from toposqt.operators import Tolerances, projector_rank
 from toposqt.presheaf import gelfand_spectrum
 from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
@@ -921,14 +921,17 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
 
 def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
     # The tables derived from the order hold the poset weakly, and the cached
-    # builds and the quantity slots hold no reference to it, so a poset whose
-    # tables were all read is freed when its last reference goes.
+    # builds, the sieves a frame keeps and the quantity slots hold no
+    # reference to it, so a poset whose tables were all read is freed when
+    # its last reference goes.
     gc.disable()
     try:
         poset = build_poset([context_from_basis(np.eye(4))])
         top = poset.get(poset.ids[0])
         assert global_sections(poset)  # _characters
-        assert enumerate_sieves(poset, top)  # _sieve_frames
+        sieves = enumerate_sieves(poset, top)  # _sieve_frames, with every sieve on top kept
+        assert sieve_connective(poset, "implies", Sieve(top.id, set(sieves[1].members)), sieves[-2]) in sieves
+        del sieves
         quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # _first_down
         daseinise_proposition(poset, std_projectors[0])  # _seed_sums
         assert poset._sieve_frames and poset._first_down

@@ -26,8 +26,8 @@ from toposqt.logic import (
     GlobalElementOfOmega,
     Sieve,
     _check_sieve_laws,
+    _enumerated,
     _sieve_tables,
-    _sieves,
     check_global_element,
     empty_sieve,
     enumerate_sieves,
@@ -111,21 +111,46 @@ def _closure(poset, down, rng) -> frozenset[str]:
     return frozenset(x for x in down if any(poset.is_leq(x, g) for g in generators))
 
 
+def _subsets(down, rng) -> list[frozenset[str]]:
+    # Random subsets of each density.
+    return [frozenset(compress(down, rng.random(len(down)) < p)) for p in (0.1, 0.5, 0.9, 1.0)]
+
+
+def _downward(poset, down, members) -> bool:
+    return all(y in members for x in members for y in down if poset.is_leq(y, x))
+
+
+def _check_connectives(poset, top, a, b):
+    # x lies in a => b iff everything below x in a lies in b.
+    down = poset.down_ids(top)
+    implies = {x for x in down if all(y in b for y in a if poset.is_leq(y, x))}
+    negation = {x for x in down if not any(poset.is_leq(y, x) for y in a)}
+    s1, s2 = Sieve(top, a), Sieve(top, b)
+    assert sieve_connective(poset, "and", s1, s2).members == a & b
+    assert sieve_connective(poset, "or", s1, s2).members == a | b
+    assert sieve_connective(poset, "implies", s1, s2).members == implies
+    assert sieve_connective(poset, "not", s1).members == negation
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_connectives_match_brute_force_past_the_enumeration_cap(dim6_top, seed):
-    # x lies in a => b iff everything below x in a lies in b.
+    # Sieve operands, whose frame keeps them and their results; then subsets
+    # that are no sieve, which leave the frame's table as it was.
     poset, top = dim6_top
     down = poset.down_ids(top)
     rng = np.random.default_rng(seed)
     for _ in range(12):
-        a, b = _closure(poset, down, rng), _closure(poset, down, rng)
-        implies = {x for x in down if all(y in b for y in a if poset.is_leq(y, x))}
-        negation = {x for x in down if not any(poset.is_leq(y, x) for y in a)}
-        s1, s2 = Sieve(top, a), Sieve(top, b)
-        assert sieve_connective(poset, "and", s1, s2).members == a & b
-        assert sieve_connective(poset, "or", s1, s2).members == a | b
-        assert sieve_connective(poset, "implies", s1, s2).members == implies
-        assert sieve_connective(poset, "not", s1).members == negation
+        _check_connectives(poset, top, _closure(poset, down, rng), _closure(poset, down, rng))
+    frame = poset._sieve_frames[top]
+    assert frame.codes == {s.members: code for code, s in frame.sieves.items()}
+    assert all(_downward(poset, down, members) for members in frame.codes)
+    kept = dict(frame.sieves)
+    loose = [m for m in _subsets(down, rng) if not _downward(poset, down, m)]
+    assert len(loose) >= 2
+    for a, b in product(loose, repeat=2):
+        _check_connectives(poset, top, a, b)
+    assert frame.sieves == kept and all(frame.sieves[code] is s for code, s in kept.items())
+    assert len(frame.codes) == len(kept)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -135,13 +160,13 @@ def test_is_sieve_matches_brute_force_past_the_enumeration_cap(dim6_top, seed):
     poset, top = dim6_top
     down = poset.down_ids(top)
     rng = np.random.default_rng(seed)
-    candidates = [frozenset(compress(down, rng.random(len(down)) < p)) for p in (0.1, 0.5, 0.9, 1.0)]
+    candidates = _subsets(down, rng)
     for _ in range(8):
         closed = _closure(poset, down, rng)
         candidates += [closed, closed | {down[rng.integers(len(down))]}, closed - {down[rng.integers(len(down))]}]
     outcomes = set()
     for members in candidates:
-        downward = all(y in members for x in members for y in down if poset.is_leq(y, x))
+        downward = _downward(poset, down, members)
         assert is_sieve(poset, Sieve(top, members)) == downward
         outcomes.add(downward)
     assert outcomes == {True, False}
@@ -150,6 +175,21 @@ def test_is_sieve_matches_brute_force_past_the_enumeration_cap(dim6_top, seed):
 def test_all_enumerated_sieves_are_sieves(poset11, named):
     for s in enumerate_sieves(poset11, named["V"]):
         assert is_sieve(poset11, s)
+
+
+def test_the_frame_keeps_the_enumeration_and_returns_its_sieves(poset11, named):
+    # A second call returns the same tuple; the frame then holds exactly the
+    # enumerated sieves, one Sieve per member set, which the connectives return.
+    context = named["V"]
+    sieves = enumerate_sieves(poset11, context)
+    assert enumerate_sieves(poset11, context) is sieves
+    frame = poset11._sieve_frames[context.id]
+    assert frame.enumeration is sieves
+    assert frame.codes == {s.members: code for code, s in frame.sieves.items()}
+    assert sorted(frame.sieves.values(), key=sieves.index) == list(sieves)
+    for a in sieves:
+        assert sieve_connective(poset11, "and", a, a) is a
+        assert sieve_connective(poset11, "or", Sieve(context.id, set(a.members)), a) is a
 
 
 def test_enumeration_cap(monkeypatch, poset11, named):
@@ -491,6 +531,21 @@ def test_connectives_on_plain_set_operands_give_hashable_sieves(spin2_poset):
         assert hash(result) == hash(Sieve(top, frozenset(result.members)))
 
 
+def test_a_forged_sieve_of_set_members_gives_frozen_results(spin2_poset):
+    # Set after the constructor, which freezes them, the members stay a set;
+    # "and" and "or" on such an operand gave back a Sieve holding a set, and
+    # hash() of it raised TypeError.
+    top = spin2_poset.ids[0]
+    forged = Sieve(top, frozenset())
+    object.__setattr__(forged, "members", set(spin2_poset.down_ids(top)))
+    empty = empty_sieve(top)
+    for kind, operands in (("and", (forged, forged)), ("or", (forged, empty)), ("and", (empty, forged)),
+                           ("implies", (empty, forged)), ("not", (forged,))):
+        result = sieve_connective(spin2_poset, kind, *operands)
+        assert type(result.members) is frozenset
+        assert hash(result) == hash(Sieve(top, frozenset(result.members)))
+
+
 @pytest.mark.parametrize(
     "operands",
     [
@@ -722,14 +777,20 @@ def test_logic_on_two_maximal_contexts(poset_two_bases, std_projectors):
             assert element.at(v).members == certain & below[v]
 
 
+def _masks(poset, context_id) -> tuple[list[int], tuple[int, ...]]:
+    # The local int of each sieve on the context, in enumeration order, and
+    # the local down-set int of each member of its frame: _sieve_tables' arguments.
+    frame = _enumerated(poset, context_id)
+    return [frame.codes[s.members] for s in frame.enumeration], frame.below
+
+
 def test_heyting_tables_match_sieve_connective():
     # On every spin2 context, each entry of the four tables is the position
     # of sieve_connective's result, or the inclusion of the two sieves.
     poset = problem_poset(load_problem(SPIN2_PATH))
     for context in poset:
         sieves = enumerate_sieves(poset, context)
-        masks = [mask for mask, _ in _sieves(poset, context.id)]
-        meet, join, implies, leq = _sieve_tables(masks)
+        meet, join, implies, leq = _sieve_tables(*_masks(poset, context.id))
         for (i, a), (j, b) in product(enumerate(sieves), repeat=2):
             assert sieves[meet[i, j]] == sieve_connective(poset, "and", a, b)
             assert sieves[join[i, j]] == sieve_connective(poset, "or", a, b)
@@ -746,10 +807,10 @@ def test_heyting_tables_match_brute_force_on_random_posets(seed):
     rng = np.random.default_rng(seed)
     for context in poset:
         oracle = downsets_brute(poset.down_ids(context.id), poset.is_leq)
-        masks, sets = zip(*_sieves(poset, context.id))
-        assert [Sieve(context.id, s) for s in sets] == list(enumerate_sieves(poset, context))
+        masks, below = _masks(poset, context.id)
+        sets = [s.members for s in enumerate_sieves(poset, context)]
         assert set(sets) == oracle
-        meet, join, implies, leq = _sieve_tables(list(masks))
+        meet, join, implies, leq = _sieve_tables(masks, below)
         m = len(sets)
         for i, j in product(range(m), repeat=2):
             assert sets[meet[i, j]] == sets[i] & sets[j]
@@ -784,11 +845,11 @@ def test_law_check_counts_like_a_triple_loop(monkeypatch, block, limit):
     # of a and a limit inside a block check the gathers against the loop.
     poset = problem_poset(load_problem(SPIN2_PATH))
     context = next(c for c in poset if c.n_atoms == 3)
-    sieves = _sieves(poset, context.id)
+    sieves = enumerate_sieves(poset, context)
     m = len(sieves)
     assert m == 5
     rng = np.random.default_rng(7)
-    tables = [t.copy() for t in _sieve_tables([mask for mask, _ in sieves])]
+    tables = [t.copy() for t in _sieve_tables(*_masks(poset, context.id))]
     for table in tables[:3]:
         spoilt = rng.random(table.shape) < 0.3
         table[spoilt] = rng.integers(m, size=int(spoilt.sum()))
@@ -801,4 +862,4 @@ def test_law_check_counts_like_a_triple_loop(monkeypatch, block, limit):
     assert violations > 0
     assert report["violations"] == violations
     assert report["triples_checked"] == total
-    assert report["excluded_middle_witness"] == (None if witness is None else sorted(sieves[witness][1]))
+    assert report["excluded_middle_witness"] == (None if witness is None else sorted(sieves[witness].members))

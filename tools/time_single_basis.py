@@ -18,8 +18,7 @@ the first and a warm call of ``truth_value``; of
 two truth values, whose sieves are not built; of ``implies, read``, the
 implication followed by a read of every sieve of the result, which builds
 them; of ``check_global_element`` on a truth value, which builds its sieves
-at the first call, and also every context's sieve frame (its down-set ids,
-sorted, and their down-set ints, looked up in the poset's); of a value
+at the first call and no sieve frame, as it reads no sieve's ints; of a value
 sweep: one ``quantity_value_arrow`` per character of every context, whose
 first call clusters the observable and builds its seed-atom table, whose
 first round fills every character's bounds, and whose warm round reads them
