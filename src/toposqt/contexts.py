@@ -420,28 +420,24 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
 
 
 class _SieveFrame:
-    """A context V's down-set, and the sieves on V that calls have met.
+    """A context's down-set with the poset's down-set ints of its members,
+    and Omega(V), every sieve on the context V, once it is enumerated.
 
-    Bit i of a local int stands for ``ids[i]`` (``bit[ids[i]]`` is 1 << i);
-    the ids run in reverse sorted order, the bit order in which sieves are
-    enumerated (``logic.enumerate_sieves``).  ``below[i]`` is the down-set of
-    ``ids[i]`` as a local int, so x lies in S => T iff ``below[x]`` misses
-    S & ~T.  ``codes`` maps the members of each sieve met so far to its local
-    int, and ``sieves`` maps that int to the one ``Sieve`` with those members.
-    Only sieves are kept, so the frame holds at most Omega(V), and
-    ``enumeration`` is all of Omega(V), in enumeration order, once enumerated.
+    ``below[i]`` is the down-set of ``ids[i]`` as an int over poset positions
+    (the bits of ``ContextPoset._bit``), so x lies in S => T iff ``below[x]``
+    misses the mask of S - T.  The ids run in reverse sorted order, the bit
+    order in which sieves are enumerated: bit i of a local int stands for
+    ``ids[i]``.  ``logic._enumerated`` fills ``omega`` with the sieves on V
+    and ``codes`` with the local int of each, by its members; until then
+    ``omega`` is None and ``codes`` empty, and the frame keeps no other sieve.
     """
 
-    __slots__ = ("base", "ids", "bit", "below", "down", "codes", "sieves", "enumeration")
+    __slots__ = ("ids", "below", "down", "codes", "omega")
 
-    def __init__(self, base: str, ids: tuple[str, ...], down_sets: Iterable[Iterable[str]]) -> None:
-        # ``down_sets`` gives the down-set of each of ``ids``, in turn.
-        self.base, self.ids, self.down = base, ids, frozenset(ids)
-        self.bit = {cid: 1 << i for i, cid in enumerate(ids)}
-        self.below = tuple(sum(map(self.bit.__getitem__, down)) for down in down_sets)
+    def __init__(self, ids: tuple[str, ...], below: tuple[int, ...]) -> None:
+        self.ids, self.below, self.down = ids, below, frozenset(ids)
         self.codes: dict[frozenset[str], int] = {}
-        self.sieves: dict[int, object] = {}
-        self.enumeration: tuple | None = None
+        self.omega = None
 
 
 class _Table(dict):
@@ -464,11 +460,11 @@ class ContextPoset:
     per-inclusion atom restriction tables are read off seed-atom labels,
     without matrices: a seed atom's label at a context is the one atom that
     touches it, and sub <= sup iff sub's labels are defined and equal on the
-    seed atoms of each sup atom, whose restriction is that label.  Truth
-    values and global elements read each down-set as an int over poset
+    seed atoms of each sup atom, whose restriction is that label.  Sieves,
+    truth values and global elements read each down-set as an int over poset
     positions; an int that misses part of a member's raises ``ValidationError``.
-    Sieves on V read theirs as local ints of V's ``_SieveFrame``, which keeps
-    the sieves on V met so far.
+    Enumerated sieves on V also read theirs as local ints of V's
+    ``_SieveFrame``, which then keeps Omega(V).
     Clopen subobjects and sections read the characters' down-sets as ints
     over one bit per character (``_characters``).
     Each seed atom touches an atom of every seed (checked by ``build_poset``).
@@ -611,7 +607,7 @@ class ContextPoset:
 
     def _build_sieve_frame(self, context_id: str) -> _SieveFrame:
         ids = tuple(sorted(self.down_ids(context_id), reverse=True))
-        return _SieveFrame(context_id, ids, map(self._down.__getitem__, ids))
+        return _SieveFrame(ids, tuple(map(self._below.__getitem__, ids)))
 
     @cached_property
     def _seed_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

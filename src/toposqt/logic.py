@@ -6,15 +6,14 @@ by restriction.  One rule gives both Heyting algebras their implication: x
 lies in S1 -> S2 iff the down-set of x meets S1 only inside S2.  With S1
 everything it gives the largest down-set inside S2, so the same rule decides
 whether a set is a sieve, whether a selection is clopen, and which contexts
-a truth value keeps.  Each order is encoded as down-set ints, so x lies in
-S1 -> S2 iff its down-set int misses the mask of S1 - S2: a character's over
-one bit per character (``ContextPoset._characters``), a context's over one
-bit per context (``ContextPoset._bit``) for global elements, and over one
-bit per member of the base's down-set for sieves.  That frame
-(``ContextPoset._sieve_frames``) keeps each sieve on its base that calls
-have met, by its members and by its int, so the sieve connectives are int
-operations; a frame holds at most the sieves of its base V, Ω(V).
-Conjunction and disjunction of subobjects stay set operations per context.
+a truth value keeps.  Each order is encoded once, as down-set ints: a
+context's over one bit per context (``ContextPoset._bit``), a character's
+over one bit per character (``ContextPoset._characters``), so x lies in
+S1 -> S2 iff its down-set int misses the mask of S1 - S2.  Conjunction and
+disjunction stay set operations, per sieve and per context of a subobject.
+Once the sieves on a context V are enumerated, V's sieve frame keeps them,
+Ω(V), as ints over one bit per member of V's down-set, so the connectives
+of enumerated sieves are int operations whose result Ω(V) holds.
 Truth values are global elements: one sieve per context, compatible with
 all restrictions.  Compatible sieves are exactly the traces U ∩ ↓V of one
 down-set U, their union, so a global element the library makes holds U as
@@ -28,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from ._json import brief_repr
-from .contexts import Context, ContextPoset, _SieveFrame
+from .contexts import Context, ContextPoset
 from .errors import (
     BaseMismatch,
     EnumerationLimitExceeded,
@@ -105,67 +104,51 @@ def _members(sieve: Sieve, poset: ContextPoset | None = None) -> frozenset[str] 
     return members
 
 
-def _implication(frame: _SieveFrame, d: int) -> int:
-    # The local int of the x whose down-set misses d: S => T for d = S & ~T,
-    # and the largest sieve inside S for d = ~S.
-    return sum(compress(frame.bit.values(), [not below & d for below in frame.below]))
-
-
-def _sieve(frame: _SieveFrame, code: int, keep: bool = True) -> Sieve:
-    # The Sieve of the ids of ``code``: the frame's own when it has met it,
-    # else a new one, which the frame keeps when ``keep`` (``code`` is a sieve).
-    sieve = frame.sieves.get(code)
-    if sieve is None:
-        sieve = _new_sieve(frame.base, frozenset(compress(frame.ids, map(code.__and__, frame.bit.values()))))
-        if keep:
-            frame.codes[sieve.members] = code
-            frame.sieves[code] = sieve
-    return sieve
-
-
-def _operand(poset: ContextPoset, sieve: Sieve) -> int:
-    # A sieve operand whose members its frame has not met: the one operand
-    # check, then its local int, which the frame keeps if it is a sieve.
-    members = _members(sieve, poset)
-    frame = poset._sieve_frames[sieve.base]
-    code = sum(map(frame.bit.__getitem__, members))
-    if _implication(frame, ~code) == code:
-        _sieve(frame, code)
-    return code
-
-
 def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     """Whether the members are a down-set of the base's down-set: the
     largest down-set inside them is all of them, so a member outside the
     base's down-set makes them no sieve."""
     members = _members(sieve)
     frame = poset._sieve_frames[sieve.base]
-    if not members <= frame.down:
-        return False
-    code = sum(map(frame.bit.__getitem__, members))
-    return _implication(frame, ~code) == code
+    # S => T with S - T the non-members: no member may lie at or above one.
+    outside = sum(map(poset._bit.__getitem__, frame.down - members))
+    return members == frame.down.difference(compress(frame.ids, map(outside.__and__, frame.below)))
 
 
-def _enumerated(poset: ContextPoset, context_id: str) -> _SieveFrame:
-    # The context's frame with every sieve on it kept, in enumerate_sieves'
-    # order as ``frame.enumeration``; the cap is checked before the frame is read.
+class _Omega(NamedTuple):
+    # Every sieve on an enumerated frame's base, over local bits: bit i for
+    # the frame's ids[i], as int64 tables need.
+    enumeration: tuple[Sieve, ...]  # in enumerate_sieves' order
+    sieves: dict[int, Sieve]  # local int -> the one Sieve, in that order
+    below: tuple[int, ...]  # below[i]: the down-set of ids[i] as a local int
+
+
+def _enumerated(poset: ContextPoset, context_id: str) -> _Omega:
+    # Every sieve on the context, kept on its frame with the local int of
+    # each by its members; the cap is checked before the frame is built or read.
     size = len(poset.down_ids(context_id))
     if size > ENUMERATION_CAP:
         raise EnumerationLimitExceeded(
             f"down-set has {size} contexts; exhaustive sieve enumeration is capped at {ENUMERATION_CAP}"
         )
     frame = poset._sieve_frames[context_id]
-    if frame.enumeration is None:
+    if frame.omega is None:
+        bits = list(map(poset._bit.__getitem__, frame.ids))
+        local = [1 << i for i in range(size)]
+        below = tuple([sum(compress(local, map(down.__and__, bits))) for down in frame.below])
         # A smaller down-set comes first, so an element comes after all of its
         # subcontexts, which are decided by then.
         found = [0]
-        for i, below in sorted(enumerate(frame.below), key=lambda e: e[1].bit_count()):
-            strict = below ^ 1 << i
+        for i, down in sorted(enumerate(below), key=lambda e: e[1].bit_count()):
+            strict = down ^ 1 << i
             found += [s | 1 << i for s in found if s & strict == strict]
         # The bit order makes (size, -int) the order of (size, sorted members).
         found.sort(key=lambda s: (s.bit_count(), -s))
-        frame.enumeration = tuple([_sieve(frame, code) for code in found])
-    return frame
+        enumeration = tuple([_new_sieve(context_id, frozenset(compress(frame.ids, map(s.__and__, local))))
+                             for s in found])
+        frame.omega = _Omega(enumeration, dict(zip(found, enumeration)), below)
+        frame.codes = {sieve.members: s for s, sieve in zip(found, enumeration)}
+    return frame.omega
 
 
 def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]:
@@ -173,9 +156,9 @@ def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]
 
     Enumerates the downward-closed subsets of the down-set as ints over its
     frame, deciding elements bottom-up; an element may join a subset only
-    when everything strictly below it is in that subset.  The frame keeps
-    the result, so a second call returns the same tuple.  Raises
-    ``EnumerationLimitExceeded`` when the down-set has more than
+    when everything strictly below it is in that subset.  The context's
+    sieve frame keeps the result, so a second call returns the same tuple.
+    Raises ``EnumerationLimitExceeded`` when the down-set has more than
     ``ENUMERATION_CAP`` elements.
     """
     return _enumerated(poset, context.id).enumeration
@@ -183,8 +166,8 @@ def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]
 
 def _sieve_tables(masks: list[int], below: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     # For every pair (a, b) of positions in ``masks``, all sieves on one base as
-    # ints over its frame's local bits, whose down-sets are ``below``: the
-    # positions of (a and b), (a or b) and (a implies b), and whether a lies inside b.
+    # ints over local bits, whose down-sets are ``below``: the positions of
+    # (a and b), (a or b) and (a implies b), and whether a lies inside b.
     masks = np.array(masks, dtype=np.int64)
     order = np.argsort(masks)
 
@@ -204,9 +187,9 @@ def _check_sieve_laws(poset: ContextPoset, base: str, limit: int | str) -> dict:
     # "all") triples (a, b, c) of positions in lexicographic order, a block
     # of values of a at a time.  The sieves run by size: the empty one is
     # at 0 and the principal one at m - 1.
-    frame = _enumerated(poset, base)
-    sieves = frame.enumeration
-    meet, join, implies, leq = _sieve_tables([frame.codes[s.members] for s in sieves], frame.below)
+    omega = _enumerated(poset, base)
+    sieves = omega.enumeration
+    meet, join, implies, leq = _sieve_tables(list(omega.sieves), omega.below)
     m = len(sieves)
     negation = implies[:, 0]
     violations = int(np.count_nonzero(meet[np.arange(m), negation] != 0))
@@ -247,32 +230,48 @@ def sieve_connective(
 
     ``and``/``or`` are intersection/union; ``implies`` keeps the subcontexts
     all of whose subcontexts inside s1 also lie in s2; ``not s`` is
-    ``s implies empty``.  Each is an int operation on the operands' local
-    ints in the base's sieve frame, which keeps the sieves it has met.
+    ``s implies empty``.  On sieves that the base's frame has enumerated,
+    each is an int operation on their local ints, and the result is the
+    frame's own ``Sieve``.
     """
-    if s2 is not None or kind != "not":
-        if kind not in _BINARY_KINDS or s2 is None:
-            raise ValidationError(_KIND_ERROR.format(kind))
-        if s1.base != s2.base:
-            raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
-    keep = True
+    if s2 is None and kind == "not":
+        b = frozenset()
+    elif kind not in _BINARY_KINDS or s2 is None:
+        raise ValidationError(_KIND_ERROR.format(kind))
+    elif s1.base != s2.base:
+        raise BaseMismatch(f"sieve bases differ: {s1.base!r} vs {s2.base!r}")
+    else:
+        b = s2.members
+    base = s1.base
+    a = s1.members
     try:
-        # A hit: an equal set already passed the operand check on this base.
-        frame = poset._sieve_frames[s1.base]
-        x = frame.codes[s1.members]
-        y = 0 if s2 is None else frame.codes[s2.members]
-    except (KeyError, TypeError):
-        # A miss: the one operand check, which names a fault.  The frame
-        # keeps the result only when the operands are sieves, as it kept them.
-        x = _operand(poset, s1)
-        y = 0 if s2 is None else _operand(poset, s2)
-        frame = poset._sieve_frames[s1.base]
-        keep = x in frame.sieves and (s2 is None or y in frame.sieves)
+        frame = poset._sieve_frames[base]
+        x, y = frame.codes.get(a), frame.codes.get(b)
+        if x is not None and y is not None:
+            # Two sieves of an enumerated Ω(V), which holds the result too.
+            omega = frame.omega
+            if kind == "and":
+                return omega.sieves[x & y]
+            if kind == "or":
+                return omega.sieves[x | y]
+            d = x & ~y  # S => T keeps the x whose down-set misses S & ~T
+            return omega.sieves[sum([1 << i for i, down in enumerate(omega.below) if not down & d])]
+        inside = a <= frame.down and b <= frame.down
+    except TypeError:
+        inside = False
+    if not inside:
+        # Some operand fails the one operand check, which names its fault.
+        for sieve in (s1,) if s2 is None else (s1, s2):
+            _members(sieve, poset)
+    # A result is frozen also when an operand's members are a set.
     if kind == "and":
-        return _sieve(frame, x & y, keep)
+        return _new_sieve(base, frozenset(a & b))
     if kind == "or":
-        return _sieve(frame, x | y, keep)
-    return _sieve(frame, _implication(frame, x & ~y), keep)
+        return _new_sieve(base, frozenset(a | b))
+    # S => T keeps x iff below[x] & S & ~T == 0: all of the down-set but what
+    # lies at or above a member of S - T.
+    m = sum(map(poset._bit.__getitem__, a - b))
+    return _new_sieve(base, frame.down.difference(compress(frame.ids, map(m.__and__, frame.below))))
 
 
 class GlobalElementOfOmega:

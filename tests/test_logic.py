@@ -134,23 +134,19 @@ def _check_connectives(poset, top, a, b):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_connectives_match_brute_force_past_the_enumeration_cap(dim6_top, seed):
-    # Sieve operands, whose frame keeps them and their results; then subsets
-    # that are no sieve, which leave the frame's table as it was.
+    # Sieve operands, then subsets that are no sieve.  The frame of a base
+    # past the cap is never enumerated, so no call leaves a sieve in it.
     poset, top = dim6_top
     down = poset.down_ids(top)
     rng = np.random.default_rng(seed)
     for _ in range(12):
         _check_connectives(poset, top, _closure(poset, down, rng), _closure(poset, down, rng))
-    frame = poset._sieve_frames[top]
-    assert frame.codes == {s.members: code for code, s in frame.sieves.items()}
-    assert all(_downward(poset, down, members) for members in frame.codes)
-    kept = dict(frame.sieves)
     loose = [m for m in _subsets(down, rng) if not _downward(poset, down, m)]
     assert len(loose) >= 2
     for a, b in product(loose, repeat=2):
         _check_connectives(poset, top, a, b)
-    assert frame.sieves == kept and all(frame.sieves[code] is s for code, s in kept.items())
-    assert len(frame.codes) == len(kept)
+    frame = poset._sieve_frames[top]
+    assert frame.codes == {} and frame.omega is None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -179,17 +175,25 @@ def test_all_enumerated_sieves_are_sieves(poset11, named):
 
 def test_the_frame_keeps_the_enumeration_and_returns_its_sieves(poset11, named):
     # A second call returns the same tuple; the frame then holds exactly the
-    # enumerated sieves, one Sieve per member set, which the connectives return.
+    # enumerated sieves, one Sieve per member set, which the connectives
+    # return.  Operands that are no sieve leave it as it was.
     context = named["V"]
     sieves = enumerate_sieves(poset11, context)
     assert enumerate_sieves(poset11, context) is sieves
     frame = poset11._sieve_frames[context.id]
-    assert frame.enumeration is sieves
-    assert frame.codes == {s.members: code for code, s in frame.sieves.items()}
-    assert sorted(frame.sieves.values(), key=sieves.index) == list(sieves)
+    assert frame.omega.enumeration is sieves
+    assert list(frame.omega.sieves.values()) == list(sieves)
+    assert frame.codes == {s.members: code for code, s in frame.omega.sieves.items()}
     for a in sieves:
         assert sieve_connective(poset11, "and", a, a) is a
         assert sieve_connective(poset11, "or", Sieve(context.id, set(a.members)), a) is a
+    down = poset11.down_ids(context.id)
+    loose = [Sieve(context.id, {x}) for x in down if not is_sieve(poset11, Sieve(context.id, {x}))]
+    assert loose
+    codes, omega = dict(frame.codes), frame.omega
+    for a, b in product(loose, sieves):
+        _check_connectives(poset11, context.id, a.members, b.members)
+    assert frame.codes == codes and frame.omega is omega and len(omega.sieves) == len(sieves)
 
 
 def test_enumeration_cap(monkeypatch, poset11, named):
@@ -780,8 +784,8 @@ def test_logic_on_two_maximal_contexts(poset_two_bases, std_projectors):
 def _masks(poset, context_id) -> tuple[list[int], tuple[int, ...]]:
     # The local int of each sieve on the context, in enumeration order, and
     # the local down-set int of each member of its frame: _sieve_tables' arguments.
-    frame = _enumerated(poset, context_id)
-    return [frame.codes[s.members] for s in frame.enumeration], frame.below
+    omega = _enumerated(poset, context_id)
+    return list(omega.sieves), omega.below
 
 
 def test_heyting_tables_match_sieve_connective():
