@@ -12,14 +12,18 @@ over one bit per character (``ContextPoset._characters``), so x lies in
 S1 -> S2 iff its down-set int misses the mask of S1 - S2.  Conjunction and
 disjunction stay set operations, per sieve and per context of a subobject.
 Once the sieves on a context V are enumerated, V's sieve frame keeps them,
-Ω(V), as ints over one bit per member of V's down-set, so the connectives
-of enumerated sieves are int operations whose result Ω(V) holds.
+Ω(V), as ints over one bit per member of V's down-set, with each member's
+down-set and up-set there, so the connectives of enumerated sieves are int
+operations whose result Ω(V) holds: S => T drops the up-set of each member
+of S - T.
 Truth values are global elements: one sieve per context, compatible with
 all restrictions.  Compatible sieves are exactly the traces U ∩ ↓V of one
 down-set U, their union, so a global element the library makes holds U as
-an int over the context bits and builds its sieves on first read; its
-connectives are int rules on U1 and U2, and ``_down_set`` reads a family of
-sieves back to its U, or to None when the sieves are no such traces.
+an int over the context bits and builds its sieves on first read, keeping
+U beside them; its connectives are int rules on U1 and U2.  ``_down_set``
+takes the kept U while the element's dict holds the very sieves built from
+it, and otherwise reads a family of sieves back to its U, or to None when
+the sieves are no such traces.
 Operands are checked as README's boundary contract says, a sieve by ``_members``.
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
+from operator import is_
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -39,7 +44,7 @@ from .errors import (
     NotASubcontext,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _mapping, _require_characters, _require_contexts, empty_subobject
+from .presheaf import ClopenSubobject, _mapping, _require_characters, _require_contexts
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -104,6 +109,13 @@ def _members(sieve: Sieve, poset: ContextPoset | None = None) -> frozenset[str] 
     return members
 
 
+def _implication(poset: ContextPoset, frame, outside: frozenset[str] | set[str]) -> frozenset[str]:
+    # S => T on a frame, given S - T: all of the down-set but what lies at or
+    # above a member of S - T, the x whose down-set int misses its mask.
+    mask = sum(map(poset._bit.__getitem__, outside))
+    return frame.down.difference(compress(frame.ids, map(mask.__and__, frame.below)))
+
+
 def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     """Whether the members are a down-set of the base's down-set: the
     largest down-set inside them is all of them, so a member outside the
@@ -111,16 +123,17 @@ def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     members = _members(sieve)
     frame = poset._sieve_frames[sieve.base]
     # S => T with S - T the non-members: no member may lie at or above one.
-    outside = sum(map(poset._bit.__getitem__, frame.down - members))
-    return members == frame.down.difference(compress(frame.ids, map(outside.__and__, frame.below)))
+    return members == _implication(poset, frame, frame.down - members)
 
 
 class _Omega(NamedTuple):
     # Every sieve on an enumerated frame's base, over local bits: bit i for
-    # the frame's ids[i], as int64 tables need.
+    # the frame's ids[i], as int64 tables need, and the order on those bits.
     enumeration: tuple[Sieve, ...]  # in enumerate_sieves' order
     sieves: dict[int, Sieve]  # local int -> the one Sieve, in that order
     below: tuple[int, ...]  # below[i]: the down-set of ids[i] as a local int
+    up: tuple[int, ...]  # up[i]: the members at or above ids[i], the transpose of below
+    full: int  # every member: the principal sieve
 
 
 def _enumerated(poset: ContextPoset, context_id: str) -> _Omega:
@@ -146,7 +159,8 @@ def _enumerated(poset: ContextPoset, context_id: str) -> _Omega:
         found.sort(key=lambda s: (s.bit_count(), -s))
         enumeration = tuple([_new_sieve(context_id, frozenset(compress(frame.ids, map(s.__and__, local))))
                              for s in found])
-        frame.omega = _Omega(enumeration, dict(zip(found, enumeration)), below)
+        up = tuple([sum(compress(local, [down >> i & 1 for down in below])) for i in range(size)])
+        frame.omega = _Omega(enumeration, dict(zip(found, enumeration)), below, up, found[-1])
         frame.codes = {sieve.members: s for s, sieve in zip(found, enumeration)}
     return frame.omega
 
@@ -254,8 +268,13 @@ def sieve_connective(
                 return omega.sieves[x & y]
             if kind == "or":
                 return omega.sieves[x | y]
-            d = x & ~y  # S => T keeps the x whose down-set misses S & ~T
-            return omega.sieves[sum([1 << i for i, down in enumerate(omega.below) if not down & d])]
+            # S => T drops every member at or above a member of S - T; a
+            # member of S - T above one met already adds nothing.
+            d, out, up = x & ~y, 0, omega.up
+            while d:
+                out |= up[(d & -d).bit_length() - 1]
+                d &= ~out
+            return omega.sieves[omega.full ^ out]
         inside = a <= frame.down and b <= frame.down
     except TypeError:
         inside = False
@@ -268,10 +287,7 @@ def sieve_connective(
         return _new_sieve(base, frozenset(a & b))
     if kind == "or":
         return _new_sieve(base, frozenset(a | b))
-    # S => T keeps x iff below[x] & S & ~T == 0: all of the down-set but what
-    # lies at or above a member of S - T.
-    m = sum(map(poset._bit.__getitem__, a - b))
-    return _new_sieve(base, frame.down.difference(compress(frame.ids, map(m.__and__, frame.below))))
+    return _new_sieve(base, _implication(poset, frame, a - b))
 
 
 class GlobalElementOfOmega:
@@ -280,20 +296,26 @@ class GlobalElementOfOmega:
     A global element that the library makes holds one down-set U of the
     poset, as an int over poset positions, and builds its sieves, the traces
     U ∩ ↓V, on the first read of ``sieves``.  From then on that dict is the
-    element: an edit to it counts, as in an element built from sieves.
+    element: an edit to it counts, as in an element built from sieves.  The
+    element keeps U and the tuple of the sieves it built, and the
+    connectives reuse U while the dict holds those very sieves, in poset
+    order; any edit makes them read the dict back.
     """
 
-    # _poset and _down, the down-set's int, are set and read only while _sieves is None.
-    __slots__ = ("_sieves", "_poset", "_down")
+    # _poset is None for an element built from sieves.  Otherwise _down is
+    # U's int, and _built, once the sieves are read, the tuple of those built.
+    __slots__ = ("_sieves", "_poset", "_down", "_built")
 
     def __init__(self, sieves: Mapping[str, Sieve]) -> None:
         self._sieves: dict[str, Sieve] | None = dict(_mapping(sieves, "global element"))
+        self._poset = None
 
     @property
     def sieves(self) -> dict[str, Sieve]:
         if self._sieves is None:
             down = frozenset(compress(self._poset.ids, map(self._down.__and__, self._poset._bit.values())))
             self._sieves = {cid: _new_sieve(cid, down.intersection(ids)) for cid, ids in self._poset._down.items()}
+            self._built = tuple(self._sieves.values())
         return self._sieves
 
     def at(self, context_id: str) -> Sieve:
@@ -326,14 +348,21 @@ def totally_false(poset: ContextPoset) -> GlobalElementOfOmega:
 
 
 def _down_set(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> int | None:
-    # The down-set int of a global element: its own U when it is an unread
-    # element of this poset.  Otherwise its stored sieves must be one Sieve
-    # per poset context, based where stored; U = {V : V in S_V}, and the
-    # sieves match iff U is a down-set and each S_V lies inside U and ↓V with
-    # as many members as U ∩ ↓V.  None when they do not.
-    if element._sieves is None and element._poset is poset:
-        return element._down
-    sieves = element.sieves
+    # The down-set int of a global element: its own U when it is an element
+    # of this poset that is unread, or whose dict holds, in poset order, the
+    # very sieves built from U.  Otherwise the sieves are read back to U.
+    if element._poset is poset:
+        sieves = element._sieves
+        if sieves is None or (tuple(sieves) == poset._ids and all(map(is_, sieves.values(), element._built))):
+            return element._down
+    return _read_down_set(poset, element.sieves, name)
+
+
+def _read_down_set(poset: ContextPoset, sieves: dict[str, Sieve], name: str) -> int | None:
+    # The down-set int that a family of sieves are the traces of.  They must
+    # be one Sieve per poset context, based where stored; U = {V : V in S_V},
+    # and the sieves match iff U is a down-set and each S_V lies inside U and
+    # ↓V with as many members as U ∩ ↓V.  None when they do not.
     _require_contexts(poset, sieves, name)
     for cid, sieve in sieves.items():
         if not isinstance(sieve, Sieve):
@@ -358,8 +387,7 @@ def check_global_element(poset: ContextPoset, element: GlobalElementOfOmega) -> 
     """True iff the per-context sieves are sieves and agree under every
     restriction: each is the trace on its base's down-set of one down-set.
     The check reads the sieves, so it never trusts the down-set it checks."""
-    element.sieves  # built now if the library made the element
-    return _down_set(poset, element, "global element") is not None
+    return _read_down_set(poset, element.sieves, "global element") is not None
 
 
 def global_element_connective(
@@ -399,14 +427,13 @@ def subobject_connective(
     """
     if kind not in _ALL_KINDS or (kind == "not") != (s2 is None):
         raise ValidationError(_KIND_ERROR.format(kind))
-    if kind == "not":
-        s2, kind = empty_subobject(poset), "implies"
-    _require_characters(poset, s1, s2)
+    _require_characters(poset, *((s1,) if s2 is None else (s1, s2)))
     if kind == "and":
         return ClopenSubobject({cid: s1.at(cid) & s2.at(cid) for cid in poset.ids})
     if kind == "or":
         return ClopenSubobject({cid: s1.at(cid) | s2.at(cid) for cid in poset.ids})
-    # S1 => S2 keeps x iff below[x] misses the mask of S1 - S2.
+    # S1 => S2 keeps x iff below[x] misses the mask of S1 - S2, which is S1 for "not".
     top, below, _ = poset._characters
-    mask = sum(1 << (top[cid] - int(j)) for cid in poset.ids for j in s1.at(cid) - s2.at(cid))
+    outside = [s1.at(cid) if s2 is None else s1.at(cid) - s2.at(cid) for cid in poset.ids]
+    mask = sum(1 << (top[cid] - int(j)) for cid, chosen in zip(poset.ids, outside) for j in chosen)
     return ClopenSubobject({cid: frozenset(i for i, x in enumerate(below[cid]) if not x & mask) for cid in poset.ids})

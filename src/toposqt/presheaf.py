@@ -163,9 +163,9 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     return not any(below[cid][i] & outside for cid, indices in subobject.selection.items() for i in indices)
 
 
-def _require_characters(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject) -> None:
-    # Both operands select characters of the poset, or UnknownCharacter.
-    for name, s in (("first", s1), ("second", s2)):
+def _require_characters(poset: ContextPoset, *subobjects: ClopenSubobject) -> None:
+    # Each operand selects characters of the poset, or UnknownCharacter.
+    for name, s in zip(("first", "second"), subobjects):
         if not _selects_characters(poset, s.selection, f"{name} subobject"):
             raise UnknownCharacter(f"{name} subobject selects an index outside its context's atoms")
 

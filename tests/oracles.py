@@ -70,6 +70,14 @@ def brute_sections(poset: ContextPoset) -> list[dict[str, int]]:
     return partial
 
 
+def brute_sieve_implies(elements, is_leq):
+    """S => T on a down-set, read from ``is_leq`` alone: the function of two
+    sets that keeps each element all of whose lower elements in S lie in T."""
+    elements = list(elements)
+    below = {x: frozenset(y for y in elements if is_leq(y, x)) for x in elements}
+    return lambda s, t: frozenset(x for x in elements if below[x] & s <= t)
+
+
 def brute_element_connective(poset: ContextPoset, kind: str, U1: frozenset, U2: frozenset) -> dict[str, frozenset]:
     """Per context V, the sieve connective ``kind`` of the traces of the
     down-sets U1 and U2 on the down-set of V, read from ``is_leq`` alone:

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toposqt.logic
+
 from oracles import brute_element_connective
-from toposqt.errors import ValidationError
+from toposqt.contexts import build_poset
+from toposqt.errors import IncompleteAssignment, ValidationError
 from toposqt.logic import (
     GlobalElementOfOmega,
     Sieve,
@@ -122,3 +125,116 @@ def test_the_check_reads_the_sieves_of_an_unread_element(poset11):
     element._down = poset11._bit[top]
     assert not check_global_element(poset11, element)
     assert element.at(top).members == {top}
+
+
+
+def _outcome(call):
+    # A call's answer, an element's as the members of each of its sieves, or its error's type and message.
+    try:
+        result = call()
+    except (ValidationError, IncompleteAssignment) as error:
+        return type(error), str(error)
+    if isinstance(result, GlobalElementOfOmega):
+        return {cid: sieve.members for cid, sieve in result.sieves.items()}
+    return result
+
+
+def _edits(poset):
+    # Edits of a read element's dict, for an element whose U is one least
+    # context: the first and fourth leave the same sieves.
+    top = poset.ids[0]
+    least, other = [cid for cid in poset.ids if len(poset.down_ids(cid)) == 1][:2]
+
+    def equal_sieve(sieves):
+        sieves[top] = Sieve(top, sieves[top].members)
+
+    def no_global_element(sieves):
+        sieves[top] = Sieve(top, frozenset({other}))
+
+    def deleted(sieves):
+        del sieves[top]
+
+    def re_added(sieves):
+        sieves[top] = sieves.pop(top)
+
+    def foreign_key(sieves):
+        sieves["ctx-foreign"] = Sieve("ctx-foreign", frozenset())
+
+    def renamed(sieves):
+        # The values keep their order, and the last key is a foreign one.
+        sieves["ctx-foreign"] = sieves.pop(poset.ids[-1])
+
+    return frozenset({least}), (equal_sieve, no_global_element, deleted, re_added, foreign_key, renamed)
+
+
+def _agree(poset, element, copy, other):
+    # Each connective, with the element at each operand position, gives what
+    # it gives on the copy; returns the kinds of outcome seen.
+    seen = set()
+    for kind in KINDS:
+        positions = [((element,), (copy,))] if kind == "not" else [
+            ((element, other), (copy, other)), ((other, element), (other, copy))]
+        for given, copied in positions:
+            got = _outcome(lambda: global_element_connective(poset, kind, *given))
+            assert got == _outcome(lambda: global_element_connective(poset, kind, *copied))
+            seen.add(got[0] if isinstance(got, tuple) else dict)
+    return seen
+
+
+@pytest.mark.parametrize("name", POSETS)
+def test_an_edit_after_a_read_gives_what_the_edited_sieves_give(request, name):
+    # Each edited element against a copy of its dict, which is always read
+    # back.  The element's kept U is spoilt (the top context alone, no
+    # down-set), so a connective that reused it would answer otherwise.
+    poset = request.getfixturevalue(name)
+    down, edits = _edits(poset)
+    other = _read(poset, frozenset(poset.down_ids(poset.ids[-1])))
+    seen = set()
+    for edit in edits:
+        element = _read(poset, down)
+        edit(element.sieves)
+        element._down = poset._bit[poset.ids[0]]
+        copy = GlobalElementOfOmega(dict(element.sieves))
+        assert _outcome(lambda: check_global_element(poset, element)) == _outcome(
+            lambda: check_global_element(poset, copy))
+        seen |= _agree(poset, element, copy, other)
+    assert seen == {dict, ValidationError, IncompleteAssignment}
+
+
+def test_a_read_element_of_another_poset_is_read_back(poset11, maximal_context):
+    # A twin poset has the same ids; an element read there is read back
+    # here, so its spoilt U is not used.
+    twin = build_poset([maximal_context])
+    assert twin.ids == poset11.ids and twin is not poset11
+    down, _ = _edits(poset11)
+    element = _read(twin, down)
+    element._down = poset11._bit[poset11.ids[0]]
+    copy = GlobalElementOfOmega(dict(element.sieves))
+    assert _agree(poset11, element, copy, _read(poset11, down)) == {dict}
+
+
+def test_an_unedited_read_element_reuses_its_down_set(poset11, monkeypatch):
+    # No read-back: the connectives answer from the kept U alone.
+    down, _ = _edits(poset11)
+    elements = [_read(poset11, down), _read(poset11, frozenset(poset11.down_ids(poset11.ids[1])))]
+    wants = {kind: global_element_connective(poset11, kind, *elements[: 1 if kind == "not" else 2]) for kind in KINDS}
+
+    def refused(*args):
+        raise AssertionError("read back")
+
+    monkeypatch.setattr(toposqt.logic, "_read_down_set", refused)
+    for kind, want in wants.items():
+        assert global_element_connective(poset11, kind, *elements[: 1 if kind == "not" else 2]) == want
+
+
+@pytest.mark.parametrize("name", POSETS)
+def test_the_check_reads_the_sieves_of_a_read_element(request, name):
+    # A spoilt kept U changes no answer: the sound sieves pass, and an edit
+    # that makes them no global element fails, whatever U says.
+    poset = request.getfixturevalue(name)
+    down, (_, no_global_element, *_) = _edits(poset)
+    sound, odd = _read(poset, down), _read(poset, down)
+    no_global_element(odd.sieves)
+    sound._down, odd._down = poset._bit[poset.ids[0]], sound._down
+    assert check_global_element(poset, sound)
+    assert not check_global_element(poset, odd)

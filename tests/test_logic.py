@@ -11,7 +11,7 @@ import pytest
 
 import toposqt.logic
 from conftest import locate, random_small_poset
-from oracles import downsets_brute
+from oracles import brute_sieve_implies, downsets_brute
 from toposqt.contexts import build_poset, context_from_basis
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import (
@@ -19,6 +19,7 @@ from toposqt.errors import (
     EnumerationLimitExceeded,
     IncompleteAssignment,
     NotASubcontext,
+    UnknownCharacter,
     UnknownContext,
     ValidationError,
 )
@@ -779,6 +780,69 @@ def test_logic_on_two_maximal_contexts(poset_two_bases, std_projectors):
         element = truth_value(poset, P, psi)
         for v in poset.ids:
             assert element.at(v).members == certain & below[v]
+
+
+@pytest.mark.parametrize("name", ["poset11", "ks18_poset"])
+def test_enumerated_implication_matches_brute_force_on_every_pair(request, name):
+    # implies and not on two sieves of an enumerated Omega(V) OR up-set ints;
+    # every pair on every context, each result the frame's own Sieve.
+    poset = request.getfixturevalue(name)
+    for context in poset:
+        down = poset.down_ids(context.id)
+        assert len(down) <= toposqt.logic.ENUMERATION_CAP
+        implies = brute_sieve_implies(down, poset.is_leq)
+        sieves = enumerate_sieves(poset, context)
+        own = set(map(id, sieves))
+        for a in sieves:
+            negation = sieve_connective(poset, "not", a)
+            assert negation.members == implies(a.members, frozenset()) and id(negation) in own
+            for b in sieves:
+                result = sieve_connective(poset, "implies", a, b)
+                assert result.members == implies(a.members, b.members) and id(result) in own
+
+
+@pytest.mark.parametrize("name", ["poset11", "ks18_poset"])
+def test_up_is_the_transpose_of_below(request, name):
+    # Bit j of up[i] and bit i of below[j] both say ids[i] <= ids[j].
+    poset = request.getfixturevalue(name)
+    for context in poset:
+        omega = _enumerated(poset, context.id)
+        ids = poset._sieve_frames[context.id].ids
+        assert len(omega.up) == len(omega.below) == len(ids)
+        assert omega.full == (1 << len(ids)) - 1 == max(omega.sieves)
+        for i, j in product(range(len(ids)), repeat=2):
+            assert omega.up[i] >> j & 1 == omega.below[j] >> i & 1 == poset.is_leq(ids[i], ids[j])
+
+
+@pytest.mark.parametrize("name", ["poset11", "spin2_poset", "ks18_poset"])
+def test_subobject_not_is_implication_into_the_empty_subobject(request, name):
+    # On the full and empty subobjects, the outer daseinisations of sums of
+    # the top context's atoms, and selections that are not clopen.
+    poset = request.getfixturevalue(name)
+    atoms = poset.get(poset.ids[0]).atoms
+    operands = [full_subobject(poset), empty_subobject(poset)]
+    operands += [daseinise_proposition(poset, sum(atoms[: k + 1])).subobject for k in range(len(atoms) - 1)]
+    rng = np.random.default_rng(3)
+    for p in (0.3, 0.7):
+        operands.append(ClopenSubobject({c.id: compress(range(c.n_atoms), rng.random(c.n_atoms) < p) for c in poset}))
+    assert not all(is_clopen_subobject(poset, s) for s in operands)
+    for s in operands:
+        assert subobject_connective(poset, "not", s) == subobject_connective(poset, "implies", s, empty_subobject(poset))
+
+
+def test_subobject_not_checks_its_one_operand_as_the_first(poset11, second_basis):
+    full = full_subobject(poset11).selection
+    top = poset11.ids[0]
+    missing = ClopenSubobject({cid: chosen for cid, chosen in full.items() if cid != top})
+    extra = ClopenSubobject({**full, second_basis.id: frozenset()})
+    for odd in (missing, extra):
+        with pytest.raises(IncompleteAssignment) as raised:
+            subobject_connective(poset11, "not", odd)
+        assert str(raised.value) == "first subobject must be defined on every context of the poset and on no other"
+    stray = ClopenSubobject({**full, top: {0, 7}})
+    with pytest.raises(UnknownCharacter) as raised:
+        subobject_connective(poset11, "not", stray)
+    assert str(raised.value) == "first subobject selects an index outside its context's atoms"
 
 
 def _masks(poset, context_id) -> tuple[list[int], tuple[int, ...]]:

@@ -35,6 +35,7 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
             r"dump to a file min [\d.]+ s, median [\d.]+ s, peak RSS \d+ MB; "
             r"render_json min [\d.]+ s, median [\d.]+ s, peak RSS \d+ MB; "
             r"truth_value first [\d.]+ ms, warm [\d.]+ ms; and first [\d.]+ ms, warm [\d.]+ ms; "
+            r"and, read operands first [\d.]+ ms, warm [\d.]+ ms; "
             r"or first [\d.]+ ms, warm [\d.]+ ms; implies first [\d.]+ ms, warm [\d.]+ ms; "
             r"not first [\d.]+ ms, warm [\d.]+ ms; implies, read first [\d.]+ ms, warm [\d.]+ ms; "
             r"check_global_element first [\d.]+ ms, warm [\d.]+ ms; value sweep first [\d.]+ ms, warm [\d.]+ ms; "

@@ -15,9 +15,11 @@ from ``run_command`` to the streamed write is the cost of writing in chunks.
 No two results of one part are alive at once.  Then, on a fresh poset each,
 the first and a warm call of ``truth_value``; of
 ``global_element_connective`` ``and``, ``or``, ``implies`` and ``not`` on
-two truth values, whose sieves are not built; of ``implies, read``, the
-implication followed by a read of every sieve of the result, which builds
-them; of ``check_global_element`` on a truth value, which builds its sieves
+two truth values, whose sieves are not built; of ``and, read operands``,
+the conjunction of the same two after a read of every sieve of each, which
+the connective checks against the down-set each keeps; of ``implies,
+read``, the implication followed by a read of every sieve of the result,
+which builds them; of ``check_global_element`` on a truth value, which builds its sieves
 at the first call and no sieve frame, as it reads no sieve's ints; of a value
 sweep: one ``quantity_value_arrow`` per character of every context, whose
 first call clusters the observable and builds its seed-atom table, whose
@@ -124,6 +126,7 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
     parts = [f"truth_value {_first_and_warm(lambda: truth_value(poset, P, psi))}"]
     calls = {
         "and": lambda poset, g1, g2: global_element_connective(poset, "and", g1, g2),
+        "and, read operands": lambda poset, g1, g2: global_element_connective(poset, "and", g1, g2),
         "or": lambda poset, g1, g2: global_element_connective(poset, "or", g1, g2),
         "implies": lambda poset, g1, g2: global_element_connective(poset, "implies", g1, g2),
         "not": lambda poset, g1, g2: global_element_connective(poset, "not", g1),
@@ -133,6 +136,9 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
     for label, call in calls.items():
         poset = build_poset([seed])
         operands = poset, truth_value(poset, P, psi), truth_value(poset, Q, psi)
+        if label.endswith("read operands"):
+            for element in operands[1:]:
+                element.sieves
         parts.append(f"{label} {_first_and_warm(lambda: call(*operands))}")
     A = sum(k * np.outer(v, v.conj()) for k, v in enumerate(basis))
     B = sum(k * np.outer(v, v.conj()) for k, v in enumerate(reversed(basis)))
