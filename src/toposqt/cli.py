@@ -57,10 +57,11 @@ def _select_contexts(poset: ContextPoset, options: Mapping) -> list:
 
 def _per_context(daseinised: DaseinisedProposition) -> dict:
     # The daseinize and pseudo-state reports' map: per context, in poset
-    # order, the approximation and the characters where it is 1.
+    # order, the approximation (all encoded in one call) and its characters.
+    projectors = daseinised.per_context_projector
     return {
-        cid: {"projector": matrix_to_json(projector, 12), "characters": sorted(daseinised.subobject.at(cid))}
-        for cid, projector in daseinised.per_context_projector.items()
+        cid: {"projector": encoded, "characters": sorted(daseinised.subobject.at(cid))}
+        for cid, encoded in zip(projectors, matrix_to_json(list(projectors.values()), 12))
     }
 
 

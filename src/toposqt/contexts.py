@@ -470,11 +470,13 @@ class ContextPoset:
     Each seed atom touches an atom of every seed (checked by ``build_poset``).
     The poset keeps the seed atoms and each atom's seed mask, so that a
     touch with a family of projections is read off one ``touch_table`` of
-    the seed atoms.  It keeps the ``Tolerances`` it was built with, for every
-    call over the whole poset.  For the interval values it keeps A's
-    eigenvalues and seed-atom cluster table for the last quantity A it valued
-    (``valuation._quantity``), and each context the bounds of the characters
-    valued so far for the last two A valued there (``valuation._value_arrows``).
+    the seed atoms; its first poset-wide daseinisation, not the build, stacks
+    its atoms again, read-only, one stack per atom count.  It keeps the
+    ``Tolerances`` it was built with, for every call over the whole poset.
+    For the interval values it keeps A's eigenvalues and seed-atom cluster
+    table for the last quantity A it valued (``valuation._quantity``), and
+    each context the bounds of the characters valued so far for the last two
+    A valued there (``valuation._value_arrows``).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -618,6 +620,16 @@ class ContextPoset:
         masks = [mask for c in self._contexts for mask in self._registry.nodes[c.id].own]
         starts = np.cumsum([0] + [c.n_atoms for c in self._contexts[:-1]])
         return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float), starts
+
+    @cached_property
+    def _atom_stacks(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        # Each poset atom's index in its context (in _seed_sums row order), and
+        # a read-only (contexts, n, dim, dim) stack of the atoms of the contexts
+        # of n atoms, which follow each other in poset order, for each n.
+        stacks = tuple(np.array([c.atoms for c in group]) for _, group in groupby(self._contexts, lambda c: c.n_atoms))
+        for stack in stacks:
+            stack.setflags(write=False)
+        return np.array([i for c in self._contexts for i in range(c.n_atoms)]), stacks
 
     def _build_first_down(self, context_id: str) -> np.ndarray:
         # The _seed_sums row of the first atom of each context of the down-set

@@ -9,47 +9,66 @@ sum_a lambda_min(a) a.  A projection P is the two-valued quantity with value
 0 on 1 - P and 1 on P, on which the spectral order is the projection order:
 its outer approximation is the sum of the atoms touching P, and its inner
 one the sum of the atoms touching P but not 1 - P, where P's characters
-evaluate to 1.  An atom touching neither (only possible at a large tau) has
-no bound, and both approximations reject it.  In one context the table's
-rows are the context's atoms.  Over a whole poset they are the seed atoms:
-an atom touches Q iff the entries of the seed atoms it sums add up to more
-than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).
+evaluate to 1: each atom weighs 0 or 1 (``_weights``).  An atom touching
+neither (only possible at a large tau) has no weight, and both
+approximations reject it.  In one context the table's rows are the
+context's atoms.  Over a whole poset they are the seed atoms: an atom
+touches Q iff the entries of the seed atoms it sums add up to more than
+tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).  There the weights
+give each context's selection as one int, and the approximations of all
+contexts of n atoms as one masked sum over the poset's stack of their atoms.
+That sum adds the atoms in atom order, as the per-context one does, so it
+has its bits; ``np.add.reduceat`` over the atoms does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .contexts import Context, ContextPoset
+from .contexts import Context, ContextPoset, _bits
+from .errors import ValidationError
 from .operators import (
     TAU,
     TAU_EIG,
-    _two_valued,
+    _tau,
+    identity,
     require_projector,
     spectral_bounds,
     spectral_decomposition,
-    table_bounds,
     touch_table,
     zero,
 )
 from .presheaf import ClopenSubobject
 
 
-def _approximation(context: Context, bounds, end: int) -> np.ndarray:
-    # sum_a bound(a) a, with each atom's least (end 0) or greatest (end 1)
-    # bound.  Only nonzero bounds are added, in place and in atom order, and
-    # a bound of 1 adds the atom itself.
+def _approximation(context: Context, values) -> np.ndarray:
+    # sum_a value(a) a over the atoms.  Only nonzero values are added, in
+    # place and in atom order, and a value of 1 adds the atom itself.
     out = zero(context.dim)
-    for a, bound in zip(context.atoms, bounds):
-        value = bound[end]
+    for a, value in zip(context.atoms, values):
         if value == 1.0:
             out += a
         elif value:
             out += value * a
     return out
+
+
+def _weights(rows: np.ndarray, end: int, tau: float) -> np.ndarray:
+    # Each atom's weight in P's inner (end 0) or outer (end 1) approximation, from its touch_table
+    # row against (1 - P, P): outer, it touches P; inner, it misses 1 - P; touching neither, none.
+    hits = rows > tau * tau
+    if not (hits[:, 0] | hits[:, 1]).all():
+        raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
+    return hits[:, 1] if end else ~hits[:, 0]
+
+
+def _projection(P, context: Context, tau: float, end: int) -> np.ndarray:
+    # The inner (end 0) or outer (end 1) approximation of P in one context.
+    P = require_projector(P, tau)
+    rows = touch_table(context.atoms, (identity(P.shape[0]) - P, P))
+    return _approximation(context, _weights(rows, end, _tau(tau)).tolist())
 
 
 def outer_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndarray:
@@ -58,15 +77,13 @@ def outer_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndar
     Equals the sum of the atoms that P touches (a P != 0); the identity when
     every atom is touched, zero only for P = 0.
     """
-    bounds = spectral_bounds(_two_valued(require_projector(P, tau)), context.atoms, tau)
-    return _approximation(context, bounds, 1)
+    return _projection(P, context, tau, 1)
 
 
 def inner_daseinise_projection(P, context: Context, tau: float = TAU) -> np.ndarray:
     """Largest projection of the context dominated by P: the sum of the
     atoms that touch P but not 1 - P."""
-    bounds = spectral_bounds(_two_valued(require_projector(P, tau)), context.atoms, tau)
-    return _approximation(context, bounds, 0)
+    return _projection(P, context, tau, 0)
 
 
 @dataclass(frozen=True)
@@ -99,19 +116,23 @@ def inner_daseinise_proposition(poset: ContextPoset, P) -> DaseinisedProposition
 
 
 def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedProposition:
-    # The inner (end 0) or outer (end 1) daseinisation of a checked projection:
-    # each context's atom bounds, read off one touch_table of the seed atoms
-    # against (1 - P, P) at the poset's tau, give its approximation and the
-    # atoms where that is 1.
-    family = _two_valued(P)
-    seeds, sums, _ = poset._seed_sums
-    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset.tolerances.tau))
-    projectors, selection = {}, {}
-    for c in poset:
-        own = list(islice(bounds, c.n_atoms))
-        projectors[c.id] = _approximation(c, own, end)
-        selection[c.id] = frozenset(i for i, b in enumerate(own) if b[end])
-    return DaseinisedProposition(P, projectors, ClopenSubobject(selection))
+    # The inner (end 0) or outer (end 1) daseinisation of a checked projection
+    # from every poset atom's weight, read off one touch_table of the seed
+    # atoms.  A context selects the bits of the int of its weights.  Adding 0.0
+    # clears a negative zero that a reduction starting from its first term keeps.
+    seeds, sums, starts = poset._seed_sums
+    w = _weights(sums @ touch_table(seeds, (identity(P.shape[0]) - P, P)), end, poset.tolerances.tau)
+    index, stacks = poset._atom_stacks
+    codes = np.add.reduceat(w << index, starts).tolist()
+    selections = {code: frozenset(_bits(code)) for code in set(codes)}
+    projectors, first, at = {}, 0, 0
+    for stack in stacks:
+        k, n = stack.shape[:2]
+        out = (stack * w[at : at + k * n].reshape(k, n, 1, 1)).sum(axis=1)
+        out += 0.0
+        projectors.update(zip(poset.ids[first : first + k], out))
+        first, at = first + k, at + k * n
+    return DaseinisedProposition(P, projectors, ClopenSubobject(dict(zip(poset.ids, map(selections.get, codes)))))
 
 
 def outer_daseinise_selfadjoint(
@@ -124,7 +145,7 @@ def outer_daseinise_selfadjoint(
     is contained in A's.
     """
     bounds = spectral_bounds(spectral_decomposition(A, tau, tau_eig), context.atoms, tau)
-    return _approximation(context, bounds, 1)
+    return _approximation(context, [high for _, high in bounds])
 
 
 def inner_daseinise_selfadjoint(
@@ -133,4 +154,4 @@ def inner_daseinise_selfadjoint(
     """Largest member of the context spectrally below A: sum_a lambda_min(a) a,
     with lambda_min(a) the least eigenvalue whose spectral projection a touches."""
     bounds = spectral_bounds(spectral_decomposition(A, tau, tau_eig), context.atoms, tau)
-    return _approximation(context, bounds, 0)
+    return _approximation(context, [low for low, _ in bounds])

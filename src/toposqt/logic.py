@@ -333,9 +333,13 @@ class GlobalElementOfOmega:
 
 def _element(poset: ContextPoset, outside: int) -> GlobalElementOfOmega:
     # The global element whose down-set keeps each context whose down-set int misses ``outside``.
+    return _holding(poset, sum(compress(poset._bit.values(), [not below & outside for below in poset._below.values()])))
+
+
+def _holding(poset: ContextPoset, down: int) -> GlobalElementOfOmega:
+    # The global element of the down-set int ``down``.
     element = object.__new__(GlobalElementOfOmega)
-    element._poset, element._sieves = poset, None
-    element._down = sum(compress(poset._bit.values(), [not below & outside for below in poset._below.values()]))
+    element._poset, element._sieves, element._down = poset, None, down
     return element
 
 
@@ -407,8 +411,9 @@ def global_element_connective(
     if kind not in _ALL_KINDS or (kind == "not") != (g2 is None):
         raise ValidationError(_KIND_ERROR.format(kind))
     a, b = downs
-    # A down-set U keeps each context whose down-set int misses the complement of U.
-    return _element(poset, {"and": ~(a & b), "or": ~(a | b)}.get(kind, a & ~b))
+    if kind in ("and", "or"):  # U1 ∩ U2 and U1 ∪ U2 are down-sets already
+        return _holding(poset, a & b if kind == "and" else a | b)
+    return _element(poset, a & ~b)
 
 
 def subobject_connective(

@@ -140,11 +140,6 @@ def require_same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionMismatch(f"operands have shapes {A.shape} and {B.shape}")
 
 
-def projector_rank(P: np.ndarray) -> int:
-    """Rank of a projection, read off its trace."""
-    return int(round(float(np.trace(P).real)))
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (strictly increasing) with their spectral projectors.
@@ -273,11 +268,6 @@ def touch_masks(left: Sequence[np.ndarray], right: Sequence[np.ndarray], tau: fl
     tau = _tau(tau)
     hits = touch_table(left, right) > tau * tau
     return [sum(1 << j for j, hit in enumerate(row) if hit) for row in hits.tolist()]
-
-
-def _two_valued(P: np.ndarray) -> SpectralDecomposition:
-    # A projection read as the quantity with value 0 on 1 - P and 1 on P.
-    return SpectralDecomposition((0.0, 1.0), (identity(P.shape[0]) - P, P))
 
 
 def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> list[tuple[float, float]]:

@@ -30,7 +30,7 @@ import numpy as np
 from ._json import brief_repr, integer
 from .contexts import Context, ContextPoset, restriction_table
 from .errors import IncompleteAssignment, NotASubcontext, NotInAlgebra, UnknownCharacter, ValidationError
-from .operators import TAU, _tau, _two_valued, as_operator, close, require_projector, require_same_dim, spectral_bounds
+from .operators import TAU, _tau, as_operator, close, require_same_dim
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,3 @@ def subobject_leq(poset: ContextPoset, s1: ClopenSubobject, s2: ClopenSubobject)
     raises ``UnknownCharacter``."""
     _require_characters(poset, s1, s2)
     return all(s1.at(cid) <= s2.at(cid) for cid in poset.ids)
-
-
-def subobject_of_projector(context: Context, projector, tau: float = TAU) -> frozenset[int]:
-    """Atom indices where a projection member of the context evaluates to 1:
-    the atoms whose least bound in the two-valued quantity P is 1, i.e. that
-    touch P but not its complement."""
-    P = require_projector(projector, tau)
-    bounds = spectral_bounds(_two_valued(P), context.atoms, tau)
-    return frozenset(i for i, (lo, _) in enumerate(bounds) if lo == 1.0)

@@ -31,9 +31,9 @@ from .operators import (
     _complex,
     _decompose,
     _spectral_projection,
-    _two_valued,
     as_operator,
     cluster_table,
+    identity,
     require_projector,
     table_bounds,
     touch_table,
@@ -89,7 +89,7 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     tau = poset._tolerance(tau).tau
     P, ray = require_projector(P, tau), _ray(psi, tau)
     seeds, sums, starts = poset._seed_sums
-    hits = sums @ touch_table(seeds, _two_valued(P).projectors + _two_valued(ray).projectors) > tau * tau
+    hits = sums @ touch_table(seeds, (identity(len(P)) - P, P, identity(len(ray)) - ray, ray)) > tau * tau
     if not (hits[:, :2].any(axis=1) & hits[:, 2:].any(axis=1)).all():
         raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
     # The bits of the contexts where an atom touches the ray but not P; keep those whose down-set misses them.

@@ -7,7 +7,7 @@ library functions it validates.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,7 +16,19 @@ import numpy as np
 from toposqt import contexts
 from toposqt.contexts import Context, ContextPoset, build_poset
 from toposqt.errors import UnknownContext
-from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq, zero
+from toposqt.operators import (
+    TAU,
+    SpectralDecomposition,
+    identity,
+    projector_leq,
+    require_projector,
+    spectral_bounds,
+    spectral_decomposition,
+    spectral_order_leq,
+    table_bounds,
+    touch_table,
+    zero,
+)
 
 
 def restriction_maps(poset: ContextPoset) -> dict[tuple[str, str], tuple[int, ...]]:
@@ -310,6 +322,46 @@ def brute_inner_selfadjoint(A: np.ndarray, context: Context, grid) -> np.ndarray
             best = B
     assert all(spectral_order_leq(B, best) for B in candidates)
     return best
+
+
+def projector_rank(P: np.ndarray) -> int:
+    """Rank of a projection, read off its trace."""
+    return int(round(float(np.trace(P).real)))
+
+
+def two_valued(P: np.ndarray) -> SpectralDecomposition:
+    """A projection read as the quantity with value 0 on 1 - P and 1 on P."""
+    return SpectralDecomposition((0.0, 1.0), (identity(P.shape[0]) - P, P))
+
+
+def subobject_of_projector(context: Context, projector, tau: float = TAU) -> frozenset[int]:
+    """Atom indices where a projection member of the context evaluates to 1:
+    the atoms whose least bound in the two-valued quantity P is 1, i.e. that
+    touch P but not its complement."""
+    P = require_projector(projector, tau)
+    bounds = spectral_bounds(two_valued(P), context.atoms, tau)
+    return frozenset(i for i, (lo, _) in enumerate(bounds) if lo == 1.0)
+
+
+def loop_daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict, dict]:
+    """The inner (end 0) or outer (end 1) daseinisation of a projection by
+    the per-context loop: every poset atom's bounds in the two-valued
+    quantity P, read off one touch_table of the seed atoms, then per context
+    sum_a bound(a) a, each atom of bound 1 added in place in atom order, and
+    the atoms of nonzero bound.  Returns the approximations and selections."""
+    family = two_valued(P)
+    seeds, sums, _ = poset._seed_sums
+    bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset.tolerances.tau))
+    projectors, selection = {}, {}
+    for c in poset:
+        own = list(islice(bounds, c.n_atoms))
+        out = zero(c.dim)
+        for a, bound in zip(c.atoms, own):
+            if bound[end] == 1.0:
+                out += a
+        projectors[c.id] = out
+        selection[c.id] = frozenset(i for i, b in enumerate(own) if b[end])
+    return projectors, selection
 
 
 def pair_touch_masks(left, right, tau: float = 1e-9) -> list[int]:

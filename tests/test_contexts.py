@@ -22,6 +22,7 @@ from oracles import (
     brute_poset_size,
     is_sum_of_atoms,
     order_rows_by_product,
+    projector_rank,
     random_projector,
     random_self_adjoint,
     random_unitary,
@@ -52,7 +53,7 @@ from toposqt.errors import (
 )
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.logic import Sieve, enumerate_sieves, sieve_connective
-from toposqt.operators import Tolerances, projector_rank
+from toposqt.operators import Tolerances
 from toposqt.presheaf import gelfand_spectrum
 from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
 from toposqt.valuation import (

@@ -75,6 +75,23 @@ def test_connectives_match_the_oracle(request, name, data):
             assert check_global_element(poset, result)
 
 
+@pytest.mark.parametrize("name", ("poset11", "spin2", "ks18_poset"))
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_and_or_hold_the_down_set_the_per_context_rule_gives(request, name, data):
+    # U1 ∩ U2 and U1 ∪ U2 are down-sets already: the result holds the int
+    # that keeping each context whose down-set misses their complement gives.
+    poset = request.getfixturevalue(name)
+    U1, U2 = _down_set(data, poset), _down_set(data, poset)
+    for make in (_unread, _read):
+        g1, g2 = make(poset, U1), make(poset, U2)
+        a, b = g1._down, g2._down
+        for kind, outside in (("and", ~(a & b)), ("or", ~(a | b))):
+            result, want = global_element_connective(poset, kind, g1, g2), _element(poset, outside)
+            assert result._down == want._down
+            assert result.sieves == want.sieves
+
+
 def test_a_connective_honours_an_edit_after_a_read(poset11):
     # Once its sieves are read, the dict is the element, not the down-set it was built from.
     element = totally_true(poset11)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     pair_touch_masks,
+    projector_rank,
     random_projector,
     random_self_adjoint,
     random_unit_vector,
@@ -26,7 +27,6 @@ from toposqt.operators import (
     is_projector,
     is_self_adjoint,
     projector_leq,
-    projector_rank,
     spectral_decomposition,
     spectral_family_at,
     spectral_order_leq,

@@ -33,7 +33,9 @@ benchmark's query passes interleave theirs: its first round misses the
 poset's slot at every context, and its warm round reads each context's own;
 of ``quantity_value_arrows`` over the whole poset, which builds them too; and
 of ``inner_daseinise_proposition`` of the first proposition, whose first
-call builds the poset's seed sums.  Then, again on a fresh poset each,
+call builds the poset's seed sums and its stacks of atoms, and of
+``daseinise_proposition`` of it and ``pseudo_state`` of the state, which
+build them too.  Then, again on a fresh poset each,
 the first and a warm call of ``subobject_connective`` ``implies`` on the
 outer daseinisations of the two propositions, of ``is_clopen_subobject`` on
 the first of them, and of ``global_sections``, whose first calls build the
@@ -75,6 +77,7 @@ from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
 from toposqt.valuation import (  # noqa: E402
     global_sections,
+    pseudo_state,
     quantity_value_arrow,
     quantity_value_arrows,
     truth_value,
@@ -163,8 +166,11 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
     parts.append(f"interleaved value sweep {_first_and_warm(interleaved)}")
     poset = build_poset([seed])
     parts.append(f"value arrows {_first_and_warm(lambda: quantity_value_arrows(poset, A))}")
-    poset = build_poset([seed])
-    parts.append(f"inner daseinisation {_first_and_warm(lambda: inner_daseinise_proposition(poset, P))}")
+    for label, call in (("inner daseinisation", lambda poset: inner_daseinise_proposition(poset, P)),
+                        ("outer daseinisation", lambda poset: daseinise_proposition(poset, P)),
+                        ("pseudo_state", lambda poset: pseudo_state(poset, psi))):
+        poset = build_poset([seed])
+        parts.append(f"{label} {_first_and_warm(lambda: call(poset))}")
     return "; ".join(parts)
 
 
