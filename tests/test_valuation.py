@@ -749,6 +749,7 @@ def test_pseudo_state_is_the_daseinised_ray(poset11):
 
 def test_truth_value_sums_no_projector(poset11, std_projectors, monkeypatch):
     import toposqt.daseinisation
+    import toposqt.valuation
 
     psi = np.array([0.6, 0.8, 0, 0], dtype=complex)
     P = std_projectors[0] + std_projectors[1]
@@ -758,6 +759,9 @@ def test_truth_value_sums_no_projector(poset11, std_projectors, monkeypatch):
         raise AssertionError("truth_value summed a per-context projector")
 
     monkeypatch.setattr(toposqt.daseinisation, "_approximation", refuse)
+    # The poset-wide sums: daseinise_proposition's and pseudo_state's.
+    monkeypatch.setattr(toposqt.daseinisation, "_daseinise", refuse)
+    monkeypatch.setattr(toposqt.valuation, "_daseinise", refuse)
     assert truth_value(poset11, P, psi) == expected
     assert expected.at(poset11.ids[0]) == principal_sieve(poset11, poset11.ids[0])
 
