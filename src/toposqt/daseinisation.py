@@ -32,6 +32,8 @@ from .errors import ValidationError
 from .operators import (
     TAU,
     TAU_EIG,
+    _checked_projector,
+    _column_table,
     _tau,
     identity,
     require_projector,
@@ -65,9 +67,9 @@ def _weights(rows: np.ndarray, end: int, tau: float) -> np.ndarray:
 
 
 def _projection(P, context: Context, tau: float, end: int) -> np.ndarray:
-    # The inner (end 0) or outer (end 1) approximation of P in one context.
-    P = require_projector(P, tau)
-    rows = touch_table(context.atoms, (identity(P.shape[0]) - P, P))
+    # The inner (end 0) or outer (end 1) approximation of P in one context,
+    # off the touch_table against the columns (1 - P | P) kept with P's check.
+    rows = _column_table(np.asarray(context.atoms), _checked_projector(P, tau, columns=True)[1])
     return _approximation(context, _weights(rows, end, _tau(tau)).tolist())
 
 

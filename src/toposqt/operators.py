@@ -11,8 +11,9 @@ orthogonal atoms.  Against a quantity's spectral projections P_c = V_c V_c^*
 the entry is read off its eigenvector clusters instead, by ``cluster_table``:
 ||aV_c||_F^2 = ||aP_c||_F^2, with the same test, and no P_c is formed.
 
-Operators are plain complex ``numpy`` arrays; values returned by this module
-are freshly allocated and never aliased to caller data.
+Operators are plain complex ``numpy`` arrays.  ``as_operator`` and
+``require_projector`` return the caller's array itself when it is a complex
+ndarray already; every other array this module returns is freshly allocated.
 """
 
 from __future__ import annotations
@@ -128,11 +129,30 @@ def is_orthonormal(vectors, tau: float = TAU) -> bool:
     return bool(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= _tau(tau))
 
 
-def require_projector(P, tau: float = TAU) -> np.ndarray:
+#: The last projection that passed require_projector, as one tuple (key,
+#: columns): key is its shape and bytes, as as_operator returns it, and its
+#: tau; columns is (1 - P | P) once a call has asked for it, else None.
+_last_projector = None
+
+
+def _checked_projector(P, tau: float, columns: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    # P after as_operator, checked a projection at tau, and its columns if asked
+    # for.  The projection test runs only when the key is not the slot's (equal
+    # bytes at an equal tau give the same verdict); the slot is read once.
+    global _last_projector
     P = as_operator(P)
-    if not _self_adjoint(P, tau, idempotent=True):
-        raise NotProjector(f"matrix is not an orthogonal projection within tau={tau}")
-    return P
+    key, slot = (P.shape, P.tobytes(), _tau(tau)), _last_projector
+    if slot is None or slot[0] != key:
+        if not _self_adjoint(P, key[2], idempotent=True):
+            raise NotProjector(f"matrix is not an orthogonal projection within tau={tau}")
+        slot = _last_projector = (key, None)
+    if columns and slot[1] is None:
+        slot = _last_projector = (key, np.concatenate((identity(P.shape[0]) - P, P), axis=1))
+    return P, slot[1]
+
+
+def require_projector(P, tau: float = TAU) -> np.ndarray:
+    return _checked_projector(P, tau)[0]
 
 
 def require_same_dim(A: np.ndarray, B: np.ndarray) -> None:
@@ -238,10 +258,16 @@ def touch_table(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.n
     shapes = {left.shape[1:], *[b.shape for b in right]} if stacked else {a.shape for a in (*left, *right)}
     if len(shapes) > 1:
         raise DimensionMismatch("atoms live on different Hilbert spaces")
-    left = np.asarray(left)
+    return _column_table(np.asarray(left), np.concatenate(right, axis=1))
+
+
+def _column_table(left: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    # touch_table of a stack against right projections side by side, (b_1 | ... | b_m).
     n, dim = len(left), left.shape[-1]
+    if len(columns) != dim:
+        raise DimensionMismatch("atoms live on different Hilbert spaces")
     # One matrix product: entry [a, i, b, j] is (ab)[i, j].
-    products = (left.reshape(n * dim, dim) @ np.concatenate(right, axis=1)).reshape(n, dim, len(right), dim)
+    products = (left.reshape(n * dim, dim) @ columns).reshape(n, dim, -1, dim)
     return np.einsum("aibj,aibj->ab", products.conj(), products).real
 
 

@@ -98,8 +98,13 @@ class ClopenSubobject:
     __slots__ = ("selection",)
 
     def __init__(self, selection: Mapping[str, frozenset[int]]) -> None:
-        self.selection: dict[str, frozenset[int]] = {}
-        for cid, indices in _mapping(selection, "selection").items():
+        # A selection of frozensets, such as the library makes, is copied whole.
+        selection = _mapping(selection, "selection")
+        if {frozenset}.issuperset(map(type, selection.values())):
+            self.selection: dict[str, frozenset[int]] = dict(selection)
+            return
+        self.selection = {}
+        for cid, indices in selection.items():
             try:
                 self.selection[cid] = frozenset(indices)
             except TypeError:

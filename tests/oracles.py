@@ -364,6 +364,20 @@ def loop_daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict, 
     return projectors, selection
 
 
+def table_projection(P: np.ndarray, context: Context, end: int, tau: float = TAU) -> np.ndarray:
+    """The inner (end 0) or outer (end 1) approximation of a projection in one
+    context through ``touch_table``, with (1 - P, P) built anew on each call:
+    the sum of the atoms whose row touches P (outer) or misses 1 - P (inner),
+    each added in place in atom order."""
+    P = np.asarray(P, dtype=complex)
+    hits = touch_table(context.atoms, (identity(P.shape[0]) - P, P)) > tau * tau
+    out = zero(context.dim)
+    for a, (low, high) in zip(context.atoms, hits.tolist()):
+        if high if end else not low:
+            out += a
+    return out
+
+
 def pair_touch_masks(left, right, tau: float = 1e-9) -> list[int]:
     """For each left projection a, the bitmask of the right projections b
     with ||ab||_F > tau, one product at a time."""

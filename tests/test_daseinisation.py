@@ -18,6 +18,7 @@ from oracles import (
     random_unit_vector,
     random_unitary,
     subobject_of_projector,
+    table_projection,
 )
 from toposqt.contexts import build_poset, context_from_basis
 from toposqt.daseinisation import (
@@ -28,7 +29,7 @@ from toposqt.daseinisation import (
     outer_daseinise_projection,
     outer_daseinise_selfadjoint,
 )
-from toposqt.errors import NotProjector, ValidationError
+from toposqt.errors import DimensionMismatch, NotProjector, ValidationError
 from toposqt.operators import projector_leq, spectral_decomposition, spectral_order_leq
 from toposqt.presheaf import is_clopen_subobject
 from toposqt.valuation import pseudo_state, truth_value
@@ -99,6 +100,102 @@ def test_daseinise_rejects_non_projector(maximal_context):
         outer_daseinise_projection(np.diag([0.5, 0, 0, 0]), maximal_context)
     with pytest.raises(NotProjector):
         inner_daseinise_projection(np.diag([2.0, 0, 0, 0]), maximal_context)
+
+
+_APPROXIMATIONS = (inner_daseinise_projection, outer_daseinise_projection)  # end 0, end 1
+
+
+def _assert_is_the_table_path(P, context, tau=1e-9):
+    # Both per-context approximations, byte for byte those of touch_table
+    # against (1 - P, P) built anew.
+    for end, approximate in enumerate(_APPROXIMATIONS):
+        assert approximate(P, context, tau).tobytes() == table_projection(P, context, end, tau).tobytes()
+
+
+def test_a_projector_changed_in_place_after_a_per_context_call_is_a_new_operand(maximal_context):
+    P = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    _assert_is_the_table_path(P, maximal_context)
+    P[2, 2] = 0.5
+    for approximate in _APPROXIMATIONS:
+        with pytest.raises(NotProjector):
+            approximate(P, maximal_context)
+    # A projection again, of rank 3: read off its own columns, not the old ones.
+    P[2, 2] = 1.0
+    _assert_is_the_table_path(P, maximal_context)
+    assert np.array_equal(inner_daseinise_projection(P, maximal_context), np.diag([1, 1, 1, 0]))
+
+
+def test_a_failing_matrix_fails_on_every_per_context_call(maximal_context):
+    A = np.diag([0.5, 0.0, 0.0, 0.0])
+    for _ in range(2):
+        for approximate in _APPROXIMATIONS:
+            with pytest.raises(NotProjector):
+                approximate(A, maximal_context)
+
+
+def test_the_same_bytes_pass_at_a_loose_tau_and_fail_at_a_strict_one(maximal_context):
+    # ||P^2 - P||_F is about 2e-6: a projection at tau 1e-3, none at 1e-9.
+    P = np.diag([1.0 + 1e-6, 0.0, 0.0, 0.0]).astype(complex)
+    for tau, passes in ((1e-3, True), (1e-9, False), (1e-3, True), (1e-9, False)):
+        for approximate in _APPROXIMATIONS:
+            if passes:
+                approximate(P, maximal_context, tau)
+            else:
+                with pytest.raises(NotProjector):
+                    approximate(P, maximal_context, tau)
+
+
+def test_alternating_two_projections_gives_the_table_path_bits_on_every_call(ks18_poset):
+    top = ks18_poset.get(ks18_poset.ids[0])
+    P, Q = top.atoms[0] + top.atoms[1], random_projector(np.random.default_rng(7), ks18_poset.dim, 2)
+    for context in ks18_poset:
+        for R in (P, Q, P, Q):
+            _assert_is_the_table_path(R, context)
+
+
+def test_a_projection_of_another_dimension_fails_on_every_per_context_call(maximal_context):
+    big = np.zeros((5, 5), dtype=complex)
+    big[0, 0] = 1.0
+    for _ in range(2):
+        for approximate in _APPROXIMATIONS:
+            with pytest.raises(DimensionMismatch):
+                approximate(big, maximal_context)
+
+
+def test_per_context_calls_from_more_threads_than_cores_keep_each_projection_its_own(ks18_poset):
+    # Each thread sweeps the poset with its own projection, at a short switch
+    # interval; every approximation is its own P's, so no thread read another
+    # P's columns under its key.
+    import os
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    top = ks18_poset.get(ks18_poset.ids[0])
+    workers = (os.cpu_count() or 1) + 1
+    projections = [top.atoms[i % top.n_atoms] + top.atoms[(i + 1) % top.n_atoms] * (i // top.n_atoms % 2)
+                   for i in range(workers)]
+    contexts = list(ks18_poset) * 3
+    expected = [[table_projection(R, c, 0).tobytes() for c in contexts] for R in projections]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(lambda R: [inner_daseinise_projection(R, c).tobytes() for c in contexts], R)
+                       for R in projections]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+def test_every_ks18_context_approximates_as_the_table_path(ks18_poset):
+    top = ks18_poset.get(ks18_poset.ids[0])
+    rng = np.random.default_rng(5)
+    dim = ks18_poset.dim
+    for P in (np.zeros((dim, dim)), np.eye(dim), top.atoms[0], top.atoms[0] + top.atoms[2],
+              *(random_projector(rng, dim, k) for k in range(1, dim))):
+        for context in ks18_poset:
+            _assert_is_the_table_path(P, context)
 
 
 def test_approximations_reject_an_atom_touching_neither_p_nor_its_complement():
@@ -219,6 +316,23 @@ def test_haar_poset_daseinisation_is_the_per_context_loop_bit_for_bit(drawn, dat
         P = random_projector(rng, dim, rank)
     _check_against_the_loop(poset, P, random_unit_vector(rng, dim))
     _check_against_the_loop(poset, P, basis[:, 0])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(drawn=_haar_bases(), data=st.data())
+def test_every_haar_context_approximates_as_the_table_path(drawn, data):
+    # Inexact entries, so another sum or product order would show in the low bits.
+    bases, rng = drawn
+    poset = build_poset([context_from_basis(list(b.T)) for b in bases])
+    dim = poset.dim
+    rank = data.draw(st.integers(0, dim), label="rank")
+    if data.draw(st.booleans(), label="rays"):
+        rays = bases[0][:, data.draw(st.permutations(range(dim)), label="order")[:rank]]
+        P = rays @ rays.conj().T
+    else:
+        P = random_projector(rng, dim, rank)
+    for context in poset:
+        _assert_is_the_table_path(P, context)
 
 
 def test_an_atom_touching_neither_fails_alike_in_one_context_and_over_the_poset():

@@ -22,11 +22,13 @@ from toposqt.operators import (
     Tolerances,
     _clusters,
     _decompose,
+    as_operator,
     close,
     cluster_table,
     is_projector,
     is_self_adjoint,
     projector_leq,
+    require_projector,
     spectral_decomposition,
     spectral_family_at,
     spectral_order_leq,
@@ -430,3 +432,48 @@ def test_spectral_family_at_refuses_a_point_that_is_no_real_number(r):
         spectral_family_at(decomp, r)
     assert not spectral_family_at(decomp, -np.inf).any()
     assert np.allclose(spectral_family_at(decomp, np.float32(1.5)), np.diag([1.0, 0.0]))
+
+
+def test_as_operator_and_require_projector_return_a_complex_ndarray_itself():
+    # The two functions that may alias caller data: a complex ndarray comes
+    # back as it is, other data as a new complex array.
+    P = np.diag([1.0, 0.0]).astype(complex)
+    assert as_operator(P) is P
+    assert require_projector(P) is P
+    real = np.diag([1.0, 0.0])
+    for R in (as_operator(real), require_projector(real), require_projector(real.tolist())):
+        assert R is not real and R.dtype == complex and not np.shares_memory(R, real)
+
+
+def test_a_projector_changed_in_place_after_passing_is_checked_again():
+    P = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    assert require_projector(P) is P
+    P[0, 0] = 2.0
+    with pytest.raises(NotProjector):
+        require_projector(P)
+    P[0, 0] = 1.0
+    assert require_projector(P) is P
+
+
+def test_a_failing_matrix_fails_on_every_call():
+    A = np.diag([2.0, 0.0])
+    for _ in range(2):
+        with pytest.raises(NotProjector):
+            require_projector(A)
+
+
+def test_the_same_bytes_pass_at_a_loose_tau_and_then_fail_at_a_strict_one():
+    # ||P^2 - P||_F is about 2e-6.
+    P = np.diag([1.0 + 1e-6, 0.0]).astype(complex)
+    require_projector(P, 1e-3)
+    with pytest.raises(NotProjector, match="tau=1e-09"):
+        require_projector(P, 1e-9)
+    require_projector(P, 1e-3)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), True, "1e-9"])
+def test_a_projector_that_passed_still_has_its_tau_checked(tau):
+    P = np.diag([1.0, 0.0]).astype(complex)
+    require_projector(P)
+    with pytest.raises(ValidationError, match="tau"):
+        require_projector(P, tau)

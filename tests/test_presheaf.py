@@ -223,6 +223,25 @@ def test_a_selection_value_that_is_no_set_of_indices_is_a_validation_error(poset
         ClopenSubobject(selection)
 
 
+def test_a_selection_holds_frozensets_in_a_dict_of_its_own(poset11):
+    # Frozensets are kept as they are; any other set of indices, a frozenset
+    # subclass included, becomes a frozenset; the caller's mapping is copied.
+    class Indices(frozenset):
+        pass
+
+    ids = poset11.ids
+    values = [frozenset({0}), {1}, [0, 1], iter([2]), Indices({0}), range(2)]
+    selection = {cid: values[i % len(values)] for i, cid in enumerate(ids)}
+    subobject = ClopenSubobject(selection)
+    assert subobject.selection is not selection
+    assert all(type(v) is frozenset for v in subobject.selection.values())
+    assert [subobject.at(cid) for cid in ids[:6]] == [{0}, {1}, {0, 1}, {2}, {0}, {0, 1}]
+    frozen = {cid: frozenset({i % 3}) for i, cid in enumerate(ids)}
+    kept = ClopenSubobject(frozen)
+    assert kept.selection == frozen and kept.selection is not frozen
+    assert all(kept.at(cid) is frozen[cid] for cid in ids)
+
+
 @pytest.mark.parametrize("value", [None, 5, "abc", [("ctx", {0})]], ids=repr)
 def test_a_per_context_value_that_is_no_mapping_is_a_validation_error(poset11, value):
     # It escaped as AttributeError or TypeError from the constructors, and

@@ -41,7 +41,9 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
             r"check_global_element first [\d.]+ ms, warm [\d.]+ ms; value sweep first [\d.]+ ms, warm [\d.]+ ms; "
             r"rotating value sweep first [\d.]+ ms, warm [\d.]+ ms; "
             r"interleaved value sweep first [\d.]+ ms, warm [\d.]+ ms; "
-            r"value arrows first [\d.]+ ms, warm [\d.]+ ms; inner daseinisation first [\d.]+ ms, warm [\d.]+ ms; "
+            r"value arrows first [\d.]+ ms, warm [\d.]+ ms; "
+            r"per-context inner daseinisation first [\d.]+ ms, warm [\d.]+ ms; "
+            r"inner daseinisation first [\d.]+ ms, warm [\d.]+ ms; "
             r"outer daseinisation first [\d.]+ ms, warm [\d.]+ ms; pseudo_state first [\d.]+ ms, warm [\d.]+ ms; "
             r"subobject implies first [\d.]+ ms, warm [\d.]+ ms; is_clopen_subobject first [\d.]+ ms, warm [\d.]+ ms; "
             r"global_sections first [\d.]+ ms, warm [\d.]+ ms; peak RSS \d+ MB",

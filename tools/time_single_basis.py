@@ -31,7 +31,11 @@ interleaved sweep, which sweeps each context with one of the first two
 observables, by the parity of its position in the poset, as the
 benchmark's query passes interleave theirs: its first round misses the
 poset's slot at every context, and its warm round reads each context's own;
-of ``quantity_value_arrows`` over the whole poset, which builds them too; and
+of ``quantity_value_arrows`` over the whole poset, which builds them too; of
+a per-context inner sweep, ``inner_daseinise_projection`` of the first
+proposition at every context, whose first call checks the proposition a
+projection and builds its columns (1 - P | P), which the later calls, and
+the warm sweep, read from the slot of the last projection checked; and
 of ``inner_daseinise_proposition`` of the first proposition, whose first
 call builds the poset's seed sums and its stacks of atoms, and of
 ``daseinise_proposition`` of it and ``pseudo_state`` of the state, which
@@ -71,7 +75,11 @@ from inputs import haar_unitary, problem_dict  # noqa: E402
 from toposqt._json import dump  # noqa: E402
 from toposqt.cli import render_json, run_command  # noqa: E402
 from toposqt.contexts import build_poset, context_from_basis  # noqa: E402
-from toposqt.daseinisation import daseinise_proposition, inner_daseinise_proposition  # noqa: E402
+from toposqt.daseinisation import (  # noqa: E402
+    daseinise_proposition,
+    inner_daseinise_projection,
+    inner_daseinise_proposition,
+)
 from toposqt.logic import check_global_element, global_element_connective, subobject_connective  # noqa: E402
 from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
@@ -166,6 +174,9 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
     parts.append(f"interleaved value sweep {_first_and_warm(interleaved)}")
     poset = build_poset([seed])
     parts.append(f"value arrows {_first_and_warm(lambda: quantity_value_arrows(poset, A))}")
+    poset = build_poset([seed])
+    parts.append(f"per-context inner daseinisation "
+                 f"{_first_and_warm(lambda: [inner_daseinise_projection(P, c) for c in poset])}")
     for label, call in (("inner daseinisation", lambda poset: inner_daseinise_proposition(poset, P)),
                         ("outer daseinisation", lambda poset: daseinise_proposition(poset, P)),
                         ("pseudo_state", lambda poset: pseudo_state(poset, psi))):
