@@ -174,10 +174,9 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
     parts.append(f"interleaved value sweep {_first_and_warm(interleaved)}")
     poset = build_poset([seed])
     parts.append(f"value arrows {_first_and_warm(lambda: quantity_value_arrows(poset, A))}")
-    poset = build_poset([seed])
-    parts.append(f"per-context inner daseinisation "
-                 f"{_first_and_warm(lambda: [inner_daseinise_projection(P, c) for c in poset])}")
-    for label, call in (("inner daseinisation", lambda poset: inner_daseinise_proposition(poset, P)),
+    for label, call in (("per-context inner daseinisation",
+                         lambda poset: [inner_daseinise_projection(P, c) for c in poset]),
+                        ("inner daseinisation", lambda poset: inner_daseinise_proposition(poset, P)),
                         ("outer daseinisation", lambda poset: daseinise_proposition(poset, P)),
                         ("pseudo_state", lambda poset: pseudo_state(poset, psi))):
         poset = build_poset([seed])
