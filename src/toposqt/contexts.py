@@ -379,19 +379,20 @@ def _bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
 
 def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
     # For each of ``nodes`` (sorted by falling atom count), in turn: its
-    # position, the positions of the nodes it includes, an int array whose row
-    # k is the restriction table to the k-th of them, and those positions as
-    # an int, position p at bit len(nodes) - 1 - p (so no wider than the nodes
-    # from its group on).  W <= V iff W's labels are defined and equal on the
-    # seed atoms of each atom of V, and that label is the atom's restriction:
-    # the one atom of W whose touch mask holds the seed atom.  A label is
-    # undefined only where several do, as each seed atom touches some atom of
-    # every node (``build_poset`` checks it).  So V's down-set int is the AND,
-    # over the seed atoms t of each atom of V, of the int of the nodes whose
-    # labels at t and at the atom's lowest seed atom are defined and equal.
+    # position, the positions of the nodes it includes, an int32 array whose
+    # row k is the restriction table to the k-th of them, as atom rows (the
+    # atoms of all nodes in turn), and those positions as an int, position p
+    # at bit len(nodes) - 1 - p (so no wider than the nodes from its group
+    # on).  W <= V iff W's labels are defined and equal on the seed atoms of
+    # each atom of V, and that label is the atom's restriction: the one atom
+    # of W whose touch mask holds the seed atom.  A label is undefined only
+    # where several do, as each seed atom touches some atom of every node
+    # (``build_poset`` checks it).  So V's down-set int is the AND, over the
+    # seed atoms t of each atom of V, of the int of the nodes whose labels at
+    # t and at the atom's lowest seed atom are defined and equal.
     n = len(nodes)
     counts = np.array([len(node.own) for node in nodes])
-    starts = np.cumsum(counts) - counts
+    starts = (np.cumsum(counts) - counts).astype(np.int32)
     touch = _bit_rows([m for node in nodes for m in node.touch], width)
     index = (np.arange(len(touch)) - np.repeat(starts, counts)).astype(np.int16)[:, None]  # atom in its node
     labels = np.where(np.add.reduceat(touch, starts) == 1, np.add.reduceat(touch * index, starts, dtype=np.int16), -1)
@@ -414,9 +415,10 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
         raw = np.frombuffer(b"".join(d.to_bytes(size, "little") for d in downs), dtype=np.uint8)
         ok = np.unpackbits(raw.reshape(end - first, size), axis=1, count=n - first, bitorder="little")[:, ::-1]
         rows, below = np.nonzero(ok)
-        tables = labels[first + below[:, None], low[starts[first:end, None] + np.arange(m)][rows]]
+        subs = first + below
+        tables = starts[subs, None] + labels[subs[:, None], low[starts[first:end, None] + np.arange(m)][rows]]
         cuts = np.searchsorted(rows, np.arange(1, end - first))
-        yield from zip(range(first, end), np.split(first + below, cuts), np.split(tables, cuts), downs)
+        yield from zip(range(first, end), np.split(subs, cuts), np.split(tables, cuts), downs)
 
 
 class _SieveFrame:
@@ -457,26 +459,25 @@ class ContextPoset:
     """Immutable inclusion-ordered family of contexts.
 
     Instances are produced only by :func:`build_poset`.  The order and the
-    per-inclusion atom restriction tables are read off seed-atom labels,
-    without matrices: a seed atom's label at a context is the one atom that
-    touches it, and sub <= sup iff sub's labels are defined and equal on the
-    seed atoms of each sup atom, whose restriction is that label.  Sieves,
-    truth values and global elements read each down-set as an int over poset
-    positions; an int that misses part of a member's raises ``ValidationError``.
-    Enumerated sieves on V also read theirs as local ints of V's
-    ``_SieveFrame``, which then keeps Omega(V).
-    Clopen subobjects and sections read the characters' down-sets as ints
-    over one bit per character (``_characters``).
-    Each seed atom touches an atom of every seed (checked by ``build_poset``).
-    The poset keeps the seed atoms and each atom's seed mask, so that a
-    touch with a family of projections is read off one ``touch_table`` of
-    the seed atoms; its first poset-wide daseinisation, not the build, stacks
-    its atoms again, read-only, one stack per atom count.  It keeps the
-    ``Tolerances`` it was built with, for every call over the whole poset.
-    For the interval values it keeps A's eigenvalues and seed-atom cluster
-    table for the last quantity A it valued (``valuation._quantity``), and
-    each context the bounds of the characters valued so far for the last two
-    A valued there (``valuation._value_arrows``).
+    per-inclusion atom restriction tables are read off seed-atom labels, without
+    matrices: a seed atom's label at a context is the one atom that touches it,
+    and sub <= sup iff sub's labels are defined and equal on the seed atoms of
+    each sup atom, whose restriction is that label (a table holds its atom row:
+    the atoms in poset and then atom order).  Sieves, truth values and global
+    elements read each down-set as an int over poset positions; an int that
+    misses part of a member's raises ``ValidationError``.  Enumerated sieves on
+    V also read theirs as local ints of V's ``_SieveFrame``, which then keeps
+    Omega(V).  Clopen subobjects and sections read the characters' down-sets as
+    ints over one bit per character (``_characters``).  Each seed atom touches
+    an atom of every seed (checked by ``build_poset``).  The poset keeps the
+    seed atoms and each atom's seed mask, so that a touch with a family of
+    projections is read off one ``touch_table`` of the seed atoms; its first
+    poset-wide daseinisation, not the build, stacks its atoms again, read-only,
+    one stack per atom count.  It keeps the ``Tolerances`` it was built with,
+    for every call over the whole poset.  For the interval values it keeps A's
+    eigenvalues and seed-atom cluster table for the last quantity A it valued
+    (``valuation._quantity``), and each context the bounds of the characters
+    valued so far for the last two A valued there (``valuation._value_arrows``).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -496,7 +497,8 @@ class ContextPoset:
         self._atom_indices: dict[str, frozenset[int]] = {c.id: frozenset(range(c.n_atoms)) for c in self._contexts}
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
         self._down: dict[str, tuple[str, ...]] = {}
-        self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down
+        self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down, as atom rows
+        self._first_rows = np.cumsum([0] + [c.n_atoms for c in self._contexts[:-1]])  # each context's first atom row
         ids = np.array(self._ids, dtype=object)
         order = list(_order_rows(ordered, len(seed_atoms)))
         self._bit: dict[str, int] = {cid: 1 << (len(self._ids) - 1 - p) for p, cid in enumerate(self._ids)}
@@ -509,9 +511,8 @@ class ContextPoset:
             if reduce(int.__or__, map(self._below.__getitem__, self._down[sup]), down) != down:
                 raise ValidationError(f"the touch test cannot order the contexts below {sup} transitively:"
                                       " some products of seed atoms lie close to tau")
-        # Tables derived from the order, each entry built on first use and kept.
+        # The sieve frames derived from the order, each built on first use and kept.
         self._sieve_frames = _Table(self._build_sieve_frame)
-        self._first_down = _Table(self._build_first_down)
         self._last_quantity: tuple | None = None  # (key, eigenvalues, seed table)
         self._context_quantities: dict[str, tuple] = {}  # id -> up to two (key, eigenvalues, seed table, rows)
         return self
@@ -572,7 +573,8 @@ class ContextPoset:
             k = self.down_ids(sup_id).index(sub_id)
         except ValueError:
             raise UnknownContext(f"{brief_repr(sub_id)} is not a subcontext of {sup_id!r}") from None
-        return tuple(self._tables[sup_id][k].tolist())
+        first = self._first_rows[len(self._ids) - self._bit[sub_id].bit_length()]
+        return tuple((self._tables[sup_id][k] - first).tolist())
 
     @cached_property
     def _characters(self) -> tuple[dict[str, int], dict[str, tuple[int, ...]], dict[str, int]]:
@@ -588,19 +590,20 @@ class ContextPoset:
         contexts, the union of its characters' down-sets, as every character
         there is the restriction of one of V's.
         """
-        # Row k of V's table restricts V's atoms to the k-th context W of its
-        # down-set, so its entry i sets bit top[W] - table[k, i] of (V, i)'s int.
+        # Row k of V's table restricts V's atoms to the k-th context W of its down-set:
+        # entry i is the atom row r, of T, of that character of W, bit T - 1 - r of (V, i)'s int.
         # The contexts of n atoms follow each other in poset order and their
         # tables stack into n columns.  Each such group writes the ints of its
         # characters into one buffer, as many little-endian bytes for each as
         # the group's first needs: bit e of its c-th is bit 8 * size * c + e.
-        top = dict(zip(self._ids, (np.cumsum([c.n_atoms for c in reversed(self._contexts)])[::-1] - 1).tolist()))
+        last = self._first_rows[-1] + self._contexts[-1].n_atoms - 1  # T - 1
+        top = dict(zip(self._ids, (last - self._first_rows).tolist()))
         below: dict[str, tuple[int, ...]] = {}
         for n, group in groupby(self._ids, lambda cid: len(self._atom_indices[cid])):
             ids, downs, tables = zip(*((v, self._down[v], self._tables[v]) for v in group))
             size = top[ids[0]] // 8 + 1  # bytes per int
             start = np.repeat(np.arange(len(ids) * n).reshape(-1, n) * 8 * size, list(map(len, downs)), axis=0)
-            at = (start + np.array([top[w] for d in downs for w in d])[:, None] - np.concatenate(tables)).ravel()
+            at = (start + last - np.concatenate(tables)).ravel()
             data = bytearray(len(ids) * n * size)
             np.add.at(np.frombuffer(data, dtype=np.uint8), at >> 3, (1 << (at & 7)).astype(np.uint8))
             ints = iter([int.from_bytes(data[a : a + size], "little") for a in range(0, len(data), size)])
@@ -614,12 +617,11 @@ class ContextPoset:
     @cached_property
     def _seed_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The stacked seed atoms, a 0/1 matrix whose row k marks the seed
-        # atoms that the k-th poset atom sums (contexts in poset order, atoms
-        # in atom order), whose product with a touch_table of the seed atoms
-        # is the table of every poset atom, and each context's first row.
+        # atoms that atom row k sums (contexts in poset order, atoms in atom
+        # order), whose product with a touch_table of the seed atoms is the
+        # table of every poset atom, and each context's first row.
         masks = [mask for c in self._contexts for mask in self._registry.nodes[c.id].own]
-        starts = np.cumsum([0] + [c.n_atoms for c in self._contexts[:-1]])
-        return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float), starts
+        return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float), self._first_rows
 
     @cached_property
     def _atom_stacks(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -630,13 +632,6 @@ class ContextPoset:
         for stack in stacks:
             stack.setflags(write=False)
         return np.array([i for c in self._contexts for i in range(c.n_atoms)]), stacks
-
-    def _build_first_down(self, context_id: str) -> np.ndarray:
-        # The _seed_sums row of the first atom of each context of the down-set
-        # (position p has bit N - 1 - p): row k of the context's restriction
-        # tables, added to entry k, gives the rows of the atoms it restricts to.
-        n, first = len(self._ids), self._seed_sums[2]
-        return first[[n - self._bit[w].bit_length() for w in self._down[context_id]]]
 
     def _tolerance(self, tau: float | None = None, tau_eig: float | None = None) -> Tolerances:
         # The poset's tolerances, for a poset-wide call given each as None or

@@ -1,24 +1,24 @@
 """Outer and inner approximation of operators into a context.
 
-Every approximation is read off one rule: each atom a of the context gets
-the least and the greatest eigenvalue of a self-adjoint A whose spectral
-projection it touches (||aQ||_F^2 > tau^2, an entry of ``touch_table``).
-The outer approximation (smallest member of the context spectrally above A)
-is sum_a lambda_max(a) a, and the inner one (largest below A) is
+Every approximation is read off one rule: each atom a of the context gets the
+least and the greatest eigenvalue of a self-adjoint A whose spectral
+projection it touches (||aQ||_F^2 > tau^2, an entry of ``touch_table``, or of
+``cluster_table`` against A's eigenvector clusters, as interval values read
+it).  The outer approximation (smallest member of the context spectrally above
+A) is sum_a lambda_max(a) a, and the inner one (largest below A) is
 sum_a lambda_min(a) a.  A projection P is the two-valued quantity with value
 0 on 1 - P and 1 on P, on which the spectral order is the projection order:
-its outer approximation is the sum of the atoms touching P, and its inner
-one the sum of the atoms touching P but not 1 - P, where P's characters
-evaluate to 1: each atom weighs 0 or 1 (``_weights``).  An atom touching
-neither (only possible at a large tau) has no weight, and both
-approximations reject it.  In one context the table's rows are the
-context's atoms.  Over a whole poset they are the seed atoms: an atom
-touches Q iff the entries of the seed atoms it sums add up to more than
-tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for orthogonal b).  There the weights
-give each context's selection as one int, and the approximations of all
-contexts of n atoms as one masked sum over the poset's stack of their atoms.
-That sum adds the atoms in atom order, as the per-context one does, so it
-has its bits; ``np.add.reduceat`` over the atoms does not.
+its outer approximation is the sum of the atoms touching P, and its inner one
+the sum of the atoms touching P but not 1 - P, where P's characters evaluate
+to 1: each atom weighs 0 or 1 (``_weights``).  An atom touching neither (only
+possible at a large tau) has no weight, and both approximations reject it.
+In one context the table's rows are the context's atoms.  Over a whole poset
+they are the seed atoms: an atom touches Q iff the entries of the seed atoms
+it sums add up to more than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for
+orthogonal b).  There the weights give each context's selection as one int,
+and the approximations of all contexts of n atoms as one masked sum over the
+poset's stack of their atoms.  That sum adds the atoms in atom order, as the
+per-context one does, so it has its bits; ``np.add.reduceat`` does not.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ from .errors import ValidationError
 from .operators import (
     TAU,
     TAU_EIG,
+    Tolerances,
     _checked_projector,
+    _clusters,
     _column_table,
     _tau,
+    as_operator,
+    cluster_table,
     identity,
     require_projector,
-    spectral_bounds,
-    spectral_decomposition,
+    table_bounds,
     touch_table,
     zero,
 )
@@ -137,6 +140,14 @@ def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedPropos
     return DaseinisedProposition(P, projectors, ClopenSubobject(dict(zip(poset.ids, map(selections.get, codes)))))
 
 
+def _selfadjoint(A, context: Context, tau: float, tau_eig: float, end: int) -> np.ndarray:
+    # The inner (end 0) or outer (end 1) approximation of A in one context.
+    tolerances = Tolerances(tau, tau_eig)
+    eigenvalues, vecs, starts = _clusters(as_operator(A), tolerances)
+    bounds = table_bounds(cluster_table(np.asarray(context.atoms), vecs, starts), eigenvalues, tolerances.tau)
+    return _approximation(context, [bound[end] for bound in bounds])
+
+
 def outer_daseinise_selfadjoint(
     A, context: Context, tau: float = TAU, tau_eig: float = TAU_EIG
 ) -> np.ndarray:
@@ -146,8 +157,7 @@ def outer_daseinise_selfadjoint(
     the atom a touches.  The result is spectrally above A and its spectrum
     is contained in A's.
     """
-    bounds = spectral_bounds(spectral_decomposition(A, tau, tau_eig), context.atoms, tau)
-    return _approximation(context, [high for _, high in bounds])
+    return _selfadjoint(A, context, tau, tau_eig, 1)
 
 
 def inner_daseinise_selfadjoint(
@@ -155,5 +165,4 @@ def inner_daseinise_selfadjoint(
 ) -> np.ndarray:
     """Largest member of the context spectrally below A: sum_a lambda_min(a) a,
     with lambda_min(a) the least eigenvalue whose spectral projection a touches."""
-    bounds = spectral_bounds(spectral_decomposition(A, tau, tau_eig), context.atoms, tau)
-    return _approximation(context, [low for low, _ in bounds])
+    return _selfadjoint(A, context, tau, tau_eig, 0)

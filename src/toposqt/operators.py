@@ -5,10 +5,10 @@ of exact-mathematics predicates evaluated with explicit floating-point
 tolerances: self-adjointness, projection checks, spectral decompositions,
 cumulative spectral families, the projector and spectral orders, the
 touch test between families of projections, and the spectral bounds of an
-atom read off it.  There is one touch rule: a touches b iff
-||ab||_F^2 > tau^2, an entry of ``touch_table``, whose rows add up over
+atom read off it (``table_bounds``).  There is one touch rule: a touches b
+iff ||ab||_F^2 > tau^2, an entry of ``touch_table``, whose rows add up over
 orthogonal atoms.  Against a quantity's spectral projections P_c = V_c V_c^*
-the entry is read off its eigenvector clusters instead, by ``cluster_table``:
+every bound reads it off the eigenvector clusters, by ``cluster_table``:
 ||aV_c||_F^2 = ||aP_c||_F^2, with the same test, and no P_c is formed.
 
 Operators are plain complex ``numpy`` arrays.  ``as_operator`` and
@@ -306,12 +306,6 @@ def table_bounds(rows: np.ndarray, eigenvalues: Sequence[float], tau: float) -> 
         return [(lam[row.index(True)], lam[last - row[::-1].index(True)]) for row in hits.tolist()]
     except ValueError:
         raise ValidationError(f"an atom touches no projection of the family at tau={tau}") from None
-
-
-def spectral_bounds(decomp: SpectralDecomposition, atoms, tau: float) -> list[tuple[float, float]]:
-    """For each atom, the least and the greatest eigenvalue whose spectral
-    projection the atom touches."""
-    return table_bounds(touch_table(atoms, decomp.projectors), decomp.eigenvalues, _tau(tau))
 
 
 def projector_leq(P, Q, tau: float = TAU) -> bool:

@@ -191,12 +191,13 @@ def _value_arrows(
     # slots (key, eigenvalues, table, rows) of the last two A valued there,
     # most recent first.  table is the poset slot's cluster_table of the seed
     # atoms; rows[i] holds character i's (lows, highs) over down_ids, filled
-    # on its first call from the rows of the seed atoms that each restricted
-    # atom, W's own, sums (_seed_sums).  A miss reads the poset's slot, or
-    # clusters A and builds the table, and stores both slots only then: an A
-    # that fails there (another dimension fails at the table) leaves every
-    # slot as it was.  A context slot shares the poset slot's key object,
-    # eigenvalues and table, and holds no reference to the poset or the caller's array.
+    # on its first call from the _seed_sums rows of each restricted atom, W's
+    # own, at the atom rows in column i of the restriction tables.  A miss
+    # reads the poset's slot, or clusters A and builds the table, and stores
+    # both slots only then: an A that fails there (another dimension fails at
+    # the table) leaves every slot as it was.  A context slot shares the poset
+    # slot's key object, eigenvalues and table, and holds no reference to the
+    # poset or the caller's array.
     for character in characters:
         _require_member(context, character)
     down = poset.down_ids(context.id)
@@ -213,9 +214,8 @@ def _value_arrows(
     for character in characters:
         i = character.atom_index
         if rows[i] is None:
-            restricted = poset._first_down[context.id] + poset._tables[context.id][:, i]
-            rows[i] = tuple(zip(*table_bounds(poset._seed_sums[1][restricted] @ table, eigenvalues,
-                                              poset.tolerances.tau)))
+            restricted = poset._seed_sums[1][poset._tables[context.id][:, i]]
+            rows[i] = tuple(zip(*table_bounds(restricted @ table, eigenvalues, poset.tolerances.tau)))
         lows, highs = rows[i]
         pairs.append(IntervalPair(context.id, dict(zip(down, lows)), dict(zip(down, highs))))
     return pairs

@@ -22,7 +22,6 @@ from toposqt.operators import (
     identity,
     projector_leq,
     require_projector,
-    spectral_bounds,
     spectral_decomposition,
     spectral_order_leq,
     table_bounds,
@@ -227,7 +226,8 @@ def order_rows_by_product(nodes, width: int):
 
     For each node V (nodes sorted by falling atom count): its position, the
     positions of the nodes W with no more atoms than V that lie inside it,
-    an array whose row k is the restriction table to the k-th of them, and
+    an array whose row k is the restriction table to the k-th of them, as
+    atom indices (``_order_rows`` gives atom rows, each sub's first more), and
     those positions as an int, position p at bit len(nodes) - 1 - p.  Atom i
     of V hits atom k of W iff the seed atoms that i sums meet those that k
     touches; W <= V iff each atom of V hits exactly one atom of W, its
@@ -327,6 +327,13 @@ def brute_inner_selfadjoint(A: np.ndarray, context: Context, grid) -> np.ndarray
 def projector_rank(P: np.ndarray) -> int:
     """Rank of a projection, read off its trace."""
     return int(round(float(np.trace(P).real)))
+
+
+def spectral_bounds(decomp: SpectralDecomposition, atoms, tau: float) -> list[tuple[float, float]]:
+    """For each atom, the least and the greatest eigenvalue whose spectral
+    projection the atom touches: the touch_table of the atoms against the
+    formed projections P_c, the reference for ``cluster_table``'s route."""
+    return table_bounds(touch_table(atoms, decomp.projectors), decomp.eigenvalues, tau)
 
 
 def two_valued(P: np.ndarray) -> SpectralDecomposition:

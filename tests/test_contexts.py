@@ -664,12 +664,15 @@ def test_values_on_bases_sharing_rays_read_each_subcontexts_own_atom(bases):
 
 def _assert_order_rows_equal_the_product(nodes: list, width: int) -> None:
     # Each row's position, down-set positions, restriction tables and down-set
-    # int, from the seed-atom labels and from the product of 0/1 matrices.
+    # int, from the seed-atom labels and from the product of 0/1 matrices.  A
+    # table holds atom rows, so less each sub's first row it is the product's.
     rows = list(_order_rows(nodes, width))
     assert len(rows) == len(nodes)
+    first = np.cumsum([0] + [len(node.own) for node in nodes[:-1]])
     for (row, below, tables, down), expected in zip(rows, order_rows_by_product(nodes, width)):
         assert (row, down) == (expected[0], expected[3])
-        assert np.array_equal(below, expected[1]) and np.array_equal(tables, expected[2])
+        assert tables.dtype == np.int32 and np.array_equal(below, expected[1])
+        assert np.array_equal(tables - first[below, None], expected[2])
 
 
 def _built_nodes(seeds: list, tau: float) -> tuple[list, int]:
@@ -701,6 +704,32 @@ def test_order_rows_equal_the_product_on_order_cases_and_near_tau_seeds(case):
 @given(bases=_bases_sharing_rays())
 def test_order_rows_equal_the_product_on_bases_sharing_rays(bases):
     _assert_order_rows_equal_the_product(*_built_nodes([context_from_basis(b) for b in bases], 1e-9))
+
+
+def _assert_tables_hold_atom_rows(poset) -> None:
+    # Entry i of row k of V's tables is the atom row r of the restriction of
+    # atom i of V to the k-th context W of its down-set: one of W's rows, in
+    # the _seed_sums row order.  That atom lies above atom i, so its seed mask
+    # (the seed atoms it touches) holds atom i's.
+    touch = [m for cid in poset.ids for m in poset._registry.nodes[cid].touch]
+    first = dict(zip(poset.ids, poset._seed_sums[2].tolist()))
+    for v in poset.ids:
+        masks = poset._registry.nodes[v].touch
+        for w, table in zip(poset.down_ids(v), poset._tables[v].tolist()):
+            for i, r in enumerate(table):
+                assert first[w] <= r < first[w] + poset.get(w).n_atoms
+                assert touch[r] & masks[i] == masks[i]
+
+
+@pytest.mark.parametrize("name", ["poset11", "poset_two_bases", "spin2_poset", "ks18_poset"])
+def test_restriction_tables_hold_atom_rows_on_the_fixture_posets(request, name):
+    _assert_tables_hold_atom_rows(request.getfixturevalue(name))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(bases=_bases_sharing_rays())
+def test_restriction_tables_hold_atom_rows_on_bases_sharing_rays(bases):
+    _assert_tables_hold_atom_rows(build_poset([context_from_basis(b) for b in bases]))
 
 
 def _admission_ids(seeds: list, tau: float) -> list[str]:
@@ -921,10 +950,10 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
 
 
 def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
-    # The tables derived from the order hold the poset weakly, and the cached
-    # builds, the sieves a frame keeps and the quantity slots hold no
-    # reference to it, so a poset whose tables were all read is freed when
-    # its last reference goes.
+    # The table of sieve frames holds the poset weakly, and the cached builds,
+    # the sieves a frame keeps and the quantity slots hold no reference to
+    # it, so a poset whose tables were all read is freed when its last
+    # reference goes.
     gc.disable()
     try:
         poset = build_poset([context_from_basis(np.eye(4))])
@@ -933,9 +962,9 @@ def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
         sieves = enumerate_sieves(poset, top)  # _sieve_frames, with every sieve on top kept
         assert sieve_connective(poset, "implies", Sieve(top.id, set(sieves[1].members)), sieves[-2]) in sieves
         del sieves
-        quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # _first_down
+        quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # value slots
         daseinise_proposition(poset, std_projectors[0])  # _seed_sums
-        assert poset._sieve_frames and poset._first_down
+        assert poset._sieve_frames
         assert "_seed_sums" in vars(poset) and "_characters" in vars(poset)  # the cached builds
         assert poset._last_quantity is not None  # the poset's quantity slot, and the top context's slot
         assert poset._context_quantities.keys() == {top.id} and poset._context_quantities[top.id][0][3][0] is not None

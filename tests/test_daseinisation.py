@@ -17,6 +17,7 @@ from oracles import (
     random_projector,
     random_unit_vector,
     random_unitary,
+    spectral_bounds,
     subobject_of_projector,
     table_projection,
 )
@@ -542,6 +543,28 @@ def test_selfadjoint_route_agrees_on_projections(poset11):
                 inner_daseinise_projection(P, context),
                 atol=1e-9,
             )
+
+
+def test_selfadjoint_approximations_equal_the_formed_projection_route_bit_for_bit(ks18_poset):
+    # The reference forms each spectral projection P_c and reads the bounds
+    # off touch_table (oracles.spectral_bounds); the library reads them off
+    # A's eigenvector clusters.  Random A, and A with a repeated eigenvalue
+    # on the atoms of each maximal context, at both ends in every context.
+    rng = np.random.default_rng(31)
+    observables = [(g + g.conj().T) / 2 for g in rng.normal(size=(12, 4, 4)) + 1j * rng.normal(size=(12, 4, 4))]
+    observables += [sum(k // 2 * a for k, a in enumerate(c.atoms)) for c in ks18_poset if c.n_atoms == 4]
+    for A in observables:
+        decomp = spectral_decomposition(A)
+        for context in ks18_poset:
+            bounds = spectral_bounds(decomp, context.atoms, 1e-9)
+            for end, approximate in ((0, inner_daseinise_selfadjoint), (1, outer_daseinise_selfadjoint)):
+                expected = np.zeros((4, 4), dtype=complex)
+                for a, bound in zip(context.atoms, bounds):  # in atom order, as the library adds
+                    if bound[end] == 1.0:
+                        expected += a
+                    elif bound[end]:
+                        expected += bound[end] * a
+                assert np.array_equal(approximate(A, context), expected)
 
 
 @settings(max_examples=10, deadline=None)
