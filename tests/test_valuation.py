@@ -288,80 +288,6 @@ def _pairs(poset, A) -> list:
     return [(ch, quantity_value_arrow(poset, A, c, ch)) for c in poset for ch in gelfand_spectrum(c)]
 
 
-@pytest.mark.parametrize("name", ["spin2", "ks18"])
-def test_memo_hits_equal_a_fresh_posets_pairs(name):
-    # The first sweep fills the slots and their rows; the second reads only
-    # hits.  Both equal the pairs of a fresh poset, whose one call clusters X
-    # and builds its seed table once, and, on spin2, the oracle's.
-    poset = _shipped_poset(name)
-    top = poset.get(poset.ids[0])
-    A = random_self_adjoint(np.random.default_rng(11), poset.dim)
-    B = sum(i // 2 * a for i, a in enumerate(top.atoms))  # clusters of two eigenvectors
-    keys = []
-    for X in (A, B):
-        fresh = list(quantity_value_arrows(_shipped_poset(name), X).items())
-        assert _pairs(poset, X) == fresh
-        key, eigenvalues, table = poset._last_quantity
-        assert key == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
-        keys.insert(0, key)
-        # Every context keeps X's slot first, under the poset slot's key object,
-        # eigenvalues and seed table, and once B is valued A's after it, each
-        # with every character's bounds.
-        assert poset._context_quantities.keys() == set(poset.ids)
-        for slots in poset._context_quantities.values():
-            assert len(slots) == len(keys) and all(slot[0] is k for slot, k in zip(slots, keys))
-            assert slots[0][1] is eigenvalues and slots[0][2] is table
-            assert all(None not in slot[3] for slot in slots)
-        assert _pairs(poset, X) == fresh
-        if name == "spin2":
-            for ch, pair in fresh:
-                assert (pair.mu, pair.nu) == touch_interval(poset, X, poset.get(ch.context_id), ch.atom_index)
-
-
-def test_an_operand_changed_in_place_is_valued_anew(sz):
-    poset = build_poset([context_from_basis(np.eye(4))])
-    A = sz.copy()
-    old = _pairs(poset, A)
-    A[:] = random_self_adjoint(np.random.default_rng(3), 4)
-    assert _pairs(poset, A) == _pairs(build_poset([context_from_basis(np.eye(4))]), A.copy()) != old
-
-
-def test_a_failed_operand_raises_after_a_memoised_one_and_is_never_stored(sz):
-    poset = build_poset([context_from_basis(np.eye(4))])
-    top = poset.get(poset.ids[0])
-    ch = gelfand_spectrum(top)[0]
-    expected = quantity_value_arrow(poset, sz, top, ch)
-    slot, context_slots = poset._last_quantity, dict(poset._context_quantities)
-    bad = np.triu(np.ones((4, 4))) * 1j
-    for _ in range(2):
-        with pytest.raises(NotSelfAdjoint):
-            quantity_value_arrow(poset, bad, top, ch)
-        with pytest.raises(NotSelfAdjoint):
-            quantity_value_arrows(poset, bad)
-        with pytest.raises(ValidationError, match="expected numeric array data"):
-            quantity_value_arrow(poset, np.full((4, 4), np.nan), top, ch)
-        assert poset._last_quantity is slot and poset._context_quantities == context_slots
-    assert quantity_value_arrow(poset, sz, top, ch) == expected
-
-
-def _slots(poset) -> tuple:
-    # The poset slot and a copy of each context's slots, with their rows.
-    return poset._last_quantity, {
-        cid: [(*slot[:3], list(slot[3])) for slot in slots] for cid, slots in poset._context_quantities.items()
-    }
-
-
-def _assert_slots_unchanged(poset, before: tuple) -> None:
-    # The poset slot and each context's slots are the objects of ``before``,
-    # in its order, and their rows hold the same bounds.
-    after = _slots(poset)
-    assert after[0] is before[0] and after[1].keys() == before[1].keys()
-    for cid, slots in before[1].items():
-        assert len(after[1][cid]) == len(slots)
-        for new, old in zip(after[1][cid], slots):
-            assert all(x is y for x, y in zip(new[:3], old[:3])) and new[3] == old[3]
-
-
 def _count_clusters(monkeypatch) -> list:
     import toposqt.valuation
     from toposqt.operators import _clusters
@@ -376,137 +302,233 @@ def _count_clusters(monkeypatch) -> list:
     return calls
 
 
+def _observables(poset, count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [random_self_adjoint(rng, poset.dim) for _ in range(count)]
+
+
+def _keys(*operands) -> list:
+    return [_keyed(X)[0] for X in operands]
+
+
 @pytest.mark.parametrize("name", ["spin2", "ks18"])
-def test_a_context_keeps_its_quantity_while_another_context_values_another(name, monkeypatch):
-    # Sweep X with A, then Y with B, then X with A again: the poset slot now
-    # holds B, but X's slot still holds A's table and bounds, so the third
-    # sweep clusters nothing and still gives a fresh poset's pairs.
+def test_kept_atom_bounds_equal_a_fresh_posets_pairs(name, monkeypatch):
+    # The first sweep with X clusters it once and keeps the bounds of every
+    # poset atom; the second reads them back.  Both equal the pairs of a
+    # fresh poset and, on spin2, the oracle's.
+    poset = _shipped_poset(name)
+    top = poset.get(poset.ids[0])
+    A = random_self_adjoint(np.random.default_rng(11), poset.dim)
+    B = sum(i // 2 * a for i, a in enumerate(top.atoms))  # clusters of two eigenvectors
+    rows = sum(c.n_atoms for c in poset)
+    fresh = {id(X): list(quantity_value_arrows(_shipped_poset(name), X).items()) for X in (A, B)}
+    calls = _count_clusters(monkeypatch)
+    for count, X in enumerate((A, B), 1):
+        assert _pairs(poset, X) == fresh[id(X)] and len(calls) == count
+        assert list(poset._quantity_bounds) == _keys(A, B)[:count]
+        assert _keyed(X)[0] == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
+        bounds = poset._quantity_bounds[_keyed(X)[0]]
+        assert len(bounds) == rows and all(lo <= hi for lo, hi in bounds)
+        assert _pairs(poset, X) == fresh[id(X)] and len(calls) == count
+        if name == "spin2":
+            for ch, pair in fresh[id(X)]:
+                assert (pair.mu, pair.nu) == touch_interval(poset, X, poset.get(ch.context_id), ch.atom_index)
+
+
+def test_an_operand_changed_in_place_is_valued_anew(sz):
+    poset = build_poset([context_from_basis(np.eye(4))])
+    A = sz.copy()
+    old = _pairs(poset, A)
+    A[:] = random_self_adjoint(np.random.default_rng(3), 4)
+    assert _pairs(poset, A) == _pairs(build_poset([context_from_basis(np.eye(4))]), A.copy()) != old
+
+
+def _assert_map_unchanged(poset, before: dict) -> None:
+    # The map holds the key and entry objects of ``before``, in its order.
+    after = poset._quantity_bounds
+    assert list(after) == list(before) and all(after[key] is entry for key, entry in before.items())
+
+
+def test_a_failed_operand_raises_after_a_kept_one_and_is_never_stored(sz):
+    poset = build_poset([context_from_basis(np.eye(4))])
+    top = poset.get(poset.ids[0])
+    ch = gelfand_spectrum(top)[0]
+    expected = quantity_value_arrow(poset, sz, top, ch)
+    before = dict(poset._quantity_bounds)
+    bad = np.triu(np.ones((4, 4))) * 1j
+    for _ in range(2):
+        with pytest.raises(NotSelfAdjoint):
+            quantity_value_arrow(poset, bad, top, ch)
+        with pytest.raises(NotSelfAdjoint):
+            quantity_value_arrows(poset, bad)
+        with pytest.raises(ValidationError, match="expected numeric array data"):
+            quantity_value_arrow(poset, np.full((4, 4), np.nan), top, ch)
+        _assert_map_unchanged(poset, before)
+    assert quantity_value_arrow(poset, sz, top, ch) == expected
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_each_quantity_is_clustered_once_across_contexts_and_characters(name, monkeypatch):
+    # Sweep X with A, then Y with B, then every character of every context
+    # with A: each A is clustered once, whatever context and character asks.
     poset = _shipped_poset(name)
     X, Y = poset.get(poset.ids[0]), poset.get(poset.ids[-1])
-    rng = np.random.default_rng(17)
-    A, B = random_self_adjoint(rng, poset.dim), random_self_adjoint(rng, poset.dim)
-    expected = quantity_value_arrows(_shipped_poset(name), A, X)
+    A, B = _observables(poset, 2, 17)
+    expected = list(quantity_value_arrows(_shipped_poset(name), A).items())
     calls = _count_clusters(monkeypatch)
     for context, operand in ((X, A), (Y, B)):
         for ch in gelfand_spectrum(context):
             quantity_value_arrow(poset, operand, context, ch)
     assert len(calls) == 2
-    assert {ch: quantity_value_arrow(poset, A, X, ch) for ch in gelfand_spectrum(X)} == expected
-    assert len(calls) == 2
-    assert quantity_value_arrows(poset, A, X) == expected and len(calls) == 2
+    assert _pairs(poset, A) == expected and len(calls) == 2
+    assert list(quantity_value_arrows(poset, A).items()) == expected and len(calls) == 2
 
 
-def test_characters_valued_out_of_order_and_in_part_give_the_oracles_pairs():
-    # Each call fills only the rows of the characters it asks for; a later
-    # poset-wide call fills the rest, and every pair is the oracle's.
+def test_characters_valued_out_of_order_and_in_part_give_the_oracles_pairs(monkeypatch):
+    # Calls that ask for some characters of one context, out of order, keep
+    # the bounds of every poset atom; a later poset-wide call clusters
+    # nothing, and every pair is the oracle's.
     poset = _shipped_poset("spin2")
     top = poset.get(poset.ids[0])
     A = random_self_adjoint(np.random.default_rng(23), poset.dim)
-    asked = gelfand_spectrum(top)[::-2]  # atoms 3 and 1, in that order
-    for ch in asked:
+    calls = _count_clusters(monkeypatch)
+    for ch in gelfand_spectrum(top)[::-2]:  # atoms 3 and 1, in that order
         pair = quantity_value_arrow(poset, A, top, ch)
         assert (pair.mu, pair.nu) == touch_interval(poset, A, top, ch.atom_index)
-    (slot,) = poset._context_quantities[top.id]
-    assert [row is not None for row in slot[3]] == [False, True, False, True]
-    assert poset._context_quantities.keys() == {top.id}
+    assert list(poset._quantity_bounds) == _keys(A) and len(calls) == 1
     arrows = quantity_value_arrows(poset, A)
-    assert poset._context_quantities.keys() == set(poset.ids)
-    assert all(len(slots) == 1 and None not in slots[0][3] for slots in poset._context_quantities.values())
+    assert len(calls) == 1
     for ch, pair in arrows.items():
         context = poset.get(ch.context_id)
         assert (pair.mu, pair.nu) == touch_interval(poset, A, context, ch.atom_index)
         assert quantity_value_arrow(poset, A, context, ch) == pair
 
 
-def test_an_operand_that_fails_at_a_context_leaves_every_slot_unchanged(sz, monkeypatch):
-    # sz valued at two contexts and B at a third, then operands that fail
-    # there or over the poset: another dimension fails only at the seed
-    # table, after its clusters, yet the poset slot and every context slot
-    # stay as they were, rows included.
-    poset = build_poset([context_from_basis(np.eye(4))])
-    X, Y, Z = (poset.get(cid) for cid in poset.ids[:3])
-    B = random_self_adjoint(np.random.default_rng(29), 4)
-    for context in (X, Y):
-        quantity_value_arrow(poset, sz, context, gelfand_spectrum(context)[0])
-    quantity_value_arrows(poset, B, Z)
-    before = _slots(poset)
-    ch = gelfand_spectrum(Z)[1]
-    failing = [(np.eye(3), DimensionMismatch), (np.diag([1.0, 2.0, 3.0]), DimensionMismatch),
-               (np.triu(np.ones((4, 4))) * 1j, NotSelfAdjoint), (np.full((4, 4), np.nan), ValidationError)]
-    for bad, error in failing:
-        for call in (lambda: quantity_value_arrow(poset, bad, Z, ch), lambda: quantity_value_arrows(poset, bad, Z),
-                     lambda: quantity_value_arrows(poset, bad)):
-            with pytest.raises(error):
-                call()
-            _assert_slots_unchanged(poset, before)
-    expected = quantity_value_arrows(build_poset([context_from_basis(np.eye(4))]), B, Z)
-    calls = _count_clusters(monkeypatch)
-    assert quantity_value_arrows(poset, B, Z) == expected and calls == []
+@pytest.mark.parametrize("name", ["spin2", "ks18", "eye4"])
+def test_an_operand_that_fails_leaves_the_map_unchanged(name, monkeypatch):
+    # Two quantities kept, then operands that fail at one character, at one
+    # context or over the poset: another dimension fails only at the seed
+    # table, after its clusters, yet the map keeps its keys and entry
+    # objects, and the kept quantities are still read back.
+    def make():
+        return build_poset([context_from_basis(np.eye(4))]) if name == "eye4" else _shipped_poset(name)
 
-
-def _observables(poset, count: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    return [random_self_adjoint(rng, poset.dim) for _ in range(count)]
-
-
-def _context_pairs(poset, A, context) -> dict:
-    # quantity_value_arrow at every character of one context.
-    return {ch: quantity_value_arrow(poset, A, context, ch) for ch in gelfand_spectrum(context)}
-
-
-@pytest.mark.parametrize("name", ["spin2", "ks18"])
-def test_a_context_valued_with_two_quantities_in_turn_clusters_each_once(name, monkeypatch):
-    # A, B, A, B, ... at the top context: the first A and the first B miss
-    # and cluster; every later call reads its own slot back.
-    poset = _shipped_poset(name)
-    top = poset.get(poset.ids[0])
-    A, B = _observables(poset, 2, 31)
-    expected = [_context_pairs(_shipped_poset(name), X, top) for X in (A, B)]
-    calls = _count_clusters(monkeypatch)
-    for turn in range(6):
-        assert _context_pairs(poset, (A, B)[turn % 2], top) == expected[turn % 2]
-        assert len(calls) == min(turn + 1, 2)
-    assert [slot[0] for slot in poset._context_quantities[top.id]] == [_keyed(X)[0] for X in (B, A)]
-
-
-@pytest.mark.parametrize("name", ["spin2", "ks18"])
-def test_a_context_keeps_the_last_two_quantities_valued_there(name, monkeypatch):
-    # A, B, C: C's miss drops A, the older slot.  B then reads back and
-    # becomes the most recent; A misses again and drops C.
-    poset = _shipped_poset(name)
-    top = poset.get(poset.ids[0])
-    A, B, C = _observables(poset, 3, 37)
-    expected = {id(X): _context_pairs(_shipped_poset(name), X, top) for X in (A, B, C)}
-    calls = _count_clusters(monkeypatch)
-    for X, clustered, kept in ((A, 1, (A,)), (B, 2, (B, A)), (C, 3, (C, B)), (B, 3, (B, C)), (A, 4, (A, B))):
-        assert _context_pairs(poset, X, top) == expected[id(X)]
-        assert len(calls) == clustered
-        assert [slot[0] for slot in poset._context_quantities[top.id]] == [_keyed(Y)[0] for Y in kept]
-
-
-@pytest.mark.parametrize("name", ["spin2", "ks18"])
-def test_an_operand_that_fails_after_two_quantities_leaves_both_slots(name):
-    # The top context keeps A and B, with some characters valued for each;
-    # operands that fail there or over the poset leave both slots, in their
-    # order and with their rows, and the poset slot as they were.
-    poset = _shipped_poset(name)
-    top = poset.get(poset.ids[0])
-    A, B = _observables(poset, 2, 41)
+    poset = make()
+    top = poset.get(poset.ids[-1])
+    A, B = _observables(poset, 2, 29)
     characters = gelfand_spectrum(top)
-    for X, asked in ((A, characters[::2]), (B, characters[1:2])):
-        for ch in asked:
-            quantity_value_arrow(poset, X, top, ch)
-    before = _slots(poset)
-    assert [slot[0] for slot in poset._context_quantities[top.id]] == [_keyed(X)[0] for X in (B, A)]
+    quantity_value_arrow(poset, A, top, characters[0])
+    quantity_value_arrows(poset, B, top)
+    before = dict(poset._quantity_bounds)
+    assert list(before) == _keys(A, B)
     n = poset.dim
-    failing = [(np.eye(n - 1), DimensionMismatch), (np.triu(np.ones((n, n))) * 1j, NotSelfAdjoint),
-               (np.full((n, n), np.nan), ValidationError)]
+    failing = [(np.eye(n - 1), DimensionMismatch), (np.diag(np.arange(n + 1.0)), DimensionMismatch),
+               (np.triu(np.ones((n, n))) * 1j, NotSelfAdjoint), (np.full((n, n), np.nan), ValidationError)]
     for bad, error in failing:
-        for call in (lambda: quantity_value_arrow(poset, bad, top, characters[0]),
+        for call in (lambda: quantity_value_arrow(poset, bad, top, characters[-1]),
                      lambda: quantity_value_arrows(poset, bad, top), lambda: quantity_value_arrows(poset, bad)):
             with pytest.raises(error):
                 call()
-            _assert_slots_unchanged(poset, before)
+            _assert_map_unchanged(poset, before)
+    fresh = make()
+    expected = [quantity_value_arrows(fresh, X) for X in (A, B)]
+    calls = _count_clusters(monkeypatch)
+    assert [quantity_value_arrows(poset, X) for X in (A, B)] == expected and calls == []
+
+
+def _rotated(poset, observables, sweeps: int) -> list:
+    # quantity_value_arrow at every character, sweeps times, with observable
+    # k % len(observables) at the k-th call, as the benchmark's query ops
+    # rotate theirs.
+    calls = [(c, ch) for c in poset for ch in gelfand_spectrum(c)] * sweeps
+    return [quantity_value_arrow(poset, observables[k % len(observables)], c, ch) for k, (c, ch) in enumerate(calls)]
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_eight_rotated_observables_are_clustered_once_each(name, monkeypatch):
+    poset = _shipped_poset(name)
+    observables = _observables(poset, 8, 31)
+    expected = _rotated(_shipped_poset(name), observables, 3)
+    calls = _count_clusters(monkeypatch)
+    assert _rotated(poset, observables, 3) == expected
+    assert len(calls) == 8 and list(poset._quantity_bounds) == _keys(*observables)
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_a_ninth_observable_evicts_the_oldest(name, monkeypatch):
+    # The ninth drops the first, which is clustered again on its next use and
+    # then drops the second; the seven kept between are read back.  A miss
+    # stores a new map and leaves the one a concurrent call may hold as it was.
+    poset = _shipped_poset(name)
+    top = poset.get(poset.ids[0])
+    observables = _observables(poset, 9, 37)
+    expected = {id(X): quantity_value_arrows(_shipped_poset(name), X, top) for X in observables}
+    calls = _count_clusters(monkeypatch)
+    for X in observables[:8]:
+        assert quantity_value_arrows(poset, X, top) == expected[id(X)]
+    full = poset._quantity_bounds
+    held = dict(full)
+    assert quantity_value_arrows(poset, observables[8], top) == expected[id(observables[8])]
+    assert poset._quantity_bounds is not full and full == held
+    assert len(calls) == 9 and list(poset._quantity_bounds) == _keys(*observables[1:])
+    first, kept = observables[0], observables[2:]
+    assert quantity_value_arrows(poset, first, top) == expected[id(first)] and len(calls) == 10
+    assert list(poset._quantity_bounds) == _keys(*kept, first)
+    for X in kept:
+        assert quantity_value_arrows(poset, X, top) == expected[id(X)]
+    assert len(calls) == 10
+
+
+def _leaves(obj) -> set:
+    # The types of the objects a key or entry of the map holds, all the way down.
+    if isinstance(obj, tuple):
+        return set().union(*map(_leaves, obj)) if obj else set()
+    return {type(obj)}
+
+
+def test_the_map_holds_no_reference_to_the_poset_or_the_callers_array():
+    import gc
+    import weakref
+
+    poset = _shipped_poset("ks18")
+    A = random_self_adjoint(np.random.default_rng(43), poset.dim)
+    expected = quantity_value_arrows(_shipped_poset("ks18"), A)
+    quantity_value_arrows(poset, A)
+    assert _leaves(tuple(poset._quantity_bounds.items())) <= {int, float, bytes}
+    dropped, key = weakref.ref(A), _keyed(A)[0]
+    del A
+    gc.collect()
+    assert dropped() is None and list(poset._quantity_bounds) == [key]
+    assert quantity_value_arrows(poset, np.frombuffer(key[1], dtype=complex).reshape(key[0])) == expected
+
+
+def test_value_calls_from_more_threads_than_cores_give_each_quantity_its_own_pairs():
+    # Each thread sweeps every character with its own observables in turn,
+    # twice, at a short switch interval, and more observables are in use than the
+    # poset keeps, so threads evict each other's; every pair is its own
+    # observable's on a fresh poset, so no thread read another's bounds.
+    import os
+    from concurrent.futures import ThreadPoolExecutor
+
+    poset = _shipped_poset("ks18")
+    workers = (os.cpu_count() or 1) + 1
+    observables = _observables(poset, max(3 * workers, 12), 47)
+    own = [observables[t::workers] for t in range(workers)]
+    fresh = _shipped_poset("ks18")
+    expected = [[list(quantity_value_arrows(fresh, X).items()) for X in mine * 2] for mine in own]
+
+    def sweep(mine):
+        return [_pairs(poset, X) for X in mine * 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            results = [f.result(timeout=300) for f in [pool.submit(sweep, mine) for mine in own]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    assert len(poset._quantity_bounds) <= 8
 
 
 def test_a_hit_still_checks_the_tolerances_and_the_character(poset11, maximal_context, sz):

@@ -22,16 +22,14 @@ read``, the implication followed by a read of every sieve of the result,
 which builds them; of ``check_global_element`` on a truth value, which builds its sieves
 at the first call and no sieve frame, as it reads no sieve's ints; of a value
 sweep: one ``quantity_value_arrow`` per character of every context, whose
-first call clusters the observable and builds its seed-atom table, whose
-first round fills every character's bounds, and whose warm round reads them
-back from the context's slot; of a rotating sweep, the same calls with
-three observables in turn, one per character, so that every call misses
-the two slots a context keeps and clusters its observable again; of an
-interleaved sweep, which sweeps each context with one of the first two
-observables, by the parity of its position in the poset, as the
-benchmark's query passes interleave theirs: its first round misses the
-poset's slot at every context, and its warm round reads each context's own;
-of ``quantity_value_arrows`` over the whole poset, which builds them too; of
+first call clusters the observable and keeps the bounds of every poset
+atom, which each later call gathers at its character's restricted atoms;
+of a rotating sweep, the same calls with three observables in turn, one per
+character; of an interleaved sweep, which sweeps each context with one of
+the first two observables, by the parity of its position in the poset.
+The first round of each clusters each of its observables once, and the warm
+round reads back the bounds the poset keeps for each of them.  Then of
+``quantity_value_arrows`` over the whole poset, which keeps them too; of
 a per-context inner sweep, ``inner_daseinise_projection`` of the first
 proposition at every context, whose first call checks the proposition a
 projection and builds its columns (1 - P | P), which the later calls, and
