@@ -636,12 +636,18 @@ class ContextPoset:
         # The poset's tolerances, for a poset-wide call given each as None or
         # as the poset's value: another tau would decide touches the poset was
         # not built with, another tau_eig cluster eigenvalues unlike its calls.
+        # A value that is exactly a float is decided by one comparison first.
+        kept = self._tolerances
+        if (tau is None or type(tau) is float and tau == kept.tau) and (
+            tau_eig is None or type(tau_eig) is float and tau_eig == kept.tau_eig
+        ):
+            return kept
         for name, value in (("tau", tau), ("tau_eig", tau_eig)):
-            own = getattr(self._tolerances, name)
+            own = getattr(kept, name)
             if value is not None and not (finite_number(value) and value == own):
                 raise ValidationError(f"{name}={brief_repr(value)} differs from the {name}={own}"
                                       " the poset was built with")
-        return self._tolerances
+        return kept
 
     def find(self, atoms: Iterable[np.ndarray]) -> Context | None:
         """Locate the poset context with the given atom set, if present, by

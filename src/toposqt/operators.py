@@ -61,16 +61,30 @@ def _tau(value, name: str = "tau") -> float:
 _MAX_ENTRY = 1e60
 
 
-def _complex(data) -> np.ndarray:
-    # The one check of array data, as a complex array: data that numpy cannot
-    # read as numbers, and NaN, infinite or larger entries, raise ValidationError.
+def _array(data) -> np.ndarray:
+    # Array data converted once to a complex array, the caller's own array if
+    # it is one; data that numpy cannot read as numbers raise ValidationError.
     try:
-        A = np.asarray(data, dtype=complex)
+        return np.asarray(data, dtype=complex)
     except (TypeError, ValueError, OverflowError):
-        A = None
-    if A is None or not np.abs(A.ravel().view(float)).max(initial=0.0) <= _MAX_ENTRY:
-        raise ValidationError(f"expected numeric array data, finite and at most {_MAX_ENTRY:g}, got {brief_repr(data)}")
+        raise _bad_data(data) from None
+
+
+def _bad_data(data) -> ValidationError:
+    return ValidationError(f"expected numeric array data, finite and at most {_MAX_ENTRY:g}, got {brief_repr(data)}")
+
+
+def _bounded(A: np.ndarray, data) -> np.ndarray:
+    # The entry-bound test of A, converted from data by _array: NaN, infinite
+    # or larger entries raise ValidationError.
+    if not np.abs(A.ravel().view(float)).max(initial=0.0) <= _MAX_ENTRY:
+        raise _bad_data(data)
     return A
+
+
+def _complex(data) -> np.ndarray:
+    # The one check of array data, as a complex array.
+    return _bounded(_array(data), data)
 
 
 def _listed(items, name: str) -> list:
@@ -83,7 +97,13 @@ def _listed(items, name: str) -> list:
 
 def as_operator(entries) -> np.ndarray:
     """Coerce to a square complex matrix (``ValidationError`` for data that are not numbers)."""
-    A = _complex(entries)
+    return _operator(_array(entries), entries)
+
+
+def _operator(A: np.ndarray, data) -> np.ndarray:
+    # as_operator's checks of A, converted from data by _array.  A caller that
+    # keys an operand by its converted bytes runs them only on a miss.
+    _bounded(A, data)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {A.shape}")
     return A
@@ -130,19 +150,24 @@ def is_orthonormal(vectors, tau: float = TAU) -> bool:
 
 
 #: The last projection that passed require_projector, as one tuple (key,
-#: columns): key is its shape and bytes, as as_operator returns it, and its
-#: tau; columns is (1 - P | P) once a call has asked for it, else None.
+#: columns): key is its shape and bytes, as _array converts it, and its tau;
+#: columns is (1 - P | P) once a call has asked for it, else None.  Equal
+#: bytes at an equal tau passed every check, so a call whose key is the
+#: slot's runs none of them; any other call runs them all before it is kept.
 _last_projector = None
 
 
 def _checked_projector(P, tau: float, columns: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    # P after as_operator, checked a projection at tau, and its columns if asked
-    # for.  The projection test runs only when the key is not the slot's (equal
-    # bytes at an equal tau give the same verdict); the slot is read once.
+    # P converted, checked a projection at tau, and its columns if asked for.
+    # The key is compared with the slot, read once, before any check: a hit
+    # needs tau exactly a float (a float equal to the slot's passes _tau), and
+    # a miss checks P and tau in as_operator's order, then the projection.
     global _last_projector
-    P = as_operator(P)
-    key, slot = (P.shape, P.tobytes(), _tau(tau)), _last_projector
-    if slot is None or slot[0] != key:
+    data, P = P, _array(P)
+    key, slot = (P.shape, P.tobytes(), tau), _last_projector
+    if slot is None or type(tau) is not float or slot[0] != key:
+        _operator(P, data)
+        key = (*key[:2], _tau(tau))
         if not _self_adjoint(P, key[2], idempotent=True):
             raise NotProjector(f"matrix is not an orthogonal projection within tau={tau}")
         slot = _last_projector = (key, None)

@@ -27,11 +27,12 @@ from .operators import (
     TAU,
     TAU_EIG,
     Tolerances,
+    _array,
     _clusters,
     _complex,
     _decompose,
+    _operator,
     _spectral_projection,
-    as_operator,
     cluster_table,
     identity,
     require_projector,
@@ -126,26 +127,31 @@ def quantity_value_arrow(
     c iff ||aV_c||_F^2 > tau^2, read off A's orthonormal eigenvectors V_c;
     this equals ||aP_c||_F^2 for the spectral projection P_c = V_c V_c^*,
     which is never formed.  The poset keeps the bounds of every poset atom
-    for each of the last eight A it valued (``_atom_bounds``), so a sweep
-    with A clusters it once and a character's pair is a gather of its
-    restricted atoms' bounds; A's array data, the tolerances, the context and
-    the character are checked on every call."""
+    for each of the last eight A it valued (``_atom_bounds``), keyed by A's
+    shape and bytes, so a sweep with A checks and clusters it once and a
+    character's pair is a gather of its restricted atoms' bounds.  A is
+    checked only when its bytes are not kept; the tolerances, the context
+    and the character are checked on every call."""
     poset._tolerance(tau, tau_eig)
-    return _value_arrows(poset, _keyed(A), _own_context(poset, context), [character])[0]
+    keyed = _keyed(poset, A)
+    context = _own_context(poset, context)
+    _require_member(context, character)
+    return _value_arrows(poset, _atom_bounds(poset, keyed), context, [character])[0]
 
 
 def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None) -> dict[Character, IntervalPair]:
     """The arrow delta(A) from the spectral presheaf to the quantity-value
     object: ``quantity_value_arrow`` at every character of one context, or
     of every context when ``context`` is None, keyed by character in poset
-    and atom order.  A is checked, and clustered at the poset's tolerances
-    unless the poset keeps its atom bounds."""
-    keyed = _keyed(A)
+    and atom order.  A is checked and clustered at the poset's tolerances
+    unless the poset keeps atom bounds for its bytes."""
+    keyed = _keyed(poset, A)
     contexts = poset if context is None else (_own_context(poset, context),)
+    bounds = _atom_bounds(poset, keyed)
     arrows: dict[Character, IntervalPair] = {}
     for c in contexts:
         characters = gelfand_spectrum(c)
-        arrows.update(zip(characters, _value_arrows(poset, keyed, c, characters)))
+        arrows.update(zip(characters, _value_arrows(poset, bounds, c, characters)))
     return arrows
 
 
@@ -159,11 +165,17 @@ def _own_context(poset: ContextPoset, context: Context) -> Context:
     return own
 
 
-def _keyed(A) -> tuple[tuple, np.ndarray]:
-    # A's array data, checked on every call, and its key in the poset's map
-    # of atom bounds: its shape and bytes as as_operator returns it.
-    A = as_operator(A)
-    return (A.shape, A.tobytes()), A
+def _keyed(poset: ContextPoset, A) -> tuple[tuple, np.ndarray, dict]:
+    # A's key in the poset's map of atom bounds, the shape and bytes of A
+    # converted once, with A and the map, read once.  A kept key's bytes
+    # passed every check at the poset's fixed tolerances, so a hit runs none
+    # of them; a miss runs as_operator's checks here, before the context and
+    # character checks, and the self-adjoint one when A is clustered.
+    data, A = A, _array(A)
+    key, kept = (A.shape, A.tobytes()), poset._quantity_bounds
+    if key not in kept:
+        _operator(A, data)
+    return key, A, kept
 
 
 #: The quantities whose atom bounds a poset keeps.  The benchmark's query
@@ -173,16 +185,15 @@ _KEPT_QUANTITIES = 8
 
 def _atom_bounds(poset: ContextPoset, keyed: tuple) -> tuple[tuple[float, float], ...]:
     # The least and the greatest eigenvalue of A that each poset atom
-    # touches, one pair per atom row: the poset's entry for A's key, or A
-    # clustered, which checks it self-adjoint, and one table_bounds of the
-    # sums of the seed atoms' cluster_table.  Equal bytes at the poset's
-    # fixed tolerances give the same bounds.  The map is read once and a miss
-    # stores a new one, without its oldest entry when it is full, so no
-    # thread sees it half updated (two misses at once may keep only one
-    # entry, which costs a clustering again); an A that fails stores nothing.
-    # The map holds no reference to the poset or to the caller's array.
-    key, A = keyed
-    kept = poset._quantity_bounds
+    # touches, one pair per atom row: the entry for A's key in the map that
+    # _keyed read, or A clustered, which checks it self-adjoint, and one
+    # table_bounds of the sums of the seed atoms' cluster_table.  Equal bytes
+    # at the poset's fixed tolerances give the same bounds.  A miss stores a
+    # new map, without its oldest entry when it is full, so no thread sees it
+    # half updated (two misses at once may keep only one entry, which costs a
+    # clustering again); an A that fails stores nothing.  The map holds no
+    # reference to the poset or to the caller's array.
+    key, A, kept = keyed
     bounds = kept.get(key)
     if bounds is None:
         eigenvalues, vecs, starts = _clusters(A, poset.tolerances)
@@ -193,17 +204,14 @@ def _atom_bounds(poset: ContextPoset, keyed: tuple) -> tuple[tuple[float, float]
 
 
 def _value_arrows(
-    poset: ContextPoset, keyed: tuple, context: Context, characters: Sequence[Character]
+    poset: ContextPoset, bounds: tuple, context: Context, characters: Sequence[Character]
 ) -> list[IntervalPair]:
     # The one interval-value kernel, of quantity_value_arrow and
     # quantity_value_arrows: the pairs of several characters of one of the
-    # poset's contexts, for A and its key from _keyed.  mu and nu of (V, i)
-    # at W are the bounds of the atom of W that atom i restricts to, whose
-    # atom row is in column i of V's restriction tables, at W's position.
-    for character in characters:
-        _require_member(context, character)
+    # poset's contexts, checked, for A's bounds from _atom_bounds.  mu and nu
+    # of (V, i) at W are the bounds of the atom of W that atom i restricts to,
+    # whose atom row is in column i of V's restriction tables, at W's position.
     down, table = poset.down_ids(context.id), poset._tables[context.id]
-    bounds = _atom_bounds(poset, keyed)
     pairs = []
     for character in characters:
         lows, highs = zip(*[bounds[r] for r in table[:, character.atom_index].tolist()])

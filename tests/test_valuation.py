@@ -308,7 +308,8 @@ def _observables(poset, count: int, seed: int) -> list:
 
 
 def _keys(*operands) -> list:
-    return [_keyed(X)[0] for X in operands]
+    # The keys of the poset's map of atom bounds: each operand's shape and bytes as a complex array.
+    return [(np.shape(X), np.asarray(X, dtype=complex).tobytes()) for X in operands]
 
 
 @pytest.mark.parametrize("name", ["spin2", "ks18"])
@@ -326,8 +327,8 @@ def test_kept_atom_bounds_equal_a_fresh_posets_pairs(name, monkeypatch):
     for count, X in enumerate((A, B), 1):
         assert _pairs(poset, X) == fresh[id(X)] and len(calls) == count
         assert list(poset._quantity_bounds) == _keys(A, B)[:count]
-        assert _keyed(X)[0] == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
-        bounds = poset._quantity_bounds[_keyed(X)[0]]
+        assert _keyed(poset, X)[0] == ((poset.dim, poset.dim), np.asarray(X, dtype=complex).tobytes())
+        bounds = poset._quantity_bounds[_keyed(poset, X)[0]]
         assert len(bounds) == rows and all(lo <= hi for lo, hi in bounds)
         assert _pairs(poset, X) == fresh[id(X)] and len(calls) == count
         if name == "spin2":
@@ -495,7 +496,7 @@ def test_the_map_holds_no_reference_to_the_poset_or_the_callers_array():
     expected = quantity_value_arrows(_shipped_poset("ks18"), A)
     quantity_value_arrows(poset, A)
     assert _leaves(tuple(poset._quantity_bounds.items())) <= {int, float, bytes}
-    dropped, key = weakref.ref(A), _keyed(A)[0]
+    dropped, key = weakref.ref(A), _keyed(poset, A)[0]
     del A
     gc.collect()
     assert dropped() is None and list(poset._quantity_bounds) == [key]
