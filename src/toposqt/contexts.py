@@ -28,7 +28,7 @@ import hashlib
 import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import accumulate, combinations, groupby
+from itertools import accumulate, chain, combinations, groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -609,6 +609,12 @@ class ContextPoset:
             below.update(zip(ids, zip(*[ints] * n)))  # n ints per context
         return top, below, {cid: reduce(int.__or__, own) for cid, own in below.items()}
 
+    @cached_property
+    def _character_rows(self) -> tuple[int, ...]:
+        # The down-set int of every character of _characters, in atom row
+        # order, which is the order of their bits from the top down.
+        return tuple(chain.from_iterable(self._characters[1].values()))
+
     def _build_sieve_frame(self, context_id: str) -> _SieveFrame:
         ids = tuple(sorted(self.down_ids(context_id), reverse=True))
         return _SieveFrame(ids, tuple(map(self._below.__getitem__, ids)))
@@ -623,14 +629,13 @@ class ContextPoset:
         return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float), self._first_rows
 
     @cached_property
-    def _atom_stacks(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        # Each poset atom's index in its context (in _seed_sums row order), and
-        # a read-only (contexts, n, dim, dim) stack of the atoms of the contexts
+    def _atom_stacks(self) -> tuple[np.ndarray, ...]:
+        # A read-only (contexts, n, dim, dim) stack of the atoms of the contexts
         # of n atoms, which follow each other in poset order, for each n.
         stacks = tuple(np.array([c.atoms for c in group]) for _, group in groupby(self._contexts, lambda c: c.n_atoms))
         for stack in stacks:
             stack.setflags(write=False)
-        return np.array([i for c in self._contexts for i in range(c.n_atoms)]), stacks
+        return stacks
 
     def _tolerance(self, tau: float | None = None, tau_eig: float | None = None) -> Tolerances:
         # The poset's tolerances, for a poset-wide call given each as None or

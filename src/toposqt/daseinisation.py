@@ -15,10 +15,11 @@ possible at a large tau) has no weight, and both approximations reject it.
 In one context the table's rows are the context's atoms.  Over a whole poset
 they are the seed atoms: an atom touches Q iff the entries of the seed atoms
 it sums add up to more than tau^2 (||aQ||_F^2 = sum_b ||bQ||_F^2 for
-orthogonal b).  There the weights give each context's selection as one int,
-and the approximations of all contexts of n atoms as one masked sum over the
-poset's stack of their atoms.  That sum adds the atoms in atom order, as the
-per-context one does, so it has its bits; ``np.add.reduceat`` does not.
+orthogonal b).  There the weights, packed, are the subobject's int over the
+character bits, and the approximations of all contexts of n atoms are one
+masked sum over the poset's stack of their atoms.  That sum adds the atoms
+in atom order, as the per-context one does, so it has its bits;
+``np.add.reduceat`` does not.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import Context, ContextPoset, _bits
+from .contexts import Context, ContextPoset
 from .errors import ValidationError
 from .operators import (
     TAU,
@@ -45,7 +46,7 @@ from .operators import (
     touch_table,
     zero,
 )
-from .presheaf import ClopenSubobject
+from .presheaf import ClopenSubobject, _pack, _subobject
 
 
 def _approximation(context: Context, values) -> np.ndarray:
@@ -123,21 +124,19 @@ def inner_daseinise_proposition(poset: ContextPoset, P) -> DaseinisedProposition
 def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedProposition:
     # The inner (end 0) or outer (end 1) daseinisation of a checked projection
     # from every poset atom's weight, read off one touch_table of the seed
-    # atoms.  A context selects the bits of the int of its weights.  Adding 0.0
-    # clears a negative zero that a reduction starting from its first term keeps.
-    seeds, sums, starts = poset._seed_sums
+    # atoms.  The weights are the subobject's int over the character bits.
+    # Adding 0.0 clears a negative zero that a reduction starting from its
+    # first term keeps.
+    seeds, sums, _ = poset._seed_sums
     w = _weights(sums @ touch_table(seeds, (identity(P.shape[0]) - P, P)), end, poset.tolerances.tau)
-    index, stacks = poset._atom_stacks
-    codes = np.add.reduceat(w << index, starts).tolist()
-    selections = {code: frozenset(_bits(code)) for code in set(codes)}
     projectors, first, at = {}, 0, 0
-    for stack in stacks:
+    for stack in poset._atom_stacks:
         k, n = stack.shape[:2]
         out = (stack * w[at : at + k * n].reshape(k, n, 1, 1)).sum(axis=1)
         out += 0.0
         projectors.update(zip(poset.ids[first : first + k], out))
         first, at = first + k, at + k * n
-    return DaseinisedProposition(P, projectors, ClopenSubobject(dict(zip(poset.ids, map(selections.get, codes)))))
+    return DaseinisedProposition(P, projectors, _subobject(poset, _pack(w.tobytes())))
 
 
 def _selfadjoint(A, context: Context, tau: float, tau_eig: float, end: int) -> np.ndarray:

@@ -9,8 +9,9 @@ whether a set is a sieve, whether a selection is clopen, and which contexts
 a truth value keeps.  Each order is encoded once, as down-set ints: a
 context's over one bit per context (``ContextPoset._bit``), a character's
 over one bit per character (``ContextPoset._characters``), so x lies in
-S1 -> S2 iff its down-set int misses the mask of S1 - S2.  Conjunction and
-disjunction stay set operations, per sieve and per context of a subobject.
+S1 -> S2 iff its down-set int misses the mask of S1 - S2.  A subobject the
+library makes holds its mask, so its conjunction and disjunction are an AND
+and an OR; on sieves they stay set operations.
 Once the sieves on a context V are enumerated, V's sieve frame keeps them,
 Ω(V), as ints over one bit per member of V's down-set, with each member's
 down-set and up-set there, so the connectives of enumerated sieves are int
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import is_
+from operator import not_
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -44,7 +45,7 @@ from .errors import (
     NotASubcontext,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _mapping, _require_characters, _require_contexts
+from .presheaf import ClopenSubobject, _mapping, _require_characters, _require_contexts, _pack, _subobject, _trusted
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -326,6 +327,10 @@ class GlobalElementOfOmega:
             return NotImplemented
         return self.sieves == other.sieves
 
+    def __reduce__(self):
+        # A copy or a pickle is built from the sieves, and holds no poset.
+        return GlobalElementOfOmega, (self.sieves,)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{cid}:{sorted(s.members)}" for cid, s in sorted(self.sieves.items()))
         return f"GlobalElementOfOmega({parts})"
@@ -355,10 +360,8 @@ def _down_set(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> 
     # The down-set int of a global element: its own U when it is an element
     # of this poset that is unread, or whose dict holds, in poset order, the
     # very sieves built from U.  Otherwise the sieves are read back to U.
-    if element._poset is poset:
-        sieves = element._sieves
-        if sieves is None or (tuple(sieves) == poset._ids and all(map(is_, sieves.values(), element._built))):
-            return element._down
+    if _trusted(poset, element, element._sieves):
+        return element._down
     return _read_down_set(poset, element.sieves, name)
 
 
@@ -426,19 +429,18 @@ def subobject_connective(
 
     ``and``/``or`` act contextwise; ``implies`` keeps a character when all
     its restrictions that land in s1 also land in s2; ``not s`` is
-    ``s implies bottom``.  An operand that selects an index outside its
-    context's atoms, or one that is not an integer, which is no character,
-    raises ``UnknownCharacter``.
+    ``s implies bottom``.  Each is an int operation on the operands'
+    character ints, and the result is a subobject that holds its int.  An
+    operand that selects an index outside its context's atoms, or one that
+    is not an integer, which is no character, raises ``UnknownCharacter``.
     """
     if kind not in _ALL_KINDS or (kind == "not") != (s2 is None):
         raise ValidationError(_KIND_ERROR.format(kind))
-    _require_characters(poset, *((s1,) if s2 is None else (s1, s2)))
+    x1, x2 = _require_characters(poset, s1, s2)
     if kind == "and":
-        return ClopenSubobject({cid: s1.at(cid) & s2.at(cid) for cid in poset.ids})
+        return _subobject(poset, x1 & x2)
     if kind == "or":
-        return ClopenSubobject({cid: s1.at(cid) | s2.at(cid) for cid in poset.ids})
-    # S1 => S2 keeps x iff below[x] misses the mask of S1 - S2, which is S1 for "not".
-    top, below, _ = poset._characters
-    outside = [s1.at(cid) if s2 is None else s1.at(cid) - s2.at(cid) for cid in poset.ids]
-    mask = sum(1 << (top[cid] - int(j)) for cid, chosen in zip(poset.ids, outside) for j in chosen)
-    return ClopenSubobject({cid: frozenset(i for i, x in enumerate(below[cid]) if not x & mask) for cid in poset.ids})
+        return _subobject(poset, x1 | x2)
+    # S1 => S2 keeps x iff below[x] misses S1 - S2, which is S1 for "not".
+    outside = x1 & ~x2
+    return _subobject(poset, _pack(bytes(map(not_, map(outside.__and__, poset._character_rows)))))

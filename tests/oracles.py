@@ -62,6 +62,17 @@ def brute_implies(poset: ContextPoset, s1: dict, s2: dict) -> dict[str, frozense
     }
 
 
+def brute_connective(poset: ContextPoset, kind: str, s1: dict, s2: dict | None = None) -> dict[str, frozenset[int]]:
+    """The subobject connective ``kind`` by the frozenset rules: ``and`` and
+    ``or`` intersect and join per context, ``implies`` is ``brute_implies``,
+    and ``not s1`` is s1 implies the empty selection."""
+    if kind == "and":
+        return {v: frozenset(s1[v] & s2[v]) for v in poset.ids}
+    if kind == "or":
+        return {v: frozenset(s1[v] | s2[v]) for v in poset.ids}
+    return brute_implies(poset, s1, {v: frozenset() for v in poset.ids} if kind == "not" else s2)
+
+
 def brute_sections(poset: ContextPoset) -> list[dict[str, int]]:
     """Every choice of one character per context whose restrictions agree.
     The product over the contexts, in sorted id order, is taken one factor at

@@ -366,14 +366,13 @@ def test_the_poset_stacks_its_atoms_on_the_first_poset_wide_daseinisation(ks18_p
     truth_value(poset, P, psi)
     assert "_atom_stacks" not in vars(poset)
     daseinise_proposition(poset, P)
-    index, stacks = poset._atom_stacks
+    stacks = poset._atom_stacks
     inner_daseinise_proposition(poset, P)
     pseudo_state(poset, psi)
-    assert poset._atom_stacks[1] is stacks
+    assert poset._atom_stacks is stacks
     assert [len(s) for s in stacks] == [sum(1 for c in poset if c.n_atoms == s.shape[1]) for s in stacks]
     assert np.array_equal(np.concatenate([s.reshape(-1, *s.shape[2:]) for s in stacks]),
                           np.array([a for c in poset for a in c.atoms]))
-    assert index.tolist() == [i for c in poset for i in range(c.n_atoms)]
     for stack in stacks:
         assert not stack.flags.writeable
         with pytest.raises(ValueError):

@@ -6,8 +6,11 @@ sieves were read, and as a copy built from those sieves."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from toposqt.logic import (
     totally_true,
 )
 from toposqt.problems import load_problem, problem_poset
+from toposqt.valuation import truth_value
 
 POSETS = ("poset11", "spin2", "poset_two_bases")
 KINDS = ("and", "or", "implies", "not")
@@ -255,3 +259,18 @@ def test_the_check_reads_the_sieves_of_a_read_element(request, name):
     sound._down, odd._down = poset._bit[poset.ids[0]], sound._down
     assert check_global_element(poset, sound)
     assert not check_global_element(poset, odd)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copy_or_pickle_of_an_element_holds_no_poset(spin2, read, clone):
+    # A copy is built from the sieves, as an element built from sieves is.
+    top = spin2.get(spin2.ids[0])
+    original = truth_value(spin2, top.atoms[0], np.linalg.eigh(top.atoms[0] + top.atoms[1])[1][:, -1])
+    if read:
+        original.sieves
+    twin = clone(original)
+    assert twin == original and twin._poset is None
+    assert twin.sieves == original.sieves and twin.sieves is not original.sieves
+    assert global_element_connective(spin2, "not", twin) == global_element_connective(spin2, "not", original)

@@ -45,7 +45,8 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
             r"per-context inner daseinisation first [\d.]+ ms, warm [\d.]+ ms; "
             r"inner daseinisation first [\d.]+ ms, warm [\d.]+ ms; "
             r"outer daseinisation first [\d.]+ ms, warm [\d.]+ ms; pseudo_state first [\d.]+ ms, warm [\d.]+ ms; "
-            r"subobject implies first [\d.]+ ms, warm [\d.]+ ms; is_clopen_subobject first [\d.]+ ms, warm [\d.]+ ms; "
+            r"subobject implies first [\d.]+ ms, warm [\d.]+ ms; subobject and first [\d.]+ ms, warm [\d.]+ ms; "
+            r"selection, read first [\d.]+ ms, warm [\d.]+ ms; is_clopen_subobject first [\d.]+ ms, warm [\d.]+ ms; "
             r"global_sections first [\d.]+ ms, warm [\d.]+ ms; peak RSS \d+ MB",
             line,
         )

@@ -39,10 +39,13 @@ call builds the poset's seed sums and its stacks of atoms, and of
 ``daseinise_proposition`` of it and ``pseudo_state`` of the state, which
 build them too.  Then, again on a fresh poset each,
 the first and a warm call of ``subobject_connective`` ``implies`` on the
-outer daseinisations of the two propositions, of ``is_clopen_subobject`` on
-the first of them, and of ``global_sections``, whose first calls build the
-character order (every character's down-set int).  The propositions are sums
-of atoms of the top context (the basis), the state is an even superposition
+outer daseinisations of the two propositions, whose first call builds the
+character order (every character's down-set int); of ``subobject and`` on
+them, an AND of their ints; of ``selection, read``, the first read of the
+``selection`` of each of them in turn, which builds its dict from its int;
+and of ``is_clopen_subobject`` on the first of them and of
+``global_sections``, whose first calls build the character order too.  The
+propositions are sums of atoms of the top context (the basis), the state is an even superposition
 of two of its rays, and the observable of the sweep has the eigenvalues 0,
 ..., n - 1 on the basis rays (the second observable n - 1, ..., 0, the
 third k // 2 on ray k).  Each line ends with the process peak RSS so far.  It
@@ -183,16 +186,24 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
 
 
 def _characters(seed, basis: list[np.ndarray]) -> str:
-    # The implication of two clopen subobjects, the clopen test and the
-    # section search, each on a fresh poset, so that each first call builds
-    # the character order.
+    # The implication and the conjunction of two clopen subobjects, the
+    # lazy read of a selection, the clopen test and the section search, each
+    # on a fresh poset, so that each first call builds what it uses.  A
+    # subobject holds its poset, so both go before the next poset is built.
     P, Q = _propositions(basis)
-    poset = build_poset([seed])
-    s1, s2 = (daseinise_proposition(poset, R).subobject for R in (P, Q))
-    parts = [f"subobject implies {_first_and_warm(lambda: subobject_connective(poset, 'implies', s1, s2))}"]
-    poset = build_poset([seed])
-    s1 = daseinise_proposition(poset, P).subobject
-    parts.append(f"is_clopen_subobject {_first_and_warm(lambda: is_clopen_subobject(poset, s1))}")
+    calls = {
+        "subobject implies": lambda poset, s: subobject_connective(poset, "implies", *s),
+        "subobject and": lambda poset, s: subobject_connective(poset, "and", *s),
+        "selection, read": lambda poset, s: s.pop().selection,
+        "is_clopen_subobject": lambda poset, s: is_clopen_subobject(poset, s[0]),
+    }
+    parts = []
+    for label, call in calls.items():
+        poset = subobjects = None
+        poset = build_poset([seed])
+        subobjects = [daseinise_proposition(poset, R).subobject for R in (P, Q)]
+        parts.append(f"{label} {_first_and_warm(lambda: call(poset, subobjects))}")
+    poset = subobjects = None
     poset = build_poset([seed])
     parts.append(f"global_sections {_first_and_warm(lambda: global_sections(poset))}")
     return "; ".join(parts)
