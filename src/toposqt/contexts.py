@@ -19,13 +19,14 @@ connected components of the graph of touching V and W atoms.  Generators are
 refined into atoms by the same rule.
 
 Atom order, context identifiers and poset order are all canonical so that
-repeated runs over the same input produce byte-identical output.
+repeated runs over the same input produce byte-identical output.  A poset
+holds its order and the tables its own methods read; the modules that read
+it keep their own per-poset state in plain dicts on it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, combinations, groupby
@@ -421,40 +422,6 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
         yield from zip(range(first, end), np.split(subs, cuts), np.split(tables, cuts), downs)
 
 
-class _SieveFrame:
-    """A context's down-set with the poset's down-set ints of its members,
-    and Omega(V), every sieve on the context V, once it is enumerated.
-
-    ``below[i]`` is the down-set of ``ids[i]`` as an int over poset positions
-    (the bits of ``ContextPoset._bit``), so x lies in S => T iff ``below[x]``
-    misses the mask of S - T.  The ids run in reverse sorted order, the bit
-    order in which sieves are enumerated: bit i of a local int stands for
-    ``ids[i]``.  ``logic._enumerated`` fills ``omega`` with the sieves on V
-    and ``codes`` with the local int of each, by its members; until then
-    ``omega`` is None and ``codes`` empty, and the frame keeps no other sieve.
-    """
-
-    __slots__ = ("ids", "below", "down", "codes", "omega")
-
-    def __init__(self, ids: tuple[str, ...], below: tuple[int, ...]) -> None:
-        self.ids, self.below, self.down = ids, below, frozenset(ids)
-        self.codes: dict[frozenset[str], int] = {}
-        self.omega = None
-
-
-class _Table(dict):
-    """Values by key, each made by ``make(key)`` on first lookup and kept.
-    ``make`` is a bound method held weakly, so a table keeps no poset alive."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self._make = weakref.WeakMethod(make)
-
-    def __missing__(self, key):
-        value = self[key] = self._make()(key)
-        return value
-
-
 class ContextPoset:
     """Immutable inclusion-ordered family of contexts.
 
@@ -463,21 +430,18 @@ class ContextPoset:
     matrices: a seed atom's label at a context is the one atom that touches it,
     and sub <= sup iff sub's labels are defined and equal on the seed atoms of
     each sup atom, whose restriction is that label (a table holds its atom row:
-    the atoms in poset and then atom order).  Sieves, truth values and global
-    elements read each down-set as an int over poset positions; an int that
-    misses part of a member's raises ``ValidationError``.  Enumerated sieves on
-    V also read theirs as local ints of V's ``_SieveFrame``, which then keeps
-    Omega(V).  Clopen subobjects and sections read the characters' down-sets as
-    ints over one bit per character (``_characters``).  Each seed atom touches
-    an atom of every seed (checked by ``build_poset``).  The poset keeps the
-    seed atoms and each atom's seed mask, so that a touch with a family of
+    the atoms in poset and then atom order).  The poset holds each down-set as
+    an int over poset positions (``_below``), and refuses one that misses part
+    of a member's with ``ValidationError``.  On first use it orders the characters
+    by restriction, one bit each (``_characters``).  Each seed atom touches an
+    atom of every seed (checked by ``build_poset``).  The poset keeps the seed
+    atoms and each atom's seed mask, so that a touch with a family of
     projections is read off one ``touch_table`` of the seed atoms; its first
     poset-wide daseinisation, not the build, stacks its atoms again, read-only,
     one stack per atom count.  It keeps the ``Tolerances`` it was built with,
-    for every call over the whole poset.  For the interval values it keeps,
-    for each of the last eight quantities A it valued, the least and the
-    greatest eigenvalue of A that each poset atom touches
-    (``valuation._atom_bounds``).
+    for every call over the whole poset.  It holds two plain dicts that other
+    modules fill and that hold no poset: logic.py's frame of each context, and
+    valuation.py's atom bounds of the last eight quantities it valued.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -494,7 +458,6 @@ class ContextPoset:
         self._seed_atoms = seed_atoms
         self._tolerances = tolerances
         self._contexts: tuple[Context, ...] = tuple(n.context for n in ordered)
-        self._atom_indices: dict[str, frozenset[int]] = {c.id: frozenset(range(c.n_atoms)) for c in self._contexts}
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
         self._down: dict[str, tuple[str, ...]] = {}
         self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down, as atom rows
@@ -511,8 +474,7 @@ class ContextPoset:
             if reduce(int.__or__, map(self._below.__getitem__, self._down[sup]), down) != down:
                 raise ValidationError(f"the touch test cannot order the contexts below {sup} transitively:"
                                       " some products of seed atoms lie close to tau")
-        # The sieve frames derived from the order, each built on first use and kept.
-        self._sieve_frames = _Table(self._build_sieve_frame)
+        self._sieve_frames: dict = {}  # logic.py's frame of each context id, filled on first use
         self._quantity_bounds: dict[tuple, tuple] = {}  # A's key -> a (low, high) pair per atom row
         return self
 
@@ -598,8 +560,8 @@ class ContextPoset:
         last = self._first_rows[-1] + self._contexts[-1].n_atoms - 1  # T - 1
         top = dict(zip(self._ids, (last - self._first_rows).tolist()))
         below: dict[str, tuple[int, ...]] = {}
-        for n, group in groupby(self._ids, lambda cid: len(self._atom_indices[cid])):
-            ids, downs, tables = zip(*((v, self._down[v], self._tables[v]) for v in group))
+        for n, group in groupby(self._contexts, lambda c: c.n_atoms):
+            ids, downs, tables = zip(*((c.id, self._down[c.id], self._tables[c.id]) for c in group))
             size = top[ids[0]] // 8 + 1  # bytes per int
             start = np.repeat(np.arange(len(ids) * n).reshape(-1, n) * 8 * size, list(map(len, downs)), axis=0)
             at = (start + last - np.concatenate(tables)).ravel()
@@ -614,10 +576,6 @@ class ContextPoset:
         # The down-set int of every character of _characters, in atom row
         # order, which is the order of their bits from the top down.
         return tuple(chain.from_iterable(self._characters[1].values()))
-
-    def _build_sieve_frame(self, context_id: str) -> _SieveFrame:
-        ids = tuple(sorted(self.down_ids(context_id), reverse=True))
-        return _SieveFrame(ids, tuple(map(self._below.__getitem__, ids)))
 
     @cached_property
     def _seed_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

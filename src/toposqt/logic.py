@@ -12,11 +12,12 @@ over one bit per character (``ContextPoset._characters``), so x lies in
 S1 -> S2 iff its down-set int misses the mask of S1 - S2.  A subobject the
 library makes holds its mask, so its conjunction and disjunction are an AND
 and an OR; on sieves they stay set operations.
-Once the sieves on a context V are enumerated, V's sieve frame keeps them,
-Ω(V), as ints over one bit per member of V's down-set, with each member's
-down-set and up-set there, so the connectives of enumerated sieves are int
-operations whose result Ω(V) holds: S => T drops the up-set of each member
-of S - T.
+Each context V has one frame here (``_Frame``), built on first use and
+kept in the poset's plain dict ``_sieve_frames``.  Once the sieves on V are
+enumerated, the frame keeps them, Ω(V), as ints over one bit per member of
+V's down-set, with each member's down-set and up-set there, so the
+connectives of enumerated sieves are int operations whose result Ω(V)
+holds: S => T drops the up-set of each member of S - T.
 Truth values are global elements: one sieve per context, compatible with
 all restrictions.  Compatible sieves are exactly the traces U ∩ ↓V of one
 down-set U, their union, so a global element the library makes holds U as
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import not_
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -105,7 +106,7 @@ def _members(sieve: Sieve, poset: ContextPoset | None = None) -> frozenset[str] 
     members = sieve.members
     if not (isinstance(members, (set, frozenset)) and all(map(isinstance, members, repeat(str)))):
         raise ValidationError(f"the members of a sieve on {sieve.base!r} are not a set of context ids")
-    if poset is not None and not members <= poset._sieve_frames[sieve.base].down:
+    if poset is not None and not members <= _frame(poset, sieve.base).down:
         raise NotASubcontext(f"a sieve on {sieve.base!r} holds a member outside its down-set")
     return members
 
@@ -122,48 +123,75 @@ def is_sieve(poset: ContextPoset, sieve: Sieve) -> bool:
     largest down-set inside them is all of them, so a member outside the
     base's down-set makes them no sieve."""
     members = _members(sieve)
-    frame = poset._sieve_frames[sieve.base]
+    frame = _frame(poset, sieve.base)
     # S => T with S - T the non-members: no member may lie at or above one.
     return members == _implication(poset, frame, frame.down - members)
 
 
-class _Omega(NamedTuple):
-    # Every sieve on an enumerated frame's base, over local bits: bit i for
-    # the frame's ids[i], as int64 tables need, and the order on those bits.
-    enumeration: tuple[Sieve, ...]  # in enumerate_sieves' order
-    sieves: dict[int, Sieve]  # local int -> the one Sieve, in that order
-    below: tuple[int, ...]  # below[i]: the down-set of ids[i] as a local int
-    up: tuple[int, ...]  # up[i]: the members at or above ids[i], the transpose of below
-    full: int  # every member: the principal sieve
+class _Frame:
+    """Ω(V), the sieves on a context V, over V's down-set.
+
+    ``ids`` is the down-set in reverse sorted order, the bit order in which
+    sieves are enumerated: bit i of a local int stands for ``ids[i]``, as
+    int64 tables need.  ``below[i]`` is the down-set of ``ids[i]`` as an int
+    over poset positions (the bits of ``ContextPoset._bit``), so x lies in
+    S => T iff ``below[x]`` misses the mask of S - T.  ``_enumerated`` fills
+    the rest: ``enumeration``, every sieve on V in ``enumerate_sieves``'
+    order; ``sieves``, the one Sieve of each local int, in that order;
+    ``local`` and ``up``, the members at or below and at or above each
+    ``ids[i]`` as local ints; ``full``, every member; and last ``codes``,
+    the local int of each sieve by its members.  Until then ``enumeration``
+    is None and ``codes`` empty, and the frame keeps no sieve.
+    """
+
+    __slots__ = ("ids", "below", "down", "codes", "enumeration", "sieves", "local", "up", "full")
+
+    def __init__(self, poset: ContextPoset, context_id: str) -> None:
+        self.ids = tuple(sorted(poset.down_ids(context_id), reverse=True))
+        self.below = tuple(map(poset._below.__getitem__, self.ids))
+        self.down = frozenset(self.ids)
+        self.codes: dict[frozenset[str], int] = {}
+        self.enumeration: tuple[Sieve, ...] | None = None
 
 
-def _enumerated(poset: ContextPoset, context_id: str) -> _Omega:
-    # Every sieve on the context, kept on its frame with the local int of
-    # each by its members; the cap is checked before the frame is built or read.
+def _frame(poset: ContextPoset, context_id: str) -> _Frame:
+    # V's frame, built on first use and kept in the poset's dict; an id
+    # outside the poset raises UnknownContext.
+    frame = poset._sieve_frames.get(context_id)
+    if frame is None:
+        frame = poset._sieve_frames[context_id] = _Frame(poset, context_id)
+    return frame
+
+
+def _enumerated(poset: ContextPoset, context_id: str) -> _Frame:
+    # V's frame with every sieve on V; the cap is checked before the frame
+    # is built or read.
     size = len(poset.down_ids(context_id))
     if size > ENUMERATION_CAP:
         raise EnumerationLimitExceeded(
             f"down-set has {size} contexts; exhaustive sieve enumeration is capped at {ENUMERATION_CAP}"
         )
-    frame = poset._sieve_frames[context_id]
-    if frame.omega is None:
+    frame = _frame(poset, context_id)
+    if frame.enumeration is None:
         bits = list(map(poset._bit.__getitem__, frame.ids))
-        local = [1 << i for i in range(size)]
-        below = tuple([sum(compress(local, map(down.__and__, bits))) for down in frame.below])
+        single = [1 << i for i in range(size)]
+        local = tuple([sum(compress(single, map(down.__and__, bits))) for down in frame.below])
         # A smaller down-set comes first, so an element comes after all of its
         # subcontexts, which are decided by then.
         found = [0]
-        for i, down in sorted(enumerate(below), key=lambda e: e[1].bit_count()):
+        for i, down in sorted(enumerate(local), key=lambda e: e[1].bit_count()):
             strict = down ^ 1 << i
             found += [s | 1 << i for s in found if s & strict == strict]
         # The bit order makes (size, -int) the order of (size, sorted members).
         found.sort(key=lambda s: (s.bit_count(), -s))
-        enumeration = tuple([_new_sieve(context_id, frozenset(compress(frame.ids, map(s.__and__, local))))
+        enumeration = tuple([_new_sieve(context_id, frozenset(compress(frame.ids, map(s.__and__, single))))
                              for s in found])
-        up = tuple([sum(compress(local, [down >> i & 1 for down in below])) for i in range(size)])
-        frame.omega = _Omega(enumeration, dict(zip(found, enumeration)), below, up, found[-1])
+        up = tuple([sum(compress(single, [down >> i & 1 for down in local])) for i in range(size)])
+        frame.sieves, frame.local, frame.up, frame.full = dict(zip(found, enumeration)), local, up, found[-1]
+        frame.enumeration = enumeration
+        # Last: sieve_connective reads the other fields once it finds a code.
         frame.codes = {sieve.members: s for s, sieve in zip(found, enumeration)}
-    return frame.omega
+    return frame
 
 
 def enumerate_sieves(poset: ContextPoset, context: Context) -> tuple[Sieve, ...]:
@@ -202,9 +230,9 @@ def _check_sieve_laws(poset: ContextPoset, base: str, limit: int | str) -> dict:
     # "all") triples (a, b, c) of positions in lexicographic order, a block
     # of values of a at a time.  The sieves run by size: the empty one is
     # at 0 and the principal one at m - 1.
-    omega = _enumerated(poset, base)
-    sieves = omega.enumeration
-    meet, join, implies, leq = _sieve_tables(list(omega.sieves), omega.below)
+    frame = _enumerated(poset, base)
+    sieves = frame.enumeration
+    meet, join, implies, leq = _sieve_tables(list(frame.sieves), frame.local)
     m = len(sieves)
     negation = implies[:, 0]
     violations = int(np.count_nonzero(meet[np.arange(m), negation] != 0))
@@ -260,22 +288,21 @@ def sieve_connective(
     base = s1.base
     a = s1.members
     try:
-        frame = poset._sieve_frames[base]
+        frame = poset._sieve_frames.get(base) or _frame(poset, base)
         x, y = frame.codes.get(a), frame.codes.get(b)
         if x is not None and y is not None:
             # Two sieves of an enumerated Ω(V), which holds the result too.
-            omega = frame.omega
             if kind == "and":
-                return omega.sieves[x & y]
+                return frame.sieves[x & y]
             if kind == "or":
-                return omega.sieves[x | y]
+                return frame.sieves[x | y]
             # S => T drops every member at or above a member of S - T; a
             # member of S - T above one met already adds nothing.
-            d, out, up = x & ~y, 0, omega.up
+            d, out, up = x & ~y, 0, frame.up
             while d:
                 out |= up[(d & -d).bit_length() - 1]
                 d &= ~out
-            return omega.sieves[omega.full ^ out]
+            return frame.sieves[frame.full ^ out]
         inside = a <= frame.down and b <= frame.down
     except TypeError:
         inside = False

@@ -28,6 +28,7 @@ import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress
 
 import numpy as np
@@ -215,7 +216,7 @@ def _mapping(value, name: str) -> Mapping:
 def _require_contexts(poset: ContextPoset, assignment: Mapping, name: str) -> None:
     # A subobject, global element or section holds one value per poset
     # context and at no other context.
-    if _mapping(assignment, name).keys() != poset._atom_indices.keys():
+    if _mapping(assignment, name).keys() != poset._down.keys():
         raise IncompleteAssignment(f"{name} must be defined on every context of the poset and on no other")
 
 
@@ -225,7 +226,13 @@ def _selects_characters(poset: ContextPoset, selection: Mapping[str, frozenset],
     _require_contexts(poset, selection, name)
     kinds = set(map(type, chain.from_iterable(selection.values())))
     return all(issubclass(k, numbers.Integral) and k is not bool for k in kinds) and all(
-        map(operator.le, map(selection.__getitem__, poset.ids), poset._atom_indices.values()))
+        map(operator.le, map(selection.__getitem__, poset.ids), map(_atom_set, [c.n_atoms for c in poset._contexts])))
+
+
+@cache
+def _atom_set(n: int) -> frozenset[int]:
+    # The atom indices of a context of n atoms.
+    return frozenset(range(n))
 
 
 def _trusted(poset: ContextPoset, made, values: dict | None) -> bool:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import weakref
 from functools import reduce
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -29,7 +31,7 @@ from oracles import (
     same_context,
     touch_interval,
 )
-from toposqt import contexts
+from toposqt import contexts, presheaf
 from toposqt.contexts import (
     CONTEXT_CAP,
     _order_rows,
@@ -54,7 +56,7 @@ from toposqt.errors import (
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.logic import Sieve, enumerate_sieves, sieve_connective
 from toposqt.operators import Tolerances
-from toposqt.presheaf import gelfand_spectrum
+from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject
 from toposqt.problems import load_problem, problem_from_dict, problem_seed_contexts
 from toposqt.valuation import (
     global_sections,
@@ -950,10 +952,9 @@ def test_find_is_none_for_a_partition_the_poset_lacks(poset11, std_projectors):
 
 
 def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
-    # The table of sieve frames holds the poset weakly, and the cached builds,
-    # the sieves a frame keeps and the map of atom bounds hold no reference to
-    # it, so a poset whose tables were all read is freed when its last
-    # reference goes.
+    # The frames dict holds no poset, and the cached builds, the sieves a
+    # frame keeps and the map of atom bounds hold no reference to it, so a
+    # poset whose tables were all read is freed when its last reference goes.
     gc.disable()
     try:
         poset = build_poset([context_from_basis(np.eye(4))])
@@ -972,6 +973,39 @@ def test_a_dropped_poset_is_freed_without_the_cyclic_collector(std_projectors):
         assert dropped() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda poset: pickle.loads(pickle.dumps(poset))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_poset_copies_deep_copies_and_pickles(std_projectors, monkeypatch, copy_of):
+    # Every table it has built goes along: an enumerated frame, the character
+    # order, the seed sums and an entry of atom bounds.  The copy gives the
+    # original's results, and trusts no subobject that the library made on
+    # the original: that one is checked under the coverage rule.
+    poset = build_poset([context_from_basis(np.eye(4))])
+    top = poset.get(poset.ids[0])
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    sieves = enumerate_sieves(poset, top)
+    sections = global_sections(poset)  # _characters
+    made = daseinise_proposition(poset, std_projectors[0]).subobject  # _seed_sums
+    arrows = quantity_value_arrows(poset, A)  # the map of atom bounds
+    assert poset._sieve_frames[top.id].codes and "_seed_sums" in vars(poset) and "_characters" in vars(poset)
+    assert len(poset._quantity_bounds) == 1
+    twin = copy_of(poset)
+    assert (twin.ids, twin.inclusions) == (poset.ids, poset.inclusions)
+    assert all(twin.down_ids(cid) == poset.down_ids(cid) for cid in poset.ids)
+    assert enumerate_sieves(twin, twin.get(top.id)) == sieves
+    for a, b in product(sieves, repeat=2):
+        for kind in ("and", "or", "implies"):
+            assert sieve_connective(twin, kind, a, b) == sieve_connective(poset, kind, a, b)
+        assert sieve_connective(twin, "not", a) == sieve_connective(poset, "not", a)
+    assert global_sections(twin) == sections
+    assert quantity_value_arrows(twin, A) == arrows
+    calls = []
+    check = presheaf._selects_characters
+    monkeypatch.setattr(presheaf, "_selects_characters", lambda *args: calls.append(args[2]) or check(*args))
+    assert is_clopen_subobject(poset, made) and calls == []
+    assert is_clopen_subobject(twin, made) and calls == ["subobject"]
 
 
 @pytest.mark.parametrize("bad", [[1], {}, (1, [2]), 5, None, "ctx-foreign"], ids=repr)

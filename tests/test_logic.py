@@ -147,7 +147,7 @@ def test_connectives_match_brute_force_past_the_enumeration_cap(dim6_top, seed):
     for a, b in product(loose, repeat=2):
         _check_connectives(poset, top, a, b)
     frame = poset._sieve_frames[top]
-    assert frame.codes == {} and frame.omega is None
+    assert frame.codes == {} and frame.enumeration is None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -182,19 +182,19 @@ def test_the_frame_keeps_the_enumeration_and_returns_its_sieves(poset11, named):
     sieves = enumerate_sieves(poset11, context)
     assert enumerate_sieves(poset11, context) is sieves
     frame = poset11._sieve_frames[context.id]
-    assert frame.omega.enumeration is sieves
-    assert list(frame.omega.sieves.values()) == list(sieves)
-    assert frame.codes == {s.members: code for code, s in frame.omega.sieves.items()}
+    assert frame.enumeration is sieves
+    assert list(frame.sieves.values()) == list(sieves)
+    assert frame.codes == {s.members: code for code, s in frame.sieves.items()}
     for a in sieves:
         assert sieve_connective(poset11, "and", a, a) is a
         assert sieve_connective(poset11, "or", Sieve(context.id, set(a.members)), a) is a
     down = poset11.down_ids(context.id)
     loose = [Sieve(context.id, {x}) for x in down if not is_sieve(poset11, Sieve(context.id, {x}))]
     assert loose
-    codes, omega = dict(frame.codes), frame.omega
+    codes, enumeration, kept = dict(frame.codes), frame.enumeration, frame.sieves
     for a, b in product(loose, sieves):
         _check_connectives(poset11, context.id, a.members, b.members)
-    assert frame.codes == codes and frame.omega is omega and len(omega.sieves) == len(sieves)
+    assert frame.codes == codes and frame.enumeration is enumeration and frame.sieves is kept and len(kept) == len(sieves)
 
 
 def test_enumeration_cap(monkeypatch, poset11, named):
@@ -806,12 +806,12 @@ def test_up_is_the_transpose_of_below(request, name):
     # Bit j of up[i] and bit i of below[j] both say ids[i] <= ids[j].
     poset = request.getfixturevalue(name)
     for context in poset:
-        omega = _enumerated(poset, context.id)
+        frame = _enumerated(poset, context.id)
         ids = poset._sieve_frames[context.id].ids
-        assert len(omega.up) == len(omega.below) == len(ids)
-        assert omega.full == (1 << len(ids)) - 1 == max(omega.sieves)
+        assert len(frame.up) == len(frame.local) == len(ids)
+        assert frame.full == (1 << len(ids)) - 1 == max(frame.sieves)
         for i, j in product(range(len(ids)), repeat=2):
-            assert omega.up[i] >> j & 1 == omega.below[j] >> i & 1 == poset.is_leq(ids[i], ids[j])
+            assert frame.up[i] >> j & 1 == frame.local[j] >> i & 1 == poset.is_leq(ids[i], ids[j])
 
 
 @pytest.mark.parametrize("name", ["poset11", "spin2_poset", "ks18_poset"])
@@ -848,8 +848,8 @@ def test_subobject_not_checks_its_one_operand_as_the_first(poset11, second_basis
 def _masks(poset, context_id) -> tuple[list[int], tuple[int, ...]]:
     # The local int of each sieve on the context, in enumeration order, and
     # the local down-set int of each member of its frame: _sieve_tables' arguments.
-    omega = _enumerated(poset, context_id)
-    return list(omega.sieves), omega.below
+    frame = _enumerated(poset, context_id)
+    return list(frame.sieves), frame.local
 
 
 def test_heyting_tables_match_sieve_connective():

@@ -289,3 +289,41 @@ def test_subobject_leq_refuses_a_selection_that_is_no_character(poset11, index):
     for operands in ((stray, stray), (stray, full), (full, stray)):
         with pytest.raises(UnknownCharacter, match="outside its context's atoms"):
             subobject_leq(poset11, *operands)
+
+
+@pytest.mark.parametrize(
+    "indices, selects",
+    [(frozenset(), True), ({0, 3}, True), ({np.int64(1)}, True), ({np.int64(0), 2}, True),
+     ({True}, False), ({False, 2}, False), ({1.0}, False), ({np.float64(2.0)}, False), ({-1}, False),
+     ({4}, False), ({0, 4}, False), ({np.int64(4)}, False), ({np.int64(-1)}, False)],
+    ids=repr,
+)
+def test_the_coverage_rule_takes_integers_in_range_only(poset11, indices, selects):
+    # A subset of the top context's atoms, with every other context full, is
+    # clopen; a bool, a float equal to an index, or an integer outside 0..3
+    # is no character, even where it equals one under ==.
+    full = full_subobject(poset11)
+    top = poset11.ids[0]
+    odd = ClopenSubobject({**full.selection, top: frozenset(indices)})
+    assert is_clopen_subobject(poset11, odd) == selects
+    if selects:
+        assert subobject_leq(poset11, odd, full) and not subobject_leq(poset11, full, odd)
+    else:
+        with pytest.raises(UnknownCharacter, match="outside its context's atoms"):
+            subobject_leq(poset11, odd, full)
+
+
+def test_every_per_context_mapping_needs_exactly_the_posets_contexts(poset11, second_basis):
+    # One check of the keys, shared by subobjects, global elements and sections.
+    from toposqt.errors import IncompleteAssignment
+    from toposqt.logic import GlobalElementOfOmega, check_global_element, totally_true
+    from toposqt.valuation import GlobalSection, is_global_section
+
+    top = poset11.ids[0]
+    checks = ((full_subobject(poset11).selection, lambda odd: is_clopen_subobject(poset11, ClopenSubobject(odd))),
+              (totally_true(poset11).sieves, lambda odd: check_global_element(poset11, GlobalElementOfOmega(odd))),
+              (dict.fromkeys(poset11.ids, 0), lambda odd: is_global_section(poset11, GlobalSection(odd))))
+    for values, check in checks:
+        for odd in ({cid: v for cid, v in values.items() if cid != top}, {**values, second_basis.id: values[top]}):
+            with pytest.raises(IncompleteAssignment):
+                check(odd)

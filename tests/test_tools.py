@@ -67,3 +67,26 @@ def test_bench_pair_reads_a_seed_list(monkeypatch):
     assert seeds("build:1-3,7") == ("build", [1, 2, 3, 7])
     with pytest.raises(argparse.ArgumentTypeError, match="expected WORKLOAD:SEEDS"):
         seeds(":1-3")
+
+
+def test_count_lines_prints_each_module_and_their_sum(monkeypatch, capsys):
+    assert _tool("count_lines", monkeypatch).main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    modules, total = lines[:-1], lines[-1]
+    names = sorted(path.name for path in (TOOLS.parent / "src" / "toposqt").glob("*.py"))
+    assert [line.split(":")[0] for line in modules] == names
+    rows = []
+    for line in modules:
+        match = re.fullmatch(r"[\w.]+\.py: (\d+) lines, (\d+) code lines", line)
+        assert match, line
+        rows.append(tuple(map(int, match.groups())))
+    assert all(0 < code < count for count, code in rows)
+    match = re.fullmatch(r"total: (\d+) lines, (\d+) code lines", total)
+    assert match and tuple(map(int, match.groups())) == tuple(map(sum, zip(*rows)))
+
+
+def test_count_lines_leaves_out_blanks_comments_and_docstrings(monkeypatch, tmp_path, capsys):
+    (tmp_path / "a.py").write_text('"""Module.\n\nMore."""\n\n# a comment\nx = 1  # code\n\n\ndef f():\n'
+                                   '    """One line."""\n    #: a field comment\n    return "not a docstring"\n')
+    assert _tool("count_lines", monkeypatch).main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a.py: 12 lines, 3 code lines", "total: 12 lines, 3 code lines"]
