@@ -46,7 +46,7 @@ from .operators import (
     touch_table,
     zero,
 )
-from .presheaf import ClopenSubobject, _pack, _subobject
+from .presheaf import ClopenSubobject, _pack
 
 
 def _approximation(context: Context, values) -> np.ndarray:
@@ -136,7 +136,7 @@ def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedPropos
         out += 0.0
         projectors.update(zip(poset.ids[first : first + k], out))
         first, at = first + k, at + k * n
-    return DaseinisedProposition(P, projectors, _subobject(poset, _pack(w.tobytes())))
+    return DaseinisedProposition(P, projectors, ClopenSubobject._of(poset, _pack(w.tobytes())))
 
 
 def _selfadjoint(A, context: Context, tau: float, tau_eig: float, end: int) -> np.ndarray:

@@ -21,11 +21,10 @@ holds: S => T drops the up-set of each member of S - T.
 Truth values are global elements: one sieve per context, compatible with
 all restrictions.  Compatible sieves are exactly the traces U ∩ ↓V of one
 down-set U, their union, so a global element the library makes holds U as
-an int over the context bits and builds its sieves on first read, keeping
-U beside them; its connectives are int rules on U1 and U2.  ``_down_set``
-takes the kept U while the element's dict holds the very sieves built from
-it, and otherwise reads a family of sieves back to its U, or to None when
-the sieves are no such traces.
+an int over the context bits, a ``presheaf._Held`` as a subobject is, and
+its connectives are that class's int rule on U1 and U2.  Any other element
+is read back by ``_read_down_set`` to its U, or to None when its sieves
+are no such traces.
 Operands are checked as README's boundary contract says, a sieve by ``_members``.
 """
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import not_
 from typing import Mapping
 
 import numpy as np
@@ -46,7 +44,7 @@ from .errors import (
     NotASubcontext,
     ValidationError,
 )
-from .presheaf import ClopenSubobject, _mapping, _require_characters, _require_contexts, _pack, _subobject, _trusted
+from .presheaf import ClopenSubobject, _Held, _flags, _mapping, _require_characters, _require_contexts
 
 #: Largest down-set size for which sieves are enumerated exhaustively.
 ENUMERATION_CAP = 20
@@ -318,78 +316,53 @@ def sieve_connective(
     return _new_sieve(base, _implication(poset, frame, a - b))
 
 
-class GlobalElementOfOmega:
+class GlobalElementOfOmega(_Held):
     """One sieve per context; a truth value when the sieves match up.
 
     A global element that the library makes holds one down-set U of the
     poset, as an int over poset positions, and builds its sieves, the traces
-    U ∩ ↓V, on the first read of ``sieves``.  From then on that dict is the
-    element: an edit to it counts, as in an element built from sieves.  The
-    element keeps U and the tuple of the sieves it built, and the
-    connectives reuse U while the dict holds those very sieves, in poset
-    order; any edit makes them read the dict back.
+    U ∩ ↓V, on the first read of ``sieves``, as ``_Held`` says.
     """
 
-    # _poset is None for an element built from sieves.  Otherwise _down is
-    # U's int, and _built, once the sieves are read, the tuple of those built.
-    __slots__ = ("_sieves", "_poset", "_down", "_built")
+    __slots__ = ()
 
     def __init__(self, sieves: Mapping[str, Sieve]) -> None:
-        self._sieves: dict[str, Sieve] | None = dict(_mapping(sieves, "global element"))
+        self._values: dict[str, Sieve] | None = dict(_mapping(sieves, "global element"))
         self._poset = None
 
     @property
     def sieves(self) -> dict[str, Sieve]:
-        if self._sieves is None:
-            down = frozenset(compress(self._poset.ids, map(self._down.__and__, self._poset._bit.values())))
-            self._sieves = {cid: _new_sieve(cid, down.intersection(ids)) for cid, ids in self._poset._down.items()}
-            self._built = tuple(self._sieves.values())
-        return self._sieves
+        return self._read()
 
-    def at(self, context_id: str) -> Sieve:
-        return self.sieves[context_id]
+    @staticmethod
+    def _decode(poset: ContextPoset, down: int) -> dict[str, Sieve]:
+        # The traces U ∩ ↓V of the down-set int U.
+        members = frozenset(compress(poset.ids, _flags(down, len(poset))))
+        return {cid: _new_sieve(cid, members.intersection(ids)) for cid, ids in poset._down.items()}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GlobalElementOfOmega):
-            return NotImplemented
-        return self.sieves == other.sieves
+    @staticmethod
+    def _encode(poset: ContextPoset, sieves: dict[str, Sieve], name: str) -> int | None:
+        return _read_down_set(poset, sieves, name)
 
-    def __reduce__(self):
-        # A copy or a pickle is built from the sieves, and holds no poset.
-        return GlobalElementOfOmega, (self.sieves,)
+    @staticmethod
+    def _rows(poset: ContextPoset):
+        return poset._below.values()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{cid}:{sorted(s.members)}" for cid, s in sorted(self.sieves.items()))
         return f"GlobalElementOfOmega({parts})"
 
 
-def _element(poset: ContextPoset, outside: int) -> GlobalElementOfOmega:
-    # The global element whose down-set keeps each context whose down-set int misses ``outside``.
-    return _holding(poset, sum(compress(poset._bit.values(), [not below & outside for below in poset._below.values()])))
-
-
-def _holding(poset: ContextPoset, down: int) -> GlobalElementOfOmega:
-    # The global element of the down-set int ``down``.
-    element = object.__new__(GlobalElementOfOmega)
-    element._poset, element._sieves, element._down = poset, None, down
-    return element
+#: The global element of the contexts whose down-set int misses an int.
+_element = GlobalElementOfOmega._missing
 
 
 def totally_true(poset: ContextPoset) -> GlobalElementOfOmega:
-    return _element(poset, 0)
+    return GlobalElementOfOmega._of(poset, (1 << len(poset)) - 1)
 
 
 def totally_false(poset: ContextPoset) -> GlobalElementOfOmega:
-    return _element(poset, -1)
-
-
-def _down_set(poset: ContextPoset, element: GlobalElementOfOmega, name: str) -> int | None:
-    # The down-set int of a global element: its own U when it is an element
-    # of this poset that is unread, or whose dict holds, in poset order, the
-    # very sieves built from U.  Otherwise the sieves are read back to U.
-    if _trusted(poset, element, element._sieves):
-        return element._down
-    return _read_down_set(poset, element.sieves, name)
+    return GlobalElementOfOmega._of(poset, 0)
 
 
 def _read_down_set(poset: ContextPoset, sieves: dict[str, Sieve], name: str) -> int | None:
@@ -435,15 +408,13 @@ def global_element_connective(
     ``ValidationError``."""
     downs = [0, 0]  # "not g" is "g implies" the empty down-set
     for i, (name, g) in enumerate(zip(("first", "second"), (g1,) if g2 is None else (g1, g2))):
-        downs[i] = _down_set(poset, g, f"{name} global element")
+        downs[i] = g._down_on(poset, f"{name} global element")
         if downs[i] is None:
             raise ValidationError(f"{name} global element: its sieves are not the traces of one down-set")
     if kind not in _ALL_KINDS or (kind == "not") != (g2 is None):
         raise ValidationError(_KIND_ERROR.format(kind))
-    a, b = downs
-    if kind in ("and", "or"):  # U1 ∩ U2 and U1 ∪ U2 are down-sets already
-        return _holding(poset, a & b if kind == "and" else a | b)
-    return _element(poset, a & ~b)
+    # U1 ∩ U2 and U1 ∪ U2 are down-sets already.
+    return GlobalElementOfOmega._connective(poset, kind, *downs)
 
 
 def subobject_connective(
@@ -463,11 +434,5 @@ def subobject_connective(
     """
     if kind not in _ALL_KINDS or (kind == "not") != (s2 is None):
         raise ValidationError(_KIND_ERROR.format(kind))
-    x1, x2 = _require_characters(poset, s1, s2)
-    if kind == "and":
-        return _subobject(poset, x1 & x2)
-    if kind == "or":
-        return _subobject(poset, x1 | x2)
     # S1 => S2 keeps x iff below[x] misses S1 - S2, which is S1 for "not".
-    outside = x1 & ~x2
-    return _subobject(poset, _pack(bytes(map(not_, map(outside.__and__, poset._character_rows)))))
+    return ClopenSubobject._connective(poset, kind, *_require_characters(poset, s1, s2))

@@ -15,11 +15,10 @@ per character, where x lies in S => T iff its down-set int misses the mask
 of S - T.  A selection is clopen iff it is its own largest down-set: no
 selected character's down-set int meets the complement of its mask.
 A subobject that the library makes is that mask itself, one int over the
-character bits, so conjunction, disjunction and inclusion are int
-operations on it; it builds its ``selection`` on first read, and its int is
-trusted while that dict holds the very frozensets built from it
-(``_trusted``).  Any other operand is checked as README's boundary
-contract says, and packed.
+character bits, as a global element of Ω is its down-set of contexts: both
+are a ``_Held`` element of a down-set lattice, with one rule of trust and
+one Heyting rule on the ints.  Any other operand is checked as README's
+boundary contract says, and packed.
 """
 
 from __future__ import annotations
@@ -93,7 +92,98 @@ def _require_member(context: Context, character: Character) -> None:
         raise UnknownCharacter(f"no character of {context.id!r} (atoms 0..{n - 1}): {brief_repr(character)}")
 
 
-class ClopenSubobject:
+#: Swaps the flag bytes 0 and 1 with the digits "0" and "1", either way.
+_SWAP = bytes.maketrans(b"\0\1" b"01", b"01" b"\0\1")
+
+
+def _pack(flags: bytes) -> int:
+    # The int of one flag byte 0 or 1 per member of a down-set lattice, in
+    # either layout: member p of L at bit L - 1 - p.
+    return int(flags.translate(_SWAP), 2)
+
+
+def _flags(bits: int, count: int) -> bytes:
+    # The flags of an int over ``count`` members, one byte each: _pack's inverse.
+    return format(bits, f"0{count}b").encode().translate(_SWAP)
+
+
+class _Held:
+    """An element of a down-set lattice of a poset, which the library holds
+    as one int: a clopen subobject over the character bits, a global element
+    of Ω over the context bits.
+
+    A library-made element (``_of``) builds its public mapping on its first
+    read (``_read``, through the class's ``_decode``).  From then on that
+    dict is the element: an edit to it counts, as in one built from a
+    mapping.  The element keeps the int and the tuple of the values it
+    built, and stands for its int on its poset while the dict is unread or
+    holds those very values under the poset's ids, in poset order
+    (``_trusted``); otherwise ``_down_on`` reads the dict back through the
+    class's ``_encode``.  ``_connective`` is the one Heyting rule on the ints.
+    """
+
+    # _poset is None for an element built from a mapping.  Otherwise _down is
+    # its int, and _built, once the mapping is read, the tuple of the values built.
+    __slots__ = ("_values", "_poset", "_down", "_built")
+
+    @classmethod
+    def _of(cls, poset: ContextPoset, down: int):
+        # The element the library makes of an int over the poset's members.
+        held = object.__new__(cls)
+        held._poset, held._values, held._down = poset, None, down
+        return held
+
+    def _read(self) -> dict:
+        if self._values is None:
+            self._values = self._decode(self._poset, self._down)
+            self._built = tuple(self._values.values())
+        return self._values
+
+    def _trusted(self, poset: ContextPoset) -> bool:
+        # The one rule by which an element stands for the int it holds: the
+        # library made it on this poset, and its mapping is unread or holds,
+        # in poset order, the very values built from the int.
+        values = self._values
+        return self._poset is poset and (
+            values is None or (tuple(values) == poset._ids and all(map(operator.is_, values.values(), self._built))))
+
+    def _down_on(self, poset: ContextPoset, name: str) -> int | None:
+        # The element's int on the poset: its own while _trusted, else its
+        # mapping read back, or None when that is no element of the lattice.
+        return self._down if self._trusted(poset) else self._encode(poset, self._read(), name)
+
+    @classmethod
+    def _connective(cls, poset: ContextPoset, kind: str, x: int, y: int):
+        # The one Heyting rule: x & y, x | y, or for x => y (y = 0 for "not")
+        # the members whose down-set int misses x & ~y, the one kind that reads the rows.
+        if kind == "and":
+            return cls._of(poset, x & y)
+        if kind == "or":
+            return cls._of(poset, x | y)
+        return cls._missing(poset, x & ~y)
+
+    @classmethod
+    def _missing(cls, poset: ContextPoset, outside: int):
+        # The element of the members whose down-set int misses ``outside``.
+        return cls._of(poset, _pack(bytes([not below & outside for below in cls._rows(poset)])))
+
+    def at(self, context_id: str):
+        return self._read()[context_id]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        poset = self._poset
+        if poset is not None and self._trusted(poset) and other._trusted(poset):
+            return self._down == other._down
+        return self._read() == other._read()
+
+    def __reduce__(self):
+        # A copy or a pickle is built from the mapping, and holds no poset.
+        return type(self), (self._read(),)
+
+
+class ClopenSubobject(_Held):
     """Per-context subsets of the spectrum (all subsets are clopen here).
 
     ``selection`` maps context id to the chosen atom indices.  Functoriality
@@ -102,72 +192,60 @@ class ClopenSubobject:
 
     A subobject that the library makes holds one int over the character bits
     of its poset, the character of atom row r of T at bit T - 1 - r, and
-    builds ``selection`` on its first read.  From then on that dict is the
-    subobject: an edit to it counts, as in a subobject built from a mapping.
-    The subobject keeps the int and the tuple of the frozensets it built, and
-    the connectives and checks reuse the int while the dict holds those very
-    frozensets under the poset's ids, in poset order; any edit makes them
-    read the dict back.  Assigning ``selection`` drops the int.
+    builds ``selection`` on its first read, as ``_Held`` says.  Assigning
+    ``selection`` drops the int.
     """
 
-    # _poset is None for a subobject built from a mapping.  Otherwise _bits is
-    # its int, and _built, once the selection is read, the tuple of the frozensets built.
-    __slots__ = ("_selection", "_poset", "_bits", "_built")
+    __slots__ = ()
 
     def __init__(self, selection: Mapping[str, frozenset[int]]) -> None:
-        # A selection of frozensets is copied whole.
-        selection = _mapping(selection, "selection")
-        self._poset = None
-        if {frozenset}.issuperset(map(type, selection.values())):
-            self._selection: dict[str, frozenset[int]] | None = dict(selection)
-            return
-        self._selection = {}
-        for cid, indices in selection.items():
+        self._poset, self._values = None, {}
+        for cid, indices in _mapping(selection, "selection").items():
             try:
-                self._selection[cid] = frozenset(indices)
+                self._values[cid] = frozenset(indices)
             except TypeError:
                 raise ValidationError(f"selection at {cid!r} is no set of indices: {brief_repr(indices)}") from None
 
     @property
     def selection(self) -> dict[str, frozenset[int]]:
-        if self._selection is None:
-            self._selection = _read_selection(self._poset, self._bits)
-            self._built = tuple(self._selection.values())
-        return self._selection
+        return self._read()
 
     @selection.setter
     def selection(self, selection: dict[str, frozenset[int]]) -> None:
-        self._selection, self._poset = selection, None
+        self._values, self._poset = selection, None
 
-    def at(self, context_id: str) -> frozenset[int]:
-        return self.selection[context_id]
+    @staticmethod
+    def _decode(poset: ContextPoset, bits: int) -> dict[str, frozenset[int]]:
+        # The selection of a character int: each context's set bits as one int
+        # of its atoms, atom i at bit i, and that int's frozenset, made once.
+        first, count = poset._first_rows, _row_count(poset)
+        index = np.arange(count) - np.repeat(first, np.diff(first, append=count))
+        codes = np.add.reduceat(np.frombuffer(_flags(bits, count), np.uint8).astype(np.int64) << index, first).tolist()
+        kept = {code: frozenset(_bits(code)) for code in set(codes)}
+        return dict(zip(poset.ids, map(kept.get, codes)))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClopenSubobject):
-            return NotImplemented
-        poset = self._poset
-        if poset is not None and _trusted(poset, self, self._selection) and _trusted(poset, other, other._selection):
-            return self._bits == other._bits
-        return self.selection == other.selection
+    @staticmethod
+    def _encode(poset: ContextPoset, selection: Mapping, name: str) -> int | None:
+        # A selection checked under the coverage rule and packed, or None when
+        # it selects an index that is no character.  A value that is not a
+        # frozenset is read as the constructor reads it, or refused as there.
+        _require_contexts(poset, selection, name)
+        if not {frozenset}.issuperset(map(type, selection.values())):
+            selection = ClopenSubobject(selection).selection
+        if not _selects_characters(poset, selection, name):
+            return None
+        rows = np.zeros(_row_count(poset), dtype=bool)
+        chosen = map(selection.__getitem__, poset.ids)
+        rows[[first + int(i) for first, indices in zip(poset._first_rows.tolist(), chosen) for i in indices]] = True
+        return _pack(rows.tobytes())
 
-    def __reduce__(self):
-        # A copy or a pickle is built from the selection, and holds no poset.
-        return ClopenSubobject, (self.selection,)
+    @staticmethod
+    def _rows(poset: ContextPoset) -> tuple[int, ...]:
+        return poset._character_rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{cid}:{sorted(v)}" for cid, v in sorted(self.selection.items()))
         return f"ClopenSubobject({parts})"
-
-
-#: The digits of a character int in base 2, each as a flag byte 0 or 1.
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _subobject(poset: ContextPoset, bits: int) -> ClopenSubobject:
-    # The subobject the library makes of a character int of the poset.
-    subobject = object.__new__(ClopenSubobject)
-    subobject._poset, subobject._selection, subobject._bits = poset, None, bits
-    return subobject
 
 
 def _row_count(poset: ContextPoset) -> int:
@@ -175,35 +253,14 @@ def _row_count(poset: ContextPoset) -> int:
     return int(poset._first_rows[-1]) + poset._contexts[-1].n_atoms
 
 
-def _pack(flags) -> int:
-    # The character int of a buffer of one flag byte 0 or 1 per atom row:
-    # row r is bit T - 1 - r.
-    return int.from_bytes(np.packbits(np.frombuffer(flags, bool)).tobytes(), "big") >> (-len(flags) % 8)
-
-
-def _flags(bits: int, count: int) -> bytes:
-    # The flags of a character int over ``count`` atom rows, one byte each: _pack's inverse.
-    return format(bits, f"0{count}b").encode().translate(_FLAGS)
-
-
-def _read_selection(poset: ContextPoset, bits: int) -> dict[str, frozenset[int]]:
-    # The selection of a character int: each context's set bits as one int
-    # of its atoms, atom i at bit i, and that int's frozenset, made once.
-    first, count = poset._first_rows, _row_count(poset)
-    index = np.arange(count) - np.repeat(first, np.diff(first, append=count))
-    codes = np.add.reduceat(np.frombuffer(_flags(bits, count), np.uint8).astype(np.int64) << index, first).tolist()
-    kept = {code: frozenset(_bits(code)) for code in set(codes)}
-    return dict(zip(poset.ids, map(kept.get, codes)))
-
-
 def full_subobject(poset: ContextPoset) -> ClopenSubobject:
     """The maximal subobject: the whole spectrum at every context."""
-    return _subobject(poset, (1 << _row_count(poset)) - 1)
+    return ClopenSubobject._of(poset, (1 << _row_count(poset)) - 1)
 
 
 def empty_subobject(poset: ContextPoset) -> ClopenSubobject:
     """The minimal subobject: empty at every context."""
-    return _subobject(poset, 0)
+    return ClopenSubobject._of(poset, 0)
 
 
 def _mapping(value, name: str) -> Mapping:
@@ -235,35 +292,12 @@ def _atom_set(n: int) -> frozenset[int]:
     return frozenset(range(n))
 
 
-def _trusted(poset: ContextPoset, made, values: dict | None) -> bool:
-    # The one rule by which a subobject or global element stands for the int
-    # it holds: the library made it on this poset, and its mapping ``values``
-    # is unread (None) or holds, in poset order, the very values built from the int.
-    return made._poset is poset and (
-        values is None or (tuple(values) == poset._ids and all(map(operator.is_, values.values(), made._built))))
-
-
-def _character_bits(poset: ContextPoset, subobject: ClopenSubobject, name: str) -> int | None:
-    # The character int of an operand: its own while _trusted, else its
-    # selection checked under the coverage rule and packed, or None when
-    # that selects an index that is no character.
-    if _trusted(poset, subobject, subobject._selection):
-        return subobject._bits
-    selection = subobject.selection
-    if not _selects_characters(poset, selection, name):
-        return None
-    rows = np.zeros(_row_count(poset), dtype=bool)
-    chosen = map(selection.__getitem__, poset.ids)
-    rows[[first + int(i) for first, indices in zip(poset._first_rows.tolist(), chosen) for i in indices]] = True
-    return _pack(rows)
-
-
 def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool:
     """True iff the selected characters form a down-set under restriction:
     every restriction of a selected character is selected.  An index outside
     a context's atoms, or one that is not an integer, is no character, so it
     makes the selection not clopen."""
-    bits = _character_bits(poset, subobject, "subobject")
+    bits = subobject._down_on(poset, "subobject")
     if bits is None:
         return False
     # No selected character's down-set int meets the complement.
@@ -279,7 +313,7 @@ def _require_characters(
     # poset, or UnknownCharacter; a missing second operand is the empty subobject.
     ints = []
     for name, s in zip(("first", "second"), (s1,) if s2 is None else (s1, s2)):
-        ints.append(_character_bits(poset, s, f"{name} subobject"))
+        ints.append(s._down_on(poset, f"{name} subobject"))
         if ints[-1] is None:
             raise UnknownCharacter(f"{name} subobject selects an index outside its context's atoms")
     return (*ints, 0)[:2]

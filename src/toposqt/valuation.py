@@ -42,6 +42,7 @@ from .operators import (
 from .presheaf import (
     Character,
     ClopenSubobject,
+    _pack,
     _require_contexts,
     _require_member,
     gelfand_spectrum,
@@ -93,10 +94,8 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     hits = sums @ touch_table(seeds, (identity(len(P)) - P, P, identity(len(ray)) - ray, ray)) > tau * tau
     if not (hits[:, :2].any(axis=1) & hits[:, 2:].any(axis=1)).all():
         raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
-    # The bits of the contexts where an atom touches the ray but not P; keep those whose down-set misses them.
-    fails = np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts).tolist()
-    failing = sum(bit for bit, fail in zip(poset._bit.values(), fails) if fail)
-    return _element(poset, failing)
+    # The int of the contexts where an atom touches the ray but not P; keep those whose down-set misses it.
+    return _element(poset, _pack(np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts).tobytes()))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from oracles import brute_connective, brute_implies, brute_is_clopen
 from toposqt import presheaf
 from toposqt.contexts import build_poset, context_from_basis
 from toposqt.daseinisation import daseinise_proposition, inner_daseinise_proposition
-from toposqt.errors import IncompleteAssignment, UnknownCharacter
+from toposqt.errors import IncompleteAssignment, UnknownCharacter, ValidationError
 from toposqt.logic import subobject_connective
 from toposqt.presheaf import ClopenSubobject, empty_subobject, full_subobject, is_clopen_subobject, subobject_leq
 from toposqt.problems import load_problem, problem_poset
@@ -209,3 +209,43 @@ def test_a_copy_or_pickle_of_a_subobject_holds_no_poset(spin2_poset, read, clone
     assert twin == original and twin._poset is None
     assert twin.selection == original.selection and twin.selection is not original.selection
     assert subobject_connective(spin2_poset, "not", twin) == subobject_connective(spin2_poset, "not", original)
+
+
+def _ending(call):
+    # How a call ends: its answer (a subobject's as its selection), or its error's class.
+    try:
+        result = call()
+    except Exception as error:  # noqa: BLE001 - the class is the answer
+        return type(error)
+    return result.selection if isinstance(result, ClopenSubobject) else result
+
+
+def _calls(poset, s, other) -> list:
+    # The clopen test, subobject_leq at each operand position and each connective.
+    calls = [lambda: is_clopen_subobject(poset, s), lambda: subobject_leq(poset, s, other),
+             lambda: subobject_leq(poset, other, s)]
+    return calls + [lambda kind=kind: subobject_connective(poset, kind, s, *(() if kind == "not" else (other,)))
+                    for kind in KINDS]
+
+
+@pytest.mark.parametrize("value", [[0, 1], (0, 1), {0: "a", 1: "b"}, 5, None, "01", [7]],
+                         ids=["list", "tuple", "dict", "int", "None", "str", "stray-list"])
+@pytest.mark.parametrize("made", ["library", "user"])
+@pytest.mark.parametrize("read", [False, True], ids=["other-unread", "other-read"])
+def test_an_edited_selection_value_is_read_as_the_constructor_reads_it(poset11, value, made, read):
+    # A value written into the selection at one context ends each call as
+    # a subobject built from the edited mapping does: the same answer, or
+    # the same error class (the constructor's ValidationError included).
+    top = poset11.ids[0]
+    P = poset11.get(top).atoms[0] + poset11.get(top).atoms[1]
+    other = daseinise_proposition(poset11, P).subobject
+    if read:
+        other.selection
+    s = daseinise_proposition(poset11, P).subobject if made == "library" else ClopenSubobject(full_subobject(
+        poset11).selection)
+    s.selection[top] = value
+    try:
+        ends = [_ending(call) for call in _calls(poset11, ClopenSubobject(dict(s.selection)), other)]
+    except ValidationError:
+        ends = [ValidationError] * 7
+    assert [_ending(call) for call in _calls(poset11, s, other)] == ends

@@ -38,7 +38,8 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
             r"and, read operands first [\d.]+ ms, warm [\d.]+ ms; "
             r"or first [\d.]+ ms, warm [\d.]+ ms; implies first [\d.]+ ms, warm [\d.]+ ms; "
             r"not first [\d.]+ ms, warm [\d.]+ ms; implies, read first [\d.]+ ms, warm [\d.]+ ms; "
-            r"check_global_element first [\d.]+ ms, warm [\d.]+ ms; value sweep first [\d.]+ ms, warm [\d.]+ ms; "
+            r"check_global_element first [\d.]+ ms, warm [\d.]+ ms; ==, one read operand first [\d.]+ ms, warm [\d.]+ ms; "
+            r"value sweep first [\d.]+ ms, warm [\d.]+ ms; "
             r"rotating value sweep first [\d.]+ ms, warm [\d.]+ ms; "
             r"interleaved value sweep first [\d.]+ ms, warm [\d.]+ ms; "
             r"value arrows first [\d.]+ ms, warm [\d.]+ ms; "
@@ -46,6 +47,7 @@ def test_time_single_basis_prints_each_context_count(monkeypatch, capsys):
             r"inner daseinisation first [\d.]+ ms, warm [\d.]+ ms; "
             r"outer daseinisation first [\d.]+ ms, warm [\d.]+ ms; pseudo_state first [\d.]+ ms, warm [\d.]+ ms; "
             r"subobject implies first [\d.]+ ms, warm [\d.]+ ms; subobject and first [\d.]+ ms, warm [\d.]+ ms; "
+            r"subobject or first [\d.]+ ms, warm [\d.]+ ms; subobject_leq first [\d.]+ ms, warm [\d.]+ ms; "
             r"selection, read first [\d.]+ ms, warm [\d.]+ ms; is_clopen_subobject first [\d.]+ ms, warm [\d.]+ ms; "
             r"global_sections first [\d.]+ ms, warm [\d.]+ ms; peak RSS \d+ MB",
             line,

@@ -20,7 +20,9 @@ the conjunction of the same two after a read of every sieve of each, which
 the connective checks against the down-set each keeps; of ``implies,
 read``, the implication followed by a read of every sieve of the result,
 which builds them; of ``check_global_element`` on a truth value, which builds its sieves
-at the first call and no sieve frame, as it reads no sieve's ints; of a value
+at the first call and no sieve frame, as it reads no sieve's ints; of
+``==, one read operand``, the comparison of the two after a read of every
+sieve of the first, which compares the down-sets they keep; of a value
 sweep: one ``quantity_value_arrow`` per character of every context, whose
 first call clusters the observable and keeps the bounds of every poset
 atom, which each later call gathers at its character's restricted atoms;
@@ -40,8 +42,10 @@ call builds the poset's seed sums and its stacks of atoms, and of
 build them too.  Then, again on a fresh poset each,
 the first and a warm call of ``subobject_connective`` ``implies`` on the
 outer daseinisations of the two propositions, whose first call builds the
-character order (every character's down-set int); of ``subobject and`` on
-them, an AND of their ints; of ``selection, read``, the first read of the
+character order (every character's down-set int); of ``subobject and``,
+``subobject or`` and ``subobject_leq`` on them, an AND, an OR and an AND
+with a complement of their ints, none of which builds the character order;
+of ``selection, read``, the first read of the
 ``selection`` of each of them in turn, which builds its dict from its int;
 and of ``is_clopen_subobject`` on the first of them and of
 ``global_sections``, whose first calls build the character order too.  The
@@ -82,7 +86,7 @@ from toposqt.daseinisation import (  # noqa: E402
     inner_daseinise_proposition,
 )
 from toposqt.logic import check_global_element, global_element_connective, subobject_connective  # noqa: E402
-from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject  # noqa: E402
+from toposqt.presheaf import gelfand_spectrum, is_clopen_subobject, subobject_leq  # noqa: E402
 from toposqt.problems import problem_from_dict  # noqa: E402
 from toposqt.valuation import (  # noqa: E402
     global_sections,
@@ -144,13 +148,14 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
         "not": lambda poset, g1, g2: global_element_connective(poset, "not", g1),
         "implies, read": lambda poset, g1, g2: global_element_connective(poset, "implies", g1, g2).sieves,
         "check_global_element": lambda poset, g1, g2: check_global_element(poset, g1),
+        "==, one read operand": lambda poset, g1, g2: g1 == g2,
     }
     for label, call in calls.items():
         poset = build_poset([seed])
         operands = poset, truth_value(poset, P, psi), truth_value(poset, Q, psi)
-        if label.endswith("read operands"):
-            for element in operands[1:]:
-                element.sieves
+        read = {"and, read operands": 2, "==, one read operand": 1}.get(label, 0)
+        for element in operands[1 : 1 + read]:
+            element.sieves
         parts.append(f"{label} {_first_and_warm(lambda: call(*operands))}")
     A = sum(k * np.outer(v, v.conj()) for k, v in enumerate(basis))
     B = sum(k * np.outer(v, v.conj()) for k, v in enumerate(reversed(basis)))
@@ -186,7 +191,7 @@ def _logic(seed, basis: list[np.ndarray]) -> str:
 
 
 def _characters(seed, basis: list[np.ndarray]) -> str:
-    # The implication and the conjunction of two clopen subobjects, the
+    # The implication, conjunction, disjunction and inclusion of two clopen subobjects, the
     # lazy read of a selection, the clopen test and the section search, each
     # on a fresh poset, so that each first call builds what it uses.  A
     # subobject holds its poset, so both go before the next poset is built.
@@ -194,6 +199,8 @@ def _characters(seed, basis: list[np.ndarray]) -> str:
     calls = {
         "subobject implies": lambda poset, s: subobject_connective(poset, "implies", *s),
         "subobject and": lambda poset, s: subobject_connective(poset, "and", *s),
+        "subobject or": lambda poset, s: subobject_connective(poset, "or", *s),
+        "subobject_leq": lambda poset, s: subobject_leq(poset, *s),
         "selection, read": lambda poset, s: s.pop().selection,
         "is_clopen_subobject": lambda poset, s: is_clopen_subobject(poset, s[0]),
     }
