@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import accumulate, chain, combinations, groupby
+from itertools import accumulate, combinations, groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -410,12 +410,10 @@ def _order_rows(nodes: Sequence[_Node], width: int) -> Iterator[tuple[int, np.nd
     bounds = np.searchsorted(atom, [*starts, len(own)]).tolist()  # where each node's columns start
     for m in dict.fromkeys(counts.tolist()):
         first, end = np.searchsorted(-counts, [-m, -m + 1]).tolist()
-        mask, size = (1 << (n - first)) - 1, (n - first + 7) // 8
+        mask = (1 << (n - first)) - 1
         downs = [reduce(int.__and__, map(ints.__getitem__, column[bounds[v] : bounds[v + 1]]), mask)
                  for v in range(first, end)]
-        raw = np.frombuffer(b"".join(d.to_bytes(size, "little") for d in downs), dtype=np.uint8)
-        ok = np.unpackbits(raw.reshape(end - first, size), axis=1, count=n - first, bitorder="little")[:, ::-1]
-        rows, below = np.nonzero(ok)
+        rows, below = np.nonzero(_bit_rows(downs, n - first)[:, ::-1])
         subs = first + below
         tables = starts[subs, None] + labels[subs[:, None], low[starts[first:end, None] + np.arange(m)][rows]]
         cuts = np.searchsorted(rows, np.arange(1, end - first))
@@ -430,17 +428,20 @@ class ContextPoset:
     matrices: a seed atom's label at a context is the one atom that touches it,
     and sub <= sup iff sub's labels are defined and equal on the seed atoms of
     each sup atom, whose restriction is that label (a table holds its atom row:
-    the atoms in poset and then atom order).  The poset holds each down-set as
+    the atoms in poset and then atom order, numbered once by ``_row_starts``,
+    each context's first row and then T).  The poset holds each down-set as
     an int over poset positions (``_below``), and refuses one that misses part
     of a member's with ``ValidationError``.  On first use it orders the characters
-    by restriction, one bit each (``_characters``).  Each seed atom touches an
-    atom of every seed (checked by ``build_poset``).  The poset keeps the seed
-    atoms and each atom's seed mask, so that a touch with a family of
-    projections is read off one ``touch_table`` of the seed atoms; its first
-    poset-wide daseinisation, not the build, stacks its atoms again, read-only,
-    one stack per atom count.  It keeps the ``Tolerances`` it was built with,
-    for every call over the whole poset.  It holds two plain dicts that other
-    modules fill and that hold no poset: logic.py's frame of each context, and
+    by restriction, one bit each: ``_characters`` is ``(rows, reach)``, the
+    down-set int of each atom row's character and the OR of each context's
+    rows.  Each seed atom touches an atom of every seed (checked by
+    ``build_poset``).  The poset keeps the seed atoms and each atom's seed
+    mask, so that a touch with a family of projections is read off one
+    ``touch_table`` of the seed atoms; its first poset-wide daseinisation,
+    not the build, stacks its atoms again, read-only, one stack per atom
+    count.  It keeps the ``Tolerances`` it was built with, for every call
+    over the whole poset.  It holds two plain dicts that other modules fill
+    and that hold no poset: logic.py's frame of each context, and
     valuation.py's atom bounds of the last eight quantities it valued.
     """
 
@@ -461,7 +462,8 @@ class ContextPoset:
         self._ids: tuple[str, ...] = tuple(c.id for c in self._contexts)
         self._down: dict[str, tuple[str, ...]] = {}
         self._tables: dict[str, np.ndarray] = {}  # row k: the table to the k-th id of _down, as atom rows
-        self._first_rows = np.cumsum([0] + [c.n_atoms for c in self._contexts[:-1]])  # each context's first atom row
+        # The one atom-row index: context p owns rows starts[p]:starts[p + 1] of T = starts[-1].
+        self._row_starts = np.cumsum([0] + [c.n_atoms for c in self._contexts])
         ids = np.array(self._ids, dtype=object)
         order = list(_order_rows(ordered, len(seed_atoms)))
         self._bit: dict[str, int] = {cid: 1 << (len(self._ids) - 1 - p) for p, cid in enumerate(self._ids)}
@@ -534,22 +536,22 @@ class ContextPoset:
             k = self.down_ids(sup_id).index(sub_id)
         except ValueError:
             raise UnknownContext(f"{brief_repr(sub_id)} is not a subcontext of {sup_id!r}") from None
-        first = self._first_rows[len(self._ids) - self._bit[sub_id].bit_length()]
+        first = self._row_starts[len(self._ids) - self._bit[sub_id].bit_length()]
         return tuple((self._tables[sup_id][k] - first).tolist())
 
     @cached_property
-    def _characters(self) -> tuple[dict[str, int], dict[str, tuple[int, ...]], dict[str, int]]:
-        """The characters ordered by restriction, one bit each: ``(top, below, reach)``.
+    def _characters(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The characters ordered by restriction, one bit each: ``(rows, reach)``.
 
-        The character (V, i) has bit ``top[V] - i``.  The bits run in poset
-        order from the top down, so top[V] counts the characters after (V, 0)
-        and a character's down-set int is no wider than the characters from
-        its context on.  ``below[V][i]`` is the down-set of (V, i) as an int
-        over these bits: (W, the restriction of atom i to W) for each W of
-        V's down-set.  x lies in S => T iff ``below[x]`` misses the mask of
-        S - T.  ``reach[V]`` holds every character of V's down-set of
-        contexts, the union of its characters' down-sets, as every character
-        there is the restriction of one of V's.
+        The character of atom row r of T has bit T - 1 - r, so the bits run
+        in poset order from the top down and a character's down-set int is
+        no wider than the characters from its context on.  ``rows[r]`` is
+        the down-set of that character as an int over these bits: for (V, i),
+        (W, the restriction of atom i to W) for each W of V's down-set.  x
+        lies in S => T iff ``rows[x]`` misses the mask of S - T.  ``reach[p]``
+        holds every character of the down-set of contexts of the context at
+        position p, the OR of its rows, as every character there is the
+        restriction of one of its own.
         """
         # Row k of V's table restricts V's atoms to the k-th context W of its down-set:
         # entry i is the atom row r, of T, of that character of W, bit T - 1 - r of (V, i)'s int.
@@ -557,34 +559,25 @@ class ContextPoset:
         # tables stack into n columns.  Each such group writes the ints of its
         # characters into one buffer, as many little-endian bytes for each as
         # the group's first needs: bit e of its c-th is bit 8 * size * c + e.
-        last = self._first_rows[-1] + self._contexts[-1].n_atoms - 1  # T - 1
-        top = dict(zip(self._ids, (last - self._first_rows).tolist()))
-        below: dict[str, tuple[int, ...]] = {}
+        last, rows = int(self._row_starts[-1]) - 1, []
         for n, group in groupby(self._contexts, lambda c: c.n_atoms):
-            ids, downs, tables = zip(*((c.id, self._down[c.id], self._tables[c.id]) for c in group))
-            size = top[ids[0]] // 8 + 1  # bytes per int
-            start = np.repeat(np.arange(len(ids) * n).reshape(-1, n) * 8 * size, list(map(len, downs)), axis=0)
+            downs, tables = zip(*((self._down[c.id], self._tables[c.id]) for c in group))
+            size = (last - len(rows)) // 8 + 1  # bytes per int
+            start = np.repeat(np.arange(len(downs) * n).reshape(-1, n) * 8 * size, list(map(len, downs)), axis=0)
             at = (start + last - np.concatenate(tables)).ravel()
-            data = bytearray(len(ids) * n * size)
+            data = bytearray(len(downs) * n * size)
             np.add.at(np.frombuffer(data, dtype=np.uint8), at >> 3, (1 << (at & 7)).astype(np.uint8))
-            ints = iter([int.from_bytes(data[a : a + size], "little") for a in range(0, len(data), size)])
-            below.update(zip(ids, zip(*[ints] * n)))  # n ints per context
-        return top, below, {cid: reduce(int.__or__, own) for cid, own in below.items()}
+            rows += [int.from_bytes(data[a : a + size], "little") for a in range(0, len(data), size)]
+        starts = self._row_starts.tolist()
+        return tuple(rows), tuple(reduce(int.__or__, rows[a:b]) for a, b in zip(starts, starts[1:]))
 
     @cached_property
-    def _character_rows(self) -> tuple[int, ...]:
-        # The down-set int of every character of _characters, in atom row
-        # order, which is the order of their bits from the top down.
-        return tuple(chain.from_iterable(self._characters[1].values()))
-
-    @cached_property
-    def _seed_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # The stacked seed atoms, a 0/1 matrix whose row k marks the seed
-        # atoms that atom row k sums (contexts in poset order, atoms in atom
-        # order), whose product with a touch_table of the seed atoms is the
-        # table of every poset atom, and each context's first row.
+    def _seed_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        # The stacked seed atoms and a 0/1 matrix whose row k marks the seed
+        # atoms that atom row k sums, whose product with a touch_table of the
+        # seed atoms is the table of every poset atom.
         masks = [mask for c in self._contexts for mask in self._registry.nodes[c.id].own]
-        return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float), self._first_rows
+        return np.asarray(self._seed_atoms), _bit_rows(masks, len(self._seed_atoms)).astype(float)
 
     @cached_property
     def _atom_stacks(self) -> tuple[np.ndarray, ...]:

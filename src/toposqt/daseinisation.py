@@ -127,15 +127,15 @@ def _daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> DaseinisedPropos
     # atoms.  The weights are the subobject's int over the character bits.
     # Adding 0.0 clears a negative zero that a reduction starting from its
     # first term keeps.
-    seeds, sums, _ = poset._seed_sums
+    seeds, sums = poset._seed_sums
     w = _weights(sums @ touch_table(seeds, (identity(P.shape[0]) - P, P)), end, poset.tolerances.tau)
-    projectors, first, at = {}, 0, 0
+    projectors, first, starts = {}, 0, poset._row_starts
     for stack in poset._atom_stacks:
         k, n = stack.shape[:2]
-        out = (stack * w[at : at + k * n].reshape(k, n, 1, 1)).sum(axis=1)
+        out = (stack * w[starts[first] : starts[first + k]].reshape(k, n, 1, 1)).sum(axis=1)
         out += 0.0
         projectors.update(zip(poset.ids[first : first + k], out))
-        first, at = first + k, at + k * n
+        first += k
     return DaseinisedProposition(P, projectors, ClopenSubobject._of(poset, _pack(w.tobytes())))
 
 

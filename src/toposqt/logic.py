@@ -8,10 +8,10 @@ everything it gives the largest down-set inside S2, so the same rule decides
 whether a set is a sieve, whether a selection is clopen, and which contexts
 a truth value keeps.  Each order is encoded once, as down-set ints: a
 context's over one bit per context (``ContextPoset._bit``), a character's
-over one bit per character (``ContextPoset._characters``), so x lies in
-S1 -> S2 iff its down-set int misses the mask of S1 - S2.  A subobject the
-library makes holds its mask, so its conjunction and disjunction are an AND
-and an OR; on sieves they stay set operations.
+over one bit per character (the rows of ``ContextPoset._characters``, one
+per atom row), so x lies in S1 -> S2 iff its down-set int misses the mask of
+S1 - S2.  A subobject the library makes holds its mask, so its conjunction
+and disjunction are an AND and an OR; on sieves they stay set operations.
 Each context V has one frame here (``_Frame``), built on first use and
 kept in the poset's plain dict ``_sieve_frames``.  Once the sieves on V are
 enumerated, the frame keeps them, Ω(V), as ints over one bit per member of

@@ -10,10 +10,11 @@ The clopen subobjects are the down-sets of the characters ordered by
 restriction.  One rule decides down-sets: x lies in S => T iff its down-set
 meets S only inside T.  Both orders are read off down-set ints: the context
 order (sieves, truth values, global elements) off the poset's, one bit per
-context, and the character order off ``ContextPoset._characters``, one bit
-per character, where x lies in S => T iff its down-set int misses the mask
-of S - T.  A selection is clopen iff it is its own largest down-set: no
-selected character's down-set int meets the complement of its mask.
+context, and the character order off the rows of ``ContextPoset._characters``,
+one int per atom row over one bit per character, where x lies in S => T iff
+its down-set int misses the mask of S - T.  A selection is clopen iff it is
+its own largest down-set: no selected character's down-set int meets the
+complement of its mask.
 A subobject that the library makes is that mask itself, one int over the
 character bits, as a global element of Ω is its down-set of contexts: both
 are a ``_Held`` element of a down-set lattice, with one rule of trust and
@@ -218,8 +219,8 @@ class ClopenSubobject(_Held):
     def _decode(poset: ContextPoset, bits: int) -> dict[str, frozenset[int]]:
         # The selection of a character int: each context's set bits as one int
         # of its atoms, atom i at bit i, and that int's frozenset, made once.
-        first, count = poset._first_rows, _row_count(poset)
-        index = np.arange(count) - np.repeat(first, np.diff(first, append=count))
+        first, count = poset._row_starts[:-1], poset._row_starts[-1]
+        index = np.arange(count) - np.repeat(first, np.diff(poset._row_starts))
         codes = np.add.reduceat(np.frombuffer(_flags(bits, count), np.uint8).astype(np.int64) << index, first).tolist()
         kept = {code: frozenset(_bits(code)) for code in set(codes)}
         return dict(zip(poset.ids, map(kept.get, codes)))
@@ -227,35 +228,27 @@ class ClopenSubobject(_Held):
     @staticmethod
     def _encode(poset: ContextPoset, selection: Mapping, name: str) -> int | None:
         # A selection checked under the coverage rule and packed, or None when
-        # it selects an index that is no character.  A value that is not a
-        # frozenset is read as the constructor reads it, or refused as there.
-        _require_contexts(poset, selection, name)
-        if not {frozenset}.issuperset(map(type, selection.values())):
-            selection = ClopenSubobject(selection).selection
-        if not _selects_characters(poset, selection, name):
+        # it selects an index that is no character.
+        selection = _selects_characters(poset, selection, name)
+        if selection is None:
             return None
-        rows = np.zeros(_row_count(poset), dtype=bool)
+        rows = np.zeros(poset._row_starts[-1], dtype=bool)
         chosen = map(selection.__getitem__, poset.ids)
-        rows[[first + int(i) for first, indices in zip(poset._first_rows.tolist(), chosen) for i in indices]] = True
+        rows[[first + int(i) for first, indices in zip(poset._row_starts.tolist(), chosen) for i in indices]] = True
         return _pack(rows.tobytes())
 
     @staticmethod
     def _rows(poset: ContextPoset) -> tuple[int, ...]:
-        return poset._character_rows
+        return poset._characters[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{cid}:{sorted(v)}" for cid, v in sorted(self.selection.items()))
         return f"ClopenSubobject({parts})"
 
 
-def _row_count(poset: ContextPoset) -> int:
-    # T, the number of atom rows, which is the number of characters.
-    return int(poset._first_rows[-1]) + poset._contexts[-1].n_atoms
-
-
 def full_subobject(poset: ContextPoset) -> ClopenSubobject:
     """The maximal subobject: the whole spectrum at every context."""
-    return ClopenSubobject._of(poset, (1 << _row_count(poset)) - 1)
+    return ClopenSubobject._of(poset, (1 << int(poset._row_starts[-1])) - 1)
 
 
 def empty_subobject(poset: ContextPoset) -> ClopenSubobject:
@@ -277,13 +270,17 @@ def _require_contexts(poset: ContextPoset, assignment: Mapping, name: str) -> No
         raise IncompleteAssignment(f"{name} must be defined on every context of the poset and on no other")
 
 
-def _selects_characters(poset: ContextPoset, selection: Mapping[str, frozenset], name: str) -> bool:
-    # Under the coverage rule, whether each index is an atom of its context:
-    # an integer in range (a bool or a float equal to one passes the subset test).
+def _selects_characters(poset: ContextPoset, selection: Mapping, name: str) -> Mapping[str, frozenset] | None:
+    # The selection, once its contexts pass, each value read as the constructor
+    # reads it (or refused as there); None unless each index is an atom of its
+    # context: an integer in range (a bool or a float equal to one passes the subset test).
     _require_contexts(poset, selection, name)
+    if not {frozenset}.issuperset(map(type, selection.values())):
+        selection = ClopenSubobject(selection).selection
     kinds = set(map(type, chain.from_iterable(selection.values())))
-    return all(issubclass(k, numbers.Integral) and k is not bool for k in kinds) and all(
+    ok = all(issubclass(k, numbers.Integral) and k is not bool for k in kinds) and all(
         map(operator.le, map(selection.__getitem__, poset.ids), map(_atom_set, [c.n_atoms for c in poset._contexts])))
+    return selection if ok else None
 
 
 @cache
@@ -301,7 +298,7 @@ def is_clopen_subobject(poset: ContextPoset, subobject: ClopenSubobject) -> bool
     if bits is None:
         return False
     # No selected character's down-set int meets the complement.
-    below = poset._character_rows
+    below = poset._characters[0]
     outside = ((1 << len(below)) - 1) ^ bits
     return not any(map(outside.__and__, compress(below, _flags(bits, len(below)))))
 

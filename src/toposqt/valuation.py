@@ -20,7 +20,7 @@ import numpy as np
 
 from ._json import brief_repr, integer
 from .contexts import Context, ContextPoset
-from .daseinisation import DaseinisedProposition, _daseinise
+from .daseinisation import DaseinisedProposition, _daseinise, _weights
 from .errors import NotUnitVector, SearchBudgetExceeded, UnknownContext, ValidationError
 from .logic import GlobalElementOfOmega, _element
 from .operators import (
@@ -42,6 +42,7 @@ from .operators import (
 from .presheaf import (
     Character,
     ClopenSubobject,
+    _flags,
     _pack,
     _require_contexts,
     _require_member,
@@ -90,12 +91,11 @@ def truth_value(poset: ContextPoset, P, psi, tau: float | None = None) -> Global
     """
     tau = poset._tolerance(tau).tau
     P, ray = require_projector(P, tau), _ray(psi, tau)
-    seeds, sums, starts = poset._seed_sums
-    hits = sums @ touch_table(seeds, (identity(len(P)) - P, P, identity(len(ray)) - ray, ray)) > tau * tau
-    if not (hits[:, :2].any(axis=1) & hits[:, 2:].any(axis=1)).all():
-        raise ValidationError(f"an atom touches no projection of the family at tau={tau}")
-    # The int of the contexts where an atom touches the ray but not P; keep those whose down-set misses it.
-    return _element(poset, _pack(np.logical_or.reduceat(hits[:, 3] & ~hits[:, 1], starts).tobytes()))
+    seeds, sums = poset._seed_sums
+    rows = sums @ touch_table(seeds, (identity(len(P)) - P, P, identity(len(ray)) - ray, ray))
+    failing = _weights(rows[:, 2:], 1, tau) & ~_weights(rows[:, :2], 1, tau)  # the atoms touching the ray, not P
+    # The int of the contexts where an atom fails; keep those whose down-set misses it.
+    return _element(poset, _pack(np.logical_or.reduceat(failing, poset._row_starts[:-1]).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def _atom_bounds(poset: ContextPoset, keyed: tuple) -> tuple[tuple[float, float]
     bounds = kept.get(key)
     if bounds is None:
         eigenvalues, vecs, starts = _clusters(A, poset.tolerances)
-        seeds, sums, _ = poset._seed_sums
+        seeds, sums = poset._seed_sums
         bounds = tuple(table_bounds(sums @ cluster_table(seeds, vecs, starts), eigenvalues, poset.tolerances.tau))
         poset._quantity_bounds = dict([*kept.items()][1 - _KEPT_QUANTITIES :] + [(key, bounds)])
     return bounds
@@ -242,18 +242,22 @@ def global_sections(
     first; every assignment is propagated through the whole down-set at once
     so inconsistencies between overlapping contexts prune immediately.  A
     search node holds two ints over the character bits of
-    ``ContextPoset._characters``: ``forced``, the characters chosen so far,
-    and ``blocked``, the other characters of the contexts they force.  A
-    character is allowed iff its down-set int misses ``blocked``; choosing it
-    ORs that int into ``forced`` and the rest of its context's down-set of
-    characters into ``blocked``.
+    ``ContextPoset._characters``, ``(rows, reach)``: ``forced``, the
+    characters chosen so far, and ``blocked``, the other characters of the
+    contexts they force.  A character is allowed iff its down-set int, its
+    atom row's entry of ``rows``, misses ``blocked``; choosing it ORs that
+    int into ``forced`` and the rest of its context's ``reach`` into
+    ``blocked``.
     Raises ``SearchBudgetExceeded`` after ``budget`` assignment attempts.
     Absence of sections certifies contextuality for this finite poset only.
     """
     if not (integer(budget) and budget >= 0):
         raise ValidationError(f"budget must be an integer >= 0, got {brief_repr(budget)}")
     order = poset.ids  # already sorted by descending atom count
-    top, below, reach = poset._characters
+    rows, reach = poset._characters
+    starts, ranked = poset._row_starts.tolist(), None
+    # Per context, the shift that brings its first two character bits down, and its rows.
+    shifts, groups = [starts[-1] - 2 - s for s in starts[:-1]], [rows[a:b] for a, b in zip(starts, starts[1:])]
     sections: list[GlobalSection] = []
     nodes = 0
     # Each entry is a position in ``order``, ``forced`` and ``blocked``; the
@@ -262,14 +266,14 @@ def global_sections(
     while stack:
         k, forced, blocked = stack.pop()
         # A forced context has its other characters blocked, so (V, 0) or (V, 1) is.
-        while k < len(order) and blocked >> (top[order[k]] - 1) & 3:
+        while k < len(order) and blocked >> shifts[k] & 3:
             k += 1
         if k == len(order):
-            # Digit b is bit b of forced; the highest set bit up to top[V] is V's character.
-            digits = format(forced, "b")[::-1]
-            sections.append(GlobalSection({v: top[v] - digits.rindex("1", 0, top[v] + 1) for v in sorted(order)}))
+            # forced holds one row of each context: its character.
+            flags, ranked = _flags(forced, starts[-1]), ranked or sorted(zip(order, starts))  # the contexts by id
+            sections.append(GlobalSection({v: flags.index(1, s) - s for v, s in ranked}))
             continue
-        downs, whole = below[order[k]], reach[order[k]]
+        downs, whole = groups[k], reach[k]
         nodes += len(downs)
         if nodes > budget:
             raise SearchBudgetExceeded(f"section search exceeded the budget of {budget} nodes")

@@ -368,7 +368,7 @@ def loop_daseinise(poset: ContextPoset, P: np.ndarray, end: int) -> tuple[dict, 
     sum_a bound(a) a, each atom of bound 1 added in place in atom order, and
     the atoms of nonzero bound.  Returns the approximations and selections."""
     family = two_valued(P)
-    seeds, sums, _ = poset._seed_sums
+    seeds, sums = poset._seed_sums
     bounds = iter(table_bounds(sums @ touch_table(seeds, family.projectors), family.eigenvalues, poset.tolerances.tau))
     projectors, selection = {}, {}
     for c in poset:

@@ -2,18 +2,23 @@
 ``restriction_indices``: the clopen test, the implication of clopen
 subobjects and the section search, on the single basis of C^4, spin2 and
 two bases of C^4 that share two rays, with Hypothesis-drawn selections that
-need not be clopen."""
+need not be clopen; and the atom-row index and character table of the poset
+against their definitions."""
 
 from __future__ import annotations
 
+from functools import reduce
 from importlib import resources
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haar_basis
 from oracles import brute_implies, brute_is_clopen, brute_sections
+from toposqt.contexts import build_poset, context_from_basis
 from toposqt.errors import SearchBudgetExceeded
 from toposqt.logic import subobject_connective
 from toposqt.presheaf import ClopenSubobject, empty_subobject, full_subobject, is_clopen_subobject
@@ -96,3 +101,37 @@ def test_numpy_integer_indices_read_as_ints(ks18):
     implied = subobject_connective(ks18, "implies", ClopenSubobject(as_numpy), ClopenSubobject(half))
     assert implied == subobject_connective(ks18, "implies", full_subobject(ks18), ClopenSubobject(half))
     assert implied.selection == brute_implies(ks18, full, half)
+
+
+def _single_basis(dim: int):
+    return build_poset([context_from_basis(haar_basis(dim))])
+
+
+@pytest.mark.parametrize("name", [*POSETS, "ks18", "dim4", "dim5", "dim6", "dim7"])
+def test_the_character_table_follows_its_definition(request, name):
+    # Context p owns atom rows starts[p]:starts[p + 1] of T, and the character
+    # of row r has bit T - 1 - r.  The down-set int of (V, i) holds (W, the
+    # restriction of atom i to W) for each W of V's down-set; V's reach is
+    # the OR of its rows.
+    poset = _single_basis(int(name[3:])) if name.startswith("dim") else request.getfixturevalue(name)
+    starts = poset._row_starts.tolist()
+    assert starts == [0, *accumulate(c.n_atoms for c in poset)]
+    count, position = starts[-1], {cid: p for p, cid in enumerate(poset.ids)}
+    rows, reach = poset._characters
+    assert len(rows) == count and len(reach) == len(poset)
+    for p, v in enumerate(poset.ids):
+        tables = {w: poset.restriction_indices(v, w) for w in poset.down_ids(v)}
+        own = [sum(1 << (count - 1 - (starts[position[w]] + table[i])) for w, table in tables.items())
+               for i in range(poset.get(v).n_atoms)]
+        assert list(rows[starts[p] : starts[p + 1]]) == own
+        assert reach[p] == reduce(int.__or__, own)
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7, 8])
+def test_a_single_basis_has_one_section_per_ray_in_atom_order(dim):
+    # The k-th section picks, at every context W in id order, the atom that
+    # the top's atom k restricts to.
+    poset = _single_basis(dim)
+    top = poset.ids[0]
+    expected = [[(w, poset.restriction_indices(top, w)[k]) for w in sorted(poset.ids)] for k in range(dim)]
+    assert [list(s.assignment.items()) for s in global_sections(poset)] == expected

@@ -714,7 +714,7 @@ def _assert_tables_hold_atom_rows(poset) -> None:
     # the _seed_sums row order.  That atom lies above atom i, so its seed mask
     # (the seed atoms it touches) holds atom i's.
     touch = [m for cid in poset.ids for m in poset._registry.nodes[cid].touch]
-    first = dict(zip(poset.ids, poset._seed_sums[2].tolist()))
+    first = dict(zip(poset.ids, poset._row_starts[:-1].tolist()))
     for v in poset.ids:
         masks = poset._registry.nodes[v].touch
         for w, table in zip(poset.down_ids(v), poset._tables[v].tolist()):
