@@ -93,7 +93,10 @@ class Context:
     """An abelian algebra given by its atoms, in canonical order.
 
     Identity, equality and hashing all go through the canonical id, which is
-    derived from the rounded atom matrices.
+    derived from the rounded atom matrices.  ``presheaf.gelfand_spectrum``
+    keeps the context's characters in its instance dict once read, so a copy
+    or a pickle of a read Context carries them; they take no part in
+    equality or hashing.
     """
 
     id: str

@@ -48,8 +48,17 @@ class Character:
 
 
 def gelfand_spectrum(context: Context) -> tuple[Character, ...]:
-    """One character per atom, in canonical atom order."""
-    return tuple(Character(context.id, i) for i in range(context.n_atoms))
+    """One character per atom, in canonical atom order.
+
+    The context keeps the tuple: it is built on the first call and stored in
+    the Context's instance dict, as ``functools.cached_property`` stores a
+    value, so every later call returns that very tuple, for as long as the
+    Context lives.  A copy or a pickle of the Context carries it."""
+    kept = context.__dict__
+    spectrum = kept.get("_spectrum")
+    if spectrum is None:
+        spectrum = kept["_spectrum"] = tuple(Character(context.id, i) for i in range(context.n_atoms))
+    return spectrum
 
 
 def coefficients_in(context: Context, A, tau: float = TAU) -> np.ndarray:
@@ -87,9 +96,10 @@ def restrict_character(
 
 
 def _require_member(context: Context, character: Character) -> None:
-    # The one check of a character: its context's, with an integer atom index in range.
+    # The one check of a character: its context's, with an integer atom index
+    # in range.  An exact int passes the type test without the ABC check.
     index, n = character.atom_index, context.n_atoms
-    if character.context_id != context.id or not (integer(index) and 0 <= index < n):
+    if character.context_id != context.id or not ((type(index) is int or integer(index)) and 0 <= index < n):
         raise UnknownCharacter(f"no character of {context.id!r} (atoms 0..{n - 1}): {brief_repr(character)}")
 
 

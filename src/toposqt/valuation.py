@@ -157,9 +157,10 @@ def quantity_value_arrows(poset: ContextPoset, A, context: Context | None = None
 def _own_context(poset: ContextPoset, context: Context) -> Context:
     # The poset's own context of the given one's id, whose atom count and
     # characters the value calls read: a Context with a poset id and another
-    # atom count is no context of the poset.
+    # atom count is no context of the poset.  The own context itself ends
+    # the check.
     own = poset.get(context.id)
-    if context.n_atoms != own.n_atoms:
+    if context is not own and context.n_atoms != own.n_atoms:
         raise UnknownContext(f"{context.id!r} has {own.n_atoms} atoms in this poset, not {context.n_atoms}")
     return own
 
@@ -210,11 +211,19 @@ def _value_arrows(
     # poset's contexts, checked, for A's bounds from _atom_bounds.  mu and nu
     # of (V, i) at W are the bounds of the atom of W that atom i restricts to,
     # whose atom row is in column i of V's restriction tables, at W's position.
-    down, table = poset.down_ids(context.id), poset._tables[context.id]
+    # Each pair is filled through its instance dict, at about half the cost
+    # of the frozen dataclass __init__, which stores each field through
+    # object.__setattr__; it is the public IntervalPair in every respect,
+    # frozen included.
+    base = context.id
+    down, table, gather = poset.down_ids(base), poset._tables[base], bounds.__getitem__
     pairs = []
     for character in characters:
-        lows, highs = zip(*[bounds[r] for r in table[:, character.atom_index].tolist()])
-        pairs.append(IntervalPair(context.id, dict(zip(down, lows)), dict(zip(down, highs))))
+        lows, highs = zip(*map(gather, table[:, character.atom_index].tolist()))
+        pair = object.__new__(IntervalPair)
+        fields = pair.__dict__
+        fields["base"], fields["mu"], fields["nu"] = base, dict(zip(down, lows)), dict(zip(down, highs))
+        pairs.append(pair)
     return pairs
 
 

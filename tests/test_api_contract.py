@@ -17,6 +17,9 @@ that may end in the operating system's ``OSError``.
 
 from __future__ import annotations
 
+import itertools
+import re
+from enum import IntEnum
 from importlib import resources
 from types import SimpleNamespace
 
@@ -43,7 +46,8 @@ from toposqt import (
     spectral_decomposition,
     totally_true,
 )
-from toposqt.errors import UnknownContext
+from toposqt._json import brief_repr
+from toposqt.errors import UnknownCharacter, UnknownContext
 
 NAN, INF = float("nan"), float("inf")
 
@@ -407,3 +411,26 @@ def test_a_context_forged_from_a_poset_id_and_other_atoms_is_an_unknown_context(
             with pytest.raises(UnknownContext):
                 toposqt.quantity_value_arrow(w.poset, w.A, forged, ch)
         assert len(toposqt.quantity_value_arrows(w.poset, w.A, own)) == own.n_atoms
+
+
+class _Atom(IntEnum):
+    SECOND = 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_characters_index_is_accepted_and_refused_as_before(contract):
+    # Every pooled malformed character is an UnknownCharacter with the one
+    # message, through both calls that check a character; a numpy integer and
+    # an IntEnum member are indices, a numpy bool is not.
+    w = contract[0]
+    top, n = w.top, w.top.n_atoms
+    calls = (lambda ch: toposqt.quantity_value_arrow(w.poset, w.A, top, ch),
+             lambda ch: toposqt.evaluate_character(top, ch, w.A))
+    refused = [*data_pools(w)["character"], Character(top.id, np.bool_(True))]
+    for character, call in itertools.product(refused, calls):
+        text = f"no character of {top.id!r} (atoms 0..{n - 1}): {brief_repr(character)}"
+        with pytest.raises(UnknownCharacter, match=re.escape(text)):
+            call(character)
+    for index in (np.int64(1), _Atom.SECOND):
+        for call in calls:
+            assert call(Character(top.id, index)) == call(Character(top.id, 1))

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from conftest import locate
+from conftest import haar_basis, locate
+from toposqt.contexts import Context, build_poset, context_from_basis
 from toposqt.daseinisation import daseinise_proposition
 from toposqt.errors import DimensionMismatch, NotASubcontext, NotInAlgebra, UnknownCharacter, ValidationError
 from toposqt.presheaf import (
@@ -327,3 +331,40 @@ def test_every_per_context_mapping_needs_exactly_the_posets_contexts(poset11, se
         for odd in ({cid: v for cid, v in values.items() if cid != top}, {**values, second_basis.id: values[top]}):
             with pytest.raises(IncompleteAssignment):
                 check(odd)
+
+
+def _fresh_spectrum(context) -> tuple:
+    return tuple(Character(context.id, i) for i in range(context.n_atoms))
+
+
+def test_a_context_keeps_the_spectrum_of_its_own_atoms(spin2_poset, ks18_poset):
+    # Every context of both shipped posets, a context made from a basis, and
+    # the contract's forged contexts: a poset id with another context's
+    # atoms has the characters of its own atoms, whichever was read first.
+    poset = build_poset([context_from_basis(np.eye(3))])
+    top = poset.get(poset.ids[0])
+    sub = next(c for c in poset if c.n_atoms == 2)
+    forged = (Context(sub.id, top.atoms, top.ranks), Context(top.id, sub.atoms, sub.ranks))
+    contexts = [*spin2_poset, *ks18_poset, context_from_basis(haar_basis(5)), sub, top, *forged]
+    for context in contexts:
+        spectrum = gelfand_spectrum(context)
+        assert spectrum == _fresh_spectrum(context) and gelfand_spectrum(context) is spectrum
+    assert [len(gelfand_spectrum(c)) for c in (sub, top, *forged)] == [2, 3, 3, 2]
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"])
+def test_a_copied_poset_whose_spectra_were_read_gives_equal_spectra(clone):
+    poset = build_poset([context_from_basis(np.eye(4)), context_from_basis(haar_basis(4))])
+    read = {c.id: gelfand_spectrum(c) for c in poset}
+    copied = clone(poset)
+    assert [c.id for c in copied] == list(read)
+    for context in copied:
+        assert gelfand_spectrum(context) == read[context.id] == _fresh_spectrum(context)
+
+
+def test_reading_a_spectrum_leaves_context_equality_and_hash_unchanged():
+    context, twin = context_from_basis(haar_basis(4, 2)), context_from_basis(haar_basis(4, 2))
+    before = hash(context)
+    gelfand_spectrum(context)
+    assert context == twin and twin == context and hash(context) == before == hash(twin)
+    assert context != context_from_basis(np.eye(4))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import inspect
 import json
+import pickle
 import sys
 from importlib import resources
 
@@ -35,6 +38,7 @@ from toposqt.presheaf import (
 )
 from toposqt.problems import load_problem, problem_from_dict, problem_poset
 from toposqt.valuation import (
+    IntervalPair,
     _keyed,
     global_sections,
     is_global_section,
@@ -286,6 +290,29 @@ def _shipped_poset(name: str):
 def _pairs(poset, A) -> list:
     # quantity_value_arrow at every character, in poset and atom order.
     return [(ch, quantity_value_arrow(poset, A, c, ch)) for c in poset for ch in gelfand_spectrum(c)]
+
+
+@pytest.mark.parametrize("name", ["spin2", "ks18"])
+def test_a_kernel_made_pair_is_the_public_interval_pair(name):
+    # The kernel fills each pair's instance dict; every pair of a sweep must
+    # still behave as one built by the frozen dataclass's __init__.
+    poset = _shipped_poset(name)
+    A = random_self_adjoint(np.random.default_rng(5), poset.dim)
+    with pytest.raises(TypeError) as made:
+        hash(IntervalPair("ctx", {}, {}))
+    for _, pair in _pairs(poset, A):
+        built = IntervalPair(pair.base, pair.mu, pair.nu)
+        assert type(pair) is IntervalPair and pair == built and built == pair and repr(pair) == repr(built)
+        assert [f.name for f in dataclasses.fields(pair)] == ["base", "mu", "nu"]
+        assert dataclasses.asdict(pair) == {"base": pair.base, "mu": pair.mu, "nu": pair.nu}
+        assert dataclasses.replace(pair, base="other") == IntervalPair("other", pair.mu, pair.nu)
+        for field in ("base", "mu", "nu"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pair, field, None)
+        with pytest.raises(TypeError) as kept:
+            hash(pair)
+        assert str(kept.value) == str(made.value)
+        assert copy.deepcopy(pair) == pair == pickle.loads(pickle.dumps(pair))
 
 
 def _count_clusters(monkeypatch) -> list:
